@@ -7,22 +7,14 @@ import (
 	"munin/internal/bench"
 )
 
-// One benchmark per experiment in DESIGN.md §4. Each reports the
-// traffic the experiment measured as custom metrics (msgs/op,
-// KB/op-net) alongside wall time; the experiment tables themselves are
-// printed by cmd/munin-bench.
+// One benchmark per experiment F1–E9 of the index in README.md
+// ("Experiments:"), timing a whole run of it; the experiment tables
+// themselves are printed by cmd/munin-bench.
 
 func benchResult(b *testing.B, run func(nodes int) *bench.Result, nodes int) {
 	b.ReportAllocs()
-	var last *bench.Result
 	for i := 0; i < b.N; i++ {
-		last = run(nodes)
-	}
-	if last != nil {
-		for k, v := range last.Metrics {
-			_ = k
-			_ = v
-		}
+		run(nodes)
 	}
 }
 

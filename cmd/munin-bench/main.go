@@ -1,5 +1,5 @@
 // Command munin-bench regenerates the paper's figures, tables and
-// quantitative claims (see DESIGN.md §4 for the experiment index).
+// quantitative claims (README.md, "Experiments:", is the experiment index).
 //
 // Usage:
 //

@@ -113,11 +113,13 @@ var LockLevels = map[string]int{
 	"munin/internal/protocol.Obj.pushMu":       12,
 
 	// Protocol directory and object state: the home pins an ownership
-	// round under dirEntry.mu, looking up objects (objStripe.mu) and
-	// mutating them (Obj.mu) inside it.
-	"munin/internal/protocol.dirEntry.mu":  14,
-	"munin/internal/protocol.objStripe.mu": 16,
-	"munin/internal/protocol.Obj.mu":       18,
+	// round under dirEntry.mu and mutates objects (Obj.mu) inside it.
+	// Object lookups take no lock; objTable.mu serializes installs only
+	// and nests with nothing today — its level keeps it that way round
+	// should an install ever run under a directory entry.
+	"munin/internal/protocol.dirEntry.mu": 14,
+	"munin/internal/protocol.objTable.mu": 16,
+	"munin/internal/protocol.Obj.mu":      18,
 
 	// dlock: the local proxy is pinned first, then the service's
 	// table; home-side per-primitive state never nests with either.
@@ -136,7 +138,8 @@ var LockLevels = map[string]int{
 	"munin/internal/transport.sendQueue.mu":   34,
 	"munin/internal/transport.queue.mu":       34,
 
-	// Leaves: the vkernel pending-call table and the counters.
+	// Leaves: the vkernel pending-call table and the counters (Set.mu
+	// is taken only to register a counter name on first use).
 	"munin/internal/vkernel.Kernel.mu": 40,
 	"munin/internal/stats.Set.mu":      50,
 }

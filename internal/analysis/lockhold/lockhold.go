@@ -4,10 +4,11 @@
 //   - No blocking protocol call — vkernel Call/MulticastCall/CallInline,
 //     the Flush fence, Pending.Wait, dlock acquire/release/barrier, the
 //     core run gate, a protocol FlushQueue, or a bare channel receive —
-//     while a data mutex is held. Data mutexes (object mu, stripe mu,
-//     digestMu, transport internals…) guard in-memory state; parking a
-//     round trip under one stalls every peer that needs the same stripe
-//     and invites lock-order deadlocks against the handler side.
+//     while a data mutex is held. Data mutexes (object mu, digestMu,
+//     transport internals…) guard in-memory state; parking a round
+//     trip under one stalls every thread and handler that needs the
+//     same object and invites lock-order deadlocks against the handler
+//     side.
 //
 //   - The two protocol *fence* mutexes — relayMu and pushMu — are the
 //     deliberate exception: their whole purpose is to pin an object's

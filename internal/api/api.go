@@ -80,18 +80,35 @@ type Ctx interface {
 
 // --- Typed access helpers -------------------------------------------
 
+// scratcher is optionally implemented by a Ctx that owns a staging word
+// the helpers below may borrow for the duration of one call. A buffer
+// passed through the Ctx interface escapes, so without it every typed
+// access heap-allocates its 8 bytes; a Ctx is single-threaded by
+// contract, which makes a per-Ctx word safe to reuse.
+type scratcher interface {
+	Scratch() *[8]byte
+}
+
+// word returns an n-byte staging buffer for one access through c.
+func word(c Ctx, n int) []byte {
+	if s, ok := c.(scratcher); ok {
+		return s.Scratch()[:n]
+	}
+	return make([]byte, n)
+}
+
 // ReadU64 reads a big-endian uint64 at off.
 func ReadU64(c Ctx, r RegionID, off int) uint64 {
-	var b [8]byte
-	c.Read(r, off, b[:])
-	return binary.BigEndian.Uint64(b[:])
+	b := word(c, 8)
+	c.Read(r, off, b)
+	return binary.BigEndian.Uint64(b)
 }
 
 // WriteU64 writes a big-endian uint64 at off.
 func WriteU64(c Ctx, r RegionID, off int, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	c.Write(r, off, b[:])
+	b := word(c, 8)
+	binary.BigEndian.PutUint64(b, v)
+	c.Write(r, off, b)
 }
 
 // ReadI64 reads a big-endian int64 at off.
@@ -112,14 +129,14 @@ func WriteF64(c Ctx, r RegionID, off int, v float64) {
 
 // ReadU32 reads a big-endian uint32 at off.
 func ReadU32(c Ctx, r RegionID, off int) uint32 {
-	var b [4]byte
-	c.Read(r, off, b[:])
-	return binary.BigEndian.Uint32(b[:])
+	b := word(c, 4)
+	c.Read(r, off, b)
+	return binary.BigEndian.Uint32(b)
 }
 
 // WriteU32 writes a big-endian uint32 at off.
 func WriteU32(c Ctx, r RegionID, off int, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	c.Write(r, off, b[:])
+	b := word(c, 4)
+	binary.BigEndian.PutUint32(b, v)
+	c.Write(r, off, b)
 }

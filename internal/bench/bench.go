@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one function per figure,
 // table, or quantitative claim in the paper, each regenerating the
 // corresponding result over the simulated cluster. The experiment index
-// lives in DESIGN.md; EXPERIMENTS.md records paper-vs-measured.
+// lives in README.md ("Experiments:"); the BENCH_<n>.json files record
+// what each PR measured.
 package bench
 
 import (

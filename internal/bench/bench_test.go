@@ -15,9 +15,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The experiment assertions below are the reproduction criteria from
-// DESIGN.md §4: not absolute numbers, but the paper's shapes — who
-// wins, by roughly what factor, where crossovers fall.
+// The experiment assertions below are the reproduction criteria: not
+// absolute numbers, but the paper's shapes — who wins, by roughly what
+// factor, where crossovers fall.
 
 func TestF1LooseVsStrict(t *testing.T) {
 	r := F1(2)

@@ -99,11 +99,15 @@ type System struct {
 
 	mu      sync.Mutex
 	nextObj memory.ObjectID
-	regions []memory.ObjectID // RegionID -> ObjectID
 	nextLck uint32
 	nextBar uint32
 	nextAtm uint32
 	closed  bool
+
+	// regions maps RegionID -> ObjectID. It is append-only: Alloc (under
+	// mu) writes the next element past the published length and then
+	// publishes the longer slice, so objectOf reads it without a lock.
+	regions atomic.Pointer[[]memory.ObjectID]
 
 	// Setup digest: a running hash + count over every allocation the
 	// program has made, identical across SPMD members when their setup
@@ -271,8 +275,13 @@ func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts pro
 	s.mu.Lock()
 	id := s.nextObj
 	s.nextObj++
-	region := api.RegionID(len(s.regions))
-	s.regions = append(s.regions, id)
+	var regions []memory.ObjectID
+	if p := s.regions.Load(); p != nil {
+		regions = *p
+	}
+	region := api.RegionID(len(regions))
+	regions = append(regions, id)
+	s.regions.Store(&regions)
 	s.mu.Unlock()
 
 	if hint == protocol.Migratory && opts.Lock == 0 {
@@ -299,12 +308,10 @@ func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts pro
 
 // objectOf maps a region back to its object ID.
 func (s *System) objectOf(r api.RegionID) memory.ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(r) < 0 || int(r) >= len(s.regions) {
-		panic(fmt.Sprintf("munin: unknown region %d", r))
+	if p := s.regions.Load(); p != nil && uint(r) < uint(len(*p)) {
+		return (*p)[r]
 	}
-	return s.regions[r]
+	panic(fmt.Sprintf("munin: unknown region %d", r))
 }
 
 // NewLock implements api.System. IDs are assigned from program order —
@@ -465,6 +472,8 @@ type Ctx struct {
 	node   *protocol.Node
 	locks  *dlock.Service
 	queue  *duq.Queue
+	// word is the staging buffer api's typed helpers borrow (Scratch).
+	word [8]byte
 }
 
 var _ api.Ctx = (*Ctx)(nil)
@@ -477,6 +486,12 @@ func (c *Ctx) NThreads() int { return c.thread.NThreads }
 
 // Node implements api.Ctx.
 func (c *Ctx) Node() int { return int(c.thread.Node) }
+
+// Scratch lends api's typed access helpers (ReadU64, WriteU32, ...) a
+// per-thread staging word, so they need not heap-allocate a buffer for
+// every access. A Ctx belongs to one thread, like its queue, and a
+// helper is done with the word before it returns.
+func (c *Ctx) Scratch() *[8]byte { return &c.word }
 
 // Read implements api.Ctx.
 func (c *Ctx) Read(r api.RegionID, off int, buf []byte) {

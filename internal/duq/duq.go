@@ -31,6 +31,8 @@
 package duq
 
 import (
+	"sync/atomic"
+
 	"munin/internal/memory"
 )
 
@@ -46,12 +48,24 @@ type Queue struct {
 	updates   int64 // combined updates emitted
 	combined  int64 // writes absorbed into an already-dirty entry
 	emptyFlux int64 // flushes with nothing pending
+
+	shard uint32 // see Shard
 }
+
+// nextShard hands every queue of the process the next shard index.
+var nextShard atomic.Uint32
 
 // New creates an empty queue.
 func New() *Queue {
-	return &Queue{dirty: make(map[memory.ObjectID]bool)}
+	return &Queue{dirty: make(map[memory.ObjectID]bool), shard: nextShard.Add(1)}
 }
+
+// Shard returns the index that selects this queue's thread's cell in a
+// sharded counter (stats.Counter.AddShard). A queue is the one thing
+// every access of a thread carries down to the protocol layer, and
+// queues created one after another — a Run's thread team — get
+// consecutive indexes, so co-located threads land in different cells.
+func (q *Queue) Shard() uint32 { return q.shard }
 
 // MarkDirty records that obj was modified by this thread. It returns
 // true if this is the first modification of obj since the last flush

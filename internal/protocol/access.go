@@ -25,7 +25,7 @@ func (n *Node) Read(q *duq.Queue, id memory.ObjectID, off int, buf []byte) {
 	o := n.mustObj(id)
 	checkRange(o, off, len(buf))
 	o.eng.read(n, q, o, off, buf)
-	n.C.Add(stats.CReads, 1)
+	n.reads.AddShard(q.Shard(), 1)
 }
 
 // Write stores data at [off, off+len(data)), running the object's
@@ -36,7 +36,7 @@ func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 	o := n.mustObj(id)
 	checkRange(o, off, len(data))
 	o.eng.write(n, q, o, off, data)
-	n.C.Add(stats.CWrites, 1)
+	n.writes.AddShard(q.Shard(), 1)
 }
 
 // FlushQueue propagates every delayed update in q. The runtime calls
@@ -742,8 +742,12 @@ func (n *Node) Evict(id memory.ObjectID) {
 // propagated as diffs when the thread synchronizes.
 
 func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
-	n.ensureReadable(o)
 	o.mu.Lock()
+	if o.state == Invalid {
+		o.mu.Unlock()
+		n.ensureReadable(o)
+		o.mu.Lock()
+	}
 	q.MarkDirty(o.meta.ID)
 	// The twin is per-node while dirty marks are per-thread: another
 	// thread's flush may have consumed the twin this thread's mark was
@@ -756,7 +760,7 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	copy(o.data[off:], data)
 	o.mu.Unlock()
-	n.C.Add(stats.CWriteBuffered, 1)
+	n.writeBuffered.AddShard(q.Shard(), 1)
 }
 
 // flushObject emits the delayed update for one object (the legacy
@@ -835,7 +839,7 @@ func (n *Node) producerWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	copy(o.data[off:], data)
 	o.mu.Unlock()
-	n.C.Add(stats.CWriteBuffered, 1)
+	n.writeBuffered.AddShard(q.Shard(), 1)
 }
 
 // becomeProducer registers this node as the object's producer with the
@@ -966,25 +970,19 @@ func (n *Node) ensureConsumer(o *Obj) {
 // the object to replication (§3.4.1), after which reads are local.
 
 func (n *Node) readMostlyRead(o *Obj, off int, buf []byte) {
+	home := n.homeOf(&o.meta)
 	o.mu.Lock()
 	replicated := o.replicated
-	o.mu.Unlock()
-	home := n.homeOf(&o.meta)
-	if home == n.id {
-		o.mu.Lock()
+	if home == n.id || (replicated && o.state != Invalid) {
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
 		return
 	}
+	o.mu.Unlock()
 	if replicated {
-		o.mu.Lock()
-		miss := o.state == Invalid
-		o.mu.Unlock()
-		if miss {
-			// The copy lapsed (or was never fetched): this read crosses
-			// the wire, like a lease take/refresh does.
-			n.C.Add(stats.CRMRemoteReads, 1)
-		}
+		// The copy lapsed (or was never fetched): this read crosses
+		// the wire, like a lease take/refresh does.
+		n.C.Add(stats.CRMRemoteReads, 1)
 		n.ensureReadable(o)
 		o.mu.Lock()
 		copy(buf, o.data[off:])

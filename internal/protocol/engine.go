@@ -108,6 +108,10 @@ type directoryEngine struct{}
 
 func (directoryEngine) kind() EngineKind { return EngineDirectory }
 
+// read serves a local hit — a valid copy, under any annotation — inside
+// one hold of o.mu: the validity check and the copy share a critical
+// section, and only an Invalid copy leaves it for the fault path, which
+// runs with o.mu released.
 func (directoryEngine) read(n *Node, q *duq.Queue, o *Obj, off int, buf []byte) {
 	switch o.meta.Annot {
 	case Private:
@@ -128,13 +132,21 @@ func (directoryEngine) read(n *Node, q *duq.Queue, o *Obj, off int, buf []byte) 
 	case Result:
 		n.resultRead(o, off, buf)
 	case ProducerConsumer:
-		n.ensureConsumer(o)
 		o.mu.Lock()
+		if !o.registered && !o.isProducer && o.state == Invalid {
+			o.mu.Unlock()
+			n.ensureConsumer(o)
+			o.mu.Lock()
+		}
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
 	default: // Conventional, GeneralRW, WriteOnce, WriteMany
-		n.ensureReadable(o)
 		o.mu.Lock()
+		if o.state == Invalid {
+			o.mu.Unlock()
+			n.ensureReadable(o)
+			o.mu.Lock()
+		}
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
 	}

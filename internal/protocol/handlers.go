@@ -190,14 +190,17 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 		o.grantPending = true
 		o.mu.Unlock()
 	}
-	d.mu.Unlock()
-
 	b := msg.NewBuilder(8 + len(fresh))
 	b.Bool(hasData)
 	if hasData {
 		b.BytesN(fresh)
 	}
+	// The grant goes out before the directory entry is released: the
+	// next writer's handler sends its kindFetch to the new owner from
+	// inside this same lock, and per-pair delivery is FIFO, so the fetch
+	// can never overtake the grant and be served pre-install bytes.
 	n.k.Reply(req, b.Bytes())
+	d.mu.Unlock()
 }
 
 // handleInv invalidates the local copy. It must not wait for any

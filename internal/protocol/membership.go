@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 
-	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
 	"munin/internal/transport"
@@ -59,24 +58,8 @@ func (n *Node) PeerGone(peer msg.NodeID) {
 // restarted incarnation comes back with empty state, so every record
 // of its old copies is stale and must go before it re-primes lazily).
 func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
-	for i := range n.stripes {
-		s := &n.stripes[i]
-		s.mu.Lock()
-		type idDir struct {
-			id memory.ObjectID
-			d  *dirEntry
-		}
-		dirs := make([]idDir, 0, len(s.dir))
-		for id, d := range s.dir {
-			dirs = append(dirs, idDir{id, d})
-		}
-		objs := make([]*Obj, 0, len(s.objs))
-		for _, o := range s.objs {
-			objs = append(objs, o)
-		}
-		s.mu.Unlock()
-		for _, e := range dirs {
-			d := e.d
+	n.objs.each(func(o *Obj) {
+		if d := o.dir.Load(); d != nil {
 			d.mu.Lock()
 			if d.copyset[peer] {
 				delete(d.copyset, peer)
@@ -86,32 +69,28 @@ func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
 				d.producer = -1
 			}
 			if d.owner == peer {
-				if o := n.obj(e.id); o != nil {
-					o.mu.Lock() // d.mu → o.mu is the established order
-					if o.state == Invalid {
-						o.state = Shared // serveable, though possibly stale
-					}
-					o.dirtyOwner = false
-					o.mu.Unlock()
+				o.mu.Lock() // d.mu → o.mu is the established order
+				if o.state == Invalid {
+					o.state = Shared // serveable, though possibly stale
 				}
+				o.dirtyOwner = false
+				o.mu.Unlock()
 				d.owner = n.id
 				d.copyset[n.id] = true
 				owners++
 			}
 			d.mu.Unlock()
 		}
-		for _, o := range objs {
-			o.mu.Lock()
-			for j, c := range o.consumers {
-				if c == peer {
-					o.consumers = append(o.consumers[:j], o.consumers[j+1:]...)
-					consumers++
-					break
-				}
+		o.mu.Lock()
+		for j, c := range o.consumers {
+			if c == peer {
+				o.consumers = append(o.consumers[:j], o.consumers[j+1:]...)
+				consumers++
+				break
 			}
-			o.mu.Unlock()
 		}
-	}
+		o.mu.Unlock()
+	})
 	return copies, consumers, owners
 }
 

@@ -41,6 +41,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -215,6 +216,10 @@ type Obj struct {
 	// faults, resolved at install time (see resolveEngine).
 	eng engine
 
+	// dir is the directory record, created on first use at the home
+	// (dirEntryOf); nil on nodes that never acted as this object's home.
+	dir atomic.Pointer[dirEntry]
+
 	// Lease engine state (EngineLease only). The version of the cached
 	// copy, and the node synchronization epoch its lease was granted
 	// under: the lease is live while Node.syncEpoch still equals
@@ -270,19 +275,96 @@ type dirEntry struct {
 	updModeSet bool
 }
 
-// objStripes is the number of lock stripes over the per-node object and
-// directory maps. A power of two so the stripe index is a mask; 32 is
-// comfortably above any plausible per-node concurrency here while
-// keeping the fixed footprint trivial.
-const objStripes = 32
+// objTable maps ObjectID to the node's *Obj. Every Read, Write, fault,
+// diff merge and relay starts with a lookup here, so lookups take no
+// lock: the table is an open-addressed array of atomic pointers (linear
+// probing, never more than half full, no deletion — objects are never
+// freed), and the object's immutable meta.ID is the key. Installing an
+// object stores one cell; a full table is replaced by publishing a
+// rehashed copy twice the size, so an install is O(1) amortised however
+// sparse the IDs are (Ivy's pages start at 1<<20).
+type objTable struct {
+	mu    sync.Mutex                            // serializes put; get never takes it
+	cells atomic.Pointer[[]atomic.Pointer[Obj]] // power-of-two length; a published array is filled in, never resized
+	n     int                                   // objects installed; under mu
+}
 
-// objStripe is one stripe of the per-node object/directory tables: its
-// mutex guards only map membership for the IDs that hash to it, never
-// the objects themselves (Obj and dirEntry carry their own locks).
-type objStripe struct {
-	mu   sync.Mutex
-	objs map[memory.ObjectID]*Obj
-	dir  map[memory.ObjectID]*dirEntry
+// objSlot is the home slot of id in a table of the given power-of-two
+// size: Fibonacci hashing, which spreads the dense ID ranges allocation
+// produces over distinct slots.
+func objSlot(id memory.ObjectID, size int) int {
+	return int(uint32(id) * 2654435769 >> bits.LeadingZeros32(uint32(size-1)))
+}
+
+// published returns the current cell array (nil before the first
+// install).
+func (t *objTable) published() []atomic.Pointer[Obj] {
+	if p := t.cells.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// get returns the object installed under id, or nil.
+func (t *objTable) get(id memory.ObjectID) *Obj {
+	cells := t.published()
+	if len(cells) == 0 {
+		return nil
+	}
+	for i := objSlot(id, len(cells)); ; i = (i + 1) & (len(cells) - 1) {
+		if o := cells[i].Load(); o == nil || o.meta.ID == id {
+			return o
+		}
+	}
+}
+
+// put publishes o under its ID.
+func (t *objTable) put(o *Obj) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cells := t.published()
+	if 2*(t.n+1) <= len(cells) {
+		if objInsert(cells, o) {
+			t.n++
+		}
+		return
+	}
+	grown := make([]atomic.Pointer[Obj], max(16, 2*len(cells)))
+	for i := range cells {
+		if old := cells[i].Load(); old != nil {
+			objInsert(grown, old)
+		}
+	}
+	if objInsert(grown, o) {
+		t.n++
+	}
+	t.cells.Store(&grown)
+}
+
+// objInsert stores o in the first free slot of its probe sequence, or
+// over an object already installed under the same ID, and reports
+// whether the ID was new. The caller holds the table's mu.
+func objInsert(cells []atomic.Pointer[Obj], o *Obj) bool {
+	for i := objSlot(o.meta.ID, len(cells)); ; i = (i + 1) & (len(cells) - 1) {
+		switch cur := cells[i].Load(); {
+		case cur == nil:
+			cells[i].Store(o)
+			return true
+		case cur.meta.ID == o.meta.ID:
+			cells[i].Store(o)
+			return false
+		}
+	}
+}
+
+// each calls f for every installed object, in no particular order.
+func (t *objTable) each(f func(*Obj)) {
+	cells := t.published()
+	for i := range cells {
+		if o := cells[i].Load(); o != nil {
+			f(o)
+		}
+	}
 }
 
 // Node is the per-processor Munin server.
@@ -292,11 +374,8 @@ type Node struct {
 	id    msg.NodeID
 	nodes int
 
-	// stripes holds the object and directory tables, lock-striped by
-	// ObjectID: every fault, diff merge, and relay does at least one
-	// lookup here, and a single map mutex would serialize unrelated
-	// objects' hot paths as object and node counts grow.
-	stripes [objStripes]objStripe
+	// objs is the lock-free-read object table (see objTable).
+	objs objTable
 
 	// serialFlush selects the legacy one-round-trip-per-object flush
 	// path instead of the batched pipeline (see FlushQueue).
@@ -330,11 +409,10 @@ type Node struct {
 
 	// Counters feeding the experiments: faults, fetches, updates...
 	C stats.Set
-}
-
-// stripeOf returns the stripe owning id's table entries.
-func (n *Node) stripeOf(id memory.ObjectID) *objStripe {
-	return &n.stripes[uint64(id)&(objStripes-1)]
+	// The three counters every access bumps, resolved once here and
+	// sharded per calling thread (stats.Counter.AddShard); they live in
+	// C under their usual names like every other counter.
+	reads, writes, writeBuffered *stats.Counter
 }
 
 // SetSerialFlush switches this node between the batched flush pipeline
@@ -385,10 +463,9 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 		id:    k.Node(),
 		nodes: k.Nodes(),
 	}
-	for i := range n.stripes {
-		n.stripes[i].objs = make(map[memory.ObjectID]*Obj)
-		n.stripes[i].dir = make(map[memory.ObjectID]*dirEntry)
-	}
+	n.reads = n.C.Sharded(stats.CReads)
+	n.writes = n.C.Sharded(stats.CWrites)
+	n.writeBuffered = n.C.Sharded(stats.CWriteBuffered)
 	k.Handle(kindAlloc, kindAlloc, n.dispatch)
 	k.Handle(kindRead, kindCohMax, n.dispatch)
 	return n
@@ -407,12 +484,7 @@ func (n *Node) homeOf(m *Meta) msg.NodeID {
 
 // obj returns the local view of id, or nil if the object was never
 // allocated (announced) here.
-func (n *Node) obj(id memory.ObjectID) *Obj {
-	s := n.stripeOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.objs[id]
-}
+func (n *Node) obj(id memory.ObjectID) *Obj { return n.objs.get(id) }
 
 // mustObj panics if the object is unknown — accessing unallocated
 // shared memory is a program bug, the analogue of a wild pointer.
@@ -424,16 +496,18 @@ func (n *Node) mustObj(id memory.ObjectID) *Obj {
 	return o
 }
 
+// dirEntryOf returns the directory record of an installed object,
+// creating it on first use.
 func (n *Node) dirEntryOf(id memory.ObjectID) *dirEntry {
-	s := n.stripeOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.dir[id]
-	if !ok {
-		d = &dirEntry{owner: n.id, copyset: make(map[msg.NodeID]bool), producer: -1}
-		s.dir[id] = d
+	o := n.mustObj(id)
+	if d := o.dir.Load(); d != nil {
+		return d
 	}
-	return d
+	d := &dirEntry{owner: n.id, copyset: make(map[msg.NodeID]bool), producer: -1}
+	if o.dir.CompareAndSwap(nil, d) {
+		return d
+	}
+	return o.dir.Load()
 }
 
 // checkAllocArgs validates allocation arguments and fills a nil init
@@ -534,10 +608,7 @@ func (n *Node) install(meta Meta, init []byte) {
 			o.state = Invalid
 		}
 	}
-	s := n.stripeOf(meta.ID)
-	s.mu.Lock()
-	s.objs[meta.ID] = o
-	s.mu.Unlock()
+	n.objs.put(o)
 	if home == n.id {
 		d := n.dirEntryOf(meta.ID)
 		d.mu.Lock()

@@ -709,3 +709,74 @@ func TestMetaRoundTripThroughAlloc(t *testing.T) {
 		t.Fatalf("init round trip: %v", gotInit)
 	}
 }
+
+// TestObjTableConcurrentInstall: lookups take no lock, so a reader must
+// see either nil or the installed object — never a torn table — while
+// installs fill cells and republish rehashed, larger tables, for dense
+// IDs and for a sparse range like Ivy's pages at 1<<20.
+func TestObjTableConcurrentInstall(t *testing.T) {
+	const dense, sparseBase, sparse = 3000, 1 << 20, 100
+	var tab objTable
+	ids := make([]memory.ObjectID, 0, dense+sparse)
+	for i := 1; i <= dense; i++ {
+		ids = append(ids, memory.ObjectID(i))
+	}
+	for i := 0; i < sparse; i++ {
+		ids = append(ids, memory.ObjectID(sparseBase+i))
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, id := range ids {
+					if o := tab.get(id); o != nil && o.meta.ID != id {
+						t.Errorf("get(%d) returned object %d", id, o.meta.ID)
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for _, id := range ids {
+		tab.put(&Obj{meta: Meta{ID: id}})
+	}
+	close(done)
+	wg.Wait()
+
+	for _, id := range ids {
+		if o := tab.get(id); o == nil || o.meta.ID != id {
+			t.Fatalf("get(%d) = %v after install", id, o)
+		}
+	}
+	for _, id := range []memory.ObjectID{0, dense + 1, sparseBase - 1, sparseBase + sparse, 1<<32 - 1} {
+		if o := tab.get(id); o != nil {
+			t.Fatalf("get(%d) = object %d, want nil", id, o.meta.ID)
+		}
+	}
+	// A second install under one ID replaces the first and is not counted twice.
+	again := &Obj{meta: Meta{ID: ids[0]}}
+	tab.put(again)
+	if tab.get(ids[0]) != again || tab.n != len(ids) {
+		t.Fatalf("re-install: get = %p want %p, n = %d want %d", tab.get(ids[0]), again, tab.n, len(ids))
+	}
+	seen := map[memory.ObjectID]int{}
+	tab.each(func(o *Obj) { seen[o.meta.ID]++ })
+	if len(seen) != len(ids) {
+		t.Fatalf("each visited %d distinct objects, want %d", len(seen), len(ids))
+	}
+	for id, k := range seen {
+		if k != 1 {
+			t.Fatalf("each visited object %d %d times", id, k)
+		}
+	}
+	if cells := *tab.cells.Load(); 2*len(ids) > len(cells) || len(cells) > 8*len(ids) {
+		t.Fatalf("%d objects in %d cells: want at most half full and no more than 8x", len(ids), len(cells))
+	}
+}

@@ -97,14 +97,9 @@ func (n *Node) RecoverAnnounce(setupSum uint64, setupN int) error {
 		kind EngineKind
 	}
 	var objs []objKind
-	for i := range n.stripes {
-		s := &n.stripes[i]
-		s.mu.Lock()
-		for id, o := range s.objs {
-			objs = append(objs, objKind{id, o.eng.kind()})
-		}
-		s.mu.Unlock()
-	}
+	n.objs.each(func(o *Obj) {
+		objs = append(objs, objKind{o.meta.ID, o.eng.kind()})
+	})
 	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
 
 	b := msg.NewBuilder(32 + 5*len(objs))

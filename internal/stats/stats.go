@@ -1,10 +1,17 @@
 // Package stats provides low-overhead counters, histograms and table
 // rendering used throughout the Munin runtime and its benchmark harness.
 //
-// All counters are safe for concurrent use; the hot-path cost of an
-// increment is a single atomic add. Snapshots are consistent enough for
-// reporting (individual counters are read atomically; cross-counter skew
-// is acceptable for traffic accounting).
+// All counters are safe for concurrent use. An increment through a
+// *Counter handle is a single atomic add; an increment by name
+// (Set.Add) is a lock-free lookup in a published read-only map followed
+// by that atomic add — the Set's mutex is taken only to register a name
+// the first time it is seen. Counters that every access of every thread
+// bumps (the protocol's reads/writes) are sharded: each thread adds to
+// its own padded cell (AddShard) and readers sum the cells, so two
+// threads never write the same cache line. Snapshots are consistent
+// enough for reporting (individual cells are read atomically;
+// cross-counter skew is acceptable for traffic accounting) and exact
+// whenever the writers are quiescent.
 package stats
 
 import (
@@ -14,10 +21,28 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing (or explicitly reset) 64-bit
-// counter safe for concurrent use.
-type Counter struct {
+// Shards is the number of padded cells of a sharded counter. A power
+// of two so the cell index is a mask; threads beyond it share cells,
+// which costs contention but never exactness.
+const Shards = 16
+
+// shardCell is one thread's share of a sharded counter, padded to a
+// cache line of its own.
+type shardCell struct {
 	v atomic.Int64
+	_ [56]byte
+}
+
+// Counter is a monotonically increasing (or explicitly reset) 64-bit
+// counter safe for concurrent use. A counter created by Set.Sharded
+// additionally carries per-thread cells; its value is the sum of all
+// of them.
+type Counter struct {
+	v      atomic.Int64
+	shards *[Shards]shardCell // nil unless sharded
+	// Pad to a cache line: threads bumping counters of different names
+	// must not bounce one line between them.
+	_ [48]byte
 }
 
 // Add increments the counter by delta.
@@ -26,31 +51,102 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
+// AddShard increments the counter by delta in the cell selected by
+// shard — the calling thread's index (duq.Queue.Shard), so co-located
+// threads add to different cache lines. On a counter without cells it
+// is Add.
+func (c *Counter) AddShard(shard uint32, delta int64) {
+	if c.shards == nil {
+		c.v.Add(delta)
+		return
+	}
+	c.shards[shard&(Shards-1)].v.Add(delta)
+}
+
 // Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
+func (c *Counter) Load() int64 {
+	n := c.v.Load()
+	if c.shards != nil {
+		for i := range c.shards {
+			n += c.shards[i].v.Load()
+		}
+	}
+	return n
+}
 
 // Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
+func (c *Counter) Reset() {
+	c.v.Store(0)
+	if c.shards != nil {
+		for i := range c.shards {
+			c.shards[i].v.Store(0)
+		}
+	}
+}
 
 // Set is a named collection of counters. The zero value is ready to use.
 type Set struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
+	// mu serializes registration only: it guards the copy-on-write
+	// replacement of the published map, never a lookup or an increment.
+	mu sync.Mutex
+	// counters is the published name table. A published map is never
+	// written again; registering a name publishes a copy with the name
+	// added.
+	counters atomic.Pointer[map[string]*Counter]
 }
 
-// Counter returns (creating if necessary) the counter with the given name.
-func (s *Set) Counter(name string) *Counter {
+// table returns the published name table (nil before the first
+// registration). Callers only read it.
+func (s *Set) table() map[string]*Counter {
+	if m := s.counters.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// lookup returns the named counter from the published table, or nil.
+func (s *Set) lookup(name string) *Counter { return s.table()[name] }
+
+// register returns the named counter, publishing it (with cells if
+// sharded) when the name is new.
+func (s *Set) register(name string, sharded bool) *Counter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.counters == nil {
-		s.counters = make(map[string]*Counter)
+	if c := s.lookup(name); c != nil {
+		return c
 	}
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
+	old := s.table()
+	next := make(map[string]*Counter, len(old)+1)
+	for k, c := range old {
+		next[k] = c
 	}
+	c := &Counter{}
+	if sharded {
+		c.shards = new([Shards]shardCell)
+	}
+	next[name] = c
+	s.counters.Store(&next)
 	return c
+}
+
+// Counter returns (creating if necessary) the counter with the given
+// name. Only the first call for a name takes the Set's mutex.
+func (s *Set) Counter(name string) *Counter {
+	if c := s.lookup(name); c != nil {
+		return c
+	}
+	return s.register(name, false)
+}
+
+// Sharded registers name as a sharded counter and returns its handle,
+// for the owner of a hot counter to resolve once at construction and
+// bump with AddShard. It must be the first use of the name in the set:
+// a counter already registered without cells stays unsharded.
+func (s *Set) Sharded(name string) *Counter {
+	if c := s.lookup(name); c != nil {
+		return c
+	}
+	return s.register(name, true)
 }
 
 // Add is shorthand for s.Counter(name).Add(delta).
@@ -58,9 +154,7 @@ func (s *Set) Add(name string, delta int64) { s.Counter(name).Add(delta) }
 
 // Get returns the value of the named counter (zero if it does not exist).
 func (s *Set) Get(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.counters[name]; ok {
+	if c := s.lookup(name); c != nil {
 		return c.Load()
 	}
 	return 0
@@ -68,10 +162,9 @@ func (s *Set) Get(name string) int64 {
 
 // Snapshot returns a copy of all counter values, keyed by name.
 func (s *Set) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters))
-	for k, c := range s.counters {
+	m := s.table()
+	out := make(map[string]int64, len(m))
+	for k, c := range m {
 		out[k] = c.Load()
 	}
 	return out
@@ -79,19 +172,16 @@ func (s *Set) Snapshot() map[string]int64 {
 
 // Reset zeroes every counter in the set.
 func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
+	for _, c := range s.table() {
 		c.Reset()
 	}
 }
 
 // Names returns the sorted counter names present in the set.
 func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.counters))
-	for k := range s.counters {
+	m := s.table()
+	names := make([]string, 0, len(m))
+	for k := range m {
 		names = append(names, k)
 	}
 	sort.Strings(names)

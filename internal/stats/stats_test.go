@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,73 @@ func TestSetConcurrentSameName(t *testing.T) {
 	wg.Wait()
 	if got := s.Get("x"); got != 4000 {
 		t.Fatalf("x = %d, want 4000", got)
+	}
+}
+
+// TestSetConcurrentRegistration: registration publishes a copy of the
+// name table, and a copy taken while another name is being added must
+// not lose it — every name and every increment survives.
+func TestSetConcurrentRegistration(t *testing.T) {
+	var s Set
+	const workers, names, per = 8, 40, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				for i := 0; i < names; i++ {
+					s.Add(fmt.Sprintf("c%d", (i+w)%names), 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.Snapshot()
+	if len(snap) != names {
+		t.Fatalf("%d names registered, want %d", len(snap), names)
+	}
+	for name, v := range snap {
+		if v != workers*per {
+			t.Fatalf("%s = %d, want %d", name, v, workers*per)
+		}
+	}
+}
+
+func TestShardedCounter(t *testing.T) {
+	var s Set
+	c := s.Sharded("hot")
+	if s.Sharded("hot") != c || s.Counter("hot") != c {
+		t.Fatal("a sharded counter must be the one registered under its name")
+	}
+	const workers, per = 2 * Shards, 1000 // more threads than cells: cells are shared, the sum stays exact
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				c.AddShard(uint32(w), 1)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Add("hot", 5) // by name: lands in the counter's own cell
+	if got, want := s.Get("hot"), int64(workers*per+5); got != want {
+		t.Fatalf("Get = %d, want %d", got, want)
+	}
+	if got := s.Snapshot()["hot"]; got != workers*per+5 {
+		t.Fatalf("Snapshot = %d, want %d", got, workers*per+5)
+	}
+	s.Reset()
+	if got := c.Load(); got != 0 {
+		t.Fatalf("after Reset = %d, want 0", got)
+	}
+	// A plain counter accepts AddShard too (it has one cell).
+	p := s.Counter("plain")
+	p.AddShard(9, 3)
+	if got := p.Load(); got != 3 {
+		t.Fatalf("plain AddShard = %d, want 3", got)
 	}
 }
 
@@ -224,4 +292,33 @@ func ExampleTable() {
 	// k  v
 	// -  -
 	// a  1
+}
+
+// BenchmarkSetAdd: an increment by name from one thread and from two
+// (-cpu 1,2). "distinct" is the runtime's pattern — co-located threads
+// on the fault and flush paths bump different names at any instant —
+// and costs a lock-free lookup plus an uncontended atomic add. "same"
+// is two threads hammering one counter word: the cache line bounces
+// between the cores on every add, which is why the counters every
+// access bumps are sharded (AddShard) instead of added to by name.
+func BenchmarkSetAdd(b *testing.B) {
+	names := []string{CFaultRead, CFaultWrite, CTwin, CDiffSent}
+	for _, mode := range []string{"distinct", "same"} {
+		b.Run(mode, func(b *testing.B) {
+			var s Set
+			for _, n := range names {
+				s.Add(n, 0)
+			}
+			var next atomic.Int32
+			b.RunParallel(func(pb *testing.PB) {
+				name := names[0]
+				if mode == "distinct" {
+					name = names[int(next.Add(1))%len(names)]
+				}
+				for pb.Next() {
+					s.Add(name, 1)
+				}
+			})
+		})
+	}
 }
