@@ -24,8 +24,9 @@
 // -listen overrides this node's own bind address (handy for 0.0.0.0
 // binds behind NAT), -topology loads the same map from a JSON file
 // ({"self": 0, "peers": {"0": "host:port", ...}}), and -mesh-serial
-// selects the legacy serial flush for comparison. Experiment E12
-// automates exactly this pairing over 127.0.0.1.
+// makes the writer flush after every write instead of once — the serial
+// baseline, for comparison. Experiment E12 automates exactly this
+// pairing over 127.0.0.1.
 package main
 
 import (
@@ -91,7 +92,7 @@ func meshMain(topoPath, peersSpec, listen string, node, k int, serial bool) {
 	}
 	if topo.Self == 0 {
 		fmt.Printf("home: node 0 listening on %s, waiting for the writer\n", topo.Addr(0))
-		if err := bench.RunMeshHome(topo, serial, os.Stdout); err != nil {
+		if err := bench.RunMeshHome(topo, os.Stdout); err != nil {
 			fail(err)
 		}
 		return
@@ -119,7 +120,7 @@ func main() {
 	peers := flag.String("peers", "", `multi-process mode: topology as "0=host:port,1=host:port,..."`)
 	topoPath := flag.String("topology", "", "multi-process mode: topology JSON file")
 	meshK := flag.Int("mesh-k", 64, "multi-process mode: dirty objects the writer flushes")
-	meshSerial := flag.Bool("mesh-serial", false, "multi-process mode: use the legacy serial flush")
+	meshSerial := flag.Bool("mesh-serial", false, "multi-process mode: the writer flushes after every write (the serial baseline)")
 	flag.Parse()
 
 	if *peers != "" || *topoPath != "" {

@@ -232,11 +232,12 @@ func E9(nodes int) *Result {
 
 // E10 measures the batched flush pipeline: K dirty write-many objects
 // homed on one remote node, flushed at a single synchronization point.
-// The serial path pays one round trip per object (2K messages); the
-// batched path combines them into one batch message plus one
-// acknowledgment per synchronization, so messages-per-sync stays flat
-// as K grows — the same combine-at-sync argument the paper makes for
-// multiple writes to one object (§3.2), lifted to multiple objects.
+// A serial program — one that flushes after every write — pays one
+// round trip per object (2K messages); flushing once combines them
+// into one batch message plus one acknowledgment, so messages-per-sync
+// stays flat as K grows — the same combine-at-sync argument the paper
+// makes for multiple writes to one object (§3.2), lifted to multiple
+// objects. Both programs run the one flush path the protocol has.
 func E10(nodes int) *Result {
 	tab := stats.NewTable("E10: flush batching — messages per synchronization",
 		"dirty objects", "serial msgs", "batched msgs", "serial/batched")
@@ -251,11 +252,6 @@ func E10(nodes int) *Result {
 		for i := range regions {
 			regions[i] = sys.Alloc(fmt.Sprintf("wm%d", i), 64, protocol.WriteMany, opts, nil)
 		}
-		if serial {
-			for i := 0; i < 2; i++ {
-				sys.ProtocolNode(i).SetSerialFlush(true)
-			}
-		}
 		var flushMsgs int64
 		sys.Run(2, func(c api.Ctx) {
 			if c.ThreadID() != 1 {
@@ -266,11 +262,8 @@ func E10(nodes int) *Result {
 			for _, r := range regions {
 				c.Read(r, 0, buf)
 			}
-			for _, r := range regions {
-				api.WriteU64(c, r, 0, 1)
-			}
 			before := sys.Messages()
-			c.Flush()
+			dirtyAndFlush(c, regions, serial)
 			flushMsgs = sys.Messages() - before
 		})
 		return flushMsgs
@@ -288,6 +281,19 @@ func E10(nodes int) *Result {
 	return res
 }
 
+// dirtyAndFlush is the measured step of E10/E11: one buffered write to
+// every region, propagated by one flush at the end — or, for the serial
+// baseline, by a flush after every write.
+func dirtyAndFlush(c api.Ctx, regions []api.RegionID, serial bool) {
+	for _, r := range regions {
+		api.WriteU64(c, r, 0, 1)
+		if serial {
+			c.Flush()
+		}
+	}
+	c.Flush()
+}
+
 // E11 runs the E10 flush workload over real TCP sockets: K dirty
 // write-many objects homed on one remote node, flushed at a single
 // synchronization point. E10 showed the protocol-level message count
@@ -295,7 +301,7 @@ func E10(nodes int) *Result {
 // into one write syscall per message on a real socket. With the
 // transport's per-peer writer pipeline the whole batch leaves as one
 // vectored write, so syscall-level writes per sync stay flat (O(1) per
-// destination) while the serial path pays O(K).
+// destination) while the flush-per-write program pays O(K).
 func E11(nodes int) *Result {
 	tab := stats.NewTable("E11: flush over TCP — coalesced wire writes per synchronization",
 		"dirty objects", "serial writes", "batched writes", "batched msgs", "serial/batched writes")
@@ -310,11 +316,6 @@ func E11(nodes int) *Result {
 		for i := range regions {
 			regions[i] = sys.Alloc(fmt.Sprintf("wm%d", i), 64, protocol.WriteMany, opts, nil)
 		}
-		if serial {
-			for i := 0; i < 2; i++ {
-				sys.ProtocolNode(i).SetSerialFlush(true)
-			}
-		}
 		sys.Run(2, func(c api.Ctx) {
 			if c.ThreadID() != 1 {
 				return
@@ -324,12 +325,9 @@ func E11(nodes int) *Result {
 			for _, r := range regions {
 				c.Read(r, 0, buf)
 			}
-			for _, r := range regions {
-				api.WriteU64(c, r, 0, 1)
-			}
 			st := sys.Stats()
 			beforeW, beforeM := st.WireWrites(), st.Messages()
-			c.Flush()
+			dirtyAndFlush(c, regions, serial)
 			writes = st.WireWrites() - beforeW
 			msgs = st.Messages() - beforeM
 		})

@@ -44,7 +44,7 @@ type meshChildConfig struct {
 	Role     string             `json:"role"` // "home"/"writer" (E12), "e13-home"/"e13-writer" (E13), "e14-member" (E14), "e16-home"/"e16-reader" (E16), "e17-member" (E17)
 	Topo     transport.Topology `json:"topo"`
 	K        int                `json:"k"`
-	Serial   bool               `json:"serial"`
+	Serial   bool               `json:"serial"`              // writer, e14-member: flush after every write (the serial baseline)
 	Phase    int                `json:"phase,omitempty"`     // e13-writer: 1 = doomed incarnation, 2 = rejoin
 	Readers  int                `json:"readers,omitempty"`   // e16-home: reading members to coordinate
 	Writes   int                `json:"writes,omitempty"`    // e16-home: measured writes
@@ -106,7 +106,7 @@ func MeshChildMain() bool {
 	var err error
 	switch cfg.Role {
 	case "home":
-		err = RunMeshHome(cfg.Topo, cfg.Serial, os.Stdout)
+		err = RunMeshHome(cfg.Topo, os.Stdout)
 	case "writer":
 		var m MeshMetrics
 		m, err = RunMeshWriter(cfg.Topo, cfg.K, cfg.Serial)
@@ -153,15 +153,13 @@ func MeshChildMain() bool {
 
 // meshMember assembles one process's slice of the mesh cluster: the
 // self kernel plus a Munin protocol server on top of it.
-func meshMember(topo transport.Topology, serial bool) (*cluster.Cluster, *protocol.Node, error) {
+func meshMember(topo transport.Topology) (*cluster.Cluster, *protocol.Node, error) {
 	clu, err := cluster.New(cluster.Config{Topology: &topo})
 	if err != nil {
 		return nil, nil, err
 	}
 	k := clu.Kernel(topo.Self)
-	node := protocol.NewNode(k, dlock.NewService(k))
-	node.SetSerialFlush(serial)
-	return clu, node, nil
+	return clu, protocol.NewNode(k, dlock.NewService(k)), nil
 }
 
 // RunMeshHome runs the home side of the two-process flush scenario: it
@@ -169,13 +167,12 @@ func meshMember(topo transport.Topology, serial bool) (*cluster.Cluster, *protoc
 // (allocation installs, read faults, diff merges), and exits when the
 // writer signals done. ready receives one "READY" line once the
 // listener is up, which is what lets a parent orchestrate startup.
-func RunMeshHome(topo transport.Topology, serial bool, ready *os.File) error {
-	clu, node, err := meshMember(topo, serial)
+func RunMeshHome(topo transport.Topology, ready *os.File) error {
+	clu, _, err := meshMember(topo)
 	if err != nil {
 		return err
 	}
 	defer clu.Close()
-	_ = node
 	done := make(chan struct{})
 	clu.Kernel(topo.Self).Handle(kindMeshDone, kindMeshDone,
 		func(k *vkernel.Kernel, req *msg.Msg) {
@@ -199,9 +196,9 @@ func RunMeshHome(topo transport.Topology, serial bool, ready *os.File) error {
 
 // RunMeshWriter runs the writer side: allocate K write-many objects
 // homed on node 0 (announced to the home over the mesh), prime local
-// copies, dirty all K, flush once, and measure this process's wire
-// writes for the flush. The done signal is sent before shutdown so the
-// home exits cleanly.
+// copies, dirty all K, flush once — or, when serial is set, after every
+// write — and measure this process's wire writes for the flush. The
+// done signal is sent before shutdown so the home exits cleanly.
 //
 // The protocol layer reports coherence failures as panics (an
 // in-process cluster cannot lose a peer); out here a dead home is an
@@ -216,13 +213,13 @@ func RunMeshWriter(topo transport.Topology, k int, serial bool) (m MeshMetrics, 
 	if topo.Self == 0 {
 		return m, fmt.Errorf("the writer must not be node 0 (node 0 is the home)")
 	}
-	clu, node, err := meshMember(topo, serial)
+	clu, node, err := meshMember(topo)
 	if err != nil {
 		return m, err
 	}
 	defer clu.Close()
 
-	m, err = flushWorkload(clu, node, 1, k)
+	m, err = flushWorkload(clu, node, 1, k, serial)
 	if err != nil {
 		return m, err
 	}
@@ -241,8 +238,9 @@ func RunMeshWriter(topo transport.Topology, k int, serial bool) (m MeshMetrics, 
 // flushWorkload is the measured core shared by E12 and E13 writers:
 // allocate k write-many objects (IDs first..first+k-1) homed on node
 // 0, prime local copies, dirty all k, flush once, and measure this
-// process's wire writes for the flush.
-func flushWorkload(clu *cluster.Cluster, node *protocol.Node, first memory.ObjectID, k int) (MeshMetrics, error) {
+// process's wire writes for the flush. The serial baseline is the same
+// program flushing after every write.
+func flushWorkload(clu *cluster.Cluster, node *protocol.Node, first memory.ObjectID, k int, serial bool) (MeshMetrics, error) {
 	q := duq.New()
 	opts := protocol.DefaultOptions()
 	opts.Home = 0
@@ -261,12 +259,16 @@ func flushWorkload(clu *cluster.Cluster, node *protocol.Node, first memory.Objec
 	for _, r := range regions {
 		node.Read(q, r, 0, buf)
 	}
-	for _, r := range regions {
-		node.Write(q, r, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	}
-
 	st := clu.Stats()
 	beforeW, beforeM := st.WireWrites(), st.Messages()
+	for _, r := range regions {
+		node.Write(q, r, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		if serial {
+			if err := node.TryFlushQueue(q); err != nil {
+				return MeshMetrics{}, fmt.Errorf("flush: %w", err)
+			}
+		}
+	}
 	if err := node.TryFlushQueue(q); err != nil {
 		return MeshMetrics{}, fmt.Errorf("flush: %w", err)
 	}
@@ -337,7 +339,7 @@ func runE12Round(k int, serial bool) (MeshMetrics, error) {
 		return m, err
 	}
 	home, homeOut, err := spawnMeshChild(meshChildConfig{
-		Role: "home", Topo: e12Topology(addrs, 0), Serial: serial,
+		Role: "home", Topo: e12Topology(addrs, 0),
 	})
 	if err != nil {
 		return m, err

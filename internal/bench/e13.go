@@ -82,7 +82,7 @@ type e13Rejoin struct {
 // inside the writer when asked, measure the outage when the writer is
 // killed, and probe the rejoined incarnation before exiting.
 func RunE13Home(topo transport.Topology, out *os.File) error {
-	clu, node, err := meshMember(topo, false)
+	clu, node, err := meshMember(topo)
 	if err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func RunE13Writer(topo transport.Topology, k, phase int, out *os.File) (err erro
 	if topo.Self == 0 {
 		return fmt.Errorf("the writer must not be node 0 (node 0 is the home)")
 	}
-	clu, node, err := meshMember(topo, false)
+	clu, node, err := meshMember(topo)
 	if err != nil {
 		return err
 	}
@@ -208,7 +208,7 @@ func RunE13Writer(topo transport.Topology, k, phase int, out *os.File) (err erro
 	// Phase 2 must not collide with phase 1's object registrations
 	// still alive at the home.
 	first := memory13(phase, k)
-	m, err := flushWorkload(clu, node, first, k)
+	m, err := flushWorkload(clu, node, first, k, false)
 	if err != nil {
 		return fmt.Errorf("phase %d flush: %w", phase, err)
 	}

@@ -30,8 +30,8 @@ import (
 // and the delayed-update flush of K dirty objects still costs O(1)
 // writer-side wire writes when the writer thread lives in its own
 // process and reaches the home over the mesh (batched.writes flat in
-// K; serial.writes grows as ~2K — the same separation E11/E12 showed
-// one layer down).
+// K; serial.writes — the same program flushing after every write —
+// grows as ~2K, the same separation E11/E12 showed one layer down).
 //
 // E12 drove protocol.Node by hand across two processes; E14 retires
 // that asterisk — the program below never names a node, a kernel, or a
@@ -49,10 +49,11 @@ type E14Metrics struct {
 // e14Program is the program under test, identical in every shape: K
 // write-many objects homed on node 0, a two-thread team (round-robin:
 // thread 0 on node 0, thread 1 on node 1). Thread 1 primes, dirties
-// all K and flushes once (measuring its process's wire writes around
-// the flush); thread 0 then digests every shared byte. On a mesh
-// member only the local thread runs; in-process both do.
-func e14Program(sys *core.System, k int) (E14Metrics, error) {
+// all K and flushes once — or, when serial is set, after every write —
+// measuring its process's wire writes around that; thread 0 then
+// digests every shared byte. On a mesh member only the local thread
+// runs; in-process both do.
+func e14Program(sys *core.System, k int, serial bool) (E14Metrics, error) {
 	const objSize = 64
 	opts := protocol.DefaultOptions()
 	opts.Home = 0
@@ -71,11 +72,14 @@ func e14Program(sys *core.System, k int) (E14Metrics, error) {
 			for _, r := range regions {
 				c.Read(r, 0, buf)
 			}
-			for i, r := range regions {
-				api.WriteU64(c, r, 0, uint64(i)*0x9e3779b97f4a7c15+1)
-			}
 			st := sys.Stats()
 			beforeW, beforeM := st.WireWrites(), st.Messages()
+			for i, r := range regions {
+				api.WriteU64(c, r, 0, uint64(i)*0x9e3779b97f4a7c15+1)
+				if serial {
+					c.Flush()
+				}
+			}
 			c.Flush()
 			m.Writes = st.WireWrites() - beforeW
 			m.Msgs = st.Messages() - beforeM
@@ -106,11 +110,10 @@ func RunE14Member(topo transport.Topology, k int, serial bool, ready *os.File) (
 		return E14Metrics{}, err
 	}
 	defer sys.Close()
-	sys.ProtocolNode(int(topo.Self)).SetSerialFlush(serial)
 	if topo.Self == 0 && ready != nil {
 		fmt.Fprintln(ready, meshReadyLine)
 	}
-	return e14Program(sys, k)
+	return e14Program(sys, k, serial)
 }
 
 // runE14InProcess runs the identical program on the in-process
@@ -121,10 +124,7 @@ func runE14InProcess(k int, serial bool) (E14Metrics, error) {
 		return E14Metrics{}, err
 	}
 	defer sys.Close()
-	for i := 0; i < 2; i++ {
-		sys.ProtocolNode(i).SetSerialFlush(serial)
-	}
-	return e14Program(sys, k)
+	return e14Program(sys, k, serial)
 }
 
 // runE14Round spawns the two member processes and returns member 1's

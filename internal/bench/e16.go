@@ -91,7 +91,7 @@ func RunE16Home(topo transport.Topology, readers, writes int, lease bool, ready 
 			err = fmt.Errorf("%v", r)
 		}
 	}()
-	clu, node, err := meshMember(topo, false)
+	clu, node, err := meshMember(topo)
 	if err != nil {
 		return m, err
 	}
@@ -199,7 +199,7 @@ func RunE16Reader(topo transport.Topology) (err error) {
 	if topo.Self == 0 {
 		return fmt.Errorf("reader must not be node 0 (node 0 is the home)")
 	}
-	clu, node, err := meshMember(topo, false)
+	clu, node, err := meshMember(topo)
 	if err != nil {
 		return err
 	}

@@ -8,16 +8,14 @@
 // first modified.
 //
 // The queue is a planning structure, not an emitter. The protocol layer
-// flushes in two steps: Drain returns the dirty set in
+// flushes in two steps: DrainInto returns the dirty set in
 // first-modification order without removing anything, the caller plans
 // the whole emission at once — grouping objects by destination,
 // batching the wire messages, pipelining distinct destinations — and
 // then Commit removes exactly what was emitted. A flush that fails
 // partway commits only its successes; the failed object and everything
 // after it stay queued in their original order, so a retry re-emits
-// them without reordering. The callback-per-object Flush method remains
-// as the legacy serial path (and the differential test oracle for the
-// batched one).
+// them without reordering.
 //
 // Ordering: the paper requires updates to be propagated "in the order
 // that they occur in the program execution" so a remote thread can never
@@ -44,7 +42,7 @@ type Queue struct {
 	dirty map[memory.ObjectID]bool
 
 	writes    int64 // write operations recorded
-	flushes   int64 // Flush calls that emitted at least one update
+	flushes   int64 // flushes that emitted at least one update
 	updates   int64 // combined updates emitted
 	combined  int64 // writes absorbed into an already-dirty entry
 	emptyFlux int64 // flushes with nothing pending
@@ -87,24 +85,13 @@ func (q *Queue) Pending() int { return len(q.order) }
 // Contains reports whether obj has a pending delayed update.
 func (q *Queue) Contains(obj memory.ObjectID) bool { return q.dirty[obj] }
 
-// Drain returns the pending dirty set in first-modification order
-// without removing it. The protocol layer uses it to plan a whole
-// flush at once — grouping objects by destination and batching the
-// wire messages — instead of being called back object-by-object. The
-// caller reports what it actually emitted with Commit; until then
-// every entry stays queued, preserving Flush's failure semantics. The
-// returned slice is a copy the caller may keep.
-func (q *Queue) Drain() []memory.ObjectID {
-	if len(q.order) == 0 {
-		q.emptyFlux++
-		return nil
-	}
-	return append([]memory.ObjectID(nil), q.order...)
-}
-
-// DrainInto is Drain appending into caller-owned scratch — the
-// allocation-free form the flush hot path uses, with dst retaining its
-// capacity across flushes.
+// DrainInto appends the pending dirty set, in first-modification order,
+// to caller-owned scratch without removing it (dst keeps its capacity
+// across flushes, so the flush hot path does not allocate). The
+// protocol layer uses it to plan a whole flush at once — grouping
+// objects by destination and batching the wire messages. The caller
+// reports what it actually emitted with Commit; until then every entry
+// stays queued.
 func (q *Queue) DrainInto(dst []memory.ObjectID) []memory.ObjectID {
 	if len(q.order) == 0 {
 		q.emptyFlux++
@@ -155,22 +142,6 @@ func (q *Queue) Commit(emitted []memory.ObjectID) {
 	if removed > 0 && len(q.order) == 0 {
 		q.flushes++
 	}
-}
-
-// Flush emits every pending update in first-modification order by
-// invoking emit for each dirty object, then clears the queue. If emit
-// returns an error the flush stops and the remaining entries stay
-// queued (the failed object stays queued too, at the head).
-func (q *Queue) Flush(emit func(obj memory.ObjectID) error) error {
-	pending := q.Drain()
-	for i, obj := range pending {
-		if err := emit(obj); err != nil {
-			q.Commit(pending[:i])
-			return err
-		}
-	}
-	q.Commit(pending)
-	return nil
 }
 
 // Stats reports the queue's counters: total writes recorded, writes

@@ -8,6 +8,23 @@ import (
 	"munin/internal/memory"
 )
 
+// flush drives the two-step contract the way the protocol layer does,
+// one object at a time: drain, emit each entry in order, commit what
+// was emitted. An emit error stops the flush and commits only the
+// entries before it, so the failed object and everything after it stay
+// queued.
+func flush(q *Queue, emit func(memory.ObjectID) error) error {
+	pending := q.DrainInto(nil)
+	for i, obj := range pending {
+		if err := emit(obj); err != nil {
+			q.Commit(pending[:i])
+			return err
+		}
+	}
+	q.Commit(pending)
+	return nil
+}
+
 func TestMarkDirtyFirstAndCombine(t *testing.T) {
 	q := New()
 	if !q.MarkDirty(1) {
@@ -36,7 +53,7 @@ func TestFlushPreservesFirstWriteOrder(t *testing.T) {
 	q.MarkDirty(9)
 	q.MarkDirty(3)
 	var got []memory.ObjectID
-	if err := q.Flush(func(o memory.ObjectID) error {
+	if err := flush(q, func(o memory.ObjectID) error {
 		got = append(got, o)
 		return nil
 	}); err != nil {
@@ -54,7 +71,7 @@ func TestFlushPreservesFirstWriteOrder(t *testing.T) {
 func TestFlushEmptyIsNoop(t *testing.T) {
 	q := New()
 	called := false
-	if err := q.Flush(func(memory.ObjectID) error { called = true; return nil }); err != nil {
+	if err := flush(q, func(memory.ObjectID) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -68,7 +85,7 @@ func TestFlushErrorKeepsRemainder(t *testing.T) {
 	q.MarkDirty(2)
 	q.MarkDirty(3)
 	boom := errors.New("boom")
-	err := q.Flush(func(o memory.ObjectID) error {
+	err := flush(q, func(o memory.ObjectID) error {
 		if o == 2 {
 			return boom
 		}
@@ -83,7 +100,7 @@ func TestFlushErrorKeepsRemainder(t *testing.T) {
 			q.Pending(), q.Contains(1), q.Contains(2), q.Contains(3))
 	}
 	var got []memory.ObjectID
-	q.Flush(func(o memory.ObjectID) error { got = append(got, o); return nil })
+	flush(q, func(o memory.ObjectID) error { got = append(got, o); return nil })
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("retry order = %v", got)
 	}
@@ -92,7 +109,7 @@ func TestFlushErrorKeepsRemainder(t *testing.T) {
 func TestRedirtyAfterFlushIsFirstAgain(t *testing.T) {
 	q := New()
 	q.MarkDirty(7)
-	q.Flush(func(memory.ObjectID) error { return nil })
+	flush(q, func(memory.ObjectID) error { return nil })
 	if !q.MarkDirty(7) {
 		t.Fatal("object not 'first' after flush")
 	}
@@ -102,10 +119,10 @@ func TestStatsCountUpdatesAndFlushes(t *testing.T) {
 	q := New()
 	q.MarkDirty(1)
 	q.MarkDirty(2)
-	q.Flush(func(memory.ObjectID) error { return nil })
+	flush(q, func(memory.ObjectID) error { return nil })
 	q.MarkDirty(1)
-	q.Flush(func(memory.ObjectID) error { return nil })
-	q.Flush(func(memory.ObjectID) error { return nil }) // empty
+	flush(q, func(memory.ObjectID) error { return nil })
+	flush(q, func(memory.ObjectID) error { return nil }) // empty
 	_, _, updates, flushes := q.Stats()
 	if updates != 3 || flushes != 2 {
 		t.Fatalf("updates=%d flushes=%d", updates, flushes)
@@ -118,7 +135,7 @@ func TestDrainReturnsOrderWithoutClearing(t *testing.T) {
 	q.MarkDirty(2)
 	q.MarkDirty(4)
 	q.MarkDirty(6)
-	got := q.Drain()
+	got := q.DrainInto(nil)
 	want := []memory.ObjectID{4, 2, 6}
 	if len(got) != len(want) || got[0] != 4 || got[1] != 2 || got[2] != 6 {
 		t.Fatalf("drain = %v, want %v", got, want)
@@ -127,10 +144,14 @@ func TestDrainReturnsOrderWithoutClearing(t *testing.T) {
 	if q.Pending() != 3 || !q.Contains(4) || !q.Contains(2) || !q.Contains(6) {
 		t.Fatalf("drain removed entries: pending=%d", q.Pending())
 	}
-	// The returned slice is a copy: mutating it must not corrupt the queue.
+	// The result lives in the caller's scratch: mutating it must not
+	// corrupt the queue, and a second drain appends behind what is there.
 	got[0] = 99
 	if !q.Contains(4) || q.Contains(99) {
 		t.Fatal("drain result aliases queue state")
+	}
+	if again := q.DrainInto(got[:1]); len(again) != 4 || again[0] != 99 || again[1] != 4 || again[3] != 6 {
+		t.Fatalf("drain into used scratch = %v, want [99 4 2 6]", again)
 	}
 }
 
@@ -148,7 +169,7 @@ func TestCommitRemovesOnlyEmitted(t *testing.T) {
 	}
 	// The survivors keep their original relative order.
 	var got []memory.ObjectID
-	if err := q.Flush(func(o memory.ObjectID) error { got = append(got, o); return nil }); err != nil {
+	if err := flush(q, func(o memory.ObjectID) error { got = append(got, o); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
@@ -160,7 +181,7 @@ func TestCommitCountsUpdatesAndFlushes(t *testing.T) {
 	q := New()
 	q.MarkDirty(1)
 	q.MarkDirty(2)
-	q.Commit(q.Drain())
+	q.Commit(q.DrainInto(nil))
 	_, _, updates, flushes := q.Stats()
 	if updates != 2 || flushes != 1 {
 		t.Fatalf("updates=%d flushes=%d", updates, flushes)
@@ -200,7 +221,7 @@ func TestMidFlushErrorKeepsFailedAndLaterInOrder(t *testing.T) {
 		q.MarkDirty(id)
 	}
 	boom := errors.New("link down")
-	err := q.Flush(func(o memory.ObjectID) error {
+	err := flush(q, func(o memory.ObjectID) error {
 		if o == 30 {
 			return boom
 		}
@@ -210,7 +231,7 @@ func TestMidFlushErrorKeepsFailedAndLaterInOrder(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	var got []memory.ObjectID
-	if err := q.Flush(func(o memory.ObjectID) error { got = append(got, o); return nil }); err != nil {
+	if err := flush(q, func(o memory.ObjectID) error { got = append(got, o); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 30 || got[1] != 40 || got[2] != 50 {
@@ -234,7 +255,7 @@ func TestCombiningProperty(t *testing.T) {
 			distinct[id] = true
 		}
 		n := 0
-		q.Flush(func(memory.ObjectID) error { n++; return nil })
+		flush(q, func(memory.ObjectID) error { n++; return nil })
 		writes, combined, updates, _ := q.Stats()
 		return n == len(distinct) && updates == int64(n) &&
 			writes == updates+combined && writes == int64(len(objs))
@@ -261,7 +282,7 @@ func TestFlushOrderProperty(t *testing.T) {
 			}
 		}
 		var got []memory.ObjectID
-		q.Flush(func(o memory.ObjectID) error { got = append(got, o); return nil })
+		flush(q, func(o memory.ObjectID) error { got = append(got, o); return nil })
 		if len(got) != len(firstOrder) {
 			return false
 		}

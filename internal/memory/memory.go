@@ -14,8 +14,8 @@
 // The flush hot path runs Diff on every dirty object per synchronization
 // point, so Diff is written allocation-free: the caller supplies span and
 // byte scratch (normally pooled via internal/bufpool) and Diff appends
-// into them. DiffAlloc keeps the old allocate-per-call shape for cold
-// paths and diagnostics.
+// into them. DiffAlloc keeps the old allocate-per-call shape for the
+// home's race diagnostic and tests.
 package memory
 
 import (
@@ -117,8 +117,8 @@ func Diff(dst []Span, buf []byte, twin, cur []byte, joinGap int) ([]Span, []byte
 }
 
 // DiffAlloc is Diff with fresh allocations — the pre-pooling shape, kept
-// for cold paths (producer-consumer pushes that outlive the flush,
-// race diagnostics) and tests. Returns nil when nothing differs.
+// for the home merge's overlapping-update diagnostic and tests. Returns
+// nil when nothing differs.
 func DiffAlloc(twin, cur []byte, joinGap int) []Span {
 	spans, _ := Diff(nil, nil, twin, cur, joinGap)
 	return spans

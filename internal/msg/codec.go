@@ -246,7 +246,5 @@ func (r *Reader) Str() string { return string(r.BytesN()) }
 // unconditional and check errors once.
 func (r *Reader) Entry() *Reader {
 	p := r.BytesN()
-	e := NewReader(p)
-	e.err = r.err
-	return e
+	return &Reader{buf: p, err: r.err}
 }

@@ -44,7 +44,7 @@ func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 // delayed update queue must be flushed whenever a thread
 // synchronizes").
 //
-// The flush is planned as a whole (duq.Drain) and batched: write-many
+// The flush is planned as a whole (duq.DrainInto) and batched: write-many
 // and result diffs are grouped by home node, producer-consumer pushes
 // by consumer set, and one message per destination carries that
 // destination's entries in first-modification order. Batches to
@@ -101,12 +101,6 @@ func (n *Node) TryFlushQueue(q *duq.Queue) error {
 	// lease-engine lease on the node, so the next read of a leased
 	// object revalidates against its home (lease.go).
 	n.syncEpoch.Add(1)
-	if n.serialFlush.Load() {
-		return q.Flush(func(id memory.ObjectID) error {
-			n.flushObject(id)
-			return nil
-		})
-	}
 	fs := getFlushScratch()
 	defer putFlushScratch(fs)
 	fs.ids = q.DrainInto(fs.ids[:0])
@@ -338,7 +332,9 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 	if len(local) > 0 {
 		// Local flush at the home: the home copy already holds the
 		// bytes; just run the home-side merge + redistribution.
-		n.homeMergeBatch(local, n.id, true)
+		ds := getDecodeScratch()
+		n.homeMergeBatch(ds, local, n.id, true)
+		putDecodeScratch(ds)
 	}
 	settle := func(a flushAwait) error {
 		replies, err := a.p.Wait()
@@ -398,23 +394,11 @@ func (n *Node) takeDiff(fs *flushScratch, o *Obj) []memory.Span {
 	return fs.spans[lo:len(fs.spans):len(fs.spans)]
 }
 
-// encodeDiffBatch builds the complete wire message for one home's
-// entries — header space reserved, payload behind it — in a pooled
-// buffer sized exactly, so the encode is one pass with no intermediate
-// Marshal copy. A batch of one uses the single-object kindDiff message,
-// so it costs exactly what the unbatched protocol paid.
-func encodeDiffBatch(entries []batchEntry) (*bufpool.Buffer, msg.Kind) {
-	if len(entries) == 1 {
-		e := entries[0]
-		wb := bufpool.Get(msg.HeaderSize + 4 + memory.EncodedSpansSize(e.spans))
-		var b msg.Builder
-		b.Reset(wb.B)
-		b.Skip(msg.HeaderSize)
-		b.U32(uint32(e.id))
-		memory.EncodeSpans(&b, e.spans)
-		wb.B = b.Bytes()
-		return wb, kindDiff
-	}
+// encodeDiffBatch builds the complete kindDiffBatch wire message for one
+// home's entries — header space reserved, payload behind it — in a
+// pooled buffer sized exactly, so the encode is one pass with no
+// intermediate Marshal copy.
+func encodeDiffBatch(entries []batchEntry) *bufpool.Buffer {
 	size := msg.HeaderSize + 4
 	for _, e := range entries {
 		esz := 4 + memory.EncodedSpansSize(e.spans)
@@ -433,29 +417,20 @@ func encodeDiffBatch(entries []batchEntry) (*bufpool.Buffer, msg.Kind) {
 		memory.EncodeSpans(&b, e.spans)
 	}
 	wb.B = b.Bytes()
-	return wb, kindDiffBatch
+	return wb
 }
 
 // startDiffBatch enqueues one home's planned entries on the coalescing
 // writer and returns the await that settles the assigned sequence
-// numbers from the reply. Larger batches collapse 2K messages (K diffs
-// + K acks) into one kindDiffBatch round trip; the wire message is
-// built in a pooled buffer owned by the transport writer from here on.
+// numbers from the reply. K entries cost one kindDiffBatch round trip;
+// the wire message is built in a pooled buffer owned by the transport
+// writer from here on.
 func (n *Node) startDiffBatch(dst msg.NodeID, entries []batchEntry) (flushAwait, error) {
-	wb, kind := encodeDiffBatch(entries)
-	if kind == kindDiffBatch {
-		n.countBatch(len(entries), len(wb.B)-msg.HeaderSize)
-	}
-	p, err := n.k.CallStartOwned(dst, kind, wb)
+	wb := encodeDiffBatch(entries)
+	n.countBatch(len(entries), len(wb.B)-msg.HeaderSize)
+	p, err := n.k.CallStartOwned(dst, kindDiffBatch, wb)
 	if err != nil {
 		return flushAwait{}, fmt.Errorf("diff batch to node %d: %w", dst, err)
-	}
-	if kind == kindDiff {
-		e := entries[0]
-		return flushAwait{p: p, finish: func(replies []*msg.Msg) error {
-			n.settleOwnDiff(e.id, msg.NewReader(replies[0].Payload).U64())
-			return nil
-		}}, nil
 	}
 	return flushAwait{p: p, finish: func(replies []*msg.Msg) error {
 		r := msg.NewReader(replies[0].Payload)
@@ -514,9 +489,9 @@ func memberKey(members []msg.NodeID) string {
 // enqueues them — the shared-destination batch plus any solo pushes —
 // on the coalescing writer. The caller (flushBatched) already holds
 // every group object's pushMu and keeps holding it until the awaits
-// returned here are acknowledged, preserving flushProducer's guarantee:
-// consumers see each object's sequence numbers in order, and an
-// acknowledged push implies all earlier pushes landed.
+// returned here are acknowledged: consumers see each object's sequence
+// numbers in order, and an acknowledged push implies all earlier pushes
+// landed.
 func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error) {
 	groupKey := memberKey(g.members)
 	type solo struct {
@@ -567,28 +542,25 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 	// producer pays the wait at its own synchronization point (the
 	// awaits returned to flushBatched).
 	var awaits []flushAwait
-	if len(batch) > 0 {
-		kind := kindApply
-		var payload []byte
-		if len(batch) == 1 {
-			payload = encodeApply(batch[0])
-		} else {
-			kind = kindApplyBatch
-			payload = encodeApplyBatch(batch)
-			n.countBatch(len(batch), len(payload))
-		}
-		p, err := n.k.MulticastCallStart(g.members, kind, payload)
+	push := func(members []msg.NodeID, entries []applyEntry) error {
+		payload := encodeApplyBatch(entries)
+		n.countBatch(len(entries), len(payload))
+		p, err := n.k.MulticastCallStart(members, kindApplyBatch, payload)
 		if err != nil {
-			return awaits, fmt.Errorf("producer push: %w", err)
+			return fmt.Errorf("producer push: %w", err)
 		}
 		awaits = append(awaits, flushAwait{p: p, benign: true})
+		return nil
+	}
+	if len(batch) > 0 {
+		if err := push(g.members, batch); err != nil {
+			return awaits, err
+		}
 	}
 	for _, s := range solos {
-		p, err := n.k.MulticastCallStart(s.members, kindApply, encodeApply(s.entry))
-		if err != nil {
-			return awaits, fmt.Errorf("producer push: %w", err)
+		if err := push(s.members, []applyEntry{s.entry}); err != nil {
+			return awaits, err
 		}
-		awaits = append(awaits, flushAwait{p: p, benign: true})
 	}
 	return awaits, nil
 }
@@ -763,59 +735,6 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	n.writeBuffered.AddShard(q.Shard(), 1)
 }
 
-// flushObject emits the delayed update for one object (the legacy
-// serial flush path; see SetSerialFlush).
-func (n *Node) flushObject(id memory.ObjectID) {
-	o := n.mustObj(id)
-	switch o.meta.Annot {
-	case WriteMany, Result:
-		n.flushDiff(o)
-	case ProducerConsumer:
-		n.flushProducer(o)
-	default:
-		// Other annotations never enter the DUQ.
-	}
-}
-
-// flushDiff sends the twin/current diff to the object's home, which
-// merges it and (for write-many) redistributes to other copy holders.
-func (n *Node) flushDiff(o *Obj) {
-	o.mu.Lock()
-	if o.twin == nil {
-		o.mu.Unlock()
-		return
-	}
-	spans := memory.DiffAlloc(o.twin, o.data, o.meta.Opts.JoinGap)
-	o.dropTwin()
-	o.mu.Unlock()
-	if len(spans) == 0 {
-		return
-	}
-	n.C.Add(stats.CDiffSent, 1)
-	n.C.Add(stats.CDiffBytes, int64(memory.SpanBytes(spans)))
-	home := n.homeOf(&o.meta)
-	if home == n.id {
-		// Local flush at the home: the home copy already holds the
-		// bytes; just run the home-side redistribution.
-		n.homeMergeDiff(o.meta.ID, spans, n.id, true)
-		return
-	}
-	b := msg.NewBuilder(16 + memory.SpanBytes(spans))
-	b.U32(uint32(o.meta.ID))
-	memory.EncodeSpans(b, spans)
-	// Acknowledged: the flush does not return until the home (and,
-	// transitively, every copy holder) has installed the update, so a
-	// synchronization operation that follows guarantees visibility.
-	reply, err := n.k.Call(home, kindDiff, b.Bytes())
-	if err != nil {
-		panic(fmt.Sprintf("munin: diff %q: %v", o.meta.Name, err))
-	}
-	seq := msg.NewReader(reply.Payload).U64()
-	o.mu.Lock()
-	o.advanceOwn(seq)
-	o.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------
 // Producer-consumer (§3.3.4): eager object movement. The producer
 // multicasts updates directly to the registered consumer set (plus the
@@ -874,54 +793,6 @@ func (n *Node) becomeProducer(o *Obj) {
 	o.prodSeq = seq
 	o.consumers = consumers
 	o.mu.Unlock()
-}
-
-// flushProducer multicasts the producer's buffered update directly to
-// every consumer and the home. pushMu serializes concurrent flushes by
-// threads on the producing node so consumers see sequence numbers in
-// order and an acknowledged push implies all earlier pushes landed.
-func (n *Node) flushProducer(o *Obj) {
-	n.becomeProducer(o)
-	o.pushMu.Lock()
-	defer o.pushMu.Unlock()
-	o.mu.Lock()
-	if o.twin == nil {
-		o.mu.Unlock()
-		return
-	}
-	spans := memory.DiffAlloc(o.twin, o.data, o.meta.Opts.JoinGap)
-	o.dropTwin()
-	if len(spans) == 0 {
-		o.mu.Unlock()
-		return
-	}
-	o.prodSeq++
-	seq := o.prodSeq
-	o.applySeq = seq // our copy already reflects this update
-	members := make([]msg.NodeID, 0, len(o.consumers)+1)
-	members = append(members, o.consumers...)
-	home := n.homeOf(&o.meta)
-	found := false
-	for _, m := range members {
-		if m == home {
-			found = true
-		}
-	}
-	if !found && home != n.id {
-		members = append(members, home)
-	}
-	id := o.meta.ID
-	o.mu.Unlock()
-
-	n.C.Add(stats.CDiffSent, 1)
-	n.C.Add(stats.CDiffBytes, int64(memory.SpanBytes(spans)))
-	n.C.Add(stats.CEagerPush, 1)
-	// Acknowledged eager push: consumers never wait for data, the
-	// producer pays the wait at its own synchronization point.
-	payload := encodeApply(applyEntry{id: id, seq: seq, spans: spans})
-	if _, err := n.k.MulticastCall(members, kindApply, payload); err != nil && !n.relayBenign(err) {
-		panic(fmt.Sprintf("munin: producer push %q: %v", o.meta.Name, err))
-	}
 }
 
 // ensureConsumer registers this node as a consumer on first read and

@@ -2,10 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
 	"munin/internal/memory"
+	"munin/internal/msg"
 )
 
 // TestFlushPlanEncodeZeroAllocs pins the protocol half of the
@@ -39,20 +42,18 @@ func TestFlushPlanEncodeZeroAllocs(t *testing.T) {
 		if len(spans) == 0 {
 			t.Fatal("diff found no spans")
 		}
-		// Encode both shapes: a singleton (kindDiff) and a batch.
+		// Encode both shapes: a batch of one and a batch of two. Both
+		// are kindDiffBatch payloads led by their entry count.
 		fs.grouped = append(fs.grouped,
 			batchEntry{id: 1, spans: spans},
 			batchEntry{id: 2, spans: spans})
-		wb, kind := encodeDiffBatch(fs.grouped[:1])
-		if kind != kindDiff {
-			t.Fatalf("singleton encoded as kind %#x", kind)
+		for n := 1; n <= 2; n++ {
+			wb := encodeDiffBatch(fs.grouped[:n])
+			if got := binary.BigEndian.Uint32(wb.B[msg.HeaderSize:]); got != uint32(n) {
+				t.Fatalf("batch of %d encoded with count word %d", n, got)
+			}
+			wb.Release()
 		}
-		wb.Release()
-		wb, kind = encodeDiffBatch(fs.grouped)
-		if kind != kindDiffBatch {
-			t.Fatalf("batch encoded as kind %#x", kind)
-		}
-		wb.Release()
 	}
 
 	for i := 0; i < 32; i++ {
@@ -102,7 +103,8 @@ func TestTwinPoolLifecycle(t *testing.T) {
 }
 
 // BenchmarkEncodeDiffBatch measures the one-pass pooled encode of a
-// multi-object delayed-update batch.
+// delayed-update batch: the one-entry message a flush-per-write program
+// sends, and a 16-object batch.
 func BenchmarkEncodeDiffBatch(b *testing.B) {
 	data := make([]byte, 256)
 	for i := range data {
@@ -115,13 +117,12 @@ func BenchmarkEncodeDiffBatch(b *testing.B) {
 			spans: []memory.Span{{Off: 0, Data: data[:64]}, {Off: 128, Data: data[128:]}},
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wb, kind := encodeDiffBatch(entries)
-		if kind != kindDiffBatch {
-			b.Fatal("wrong kind")
-		}
-		wb.Release()
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encodeDiffBatch(entries[:n]).Release()
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"munin/internal/duq"
 	"munin/internal/memory"
+	"munin/internal/msg"
 )
 
 // TestBatchedFlushIsO1PerHome is the headline property of the batched
@@ -49,7 +52,8 @@ func TestBatchedFlushIsO1PerHome(t *testing.T) {
 }
 
 // TestSerialFlushCosts2KPerHome pins down the "before" side of the
-// comparison: the legacy path pays one round trip per dirty object.
+// comparison: a program that flushes after every write pays one round
+// trip per dirty object — on the same flush path, as K batches of one.
 func TestSerialFlushCosts2KPerHome(t *testing.T) {
 	const K = 8
 	r := newRig(t, 2)
@@ -58,35 +62,50 @@ func TestSerialFlushCosts2KPerHome(t *testing.T) {
 	for i := 1; i <= K; i++ {
 		r.alloc(memory.ObjectID(i), fmt.Sprintf("wm%d", i), 8, WriteMany, opts, nil)
 	}
-	r.nodes[1].SetSerialFlush(true)
 	q := duq.New()
 	for i := 1; i <= K; i++ {
-		r.nodes[1].Write(q, memory.ObjectID(i), 0, u64bytes(uint64(i)))
+		readU64(r.nodes[1], q, memory.ObjectID(i), 0) // prime: the writes below do not fault
 	}
 	before := msgs(r)
-	r.nodes[1].FlushQueue(q)
-	if sent := msgs(r) - before; sent != 2*K {
-		t.Fatalf("serial flush of %d objects sent %d messages, want %d", K, sent, 2*K)
+	for i := 1; i <= K; i++ {
+		r.nodes[1].Write(q, memory.ObjectID(i), 0, u64bytes(uint64(i)))
+		r.nodes[1].FlushQueue(q)
 	}
-	if got := r.nodes[1].C.Get("batch.sent"); got != 0 {
-		t.Fatalf("serial mode sent %d batches", got)
+	if sent := msgs(r) - before; sent != 2*K {
+		t.Fatalf("flush-per-write of %d objects sent %d messages, want %d", K, sent, 2*K)
+	}
+	if sent, objs := r.nodes[1].C.Get("batch.sent"), r.nodes[1].C.Get("batch.objs"); sent != K || objs != K {
+		t.Fatalf("batch.sent = %d, batch.objs = %d, want %d batches of one", sent, objs, K)
 	}
 }
 
-// TestBatchOfOneUsesSingleDiff: a one-object flush must cost exactly
-// what the unbatched protocol paid (no batch framing overhead).
-func TestBatchOfOneUsesSingleDiff(t *testing.T) {
+// TestBatchOfOneWireSize pins what a one-object flush costs on the
+// wire now that it rides the batch message: 2 messages, the request
+// carrying the count word and the entry's length prefix on top of the
+// object ID and spans (5–7 bytes more than a bare single-object diff
+// would be), the reply a count word ahead of the sequence number (4
+// more).
+func TestBatchOfOneWireSize(t *testing.T) {
 	r := newRig(t, 2)
 	r.alloc(2, "wm", 8, WriteMany, DefaultOptions(), nil) // home = node 0
 	q := duq.New()
 	r.nodes[1].Write(q, 2, 0, u64bytes(7))
-	before := msgs(r)
+	st := r.c.Stats()
+	beforeM, beforeB := st.Messages(), st.Bytes()
 	r.nodes[1].FlushQueue(q)
-	if sent := msgs(r) - before; sent != 2 {
+	if sent := st.Messages() - beforeM; sent != 2 {
 		t.Fatalf("single-object flush sent %d messages, want 2", sent)
 	}
-	if got := r.nodes[1].C.Get("batch.sent"); got != 0 {
-		t.Fatalf("batch.sent = %d for a batch of one, want 0", got)
+	// Only the low byte changed: one span of one byte at offset 7.
+	entry := 4 + memory.EncodedSpansSize([]memory.Span{{Off: 7, Data: []byte{7}}})
+	request := 4 + msg.UvarintLen(uint64(entry)) + entry
+	reply := 4 + 8
+	if got, want := st.Bytes()-beforeB, int64(2*msg.HeaderSize+request+reply); got != want {
+		t.Fatalf("single-object flush moved %d bytes, want %d (request payload %d, reply payload %d)",
+			got, want, request, reply)
+	}
+	if got := r.nodes[1].C.Get("batch.bytes"); got != int64(request) {
+		t.Fatalf("batch.bytes = %d, want the request payload %d", got, request)
 	}
 	if got := readU64(r.nodes[0], q, 2, 0); got != 7 {
 		t.Fatalf("home = %d, want 7", got)
@@ -282,43 +301,128 @@ func TestBatchedFlushConcurrentWritersConverge(t *testing.T) {
 }
 
 // TestBatchedAndSerialFlushAgree runs the same multi-object workload
-// under both flush paths and checks they produce identical home
-// contents and identical per-object combined-update counts — the
-// serial path is the differential oracle for the batch rewrite.
+// as a program that flushes once per round and as one that flushes
+// after every write, and checks both against the expected home bytes
+// and combined-update count computed in plain Go.
 func TestBatchedAndSerialFlushAgree(t *testing.T) {
-	run := func(serial bool) ([]uint64, int64) {
+	const (
+		K      = 5
+		size   = 16
+		rounds = 3
+	)
+	// The program: in round r every object i gets value r*K+i at word
+	// r%2. Every write changes its word, so each round sends K diffs.
+	slot := func(round int) int { return (round % 2) * 8 }
+	value := func(round, i int) uint64 { return uint64(round*K + i) }
+	want := make([][]byte, K+1)
+	for i := 1; i <= K; i++ {
+		want[i] = make([]byte, size)
+		for round := 0; round < rounds; round++ {
+			copy(want[i][slot(round):], u64bytes(value(round, i)))
+		}
+	}
+
+	for _, flushPerWrite := range []bool{false, true} {
 		r := newRig(t, 2)
 		opts := DefaultOptions()
 		opts.Home = 0
-		const K = 5
 		for i := 1; i <= K; i++ {
-			r.alloc(memory.ObjectID(i), fmt.Sprintf("d%d", i), 16, WriteMany, opts, nil)
-		}
-		if serial {
-			r.nodes[1].SetSerialFlush(true)
+			r.alloc(memory.ObjectID(i), fmt.Sprintf("d%d", i), size, WriteMany, opts, nil)
 		}
 		q := duq.New()
-		for round := 0; round < 3; round++ {
+		for round := 0; round < rounds; round++ {
 			for i := 1; i <= K; i++ {
-				r.nodes[1].Write(q, memory.ObjectID(i), (round%2)*8, u64bytes(uint64(round*K+i)))
+				r.nodes[1].Write(q, memory.ObjectID(i), slot(round), u64bytes(value(round, i)))
+				if flushPerWrite {
+					r.nodes[1].FlushQueue(q)
+				}
 			}
 			r.nodes[1].FlushQueue(q)
 		}
-		out := make([]uint64, 0, 2*K)
+		got := make([]byte, size)
 		for i := 1; i <= K; i++ {
-			out = append(out, readU64(r.nodes[0], q, memory.ObjectID(i), 0))
-			out = append(out, readU64(r.nodes[0], q, memory.ObjectID(i), 8))
+			r.nodes[0].Read(q, memory.ObjectID(i), 0, got)
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("flush per write %v: home object %d = %x, want %x", flushPerWrite, i, got, want[i])
+			}
 		}
-		return out, r.nodes[1].C.Get("diff.sent")
-	}
-	batched, bDiffs := run(false)
-	serial, sDiffs := run(true)
-	for i := range batched {
-		if batched[i] != serial[i] {
-			t.Fatalf("slot %d: batched %d vs serial %d", i, batched[i], serial[i])
+		if diffs := r.nodes[1].C.Get("diff.sent"); diffs != rounds*K {
+			t.Fatalf("flush per write %v: %d combined updates, want %d", flushPerWrite, diffs, rounds*K)
 		}
 	}
-	if bDiffs != sDiffs {
-		t.Fatalf("combined updates differ: batched %d vs serial %d", bDiffs, sDiffs)
+}
+
+// TestMalformedBatchIsCountedAndChangesNothing feeds damaged
+// kindDiffBatch and kindApplyBatch payloads through dispatch: each is
+// one counted drop, never a panic, and — because a batch is decoded
+// whole before anything is merged or installed — leaves every object
+// byte and sequence number as it was, even when the damage sits behind
+// entries that decode cleanly.
+func TestMalformedBatchIsCountedAndChangesNothing(t *testing.T) {
+	r := newRig(t, 2)
+	opts := DefaultOptions()
+	opts.Home = 0
+	r.alloc(1, "a", 8, WriteMany, opts, nil)
+	r.alloc(2, "b", 8, WriteMany, opts, nil)
+	q := duq.New()
+	for id := memory.ObjectID(1); id <= 2; id++ {
+		readU64(r.nodes[1], q, id, 0) // node 1 holds valid copies at sequence 0
+	}
+
+	spans := []memory.Span{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE}}}
+	wb := encodeDiffBatch([]batchEntry{{id: 1, spans: spans}, {id: 2, spans: spans}})
+	diff := append([]byte(nil), wb.B[msg.HeaderSize:]...)
+	wb.Release()
+	// Sequence 1 is the next in order at node 1: intact, both entries
+	// would install.
+	apply := encodeApplyBatch([]applyEntry{{id: 1, seq: 1, spans: spans}, {id: 2, seq: 1, spans: spans}})
+
+	// damage returns the ways a two-entry payload arrives broken.
+	damage := func(p []byte) map[string][]byte {
+		overCount := append([]byte(nil), p...)
+		binary.BigEndian.PutUint32(overCount, 3) // plausible for the length, but only two entries follow
+		hugeCount := append([]byte(nil), p...)
+		binary.BigEndian.PutUint32(hugeCount, 1<<31)
+		return map[string][]byte{
+			"empty":                  nil,
+			"short count word":       p[:3],
+			"count beyond payload":   hugeCount,
+			"count beyond entries":   overCount,
+			"second entry truncated": p[:len(p)-3],
+			"second entry missing":   p[:4+(len(p)-4)/2],
+		}
+	}
+	cases := []struct {
+		kind    msg.Kind
+		at      *Node // receiver: the home for diffs, the copy holder for refreshes
+		from    msg.NodeID
+		payload []byte
+	}{
+		{kindDiffBatch, r.nodes[0], 1, diff},
+		{kindApplyBatch, r.nodes[1], 0, apply},
+	}
+	snapshot := func(n *Node) (state [2][8]byte, seqs [2]uint64) {
+		for i := range state {
+			o := n.mustObj(memory.ObjectID(i + 1))
+			o.mu.Lock()
+			copy(state[i][:], o.data)
+			seqs[i] = o.applySeq
+			o.mu.Unlock()
+		}
+		return state, seqs
+	}
+	for _, c := range cases {
+		for name, p := range damage(c.payload) {
+			beforeData, beforeSeqs := snapshot(c.at)
+			drops := c.at.C.Get("drop.malformed")
+			c.at.dispatch(c.at.k, &msg.Msg{Kind: c.kind, From: c.from, To: c.at.id, Seq: 1 << 40, Payload: p})
+			if got := c.at.C.Get("drop.malformed") - drops; got != 1 {
+				t.Errorf("kind %#x, %s: drop.malformed moved by %d, want 1", c.kind, name, got)
+			}
+			if afterData, afterSeqs := snapshot(c.at); afterData != beforeData || afterSeqs != beforeSeqs {
+				t.Errorf("kind %#x, %s: a dropped batch changed objects: %x seqs %v -> %x seqs %v",
+					c.kind, name, beforeData, beforeSeqs, afterData, afterSeqs)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package protocol
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"munin/internal/memory"
@@ -262,11 +263,30 @@ func (n *Node) handleFetch(req *msg.Msg) {
 // a message's spans into it, installs them under the object locks
 // (copying into o.data, or cloning when an out-of-order update must be
 // parked — see applyRefresh), and returns it before replying. Nothing
-// decoded into it may outlive the handler.
+// decoded into it may outlive the handler. It also carries the working
+// state of a home merge (homeMergeBatch), so merging a batch — of one
+// entry or of many — allocates nothing but the relay payloads.
 type decodeScratch struct {
 	spans   []memory.Span
 	buf     []byte
-	entries []batchEntry
+	entries []batchEntry // decoded diffs (handleDiffBatch)
+	applies []applyEntry // decoded refreshes (handleApplyBatch), or the relay groups' entries
+
+	ids     []memory.ObjectID  // entry IDs in relayMu lock order
+	locked  []*dirEntry        // directory entries whose relayMu the merge holds
+	seqs    []uint64           // assigned sequence numbers, in entry order
+	relays  []relay            // what each copy holder must receive
+	members []msg.NodeID       // one relay group's holders
+	pends   []*vkernel.Pending // started relays awaiting their acks
+}
+
+// relay is one (copy holder, entry index) pair of a home merge: the
+// holder must be sent that entry's update. sent marks a holder's run
+// once a relay group has taken it.
+type relay struct {
+	to    msg.NodeID
+	entry int
+	sent  bool
 }
 
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -274,92 +294,51 @@ var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 func getDecodeScratch() *decodeScratch { return decodeScratchPool.Get().(*decodeScratch) }
 
 func putDecodeScratch(ds *decodeScratch) {
-	clear(ds.entries) // entries hold span headers; drop them, keep capacity
-	ds.spans, ds.buf, ds.entries = ds.spans[:0], ds.buf[:0], ds.entries[:0]
+	// Drop what holds pointers (span headers, directory entries,
+	// Pendings); capacity is the point of pooling.
+	clear(ds.entries)
+	clear(ds.applies)
+	clear(ds.locked)
+	clear(ds.pends)
+	ds.spans, ds.buf, ds.entries, ds.applies = ds.spans[:0], ds.buf[:0], ds.entries[:0], ds.applies[:0]
+	ds.ids, ds.locked, ds.seqs = ds.ids[:0], ds.locked[:0], ds.seqs[:0]
+	ds.relays, ds.members, ds.pends = ds.relays[:0], ds.members[:0], ds.pends[:0]
 	decodeScratchPool.Put(ds)
 }
 
-// handleDiff merges a delayed-update diff into the home copy and
-// redistributes it to the other copy holders.
-func (n *Node) handleDiff(req *msg.Msg) {
-	r := msg.NewReader(req.Payload)
-	id := memory.ObjectID(r.U32())
-	ds := getDecodeScratch()
-	defer putDecodeScratch(ds)
-	ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, r)
-	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
-		return
-	}
-	// The merge both installs the spans (copying into the home copy) and
-	// relays them (copying into the relay payloads), so the scratch is
-	// dead by the time the reply goes out.
-	seq := n.homeMergeDiff(id, ds.spans, req.From, false)
-	// The reply carries the sequence number assigned to this diff: the
-	// relay excludes the sender, so the sender advances its own copy's
-	// sequence from the reply instead (otherwise every later relay to
-	// it would look like a gap and park forever).
-	n.k.Reply(req, msg.NewBuilder(8).U64(seq).Bytes())
-}
-
-// mergeStamp applies one delayed-update diff to the authoritative home
-// copy, stamps it with the object's next update sequence number, and
-// returns the sequence plus the copy holders the update must be
-// relayed to (write-many only; result objects stop at the home — the
-// collector reads the merged copy there). The caller must hold the
-// object's relayMu.
-func (n *Node) mergeStamp(id memory.ObjectID, spans []memory.Span, from msg.NodeID, alreadyApplied bool) (uint64, []msg.NodeID) {
-	o := n.mustObj(id)
-	d := n.dirEntryOf(id)
+// mergeStamp applies entry i of a delayed-update batch to the
+// authoritative home copy, stamps it with the object's next update
+// sequence number (returned), and records in ds.relays the copy holders
+// the update must be relayed to (write-many only; result objects stop
+// at the home — the collector reads the merged copy there). The caller
+// must hold the object's relayMu.
+func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeID, alreadyApplied bool) uint64 {
+	o := n.mustObj(e.id)
+	d := n.dirEntryOf(e.id)
 	n.C.Add(stats.CHomeDiff, 1)
 
 	d.mu.Lock()
 	o.mu.Lock()
 	if !alreadyApplied {
-		if o.twin != nil && memory.Overlap(spans, memory.DiffAlloc(o.twin, o.data, 0)) {
+		if o.twin != nil && memory.Overlap(e.spans, memory.DiffAlloc(o.twin, o.data, 0)) {
 			// Diagnostic only: concurrent overlapping updates mean the
 			// application raced (loose coherence allows either value).
 			n.C.Add(stats.CRaceDetected, 1)
 		}
-		memory.ApplySpans(o.data, spans)
+		memory.ApplySpans(o.data, e.spans)
 	}
 	o.applySeq++
 	seq := o.applySeq
-	var members []msg.NodeID
 	if o.meta.Annot == WriteMany {
 		for m := range d.copyset {
 			if m != n.id && m != from {
-				members = append(members, m)
+				ds.relays = append(ds.relays, relay{to: m, entry: i})
 			}
 		}
 	}
 	d.rereads = 0
 	o.mu.Unlock()
 	d.mu.Unlock()
-	return seq, members
-}
-
-// homeMergeDiff is the home-side half of the write-many protocol for a
-// single-object diff: merge, stamp, and multicast to every other copy
-// holder (refresh).
-func (n *Node) homeMergeDiff(id memory.ObjectID, spans []memory.Span, from msg.NodeID, alreadyApplied bool) uint64 {
-	d := n.dirEntryOf(id)
-	// relayMu serializes the stamp+relay+ack round per object: an
-	// acknowledged diff implies every earlier diff for the object has
-	// been installed at every copy, which is what lets a flush-then-
-	// synchronize sequence guarantee visibility.
-	d.relayMu.Lock()
-	defer d.relayMu.Unlock()
-
-	seq, members := n.mergeStamp(id, spans, from, alreadyApplied)
-	if len(members) == 0 {
-		return seq
-	}
-	n.C.Add(stats.CHomeRelay, 1)
-	payload := encodeApply(applyEntry{id: id, seq: seq, spans: spans})
-	if _, err := n.k.MulticastCall(members, kindApply, payload); err != nil && !n.relayBenign(err) {
-		panic(fmt.Sprintf("munin: relay diff for object %d: %v", id, err))
-	}
 	return seq
 }
 
@@ -369,141 +348,144 @@ type batchEntry struct {
 	spans []memory.Span
 }
 
-// applyEntry is one (object, sequence, spans) element of a sequenced
-// refresh — a kindApply payload, or one entry of a kindApplyBatch.
+// applyEntry is one (object, sequence, spans) element of a
+// kindApplyBatch sequenced refresh.
 type applyEntry struct {
 	id    memory.ObjectID
 	seq   uint64
 	spans []memory.Span
 }
 
-// encodeApply builds the single-object kindApply refresh payload.
-func encodeApply(e applyEntry) []byte {
-	b := msg.NewBuilder(32 + memory.SpanBytes(e.spans))
-	b.U32(uint32(e.id)).U64(e.seq).U8(uint8(Refresh))
-	memory.EncodeSpans(b, e.spans)
-	return b.Bytes()
-}
-
 // encodeApplyBatch builds the kindApplyBatch payload: a count followed
-// by length-prefixed entries in the given order.
+// by length-prefixed entries in the given order, sized exactly in one
+// pass (like encodeDiffBatch).
 func encodeApplyBatch(entries []applyEntry) []byte {
-	b := msg.NewBuilder(64)
+	size := 4
+	for _, e := range entries {
+		esz := 12 + memory.EncodedSpansSize(e.spans)
+		size += msg.UvarintLen(uint64(esz)) + esz
+	}
+	var b msg.Builder
+	b.Reset(make([]byte, 0, size))
 	b.U32(uint32(len(entries)))
 	for _, e := range entries {
-		b.Entry(func(eb *msg.Builder) {
-			eb.U32(uint32(e.id)).U64(e.seq)
-			memory.EncodeSpans(eb, e.spans)
-		})
+		b.Uvarint(uint64(12 + memory.EncodedSpansSize(e.spans)))
+		b.U32(uint32(e.id)).U64(e.seq)
+		memory.EncodeSpans(&b, e.spans)
 	}
 	return b.Bytes()
 }
 
-// countBatch records the counters for one multi-entry batch message of
-// the given payload size.
+// countBatch records the counters for one batch message of the given
+// entry count and payload size.
 func (n *Node) countBatch(objs, payloadBytes int) {
 	n.C.Add(stats.CBatchSent, 1)
 	n.C.Add(stats.CBatchObjs, int64(objs))
 	n.C.Add(stats.CBatchBytes, int64(payloadBytes))
 }
 
-// homeMergeBatch merges a whole delayed-update batch in entry order
-// and redistributes the updates to the other copy holders, grouped so
-// each holder receives a single message carrying its updates in entry
-// order (per-receiver program order). It returns the assigned sequence
-// numbers, in entry order.
-func (n *Node) homeMergeBatch(entries []batchEntry, from msg.NodeID, alreadyApplied bool) []uint64 {
-	// Hold every touched object's relayMu across the stamp+relay+ack
-	// round, exactly as the single-object path does. Lock in object-ID
+// homeMergeBatch is the home-side half of the delayed-update protocol:
+// it merges a batch in entry order and redistributes the updates to the
+// other copy holders, grouped so each holder receives a single message
+// carrying its updates in entry order (per-receiver program order). It
+// returns the assigned sequence numbers, in entry order; they live in
+// ds, like the rest of the merge's working state.
+func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID, alreadyApplied bool) []uint64 {
+	// relayMu serializes the stamp+relay+ack round per object: an
+	// acknowledged diff implies every earlier diff for the object has
+	// been installed at every copy, which is what lets a flush-then-
+	// synchronize sequence guarantee visibility. Lock in object-ID
 	// order: entry order is the sender's first-modification order, so
-	// two concurrent batches could otherwise lock in conflicting
-	// orders and deadlock.
-	ids := make([]memory.ObjectID, 0, len(entries))
+	// two concurrent batches could otherwise lock in conflicting orders
+	// and deadlock.
 	for _, e := range entries {
-		ids = append(ids, e.id)
+		ds.ids = append(ds.ids, e.id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	locked := make([]*dirEntry, 0, len(ids))
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1] {
+	slices.Sort(ds.ids)
+	for i, id := range ds.ids {
+		if i > 0 && id == ds.ids[i-1] {
 			continue
 		}
 		d := n.dirEntryOf(id)
 		d.relayMu.Lock()
-		locked = append(locked, d)
+		ds.locked = append(ds.locked, d)
 	}
 	defer func() {
-		for _, d := range locked {
+		for _, d := range ds.locked {
 			d.relayMu.Unlock()
 		}
 	}()
 
-	seqs := make([]uint64, len(entries))
-	holderEntries := make(map[msg.NodeID][]int) // copy holder -> entry indexes
 	for i, e := range entries {
-		seq, members := n.mergeStamp(e.id, e.spans, from, alreadyApplied)
-		seqs[i] = seq
-		for _, m := range members {
-			holderEntries[m] = append(holderEntries[m], i)
-		}
+		ds.seqs = append(ds.seqs, n.mergeStamp(ds, i, e, from, alreadyApplied))
 	}
-	if len(holderEntries) == 0 {
-		return seqs
+	if len(ds.relays) == 0 {
+		return ds.seqs
 	}
 
-	// Group holders that need the identical update list so the common
-	// case — every object replicated at the same nodes — is one
-	// multicast for the whole batch.
-	groups := make(map[string][]msg.NodeID)
-	var keys []string
-	idxOf := make(map[string][]int)
-	for m, idx := range holderEntries {
-		key := fmt.Sprint(idx)
-		if _, ok := groups[key]; !ok {
-			keys = append(keys, key)
-			idxOf[key] = idx
+	// Sorted by holder (stably, so each holder's run lists its entries in
+	// entry order), holders that need the identical update list form one
+	// group — the common case, every object replicated at the same
+	// nodes, is one multicast for the whole batch. Every group's relay
+	// starts on the coalescing writer before any ack is collected, so
+	// distinct groups overlap in the per-peer writers with no goroutine
+	// hop per group.
+	slices.SortStableFunc(ds.relays, func(a, b relay) int { return cmp.Compare(a.to, b.to) })
+	for lo := 0; lo < len(ds.relays); {
+		run := holderRun(ds.relays[lo:])
+		lo += len(run)
+		if run[0].sent {
+			continue
 		}
-		groups[key] = append(groups[key], m)
-	}
-
-	// Start every holder group's relay on the coalescing writer, then
-	// collect the acks: distinct groups overlap in the per-peer writers
-	// (a holder appearing in several groups receives them in one frame)
-	// with no goroutine hop per group.
-	pends := make([]*vkernel.Pending, 0, len(keys))
-	for _, key := range keys {
-		members, idx := groups[key], idxOf[key]
-		n.C.Add(stats.CHomeRelay, 1)
-		var payload []byte
-		kind := kindApply
-		if len(idx) == 1 {
-			payload = encodeApply(applyEntry{id: entries[idx[0]].id, seq: seqs[idx[0]], spans: entries[idx[0]].spans})
-		} else {
-			kind = kindApplyBatch
-			batch := make([]applyEntry, 0, len(idx))
-			for _, i := range idx {
-				batch = append(batch, applyEntry{id: entries[i].id, seq: seqs[i], spans: entries[i].spans})
+		ds.members = append(ds.members[:0], run[0].to)
+		for next := lo; next < len(ds.relays); {
+			other := holderRun(ds.relays[next:])
+			next += len(other)
+			if !other[0].sent && slices.EqualFunc(run, other, sameEntry) {
+				ds.members = append(ds.members, other[0].to)
+				other[0].sent = true
 			}
-			payload = encodeApplyBatch(batch)
-			n.countBatch(len(idx), len(payload))
 		}
-		p, err := n.k.MulticastCallStart(members, kind, payload)
+		first := len(ds.applies)
+		for _, r := range run {
+			e := entries[r.entry]
+			ds.applies = append(ds.applies, applyEntry{id: e.id, seq: ds.seqs[r.entry], spans: e.spans})
+		}
+		payload := encodeApplyBatch(ds.applies[first:])
+		n.C.Add(stats.CHomeRelay, 1)
+		n.countBatch(len(run), len(payload))
+		p, err := n.k.MulticastCallStart(ds.members, kindApplyBatch, payload)
 		if err != nil && !n.relayBenign(err) {
 			panic(fmt.Sprintf("munin: relay diff batch: %v", err))
 		}
-		pends = append(pends, p)
+		ds.pends = append(ds.pends, p)
 	}
-	for _, p := range pends {
+	for _, p := range ds.pends {
 		if _, err := p.Wait(); err != nil && !n.relayBenign(err) {
 			panic(fmt.Sprintf("munin: relay diff batch: %v", err))
 		}
 	}
-	return seqs
+	return ds.seqs
 }
 
-// handleDiffBatch merges a batched flush from one sender into the home
-// copies in entry order and replies with the per-entry sequence
-// numbers (the relay excludes the sender; see handleDiff).
+// holderRun returns the leading pairs of relays that share one holder.
+func holderRun(relays []relay) []relay {
+	n := 1
+	for n < len(relays) && relays[n].to == relays[0].to {
+		n++
+	}
+	return relays[:n]
+}
+
+// sameEntry reports whether two relays carry the same entry, whoever
+// the holders are.
+func sameEntry(a, b relay) bool { return a.entry == b.entry }
+
+// handleDiffBatch merges one sender's flush into the home copies in
+// entry order and replies with the per-entry sequence numbers. The
+// relay excludes the sender, so the sender advances its own copies'
+// sequences from the reply instead (otherwise every later relay to it
+// would look like a gap and park forever).
 func (n *Node) handleDiffBatch(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	count := int(r.U32())
@@ -511,6 +493,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 	// prefix, 4-byte object ID, 4-byte span count), so a count word
 	// claiming more is corrupt — reject before trusting it.
 	if r.Err() != nil || count < 0 || count > r.Remaining()/9 {
+		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
 	ds := getDecodeScratch()
@@ -521,11 +504,15 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 		lo := len(ds.spans)
 		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
 		if e.Err() != nil || r.Err() != nil {
+			n.C.Add(stats.CDropMalformed, 1)
 			return
 		}
 		ds.entries = append(ds.entries, batchEntry{id: id, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
 	}
-	seqs := n.homeMergeBatch(ds.entries, req.From, false)
+	// The merge both installs the spans (copying into the home copies)
+	// and relays them (copying into the relay payloads), so the scratch
+	// is dead by the time the reply goes out.
+	seqs := n.homeMergeBatch(ds, ds.entries, req.From, false)
 	b := msg.NewBuilder(4 + 8*len(seqs))
 	b.U32(uint32(len(seqs)))
 	for _, s := range seqs {
@@ -534,13 +521,17 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 	n.k.Reply(req, b.Bytes())
 }
 
-// handleApplyBatch installs a batch of sequenced refreshes at a copy,
-// in entry order, so a local reader can never observe a later entry's
-// update while missing an earlier one.
+// handleApplyBatch installs sequenced refreshes at a copy, in entry
+// order, so a local reader can never observe a later entry's update
+// while missing an earlier one. The whole batch is decoded before
+// anything is installed: a batch malformed at any entry is dropped
+// without having changed a byte.
 func (n *Node) handleApplyBatch(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	count := int(r.U32())
-	if r.Err() != nil || count < 0 || count > r.Remaining()/9 {
+	// At least 17 bytes an entry: the diff entry's 9 plus the sequence.
+	if r.Err() != nil || count < 0 || count > r.Remaining()/17 {
+		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
 	ds := getDecodeScratch()
@@ -552,9 +543,13 @@ func (n *Node) handleApplyBatch(req *msg.Msg) {
 		lo := len(ds.spans)
 		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
 		if e.Err() != nil || r.Err() != nil {
+			n.C.Add(stats.CDropMalformed, 1)
 			return
 		}
-		n.applyRefresh(n.mustObj(id), seq, ds.spans[lo:len(ds.spans):len(ds.spans)])
+		ds.applies = append(ds.applies, applyEntry{id: id, seq: seq, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
+	}
+	for _, e := range ds.applies {
+		n.applyRefresh(n.mustObj(e.id), e.seq, e.spans)
 	}
 	n.k.Reply(req, nil)
 }
@@ -565,45 +560,8 @@ func isShutdown(err error) bool {
 	return errors.Is(err, transport.ErrClosed) || errors.Is(err, vkernel.ErrClosed)
 }
 
-// handleApply installs a refresh (spans) or invalidation at a copy.
-// Refreshes are ordered by the sender's sequence numbers; a gap means a
-// multicast missed this node (possible only for producer-consumer
-// registration races), so the copy resynchronizes from the home.
-func (n *Node) handleApply(req *msg.Msg) {
-	r := msg.NewReader(req.Payload)
-	id := memory.ObjectID(r.U32())
-	seq := r.U64()
-	mode := UpdateMode(r.U8())
-	var spans []memory.Span
-	if mode == Refresh {
-		ds := getDecodeScratch()
-		defer putDecodeScratch(ds)
-		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, r)
-		spans = ds.spans
-	}
-	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
-		return
-	}
-	o := n.mustObj(id)
-
-	if mode == Invalidate {
-		o.mu.Lock()
-		o.state = Invalid
-		o.genInv++
-		o.mu.Unlock()
-		n.C.Add(stats.CInvReceived, 1)
-		n.k.Reply(req, nil)
-		return
-	}
-
-	n.applyRefresh(o, seq, spans)
-	n.k.Reply(req, nil)
-}
-
 // applyRefresh installs one sequenced refresh at a local copy, parking
-// out-of-order updates. Shared by the single-object and batched apply
-// paths.
+// out-of-order updates.
 func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 	o.mu.Lock()
 	n.C.Add(stats.CApplyReceived, 1)
@@ -789,13 +747,18 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 	if len(members) == 0 {
 		return seq
 	}
-	b := msg.NewBuilder(32 + memory.SpanBytes(spans))
-	b.U32(uint32(id)).U64(seq).U8(uint8(mode))
+	// A refresh is a one-entry sequenced batch; an invalidation is the
+	// ownership protocols' kindInv — the same state change at the copy.
+	var kind msg.Kind
+	var payload []byte
 	if mode == Refresh {
-		memory.EncodeSpans(b, spans)
+		kind, payload = kindApplyBatch, encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: spans}})
+		n.countBatch(1, len(payload))
+	} else {
+		kind, payload = kindInv, msg.NewBuilder(4).U32(uint32(id)).Bytes()
 	}
 	n.C.Add(stats.CHomeRelay, 1)
-	if _, err := n.k.MulticastCall(members, kindApply, b.Bytes()); err != nil && !n.relayBenign(err) {
+	if _, err := n.k.MulticastCall(members, kind, payload); err != nil && !n.relayBenign(err) {
 		panic(fmt.Sprintf("munin: redistribute object %d: %v", id, err))
 	}
 	return seq

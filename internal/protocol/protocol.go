@@ -20,15 +20,17 @@
 // handler, mirroring the paper's "suspend the faulting thread and invoke
 // the associated server" discipline at object granularity.
 //
-// Flushes are batched and pipelined: FlushQueue plans the whole drained
-// dirty set at once (duq.Drain/Commit), groups write-many and result
-// diffs by home and producer-consumer pushes by consumer set into
-// multi-object batch messages, starts every destination asynchronously
-// on the transport's coalescing writer, fences once, and then awaits
-// all acknowledgments — K dirty objects cost O(1) messages and O(1)
-// wire writes per destination instead of 2K round trips (bench
-// E10/E11/E12). SetSerialFlush selects the legacy one-object-per-round-
-// trip path, kept as the measured baseline and differential oracle.
+// Flushes are batched and pipelined, and there is one flush path:
+// FlushQueue plans the whole drained dirty set at once
+// (duq.DrainInto/Commit), groups write-many and result diffs by home
+// and producer-consumer pushes by consumer set into batch messages
+// (kindDiffBatch/kindApplyBatch — a batch of one is the same message
+// with one entry), starts every destination asynchronously on the
+// transport's coalescing writer, fences once, and then awaits all
+// acknowledgments — K dirty objects cost O(1) messages and O(1) wire
+// writes per destination. A program that flushes after every write
+// drives the same path at 2 messages per object, which is the "serial"
+// baseline of bench E10/E11/E12/E14.
 //
 // On the multi-process mesh a destination can become unreachable
 // mid-flush; the failure surfaces out of TryFlushQueue (and the fault
@@ -377,10 +379,6 @@ type Node struct {
 	// objs is the lock-free-read object table (see objTable).
 	objs objTable
 
-	// serialFlush selects the legacy one-round-trip-per-object flush
-	// path instead of the batched pipeline (see FlushQueue).
-	serialFlush atomic.Bool
-
 	// syncEpoch counts this node's synchronization points: TryFlushQueue
 	// bumps it before draining, so every acquire/release/barrier/atomic
 	// and thread exit advances it. The lease engine binds leases to it —
@@ -415,12 +413,6 @@ type Node struct {
 	reads, writes, writeBuffered *stats.Counter
 }
 
-// SetSerialFlush switches this node between the batched flush pipeline
-// (default) and the legacy one-message-per-dirty-object flush. The
-// benchmarks use the serial mode to measure the batching win, and the
-// tests use it as a differential oracle.
-func (n *Node) SetSerialFlush(v bool) { n.serialFlush.Store(v) }
-
 // Message kinds (KindCohBase + n). Allocation announces are control
 // traffic (msg.KindPing range), not coherence traffic: the benchmark
 // harness separates one-time setup from steady-state sharing messages.
@@ -428,18 +420,16 @@ const (
 	kindAlloc      = msg.KindPing + 1     // Call: install object metadata (+init data at home)
 	kindRead       = msg.KindCohBase + 1  // Call: fetch a readable copy from home
 	kindWriteOwn   = msg.KindCohBase + 2  // Call: acquire exclusive ownership
-	kindInv        = msg.KindCohBase + 3  // Call: invalidate local copy (acked)
-	kindDiff       = msg.KindCohBase + 4  // Call: delayed update diff to home (acked)
+	kindInv        = msg.KindCohBase + 3  // Call/multicast: invalidate local copy (acked)
 	kindFetch      = msg.KindCohBase + 5  // Call: home asks current owner for data
-	kindApply      = msg.KindCohBase + 6  // Call/multicast: apply spans (or invalidate) at copies (acked)
 	kindRemRead    = msg.KindCohBase + 7  // Call: remote load (read-mostly, result readers)
 	kindRemWrite   = msg.KindCohBase + 8  // Call: remote store (read-mostly)
 	kindRegCons    = msg.KindCohBase + 9  // Call: register as consumer; reply data+seq
 	kindConsUpd    = msg.KindCohBase + 10 // Call: home tells producer the consumer set changed (acked)
 	kindEvict      = msg.KindCohBase + 11 // Send: node dropped its copy (pageout)
 	kindModeSw     = msg.KindCohBase + 12 // Send/multicast: dynamic mode switch
-	kindDiffBatch  = msg.KindCohBase + 13 // Call: batched delayed-update diffs for one home
-	kindApplyBatch = msg.KindCohBase + 14 // Call/multicast: batched sequenced refreshes at copies
+	kindDiffBatch  = msg.KindCohBase + 13 // Call: delayed-update diffs for one home, one entry per object (acked)
+	kindApplyBatch = msg.KindCohBase + 14 // Call/multicast: sequenced refreshes at copies, one entry per object (acked)
 	kindLeaseRead  = msg.KindCohBase + 15 // Call: lease take/renew (msg.LeaseReq -> msg.LeaseGrant)
 	kindLeaseWrite = msg.KindCohBase + 16 // Call: lease write-through; reply is the new version
 	kindRecover    = msg.KindCohBase + 17 // Call: rejoined member re-announces its allocations (recovery.go)
@@ -652,16 +642,12 @@ func (n *Node) dispatch(k *vkernel.Kernel, req *msg.Msg) {
 		n.handleWriteOwn(req)
 	case kindInv:
 		n.handleInv(req)
-	case kindDiff:
-		n.handleDiff(req)
 	case kindDiffBatch:
 		n.handleDiffBatch(req)
 	case kindApplyBatch:
 		n.handleApplyBatch(req)
 	case kindFetch:
 		n.handleFetch(req)
-	case kindApply:
-		n.handleApply(req)
 	case kindRemRead:
 		n.handleRemRead(req)
 	case kindRemWrite:
