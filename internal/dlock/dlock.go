@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sync"
 
+	"munin/internal/bufpool"
 	"munin/internal/cluster"
 	"munin/internal/failpoint"
 	"munin/internal/msg"
@@ -106,7 +107,7 @@ type proxy struct {
 	recall     bool // home asked us to surrender
 
 	// Migratory data hooks (nil when no data is attached to the lock).
-	provide func() []byte
+	provide func(emit func([]byte))
 	apply   func([]byte)
 }
 
@@ -217,10 +218,13 @@ func (s *Service) homeState(id LockID) *homeState {
 }
 
 // AttachMigratory registers the migratory-data hooks for a lock on this
-// node: provide is called when ownership leaves this node (its bytes ride
-// in the release message); apply is called with the bytes that arrived in
-// an ownership grant.
-func (s *Service) AttachMigratory(id LockID, provide func() []byte, apply func([]byte)) {
+// node. provide is called when ownership leaves this node and must call
+// emit exactly once with the bytes that ride in the release message; emit
+// encodes them straight into the wire buffer, so provide can pass its
+// live copy under its own lock instead of a snapshot, and the bytes need
+// only stay valid until emit returns. apply is called with the bytes that
+// arrived in an ownership grant, valid for the duration of the call.
+func (s *Service) AttachMigratory(id LockID, provide func(emit func([]byte)), apply func([]byte)) {
 	p := s.proxy(id)
 	p.mu.Lock()
 	p.provide = provide
@@ -331,15 +335,16 @@ func (s *Service) Release(id LockID) {
 func (s *Service) surrenderLocked(id LockID, p *proxy) {
 	p.owner = false
 	p.recall = false
-	var data []byte
+	var wb *bufpool.Buffer
 	if p.provide != nil {
-		data = p.provide()
+		p.provide(func(data []byte) { wb = lockWire(uint32(id), data) })
+	} else {
+		wb = lockWire(uint32(id), nil)
 	}
-	payload := encodeLockPayload(uint32(id), data)
 	// Send outside the proxy lock would be nicer, but the one-way send
 	// never blocks on the remote side (unbounded queues), so holding
 	// p.mu here cannot deadlock.
-	if err := s.k.Send(s.home(id), kindRelease, payload); err != nil {
+	if err := s.k.SendOwned(s.home(id), kindRelease, wb); err != nil {
 		panic(fmt.Sprintf("dlock: release lock %d: %v", id, err))
 	}
 }
@@ -482,7 +487,7 @@ func (s *Service) handleAcquire(req *msg.Msg) {
 		data := h.stored
 		h.stored = nil
 		h.mu.Unlock()
-		s.k.Reply(req, encodeLockPayload(id, data))
+		s.k.ReplyOwned(req, lockWire(id, data))
 		return
 	}
 	h.queue = append(h.queue, pendingGrant{node: req.From, req: req})
@@ -511,7 +516,7 @@ func (s *Service) handleRelease(req *msg.Msg) {
 	h.mu.Unlock()
 	// Grant: the reply to the waiter's pending ACQUIRE call, carrying
 	// the migratory data that rode in on the release.
-	s.k.Reply(next.req, encodeLockPayload(id, data))
+	s.k.ReplyOwned(next.req, lockWire(id, data))
 	if moreWaiters {
 		s.k.Send(next.node, kindRecall, encodeLockPayload(id, nil))
 	}
@@ -545,7 +550,30 @@ func (s *Service) handleSeed(req *msg.Msg) {
 // encodeLockPayload packs (lockID, data) for the wire. data == nil means
 // "no data"; an empty non-nil slice is preserved as empty.
 func encodeLockPayload(id uint32, data []byte) []byte {
-	b := msg.NewBuilder(8 + len(data))
+	b := msg.NewBuilder(lockPayloadSize(data))
+	putLockPayload(b, id, data)
+	return b.Bytes()
+}
+
+// lockWire is encodeLockPayload built in place as a complete wire
+// message in a pooled buffer, for vkernel's ReplyOwned/SendOwned: the
+// migratory bytes a grant or a release carries are copied once, from
+// where they live to the wire.
+func lockWire(id uint32, data []byte) *bufpool.Buffer {
+	wb, b := vkernel.NewWire(lockPayloadSize(data))
+	putLockPayload(&b, id, data)
+	wb.B = b.Bytes()
+	return wb
+}
+
+func lockPayloadSize(data []byte) int {
+	if data == nil {
+		return 5
+	}
+	return 5 + msg.BytesNSize(len(data))
+}
+
+func putLockPayload(b *msg.Builder, id uint32, data []byte) {
 	b.U32(id)
 	if data == nil {
 		b.Bool(false)
@@ -553,14 +581,17 @@ func encodeLockPayload(id uint32, data []byte) []byte {
 		b.Bool(true)
 		b.BytesN(data)
 	}
-	return b.Bytes()
 }
 
+// decodeLockPayload unpacks (lockID, data). data aliases p, which the
+// receiver owns (transport.Endpoint.Recv); what outlives the handler —
+// h.stored — is copied out, so a few parked bytes never pin the
+// coalesced frame they arrived in.
 func decodeLockPayload(p []byte) (id uint32, data []byte) {
 	r := msg.NewReader(p)
 	id = r.U32()
 	if r.Bool() {
-		data = append([]byte(nil), r.BytesN()...)
+		data = r.BytesN()
 		if data == nil {
 			data = []byte{}
 		}

@@ -141,7 +141,7 @@ func TestMigratoryDataTravelsWithLock(t *testing.T) {
 		locals[i] = []byte{0}
 		i := i
 		svcs[i].AttachMigratory(lock,
-			func() []byte { return locals[i] },
+			func(emit func([]byte)) { emit(locals[i]) },
 			func(b []byte) { locals[i] = append([]byte(nil), b...) })
 	}
 	if err := svcs[0].SeedMigratory(lock, []byte{10}); err != nil {
@@ -166,7 +166,7 @@ func TestSeedMigratoryAtHomeItself(t *testing.T) {
 	_, svcs := harness(t, 2)
 	const lock = LockID(0) // home = node 0
 	var got []byte
-	svcs[1].AttachMigratory(lock, func() []byte { return got },
+	svcs[1].AttachMigratory(lock, func(emit func([]byte)) { emit(got) },
 		func(b []byte) { got = append([]byte(nil), b...) })
 	if err := svcs[0].SeedMigratory(lock, []byte("seeded")); err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func (h *Harness) Life(rows, cols, gens int, aliveAtInit func(r, c int) bool) in
 		k.Handle(kindHalo, kindHalo, func(k *vkernel.Kernel, req *msg.Msg) {
 			r := msg.NewReader(req.Payload)
 			gen := r.Int()
-			row := append([]byte(nil), r.BytesN()...)
+			row := r.BytesN() // the handler keeps what it is handed (transport.Endpoint.Recv)
 			dir := 1
 			if req.From < me {
 				dir = 0

@@ -104,6 +104,10 @@ func UvarintLen(v uint64) int {
 	return n
 }
 
+// BytesNSize returns the encoded size of an n-byte slice written with
+// BytesN: the uvarint length prefix plus the bytes.
+func BytesNSize(n int) int { return UvarintLen(uint64(n)) + n }
+
 // BytesN appends a uvarint length prefix followed by the bytes.
 func (b *Builder) BytesN(p []byte) *Builder {
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(p)))

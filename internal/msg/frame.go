@@ -68,6 +68,15 @@ func AppendEntryPrefix(buf []byte, n int) []byte {
 // message loss mid-stream. The transport reader uses this form so it
 // can route each entry by peeking only the header.
 func DecodeFrameRaw(buf []byte) ([][]byte, error) {
+	return DecodeFrameRawInto(nil, buf)
+}
+
+// DecodeFrameRawInto is DecodeFrameRaw reusing dst's storage for the
+// entry list when it is large enough (one exact-sized allocation when
+// it is not). A connection's reader passes the same list back frame
+// after frame; it must drop the entries (clear) once delivered, or the
+// list pins the previous frame.
+func DecodeFrameRawInto(dst [][]byte, buf []byte) ([][]byte, error) {
 	r := NewReader(buf)
 	count := int(r.U32())
 	if r.Err() != nil {
@@ -84,7 +93,10 @@ func DecodeFrameRaw(buf []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("msg: frame claims %d messages in %d bytes: %w",
 			count, r.Remaining(), ErrCodec)
 	}
-	entries := make([][]byte, 0, count)
+	entries := dst[:0]
+	if cap(entries) < count {
+		entries = make([][]byte, 0, count)
+	}
 	for i := 0; i < count; i++ {
 		e := r.BytesN()
 		if r.Err() != nil {

@@ -40,12 +40,27 @@ type LeaseGrant struct {
 
 // Encode packs the grant.
 func (g LeaseGrant) Encode() []byte {
-	b := NewBuilder(16 + len(g.Data))
+	b := NewBuilder(g.Size())
+	g.EncodeTo(b)
+	return b.Bytes()
+}
+
+// Size returns the grant's exact encoded size, for callers that build
+// it in place in a wire buffer (EncodeTo).
+func (g LeaseGrant) Size() int {
+	const fixed = 8 + 1 // version, unchanged flag
+	if g.Unchanged {
+		return fixed
+	}
+	return fixed + BytesNSize(len(g.Data))
+}
+
+// EncodeTo appends the grant to b.
+func (g LeaseGrant) EncodeTo(b *Builder) {
 	b.U64(g.Ver).Bool(g.Unchanged)
 	if !g.Unchanged {
 		b.BytesN(g.Data)
 	}
-	return b.Bytes()
 }
 
 // DecodeLeaseGrant unpacks a grant. Data aliases p.

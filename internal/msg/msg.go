@@ -78,15 +78,19 @@ var ErrShortMessage = errors.New("msg: short message")
 
 // Marshal encodes m into a fresh byte slice.
 func (m *Msg) Marshal() []byte {
-	buf := make([]byte, headerSize+len(m.Payload))
-	binary.BigEndian.PutUint16(buf[0:], uint16(m.Kind))
-	binary.BigEndian.PutUint16(buf[2:], m.Flags)
-	binary.BigEndian.PutUint32(buf[4:], uint32(m.From))
-	binary.BigEndian.PutUint32(buf[8:], uint32(m.To))
-	binary.BigEndian.PutUint64(buf[12:], m.Seq)
-	binary.BigEndian.PutUint32(buf[20:], uint32(len(m.Payload)))
-	copy(buf[headerSize:], m.Payload)
-	return buf
+	return m.AppendMarshal(make([]byte, 0, m.WireSize()))
+}
+
+// AppendMarshal appends m's encoding to dst and returns the extended
+// slice. The wire transports marshal into a pooled buffer of WireSize
+// capacity this way, so a plain Send costs one payload copy and no
+// allocation.
+func (m *Msg) AppendMarshal(dst []byte) []byte {
+	off := len(dst)
+	dst = append(dst, make([]byte, headerSize)...)
+	dst = append(dst, m.Payload...)
+	FillHeader(dst[off:], m.Kind, m.Flags, m.From, m.To, m.Seq)
+	return dst
 }
 
 // FillHeader stamps the fixed header into the first HeaderSize bytes

@@ -399,15 +399,12 @@ func (n *Node) takeDiff(fs *flushScratch, o *Obj) []memory.Span {
 // pooled buffer sized exactly, so the encode is one pass with no
 // intermediate Marshal copy.
 func encodeDiffBatch(entries []batchEntry) *bufpool.Buffer {
-	size := msg.HeaderSize + 4
+	size := 4
 	for _, e := range entries {
 		esz := 4 + memory.EncodedSpansSize(e.spans)
 		size += msg.UvarintLen(uint64(esz)) + esz
 	}
-	wb := bufpool.Get(size)
-	var b msg.Builder
-	b.Reset(wb.B)
-	b.Skip(msg.HeaderSize)
+	wb, b := vkernel.NewWire(size)
 	b.U32(uint32(len(entries)))
 	for _, e := range entries {
 		// The Entry-style length prefix, written directly from the

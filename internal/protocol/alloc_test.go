@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
 )
@@ -124,5 +126,51 @@ func BenchmarkEncodeDiffBatch(b *testing.B) {
 				encodeDiffBatch(entries[:n]).Release()
 			}
 		})
+	}
+}
+
+// TestWholeObjectTransferAllocBudget pins the one-copy-per-hop message
+// path end to end: a Conventional 4 KB object bounces between a writer
+// and a reader over real sockets, homed on a third node, so every round
+// moves the whole object across three hops (the home, owner since the
+// last read, grants it to the writer; the reader's fault pulls it
+// writer → home → reader). The sender encodes o.data straight into
+// a pooled wire buffer and the receiver keeps the frame the bytes
+// arrived in, so the only per-transfer heap allocation of object size
+// is that frame. Before, each transfer allocated the object six times
+// (snapshot, Builder, Marshal, frame, dispatch copy, fetch copy).
+func TestWholeObjectTransferAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates, and sync.Pool drops buffers under it")
+	}
+	const size, transfersPerRound = 4096, 3
+	r := newTCPRig(t, 3)
+	opts := DefaultOptions()
+	opts.Home = 2
+	r.alloc(1, "page", size, Conventional, opts, nil)
+	qs := []*duq.Queue{duq.New(), duq.New()}
+	page := make([]byte, size)
+	round := func(i int) {
+		r.nodes[1].Write(qs[1], 1, 0, u64bytes(uint64(i)))
+		r.nodes[0].Read(qs[0], 1, 0, page)
+		if got := binary.BigEndian.Uint64(page); got != uint64(i) {
+			t.Fatalf("round %d: reader saw %d", i, got)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round(i) // warm the pools, the queues and the writers' scratch
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools mid-measure
+	const rounds = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round(64 + i)
+	}
+	runtime.ReadMemStats(&after)
+	perTransfer := float64(after.TotalAlloc-before.TotalAlloc) / (rounds * transfersPerRound)
+	t.Logf("%.0f B allocated per 4 KB transfer (%.2f x object size)", perTransfer, perTransfer/size)
+	if perTransfer > 2.5*size {
+		t.Fatalf("a %d B transfer allocates %.0f B, budget is 2.5 x object size", size, perTransfer)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"munin/internal/bufpool"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
@@ -61,19 +62,19 @@ func (n *Node) handleRead(req *msg.Msg) {
 			o.cond.Wait()
 		}
 		o.state = Shared
-		data := append([]byte(nil), o.data...)
+		wb := encodeDataReply(o.data, 0)
 		o.mu.Unlock()
 		d.copyset[req.From] = true
 		d.mu.Unlock()
-		n.replyData(req, data, 0)
+		n.k.ReplyOwned(req, wb)
 
 	case GeneralRW:
 		d.mu.Lock()
-		var data []byte
+		var wb *bufpool.Buffer
 		if d.owner != n.id {
 			// Berkeley dirty sharing: the dirty owner serves the read
 			// and stays owner; the home's copy is not updated.
-			data = n.fetchFrom(d.owner, id, fetchDirty)
+			wb = encodeDataReply(n.fetchFrom(d.owner, id, fetchDirty), 0)
 		} else {
 			o.mu.Lock()
 			for o.grantPending {
@@ -83,34 +84,48 @@ func (n *Node) handleRead(req *msg.Msg) {
 			// shared so its next write invalidates the new reader.
 			o.state = Shared
 			o.dirtyOwner = true
-			data = append([]byte(nil), o.data...)
+			wb = encodeDataReply(o.data, 0)
 			o.mu.Unlock()
 		}
 		d.copyset[req.From] = true
 		d.mu.Unlock()
-		n.replyData(req, data, 0)
+		n.k.ReplyOwned(req, wb)
 
 	default:
 		// Replication protocols: the home copy is authoritative.
 		d.mu.Lock()
 		o.mu.Lock()
-		data := append([]byte(nil), o.data...)
-		seq := o.applySeq
+		wb := encodeDataReply(o.data, o.applySeq)
 		o.mu.Unlock()
 		d.copyset[req.From] = true
 		d.rereads++
 		d.mu.Unlock()
-		n.replyData(req, data, seq)
+		n.k.ReplyOwned(req, wb)
 	}
 }
 
-func (n *Node) replyData(req *msg.Msg, data []byte, seq uint64) {
-	b := msg.NewBuilder(16 + len(data))
+// encodeDataReply builds the whole-object reply of a read fault: the
+// contents and the update sequence they reflect. Caller holds o.mu when
+// data is o.data.
+func encodeDataReply(data []byte, seq uint64) *bufpool.Buffer {
+	wb, b := vkernel.NewWire(msg.BytesNSize(len(data)) + 8)
 	b.BytesN(data).U64(seq)
-	n.k.Reply(req, b.Bytes())
+	wb.B = b.Bytes()
+	return wb
 }
 
-// fetchFrom asks a remote owner for the object's current contents.
+// encodeBytesReply builds a reply that is one length-prefixed byte
+// string: a fetch served to the home, a remote load.
+func encodeBytesReply(data []byte) *bufpool.Buffer {
+	wb, b := vkernel.NewWire(msg.BytesNSize(len(data)))
+	b.BytesN(data)
+	wb.B = b.Bytes()
+	return wb
+}
+
+// fetchFrom asks a remote owner for the object's current contents. The
+// result aliases the reply, which is this caller's alone (see
+// transport.Endpoint.Recv).
 func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID, mode uint8) []byte {
 	n.C.Add(stats.CHomeFetch, 1)
 	reply, err := n.k.Call(owner, kindFetch,
@@ -118,7 +133,7 @@ func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID, mode uint8) []byt
 	if err != nil {
 		panic(fmt.Sprintf("munin: fetch object %d from node %d: %v", id, owner, err))
 	}
-	return append([]byte(nil), msg.NewReader(reply.Payload).BytesN()...)
+	return msg.NewReader(reply.Payload).BytesN()
 }
 
 // handleWriteOwn grants exclusive ownership to the requester after
@@ -139,25 +154,28 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 	d.mu.Lock()
 	requester := req.From
 	oldOwner := d.owner
-	var fresh []byte
-	hasData := oldOwner != requester
-	if hasData {
-		if oldOwner == n.id {
-			// The home itself owns the copy. One of its own threads
-			// may have a grant install pending on the local
-			// dispatcher; wait for it, or we would grab the
-			// pre-install bytes and lose the home's write.
-			o.mu.Lock()
-			for o.grantPending {
-				o.cond.Wait()
-			}
-			fresh = append([]byte(nil), o.data...)
-			o.state = Invalid
-			o.genInv++
-			o.mu.Unlock()
-		} else {
-			fresh = n.fetchFrom(oldOwner, id, fetchForWrite)
+	// The grant is encoded the moment the bytes are in hand — under o.mu
+	// when the home owns them — and sent once every other copy is gone.
+	var grant *bufpool.Buffer
+	switch {
+	case oldOwner == requester:
+		grant = encodeGrant(false, nil)
+	case oldOwner == n.id:
+		// The home itself owns the copy. One of its own threads
+		// may have a grant install pending on the local
+		// dispatcher; wait for it, or we would grab the
+		// pre-install bytes and lose the home's write.
+		o.mu.Lock()
+		for o.grantPending {
+			o.cond.Wait()
 		}
+		grant = encodeGrant(true, o.data)
+		o.state = Invalid
+		o.genInv++
+		o.mu.Unlock()
+		delete(d.copyset, oldOwner)
+	default:
+		grant = encodeGrant(true, n.fetchFrom(oldOwner, id, fetchForWrite))
 		delete(d.copyset, oldOwner)
 	}
 	for member := range d.copyset {
@@ -191,17 +209,29 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 		o.grantPending = true
 		o.mu.Unlock()
 	}
-	b := msg.NewBuilder(8 + len(fresh))
-	b.Bool(hasData)
-	if hasData {
-		b.BytesN(fresh)
-	}
 	// The grant goes out before the directory entry is released: the
 	// next writer's handler sends its kindFetch to the new owner from
 	// inside this same lock, and per-pair delivery is FIFO, so the fetch
 	// can never overtake the grant and be served pre-install bytes.
-	n.k.Reply(req, b.Bytes())
+	n.k.ReplyOwned(req, grant)
 	d.mu.Unlock()
+}
+
+// encodeGrant builds an ownership grant: whether the requester needs
+// the object's bytes (it does unless it already owned the copy), then
+// the bytes.
+func encodeGrant(hasData bool, fresh []byte) *bufpool.Buffer {
+	size := 1
+	if hasData {
+		size += msg.BytesNSize(len(fresh))
+	}
+	wb, b := vkernel.NewWire(size)
+	b.Bool(hasData)
+	if hasData {
+		b.BytesN(fresh)
+	}
+	wb.B = b.Bytes()
+	return wb
 }
 
 // handleInv invalidates the local copy. It must not wait for any
@@ -241,7 +271,7 @@ func (n *Node) handleFetch(req *msg.Msg) {
 	}
 	o := n.mustObj(id)
 	o.mu.Lock()
-	data := append([]byte(nil), o.data...)
+	wb := encodeBytesReply(o.data)
 	switch mode {
 	case fetchForRead:
 		o.state = Shared
@@ -256,7 +286,7 @@ func (n *Node) handleFetch(req *msg.Msg) {
 	}
 	o.mu.Unlock()
 	n.C.Add(stats.CFetchServed, 1)
-	n.k.Reply(req, msg.NewBuilder(8+len(data)).BytesN(data).Bytes())
+	n.k.ReplyOwned(req, wb)
 }
 
 // decodeScratch is the receive-side pooled scratch: a handler decodes
@@ -634,10 +664,10 @@ func (n *Node) handleRemRead(req *msg.Msg) {
 	o := n.mustObj(id)
 	checkRange(o, off, ln)
 	o.mu.Lock()
-	data := append([]byte(nil), o.data[off:off+ln]...)
+	wb := encodeBytesReply(o.data[off : off+ln])
 	o.mu.Unlock()
 	n.C.Add(stats.CHomeRemRead, 1)
-	n.k.Reply(req, msg.NewBuilder(8+len(data)).BytesN(data).Bytes())
+	n.k.ReplyOwned(req, wb)
 
 	if o.meta.Annot != ReadMostly || !o.meta.Opts.Dynamic {
 		return
@@ -666,7 +696,7 @@ func (n *Node) handleRemWrite(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	off := r.Int()
-	data := append([]byte(nil), r.BytesN()...)
+	data := r.BytesN() // the request is this handler's to keep (transport.Endpoint.Recv)
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
@@ -813,22 +843,19 @@ func (n *Node) handleRegCons(req *msg.Msg) {
 		}
 	}
 
-	o.mu.Lock()
-	data := append([]byte(nil), o.data...)
-	seq := o.applySeq
-	o.mu.Unlock()
-
-	b := msg.NewBuilder(32 + len(data))
-	b.BytesN(data).U64(seq)
-	if isProducer {
-		b.U32(uint32(len(consumers)))
-		for _, c := range consumers {
-			b.U32(uint32(c))
-		}
-	} else {
-		b.U32(0)
+	if !isProducer {
+		consumers = nil // only the producer is told who consumes
 	}
-	n.k.Reply(req, b.Bytes())
+	o.mu.Lock()
+	wb, b := vkernel.NewWire(msg.BytesNSize(len(o.data)) + 8 + 4 + 4*len(consumers))
+	b.BytesN(o.data).U64(o.applySeq)
+	o.mu.Unlock()
+	b.U32(uint32(len(consumers)))
+	for _, c := range consumers {
+		b.U32(uint32(c))
+	}
+	wb.B = b.Bytes()
+	n.k.ReplyOwned(req, wb)
 }
 
 // handleConsUpd refreshes the producer's cached consumer set.

@@ -7,6 +7,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/vkernel"
 )
 
 // The Tardis-style lease engine (engine #2). The directory engine keeps
@@ -178,14 +179,17 @@ func (n *Node) handleLeaseRead(req *msg.Msg) {
 		n.k.Reply(req, msg.LeaseGrant{Ver: ver, Unchanged: true}.Encode())
 		return
 	}
-	data := append([]byte(nil), o.data...)
+	g := msg.LeaseGrant{Ver: ver, Data: o.data}
+	wb, b := vkernel.NewWire(g.Size())
+	g.EncodeTo(&b)
+	wb.B = b.Bytes()
 	o.mu.Unlock()
 	if lr.Have {
 		n.C.Add(stats.CLeaseRenewed, 1)
 	} else {
 		n.C.Add(stats.CLeaseGranted, 1)
 	}
-	n.k.Reply(req, msg.LeaseGrant{Ver: ver, Data: data}.Encode())
+	n.k.ReplyOwned(req, wb)
 }
 
 // handleLeaseWrite applies a write-through at the home and bumps the

@@ -586,9 +586,7 @@ func (n *Node) install(meta Meta, init []byte) {
 		if n.locks == nil {
 			panic("munin: migratory object requires a lock service")
 		}
-		n.locks.AttachMigratory(meta.Opts.Lock,
-			func() []byte { return o.migratorySnapshot() },
-			func(b []byte) { o.migratoryInstall(b) })
+		n.locks.AttachMigratory(meta.Opts.Lock, o.migratorySnapshot, o.migratoryInstall)
 	default:
 		if home == n.id {
 			o.data = append([]byte(nil), init...)
@@ -615,11 +613,14 @@ func (n *Node) install(meta Meta, init []byte) {
 	}
 }
 
-func (o *Obj) migratorySnapshot() []byte {
+// migratorySnapshot surrenders the object with its lock: emit encodes
+// the bytes into the release message under o.mu, and the local copy is
+// invalid from then on.
+func (o *Obj) migratorySnapshot(emit func([]byte)) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.state = Invalid
-	return append([]byte(nil), o.data...)
+	emit(o.data)
 }
 
 func (o *Obj) migratoryInstall(b []byte) {
@@ -694,7 +695,7 @@ func decodeAlloc(p []byte) (Meta, []byte) {
 	meta.Opts.ForceReplicated = r.Bool()
 	meta.Opts.JoinGap = r.Int()
 	meta.Opts.Engine = EngineKind(r.U8())
-	init := append([]byte(nil), r.BytesN()...)
+	init := r.BytesN() // install copies it; nothing here outlives the request
 	if r.Err() != nil {
 		panic(fmt.Sprintf("munin: corrupt alloc payload: %v", r.Err()))
 	}

@@ -55,7 +55,7 @@ func (n *ChanNetwork) Multicast(m *msg.Msg, members []msg.NodeID) error {
 		// Each member gets its own copy of the buffer; payload slices
 		// must not be shared across nodes.
 		cp := append([]byte(nil), buf...)
-		if err := n.eps[dst].q.push(cp); err != nil {
+		if err := n.eps[dst].q.pushBytes(cp); err != nil {
 			return err
 		}
 		n.stats.delivered(dst)
@@ -92,7 +92,7 @@ func (e *chanEndpoint) Send(m *msg.Msg) error {
 	// writer pipeline buys is exactly what this substrate gets for
 	// free).
 	e.net.stats.chargeWire(1, nil)
-	if err := e.net.eps[m.To].q.push(buf); err != nil {
+	if err := e.net.eps[m.To].q.pushBytes(buf); err != nil {
 		return err
 	}
 	e.net.stats.delivered(m.To)
@@ -105,8 +105,5 @@ func (e *chanEndpoint) Flush() error { return nil }
 
 func (e *chanEndpoint) Recv() (*msg.Msg, error) {
 	it, err := e.q.pop()
-	if err != nil {
-		return nil, err
-	}
-	return msg.Unmarshal(it.buf)
+	return it.m, err
 }

@@ -667,14 +667,14 @@ func (m *MeshNetwork) startReader(p *meshPeer, conn net.Conn) {
 // mesh is not closing — latches the peer down: the stream's loss means
 // replies already requested can never arrive.
 func (m *MeshNetwork) readConn(p *meshPeer, conn net.Conn) {
-	readFrameStream(bufio.NewReader(conn), func(entry []byte, mm *msg.Msg) {
+	readFrameStream(bufio.NewReader(conn), func(mm *msg.Msg) {
 		if mm.To != m.topo.Self {
 			// Misrouted frame: drop, like an unknown port — but
 			// counted, so a topology misconfiguration is visible.
 			m.stats.byClass.Add(stats.CWireMisrouted, 1)
 			return
 		}
-		if m.ep.q.push(entry) == nil {
+		if m.ep.q.push(mm) == nil {
 			m.stats.delivered(m.topo.Self)
 		}
 	}, func(word uint32) bool {
@@ -1062,31 +1062,31 @@ func (e *meshEndpoint) Node() msg.NodeID { return e.m.topo.Self }
 // drain, and wait for their acks. See MeshNetwork.Leave.
 func (e *meshEndpoint) Leave() error { return e.m.Leave() }
 
-// Send implements Endpoint: marshal, charge, and queue on the
-// destination peer's writer (which dials lazily on first use).
-// Self-sends are delivered directly to the local receive queue — they
-// have no wire to cross.
+// Send implements Endpoint: marshal (into a pooled buffer the writer
+// releases, see tcpEndpoint.Send), charge, and queue on the destination
+// peer's writer (which dials lazily on first use). Self-sends are
+// delivered directly to the local receive queue — they have no wire to
+// cross — as a private Marshal the queue's consumer owns.
 func (e *meshEndpoint) Send(mm *msg.Msg) error {
 	if int(mm.To) < 0 || int(mm.To) >= e.m.topo.Nodes() {
 		return fmt.Errorf("transport: send to unknown node %d", mm.To)
 	}
 	mm.From = e.m.topo.Self
-	enc := mm.Marshal()
 	e.m.stats.charge(mm, e.m.cost, e.m.topo.Self)
 	if mm.To == e.m.topo.Self {
-		if err := e.q.push(enc); err != nil {
+		if err := e.q.pushBytes(mm.Marshal()); err != nil {
 			return err
 		}
 		e.m.stats.delivered(mm.To)
 		return nil
 	}
-	return e.m.peer(mm.To).q.put(sendItem{enc: enc, class: ClassOf(mm.Kind)})
+	return e.m.peer(mm.To).q.putOwned(marshalPooled(mm), ClassOf(mm.Kind))
 }
 
 // SendOwned implements EncodedSender; see tcpEndpoint.SendOwned.
 // Self-sends have no writer to release the buffer after a wire write,
-// so the bytes are copied into the receive queue (whose consumer owns
-// its buffers until Recv) and the pooled buffer returns immediately.
+// so the bytes are copied for the receive queue (whose consumer keeps
+// what Recv hands it) and the pooled buffer returns immediately.
 func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	kind, to, err := msg.PeekHeader(wb.B)
 	if err != nil {
@@ -1102,17 +1102,13 @@ func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	if to == e.m.topo.Self {
 		enc := append([]byte(nil), wb.B...)
 		wb.Release()
-		if err := e.q.push(enc); err != nil {
+		if err := e.q.pushBytes(enc); err != nil {
 			return err
 		}
 		e.m.stats.delivered(to)
 		return nil
 	}
-	if err := e.m.peer(to).q.put(sendItem{enc: wb.B, own: wb, class: ClassOf(kind)}); err != nil {
-		wb.Release()
-		return err
-	}
-	return nil
+	return e.m.peer(to).q.putOwned(wb, ClassOf(kind))
 }
 
 // Flush implements Endpoint: fence every peer pipeline this process has
@@ -1167,14 +1163,14 @@ func (e *meshEndpoint) Recv() (*msg.Msg, error) {
 		if err != nil {
 			return nil, err
 		}
-		if it.buf == nil {
+		if it.m == nil {
 			// Departure marker: every frame the peer sent has been
 			// returned by earlier Recv calls; only now do the gone
 			// callbacks fire, so nothing in flight is ever failed.
 			e.m.notifyPeerGone(it.peer)
 			continue
 		}
-		return msg.Unmarshal(it.buf)
+		return it.m, nil
 	}
 }
 

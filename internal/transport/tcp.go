@@ -104,11 +104,11 @@ func NewTCPNetwork(n int, cost CostModel) (*TCPNetwork, error) {
 // contained messages to destination queues.
 func (tn *TCPNetwork) serveConn(conn net.Conn) {
 	defer conn.Close()
-	readFrameStream(bufio.NewReader(conn), func(entry []byte, m *msg.Msg) {
+	readFrameStream(bufio.NewReader(conn), func(m *msg.Msg) {
 		if int(m.To) >= len(tn.eps) || m.To < 0 {
 			return
 		}
-		if tn.eps[m.To].q.push(entry) == nil {
+		if tn.eps[m.To].q.push(m) == nil {
 			tn.stats.delivered(m.To)
 		}
 	}, nil)
@@ -117,16 +117,19 @@ func (tn *TCPNetwork) serveConn(conn net.Conn) {
 // readFrameStream is the inbound wire path shared by the loopback
 // harness and the mesh: it reads length-prefixed frame envelopes from r
 // and invokes deliver for every contained message until the stream ends
-// or a frame fails to decode. entry is the still-marshalled message
-// (aliasing the frame buffer); m is its decoded header.
+// or a frame fails to decode. Every frame is read into a buffer of its
+// own that nothing reuses, and each message is decoded exactly once,
+// here: m's payload aliases that frame, and deliver takes m over (see
+// Endpoint.Recv for what the consumer may then do with it).
 //
 // Length words above maxFrameLen are control words, not frames: when
 // ctrl is non-nil it is invoked with the word and decides whether the
 // stream continues (the mesh's goodbye vocabulary rides here); when
 // ctrl is nil any such word kills the stream, exactly the pre-control
 // behavior the loopback harness keeps.
-func readFrameStream(r *bufio.Reader, deliver func(entry []byte, m *msg.Msg), ctrl func(word uint32) bool) {
+func readFrameStream(r *bufio.Reader, deliver func(m *msg.Msg), ctrl func(word uint32) bool) {
 	var lenbuf [4]byte
+	var entries [][]byte // reused frame after frame; cleared so it pins none
 	for {
 		if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
 			return
@@ -142,8 +145,8 @@ func readFrameStream(r *bufio.Reader, deliver func(entry []byte, m *msg.Msg), ct
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return
 		}
-		entries, err := msg.DecodeFrameRaw(frame)
-		if err != nil {
+		var err error
+		if entries, err = msg.DecodeFrameRawInto(entries, frame); err != nil {
 			return
 		}
 		for _, entry := range entries {
@@ -151,8 +154,9 @@ func readFrameStream(r *bufio.Reader, deliver func(entry []byte, m *msg.Msg), ct
 			if err != nil {
 				return
 			}
-			deliver(entry, m)
+			deliver(m)
 		}
+		clear(entries)
 	}
 }
 
@@ -254,15 +258,22 @@ func (e *tcpEndpoint) Node() msg.NodeID { return e.node }
 // Send implements Endpoint: marshal, charge, and queue on the
 // destination peer's writer, which coalesces the message with whatever
 // else is bound for that peer. It does not wait for the wire — Flush
-// is the fence.
+// is the fence. The marshalled form lives in a pooled buffer the writer
+// releases after its write, exactly like one handed to SendOwned.
 func (e *tcpEndpoint) Send(m *msg.Msg) error {
 	if int(m.To) >= len(e.peers) || m.To < 0 {
 		return fmt.Errorf("transport: send to unknown node %d", m.To)
 	}
 	m.From = e.node
-	enc := m.Marshal()
 	e.net.stats.charge(m, e.net.cost, e.node)
-	return e.peers[m.To].q.put(sendItem{enc: enc, class: ClassOf(m.Kind)})
+	return e.peers[m.To].q.putOwned(marshalPooled(m), ClassOf(m.Kind))
+}
+
+// marshalPooled marshals m into a pooled wire buffer the caller owns.
+func marshalPooled(m *msg.Msg) *bufpool.Buffer {
+	wb := bufpool.Get(m.WireSize())
+	wb.B = m.AppendMarshal(wb.B)
+	return wb
 }
 
 // SendOwned implements EncodedSender: enqueue an already-marshalled
@@ -282,11 +293,7 @@ func (e *tcpEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	}
 	msg.SetFrom(wb.B, e.node)
 	e.net.stats.chargeEncoded(kind, len(wb.B), e.net.cost, e.node)
-	if err := e.peers[to].q.put(sendItem{enc: wb.B, own: wb, class: ClassOf(kind)}); err != nil {
-		wb.Release()
-		return err
-	}
-	return nil
+	return e.peers[to].q.putOwned(wb, ClassOf(kind))
 }
 
 // Flush implements Endpoint: fence every peer queue and wait until all
@@ -317,10 +324,7 @@ func (e *tcpEndpoint) Flush() error {
 
 func (e *tcpEndpoint) Recv() (*msg.Msg, error) {
 	it, err := e.q.pop()
-	if err != nil {
-		return nil, err
-	}
-	return msg.Unmarshal(it.buf)
+	return it.m, err
 }
 
 // writeLoop is one peer connection's writer: it drains whatever is
@@ -586,6 +590,17 @@ func (q *sendQueue) put(it sendItem) error {
 		q.queued++
 	}
 	q.notEmpty.Signal()
+	return nil
+}
+
+// putOwned queues a complete marshalled message held in a pooled
+// buffer, taking ownership of it: the writer releases wb after the
+// write that carries it, and a failed put releases it here.
+func (q *sendQueue) putOwned(wb *bufpool.Buffer, class string) error {
+	if err := q.put(sendItem{enc: wb.B, own: wb, class: class}); err != nil {
+		wb.Release()
+		return err
+	}
 	return nil
 }
 

@@ -31,8 +31,9 @@
 //
 // Sending is asynchronous and coalescing. On TCPNetwork every node pair
 // has a dedicated connection owned by a writer goroutine fed from a
-// bounded send queue: Send marshals the message and queues it without
-// waiting; the writer drains whatever has accumulated for
+// bounded send queue: Send marshals the message into a pooled buffer
+// and queues it without waiting (SendOwned queues a buffer the caller
+// already marshalled into); the writer drains whatever has accumulated for
 // that peer and emits it as one multi-message frame (see msg.EncodeFrame)
 // through a single vectored write (net.Buffers). A batched protocol
 // flush therefore costs O(1) write syscalls per destination no matter
@@ -198,7 +199,9 @@ type Endpoint interface {
 	// the message to reach the wire (use Flush to fence); it may block
 	// briefly on a full bounded send queue, and fails only if the
 	// network is closed, the destination does not exist, or the peer's
-	// wire previously failed.
+	// wire previously failed. The message is serialized before Send
+	// returns: the transport retains neither m nor m.Payload, so the
+	// caller may reuse both at once.
 	Send(m *msg.Msg) error
 	// Flush blocks until every message enqueued by this endpoint
 	// before the call has been written to the underlying wire. It does
@@ -206,6 +209,16 @@ type Endpoint interface {
 	// that need acknowledgement wait for replies on top of this fence.
 	Flush() error
 	// Recv blocks until a message arrives or the endpoint is closed.
+	//
+	// The message is handed over, not lent: nothing else references
+	// its Payload and the transport never reuses the bytes (chan: a
+	// private Marshal per receiver, one copy per multicast member;
+	// tcp/mesh: a fresh frame per wire read), so the receiver may keep
+	// the message or any slice of its payload for as long as it likes
+	// without copying. The payload aliases the wire frame it arrived
+	// in, and a coalesced frame carries several messages: a retained
+	// slice keeps that whole frame reachable, so long-lived state built
+	// from a small payload is better copied out.
 	Recv() (*msg.Msg, error)
 }
 
@@ -524,20 +537,25 @@ func (fs *fenceSet) release() {
 	fenceSetPool.Put(fs)
 }
 
-// recvItem is one unit in a receive queue: a marshalled message, or —
-// buf == nil — a peer-departure marker the mesh enqueues behind the
+// recvItem is one unit in a receive queue: a decoded message, or —
+// m == nil — a peer-departure marker the mesh enqueues behind the
 // departed peer's last delivered frame, so consumers observe the
 // departure strictly after everything the peer sent.
 type recvItem struct {
-	buf  []byte
+	m    *msg.Msg
 	peer msg.NodeID // departure marker only: the peer that said goodbye
 }
 
-// queue is an unbounded MPSC message queue with blocking receive.
+// queue is an unbounded MPSC message queue with blocking receive. The
+// live items are items[head:]: pop advances head instead of reslicing
+// the front away, so the backing array survives a pop and the common
+// ping-pong queue (zero or one item) never allocates after its first
+// push.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []recvItem
+	head   int
 	closed bool
 }
 
@@ -547,8 +565,21 @@ func newQueue() *queue {
 	return q
 }
 
-func (q *queue) push(b []byte) error {
-	return q.pushItem(recvItem{buf: b})
+// push enqueues a received message. The queue's consumer becomes the
+// only holder of m and of the buffer its payload aliases (see
+// Endpoint.Recv).
+func (q *queue) push(m *msg.Msg) error {
+	return q.pushItem(recvItem{m: m})
+}
+
+// pushBytes decodes a marshalled message the caller gives up — a
+// private Marshal, on the paths that have no wire — and enqueues it.
+func (q *queue) pushBytes(enc []byte) error {
+	m, err := msg.Unmarshal(enc)
+	if err != nil {
+		return err
+	}
+	return q.push(m)
 }
 
 // pushGone enqueues a departure marker for peer, ordered behind every
@@ -563,6 +594,14 @@ func (q *queue) pushItem(it recvItem) error {
 	if q.closed {
 		return ErrClosed
 	}
+	if len(q.items) == cap(q.items) && q.head > len(q.items)/2 {
+		// Full, and mostly popped slots: slide the live items down
+		// instead of growing, so a queue that never runs empty stays
+		// bounded by its backlog and not by its history.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, it)
 	q.cond.Signal()
 	return nil
@@ -571,14 +610,18 @@ func (q *queue) pushItem(it recvItem) error {
 func (q *queue) pop() (recvItem, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return recvItem{}, ErrClosed
 	}
-	it := q.items[0]
-	q.items = q.items[1:]
+	it := q.items[q.head]
+	q.items[q.head] = recvItem{} // the slot must not keep the message reachable
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return it, nil
 }
 

@@ -18,6 +18,17 @@
 // coalesced frames. The blocking Call/MulticastCall/CallInline forms
 // are built on the same three steps.
 //
+// Messages change hands, they are not lent. On the way in, the
+// transport hands Recv a message whose payload nothing else references
+// or reuses (transport.Endpoint), so the dispatcher passes it to the
+// handler or the waiting caller as it is: both may keep the message and
+// any slice of its payload without copying. On the way out, Send, Call
+// and Reply serialize the payload before they return (on the wire
+// transports into a pooled buffer the writer releases), and
+// CallStartOwned, ReplyOwned and SendOwned take a complete wire message
+// the caller built in a pooled buffer — the payload is copied once per
+// hop, by whoever encodes it.
+//
 // Every pending call records its destination set, each destination
 // tagged with the connection epoch in force when the call started. On
 // transports that detect peer death (transport.PeerDownNotifier — the
@@ -62,12 +73,17 @@ type Kernel struct {
 
 	seq     atomic.Uint64
 	mu      sync.Mutex
-	pending map[uint64]*pendingCall
-	ranges  []handlerRange
+	pending map[uint64]*Pending
 	groups  map[int][]msg.NodeID
 	closed  bool
 	done    chan struct{}
 	wg      sync.WaitGroup
+
+	// ranges is the handler table, sorted by kind: Handle publishes a
+	// fresh copy (under mu, which orders registrations), and the
+	// dispatcher reads it without a lock — the table is frozen long
+	// before traffic flows.
+	ranges atomic.Pointer[[]handlerRange]
 
 	// C counts kernel-level events: call.failed_peer (pending calls
 	// failed because their destination's wire died) and
@@ -81,37 +97,46 @@ type handlerRange struct {
 	h      Handler
 }
 
-// pendingCall tracks an outstanding Call or MulticastCall: want replies
+// Pending is an outstanding request started with Call, CallStart or
+// MulticastCallStart — the caller's handle (Wait collects the replies)
+// and the kernel's pending-call record in one allocation. want replies
 // are expected; each arrives on ch. If inline is non-nil it runs on the
 // dispatcher goroutine, before any later incoming message is dispatched.
-// dsts is the set of destinations whose replies are still outstanding —
-// the record that lets a peer's wire death fail exactly the calls aimed
-// at it (fail delivers the error to the waiter). deps holds, parallel
-// to dsts, the connection epoch in force when the call started: a
+//
+// The fields below want are the dispatcher's, guarded by k.mu. dsts is
+// the set of destinations whose replies are still outstanding — the
+// record that lets a peer's wire death fail exactly the calls aimed at
+// it (fail delivers the error to the waiter). deps holds, parallel to
+// dsts, the connection epoch in force when the call started: a
 // peer-down notification for epoch E fails only calls tagged <= E, so
 // an outage report that races a reconnect cannot kill calls started on
-// the fresh generation.
-type pendingCall struct {
+// the fresh generation. Both slice the inline arrays unless the call
+// has more than four destinations.
+type Pending struct {
+	k      *Kernel
 	ch     chan *msg.Msg
+	fail   chan error
 	want   int
-	got    int
 	inline func(*msg.Msg)
+
+	got    int
 	dsts   []msg.NodeID
 	deps   []uint64
-	fail   chan error
+	dstArr [4]msg.NodeID
+	depArr [4]uint64
 }
 
 // awaiting reports whether the call still expects a reply from node n,
 // and drops one occurrence of n if so. Caller holds k.mu.
-func (pc *pendingCall) awaiting(n msg.NodeID, drop bool) bool {
-	for i, d := range pc.dsts {
+func (p *Pending) awaiting(n msg.NodeID, drop bool) bool {
+	for i, d := range p.dsts {
 		if d == n {
 			if drop {
-				last := len(pc.dsts) - 1
-				pc.dsts[i] = pc.dsts[last]
-				pc.dsts = pc.dsts[:last]
-				pc.deps[i] = pc.deps[last]
-				pc.deps = pc.deps[:last]
+				last := len(p.dsts) - 1
+				p.dsts[i] = p.dsts[last]
+				p.dsts = p.dsts[:last]
+				p.deps[i] = p.deps[last]
+				p.deps = p.deps[:last]
 			}
 			return true
 		}
@@ -121,9 +146,9 @@ func (pc *pendingCall) awaiting(n msg.NodeID, drop bool) bool {
 
 // awaitingEpoch reports whether the call still expects a reply from
 // node n that was started at epoch <= e. Caller holds k.mu.
-func (pc *pendingCall) awaitingEpoch(n msg.NodeID, e uint64) bool {
-	for i, d := range pc.dsts {
-		if d == n && pc.deps[i] <= e {
+func (p *Pending) awaitingEpoch(n msg.NodeID, e uint64) bool {
+	for i, d := range p.dsts {
+		if d == n && p.deps[i] <= e {
 			return true
 		}
 	}
@@ -142,7 +167,7 @@ func New(net transport.Network, node msg.NodeID) *Kernel {
 		net:     net,
 		ep:      net.Endpoint(node),
 		node:    node,
-		pending: make(map[uint64]*pendingCall),
+		pending: make(map[uint64]*Pending),
 		groups:  make(map[int][]msg.NodeID),
 		done:    make(chan struct{}),
 	}
@@ -175,8 +200,8 @@ func (k *Kernel) peerEpoch(dst msg.NodeID) uint64 {
 // replies fails whole: its synchronization guarantee (every
 // destination acknowledged) can no longer be met.
 func (k *Kernel) peerDown(peer msg.NodeID, epoch uint64, err error) {
-	k.failAwaiting(err, stats.CCallFailedPeer, func(pc *pendingCall) bool {
-		return pc.awaitingEpoch(peer, epoch)
+	k.failAwaiting(err, stats.CCallFailedPeer, func(p *Pending) bool {
+		return p.awaitingEpoch(peer, epoch)
 	})
 }
 
@@ -186,25 +211,25 @@ func (k *Kernel) peerDown(peer msg.NodeID, epoch uint64, err error) {
 // only calls whose replies genuinely never arrived are failed, which
 // is the race the goodbye protocol exists to close.
 func (k *Kernel) peerGone(peer msg.NodeID, err error) {
-	k.failAwaiting(err, stats.CCallFailedGone, func(pc *pendingCall) bool {
-		return pc.awaiting(peer, false)
+	k.failAwaiting(err, stats.CCallFailedGone, func(p *Pending) bool {
+		return p.awaiting(peer, false)
 	})
 }
 
-func (k *Kernel) failAwaiting(err error, counter string, match func(*pendingCall) bool) {
+func (k *Kernel) failAwaiting(err error, counter string, match func(*Pending) bool) {
 	k.mu.Lock()
-	var failed []*pendingCall
-	for seq, pc := range k.pending {
-		if match(pc) {
-			failed = append(failed, pc)
+	var failed []*Pending
+	for seq, p := range k.pending {
+		if match(p) {
+			failed = append(failed, p)
 			delete(k.pending, seq)
 		}
 	}
 	k.mu.Unlock()
-	for _, pc := range failed {
+	for _, p := range failed {
 		k.C.Add(counter, 1)
 		select {
-		case pc.fail <- err:
+		case p.fail <- err:
 		default: // already failed (second peer died first)
 		}
 	}
@@ -225,14 +250,19 @@ func (k *Kernel) Nodes() int { return k.net.Nodes() }
 func (k *Kernel) Handle(lo, hi msg.Kind, h Handler) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, r := range k.ranges {
+	var ranges []handlerRange
+	if old := k.ranges.Load(); old != nil {
+		ranges = append(ranges, *old...)
+	}
+	for _, r := range ranges {
 		if lo <= r.hi && r.lo <= hi {
 			panic(fmt.Sprintf("vkernel: handler range [%#x,%#x] overlaps [%#x,%#x]",
 				uint16(lo), uint16(hi), uint16(r.lo), uint16(r.hi)))
 		}
 	}
-	k.ranges = append(k.ranges, handlerRange{lo, hi, h})
-	sort.Slice(k.ranges, func(i, j int) bool { return k.ranges[i].lo < k.ranges[j].lo })
+	ranges = append(ranges, handlerRange{lo, hi, h})
+	sort.Slice(ranges, func(i, j int) bool { return ranges[i].lo < ranges[j].lo })
+	k.ranges.Store(&ranges)
 }
 
 // DefineGroup registers a multicast group with the given member set.
@@ -250,40 +280,31 @@ func (k *Kernel) Group(id int) []msg.NodeID {
 	return append([]msg.NodeID(nil), k.groups[id]...)
 }
 
-// Pending is an outstanding asynchronous request started with CallStart
-// or MulticastCallStart: the request has been enqueued on the
-// transport's coalescing writer, and Wait collects the replies.
-type Pending struct {
-	k    *Kernel
-	ch   chan *msg.Msg
-	fail chan error
-	want int
-}
-
-// register allocates a correlation sequence and a pending-call record
-// expecting one reply from each destination in dsts, each tagged with
-// the destination's current connection epoch (see pendingCall.deps).
-func (k *Kernel) register(dsts []msg.NodeID, inline func(*msg.Msg)) (uint64, *Pending, error) {
-	seq := k.seq.Add(1)
-	want := len(dsts)
-	ch := make(chan *msg.Msg, want)
-	fail := make(chan error, 1)
-	deps := make([]uint64, len(dsts))
-	for i, d := range dsts {
-		deps[i] = k.peerEpoch(d)
+// register allocates a correlation sequence and enters a pending-call
+// record expecting one reply from each destination in dsts, each tagged
+// with the destination's current connection epoch (see Pending.deps).
+func (k *Kernel) register(inline func(*msg.Msg), dsts ...msg.NodeID) (uint64, *Pending, error) {
+	p := &Pending{
+		k:      k,
+		ch:     make(chan *msg.Msg, len(dsts)),
+		fail:   make(chan error, 1),
+		want:   len(dsts),
+		inline: inline,
 	}
+	p.dsts = append(p.dstArr[:0], dsts...)
+	p.deps = p.depArr[:0]
+	for _, d := range dsts {
+		p.deps = append(p.deps, k.peerEpoch(d))
+	}
+	seq := k.seq.Add(1)
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
 		return 0, nil, ErrClosed
 	}
-	k.pending[seq] = &pendingCall{
-		ch: ch, want: want, inline: inline, fail: fail,
-		dsts: append([]msg.NodeID(nil), dsts...),
-		deps: deps,
-	}
+	k.pending[seq] = p
 	k.mu.Unlock()
-	return seq, &Pending{k: k, ch: ch, fail: fail, want: want}, nil
+	return seq, p, nil
 }
 
 func (k *Kernel) unregister(seq uint64) {
@@ -311,16 +332,25 @@ func (p *Pending) Wait() ([]*msg.Msg, error) {
 	}
 	replies := make([]*msg.Msg, 0, p.want)
 	for len(replies) < p.want {
-		select {
-		case reply := <-p.ch:
-			replies = append(replies, reply)
-		case err := <-p.fail:
+		reply, err := p.next()
+		if err != nil {
 			return replies, err
-		case <-p.k.done:
-			return replies, ErrClosed
 		}
+		replies = append(replies, reply)
 	}
 	return replies, nil
+}
+
+// next blocks until one more reply arrives or the call fails (see Wait).
+func (p *Pending) next() (*msg.Msg, error) {
+	select {
+	case reply := <-p.ch:
+		return reply, nil
+	case err := <-p.fail:
+		return nil, err
+	case <-p.k.done:
+		return nil, ErrClosed
+	}
 }
 
 // CallStart enqueues a request to dst on the transport's coalescing
@@ -334,7 +364,7 @@ func (k *Kernel) CallStart(dst msg.NodeID, kind msg.Kind, payload []byte) (*Pend
 }
 
 func (k *Kernel) callStart(dst msg.NodeID, kind msg.Kind, payload []byte, inline func(*msg.Msg)) (*Pending, error) {
-	seq, p, err := k.register([]msg.NodeID{dst}, inline)
+	seq, p, err := k.register(inline, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -346,44 +376,57 @@ func (k *Kernel) callStart(dst msg.NodeID, kind msg.Kind, payload []byte, inline
 	return p, nil
 }
 
+// NewWire starts a complete wire message in a pooled buffer sized for
+// exactly payload bytes: header space reserved, b appending behind it.
+// The caller writes the payload through b, stores b.Bytes() back into
+// wb.B and hands wb to CallStartOwned, ReplyOwned or SendOwned, which
+// stamp the header in place. A handler that ships object bytes does
+// this under the object lock it already holds, so the bytes are copied
+// once — object to wire buffer — with no snapshot in between.
+func NewWire(payload int) (wb *bufpool.Buffer, b msg.Builder) {
+	wb = bufpool.Get(msg.HeaderSize + payload)
+	b.Reset(wb.B)
+	b.Skip(msg.HeaderSize)
+	return wb, b
+}
+
 // CallStartOwned is CallStart for a request already marshalled into a
 // pooled wire buffer: wb.B must hold msg.HeaderSize reserved bytes
-// followed by the complete payload (Builder.Reset + Skip). The kernel
+// followed by the complete payload (NewWire). The kernel
 // assigns the correlation sequence, stamps the header in place
 // (msg.FillHeader), and hands the buffer to the transport's zero-copy
 // enqueue (transport.EncodedSender) — no Marshal copy on the wire
 // transports. Ownership of wb transfers unconditionally: whatever the
 // outcome, the caller must not touch wb afterwards.
 func (k *Kernel) CallStartOwned(dst msg.NodeID, kind msg.Kind, wb *bufpool.Buffer) (*Pending, error) {
-	seq, p, err := k.register([]msg.NodeID{dst}, nil)
+	seq, p, err := k.register(nil, dst)
 	if err != nil {
 		wb.Release()
 		return nil, err
 	}
 	msg.FillHeader(wb.B, kind, 0, k.node, dst, seq)
-	if es, ok := k.ep.(transport.EncodedSender); ok {
-		if err := es.SendOwned(wb); err != nil { // transport released wb
-			k.unregister(seq)
-			return nil, err
-		}
-		return p, nil
-	}
-	// Loopback transports take a *msg.Msg whose payload they may retain;
-	// copy out of the pooled buffer before releasing it.
-	m, merr := msg.Unmarshal(wb.B)
-	if merr != nil {
-		wb.Release()
-		k.unregister(seq)
-		return nil, merr
-	}
-	cp := *m
-	cp.Payload = append([]byte(nil), m.Payload...)
-	wb.Release()
-	if err := k.ep.Send(&cp); err != nil {
+	if err := k.sendOwned(wb); err != nil {
 		k.unregister(seq)
 		return nil, err
 	}
 	return p, nil
+}
+
+// sendOwned hands a complete, header-stamped wire buffer to the
+// transport, which releases it on every path. The chan transport has
+// no wire to hand a buffer to: its Send serializes the message before
+// returning (transport.Endpoint), so the buffer is released right
+// behind it.
+func (k *Kernel) sendOwned(wb *bufpool.Buffer) error {
+	if es, ok := k.ep.(transport.EncodedSender); ok {
+		return es.SendOwned(wb)
+	}
+	defer wb.Release()
+	m, err := msg.Unmarshal(wb.B)
+	if err != nil {
+		return err
+	}
+	return k.ep.Send(m)
 }
 
 // Call sends a request to dst and blocks until the reply arrives. It is
@@ -394,11 +437,7 @@ func (k *Kernel) Call(dst msg.NodeID, kind msg.Kind, payload []byte) (*msg.Msg, 
 	if err != nil {
 		return nil, err
 	}
-	replies, err := p.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return replies[0], nil
+	return p.next()
 }
 
 // CallInline is Call with a twist needed by coherence protocols: fn is
@@ -413,7 +452,7 @@ func (k *Kernel) CallInline(dst msg.NodeID, kind msg.Kind, payload []byte, fn fu
 	if err != nil {
 		return err
 	}
-	_, err = p.Wait()
+	_, err = p.next()
 	return err
 }
 
@@ -432,7 +471,7 @@ func (k *Kernel) MulticastCallStart(members []msg.NodeID, kind msg.Kind, payload
 	if len(dst) == 0 {
 		return nil, nil
 	}
-	seq, p, err := k.register(dst, nil)
+	seq, p, err := k.register(nil, dst...)
 	if err != nil {
 		return nil, err
 	}
@@ -475,9 +514,25 @@ func (k *Kernel) Reply(req *msg.Msg, payload []byte) error {
 	return k.ep.Send(m)
 }
 
+// ReplyOwned is Reply for a reply already marshalled into a pooled wire
+// buffer (NewWire), the mirror of CallStartOwned: the kernel stamps the
+// reply header in place and hands the buffer to the transport.
+// Ownership of wb transfers unconditionally.
+func (k *Kernel) ReplyOwned(req *msg.Msg, wb *bufpool.Buffer) error {
+	msg.FillHeader(wb.B, req.Kind, msg.FlagReply, k.node, req.From, req.Seq)
+	return k.sendOwned(wb)
+}
+
 // Send transmits a one-way message (no reply expected).
 func (k *Kernel) Send(dst msg.NodeID, kind msg.Kind, payload []byte) error {
 	return k.ep.Send(&msg.Msg{Kind: kind, To: dst, Payload: payload})
+}
+
+// SendOwned is Send for a message already marshalled into a pooled
+// wire buffer (NewWire). Ownership of wb transfers unconditionally.
+func (k *Kernel) SendOwned(dst msg.NodeID, kind msg.Kind, wb *bufpool.Buffer) error {
+	msg.FillHeader(wb.B, kind, 0, k.node, dst, 0)
+	return k.sendOwned(wb)
 }
 
 // Multicast sends a one-way message to every member of group id,
@@ -531,27 +586,26 @@ func (k *Kernel) dispatchLoop() {
 		}
 		if m.IsReply() {
 			k.mu.Lock()
-			pc, ok := k.pending[m.Seq]
+			p, ok := k.pending[m.Seq]
 			if ok {
-				pc.got++
+				p.got++
 				// This destination has answered: a later wire death of
 				// that peer no longer concerns this call.
-				pc.awaiting(m.From, true)
-				if pc.got >= pc.want {
+				p.awaiting(m.From, true)
+				if p.got >= p.want {
 					delete(k.pending, m.Seq)
 				}
 			}
 			k.mu.Unlock()
 			if ok {
-				// Copy payload: it aliases the receive buffer.
-				cp := *m
-				cp.Payload = append([]byte(nil), m.Payload...)
-				if pc.inline != nil {
+				// m is ours to pass on: Recv hands over a message whose
+				// payload nothing else references or reuses.
+				if p.inline != nil {
 					// Run before dispatching anything the peer sent
 					// later (see CallInline).
-					pc.inline(&cp)
+					p.inline(m)
 				}
-				pc.ch <- &cp
+				p.ch <- m
 			}
 			continue
 		}
@@ -559,22 +613,23 @@ func (k *Kernel) dispatchLoop() {
 		if h == nil {
 			continue // no handler registered: drop, like an unbound port
 		}
-		cp := *m
-		cp.Payload = append([]byte(nil), m.Payload...)
 		k.wg.Add(1)
 		go func() {
 			defer k.wg.Done()
-			h(k, &cp)
+			h(k, m) // the handler owns m, payload included (see Recv)
 		}()
 	}
 }
 
 func (k *Kernel) lookup(kind msg.Kind) Handler {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	i := sort.Search(len(k.ranges), func(i int) bool { return k.ranges[i].hi >= kind })
-	if i < len(k.ranges) && k.ranges[i].lo <= kind && kind <= k.ranges[i].hi {
-		return k.ranges[i].h
+	p := k.ranges.Load()
+	if p == nil {
+		return nil
+	}
+	ranges := *p
+	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].hi >= kind })
+	if i < len(ranges) && ranges[i].lo <= kind {
+		return ranges[i].h
 	}
 	return nil
 }
