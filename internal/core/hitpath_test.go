@@ -278,9 +278,10 @@ func TestAccessPathPanics(t *testing.T) {
 // benchHit times hit-path accesses through real Ctxs, one thread per
 // processor (-cpu 1,2), all on node 0: ns/op is wall time over total
 // accesses. The access pattern is the benchmark probe's
-// (core.read_hit_ns): every thread sweeps all the read-only replicas,
-// so with two threads an object's mutex line usually comes from the
-// other core, and each thread writes only its own write-many objects.
+// (core.read_hit_ns): every thread sweeps all the read-only replicas —
+// write-once, so frozen snapshots read without a lock and two threads
+// share no written line — and each thread writes only its own
+// write-many objects.
 func benchHit(b *testing.B, access func(c api.Ctx, f hitFixture, k int)) {
 	f := newHitFixture(b)
 	threads := runtime.GOMAXPROCS(0)

@@ -602,7 +602,14 @@ func (n *Node) ensureReadable(o *Obj) {
 			o.cond.Broadcast()
 			continue
 		}
-		copy(o.data, data)
+		if o.meta.Annot == WriteOnce {
+			// The replica is born frozen, in storage of its own: a
+			// reader that raced an Evict may still be copying out of the
+			// previous snapshot, which nothing ever writes again.
+			o.snap.publish(string(data))
+		} else {
+			copy(o.data, data)
+		}
 		o.state = Shared
 		o.alignSeq(seq)
 		o.cond.Broadcast()
@@ -667,27 +674,65 @@ func (o *Obj) alignSeq(seq uint64) {
 // Write-once (§3.3.1): replication on demand; writes only during
 // initialization at the home while no other copies exist.
 
+// testHookWriteOnceChecked, when a test sets it, runs between
+// writeOnceWrite's sole-copy check and its store.
+var testHookWriteOnceChecked func()
+
 func (n *Node) writeOnceWrite(o *Obj, off int, data []byte) {
 	home := n.homeOf(&o.meta)
 	if home != n.id {
 		panic(fmt.Sprintf("munin: write-once object %q written from node %d (home %d) after initialization",
 			o.meta.Name, n.id, home))
 	}
+	// The sole-copy check and the write share one hold of d.mu, which
+	// handleRead takes before it serves a replica: a replica is served
+	// either before the check (and the write panics) or after the write
+	// (and carries it), never in between.
 	d := n.dirEntryOf(o.meta.ID)
 	d.mu.Lock()
-	sole := len(d.copyset) == 1 && d.copyset[n.id]
-	d.mu.Unlock()
-	if !sole {
+	defer d.mu.Unlock()
+	if len(d.copyset) != 1 || !d.copyset[n.id] {
 		panic(fmt.Sprintf("munin: write-once object %q written after replication", o.meta.Name))
 	}
+	if testHookWriteOnceChecked != nil {
+		testHookWriteOnceChecked()
+	}
 	o.mu.Lock()
+	if s := o.snap.view(); s != "" {
+		// Every replica served so far has been evicted again, so the
+		// object is back in initialisation: thaw it into a private copy.
+		// Readers still inside the old snapshot keep the old bytes.
+		o.data = []byte(s)
+		o.snap.retract()
+	}
 	copy(o.data[off:], data)
+	o.mu.Unlock()
+}
+
+// writeOnceFault serves a write-once read that found nothing published:
+// the replica is Invalid (never fetched, or evicted), or this is the
+// home and the object is still being initialised. An Evict can undo the
+// fetch before this thread is back under o.mu, hence the loop.
+func (n *Node) writeOnceFault(o *Obj, off int, buf []byte) {
+	o.mu.Lock()
+	for o.state == Invalid {
+		o.mu.Unlock()
+		n.ensureReadable(o)
+		o.mu.Lock()
+	}
+	if s := o.snap.view(); s != "" {
+		copy(buf, s[off:])
+	} else {
+		copy(buf, o.data[off:])
+	}
 	o.mu.Unlock()
 }
 
 // Evict drops this node's replica of a read-only (write-once or
 // replicated read-mostly) object — the paper's "pageout" for large
-// read-only objects. The next access refetches.
+// read-only objects. The next access refetches. A write-once replica's
+// bytes go with it: the node keeps no reference to them, and they are
+// freed once the last reader still copying out of them returns.
 func (n *Node) Evict(id memory.ObjectID) {
 	o := n.mustObj(id)
 	home := n.homeOf(&o.meta)
@@ -701,6 +746,7 @@ func (n *Node) Evict(id memory.ObjectID) {
 	}
 	o.state = Invalid
 	o.genInv++
+	o.snap.retract()
 	o.mu.Unlock()
 	n.C.Add(stats.CEvict, 1)
 	n.k.Send(home, kindEvict, msg.NewBuilder(4).U32(uint32(id)).Bytes())

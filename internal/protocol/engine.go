@@ -108,12 +108,20 @@ type directoryEngine struct{}
 
 func (directoryEngine) kind() EngineKind { return EngineDirectory }
 
-// read serves a local hit — a valid copy, under any annotation — inside
-// one hold of o.mu: the validity check and the copy share a critical
-// section, and only an Invalid copy leaves it for the fault path, which
-// runs with o.mu released.
+// read serves a local hit — a valid copy, under any annotation but one —
+// inside one hold of o.mu: the validity check and the copy share a
+// critical section, and only an Invalid copy leaves it for the fault
+// path, which runs with o.mu released. The exception is a write-once
+// object, whose hit is a copy out of its frozen snapshot and takes no
+// lock at all.
 func (directoryEngine) read(n *Node, q *duq.Queue, o *Obj, off int, buf []byte) {
 	switch o.meta.Annot {
+	case WriteOnce:
+		if s := o.snap.view(); s != "" {
+			copy(buf, s[off:])
+			return
+		}
+		n.writeOnceFault(o, off, buf)
 	case Private:
 		o.mu.Lock()
 		copy(buf, o.data[off:])
@@ -140,7 +148,7 @@ func (directoryEngine) read(n *Node, q *duq.Queue, o *Obj, off int, buf []byte) 
 		}
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
-	default: // Conventional, GeneralRW, WriteOnce, WriteMany
+	default: // Conventional, GeneralRW, WriteMany
 		o.mu.Lock()
 		if o.state == Invalid {
 			o.mu.Unlock()

@@ -91,6 +91,29 @@ func (n *Node) handleRead(req *msg.Msg) {
 		d.mu.Unlock()
 		n.k.ReplyOwned(req, wb)
 
+	case WriteOnce:
+		// Serving the first replica ends initialisation: the home copy
+		// freezes into the snapshot every later read — remote fetches
+		// here, local hits in directoryEngine.read — copies from. d.mu is
+		// what orders this against writeOnceWrite's check-then-write.
+		d.mu.Lock()
+		o.mu.Lock()
+		s := o.snap.view()
+		if s == "" {
+			s = string(o.data)
+			o.snap.publish(s)
+			o.data = nil
+		}
+		o.mu.Unlock()
+		d.copyset[req.From] = true
+		d.mu.Unlock()
+		// Frozen bytes need no lock to encode; write-once objects are
+		// never sequenced, so the snapshot is at update 0.
+		wb, b := vkernel.NewWire(msg.BytesNSize(len(s)) + 8)
+		b.Str(s).U64(0)
+		wb.B = b.Bytes()
+		n.k.ReplyOwned(req, wb)
+
 	default:
 		// Replication protocols: the home copy is authoritative.
 		d.mu.Lock()

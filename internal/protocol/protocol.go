@@ -2,7 +2,8 @@
 // the shared-object model, the per-object directory, and one coherence
 // mechanism per access-pattern annotation (paper §3.3):
 //
-//	WriteOnce          replication on demand; pageout supported
+//	WriteOnce          replication on demand; copies are frozen snapshots read
+//	                   without a lock; pageout supported
 //	WriteMany          delayed updates (twin + diff through the DUQ)
 //	ProducerConsumer   eager object movement (direct multicast to consumers)
 //	Migratory          object rides inside lock-transfer messages
@@ -169,13 +170,42 @@ func (s CopyState) String() string {
 	}
 }
 
+// frozen is a write-once object's published snapshot (§3.3.1): bytes
+// that will never change again, which a local read may therefore copy
+// without o.mu and without writing any shared cache line. The snapshot
+// is a string, so the representation — not a lock or a convention —
+// rules every writer out: there is no way to store through what view
+// returns, a reader that loaded the pointer keeps a valid snapshot
+// whatever happens to the object afterwards, and a change of contents
+// can only be a different string. publish and retract are called under
+// o.mu; view is called anywhere.
+type frozen struct{ p atomic.Pointer[string] }
+
+// view returns the published bytes, or "" when nothing is published.
+func (f *frozen) view() string {
+	if s := f.p.Load(); s != nil {
+		return *s
+	}
+	return ""
+}
+
+func (f *frozen) publish(s string) { f.p.Store(&s) }
+func (f *frozen) retract()         { f.p.Store(nil) }
+
 // Obj is one node's view of a shared object.
 type Obj struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	meta Meta
+	// data is the local copy. A write-once object has one only at its
+	// home while it is being initialised: everywhere else, and at the
+	// home from the first replica on, its bytes are snap and data is nil.
 	data []byte
+	// snap is the frozen form of a write-once object; other annotations
+	// never publish. Under o.mu a valid write-once copy is exactly one
+	// of data (home, initialising) and snap (everything else).
+	snap frozen
 	// twin is the snapshot for delayed-update diffing; nil when clean.
 	// Its bytes live in twinBuf, a pooled buffer returned to the arena
 	// when the twin is consumed (snapTwin/dropTwin).
@@ -588,10 +618,13 @@ func (n *Node) install(meta Meta, init []byte) {
 		}
 		n.locks.AttachMigratory(meta.Opts.Lock, o.migratorySnapshot, o.migratoryInstall)
 	default:
-		if home == n.id {
+		switch {
+		case home == n.id:
 			o.data = append([]byte(nil), init...)
 			o.state = Exclusive
-		} else {
+		case meta.Annot == WriteOnce:
+			o.state = Invalid // the replica, when fetched, is o.snap
+		default:
 			o.data = make([]byte, meta.Size)
 			o.state = Invalid
 		}

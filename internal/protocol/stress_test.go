@@ -85,34 +85,6 @@ func TestGeneralRWStrictPhases(t *testing.T) {
 	}
 }
 
-// TestWriteOnceEvictUnderConcurrentReads drops replicas while other
-// threads on the same node keep reading.
-func TestWriteOnceEvictUnderConcurrentReads(t *testing.T) {
-	r := newRig(t, 2)
-	init := []byte("0123456789abcdef")
-	r.alloc(2, "big", len(init), WriteOnce, DefaultOptions(), init) // home = node 0
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := duq.New()
-			buf := make([]byte, len(init))
-			for j := 0; j < 50; j++ {
-				if i == 0 && j%10 == 0 {
-					r.nodes[1].Evict(2)
-				}
-				r.nodes[1].Read(q, 2, 0, buf)
-				if string(buf) != string(init) {
-					t.Errorf("corrupt read after eviction: %q", buf)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 // TestReadMostlyDynamicUnderMixedLoad drives the dynamic switch while
 // writes keep flowing: values must stay coherent across the transition.
 func TestReadMostlyDynamicUnderMixedLoad(t *testing.T) {

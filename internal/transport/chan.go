@@ -55,10 +55,9 @@ func (n *ChanNetwork) Multicast(m *msg.Msg, members []msg.NodeID) error {
 		// Each member gets its own copy of the buffer; payload slices
 		// must not be shared across nodes.
 		cp := append([]byte(nil), buf...)
-		if err := n.eps[dst].q.pushBytes(cp); err != nil {
+		if err := n.stats.deliverBytes(n.eps[dst].q, dst, cp); err != nil {
 			return err
 		}
-		n.stats.delivered(dst)
 	}
 	return nil
 }
@@ -92,11 +91,7 @@ func (e *chanEndpoint) Send(m *msg.Msg) error {
 	// writer pipeline buys is exactly what this substrate gets for
 	// free).
 	e.net.stats.chargeWire(1, nil)
-	if err := e.net.eps[m.To].q.pushBytes(buf); err != nil {
-		return err
-	}
-	e.net.stats.delivered(m.To)
-	return nil
+	return e.net.stats.deliverBytes(e.net.eps[m.To].q, m.To, buf)
 }
 
 // Flush implements Endpoint. Sends are delivered synchronously, so the

@@ -1074,19 +1074,13 @@ func (e *meshEndpoint) Send(mm *msg.Msg) error {
 	mm.From = e.m.topo.Self
 	e.m.stats.charge(mm, e.m.cost, e.m.topo.Self)
 	if mm.To == e.m.topo.Self {
-		if err := e.q.pushBytes(mm.Marshal()); err != nil {
-			return err
-		}
-		e.m.stats.delivered(mm.To)
-		return nil
+		return e.m.stats.deliverBytes(e.q, mm.To, mm.Marshal())
 	}
 	return e.m.peer(mm.To).q.putOwned(marshalPooled(mm), ClassOf(mm.Kind))
 }
 
-// SendOwned implements EncodedSender; see tcpEndpoint.SendOwned.
-// Self-sends have no writer to release the buffer after a wire write,
-// so the bytes are copied for the receive queue (whose consumer keeps
-// what Recv hands it) and the pooled buffer returns immediately.
+// SendOwned implements EncodedSender; see tcpEndpoint.SendOwned, self-sends
+// included.
 func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	kind, to, err := msg.PeekHeader(wb.B)
 	if err != nil {
@@ -1102,11 +1096,7 @@ func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	if to == e.m.topo.Self {
 		enc := append([]byte(nil), wb.B...)
 		wb.Release()
-		if err := e.q.pushBytes(enc); err != nil {
-			return err
-		}
-		e.m.stats.delivered(to)
-		return nil
+		return e.m.stats.deliverBytes(e.q, to, enc)
 	}
 	return e.m.peer(to).q.putOwned(wb, ClassOf(kind))
 }

@@ -78,11 +78,15 @@ func NewTCPNetwork(n int, cost CostModel) (*TCPNetwork, error) {
 		}
 	}()
 
-	// Each node dials one connection per peer; each connection gets a
-	// bounded send queue and a dedicated writer goroutine.
+	// Each node dials one connection per other node; each connection gets
+	// a bounded send queue and a dedicated writer goroutine. A node's
+	// messages to itself never leave it (see Send), so i→i has neither.
 	for i := range tn.eps {
 		tn.eps[i].peers = make([]*tcpPeer, n)
 		for j := range tn.eps[i].peers {
+			if j == i {
+				continue
+			}
 			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				tn.Close()
@@ -243,7 +247,7 @@ type tcpEndpoint struct {
 	net   *TCPNetwork
 	node  msg.NodeID
 	q     *queue     // receive side
-	peers []*tcpPeer // outgoing pipeline, one per destination node
+	peers []*tcpPeer // outgoing pipeline, one per other node; nil at this node's own index
 }
 
 // tcpPeer is one node's outgoing connection to one peer: a bounded send
@@ -259,13 +263,19 @@ func (e *tcpEndpoint) Node() msg.NodeID { return e.node }
 // destination peer's writer, which coalesces the message with whatever
 // else is bound for that peer. It does not wait for the wire — Flush
 // is the fence. The marshalled form lives in a pooled buffer the writer
-// releases after its write, exactly like one handed to SendOwned.
+// releases after its write, exactly like one handed to SendOwned. A
+// message to this node itself is charged and delivered like any other
+// but has no wire to cross: it goes straight onto the receive queue, as
+// on the mesh.
 func (e *tcpEndpoint) Send(m *msg.Msg) error {
 	if int(m.To) >= len(e.peers) || m.To < 0 {
 		return fmt.Errorf("transport: send to unknown node %d", m.To)
 	}
 	m.From = e.node
 	e.net.stats.charge(m, e.net.cost, e.node)
+	if m.To == e.node {
+		return e.net.stats.deliverBytes(e.q, e.node, m.Marshal())
+	}
 	return e.peers[m.To].q.putOwned(marshalPooled(m), ClassOf(m.Kind))
 }
 
@@ -280,7 +290,10 @@ func marshalPooled(m *msg.Msg) *bufpool.Buffer {
 // wire buffer, taking ownership. The buffer is released by the writer
 // after its vectored write completes — or right here on any failure —
 // so the hot path moves payload bytes exactly once (diff scratch →
-// wire buffer) and the kernel copies them off the iovec.
+// wire buffer) and the kernel copies them off the iovec. A self-send has
+// no writer to release the buffer, so the bytes are copied for the
+// receive queue (whose consumer keeps what Recv hands it) and the pooled
+// buffer returns immediately.
 func (e *tcpEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	kind, to, err := msg.PeekHeader(wb.B)
 	if err != nil {
@@ -293,6 +306,11 @@ func (e *tcpEndpoint) SendOwned(wb *bufpool.Buffer) error {
 	}
 	msg.SetFrom(wb.B, e.node)
 	e.net.stats.chargeEncoded(kind, len(wb.B), e.net.cost, e.node)
+	if to == e.node {
+		enc := append([]byte(nil), wb.B...)
+		wb.Release()
+		return e.net.stats.deliverBytes(e.q, e.node, enc)
+	}
 	return e.peers[to].q.putOwned(wb, ClassOf(kind))
 }
 
@@ -302,6 +320,9 @@ func (e *tcpEndpoint) Flush() error {
 	fs := getFenceSet()
 	defer fs.release()
 	for _, p := range e.peers {
+		if p == nil {
+			continue // this node itself: nothing is ever queued
+		}
 		ch := getFence()
 		if err := p.q.put(sendItem{fence: ch}); err != nil {
 			// Queue already closed: nothing of ours remains unwritten

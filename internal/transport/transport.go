@@ -572,14 +572,20 @@ func (q *queue) push(m *msg.Msg) error {
 	return q.pushItem(recvItem{m: m})
 }
 
-// pushBytes decodes a marshalled message the caller gives up — a
-// private Marshal, on the paths that have no wire — and enqueues it.
-func (q *queue) pushBytes(enc []byte) error {
+// deliverBytes is delivery where there is no wire to cross — in
+// process, or from a node to itself: the marshalled message, which the
+// caller gives up (a private Marshal), is decoded onto node to's receive
+// queue q and counted as received there.
+func (s *Stats) deliverBytes(q *queue, to msg.NodeID, enc []byte) error {
 	m, err := msg.Unmarshal(enc)
 	if err != nil {
 		return err
 	}
-	return q.push(m)
+	if err := q.push(m); err != nil {
+		return err
+	}
+	s.delivered(to)
+	return nil
 }
 
 // pushGone enqueues a departure marker for peer, ordered behind every

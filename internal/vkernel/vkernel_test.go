@@ -52,6 +52,41 @@ func TestCallSelf(t *testing.T) {
 	}
 }
 
+// TestCallSelfOverTCPSkipsTheSocket: a node's messages to itself — the
+// request through Send, the pooled reply through SendOwned — are
+// delivered and counted like any others, but cross no wire.
+func TestCallSelfOverTCPSkipsTheSocket(t *testing.T) {
+	net, err := transport.NewTCPNetwork(2, transport.CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := New(net, 0), New(net, 1)
+	defer func() { net.Close(); k0.Wait(); k1.Wait() }()
+	k0.Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) {
+		k.ReplyOwned(req, replyWire(req.Payload))
+	})
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		reply, err := k0.Call(0, msg.KindPing, []byte{byte(i)})
+		if err != nil || len(reply.Payload) != 1 || reply.Payload[0] != byte(i) {
+			t.Fatalf("self call %d: reply %v, err %v", i, reply, err)
+		}
+	}
+	if err := k0.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := net.Stats()
+	if got := st.Messages(); got != 2*calls {
+		t.Errorf("Messages() = %d, want %d: self-sends are still messages", got, 2*calls)
+	}
+	if got := st.NodeReceived(0); got != 2*calls {
+		t.Errorf("NodeReceived(0) = %d, want %d", got, 2*calls)
+	}
+	if got := st.WireWrites(); got != 0 {
+		t.Errorf("wire.writes = %d after self-calls only, want 0", got)
+	}
+}
+
 func TestHandlerCanCallOtherNodes(t *testing.T) {
 	// Node 0 calls node 1; node 1's handler calls node 2 before replying.
 	// This is the forwarding pattern directory protocols rely on.
