@@ -83,6 +83,8 @@ const (
 	// vkernel: pending-call failure accounting.
 	CCallFailedPeer = "call.failed_peer"
 	CCallFailedGone = "call.failed_gone"
+	CDropUnhandled  = "drop.unhandled"
+	CDropStrayReply = "drop.stray_reply"
 
 	// transport: wire-level accounting.
 	CWireWrites       = "wire.writes"
@@ -164,6 +166,8 @@ var registered = map[string]string{
 
 	CCallFailedPeer: "vkernel",
 	CCallFailedGone: "vkernel",
+	CDropUnhandled:  "vkernel",
+	CDropStrayReply: "vkernel",
 
 	CWireWrites:       "transport",
 	CWireFrames:       "transport",

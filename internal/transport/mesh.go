@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -667,7 +666,7 @@ func (m *MeshNetwork) startReader(p *meshPeer, conn net.Conn) {
 // mesh is not closing — latches the peer down: the stream's loss means
 // replies already requested can never arrive.
 func (m *MeshNetwork) readConn(p *meshPeer, conn net.Conn) {
-	readFrameStream(bufio.NewReader(conn), func(mm *msg.Msg) {
+	readFrameStream(conn, func(mm *msg.Msg) {
 		if mm.To != m.topo.Self {
 			// Misrouted frame: drop, like an unknown port — but
 			// counted, so a topology misconfiguration is visible.

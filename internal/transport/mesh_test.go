@@ -909,18 +909,9 @@ func TestMeshMisroutedFramesCounted(t *testing.T) {
 	if verdict != helloAccept {
 		t.Fatalf("handshake verdict %d, want accept", verdict)
 	}
-	writeFrame := func(m *msg.Msg) {
-		t.Helper()
-		frame := msg.EncodeFrame([][]byte{m.Marshal()})
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-		if _, err := conn.Write(append(hdr[:], frame...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFrame(&msg.Msg{Kind: msg.KindPing, From: 1, To: 7, Payload: []byte("lost")})
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 1, To: 7, Payload: []byte("lost")})
 	// And a well-routed one behind it, so we can sync on delivery.
-	writeFrame(&msg.Msg{Kind: msg.KindPing, From: 1, To: 0, Payload: []byte("ok")})
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 1, To: 0, Payload: []byte("ok")})
 	if m, err := a.Endpoint(0).Recv(); err != nil || string(m.Payload) != "ok" {
 		t.Fatalf("got %v, %v", m, err)
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"munin/internal/bufpool"
 	"munin/internal/msg"
+	"munin/internal/stats"
 )
 
 // sendQueueDepth bounds each peer connection's send queue, in messages.
@@ -24,23 +26,31 @@ const sendQueueDepth = 1024
 const maxFrameLen = 1 << 30
 
 // TCPNetwork runs the same message abstraction over real loopback
-// sockets. Every node pair has a dedicated TCP connection owned by a
-// writer goroutine: senders enqueue marshalled messages on a bounded
-// per-peer send queue, and the writer drains whatever is queued and
-// emits it as ONE multi-message frame (msg.EncodeFrame layout) via a
-// single vectored write (net.Buffers). That is what keeps a batched
-// protocol flush at O(1) wire writes per destination instead of one
-// write syscall per message. Flush is the fence that waits for queued
-// messages to reach the wire.
+// sockets. Every unordered node pair {i, j} shares ONE duplex TCP
+// connection: node i's end is eps[i].peers[j].conn, node j's end is
+// eps[j].peers[i].conn, and each end has one writer goroutine (draining
+// that end's send queue) and one reader goroutine (feeding that end's
+// node's receive queue). A reply therefore travels on the socket its
+// request arrived on, so the kernel can piggyback the request's ACK on
+// it — the V kernel's "the reply is the acknowledgement" — instead of
+// answering every message with a pure-ACK segment of its own.
+//
+// Senders enqueue marshalled messages on the bounded per-peer send
+// queue, and the writer drains whatever is queued and emits it as ONE
+// multi-message frame (msg.EncodeFrame layout) via a single vectored
+// write (net.Buffers). That is what keeps a batched protocol flush at
+// O(1) wire writes per destination instead of one write syscall per
+// message. Flush is the fence that waits for queued messages to reach
+// the wire. One writer per (sender, receiver) and one stream per
+// direction keep delivery FIFO per sender-receiver pair.
 type TCPNetwork struct {
 	eps      []*tcpEndpoint
 	stats    *Stats
 	cost     CostModel
-	ln       net.Listener
 	mu       sync.Mutex
 	closed   bool
-	wg       sync.WaitGroup // accept loop + per-conn readers
-	writerWG sync.WaitGroup // per-peer writer goroutines
+	wg       sync.WaitGroup // per-connection-end reader goroutines
+	writerWG sync.WaitGroup // per-connection-end writer goroutines
 }
 
 // NewTCPNetwork creates an n-node network over loopback TCP. All nodes
@@ -49,79 +59,126 @@ func NewTCPNetwork(n int, cost CostModel) (*TCPNetwork, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: need at least one node")
 	}
+	tn := &TCPNetwork{stats: newStats(n), cost: cost}
+	tn.eps = make([]*tcpEndpoint, n)
+	for i := range tn.eps {
+		tn.eps[i] = &tcpEndpoint{net: tn, node: msg.NodeID(i), q: newQueue(), peers: make([]*tcpPeer, n)}
+	}
+
+	// The listener lives only as long as construction: each pair is
+	// dialed and accepted right here, one after the other, so there is
+	// no accept loop to run and nothing left listening afterwards. A
+	// node's messages to itself never leave it (see Send), so i == j has
+	// no connection.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	tn := &TCPNetwork{stats: newStats(n), cost: cost, ln: ln}
-	tn.eps = make([]*tcpEndpoint, n)
-	for i := range tn.eps {
-		tn.eps[i] = &tcpEndpoint{net: tn, node: msg.NodeID(i), q: newQueue()}
-	}
-
-	// Accept loop: each inbound connection carries one sender->receiver
-	// stream of frames; messages are routed to destination queues by
-	// their headers.
-	tn.wg.Add(1)
-	go func() {
-		defer tn.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			tn.wg.Add(1)
-			go func() {
-				defer tn.wg.Done()
-				tn.serveConn(conn)
-			}()
-		}
-	}()
-
-	// Each node dials one connection per other node; each connection gets
-	// a bounded send queue and a dedicated writer goroutine. A node's
-	// messages to itself never leave it (see Send), so i→i has neither.
-	for i := range tn.eps {
-		tn.eps[i].peers = make([]*tcpPeer, n)
-		for j := range tn.eps[i].peers {
-			if j == i {
-				continue
-			}
-			conn, err := net.Dial("tcp", ln.Addr().String())
+	defer ln.Close()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dialed, accepted, err := connectPair(ln)
 			if err != nil {
 				tn.Close()
 				return nil, err
 			}
-			p := &tcpPeer{conn: conn, q: newSendQueue(sendQueueDepth, tn.stats.chargeStall)}
-			tn.eps[i].peers[j] = p
-			tn.writerWG.Add(1)
-			go func(ep *tcpEndpoint) {
-				defer tn.writerWG.Done()
-				ep.writeLoop(p)
-			}(tn.eps[i])
+			a, b := tn.newPeer(dialed), tn.newPeer(accepted)
+			tn.eps[i].peers[j], tn.eps[j].peers[i] = a, b
+			tn.serve(tn.eps[i], msg.NodeID(j), a, b.q)
+			tn.serve(tn.eps[j], msg.NodeID(i), b, a.q)
 		}
 	}
 	return tn, nil
 }
 
-// serveConn reads frames from one sender connection and routes the
-// contained messages to destination queues.
-func (tn *TCPNetwork) serveConn(conn net.Conn) {
-	defer conn.Close()
-	readFrameStream(bufio.NewReader(conn), func(m *msg.Msg) {
-		if int(m.To) >= len(tn.eps) || m.To < 0 {
-			return
+// connectPair opens one loopback connection through ln and returns its
+// two ends. The dial completes against the listen backlog, so dialing
+// and then accepting on one goroutine cannot deadlock. An accepted
+// connection whose remote address is not the dialed end's local address
+// belongs to some other process that found the port; it is closed and
+// the accept repeated.
+func connectPair(ln net.Listener) (dialed, accepted net.Conn, err error) {
+	dialed, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return nil, nil, err
+	}
+	for {
+		accepted, err = ln.Accept()
+		if err != nil {
+			dialed.Close()
+			return nil, nil, err
 		}
-		if tn.eps[m.To].q.push(m) == nil {
-			tn.stats.delivered(m.To)
+		if accepted.RemoteAddr().String() == dialed.LocalAddr().String() {
+			return dialed, accepted, nil
 		}
-	}, nil)
+		accepted.Close()
+	}
 }
 
+func (tn *TCPNetwork) newPeer(conn net.Conn) *tcpPeer {
+	return &tcpPeer{conn: conn, q: newSendQueue(sendQueueDepth, tn.stats.chargeStall)}
+}
+
+// serve starts the two goroutines at p, node ep's end of its connection
+// to peer: the writer draining p's send queue and the reader. far is
+// the send queue at peer's end, whose writer produces the stream this
+// reader consumes.
+func (tn *TCPNetwork) serve(ep *tcpEndpoint, peer msg.NodeID, p *tcpPeer, far *sendQueue) {
+	tn.writerWG.Add(1)
+	go func() {
+		defer tn.writerWG.Done()
+		ep.writeLoop(p)
+	}()
+	tn.wg.Add(1)
+	go func() {
+		defer tn.wg.Done()
+		tn.serveConn(ep, peer, p.conn, far)
+	}()
+}
+
+// errStreamLost is latched on a send queue whose stream the receiving
+// end has stopped reading.
+var errStreamLost = errors.New("transport: inbound stream lost")
+
+// serveConn is the reader at node ep's end of its connection to peer:
+// it reads the frames peer's writer put on the wire and pushes the
+// contained messages onto ep's receive queue. Both ends of the
+// connection are known here, so a message that claims another sender or
+// another destination is counted (wire.misrouted) and dropped rather
+// than routed by what its header says.
+//
+// The stream ends cleanly only at shutdown, by the peer's CloseWrite,
+// after every writer has exited (see Close). Whatever ends it, the
+// reader must NOT close the connection: its own end's writer shares the
+// socket and may still be draining the opposite direction, whose
+// messages a close would destroy. Instead it latches the loss on the
+// peer's send queue (far), so peer's later sends and fences fail loudly
+// instead of queueing for a stream nobody decodes, and keeps consuming
+// so that a write already in flight cannot block on a full socket.
+func (tn *TCPNetwork) serveConn(ep *tcpEndpoint, peer msg.NodeID, conn net.Conn, far *sendQueue) {
+	readFrameStream(conn, func(m *msg.Msg) {
+		if m.To != ep.node || m.From != peer {
+			tn.stats.byClass.Add(stats.CWireMisrouted, 1)
+			return
+		}
+		if ep.q.push(m) == nil {
+			tn.stats.delivered(ep.node)
+		}
+	}, nil)
+	far.fail(errStreamLost)
+	io.Copy(io.Discard, conn)
+}
+
+// frameReadBuf sizes a connection's read buffer so that a whole-object
+// frame already in the socket — a 4 KB page plus headers — arrives in
+// one read call. With bufio's default 4096 bytes such a frame took two
+// reads before the one that finds the socket empty.
+const frameReadBuf = 16 << 10
+
 // readFrameStream is the inbound wire path shared by the loopback
-// harness and the mesh: it reads length-prefixed frame envelopes from r
-// and invokes deliver for every contained message until the stream ends
-// or a frame fails to decode. Every frame is read into a buffer of its
+// harness and the mesh: it reads length-prefixed frame envelopes from
+// conn and invokes deliver for every contained message until the stream
+// ends or a frame fails to decode. Every frame is read into a buffer of its
 // own that nothing reuses, and each message is decoded exactly once,
 // here: m's payload aliases that frame, and deliver takes m over (see
 // Endpoint.Recv for what the consumer may then do with it).
@@ -131,7 +188,8 @@ func (tn *TCPNetwork) serveConn(conn net.Conn) {
 // stream continues (the mesh's goodbye vocabulary rides here); when
 // ctrl is nil any such word kills the stream, exactly the pre-control
 // behavior the loopback harness keeps.
-func readFrameStream(r *bufio.Reader, deliver func(m *msg.Msg), ctrl func(word uint32) bool) {
+func readFrameStream(conn io.Reader, deliver func(m *msg.Msg), ctrl func(word uint32) bool) {
+	r := bufio.NewReaderSize(conn, frameReadBuf)
 	var lenbuf [4]byte
 	var entries [][]byte // reused frame after frame; cleared so it pins none
 	for {
@@ -195,10 +253,16 @@ func (tn *TCPNetwork) Multicast(m *msg.Msg, members []msg.NodeID) error {
 //  1. send queues close — blocked or late senders get ErrClosed;
 //  2. writers drain what was already queued onto the wire and exit, so
 //     nothing ever writes on a closed connection;
-//  3. the write sides shut down, giving each reader a clean EOF after
-//     it has consumed every drained frame;
+//  3. the write side of every connection end shuts down, giving the
+//     reader at the other end a clean EOF after it has consumed every
+//     drained frame;
 //  4. readers exit, having routed everything that made it to the wire;
 //  5. receive queues close — blocked Recv calls return ErrClosed.
+//
+// Only then are the connections closed. Step 2 finishes for every
+// writer before step 3 starts for any connection because the two
+// directions of a pair share one socket: an end's reader sees EOF while
+// that end's writer would otherwise still be entitled to write.
 func (tn *TCPNetwork) Close() error {
 	tn.mu.Lock()
 	if tn.closed {
@@ -228,7 +292,6 @@ func (tn *TCPNetwork) Close() error {
 			}
 		}
 	}
-	tn.ln.Close()
 	tn.wg.Wait()
 	for _, ep := range tn.eps {
 		ep.q.close()
@@ -247,11 +310,12 @@ type tcpEndpoint struct {
 	net   *TCPNetwork
 	node  msg.NodeID
 	q     *queue     // receive side
-	peers []*tcpPeer // outgoing pipeline, one per other node; nil at this node's own index
+	peers []*tcpPeer // this node's connection ends, one per other node; nil at its own index
 }
 
-// tcpPeer is one node's outgoing connection to one peer: a bounded send
-// queue drained by a dedicated writer goroutine.
+// tcpPeer is one node's end of the duplex connection it shares with one
+// peer: the socket, and the bounded send queue a dedicated writer
+// goroutine drains onto it.
 type tcpPeer struct {
 	conn net.Conn
 	q    *sendQueue

@@ -13,7 +13,8 @@
 //   - TCPNetwork: real sockets over loopback (package net), all nodes in
 //     one process — used to demonstrate that the runtime's messaging
 //     layer works over an actual network stack and to measure it at
-//     syscall granularity.
+//     syscall granularity. One duplex connection per node pair, like
+//     the mesh: a reply returns on the socket its request arrived on.
 //   - MeshNetwork: one node per OS process, connected by a Topology
 //     (node ID → host:port). Lazy per-peer dialing with a versioned,
 //     epoch-carrying hello handshake, one bidirectional connection per
@@ -30,16 +31,25 @@
 // # The writer pipeline
 //
 // Sending is asynchronous and coalescing. On TCPNetwork every node pair
-// has a dedicated connection owned by a writer goroutine fed from a
-// bounded send queue: Send marshals the message into a pooled buffer
-// and queues it without waiting (SendOwned queues a buffer the caller
-// already marshalled into); the writer drains whatever has accumulated for
-// that peer and emits it as one multi-message frame (see msg.EncodeFrame)
-// through a single vectored write (net.Buffers). A batched protocol
-// flush therefore costs O(1) write syscalls per destination no matter
-// how many messages it carries — the same software-overhead
-// amortization Munin's delayed-update queue performs at the protocol
-// level, applied to the wire.
+// shares one duplex connection, and each end of it has a writer
+// goroutine fed from a bounded send queue and a reader goroutine
+// feeding that node's receive queue: Send marshals the message into a
+// pooled buffer and queues it without waiting (SendOwned queues a
+// buffer the caller already marshalled into); the writer drains
+// whatever has accumulated for that peer and emits it as one
+// multi-message frame (see msg.EncodeFrame) through a single vectored
+// write (net.Buffers). A batched protocol flush therefore costs O(1)
+// write syscalls per destination no matter how many messages it
+// carries — the same software-overhead amortization Munin's
+// delayed-update queue performs at the protocol level, applied to the
+// wire.
+//
+// Because a request and its reply cross the same socket in opposite
+// directions, each carries the TCP acknowledgement of the other: one
+// segment per message, where a one-way connection per direction costs
+// a second, pure-ACK segment for every message. A reader accepts only
+// what its end of the connection can receive — messages from that peer
+// to this node — and counts anything else as wire.misrouted.
 //
 // Flush is the fence: it returns once everything the endpoint enqueued
 // before the call has been written to the sockets. It deliberately does
@@ -51,10 +61,12 @@
 // delivers whole batches instantly, so Flush is a no-op.
 //
 // Closing a TCPNetwork quiesces the pipeline deterministically: send
-// queues close first (blocked senders get ErrClosed), writers drain
-// what was already queued onto the wire and exit — nothing ever writes
-// on a closed connection — and readers consume every drained frame
-// before receive queues report ErrClosed.
+// queues close first (blocked senders get ErrClosed), every writer
+// drains what was already queued onto the wire and exits — nothing ever
+// writes on a closed connection — then the write sides shut down and
+// readers consume every drained frame before receive queues report
+// ErrClosed. A reader never closes its connection: the socket is also
+// its own end's writer's, and only Close knows that writer is done.
 //
 // Choosing a substrate: ChanNetwork for experiments, unit tests, and
 // anything that wants modeled network costs without real latency;

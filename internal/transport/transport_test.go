@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -364,6 +366,134 @@ func TestTCPCloseDeliversQueued(t *testing.T) {
 	}
 	if _, err := tcp.Endpoint(1).Recv(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("drained recv got %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPCloseDeliversQueuedBothWays is the duplex form of the drain
+// check: both directions of one pair — one socket — have messages
+// queued when Close starts, and every one of them is delivered before
+// either Recv reports ErrClosed. A reader that closed the connection on
+// seeing the other direction's EOF would lose one side's batch.
+func TestTCPCloseDeliversQueuedBothWays(t *testing.T) {
+	tcp, err := NewTCPNetwork(2, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 7
+	for from := msg.NodeID(0); from < 2; from++ {
+		ep := tcp.eps[from]
+		ep.peers[1-from].q.hold()
+		for i := 0; i < n; i++ {
+			if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1 - from, Seq: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tcp.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for to := msg.NodeID(0); to < 2; to++ {
+		for i := 0; i < n; i++ {
+			got, err := tcp.Endpoint(to).Recv()
+			if err != nil {
+				t.Fatalf("node %d recv %d after close: %v", to, i, err)
+			}
+			if got.Seq != uint64(i) || got.From != 1-to {
+				t.Fatalf("node %d recv %d: got seq %d from %d", to, i, got.Seq, got.From)
+			}
+		}
+		if _, err := tcp.Endpoint(to).Recv(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("node %d drained recv got %v, want ErrClosed", to, err)
+		}
+	}
+}
+
+// TestTCPOneDuplexConnectionPerPair pins the connection layout: n nodes
+// hold n(n-1)/2 connections, node i's end of its connection to j is the
+// other end of j's connection to i, and a request and its reply cross
+// the same socket — shown by closing every other connection first.
+func TestTCPOneDuplexConnectionPerPair(t *testing.T) {
+	const n = 4
+	tcp, err := NewTCPNetwork(n, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	conns := map[string]bool{} // keyed by the lower node's local address
+	for i := 0; i < n; i++ {
+		if tcp.eps[i].peers[i] != nil {
+			t.Errorf("node %d holds a connection to itself", i)
+		}
+		for j := i + 1; j < n; j++ {
+			a, b := tcp.eps[i].peers[j].conn, tcp.eps[j].peers[i].conn
+			if a.LocalAddr().String() != b.RemoteAddr().String() || a.RemoteAddr().String() != b.LocalAddr().String() {
+				t.Errorf("pair (%d,%d): ends %v-%v and %v-%v are not one connection",
+					i, j, a.LocalAddr(), a.RemoteAddr(), b.LocalAddr(), b.RemoteAddr())
+			}
+			conns[a.LocalAddr().String()] = true
+		}
+	}
+	if want := n * (n - 1) / 2; len(conns) != want {
+		t.Errorf("%d nodes hold %d connections, want %d", n, len(conns), want)
+	}
+
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i != 0 || j != 1 {
+				tcp.eps[i].peers[j].conn.Close()
+				tcp.eps[j].peers[i].conn.Close()
+			}
+		}
+	}
+	if err := tcp.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if req, err := tcp.Endpoint(1).Recv(); err != nil || req.From != 0 || req.Seq != 1 {
+		t.Fatalf("request: %v, %v", req, err)
+	}
+	if err := tcp.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, Flags: msg.FlagReply, To: 0, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := tcp.Endpoint(0).Recv(); err != nil || rep.From != 1 || !rep.IsReply() {
+		t.Fatalf("reply: %v, %v", rep, err)
+	}
+}
+
+// writeRawFrame puts m on conn as a one-message frame with its headers
+// exactly as given, bypassing the endpoint that would stamp From.
+func writeRawFrame(t *testing.T, conn net.Conn, m *msg.Msg) {
+	t.Helper()
+	frame := msg.EncodeFrame([][]byte{m.Marshal()})
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
+	if _, err := conn.Write(append(hdr[:], frame...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPMisroutedFramesCounted is the tcp twin of
+// TestMeshMisroutedFramesCounted: the reader at node 1's end of the
+// (0, 1) connection accepts only messages from 0 to 1; anything else is
+// dropped but counted, and the stream carries on.
+func TestTCPMisroutedFramesCounted(t *testing.T) {
+	tcp, err := NewTCPNetwork(3, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	conn := tcp.eps[0].peers[1].conn // its writer is idle: nothing is sent through the endpoint
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 0, To: 2, Payload: []byte("wrong destination")})
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 2, To: 1, Payload: []byte("wrong sender")})
+	// And a well-routed one behind them, to sync on delivery.
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 0, To: 1, Payload: []byte("ok")})
+	if m, err := tcp.Endpoint(1).Recv(); err != nil || string(m.Payload) != "ok" {
+		t.Fatalf("got %v, %v", m, err)
+	}
+	if got := tcp.Stats().WireMisrouted(); got != 2 {
+		t.Fatalf("wire.misrouted = %d, want 2", got)
+	}
+	if got := tcp.Stats().Messages(); got != 0 {
+		t.Errorf("hand-written frames were charged as %d sent messages", got)
 	}
 }
 

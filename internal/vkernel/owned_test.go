@@ -1,6 +1,9 @@
 package vkernel
 
 import (
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"munin/internal/bufpool"
@@ -96,7 +99,11 @@ func TestReplyOwnedReleasesOnEveryPath(t *testing.T) {
 // loopback TCP — call registration, pooled marshal, writer, reader,
 // dispatch, handler, reply, wake — with a 64 B and a 4 KB reply, the
 // shapes of a lock round trip and of a read fault. CI gates the 64 B
-// figure's allocs/op.
+// figure's allocs/op. segs/op is the host's TCP segments sent per call,
+// from /proc/net/snmp where there is one: two messages on one duplex
+// connection are about two segments (each carries the other's ACK),
+// and anything else on the host that talks TCP is counted with them, so
+// it is reported, never gated.
 func BenchmarkCallRTT(b *testing.B) {
 	net, err := transport.NewTCPNetwork(2, transport.CostModel{})
 	if err != nil {
@@ -119,11 +126,42 @@ func BenchmarkCallRTT(b *testing.B) {
 	}{{"64", msg.KindPing}, {"4k", msg.KindPing + 1}} {
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
+			segs, counted := tcpOutSegs()
 			for i := 0; i < b.N; i++ {
 				if _, err := k0.Call(1, shape.kind, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
+			if after, ok := tcpOutSegs(); ok && counted {
+				b.ReportMetric(float64(after-segs)/float64(b.N), "segs/op")
+			}
 		})
 	}
+}
+
+// tcpOutSegs reads the host's count of TCP segments sent; ok is false
+// where /proc/net/snmp does not exist or has no such column.
+func tcpOutSegs() (n int64, ok bool) {
+	data, err := os.ReadFile("/proc/net/snmp")
+	if err != nil {
+		return 0, false
+	}
+	var names []string
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] != "Tcp:" {
+			continue
+		}
+		if names == nil {
+			names = f
+			continue
+		}
+		for i, name := range names {
+			if name == "OutSegs" && i < len(f) {
+				n, err = strconv.ParseInt(f[i], 10, 64)
+				return n, err == nil
+			}
+		}
+	}
+	return 0, false
 }

@@ -5,10 +5,25 @@
 // The paper's prototype used the V kernel for "high-speed communication
 // between the different processors"; this package is that substrate.
 // Every node runs one Kernel. Incoming messages are dispatched by message
-// kind to registered handlers; each request runs in its own goroutine so
-// a handler may itself issue Calls to other nodes (directory protocols
-// need this: a home node forwards a request to the current owner while
-// the requester stays blocked).
+// kind to registered handlers, and a handler may itself issue Calls to
+// other nodes (directory protocols need this: a home node forwards a
+// request to the current owner while the requester stays blocked).
+//
+// What dispatch guarantees is what one goroutine per request would: a
+// request starts running as soon as it is dispatched and is never queued
+// behind another handler, so a handler blocked in a nested Call cannot
+// starve the request that would unblock it; and handlers run
+// concurrently, with no ordering between them, even for two requests
+// from one sender. How it does it is cheaper: the dispatcher hands the
+// request to a handler goroutine that is parked waiting for one, and
+// only when none is parked starts a new goroutine. The first few
+// goroutines started this way stay on as workers (they exit when the
+// kernel closes); the rest run their one request and end. A warm worker
+// keeps its stack, so the common request costs neither a goroutine
+// creation nor regrowing a fresh stack through the handler chain.
+// A request of a kind nobody handles, and a reply to a call that is no
+// longer pending, are dropped and counted (drop.unhandled,
+// drop.stray_reply).
 //
 // Requests ride the transport's asynchronous writer pipeline: CallStart
 // and MulticastCallStart enqueue without waiting for the wire, Flush
@@ -79,6 +94,12 @@ type Kernel struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
+	// work hands an inbound request from the dispatcher to a parked
+	// handler goroutine. It is unbuffered on purpose: a request is
+	// either taken at once by an idle worker or gets a goroutine of its
+	// own, never queued.
+	work chan request
+
 	// ranges is the handler table, sorted by kind: Handle publishes a
 	// fresh copy (under mu, which orders registrations), and the
 	// dispatcher reads it without a lock — the table is frozen long
@@ -86,9 +107,11 @@ type Kernel struct {
 	ranges atomic.Pointer[[]handlerRange]
 
 	// C counts kernel-level events: call.failed_peer (pending calls
-	// failed because their destination's wire died) and
-	// call.failed_gone (pending calls failed because their destination
-	// departed cleanly with nothing more to say).
+	// failed because their destination's wire died), call.failed_gone
+	// (pending calls failed because their destination departed cleanly
+	// with nothing more to say), drop.unhandled (requests of a kind no
+	// handler is registered for) and drop.stray_reply (replies whose
+	// call is no longer pending).
 	C stats.Set
 }
 
@@ -170,6 +193,7 @@ func New(net transport.Network, node msg.NodeID) *Kernel {
 		pending: make(map[uint64]*Pending),
 		groups:  make(map[int][]msg.NodeID),
 		done:    make(chan struct{}),
+		work:    make(chan request),
 	}
 	k.epochs, _ = net.(transport.PeerEpochs)
 	if pn, ok := net.(transport.PeerDownNotifier); ok {
@@ -577,6 +601,7 @@ func (k *Kernel) Wait() { k.wg.Wait() }
 
 func (k *Kernel) dispatchLoop() {
 	defer k.wg.Done()
+	workers := 0 // handler goroutines started with stay set
 	for {
 		m, err := k.ep.Recv()
 		if err != nil {
@@ -606,18 +631,63 @@ func (k *Kernel) dispatchLoop() {
 					p.inline(m)
 				}
 				p.ch <- m
+			} else {
+				// Late: the call failed or the kernel closed it.
+				k.C.Add(stats.CDropStrayReply, 1)
 			}
 			continue
 		}
 		h := k.lookup(m.Kind)
 		if h == nil {
-			continue // no handler registered: drop, like an unbound port
+			// No handler registered: drop, like an unbound port.
+			k.C.Add(stats.CDropUnhandled, 1)
+			continue
 		}
-		k.wg.Add(1)
-		go func() {
-			defer k.wg.Done()
-			h(k, m) // the handler owns m, payload included (see Recv)
-		}()
+		// Hand the request to a parked worker if one is waiting; the
+		// send succeeds only when a worker is already blocked in its
+		// receive. Otherwise start a goroutine for it, so a request
+		// never waits behind another handler (see the package comment).
+		r := request{h, m}
+		select {
+		case k.work <- r:
+		default:
+			stay := workers < handlerWorkers
+			if stay {
+				workers++
+			}
+			k.wg.Add(1)
+			go k.serve(r, stay)
+		}
+	}
+}
+
+// request is one inbound request and the handler it was dispatched to.
+// The handler owns m, payload included (see transport.Endpoint.Recv).
+type request struct {
+	h Handler
+	m *msg.Msg
+}
+
+// handlerWorkers is how many handler goroutines stay on after their
+// first request to take later ones. It only has to cover the handlers a
+// node usually runs at once; a burst beyond it costs what every request
+// used to cost, a goroutine of its own.
+const handlerWorkers = 4
+
+// serve runs one request's handler and, if stay is set, parks to take
+// further requests from the dispatcher until the kernel closes. A
+// worker keeps its stack, already grown through the handler chain, from
+// one request to the next.
+func (k *Kernel) serve(r request, stay bool) {
+	defer k.wg.Done()
+	r.h(k, r.m)
+	for stay {
+		select {
+		case r = <-k.work:
+			r.h(k, r.m)
+		case <-k.done:
+			return
+		}
 	}
 }
 

@@ -2,12 +2,16 @@ package vkernel
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"munin/internal/msg"
 	"munin/internal/netutil"
+	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -78,6 +82,11 @@ func TestCallSelfOverTCPSkipsTheSocket(t *testing.T) {
 	st := net.Stats()
 	if got := st.Messages(); got != 2*calls {
 		t.Errorf("Messages() = %d, want %d: self-sends are still messages", got, 2*calls)
+	}
+	// A delivery is counted just after the push that makes the message
+	// visible, so the last reply can be in hand before it is counted.
+	for deadline := time.Now().Add(5 * time.Second); st.NodeReceived(0) < 2*calls && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	if got := st.NodeReceived(0); got != 2*calls {
 		t.Errorf("NodeReceived(0) = %d, want %d", got, 2*calls)
@@ -198,6 +207,126 @@ func TestUnhandledKindDropped(t *testing.T) {
 	})
 	if _, err := ks[0].Call(1, msg.KindPing, nil); err != nil {
 		t.Fatal(err)
+	}
+	// The ping was dispatched behind the stray, so the drop is counted.
+	if got := ks[1].Counters()[stats.CDropUnhandled]; got != 1 {
+		t.Fatalf("drop.unhandled = %d, want 1", got)
+	}
+}
+
+// TestLateReplyCounted: a reply whose call is no longer pending — here
+// a handler's second reply to one request — is dropped, counted as
+// drop.stray_reply, and disturbs neither the call it is late for nor
+// the next one.
+func TestLateReplyCounted(t *testing.T) {
+	ks, _ := newTestKernels(t, 2)
+	ks[1].Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) {
+		k.Reply(req, []byte("first"))
+		if len(req.Payload) > 0 {
+			k.Reply(req, []byte("late"))
+		}
+	})
+	reply, err := ks[0].Call(1, msg.KindPing, []byte("twice"))
+	if err != nil || string(reply.Payload) != "first" {
+		t.Fatalf("call: %v, %v", reply, err)
+	}
+	// Delivery is FIFO per sender and receiver: once this call's reply
+	// is in, the late one before it has been dispatched.
+	if reply, err = ks[0].Call(1, msg.KindPing, nil); err != nil || string(reply.Payload) != "first" {
+		t.Fatalf("next call: %v, %v", reply, err)
+	}
+	if got := ks[0].Counters()[stats.CDropStrayReply]; got != 1 {
+		t.Fatalf("drop.stray_reply = %d, want 1", got)
+	}
+}
+
+// TestBlockedHandlersNeverStarveARequest: more handlers than the kernel
+// retains workers are blocked at once, each in a nested Call whose
+// handler must run on the same kernel, and those inner handlers in turn
+// all wait for each other. It completes only if no request ever waits
+// for a worker — every one finds a parked goroutine or gets a fresh
+// one.
+func TestBlockedHandlersNeverStarveARequest(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const callers = 3 * handlerWorkers
+			ks, _ := newTestKernels(t, 2)
+			var arrived atomic.Int32
+			all := make(chan struct{}) // closed when every inner handler is running
+			var release sync.Once
+			ks[1].Handle(msg.KindPing, msg.KindPing+2, func(k *Kernel, req *msg.Msg) {
+				switch req.Kind {
+				case msg.KindPing:
+					if _, err := k.Call(k.Node(), msg.KindPing+1, nil); err != nil {
+						t.Errorf("nested call: %v", err)
+					}
+				case msg.KindPing + 1:
+					if arrived.Add(1) == callers {
+						release.Do(func() { close(all) })
+					}
+					<-all // every outer handler is blocked by now
+				}
+				k.Reply(req, nil)
+			})
+			// Warm the workers up first, so the burst below meets parked
+			// workers, busy workers and none at all.
+			for i := 0; i < 2*handlerWorkers; i++ {
+				if _, err := ks[0].Call(1, msg.KindPing+2, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				var wg sync.WaitGroup
+				for i := 0; i < callers; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, err := ks[0].Call(1, msg.KindPing, nil); err != nil {
+							t.Errorf("call: %v", err)
+						}
+					}()
+				}
+				wg.Wait()
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Errorf("blocked handlers starved the requests that would unblock them: %d of %d inner handlers running",
+					arrived.Load(), callers)
+				release.Do(func() { close(all) }) // let the kernels shut down
+			}
+		})
+	}
+}
+
+// TestCloseLeavesNoGoroutines: the handler workers are the kernel's and
+// exit with it — after Close and Wait nothing it started is left.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	net := transport.NewChanNetwork(2, transport.CostModel{})
+	k0, k1 := New(net, 0), New(net, 1)
+	k1.Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) { k.Reply(req, nil) })
+	for i := 0; i < 4*handlerWorkers; i++ {
+		if _, err := k0.Call(1, msg.KindPing, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k0.Close()
+	k1.Close()
+	net.Close()
+	k0.Wait()
+	k1.Wait()
+	// Wait returns when a goroutine's last deferred call has run, a
+	// moment before the runtime has retired it.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before, %d after Close and Wait", before, after)
 	}
 }
 
