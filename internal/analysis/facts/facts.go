@@ -105,12 +105,15 @@ func IsExemptFromBlockingRule(key string) bool {
 // before a second witness path closes a cycle.
 var LockLevels = map[string]int{
 	// Fences and front doors: deliberately held across whole rounds
-	// (relay/push fences, the SPMD gate), so everything else must nest
-	// inside them.
+	// (flush/relay fences, the SPMD gate), so everything else must nest
+	// inside them. A flush takes the flush locks (Obj.pushMu) of every
+	// object it drained before it captures anything and keeps them across
+	// the merge of the objects homed locally, which takes their relayMu;
+	// no handler takes a pushMu, so the order is never reversed.
+	"munin/internal/protocol.Obj.pushMu":       8,
 	"munin/internal/protocol.dirEntry.relayMu": 10,
 	"munin/internal/core.System.mu":            10,
 	"munin/internal/core.System.gateMu":        10,
-	"munin/internal/protocol.Obj.pushMu":       12,
 
 	// Protocol directory and object state: the home pins an ownership
 	// round under dirEntry.mu and mutates objects (Obj.mu) inside it.

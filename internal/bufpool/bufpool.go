@@ -1,6 +1,6 @@
 // Package bufpool is the buffer arena behind the zero-allocation flush
 // pipeline: a set of size-classed sync.Pools handing out reusable byte
-// buffers for twins, diff span data, and marshalled message bodies.
+// buffers for update span data and marshalled message bodies.
 //
 // The hot path discipline (see docs/ARCHITECTURE.md, "Buffer ownership
 // & lifecycle") is strict single-owner: whoever holds the *Buffer may

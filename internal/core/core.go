@@ -295,7 +295,7 @@ func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts pro
 	}
 	s.recordSetup("alloc", name, size, uint8(hint),
 		int64(opts.Home), uint32(opts.Lock), uint8(opts.Update),
-		opts.Dynamic, opts.ForceReplicated, opts.JoinGap, uint8(opts.Engine), len(init))
+		opts.Dynamic, opts.ForceReplicated, uint8(opts.Engine), len(init))
 	s.recordSetupRaw(init)
 	meta := protocol.Meta{ID: id, Name: name, Size: size, Annot: hint, Opts: opts}
 	if s.self >= 0 {

@@ -3,9 +3,9 @@
 // When the thread modifies a write-buffered object (write-many, result),
 // the object is marked dirty in the queue; nothing is sent. When the
 // thread synchronizes — lock acquire or release, barrier, thread exit —
-// the pending set is propagated as one combined update (a diff against
-// the object's twin) per dirty object, in the order the objects were
-// first modified.
+// the pending set is propagated as one combined update (the bytes the
+// object's dirty set recorded) per dirty object, in the order the
+// objects were first modified.
 //
 // The queue is a planning structure, not an emitter. The protocol layer
 // flushes in two steps: DrainInto returns the dirty set in
@@ -66,8 +66,9 @@ func New() *Queue {
 func (q *Queue) Shard() uint32 { return q.shard }
 
 // MarkDirty records that obj was modified by this thread. It returns
-// true if this is the first modification of obj since the last flush
-// (i.e. the caller should snapshot a twin if the protocol needs one).
+// true if this is the first modification of obj by this thread since its
+// last flush (which bytes were written is the object's dirty set's to
+// know, not the queue's).
 func (q *Queue) MarkDirty(obj memory.ObjectID) (first bool) {
 	q.writes++
 	if q.dirty[obj] {

@@ -1,21 +1,24 @@
 // Package memory provides the shared-object data model the coherence
-// protocols operate on: byte-addressed object copies, twins (snapshots
-// taken before buffered writes), and diffs (the minimal byte spans that
-// changed relative to a twin).
+// protocols operate on: byte-addressed object copies, spans (contiguous
+// runs of modified bytes, and their wire codec), and the dirty set (which
+// bytes of a copy this node's buffered writes have stored since the last
+// flush).
 //
-// Twins and diffs are the machinery behind the paper's delayed update
-// mechanism: a write-shared object is snapshotted on the first write of a
-// synchronization interval; when the delayed update queue flushes, the
-// runtime encodes only the spans that differ and ships those. Multiple
-// writes to the same object in one interval therefore collapse into one
-// message ("delaying updates allows the system to combine updates to the
-// same object").
+// Spans and the dirty set are the machinery behind the paper's delayed
+// update mechanism. Munin found an interval's writes by diffing the object
+// against a twin, because a page-protection trap says which page was
+// written, never which bytes; here every write is a call that knows its
+// range, so Dirty.Write records the range as it stores the bytes, and when
+// the delayed update queue flushes, Dirty.Take reads the spans off and
+// copies their bytes once from the live copy. Multiple writes to the same
+// object in one interval collapse into one message ("delaying updates
+// allows the system to combine updates to the same object"), and only a
+// local write can add to the set, so an update received from another node
+// can never ride this node's next flush.
 //
-// The flush hot path runs Diff on every dirty object per synchronization
-// point, so Diff is written allocation-free: the caller supplies span and
-// byte scratch (normally pooled via internal/bufpool) and Diff appends
-// into them. DiffAlloc keeps the old allocate-per-call shape for the
-// home's race diagnostic and tests.
+// Diff, MakeTwin and MakeTwinInto remain only because benchmark/probes.go
+// times them and the dirty set's property test uses Diff as its reference;
+// nothing on the flush path calls them.
 package memory
 
 import (
@@ -116,14 +119,6 @@ func Diff(dst []Span, buf []byte, twin, cur []byte, joinGap int) ([]Span, []byte
 	return dst, buf
 }
 
-// DiffAlloc is Diff with fresh allocations — the pre-pooling shape, kept
-// for the home merge's overlapping-update diagnostic and tests. Returns
-// nil when nothing differs.
-func DiffAlloc(twin, cur []byte, joinGap int) []Span {
-	spans, _ := Diff(nil, nil, twin, cur, joinGap)
-	return spans
-}
-
 // ApplySpans writes each span into dst. Panics if a span exceeds dst.
 func ApplySpans(dst []byte, spans []Span) {
 	for _, s := range spans {
@@ -160,22 +155,6 @@ func CloneSpans(spans []Span) []Span {
 		out[i] = Span{Off: s.Off, Data: buf[off:len(buf):len(buf)]}
 	}
 	return out
-}
-
-// Overlap reports whether any span in a overlaps any span in b.
-// Properly synchronized programs produce non-overlapping concurrent
-// diffs; the write-many protocol uses this to detect data races when
-// merging (a diagnostic the paper's loose-coherence definition permits
-// either way, but surfacing it helps users).
-func Overlap(a, b []Span) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x.Off < y.End() && y.Off < x.End() {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // EncodedSpansSize returns the exact wire size of EncodeSpans(spans),

@@ -10,9 +10,15 @@ import (
 	"munin/internal/msg"
 )
 
+// diffFresh is Diff into fresh storage; nil when nothing differs.
+func diffFresh(twin, cur []byte, joinGap int) []Span {
+	spans, _ := Diff(nil, nil, twin, cur, joinGap)
+	return spans
+}
+
 func TestDiffIdentical(t *testing.T) {
 	a := []byte{1, 2, 3, 4}
-	if spans := DiffAlloc(a, append([]byte(nil), a...), 0); spans != nil {
+	if spans := diffFresh(a, append([]byte(nil), a...), 0); spans != nil {
 		t.Fatalf("diff of identical = %v, want nil", spans)
 	}
 }
@@ -20,7 +26,7 @@ func TestDiffIdentical(t *testing.T) {
 func TestDiffSingleByte(t *testing.T) {
 	twin := []byte{0, 0, 0, 0}
 	cur := []byte{0, 9, 0, 0}
-	spans := DiffAlloc(twin, cur, 0)
+	spans := diffFresh(twin, cur, 0)
 	if len(spans) != 1 || spans[0].Off != 1 || !bytes.Equal(spans[0].Data, []byte{9}) {
 		t.Fatalf("spans = %v", spans)
 	}
@@ -31,7 +37,7 @@ func TestDiffMultipleRuns(t *testing.T) {
 	cur := make([]byte, 10)
 	cur[0], cur[1] = 1, 1
 	cur[8], cur[9] = 2, 2
-	spans := DiffAlloc(twin, cur, 0)
+	spans := diffFresh(twin, cur, 0)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v, want 2 runs", spans)
 	}
@@ -45,10 +51,10 @@ func TestDiffJoinGapMergesNearbyRuns(t *testing.T) {
 	cur := make([]byte, 10)
 	cur[0] = 1
 	cur[3] = 1 // 2 equal bytes between runs
-	if spans := DiffAlloc(twin, cur, 0); len(spans) != 2 {
+	if spans := diffFresh(twin, cur, 0); len(spans) != 2 {
 		t.Fatalf("gap=0 spans = %v, want 2", spans)
 	}
-	spans := DiffAlloc(twin, cur, 4)
+	spans := diffFresh(twin, cur, 4)
 	if len(spans) != 1 {
 		t.Fatalf("gap=4 spans = %v, want 1 merged", spans)
 	}
@@ -63,7 +69,7 @@ func TestDiffLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	DiffAlloc([]byte{1}, []byte{1, 2}, 0)
+	diffFresh([]byte{1}, []byte{1, 2}, 0)
 }
 
 func TestApplySpansReconstructs(t *testing.T) {
@@ -80,7 +86,7 @@ func TestApplySpansReconstructs(t *testing.T) {
 		for i := 0; i < n/4; i++ {
 			cur[rng.Intn(max(n, 1))] = byte(rng.Int())
 		}
-		spans := DiffAlloc(twin, cur, int(gap8)%8)
+		spans := diffFresh(twin, cur, int(gap8)%8)
 		got := append([]byte(nil), twin...)
 		ApplySpans(got, spans)
 		return bytes.Equal(got, cur)
@@ -106,21 +112,6 @@ func TestSpanBytes(t *testing.T) {
 	}
 	if SpanBytes(nil) != 0 {
 		t.Fatal("SpanBytes(nil) != 0")
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	a := []Span{{0, make([]byte, 4)}} // [0,4)
-	b := []Span{{4, make([]byte, 2)}} // [4,6) — adjacent, not overlapping
-	c := []Span{{3, make([]byte, 2)}} // [3,5) — overlaps a and b
-	if Overlap(a, b) {
-		t.Fatal("adjacent spans reported overlapping")
-	}
-	if !Overlap(a, c) || !Overlap(c, b) {
-		t.Fatal("overlapping spans not detected")
-	}
-	if Overlap(nil, a) {
-		t.Fatal("nil overlap")
 	}
 }
 
@@ -169,7 +160,7 @@ func TestDiffProperty_SpansMinimalWithZeroGap(t *testing.T) {
 			p := rng.Intn(n)
 			cur[p] ^= byte(rng.Intn(255) + 1)
 		}
-		for _, s := range DiffAlloc(twin, cur, 0) {
+		for _, s := range diffFresh(twin, cur, 0) {
 			for i, b := range s.Data {
 				if twin[s.Off+i] == b {
 					return false
@@ -206,7 +197,7 @@ func TestMakeTwinInto(t *testing.T) {
 }
 
 // TestDiffScratchEquivalence pins the pooled Diff (word-at-a-time equal
-// scan into caller scratch) against DiffAlloc across random inputs,
+// scan into caller scratch) against a Diff into fresh storage across random inputs,
 // lengths straddling the 8-byte word boundary, and all small joinGaps.
 func TestDiffScratchEquivalence(t *testing.T) {
 	f := func(seed int64, gap8 uint8) bool {
@@ -220,7 +211,7 @@ func TestDiffScratchEquivalence(t *testing.T) {
 			cur[rng.Intn(max(n, 1))] = byte(rng.Int())
 		}
 		gap := int(gap8) % 8
-		want := DiffAlloc(twin, cur, gap)
+		want := diffFresh(twin, cur, gap)
 		spans, buf := Diff(make([]Span, 0, 4), make([]byte, 0, 64), twin, cur, gap)
 		if SpanBytes(spans) != len(buf) {
 			return false
@@ -248,7 +239,7 @@ func TestDiffWordBoundaries(t *testing.T) {
 			twin := make([]byte, n)
 			cur := make([]byte, n)
 			cur[at] = 0xAA
-			spans := DiffAlloc(twin, cur, 0)
+			spans := diffFresh(twin, cur, 0)
 			if len(spans) != 1 || spans[0].Off != at || len(spans[0].Data) != 1 {
 				t.Fatalf("n=%d at=%d: spans = %v", n, at, spans)
 			}
@@ -408,18 +399,9 @@ func BenchmarkDiffScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkDiffAlloc(b *testing.B) {
-	twin, cur := benchPair(4096, 512)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = DiffAlloc(twin, cur, 8)
-	}
-}
-
 func BenchmarkSpanEncode(b *testing.B) {
 	twin, cur := benchPair(4096, 512)
-	spans := DiffAlloc(twin, cur, 8)
+	spans := diffFresh(twin, cur, 8)
 	enc := msg.NewBuilder(EncodedSpansSize(spans))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -430,7 +412,7 @@ func BenchmarkSpanEncode(b *testing.B) {
 
 func BenchmarkSpanDecodeInto(b *testing.B) {
 	twin, cur := benchPair(4096, 512)
-	spans := DiffAlloc(twin, cur, 8)
+	spans := diffFresh(twin, cur, 8)
 	enc := msg.NewBuilder(EncodedSpansSize(spans))
 	EncodeSpans(enc, spans)
 	wire := enc.Bytes()

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,7 +47,7 @@ func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 // synchronizes").
 //
 // The flush is planned as a whole (duq.DrainInto) and batched: write-many
-// and result diffs are grouped by home node, producer-consumer pushes
+// and result updates are grouped by home node, producer-consumer pushes
 // by consumer set, and one message per destination carries that
 // destination's entries in first-modification order. Batches to
 // distinct destinations go out concurrently; the flush returns only
@@ -90,7 +92,7 @@ func (n *Node) FlushQueue(q *duq.Queue) {
 //
 // Every destination is attempted even when one fails, so healthy homes
 // still receive their batches. The drained entries are then committed
-// regardless: their diffs were consumed by the attempt, and a latched
+// regardless: their dirty sets were taken by the attempt, and a latched
 // peer cannot receive them later anyway (even a reconnect replays
 // nothing), so leaving them queued would only make a retry succeed
 // vacuously. The returned error is the loss report.
@@ -113,15 +115,17 @@ func (n *Node) TryFlushQueue(q *duq.Queue) error {
 }
 
 // flushScratch is the reusable state of one batched flush: the drained
-// dirty set, the span and span-data arenas every diff appends into, the
-// per-destination grouping, and the await list. Entries and spans alias
-// the arenas, which outlive the whole flush (the scratch is returned to
-// the pool only after every destination settled), so a steady-state
-// flush plans and diffs without allocating. Concurrent flushing threads
-// each take their own scratch.
+// object IDs, the flush-lock list, the span and span-data arenas every
+// object's dirty set is read off into, the per-destination grouping, and
+// the await list. Entries and spans alias the arenas, which outlive the
+// whole flush (the scratch is returned to the pool only after every
+// destination settled), so a steady-state flush locks, plans and captures
+// without allocating. Concurrent flushing threads each take their own
+// scratch.
 type flushScratch struct {
 	ids      []memory.ObjectID
-	spans    []memory.Span // span arena; per-object diffs subslice it
+	objs     []*Obj        // the drained objects in ID order: the flush locks held
+	spans    []memory.Span // span arena; per-object updates subslice it
 	buf      []byte        // span-data arena behind the spans
 	entries  []dstEntry    // planned emissions in first-modification order
 	dstOrder []msg.NodeID  // distinct homes in first-appearance order
@@ -153,7 +157,7 @@ func putFlushScratch(fs *flushScratch) {
 	// the awaits: they hold Pendings and closures that would otherwise
 	// outlive their flush inside the pool.
 	clear(fs.awaits)
-	fs.ids, fs.spans, fs.buf = fs.ids[:0], fs.spans[:0], fs.buf[:0]
+	fs.ids, fs.objs, fs.spans, fs.buf = fs.ids[:0], fs.objs[:0], fs.spans[:0], fs.buf[:0]
 	fs.entries, fs.dstOrder = fs.entries[:0], fs.dstOrder[:0]
 	fs.grouped, fs.groups, fs.awaits = fs.grouped[:0], fs.groups[:0], fs.awaits[:0]
 	flushScratchPool.Put(fs)
@@ -171,6 +175,29 @@ type pcGroup struct {
 // error means some destination could not be reached or did not
 // acknowledge — notably *transport.ErrPeerDown from a dead peer.
 func (n *Node) flushBatched(fs *flushScratch) error {
+	// The flush lock of every drained object is taken before anything is
+	// captured and held until the last acknowledgment, in object-ID order
+	// (concurrent flushes lock in the same order, so overlapping dirty
+	// sets cannot deadlock). One rule for all three delayed-update
+	// annotations: this node's updates to an object reach its home, or
+	// its consumers, in the order they were captured — an older capture
+	// can never land on top of a newer one — and a thread whose bytes
+	// were taken by a co-located thread's flush waits here until that
+	// flush is acknowledged, so it cannot pass its sync point before its
+	// writes are visible.
+	for _, id := range fs.ids {
+		fs.objs = append(fs.objs, n.mustObj(id))
+	}
+	slices.SortFunc(fs.objs, func(a, b *Obj) int { return cmp.Compare(a.meta.ID, b.meta.ID) })
+	for _, o := range fs.objs {
+		o.pushMu.Lock()
+	}
+	defer func() {
+		for _, o := range fs.objs {
+			o.pushMu.Unlock()
+		}
+	}()
+
 	// Producer-consumer planning state is built lazily: the steady-state
 	// write-many/result flush (the allocation-gated hot path) never
 	// touches it.
@@ -182,9 +209,11 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 		o := n.mustObj(id)
 		switch o.meta.Annot {
 		case WriteMany, Result:
-			spans := n.takeDiff(fs, o)
+			o.mu.Lock()
+			spans := o.takeDirty(fs)
+			o.mu.Unlock()
 			if len(spans) == 0 {
-				continue
+				continue // a co-located thread's flush took the set, or nothing changed
 			}
 			n.C.Add(stats.CDiffSent, 1)
 			n.C.Add(stats.CDiffBytes, int64(memory.SpanBytes(spans)))
@@ -244,51 +273,21 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 	if work == 0 {
 		return nil
 	}
-	// The flush is fully planned (diffs taken, batches grouped) but
-	// nothing has been handed to the wire yet: a member dying here
-	// loses the whole drained dirty set.
+	// The flush is fully planned (write-many and result updates captured,
+	// batches grouped) but nothing has been handed to the wire yet: a
+	// member dying here loses the whole drained dirty set.
 	failpoint.Hit(failpoint.FlushPlanned)
 	if work > 1 {
 		n.C.Add(stats.CFlushPipelined, 1)
 	}
-
-	// Every producer-consumer object's pushMu is taken up front, in
-	// global object-ID order (concurrent flushes from other threads
-	// lock in the same order, so overlapping dirty sets cannot
-	// deadlock), and held until the last acknowledgment: consumers see
-	// each object's sequence numbers in order, and an acknowledged push
-	// implies all earlier pushes landed.
-	var pcObjs []*Obj
-	for _, key := range pcOrder {
-		pcObjs = append(pcObjs, pcGroups[key].objs...)
-	}
-	sort.Slice(pcObjs, func(i, j int) bool { return pcObjs[i].meta.ID < pcObjs[j].meta.ID })
-	pcLocked := make(map[*Obj]bool, len(pcObjs))
-	for _, o := range pcObjs {
-		o.pushMu.Lock()
-		pcLocked[o] = true
-	}
-	unlockGroup := func(g *pcGroup) {
-		for _, o := range g.objs {
-			if pcLocked[o] {
-				o.pushMu.Unlock()
-				delete(pcLocked, o)
-			}
-		}
-	}
-	defer func() {
-		for o := range pcLocked {
-			o.pushMu.Unlock()
-		}
-	}()
 
 	// Start phase: every destination's batch is enqueued on the
 	// transport's coalescing writer — nothing blocks on the wire, so
 	// distinct destinations coalesce in the per-peer writers instead of
 	// fanning out over ad-hoc goroutines. A destination that fails to
 	// start (its peer's wire is already latched down) is recorded but
-	// does NOT abort the others: the planning loop above consumed every
-	// object's twin, so the only way to not lose the healthy
+	// does NOT abort the others: the planning loop above took every
+	// object's dirty set, so the only way to not lose the healthy
 	// destinations' updates is to keep going and report the failure at
 	// the end.
 	var firstErr error
@@ -305,15 +304,9 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 		}
 		fs.awaits = append(fs.awaits, a)
 	}
-	type pcStarted struct {
-		g      *pcGroup
-		awaits []flushAwait
-	}
-	var pcAwaits []pcStarted
 	for _, key := range pcOrder {
-		g := pcGroups[key]
-		as, err := n.startPushBatch(fs, g)
-		pcAwaits = append(pcAwaits, pcStarted{g: g, awaits: as})
+		as, err := n.startPushBatch(fs, pcGroups[key])
+		fs.awaits = append(fs.awaits, as...)
 		if err != nil && !n.relayBenign(err) {
 			noteErr(err)
 		}
@@ -349,18 +342,6 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 		}
 		return nil
 	}
-	// Producer-consumer groups settle first (in flush order), each
-	// releasing its objects' pushMu once its own acks have landed —
-	// before the write-many diff round trips are waited on. A group
-	// later in the order still waits out earlier groups' acks; fully
-	// independent release would need per-group settlement goroutines,
-	// which is exactly the fan-out this path removed.
-	for _, ps := range pcAwaits {
-		for _, a := range ps.awaits {
-			noteErr(settle(a))
-		}
-		unlockGroup(ps.g)
-	}
 	for _, a := range fs.awaits {
 		noteErr(settle(a))
 	}
@@ -377,20 +358,15 @@ type flushAwait struct {
 	benign bool
 }
 
-// takeDiff consumes o's twin, appending the combined update spans to
-// the flush scratch arenas, and returns the object's subslice (nil if
-// another thread's flush already consumed the twin or every buffered
-// write was a no-op). The subslice is three-index so later arena growth
-// cannot scribble over it.
-func (n *Node) takeDiff(fs *flushScratch, o *Obj) []memory.Span {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.twin == nil {
-		return nil
-	}
+// takeDirty reads o's dirty set off into the flush scratch arenas and
+// empties it, copying the bytes once from o.data, and returns the
+// object's subslice of the span arena — empty if a co-located thread's
+// flush already took the set or no buffered write changed a byte. The
+// subslice is three-index so later arena growth cannot scribble over it.
+// Caller holds o.mu.
+func (o *Obj) takeDirty(fs *flushScratch) []memory.Span {
 	lo := len(fs.spans)
-	fs.spans, fs.buf = memory.Diff(fs.spans, fs.buf, o.twin, o.data, o.meta.Opts.JoinGap)
-	o.dropTwin()
+	fs.spans, fs.buf = o.dirty.Take(fs.spans, fs.buf, o.data)
 	return fs.spans[lo:len(fs.spans):len(fs.spans)]
 }
 
@@ -484,11 +460,10 @@ func memberKey(members []msg.NodeID) string {
 
 // startPushBatch stamps one producer-consumer group's updates and
 // enqueues them — the shared-destination batch plus any solo pushes —
-// on the coalescing writer. The caller (flushBatched) already holds
-// every group object's pushMu and keeps holding it until the awaits
-// returned here are acknowledged: consumers see each object's sequence
-// numbers in order, and an acknowledged push implies all earlier pushes
-// landed.
+// on the coalescing writer. The caller (flushBatched) holds every group
+// object's flush lock until the awaits returned here are acknowledged:
+// consumers see each object's sequence numbers in order, and an
+// acknowledged push implies all earlier pushes landed.
 func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error) {
 	groupKey := memberKey(g.members)
 	type solo struct {
@@ -499,14 +474,7 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 	var solos []solo
 	for _, o := range g.objs { // first-modification order
 		o.mu.Lock()
-		if o.twin == nil {
-			o.mu.Unlock()
-			continue
-		}
-		lo := len(fs.spans)
-		fs.spans, fs.buf = memory.Diff(fs.spans, fs.buf, o.twin, o.data, o.meta.Opts.JoinGap)
-		o.dropTwin()
-		spans := fs.spans[lo:len(fs.spans):len(fs.spans)]
+		spans := o.takeDirty(fs)
 		if len(spans) == 0 {
 			o.mu.Unlock()
 			continue
@@ -753,8 +721,8 @@ func (n *Node) Evict(id memory.ObjectID) {
 }
 
 // ---------------------------------------------------------------------
-// Write-many and result (§3.3.2, §3.2): buffered writes against a twin,
-// propagated as diffs when the thread synchronizes.
+// Write-many and result (§3.3.2, §3.2): buffered writes recorded in the
+// object's dirty set, propagated as spans when the thread synchronizes.
 
 func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	o.mu.Lock()
@@ -763,19 +731,21 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 		n.ensureReadable(o)
 		o.mu.Lock()
 	}
-	q.MarkDirty(o.meta.ID)
-	// The twin is per-node while dirty marks are per-thread: another
-	// thread's flush may have consumed the twin this thread's mark was
-	// relying on, so a missing twin must be resnapshotted regardless of
-	// whether the mark was fresh — otherwise writes after a co-located
-	// thread's flush would never be diffed.
-	if o.twin == nil {
-		o.snapTwin()
-		n.C.Add(stats.CTwin, 1)
-	}
-	copy(o.data[off:], data)
+	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
 	n.writeBuffered.AddShard(q.Shard(), 1)
+}
+
+// storeBuffered is the one place a delayed-update write lands: it queues
+// the object for the thread's next flush, stores the bytes in the local
+// copy and records them in the object's dirty set. A store that changes
+// nothing records nothing (memory.Dirty.Write), so it stays unsent.
+// Caller holds o.mu and has made the local copy valid.
+func (n *Node) storeBuffered(q *duq.Queue, o *Obj, off int, data []byte) {
+	q.MarkDirty(o.meta.ID)
+	if o.dirty.Write(o.data, off, data) {
+		n.C.Add(stats.CTwin, 1) // clean -> dirty; benchmark/ reads it under this name
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -789,17 +759,12 @@ func (n *Node) producerWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	if !o.isProducer && o.state == Invalid {
 		// First touch by the producing node: fetch current contents
 		// (producers usually wrote it first, via Alloc at home, but a
-		// non-home producer needs a copy to diff against).
+		// non-home producer needs a copy to write into).
 		o.mu.Unlock()
 		n.becomeProducer(o)
 		o.mu.Lock()
 	}
-	q.MarkDirty(o.meta.ID)
-	if o.twin == nil { // see bufferedWrite: twin is per-node
-		o.snapTwin()
-		n.C.Add(stats.CTwin, 1)
-	}
-	copy(o.data[off:], data)
+	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
 	n.writeBuffered.AddShard(q.Shard(), 1)
 }

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -14,35 +13,32 @@ import (
 )
 
 // TestFlushPlanEncodeZeroAllocs pins the protocol half of the
-// zero-copy flush pipeline: in steady state, taking a twin snapshot,
-// diffing into the pooled flush scratch, and encoding the complete
-// wire message into a pooled buffer performs zero heap allocations.
-// (The vkernel call bookkeeping and the transport writer are measured
-// separately; this is the plan+encode stage TryFlushQueue runs.)
+// zero-copy flush pipeline: in steady state, recording buffered writes
+// in the object's dirty set, reading the set off into the pooled flush
+// scratch, and encoding the complete wire message into a pooled buffer
+// performs zero heap allocations. (The vkernel call bookkeeping and the
+// transport writer are measured separately; this is the plan+encode
+// stage TryFlushQueue runs.)
 func TestFlushPlanEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
+	n := new(Node)
+	q := duq.New()
 	o := &Obj{data: make([]byte, 4096)}
+	var v [1]byte
 	step := func() {
 		fs := getFlushScratch()
 		defer putFlushScratch(fs)
+		v[0]++
 		o.mu.Lock()
-		o.snapTwin()
 		for i := 0; i < len(o.data); i += 256 {
-			o.data[i]++
+			n.storeBuffered(q, o, i, v[:])
 		}
+		spans := o.takeDirty(fs)
 		o.mu.Unlock()
-		// The takeDiff body, minus the Node: diff into the arenas and
-		// return the twin's pooled buffer.
-		o.mu.Lock()
-		lo := len(fs.spans)
-		fs.spans, fs.buf = memory.Diff(fs.spans, fs.buf, o.twin, o.data, 0)
-		o.dropTwin()
-		spans := fs.spans[lo:len(fs.spans):len(fs.spans)]
-		o.mu.Unlock()
-		if len(spans) == 0 {
-			t.Fatal("diff found no spans")
+		if len(spans) != len(o.data)/256 {
+			t.Fatalf("took %d spans, want %d", len(spans), len(o.data)/256)
 		}
 		// Encode both shapes: a batch of one and a batch of two. Both
 		// are kindDiffBatch payloads led by their entry count.
@@ -67,41 +63,44 @@ func TestFlushPlanEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTwinPoolLifecycle verifies the pooled twin discipline: snapTwin
-// captures the data snapshot into an arena buffer, repeated snaps
-// reuse that buffer, and dropTwin both clears the twin and returns the
-// buffer so a later snap can pool-hit.
-func TestTwinPoolLifecycle(t *testing.T) {
-	o := &Obj{data: []byte("the quick brown fox")}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-
-	o.snapTwin()
-	if !bytes.Equal(o.twin, o.data) {
-		t.Fatalf("twin %q != data %q", o.twin, o.data)
+// TestDirtySetLifecycle follows one object's dirty set through the real
+// write and flush calls: allocation leaves it empty, the first changing
+// write makes the object dirty (counted once, under the counter name the
+// twin left behind), a store of the bytes already there does not, a flush
+// takes the set, and the next write starts a new interval.
+func TestDirtySetLifecycle(t *testing.T) {
+	r := newRig(t, 2)
+	r.alloc(2, "wm", 16, WriteMany, DefaultOptions(), nil) // home = node 0
+	n, q := r.nodes[1], duq.New()
+	o := n.mustObj(2)
+	dirty := func() bool {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return !o.dirty.Empty()
 	}
-	buf := o.twinBuf
-	if buf == nil {
-		t.Fatal("snapTwin left twinBuf nil")
+	if dirty() {
+		t.Fatal("a freshly allocated object is dirty")
 	}
-
-	// Mutate: the twin must keep the snapshot.
-	o.data[4] = 'Q'
-	if o.twin[4] != 'q' {
-		t.Fatal("twin aliases live data")
+	n.Write(q, 2, 0, u64bytes(0)) // faults the copy in, changes nothing
+	if dirty() || n.C.Get("twin") != 0 {
+		t.Fatalf("a store of the bytes already there: dirty=%v, twin=%d", dirty(), n.C.Get("twin"))
 	}
-
-	// A second snap on a still-armed twin reuses the same buffer.
-	o.snapTwin()
-	if o.twinBuf != buf {
-		t.Fatal("re-snap did not reuse the held twin buffer")
+	n.Write(q, 2, 0, u64bytes(7))
+	n.Write(q, 2, 8, u64bytes(9))
+	if !dirty() || n.C.Get("twin") != 1 {
+		t.Fatalf("after two changing writes: dirty=%v, twin=%d, want true, 1", dirty(), n.C.Get("twin"))
 	}
-
-	o.dropTwin()
-	if o.twin != nil || o.twinBuf != nil {
-		t.Fatalf("dropTwin left twin=%v twinBuf=%v", o.twin, o.twinBuf)
+	n.FlushQueue(q)
+	if dirty() {
+		t.Fatal("the flush left the set non-empty")
 	}
-	o.dropTwin() // idempotent
+	if got := n.C.Get("diff.bytes"); got != 2 {
+		t.Fatalf("diff.bytes = %d, want 2 (the low byte of each word)", got)
+	}
+	n.Write(q, 2, 0, u64bytes(8))
+	if !dirty() || n.C.Get("twin") != 2 {
+		t.Fatalf("first write of the next interval: dirty=%v, twin=%d, want true, 2", dirty(), n.C.Get("twin"))
+	}
 }
 
 // BenchmarkEncodeDiffBatch measures the one-pass pooled encode of a

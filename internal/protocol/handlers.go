@@ -373,9 +373,10 @@ func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeI
 	d.mu.Lock()
 	o.mu.Lock()
 	if !alreadyApplied {
-		if o.twin != nil && memory.Overlap(e.spans, memory.DiffAlloc(o.twin, o.data, 0)) {
-			// Diagnostic only: concurrent overlapping updates mean the
-			// application raced (loose coherence allows either value).
+		if o.dirty.Touches(e.spans) {
+			// Diagnostic only: an incoming update to bytes this node has
+			// written and not yet flushed means the application raced
+			// (loose coherence allows either value).
 			n.C.Add(stats.CRaceDetected, 1)
 		}
 		memory.ApplySpans(o.data, e.spans)
@@ -661,7 +662,7 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 		n.C.Add(stats.CApplyGap, 1)
 		o.pendApply[seq] = memory.CloneSpans(spans) // see the Invalid case
 
-		if o.meta.Annot == ProducerConsumer && !o.isProducer && o.twin == nil {
+		if o.meta.Annot == ProducerConsumer && !o.isProducer && o.dirty.Empty() {
 			o.state = Invalid
 			o.genInv++
 			o.mu.Unlock()

@@ -4,7 +4,7 @@
 //
 //	WriteOnce          replication on demand; copies are frozen snapshots read
 //	                   without a lock; pageout supported
-//	WriteMany          delayed updates (twin + diff through the DUQ)
+//	WriteMany          delayed updates (dirty set + spans through the DUQ)
 //	ProducerConsumer   eager object movement (direct multicast to consumers)
 //	Migratory          object rides inside lock-transfer messages
 //	Result             buffered writes merged at a single home copy
@@ -48,7 +48,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"munin/internal/bufpool"
 	"munin/internal/cluster"
 	"munin/internal/dlock"
 	"munin/internal/memory"
@@ -122,9 +121,6 @@ type Options struct {
 	// instead of remote load/store — the static other half of the
 	// §3.4.1 replication-vs-remote comparison.
 	ForceReplicated bool
-	// JoinGap folds diff runs separated by at most this many equal
-	// bytes into one span. Default 0 (exact diffs).
-	JoinGap int
 	// Engine selects the coherence engine for this object.
 	// EngineDefault (zero) defers to the node's per-annotation
 	// selection (SetAnnotationEngine), which itself defaults to the
@@ -206,11 +202,11 @@ type Obj struct {
 	// never publish. Under o.mu a valid write-once copy is exactly one
 	// of data (home, initialising) and snap (everything else).
 	snap frozen
-	// twin is the snapshot for delayed-update diffing; nil when clean.
-	// Its bytes live in twinBuf, a pooled buffer returned to the arena
-	// when the twin is consumed (snapTwin/dropTwin).
-	twin    []byte
-	twinBuf *bufpool.Buffer
+	// dirty is the set of bytes this node's buffered writes have stored
+	// in data since the last flush took it (delayed-update annotations).
+	// Only storeBuffered adds to it and only takeDirty empties it, so an
+	// update relayed or merged into data can never enter a flush.
+	dirty memory.Dirty
 
 	state    CopyState
 	fetching bool // a fetch/ownership request is in flight
@@ -236,8 +232,15 @@ type Obj struct {
 	// Producer-consumer producer-side state.
 	consumers  []msg.NodeID // cached consumer set
 	isProducer bool
-	prodSeq    uint64     // producer's outgoing update sequence
-	pushMu     sync.Mutex // serializes eager pushes from this node
+	prodSeq    uint64 // producer's outgoing update sequence
+
+	// pushMu is the flush lock of a delayed-update object: a flush holds
+	// it from before it takes the dirty set until the update is
+	// acknowledged, so this node's flushes of the object reach the home
+	// (or the consumers) in the order they were captured, and a thread
+	// whose bytes rode a co-located thread's flush cannot pass its own
+	// sync point before that flush is acknowledged.
+	pushMu sync.Mutex
 
 	registered bool // consumer has registered with home
 
@@ -265,27 +268,6 @@ type Obj struct {
 
 // Meta returns the object's metadata.
 func (o *Obj) Meta() Meta { return o.meta }
-
-// snapTwin snapshots o.data into a pooled twin buffer — the delayed
-// update mechanism's copy, taken on the first buffered write after a
-// flush. Caller holds o.mu.
-func (o *Obj) snapTwin() {
-	if o.twinBuf == nil {
-		o.twinBuf = bufpool.Get(len(o.data))
-	}
-	o.twin = memory.MakeTwinInto(o.twinBuf.B[:0], o.data)
-}
-
-// dropTwin consumes the twin and returns its buffer to the arena.
-// Caller holds o.mu. Safe immediately after diffing: memory.Diff copies
-// differing bytes into its own span buffer, so no span aliases the twin.
-func (o *Obj) dropTwin() {
-	o.twin = nil
-	if o.twinBuf != nil {
-		o.twinBuf.Release()
-		o.twinBuf = nil
-	}
-}
 
 // dirEntry is the home node's directory record for one object.
 type dirEntry struct {
@@ -708,7 +690,7 @@ func encodeAlloc(meta Meta, init []byte) []byte {
 	b := msg.NewBuilder(64 + len(init))
 	b.U32(uint32(meta.ID)).Str(meta.Name).Int(meta.Size).U8(uint8(meta.Annot))
 	b.I64(int64(meta.Opts.Home)).U32(uint32(meta.Opts.Lock)).U8(uint8(meta.Opts.Update))
-	b.Bool(meta.Opts.Dynamic).Bool(meta.Opts.ForceReplicated).Int(meta.Opts.JoinGap)
+	b.Bool(meta.Opts.Dynamic).Bool(meta.Opts.ForceReplicated)
 	b.U8(uint8(meta.Opts.Engine))
 	b.BytesN(init)
 	return b.Bytes()
@@ -726,7 +708,6 @@ func decodeAlloc(p []byte) (Meta, []byte) {
 	meta.Opts.Update = UpdateMode(r.U8())
 	meta.Opts.Dynamic = r.Bool()
 	meta.Opts.ForceReplicated = r.Bool()
-	meta.Opts.JoinGap = r.Int()
 	meta.Opts.Engine = EngineKind(r.U8())
 	init := r.BytesN() // install copies it; nothing here outlives the request
 	if r.Err() != nil {

@@ -698,7 +698,7 @@ func TestAnnotationAndModeStrings(t *testing.T) {
 
 func TestMetaRoundTripThroughAlloc(t *testing.T) {
 	meta := Meta{ID: 3, Name: "roundtrip", Size: 4, Annot: Migratory,
-		Opts: Options{Home: 1, Lock: 9, Update: Invalidate, Dynamic: true, JoinGap: 3,
+		Opts: Options{Home: 1, Lock: 9, Update: Invalidate, Dynamic: true,
 			Engine: EngineDirectory}}
 	init := []byte{1, 2, 3, 4}
 	gotMeta, gotInit := decodeAlloc(encodeAlloc(meta, init))
