@@ -3,12 +3,11 @@
 //
 // Usage:
 //
-//	munin-bench [-nodes N] [-exp F1|T1|E1|...|E17|all] [-json path]
+//	munin-bench [-nodes N] [-exp F1|T1|E1..E14|E16|E17|all]
 //
-// With -json, every experiment's headline metrics are also written to
-// the given file as a JSON array, so successive runs can be archived as
-// a perf trajectory (BENCH_*.json) and diffed across PRs
-// (cmd/perfdiff).
+// The tables are for reading. The figures in them that repeat from run
+// to run are asserted exactly by `go test ./internal/bench/`; wall-clock
+// performance is measured by benchmark/.
 //
 // # Multi-process mode
 //
@@ -30,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,24 +38,6 @@ import (
 	"munin/internal/msg"
 	"munin/internal/transport"
 )
-
-// jsonResult is the serialized form of one experiment's metrics.
-type jsonResult struct {
-	ID      string             `json:"id"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-func writeJSON(path string, results []*bench.Result) error {
-	out := make([]jsonResult, 0, len(results))
-	for _, r := range results {
-		out = append(out, jsonResult{ID: r.ID, Metrics: r.Metrics})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // meshMain runs one member of a multi-process cluster (see the package
 // comment). Node 0 serves as the home; any other node runs the flush
@@ -113,8 +93,7 @@ func main() {
 		return
 	}
 	nodes := flag.Int("nodes", 4, "number of simulated processors")
-	exp := flag.String("exp", "all", "experiment to run (F1, T1, E1..E17, or all)")
-	jsonPath := flag.String("json", "", "write experiment metrics to this file as JSON")
+	exp := flag.String("exp", "all", "experiment to run (F1, T1, E1..E14, E16, E17, or all)")
 	node := flag.Int("node", -1, "multi-process mode: this process's node ID")
 	listen := flag.String("listen", "", "multi-process mode: override this node's bind address")
 	peers := flag.String("peers", "", `multi-process mode: topology as "0=host:port,1=host:port,..."`)
@@ -133,7 +112,7 @@ func main() {
 		"E3": bench.E3, "E4": bench.E4, "E5": bench.E5, "E6": bench.E6,
 		"E7": bench.E7, "E8": bench.E8, "E9": bench.E9, "E10": bench.E10,
 		"E11": bench.E11, "E12": bench.E12, "E13": bench.E13, "E14": bench.E14,
-		"E15": bench.E15, "E16": bench.E16, "E17": bench.E17,
+		"E16": bench.E16, "E17": bench.E17,
 	}
 
 	var results []*bench.Result
@@ -142,18 +121,12 @@ func main() {
 	} else {
 		run, ok := runners[strings.ToUpper(*exp)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose F1, T1, E1..E17, or all\n", *exp)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose F1, T1, E1..E14, E16, E17, or all\n", *exp)
 			os.Exit(2)
 		}
 		results = []*bench.Result{run(*nodes)}
 	}
 	for _, r := range results {
 		fmt.Println(r)
-	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, results); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package counterreg implements the muninvet analyzer that keeps
 // counter names honest. Counter names are load-bearing strings: the
 // benchmark harness reads them back, the ARCHITECTURE.md table
-// documents them, and perfdiff gates derived metrics — so a typo in
-// an Inc/Add site silently creates a new counter and zeroes whatever
-// was reading the old one.
+// documents them, and the experiment tests pin figures derived from
+// them — so a typo in an Inc/Add site silently creates a new counter
+// and zeroes whatever was reading the old one.
 //
 // The rule: every compile-time-constant name reaching a stats.Set
 // sink (Add, Get, Counter, Sharded) or a vkernel Counters() map index must be

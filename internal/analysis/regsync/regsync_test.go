@@ -1,23 +1,19 @@
 // Package regsync holds the registry synchronization tests: the
 // counter registry in internal/stats must agree with the
-// docs/ARCHITECTURE.md counters table, and every perf-gate key in
-// internal/perfgate must still be emitted by the newest benchmark
-// trajectory file. Both are cheap pure-Go tests so they run under
-// plain `go test ./...` — a rename that would silently disable a
-// regression gate or orphan a docs row fails CI instead.
+// docs/ARCHITECTURE.md counters table in both directions (and, in
+// kindsync_test.go, the dispatched message kinds with its kinds table).
+// They are cheap pure-Go tests so they run under plain
+// `go test ./...` — a rename that would orphan a docs row fails CI
+// instead.
 package regsync
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
-	"munin/internal/perfgate"
 	"munin/internal/stats"
 )
 
@@ -107,77 +103,6 @@ func TestRegistryDocumented(t *testing.T) {
 	for _, name := range stats.Registered() {
 		if !documented[name] {
 			t.Errorf("counter %q is registered in internal/stats/names.go but missing from the ARCHITECTURE.md counters table", name)
-		}
-	}
-}
-
-// benchTrajectory is the BENCH_<n>.json shape munin-bench emits.
-type benchTrajectory []struct {
-	ID      string             `json:"id"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// newestBench loads the highest-numbered BENCH_<n>.json at the repo
-// root.
-func newestBench(t *testing.T) benchTrajectory {
-	t.Helper()
-	root := repoRoot(t)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nameRe := regexp.MustCompile(`^BENCH_(\d+)\.json$`)
-	best, bestN := "", -1
-	for _, e := range entries {
-		m := nameRe.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		if n, _ := strconv.Atoi(m[1]); n > bestN {
-			best, bestN = e.Name(), n
-		}
-	}
-	if best == "" {
-		t.Skip("no BENCH_<n>.json trajectory files at repo root")
-	}
-	data, err := os.ReadFile(filepath.Join(root, best))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traj benchTrajectory
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatalf("%s: %v", best, err)
-	}
-	return traj
-}
-
-// TestPerfgateKeysLive: every gate in the perfgate spec (headline and
-// absolute) must match at least one metric in the newest trajectory
-// file — a bench-side metric rename must not silently turn its
-// regression gate into a no-op.
-func TestPerfgateKeysLive(t *testing.T) {
-	traj := newestBench(t)
-	metricsOf := map[string][]string{}
-	for _, exp := range traj {
-		for k := range exp.Metrics {
-			metricsOf[exp.ID] = append(metricsOf[exp.ID], k)
-		}
-		sort.Strings(metricsOf[exp.ID])
-	}
-	var gates []perfgate.Gate
-	gates = append(gates, perfgate.Headline...)
-	gates = append(gates, perfgate.Absolute...)
-	for _, g := range gates {
-		found := false
-		for _, k := range metricsOf[g.Exp] {
-			if g.Match(k) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("perf gate %s matches no metric emitted by %s in the newest trajectory (keys: %v)",
-				g, g.Exp, metricsOf[g.Exp])
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"munin/internal/failpoint"
 )
 
 // TestMain lets E12 re-execute this test binary as its home/writer
@@ -15,9 +18,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The experiment assertions below are the reproduction criteria: not
-// absolute numbers, but the paper's shapes — who wins, by roughly what
-// factor, where crossovers fall.
+// The experiment assertions below are the reproduction criteria. Two
+// kinds: the paper's shapes — who wins, by roughly what factor, where
+// crossovers fall — and, for every figure the program determines, the
+// exact value. Messages and bytes moved are the machine-independent
+// cost the paper argues in, so where a count does not depend on the
+// schedule it is held with ==, not within a tolerance: a change that
+// moves one must say so here. The figures left to a shape test are the
+// ones that do not repeat (wall-clock readings, the Ivy baselines, the
+// dynamic-work-queue apps); ROADMAP.md's State section names them.
+
+// pinned asserts the figures of r that do not depend on the schedule:
+// each repeated bit for bit over 20 runs at each of GOMAXPROCS 1, 2
+// and 8 and 5 runs under the race detector, at the node count the
+// calling test uses.
+func pinned(t *testing.T, r *Result, want map[string]float64) {
+	t.Helper()
+	for k, w := range want {
+		if got, ok := r.Metrics[k]; !ok || got != w {
+			t.Errorf("%s: %s = %v (present: %v), want exactly %v", r.ID, k, got, ok, w)
+		}
+	}
+}
+
+// key names one figure of a family indexed by a swept parameter.
+func key(family string, k int) string { return fmt.Sprintf("%s.%d", family, k) }
 
 func TestF1LooseVsStrict(t *testing.T) {
 	r := F1(2)
@@ -48,6 +73,7 @@ func TestT1SharingStudyFindings(t *testing.T) {
 	if r.Table.NumRows() != 6 {
 		t.Fatalf("expected 6 programs, got %d rows", r.Table.NumRows())
 	}
+	pinned(t, r, map[string]float64{"worst.generalrw.pct": 0})
 }
 
 func TestE1MuninBeatsIvy(t *testing.T) {
@@ -60,6 +86,19 @@ func TestE1MuninBeatsIvy(t *testing.T) {
 			t.Errorf("%s: munin %v msgs >= ivy %v msgs", app, mu, iv)
 		}
 	}
+	// The two programs whose sharing is fixed by their text, and the
+	// hand-coded message-passing baselines (gauss and fft differ by a
+	// few messages with the order threads reach a barrier; qsort, tsp
+	// and mp's tsp hand out work from a shared queue).
+	pinned(t, r, map[string]float64{
+		"munin.matmul.msgs": 24, "munin.matmul.bytes": 45708,
+		"munin.life.msgs": 199, "munin.life.bytes": 7816,
+		"mp.matmul.msgs": 6, "mp.matmul.bytes": 20946,
+		"mp.gauss.msgs": 29, "mp.gauss.bytes": 12254,
+		"mp.fft.msgs": 11, "mp.fft.bytes": 4464,
+		"mp.qsort.msgs": 6, "mp.qsort.bytes": 6318,
+		"mp.life.msgs": 39, "mp.life.bytes": 2130,
+	})
 }
 
 func TestE1MuninNearHandCodedMP(t *testing.T) {
@@ -100,6 +139,13 @@ func TestE3ReplicationVsRemoteCrossover(t *testing.T) {
 		t.Fatalf("replication not cheaper at 32 reads/write: repl=%v remote=%v",
 			r.Metrics["repl.32"], r.Metrics["remote.32"])
 	}
+	// Remote load/store pays a round trip per access (10 writes, 3
+	// remote readers); a replicated copy is fetched once and refreshed
+	// by each write, however often it is read in between.
+	pinned(t, r, map[string]float64{
+		"remote.1": 20, "remote.2": 140, "remote.8": 500, "remote.32": 1940,
+		"repl.1": 20, "repl.2": 53, "repl.8": 53, "repl.32": 53,
+	})
 }
 
 func TestE4InvalidateVsRefresh(t *testing.T) {
@@ -115,6 +161,11 @@ func TestE4InvalidateVsRefresh(t *testing.T) {
 	if lastRef >= last {
 		t.Fatalf("refresh not cheaper with all re-readers: inv=%v ref=%v", last, lastRef)
 	}
+	pinned(t, r, map[string]float64{
+		"inv.0": 274, "inv.1": 336, "inv.3": 430,
+		"ref.0": 334, "ref.1": 334, "ref.3": 334,
+		"crossover": 1,
+	})
 }
 
 func TestE5MigratoryCheaper(t *testing.T) {
@@ -123,6 +174,14 @@ func TestE5MigratoryCheaper(t *testing.T) {
 		t.Fatalf("migratory %v msgs/CS >= conventional %v msgs/CS",
 			r.Metrics["migratory.perCS"], r.Metrics["conventional.perCS"])
 	}
+	// 30 sections in a ring over 3 nodes: the lock transfer is 4
+	// messages a section (2 for the first, which finds the lock free),
+	// and the data rides inside it; a conventional object adds its own
+	// ownership transfer on top.
+	pinned(t, r, map[string]float64{
+		"migratory.perCS":    118.0 / 30,
+		"conventional.perCS": 314.0 / 30,
+	})
 }
 
 func TestE6EagerMovementEliminatesStalls(t *testing.T) {
@@ -135,6 +194,7 @@ func TestE6EagerMovementEliminatesStalls(t *testing.T) {
 	if r.Metrics["pc.stalls"] > 3 {
 		t.Fatalf("pc stalls = %v, want <= nodes-1", r.Metrics["pc.stalls"])
 	}
+	pinned(t, r, map[string]float64{"pc.stalls": 1})
 }
 
 func TestE7CombiningFlattens(t *testing.T) {
@@ -143,12 +203,16 @@ func TestE7CombiningFlattens(t *testing.T) {
 		t.Fatalf("flush messages grew with writes per interval: 1→%v, 256→%v",
 			r.Metrics["flush.1"], r.Metrics["flush.256"])
 	}
+	// One diff and one ack, however many writes the interval held.
+	for _, wpi := range []int{1, 8, 64, 256} {
+		pinned(t, r, map[string]float64{key("flush", wpi): 2})
+	}
 }
 
 func TestE8ProxiesFree(t *testing.T) {
 	r := E8(2)
-	if r.Metrics["proxy.100"] != 0 {
-		t.Fatalf("proxy reacquisition cost %v msgs, want 0", r.Metrics["proxy.100"])
+	for _, k := range []int{1, 10, 100} {
+		pinned(t, r, map[string]float64{key("proxy", k): 0})
 	}
 	if r.Metrics["naive.100"] < 100 {
 		t.Fatalf("naive reacquisition cost %v msgs, want >= 100", r.Metrics["naive.100"])
@@ -161,25 +225,19 @@ func TestE9FalseSharing(t *testing.T) {
 		t.Fatalf("munin %v msgs >= ivy %v msgs under false sharing",
 			r.Metrics["munin.msgs"], r.Metrics["ivy.msgs"])
 	}
+	pinned(t, r, map[string]float64{"munin.msgs": 320})
 }
 
 func TestE10BatchedFlushIsO1(t *testing.T) {
 	r := E10(2)
 	// The acceptance shape: K dirty objects homed on one remote node
 	// cost 2K messages serially and O(1) batched.
-	for _, k := range []float64{4, 16, 64} {
-		key := map[float64]string{4: "4", 16: "16", 64: "64"}[k]
-		if got := r.Metrics["serial."+key]; got != 2*k {
-			t.Errorf("serial.%s = %v msgs, want %v", key, got, 2*k)
-		}
-		if got := r.Metrics["batched."+key]; got != 2 {
-			t.Errorf("batched.%s = %v msgs, want 2", key, got)
-		}
-	}
-	// A batch of one must not cost more than the unbatched protocol.
-	if r.Metrics["batched.1"] > r.Metrics["serial.1"] {
-		t.Errorf("batch of one costs %v msgs vs serial %v",
-			r.Metrics["batched.1"], r.Metrics["serial.1"])
+	// (A batch of one costs what the unbatched protocol did: 2.)
+	for _, k := range []int{1, 4, 16, 64} {
+		pinned(t, r, map[string]float64{
+			key("serial", k):  float64(2 * k),
+			key("batched", k): 2,
+		})
 	}
 }
 
@@ -188,13 +246,15 @@ func TestE11WireWritesFlatOverTCP(t *testing.T) {
 	// The acceptance shape: over real sockets, a batched flush of K
 	// dirty objects must stay O(1) wire writes per destination while
 	// the serial path pays one write per message (2K).
-	for _, k := range []string{"1", "4", "16", "64"} {
-		if got := r.Metrics["batched.writes."+k]; got > 3 {
-			t.Errorf("batched flush of %s objects took %v wire writes, want O(1)", k, got)
-		}
-	}
-	if s, b := r.Metrics["serial.writes.64"], r.Metrics["batched.writes.64"]; s < 16*b {
-		t.Errorf("serial writes (%v) not meaningfully above batched (%v) at K=64", s, b)
+	// Exactly: the batch is one write and its ack another. (A wire
+	// write is charged when it is issued, so the writer, ack in hand,
+	// reads a count that already holds both.)
+	for _, k := range []int{1, 4, 16, 64} {
+		pinned(t, r, map[string]float64{
+			key("serial.writes", k):  float64(2 * k),
+			key("batched.writes", k): 2,
+			key("batched.msgs", k):   2,
+		})
 	}
 }
 
@@ -206,27 +266,22 @@ func TestE12WireWritesFlatAcrossProcesses(t *testing.T) {
 	// The acceptance shape: two separate OS processes over the topology
 	// mesh, and the batched flush still costs O(1) writer-side wire
 	// writes no matter how many objects are dirty.
-	for _, k := range []string{"1", "16", "64"} {
-		got, ok := r.Metrics["batched.writes."+k]
-		if !ok {
-			t.Fatalf("round k=%s produced no metrics: %v", k, r.Notes)
+	// Exactly one write (the acks are the home process's writes); a
+	// writer that flushes after every write pays one per object.
+	for _, k := range []int{1, 16, 64} {
+		if _, ok := r.Metrics[key("batched.writes", k)]; !ok {
+			t.Fatalf("round k=%d produced no metrics: %v", k, r.Notes)
 		}
-		if got > 3 {
-			t.Errorf("batched flush of %s objects took %v wire writes across processes, want O(1)", k, got)
-		}
-		// The done signal is a two-way Call again: its reply must ride
-		// ahead of the home's goodbye, never lost to the latch.
-		if acked := r.Metrics["done.acked."+k]; acked != 1 {
-			t.Errorf("round k=%s: done reply lost to the shutdown (done.acked = %v, want 1)", k, acked)
-		}
-		if mis := r.Metrics["misrouted."+k]; mis != 0 {
-			t.Errorf("round k=%s: %v misrouted frames on a correct topology, want 0", k, mis)
-		}
-	}
-	// The serial path pays one write per diff round trip, so it must
-	// grow with K while batched stays put.
-	if s, b := r.Metrics["serial.writes.64"], r.Metrics["batched.writes.64"]; s < 8*b {
-		t.Errorf("serial writer-side writes (%v) not meaningfully above batched (%v) at K=64", s, b)
+		pinned(t, r, map[string]float64{
+			key("batched.writes", k): 1,
+			key("batched.msgs", k):   1,
+			key("serial.writes", k):  float64(k),
+			// The done signal is a two-way Call again: its reply must
+			// ride ahead of the home's goodbye, never lost to the latch.
+			key("done.acked", k): 1,
+			key("misrouted", k):  0, // a correct topology misroutes nothing
+			key("stalls", k):     0,
+		})
 	}
 }
 
@@ -242,29 +297,19 @@ func TestE13KillAndRejoin(t *testing.T) {
 	if len(r.Metrics) == 0 {
 		t.Fatalf("round produced no metrics: %v", r.Notes)
 	}
-	if got := r.Metrics["outage.typed"]; got != 1 {
-		t.Errorf("outage errors were not typed *transport.ErrPeerDown (outage.typed = %v)", got)
-	}
 	if got := r.Metrics["outage.probe_ms"]; got > 1000 {
 		t.Errorf("fresh call during the outage took %vms to fail, want < 1s", got)
 	}
-	if got := r.Metrics["outage.failed_peer"]; got != 1 {
-		t.Errorf("call.failed_peer = %v, want exactly the one parked call", got)
-	}
-	if got := r.Metrics["rejoin.echo_ok"]; got != 1 {
-		t.Errorf("home could not call into the rejoined writer (rejoin.echo_ok = %v)", got)
-	}
-	if got := r.Metrics["rejoin.reconnects"]; got < 1 {
-		t.Errorf("rejoin.reconnects = %v, want >= 1", got)
-	}
-	if got := r.Metrics["rejoin.epoch"]; got < 2 {
-		t.Errorf("rejoin.epoch = %v, want >= 2 (past the dead generation)", got)
-	}
-	for _, m := range []string{"flush.writes.before", "flush.writes.after"} {
-		if got := r.Metrics[m]; got > 3 {
-			t.Errorf("%s = %v wire writes for 64 objects, want O(1)", m, got)
-		}
-	}
+	pinned(t, r, map[string]float64{
+		"outage.typed":       1, // *transport.ErrPeerDown, not a raw error
+		"outage.failed_peer": 1, // exactly the one parked call
+		"rejoin.echo_ok":     1, // the home can call into the rejoined writer
+		"rejoin.reconnects":  1,
+		"rejoin.epoch":       2, // past the dead generation
+		// 64 objects, one write, before the kill and after the rejoin.
+		"flush.writes.before": 1,
+		"flush.writes.after":  1,
+	})
 }
 
 // TestE14PublicAPIAcrossProcesses is the SPMD-runtime acceptance
@@ -277,20 +322,43 @@ func TestE14PublicAPIAcrossProcesses(t *testing.T) {
 		t.Skip("spawns subprocesses; skipped in short mode")
 	}
 	r := E14(2)
-	for _, k := range []string{"1", "16", "64"} {
-		match, ok := r.Metrics["digest.match."+k]
-		if !ok {
-			t.Fatalf("round k=%s produced no metrics: %v", k, r.Notes)
+	for _, k := range []int{1, 16, 64} {
+		if _, ok := r.Metrics[key("digest.match", k)]; !ok {
+			t.Fatalf("round k=%d produced no metrics: %v", k, r.Notes)
 		}
-		if match != 1 {
-			t.Errorf("round k=%s: shared-memory digest differs between in-process and two-process runs", k)
-		}
-		if got := r.Metrics["batched.writes."+k]; got > 3 {
-			t.Errorf("batched flush of %s objects took %v wire writes across processes, want O(1)", k, got)
-		}
+		pinned(t, r, map[string]float64{
+			// Same bytes in-process and as two processes.
+			key("digest.match", k):   1,
+			key("batched.writes", k): 1,
+			key("batched.msgs", k):   1,
+			key("serial.writes", k):  float64(k),
+		})
 	}
-	if s, b := r.Metrics["serial.writes.64"], r.Metrics["batched.writes.64"]; s < 8*b {
-		t.Errorf("serial writer-side writes (%v) not meaningfully above batched (%v) at K=64", s, b)
+}
+
+// TestE16LeaseFanOutFlat is the lease engine's load-bearing claim on
+// real processes: what a write to a read-mostly object costs its writer
+// stays flat (nothing) as readers are added, where the directory's
+// copyset costs one message a reader; and every reader sees the final
+// write after its next synchronization under both engines.
+func TestE16LeaseFanOutFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses; skipped in short mode")
+	}
+	r := E16(2)
+	for _, k := range []int{1, 2, 4} {
+		if _, ok := r.Metrics[key("verified", k)]; !ok {
+			t.Fatalf("round k=%d produced no metrics: %v", k, r.Notes)
+		}
+		pinned(t, r, map[string]float64{
+			key("lease.msgs_per_write", k):   0,
+			key("copyset.msgs_per_write", k): float64(k),
+			key("verified", k):               1,
+			// A reader's lease lapses once, at its sync point, and it
+			// reads across the wire twice: the prime and the re-read.
+			key("lease.expired_reads", k): float64(k),
+			key("lease.remote_reads", k):  float64(2 * k),
+		})
 	}
 }
 
@@ -311,19 +379,19 @@ func TestE17RecoverySweep(t *testing.T) {
 		if match != 1 {
 			t.Errorf("crash point %s: post-rejoin memory not byte-identical to the uninterrupted run", cs.name)
 		}
-		if got := r.Metrics["reconnects."+cs.name]; got < 1 {
-			t.Errorf("crash point %s: home saw no wire reconnect (%v)", cs.name, got)
-		}
-	}
-	if got := r.Metrics["crash.points"]; got < 4 {
-		t.Errorf("crash-point sweep covers %v named protocol steps, want >= 4", got)
+		// One victim, one rejoin: the home sees exactly one reconnect.
+		pinned(t, r, map[string]float64{"reconnects." + cs.name: 1})
 	}
 	if got := r.Metrics["rejoin.first_read_ms"]; got <= 0 {
 		t.Errorf("rejoin.first_read_ms = %v, want > 0", got)
 	}
-	if got := r.Metrics["rejoin.reprime_msgs"]; got <= 0 {
-		t.Errorf("rejoin.reprime_msgs = %v, want > 0", got)
-	}
+	pinned(t, r, map[string]float64{
+		// Every named protocol step the failpoint package registers.
+		"crash.points": float64(len(failpoint.Names())),
+		// Rejoin is lazy: one announce a survivor, one gate resync, and
+		// the replicas the program touches re-primed by ordinary faults.
+		"rejoin.reprime_msgs": 32,
+	})
 }
 
 func TestAllRuns(t *testing.T) {
@@ -331,7 +399,7 @@ func TestAllRuns(t *testing.T) {
 		t.Skip("full sweep in short mode")
 	}
 	results := All(3)
-	if len(results) != 19 {
+	if len(results) != 18 {
 		t.Fatalf("got %d results", len(results))
 	}
 	for _, r := range results {

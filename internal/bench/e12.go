@@ -152,7 +152,9 @@ func MeshChildMain() bool {
 }
 
 // meshMember assembles one process's slice of the mesh cluster: the
-// self kernel plus a Munin protocol server on top of it.
+// self kernel plus a Munin protocol server on top of it. The kernel is
+// not dispatching yet — the caller registers its own kinds, then calls
+// clu.Start (see cluster.New).
 func meshMember(topo transport.Topology) (*cluster.Cluster, *protocol.Node, error) {
 	clu, err := cluster.New(cluster.Config{Topology: &topo})
 	if err != nil {
@@ -183,6 +185,7 @@ func RunMeshHome(topo transport.Topology, ready *os.File) error {
 			k.Reply(req, nil)
 			close(done)
 		})
+	clu.Start()
 	if ready != nil {
 		fmt.Fprintln(ready, meshReadyLine)
 	}
@@ -218,6 +221,7 @@ func RunMeshWriter(topo transport.Topology, k int, serial bool) (m MeshMetrics, 
 		return m, err
 	}
 	defer clu.Close()
+	clu.Start()
 
 	m, err = flushWorkload(clu, node, 1, k, serial)
 	if err != nil {

@@ -121,6 +121,7 @@ func RunE13Home(topo transport.Topology, out *os.File) error {
 			close(done)
 		}()
 	})
+	clu.Start()
 
 	// The outage watcher: when the parked call fails (the writer was
 	// killed), assert the failure vocabulary and the fail-fast bound.
@@ -204,6 +205,7 @@ func RunE13Writer(topo transport.Topology, k, phase int, out *os.File) (err erro
 	kern.Handle(kindE13Park, kindE13Park, func(k *vkernel.Kernel, req *msg.Msg) {
 		close(parked) // never replies; the reply this call wants dies with this process
 	})
+	clu.Start()
 
 	// Phase 2 must not collide with phase 1's object registrations
 	// still alive at the home.

@@ -126,6 +126,7 @@ func RunE16Home(topo transport.Topology, readers, writes int, lease bool, ready 
 		verdicts <- verdict{value: r.U64(), expired: int64(r.U64()), remote: int64(r.U64())}
 		k.Reply(req, nil)
 	})
+	clu.Start()
 
 	if ready != nil {
 		fmt.Fprintln(ready, meshReadyLine)
@@ -204,6 +205,7 @@ func RunE16Reader(topo transport.Topology) (err error) {
 		return err
 	}
 	defer clu.Close()
+	clu.Start()
 	k := clu.Kernel(topo.Self)
 	q := duq.New()
 

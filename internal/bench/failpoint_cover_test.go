@@ -10,8 +10,8 @@ import (
 // registry: every name failpoint.Names() exports must appear as a
 // crash point in E17's sweep, so adding a failpoint without extending
 // the sweep (or renaming one side) fails here instead of silently
-// shrinking chaos coverage. The floor on distinct crash points is
-// additionally enforced end-to-end by perfdiff's crash.points gate.
+// shrinking chaos coverage. TestE17RecoverySweep holds the sweep it
+// runs to the same number (crash.points).
 func TestE17CoversAllFailpoints(t *testing.T) {
 	covered := map[string]bool{}
 	for _, name := range E17CrashPoints() {

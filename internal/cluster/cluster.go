@@ -50,8 +50,10 @@ type Cluster struct {
 	self    msg.NodeID        // mesh shape only; -1 in-process
 }
 
-// New builds and starts a cluster (or, with cfg.Topology, this
-// process's node of one).
+// New builds and starts a cluster — or, with cfg.Topology, builds this
+// process's node of one and leaves it to the caller to Start: the other
+// members are already running, so the node must not dispatch anything
+// before its owner has registered every handler.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Topology != nil {
 		topo := *cfg.Topology
@@ -84,8 +86,9 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newMeshNode starts one node of a multi-process cluster: bind the
-// topology's self address, run the self kernel, dial peers lazily.
+// newMeshNode builds one node of a multi-process cluster: bind the
+// topology's self address (inbound frames queue from here on), build
+// the self kernel un-started, dial peers lazily.
 func newMeshNode(topo transport.Topology, cost transport.CostModel) (*Cluster, error) {
 	mn, err := transport.NewMeshNetwork(topo, cost)
 	if err != nil {
@@ -93,9 +96,16 @@ func newMeshNode(topo transport.Topology, cost transport.CostModel) (*Cluster, e
 	}
 	c := &Cluster{net: mn, self: topo.Self}
 	c.kernels = make([]*vkernel.Kernel, topo.Nodes())
-	c.kernels[topo.Self] = vkernel.New(mn, topo.Self)
+	c.kernels[topo.Self] = vkernel.NewUnstarted(mn, topo.Self)
 	return c, nil
 }
+
+// Start begins dispatching on a mesh node's kernel. The owner calls it
+// once, after everything that will ever handle a message — protocol
+// server, lock service, its own kinds — has registered; requests that
+// arrived earlier have been waiting in the receive queue and are
+// dispatched now. An in-process cluster is started by New.
+func (c *Cluster) Start() { c.kernels[c.self].Start() }
 
 // Nodes returns the number of processors in the cluster (for a mesh
 // node, the whole cluster's size, not just this process's share).

@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"munin/internal/msg"
+	"munin/internal/netutil"
+	"munin/internal/stats"
+	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
 
@@ -71,5 +75,65 @@ func TestStatsAccessible(t *testing.T) {
 	}
 	if c.Stats().Messages() != 1 {
 		t.Fatalf("messages = %d", c.Stats().Messages())
+	}
+}
+
+// TestMeshNodeHoldsRequestsUntilStart is the start-up order a mesh
+// member lives by: its listener is bound — peers can reach it — before
+// its owner has registered a single handler, so a request that arrives
+// in between must wait in the receive queue, not be dispatched to an
+// unbound kind. A dropped request is a hang, not an error: the peer is
+// alive, so nothing ever fails the caller.
+func TestMeshNodeHoldsRequestsUntilStart(t *testing.T) {
+	addrs, err := netutil.ReserveAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[msg.NodeID]string{0: addrs[0], 1: addrs[1]}
+	build := func(self msg.NodeID) *Cluster {
+		c, err := New(Config{Topology: &transport.Topology{Self: self, Peers: peers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	late := build(0) // bound, nothing registered, not started
+	defer late.Close()
+	early := build(1)
+	defer early.Close()
+	early.Start()
+
+	type result struct {
+		reply *msg.Msg
+		err   error
+	}
+	res := make(chan result, 1)
+	go func() {
+		reply, err := early.Kernel(1).Call(0, msg.KindPing, nil)
+		res <- result{reply, err}
+	}()
+	// The request is in member 0's receive queue once it is counted as
+	// received there.
+	for deadline := time.Now().Add(10 * time.Second); late.Stats().NodeReceived(0) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached member 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	late.Kernel(0).Handle(msg.KindPing, msg.KindPing, func(k *vkernel.Kernel, req *msg.Msg) {
+		k.Reply(req, []byte("pong"))
+	})
+	late.Start()
+	select {
+	case r := <-res:
+		if r.err != nil || string(r.reply.Payload) != "pong" {
+			t.Fatalf("call into a member that registered late: %v %v", r.reply, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call never completed: the request was consumed before its handler existed")
+	}
+	if n := late.Kernel(0).C.Get(stats.CDropUnhandled); n != 0 {
+		t.Fatalf("drop.unhandled = %d on member 0, want 0", n)
 	}
 }

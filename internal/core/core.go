@@ -238,6 +238,10 @@ func newMeshMember(cfg Config) (*System, error) {
 		s.recoverPending.Store(true)
 	}
 	k.Handle(kindRunGate, kindGateSync, s.dispatchGate)
+	// Only now may the kernel dispatch: a peer that came up earlier has
+	// been able to send its first gate arrival since the listener was
+	// bound, and it must find this handler, not an unbound kind.
+	clu.Start()
 	return s, nil
 }
 
@@ -364,11 +368,11 @@ func (s *System) Run(nthreads int, body func(c api.Ctx)) {
 
 // RunErr is Run with an error return instead of a panic for gate
 // failures: setup divergence (*SetupDivergenceError), or a member lost
-// while waiting at the gate — as the typed *transport.ErrPeerDown /
-// ErrPeerGone when node 0 itself is the lost member (the gate call
-// fails directly), or wrapped in node 0's member-lost verdict when a
-// third member is. Panics from thread bodies still propagate as
-// panics.
+// while waiting at the gate — always the verdict "run gate N: member M
+// lost: cause", whether node 0 reports a third member or a member's own
+// gate call finds node 0 gone; on the member that observed the loss
+// itself errors.As finds the typed *transport.ErrPeerDown /
+// ErrPeerGone. Panics from thread bodies still propagate as panics.
 func (s *System) RunErr(nthreads int, body func(c api.Ctx)) error {
 	run := func(t *threads.Thread) {
 		c := &Ctx{

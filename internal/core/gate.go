@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"munin/internal/failpoint"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
 
@@ -150,6 +152,15 @@ func (s *System) runGate(nthreads int) error {
 		failpoint.Hit(failpoint.GatePark)
 		reply, err := s.clu.Kernel(s.self).Call(0, kindRunGate, payload)
 		if err != nil {
+			// Node 0 lost — it may have failed this very gate over a
+			// third member, returned and departed before the arrival
+			// landed — is a member lost: the verdict node 0 itself
+			// hands out (failGateLocked), typed cause included.
+			var gone *transport.ErrPeerGone
+			var down *transport.ErrPeerDown
+			if errors.As(err, &gone) || errors.As(err, &down) {
+				return fmt.Errorf("munin: run gate %d: member 0 lost: %w", seq, err)
+			}
 			return fmt.Errorf("munin: run gate %d: %w", seq, err)
 		}
 		r := msg.NewReader(reply.Payload)

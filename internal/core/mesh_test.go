@@ -13,6 +13,7 @@ import (
 	"munin/internal/msg"
 	"munin/internal/netutil"
 	"munin/internal/protocol"
+	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -54,6 +55,11 @@ func spmdMembers(t *testing.T, topos []transport.Topology, program func(sys *Sys
 			}
 			defer sys.Close()
 			errs[i] = program(sys)
+			// Every kind a member can be sent is registered before its
+			// kernel dispatches anything, however early a peer calls.
+			if n := sys.clu.Kernel(topos[i].Self).C.Get(stats.CDropUnhandled); n != 0 {
+				t.Errorf("member %d dropped %d requests for lack of a handler", i, n)
+			}
 		}(i)
 	}
 	done := make(chan struct{})

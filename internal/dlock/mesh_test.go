@@ -39,6 +39,7 @@ func meshPair(t *testing.T) [2]struct {
 		}
 		svc := NewService(clu.Kernel(msg.NodeID(i)))
 		clu.OnPeerGone(func(peer msg.NodeID, _ error) { svc.PeerGone(peer) })
+		clu.Start()
 		out[i].Clu = clu
 		out[i].Svc = svc
 	}

@@ -42,7 +42,9 @@ func TestFlushSurfacesErrPeerDownOverMesh(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := clu.Kernel(self)
-		return clu, NewNode(k, dlock.NewService(k))
+		node := NewNode(k, dlock.NewService(k))
+		clu.Start()
+		return clu, node
 	}
 	homeClu, _ := build(0)
 	writerClu, writerNode := build(1)
@@ -113,7 +115,9 @@ func TestFlushSurfacesErrPeerGoneAfterHomeLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := clu.Kernel(self)
-		return clu, NewNode(k, dlock.NewService(k))
+		node := NewNode(k, dlock.NewService(k))
+		clu.Start()
+		return clu, node
 	}
 	homeClu, _ := build(0)
 	writerClu, writerNode := build(1)
@@ -168,6 +172,7 @@ func TestPeerGonePrunesCopyset(t *testing.T) {
 		node := NewNode(k, dlock.NewService(k))
 		// The SPMD runtime's membership wiring.
 		clu.OnPeerGone(func(peer msg.NodeID, _ error) { node.PeerGone(peer) })
+		clu.Start()
 		return clu, node
 	}
 	homeClu, homeNode := build(0)
@@ -239,6 +244,7 @@ func TestPeerGoneReclaimsExclusiveOwner(t *testing.T) {
 		k := clu.Kernel(self)
 		node := NewNode(k, dlock.NewService(k))
 		clu.OnPeerGone(func(peer msg.NodeID, _ error) { node.PeerGone(peer) })
+		clu.Start()
 		return clu, node
 	}
 	homeClu, homeNode := build(0)

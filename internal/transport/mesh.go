@@ -1033,11 +1033,8 @@ func (m *MeshNetwork) writeToPeer(p *meshPeer, items []sendItem, ws *writeScratc
 		if err != nil {
 			return err
 		}
-		frames, shared, werr := writeItems(conn, items, ws)
+		werr := writeItems(conn, items, ws, m.stats)
 		if werr == nil {
-			if frames > 0 {
-				m.stats.chargeWire(frames, shared)
-			}
 			return nil
 		}
 		p.mu.Lock()

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -10,11 +13,11 @@ import (
 )
 
 // newSinkMesh builds a single-process mesh whose only peer is a
-// RawSink: everything node 0 sends to node 1 crosses a real TCP
+// rawSink: everything node 0 sends to node 1 crosses a real TCP
 // connection and is discarded without allocating on the receive side.
-func newSinkMesh(t testing.TB) (*MeshNetwork, *RawSink) {
+func newSinkMesh(t testing.TB) (*MeshNetwork, *rawSink) {
 	t.Helper()
-	sink, err := NewRawSink()
+	sink, err := newRawSink()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func wireMsg(to msg.NodeID, seq uint64, n int, fill byte) *bufpool.Buffer {
 // steady-state flush on the send wire path — pooled encode, SendOwned
 // hand-off, writer drain, fence — performs zero heap allocations.
 // AllocsPerRun counts mallocs process-wide, which is why the receiver
-// is a RawSink rather than a second endpoint.
+// is a rawSink rather than a second endpoint.
 func TestMeshSendOwnedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -159,6 +162,143 @@ func BenchmarkMeshSendOwnedFlush(b *testing.B) {
 		}
 		if err := ep.Flush(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// rawSink is a mesh-shaped byte bucket: a listener that completes the
+// hello handshake like a real peer, then reads and discards every
+// frame into a fixed buffer without parsing, queuing, or allocating.
+//
+// It exists so the allocation test and benchmark in this file can
+// measure the SENDER's wire path in isolation:
+// testing.AllocsPerRun counts mallocs across all goroutines in the
+// process, so a real receiving endpoint — whose reader must copy each
+// frame off the wire — would drown the measurement. The sink's
+// steady-state read loop touches only preallocated buffers.
+//
+// Goodbyes are acknowledged (so a graceful Close of the sending mesh
+// still drains), but the sink never initiates traffic.
+type rawSink struct {
+	ln net.Listener
+	wg sync.WaitGroup
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// newRawSink binds a loopback listener and starts accepting.
+func newRawSink() (*rawSink, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s := &rawSink{ln: ln, conns: make(map[net.Conn]struct{})}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// Addr returns the listener's address, for use in a Topology.
+func (s *rawSink) Addr() string { return s.ln.Addr().String() }
+
+// Close stops accepting and severs every connection.
+func (s *rawSink) Close() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	s.ln.Close()
+	for _, c := range conns {
+		c.Close()
+	}
+	s.wg.Wait()
+}
+
+func (s *rawSink) acceptLoop() {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.serve(conn)
+	}
+}
+
+// serve runs one connection: validate the hello, accept it echoing the
+// dialer's proposed epoch, then discard frames forever. All buffers
+// are allocated up front — the loop body is malloc-free.
+func (s *rawSink) serve(conn net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+
+	var hello [helloLen]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		return
+	}
+	if string(hello[:4]) != meshMagic ||
+		binary.BigEndian.Uint16(hello[4:6]) != meshProtoVersion {
+		return
+	}
+	var ack [helloAcceptLen]byte
+	ack[0] = helloAccept
+	copy(ack[1:], hello[10:18]) // agree to whatever epoch the dialer proposed
+	if _, err := conn.Write(ack[:]); err != nil {
+		return
+	}
+
+	var word [4]byte
+	buf := make([]byte, 64<<10)
+	for {
+		if _, err := io.ReadFull(conn, word[:]); err != nil {
+			return
+		}
+		n := binary.BigEndian.Uint32(word[:])
+		if n > maxFrameLen {
+			// Control word. Ack goodbyes so a graceful sender Close
+			// gets its drain proof; ignore everything else.
+			if n == ctrlGoodbye {
+				binary.BigEndian.PutUint32(word[:], ctrlGoodbyeAck)
+				if _, err := conn.Write(word[:]); err != nil {
+					return
+				}
+			}
+			continue
+		}
+		left := int(n)
+		for left > 0 {
+			chunk := left
+			if chunk > len(buf) {
+				chunk = len(buf)
+			}
+			rn, err := conn.Read(buf[:chunk])
+			if err != nil {
+				return
+			}
+			left -= rn
 		}
 	}
 }

@@ -451,21 +451,11 @@ func (e *tcpEndpoint) writeLoop(p *tcpPeer) {
 // only by the msg.MaxFrameMessages cap — issued to the socket as a
 // single vectored write.
 func (e *tcpEndpoint) writeBatch(p *tcpPeer, items []sendItem, ws *writeScratch) error {
-	frames, shared, err := writeItems(p.conn, items, ws)
-	if err != nil {
-		if e.net.isClosed() {
-			return ErrClosed
-		}
-		return err
+	err := writeItems(p.conn, items, ws, e.net.stats)
+	if err != nil && e.net.isClosed() {
+		return ErrClosed
 	}
-	if frames > 0 {
-		// One wire.writes tick per successful WriteTo. That is one write
-		// *operation*; the OS may split very large iovec lists (IOV_MAX)
-		// into a few syscalls, which this counter deliberately does not
-		// model — it measures the coalescing, not the kernel's chunking.
-		e.net.stats.chargeWire(frames, shared)
-	}
-	return nil
+	return err
 }
 
 // writeScratch is one writer goroutine's reusable frame-assembly
@@ -493,15 +483,16 @@ type writeScratch struct {
 // connection as a single vectored write. Control words ride at the end
 // of the same write (a drained batch never holds data queued after a
 // goodbye: the queue closes right behind it, and a goodbye-ack's order
-// against data is immaterial). It returns the number of frames emitted
-// and the traffic classes of messages that shared a frame with at
-// least one other (for coalescing accounting; the slice aliases
-// ws.shared and is valid until the next writeItems on the same ws);
-// frames is 0 when items held only fences or control words.
-func writeItems(conn net.Conn, items []sendItem, ws *writeScratch) (frames int, shared []string, err error) {
+// against data is immaterial). A batch that holds at least one message
+// is charged to st as one wire write — its frame count, and the traffic
+// class of every message that shared a frame with another — BEFORE the
+// bytes are issued: a peer can answer a request the moment the write
+// lands, so a charge made after the write returned could still be
+// missing when the caller, reply in hand, reads the counter.
+func writeItems(conn net.Conn, items []sendItem, ws *writeScratch, st *Stats) error {
 	hdr := ws.hdr[:0]
 	bufs := ws.bufs[:0]
-	shared = ws.shared[:0]
+	shared := ws.shared[:0]
 	count, ctrls := 0, 0
 	for _, it := range items {
 		if it.enc != nil {
@@ -511,7 +502,7 @@ func writeItems(conn net.Conn, items []sendItem, ws *writeScratch) (frames int, 
 		}
 	}
 	if count == 0 && ctrls == 0 {
-		return 0, nil, nil
+		return nil
 	}
 	if count == 0 {
 		for _, it := range items {
@@ -520,10 +511,8 @@ func writeItems(conn net.Conn, items []sendItem, ws *writeScratch) (frames int, 
 			}
 		}
 		ws.hdr = hdr
-		if _, werr := conn.Write(hdr); werr != nil {
-			return 0, nil, werr
-		}
-		return 0, nil, nil
+		_, err := conn.Write(hdr)
+		return err
 	}
 
 	// Lay the frames out. Each frame contributes [4B outer length]
@@ -531,7 +520,7 @@ func writeItems(conn net.Conn, items []sendItem, ws *writeScratch) (frames int, 
 	// headers and prefixes live in hdr and the message bytes are
 	// referenced in place, so the whole batch goes out without copying
 	// payloads.
-	frames = (count + msg.MaxFrameMessages - 1) / msg.MaxFrameMessages
+	frames := (count + msg.MaxFrameMessages - 1) / msg.MaxFrameMessages
 	i := 0
 	for f := 0; f < frames; f++ {
 		k := count - f*msg.MaxFrameMessages
@@ -584,10 +573,13 @@ func writeItems(conn net.Conn, items []sendItem, ws *writeScratch) (frames int, 
 	ws.bufs = bufs
 	ws.shared = shared
 	ws.io = bufs
-	if _, err := ws.io.WriteTo(conn); err != nil {
-		return 0, nil, err
-	}
-	return frames, shared, nil
+	// One wire.writes tick per WriteTo. That is one write *operation*;
+	// the OS may split very large iovec lists (IOV_MAX) into a few
+	// syscalls, which this counter deliberately does not model — it
+	// measures the coalescing, not the kernel's chunking.
+	st.chargeWire(frames, shared)
+	_, err := ws.io.WriteTo(conn)
+	return err
 }
 
 func (tn *TCPNetwork) isClosed() bool {

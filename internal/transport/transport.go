@@ -444,10 +444,12 @@ func (s *Stats) chargeStall(ns int64) {
 }
 
 // WireWrites returns the number of coalesced write operations issued to
-// the underlying wire: one per successful vectored write on TCP (the OS
-// may split an enormous iovec list at IOV_MAX; that kernel-level
-// chunking is not modeled), one per message on the chan transport,
-// which has no wire to coalesce for.
+// the underlying wire: one per vectored write on TCP, charged when the
+// write is issued — so whoever holds a reply can count on the write
+// that carried its request having been charged (the OS may split an
+// enormous iovec list at IOV_MAX; that kernel-level chunking is not
+// modeled) — and one per message on the chan transport, which has no
+// wire to coalesce for.
 func (s *Stats) WireWrites() int64 { return s.byClass.Get(stats.CWireWrites) }
 
 // WireFrames returns the number of frame envelopes emitted.

@@ -178,14 +178,30 @@ func (p *Pending) awaitingEpoch(n msg.NodeID, e uint64) bool {
 	return false
 }
 
-// New creates and starts a kernel for node id on the given network. If
-// the network reports peer death (transport.PeerDownNotifier), the
+// New creates and starts a kernel for node id on the given network —
+// for an owner whose peers send nothing before it has registered its
+// handlers (an in-process cluster: nothing runs until the caller that
+// builds every node returns).
+func New(net transport.Network, node msg.NodeID) *Kernel {
+	k := NewUnstarted(net, node)
+	k.Start()
+	return k
+}
+
+// NewUnstarted creates a kernel that consumes nothing from its endpoint
+// until Start: whatever peers send meanwhile waits in the receive
+// queue. It is how a member of a multi-process cluster, whose peers are
+// already running, gets to register every handler before the first
+// request is dispatched — a request dispatched earlier would be dropped
+// as unhandled and its caller, seeing a live peer, would park for good.
+//
+// If the network reports peer death (transport.PeerDownNotifier), the
 // kernel subscribes so pending calls aimed at a dead peer fail with
 // *transport.ErrPeerDown instead of blocking until Close; if it
 // reports clean departures (transport.PeerGoneNotifier), calls whose
 // replies truly never arrived fail with *transport.ErrPeerGone — after
 // every reply the peer did send has been dispatched.
-func New(net transport.Network, node msg.NodeID) *Kernel {
+func NewUnstarted(net transport.Network, node msg.NodeID) *Kernel {
 	k := &Kernel{
 		net:     net,
 		ep:      net.Endpoint(node),
@@ -202,9 +218,14 @@ func New(net transport.Network, node msg.NodeID) *Kernel {
 	if gn, ok := net.(transport.PeerGoneNotifier); ok {
 		gn.OnPeerGone(k.peerGone)
 	}
+	return k
+}
+
+// Start begins dispatching inbound messages. Call it once, after the
+// last Handle, on a kernel built with NewUnstarted.
+func (k *Kernel) Start() {
 	k.wg.Add(1)
 	go k.dispatchLoop()
-	return k
 }
 
 // peerEpoch returns the current connection epoch for a destination (0
