@@ -177,10 +177,16 @@ func TestE5MigratoryCheaper(t *testing.T) {
 	// 30 sections in a ring over 3 nodes: the lock transfer is 4
 	// messages a section (2 for the first, which finds the lock free),
 	// and the data rides inside it; a conventional object adds its own
-	// ownership transfer on top.
+	// ownership transfer on top. A section reads, then writes: a read
+	// fault (request, forward, data from the owner) and an upgrade
+	// (request, invalidation and ack, grant without data) are 7 messages
+	// when the previous section ran on a third node; when it ran on the
+	// object's home (node 1) the home answers the read itself and has
+	// nobody to invalidate, 2 + 2. Section 0 finds the home owning, 4,
+	// then 7, 4 and nine rings of 7 + 7 + 4: 177.
 	pinned(t, r, map[string]float64{
 		"migratory.perCS":    118.0 / 30,
-		"conventional.perCS": 314.0 / 30,
+		"conventional.perCS": (118.0 + 177.0) / 30,
 	})
 }
 
@@ -194,7 +200,10 @@ func TestE6EagerMovementEliminatesStalls(t *testing.T) {
 	if r.Metrics["pc.stalls"] > 3 {
 		t.Fatalf("pc stalls = %v, want <= nodes-1", r.Metrics["pc.stalls"])
 	}
-	pinned(t, r, map[string]float64{"pc.stalls": 1})
+	// Under invalidation each of the two consumers faults once an epoch,
+	// 12 epochs: the owner answers a read fault and keeps the object, so no
+	// consumer is ever handed a copy it did not ask for.
+	pinned(t, r, map[string]float64{"pc.stalls": 1, "conventional.stalls": 24})
 }
 
 func TestE7CombiningFlattens(t *testing.T) {

@@ -219,9 +219,11 @@ func newMeshMember(cfg Config) (*System, error) {
 	// enabled, the peer is presumed to be restarting, so gates wait
 	// out the outage (gatePeerDown) and a completed rejoin handshake
 	// clears the down mark (gatePeerBack) before any frame from the
-	// fresh connection arrives.
+	// fresh connection arrives. Either way the read faults this member
+	// forwarded to the peer as their objects' owner are refused.
 	if pd, ok := clu.Network().(transport.PeerDownNotifier); ok {
 		pd.OnPeerDown(func(peer msg.NodeID, _ uint64, err error) {
+			node.PeerDown(peer)
 			s.gatePeerDown(peer, err)
 		})
 	}

@@ -50,6 +50,11 @@ const (
 const (
 	FlagReply uint16 = 1 << iota // message is a reply to Seq
 	FlagMulticast
+	// FlagForward marks a request passed on by the node that first
+	// received it (vkernel.Forward): Seq is the original caller's, and
+	// the payload starts with the caller's node ID. From stays the
+	// forwarding node, the peer the frame really arrives from.
+	FlagForward
 )
 
 // Msg is one message on the wire.

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/transport"
 	"munin/internal/vkernel"
 
 	"munin/internal/duq"
@@ -534,9 +536,13 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 // Replication fault path (write-once, write-many, conventional reads,
 // general-rw reads, read-mostly in replicated mode).
 
-// ensureReadable guarantees o has a valid local copy, fetching one from
-// the home if necessary. The invalidation generation counter detects an
-// invalidation racing the fetch reply, in which case the fetch retries.
+// ensureReadable guarantees o has a valid local copy, fetching one
+// through the home if necessary. The invalidation generation counter
+// detects an invalidation racing the fetch reply — under the ownership
+// protocols the reply comes from the owner, on a connection that shares
+// no order with the home's invalidation — in which case the fetch
+// retries. It waits out an ownership request of this node's: the home
+// must see one fault per object from a node at a time (handleWriteOwn).
 func (n *Node) ensureReadable(o *Obj) {
 	o.mu.Lock()
 	for {
@@ -544,7 +550,7 @@ func (n *Node) ensureReadable(o *Obj) {
 			o.mu.Unlock()
 			return
 		}
-		if o.fetching {
+		if o.fetching || o.owning {
 			o.cond.Wait()
 			continue
 		}
@@ -557,6 +563,18 @@ func (n *Node) ensureReadable(o *Obj) {
 			msg.NewBuilder(4).U32(uint32(o.meta.ID)).Bytes())
 		if err != nil {
 			panic(fmt.Sprintf("munin: read fault %q: %v", o.meta.Name, err))
+		}
+		if len(reply.Payload) < 8 {
+			// A nack (nackRetry, nackOwnerDown): no object came back.
+			r := msg.NewReader(reply.Payload)
+			if r.U8() == nackOwnerDown {
+				panic(fmt.Sprintf("munin: read fault %q: %v", o.meta.Name,
+					&transport.ErrPeerDown{Node: msg.NodeID(r.U32()), Cause: errOwnerLost}))
+			}
+			o.mu.Lock()
+			o.fetching = false
+			o.cond.Broadcast()
+			continue
 		}
 		r := msg.NewReader(reply.Payload)
 		data := r.BytesN()
@@ -585,6 +603,10 @@ func (n *Node) ensureReadable(o *Obj) {
 		return
 	}
 }
+
+// errOwnerLost is the cause of a read fault the home refused with
+// nackOwnerDown.
+var errOwnerLost = errors.New("the object's home lost its wire to the owner")
 
 // advanceOwn advances the update sequence past this node's own diff,
 // whose relay excluded us. Every relay with a smaller sequence number
@@ -701,6 +723,11 @@ func (n *Node) writeOnceFault(o *Obj, off int, buf []byte) {
 // read-only objects. The next access refetches. A write-once replica's
 // bytes go with it: the node keeps no reference to them, and they are
 // freed once the last reader still copying out of them returns.
+//
+// It waits for a fault of this node's in flight: an ownership request
+// has vouched to the home that the copy is valid (ownershipWrite), and
+// retiring the copy — and, through kindEvict, its copy-set entry — behind
+// that request's back would leave a granted owner outside the copy set.
 func (n *Node) Evict(id memory.ObjectID) {
 	o := n.mustObj(id)
 	home := n.homeOf(&o.meta)
@@ -708,7 +735,12 @@ func (n *Node) Evict(id memory.ObjectID) {
 		return // the home copy is authoritative and never evicted
 	}
 	o.mu.Lock()
-	if o.state == Invalid {
+	for o.fetching || o.owning {
+		o.cond.Wait()
+	}
+	if o.state == Invalid || o.dirtyOwner {
+		// Nothing to drop, or this node owns the object: like the home's,
+		// the owner's copy is the authoritative one.
 		o.mu.Unlock()
 		return
 	}
@@ -933,6 +965,11 @@ func (n *Node) resultRead(o *Obj, off int, buf []byte) {
 // §3.3.6). The requester acquires exclusive ownership through the home,
 // which invalidates every other copy first (strict coherence).
 
+// testHookWriteOwnBuilt, when a test sets it, runs after ownershipWrite
+// has built its request — the copy vouched for or not — and before the
+// request is sent.
+var testHookWriteOwnBuilt func(n *Node)
+
 func (n *Node) ownershipWrite(o *Obj, off int, data []byte) {
 	o.mu.Lock()
 	for {
@@ -946,16 +983,24 @@ func (n *Node) ownershipWrite(o *Obj, off int, data []byte) {
 			continue
 		}
 		o.owning = true
+		// Vouch for the copy under the same hold of o.mu that raises
+		// owning: from here to the grant nothing on this node retires or
+		// refetches it, so the home can grant without data if it finds
+		// this node still in the copy set (handleWriteOwn).
+		valid := o.state != Invalid
 		o.mu.Unlock()
 
 		n.C.Add(stats.CFaultWrite, 1)
+		req := msg.NewBuilder(5).U32(uint32(o.meta.ID)).Bool(valid).Bytes()
+		if testHookWriteOwnBuilt != nil {
+			testHookWriteOwnBuilt(n)
+		}
 		// The grant is installed — and this write applied — inline on
-		// the dispatcher goroutine, strictly before any later fetch or
-		// invalidation from the home is dispatched. This closes the
-		// "grant delivered but not yet installed" window: no other
+		// the dispatcher goroutine, strictly before any later forward,
+		// fetch or invalidation from the home is dispatched. This closes
+		// the "grant delivered but not yet installed" window: no other
 		// node can ever be served this object's pre-install state.
-		err := n.k.CallInline(n.homeOf(&o.meta), kindWriteOwn,
-			msg.NewBuilder(4).U32(uint32(o.meta.ID)).Bytes(),
+		err := n.k.CallInline(n.homeOf(&o.meta), kindWriteOwn, req,
 			func(reply *msg.Msg) {
 				r := msg.NewReader(reply.Payload)
 				hasData := r.Bool()

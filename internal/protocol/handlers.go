@@ -40,54 +40,26 @@ func (n *Node) handleRead(req *msg.Msg) {
 	n.C.Add(stats.CHomeRead, 1)
 
 	switch o.meta.Annot {
-	case Conventional:
+	case Conventional, GeneralRW:
+		// The owner serves the read and stays owner; the home only adds the
+		// reader to the copy set, so the owner's next write fault finds it
+		// there and invalidates it.
 		d.mu.Lock()
+		d.copyset[req.From] = true
 		if d.owner != n.id {
-			// Ivy-like: fetch from the current owner, write the data
-			// back to the home, downgrade the owner to reader.
-			data := n.fetchFrom(d.owner, id, fetchForRead)
-			o.mu.Lock()
-			copy(o.data, data)
-			o.mu.Unlock()
-			d.copyset[d.owner] = true
-			d.owner = n.id
-			d.copyset[n.id] = true
+			n.forwardRead(d, req, id)
+			d.mu.Unlock()
+			return
 		}
 		o.mu.Lock()
-		// Wait out any pending local grant install (see
-		// handleWriteOwn), then downgrade the home's own copy so a
-		// later local write re-runs the invalidation round instead
-		// of silently staying exclusive.
+		// One of this node's own threads may have a grant install pending on
+		// the local dispatcher (see handleWriteOwn): wait for it, or the
+		// reader would be served the pre-install bytes.
 		for o.grantPending {
 			o.cond.Wait()
 		}
-		o.state = Shared
-		wb := encodeDataReply(o.data, 0)
+		wb := o.shareOwned()
 		o.mu.Unlock()
-		d.copyset[req.From] = true
-		d.mu.Unlock()
-		n.k.ReplyOwned(req, wb)
-
-	case GeneralRW:
-		d.mu.Lock()
-		var wb *bufpool.Buffer
-		if d.owner != n.id {
-			// Berkeley dirty sharing: the dirty owner serves the read
-			// and stays owner; the home's copy is not updated.
-			wb = encodeDataReply(n.fetchFrom(d.owner, id, fetchDirty), 0)
-		} else {
-			o.mu.Lock()
-			for o.grantPending {
-				o.cond.Wait()
-			}
-			// Home keeps dirty ownership but must downgrade to
-			// shared so its next write invalidates the new reader.
-			o.state = Shared
-			o.dirtyOwner = true
-			wb = encodeDataReply(o.data, 0)
-			o.mu.Unlock()
-		}
-		d.copyset[req.From] = true
 		d.mu.Unlock()
 		n.k.ReplyOwned(req, wb)
 
@@ -137,6 +109,24 @@ func encodeDataReply(data []byte, seq uint64) *bufpool.Buffer {
 	return wb
 }
 
+// shareOwned is the owner's half of a read fault: it encodes the object
+// for the reader and downgrades the local copy to Shared, so the owner's
+// next write faults and invalidates the reader. Ownership stays here.
+// Caller holds o.mu.
+func (o *Obj) shareOwned() *bufpool.Buffer {
+	o.state = Shared
+	return encodeDataReply(o.data, 0)
+}
+
+// invalidate retires the local copy; the generation bump lets a fetch
+// whose reply is still in flight notice (ensureReadable). Caller holds
+// o.mu.
+func (o *Obj) invalidate() {
+	o.state = Invalid
+	o.genInv++
+	o.dirtyOwner = false
+}
+
 // encodeBytesReply builds a reply that is one length-prefixed byte
 // string: a fetch served to the home, a remote load.
 func encodeBytesReply(data []byte) *bufpool.Buffer {
@@ -146,13 +136,107 @@ func encodeBytesReply(data []byte) *bufpool.Buffer {
 	return wb
 }
 
-// fetchFrom asks a remote owner for the object's current contents. The
-// result aliases the reply, which is this caller's alone (see
+// forwardRead passes a read fault on to the object's owner, which
+// replies to the reader itself (handleFwdRead), and notes the forward in
+// d.fwd. The caller holds d.mu and has added the reader to the copy set:
+// the forward leaves before any later grant can, and home-to-owner
+// delivery is FIFO, so it can overtake neither the grant that made the
+// node owner nor be overtaken unnoticed by the invalidation that ends its
+// ownership — a forward that arrives after that finds the copy Invalid
+// and is nacked. A forward that cannot be sent is refused here, in the
+// reader's terms.
+func (n *Node) forwardRead(d *dirEntry, req *msg.Msg, id memory.ObjectID) {
+	n.C.Add(stats.CFwdRead, 1)
+	// The owner needs what the home was sent, the object's ID.
+	err := n.k.Forward(req, d.owner, kindFwdRead, req.Payload)
+	var down *transport.ErrPeerDown
+	switch {
+	case err == nil:
+		if d.fwd == nil {
+			d.fwd = make(map[msg.NodeID]forwarded)
+		}
+		d.fwd[req.From] = forwarded{to: d.owner, seq: req.Seq}
+	case isGone(err):
+		// The owner left; PeerGone is about to take the object back.
+		n.nackRead(req.From, req.Seq, nackRetry, 0)
+	case errors.As(err, &down):
+		n.nackRead(req.From, req.Seq, nackOwnerDown, d.owner)
+	case !isShutdown(err):
+		panic(fmt.Sprintf("munin: forward read of object %d to node %d: %v", id, d.owner, err))
+	}
+}
+
+// nackRead answers the read fault (reader, seq) with a nack in place of
+// the object: nackRetry, or nackOwnerDown naming the lost owner.
+func (n *Node) nackRead(reader msg.NodeID, seq uint64, reason uint8, owner msg.NodeID) {
+	n.C.Add(stats.CFwdNack, 1)
+	b := msg.NewBuilder(5).U8(reason)
+	if reason == nackOwnerDown {
+		b.U32(uint32(owner))
+	}
+	n.k.Reply(&msg.Msg{Kind: kindRead, From: reader, Seq: seq}, b.Bytes())
+}
+
+// refuseForwards answers every noted read fault that was forwarded to
+// peer, which is lost, and forgets the note peer itself left (its calls
+// died with it). Caller holds d.mu.
+func (n *Node) refuseForwards(d *dirEntry, peer msg.NodeID, reason uint8) {
+	delete(d.fwd, peer)
+	for reader, f := range d.fwd {
+		if f.to == peer {
+			delete(d.fwd, reader)
+			n.nackRead(reader, f.seq, reason, peer)
+		}
+	}
+}
+
+// testHookFwdRead, when a test sets it, runs in the owner's forwarded-read
+// handler: with "arrived" before the copy is looked at, with "served"
+// after it has been encoded and before the reply is sent.
+var testHookFwdRead func(stage string)
+
+// handleFwdRead serves a read fault the home forwarded to this node as
+// the object's owner: the reply goes to the reader (req.From is the
+// reader, not the home — vkernel.Forward). A node that no longer holds a
+// valid copy — its ownership ended before the forward arrived — says so,
+// and the reader asks the home again. A node that holds one may serve it
+// whether or not it still owns the object: the reader has been in the
+// copy set since before the forward left the home, so any write granted
+// since has invalidated the reader, and its generation check discards
+// whatever this reply carries.
+func (n *Node) handleFwdRead(req *msg.Msg) {
+	r := msg.NewReader(req.Payload)
+	id := memory.ObjectID(r.U32())
+	if r.Err() != nil {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
+	if testHookFwdRead != nil {
+		testHookFwdRead("arrived")
+	}
+	o := n.mustObj(id)
+	o.mu.Lock()
+	if o.state == Invalid {
+		o.mu.Unlock()
+		n.nackRead(req.From, req.Seq, nackRetry, 0)
+		return
+	}
+	wb := o.shareOwned()
+	o.mu.Unlock()
+	n.C.Add(stats.CFetchServed, 1)
+	if testHookFwdRead != nil {
+		testHookFwdRead("served")
+	}
+	n.k.ReplyOwned(req, wb)
+}
+
+// fetchFrom takes the object from its remote owner for a writer that
+// holds no valid copy: the owner replies with the bytes and invalidates.
+// The result aliases the reply, which is this caller's alone (see
 // transport.Endpoint.Recv).
-func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID, mode uint8) []byte {
+func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID) []byte {
 	n.C.Add(stats.CHomeFetch, 1)
-	reply, err := n.k.Call(owner, kindFetch,
-		msg.NewBuilder(5).U32(uint32(id)).U8(mode).Bytes())
+	reply, err := n.k.Call(owner, kindFetch, msg.NewBuilder(4).U32(uint32(id)).Bytes())
 	if err != nil {
 		panic(fmt.Sprintf("munin: fetch object %d from node %d: %v", id, owner, err))
 	}
@@ -160,12 +244,33 @@ func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID, mode uint8) []byt
 }
 
 // handleWriteOwn grants exclusive ownership to the requester after
-// invalidating every other copy (strict coherence for the ownership
+// retiring every other copy (strict coherence for the ownership
 // protocols). This node is the home; d.mu serializes conflicting
 // requests for the same object.
+//
+// The grant carries no data when the requester vouched for its copy
+// (ownershipWrite: state != Invalid when the request was built) and is
+// still in the copy set now. The two facts together mean the copy is
+// valid and current, whoever the owner is:
+//
+//   - A copy is invalidated only by a handleWriteOwn that, in the same
+//     hold of d.mu, removes its node from the copy set (the kindInv round
+//     below, or kindFetch for an owner that must hand over bytes), or by
+//     its own node's Evict.
+//   - A node enters the copy set only by a request of its own (kindRead,
+//     kindWriteOwn). Between vouching and the grant the requester has
+//     neither outstanding: a node runs one fault per object at a time
+//     (Obj.fetching, Obj.owning), and Evict waits for both.
+//
+// So a requester that vouched and was since invalidated cannot be back in
+// the copy set — it finds itself missing and is sent the bytes — and one
+// that is in the copy set has not been invalidated since it vouched. A
+// remote old owner is then just another copy holder: it is retired by the
+// same kindInv as the rest, and no byte moves.
 func (n *Node) handleWriteOwn(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
+	vouched := r.Bool()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
@@ -181,7 +286,7 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 	// when the home owns them — and sent once every other copy is gone.
 	var grant *bufpool.Buffer
 	switch {
-	case oldOwner == requester:
+	case vouched && d.copyset[requester]:
 		grant = encodeGrant(false, nil)
 	case oldOwner == n.id:
 		// The home itself owns the copy. One of its own threads
@@ -193,35 +298,14 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 			o.cond.Wait()
 		}
 		grant = encodeGrant(true, o.data)
-		o.state = Invalid
-		o.genInv++
+		o.invalidate()
 		o.mu.Unlock()
 		delete(d.copyset, oldOwner)
 	default:
-		grant = encodeGrant(true, n.fetchFrom(oldOwner, id, fetchForWrite))
+		grant = encodeGrant(true, n.fetchFrom(oldOwner, id))
 		delete(d.copyset, oldOwner)
 	}
-	for member := range d.copyset {
-		if member == requester || member == oldOwner {
-			continue
-		}
-		if member == n.id {
-			o.mu.Lock()
-			o.state = Invalid
-			o.genInv++
-			o.mu.Unlock()
-		} else {
-			n.C.Add(stats.CHomeInv, 1)
-			// A member that departed cleanly mid-invalidation took its
-			// copy with it — dropping it from the copyset below is the
-			// whole invalidation.
-			if _, err := n.k.Call(member, kindInv,
-				msg.NewBuilder(4).U32(uint32(id)).Bytes()); err != nil && !n.relayBenign(err) {
-				panic(fmt.Sprintf("munin: invalidate object %d at node %d: %v", id, member, err))
-			}
-		}
-		delete(d.copyset, member)
-	}
+	n.invalidateCopies(o, d, requester)
 	d.owner = requester
 	d.copyset = map[msg.NodeID]bool{requester: true}
 	if requester == n.id {
@@ -233,11 +317,51 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 		o.mu.Unlock()
 	}
 	// The grant goes out before the directory entry is released: the
-	// next writer's handler sends its kindFetch to the new owner from
-	// inside this same lock, and per-pair delivery is FIFO, so the fetch
-	// can never overtake the grant and be served pre-install bytes.
+	// next fault's handler sends its forward or kindFetch to the new owner
+	// from inside this same lock, and per-pair delivery is FIFO, so
+	// neither can overtake the grant and be served pre-install bytes.
 	n.k.ReplyOwned(req, grant)
 	d.mu.Unlock()
+}
+
+// invalidateCopies retires every copy of the object but the requester's,
+// all at once: one kindInv per remote holder is started before any
+// acknowledgment is awaited, so the round costs the slowest holder's
+// round trip, not the sum. Holders are taken in node-ID order, which
+// makes the round's traffic repeat. A holder that departed cleanly took
+// its copy with it; any other failure leaves a copy nobody can vouch for.
+// The caller holds d.mu and resets the copy set afterwards.
+func (n *Node) invalidateCopies(o *Obj, d *dirEntry, requester msg.NodeID) {
+	var arr [8]msg.NodeID
+	remote := arr[:0]
+	for member := range d.copyset {
+		switch member {
+		case requester:
+		case n.id:
+			o.mu.Lock()
+			o.invalidate()
+			o.mu.Unlock()
+		default:
+			remote = append(remote, member)
+		}
+	}
+	slices.Sort(remote)
+	inv := msg.NewBuilder(4).U32(uint32(o.meta.ID)).Bytes()
+	var parr [8]*vkernel.Pending
+	pends := parr[:0]
+	for _, member := range remote {
+		n.C.Add(stats.CHomeInv, 1)
+		p, err := n.k.CallStart(member, kindInv, inv)
+		if err != nil && !n.relayBenign(err) {
+			panic(fmt.Sprintf("munin: invalidate object %d at node %d: %v", o.meta.ID, member, err))
+		}
+		pends = append(pends, p) // nil if the holder is gone: nothing to await
+	}
+	for i, p := range pends {
+		if _, err := p.Wait(); err != nil && !n.relayBenign(err) {
+			panic(fmt.Sprintf("munin: invalidate object %d at node %d: %v", o.meta.ID, remote[i], err))
+		}
+	}
 }
 
 // encodeGrant builds an ownership grant: whether the requester needs
@@ -257,6 +381,10 @@ func encodeGrant(hasData bool, fresh []byte) *bufpool.Buffer {
 	return wb
 }
 
+// testHookInv, when a test sets it, runs in handleInv before the copy is
+// touched.
+var testHookInv func()
+
 // handleInv invalidates the local copy. It must not wait for any
 // in-flight ownership request: an invalidation can legitimately arrive
 // while this node's own WriteOwn is queued behind another node's at the
@@ -269,25 +397,26 @@ func (n *Node) handleInv(req *msg.Msg) {
 		return
 	}
 	o := n.mustObj(id)
+	if testHookInv != nil {
+		testHookInv()
+	}
 	o.mu.Lock()
-	o.state = Invalid
-	o.genInv++
-	o.dirtyOwner = false
+	o.invalidate()
 	o.mu.Unlock()
 	n.C.Add(stats.CInvReceived, 1)
 	n.k.Reply(req, nil)
 }
 
-// handleFetch serves the object's current contents to the home on
-// behalf of a faulting node. No wait is needed for an in-flight grant:
-// grants install inline on the dispatcher (CallInline), so if the home
-// granted this node ownership before issuing this fetch, the install —
-// including the write that triggered it — already ran when this
-// handler was spawned.
+// handleFetch surrenders the object to the home on behalf of a writer
+// that holds no valid copy: the bytes go back in the reply and the local
+// copy is retired. No wait is needed for an in-flight grant: grants
+// install inline on the dispatcher (CallInline), so if the home granted
+// this node ownership before issuing this fetch, the install — including
+// the write that triggered it — already ran when this handler was
+// spawned.
 func (n *Node) handleFetch(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
-	mode := r.U8()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
@@ -295,18 +424,7 @@ func (n *Node) handleFetch(req *msg.Msg) {
 	o := n.mustObj(id)
 	o.mu.Lock()
 	wb := encodeBytesReply(o.data)
-	switch mode {
-	case fetchForRead:
-		o.state = Shared
-		o.dirtyOwner = false
-	case fetchForWrite:
-		o.state = Invalid
-		o.genInv++
-		o.dirtyOwner = false
-	case fetchDirty:
-		o.state = Shared
-		o.dirtyOwner = true
-	}
+	o.invalidate()
 	o.mu.Unlock()
 	n.C.Add(stats.CFetchServed, 1)
 	n.k.ReplyOwned(req, wb)

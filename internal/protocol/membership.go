@@ -28,7 +28,9 @@ import (
 // member still owned exclusively is reclaimed by the home: the home
 // becomes owner of its own — possibly stale — copy, so survivors'
 // reads and writes run the ownership protocol against the home instead
-// of panicking in a fetch aimed at a member that no longer exists.
+// of panicking in a fetch aimed at a member that no longer exists, and a
+// reader whose fault had been forwarded to the member is told to ask the
+// home again (refuseForwards).
 // Like a lock abandoned by a departing owner (dlock.Service.PeerGone),
 // unsynchronized bytes the owner held are lost with it; the reclaim
 // keeps the failure local to that object's last unsynchronized writes.
@@ -39,7 +41,6 @@ import (
 // back by the home).
 func (n *Node) PeerGone(peer msg.NodeID) {
 	copies, consumers, owners := n.prunePeer(peer)
-	n.C.Add(stats.CMemberGone, 1)
 	if copies > 0 {
 		n.C.Add(stats.CMemberPrunedCopies, copies)
 	}
@@ -49,6 +50,27 @@ func (n *Node) PeerGone(peer msg.NodeID) {
 	if owners > 0 {
 		n.C.Add(stats.CMemberReclaimedOwner, owners)
 	}
+	// Last: whoever waits for the departure to be counted finds the rest
+	// of it counted too.
+	n.C.Add(stats.CMemberGone, 1)
+}
+
+// PeerDown is the runtime's report that peer's wire died. The home
+// awaits nothing from the owner of an object whose read fault it
+// forwarded — the reader does, and its kernel knows only the home — so
+// the home refuses every such fault it noted for peer, and the readers
+// fail with the typed *transport.ErrPeerDown instead of waiting for a
+// reply that cannot come. Nothing is reclaimed: a peer that is down may
+// be back (PeerRecovered), and until then its objects have no owner to
+// ask.
+func (n *Node) PeerDown(peer msg.NodeID) {
+	n.objs.each(func(o *Obj) {
+		if d := o.dir.Load(); d != nil {
+			d.mu.Lock()
+			n.refuseForwards(d, peer, nackOwnerDown)
+			d.mu.Unlock()
+		}
+	})
 }
 
 // prunePeer removes peer from every directory entry's copy set,
@@ -79,6 +101,9 @@ func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
 				d.copyset[n.id] = true
 				owners++
 			}
+			// Readers whose faults were forwarded to peer ask again and
+			// find the home owning whatever peer owned.
+			n.refuseForwards(d, peer, nackRetry)
 			d.mu.Unlock()
 		}
 		o.mu.Lock()

@@ -11,9 +11,19 @@
 //	Private            node-local, no coherence traffic
 //	ReadMostly         remote load/store (§3.3.5 prototype choice),
 //	                   dynamically switchable to replication (§3.4.1)
-//	GeneralRW          Berkeley ownership protocol (dirty sharing)
-//	Conventional       Ivy-like write-invalidate with home write-back —
-//	                   the default when no annotation is given (§3.1)
+//	GeneralRW          ownership protocol: single writer, write-invalidate
+//	Conventional       the same protocol — the default when no annotation
+//	                   is given (§3.1)
+//
+// The two ownership annotations run one protocol in which an object's
+// bytes cross the wire once, from the node that has them to the node
+// that needs them, and the home relays none: the home keeps the
+// directory (owner and copy set) and serialises faults; a read fault is
+// forwarded to the owner, which answers the reader directly and stays
+// owner (as in Li and Hudak's Ivy and in Berkeley — there is no
+// write-back to the home); a write fault from a node that still holds a
+// valid copy is granted without data. Only a write fault without a valid
+// copy moves bytes through the home (handleWriteOwn).
 //
 // Every node runs one *Node (the paper's per-processor "Munin server").
 // Application threads call Read/Write with their thread's delayed update
@@ -222,7 +232,11 @@ type Obj struct {
 	grantPending bool
 	genInv       uint64 // bumped on each invalidation (fetch-race detection)
 
-	dirtyOwner bool // Berkeley: this copy is dirty and serves reads
+	// dirtyOwner is set while this node owns the object away from its
+	// initial home copy: an ownership grant was installed here and no
+	// invalidation has taken it since. Read faults are forwarded to this
+	// copy (it stays owner after serving them), so it is never evicted.
+	dirtyOwner bool
 
 	// Write-many / producer-consumer update ordering: home (or the
 	// producer) stamps sequence numbers; receivers apply in order.
@@ -285,8 +299,24 @@ type dirEntry struct {
 	dropped  int64 // copies dropped by the last invalidation round
 	producer msg.NodeID
 
+	// fwd notes, per faulting node, the last read fault the home passed on
+	// to the owner (forwardRead): the owner answers the reader directly, so
+	// this is all the home has to refuse the call with should the owner be
+	// lost first. One entry a node, because a node has one fault per object
+	// outstanding (Obj.fetching); an entry outlives its call until the next
+	// forward replaces it, and refusing a call that has completed costs the
+	// reader one drop.stray_reply.
+	fwd map[msg.NodeID]forwarded
+
 	updMode    UpdateMode // current refresh/invalidate choice
 	updModeSet bool
+}
+
+// forwarded is one read fault passed on to the owner: the node it went
+// to and the faulting node's call sequence.
+type forwarded struct {
+	to  msg.NodeID
+	seq uint64
 }
 
 // objTable maps ObjectID to the node's *Obj. Every Read, Write, fault,
@@ -433,7 +463,8 @@ const (
 	kindRead       = msg.KindCohBase + 1  // Call: fetch a readable copy from home
 	kindWriteOwn   = msg.KindCohBase + 2  // Call: acquire exclusive ownership
 	kindInv        = msg.KindCohBase + 3  // Call/multicast: invalidate local copy (acked)
-	kindFetch      = msg.KindCohBase + 5  // Call: home asks current owner for data
+	kindFwdRead    = msg.KindCohBase + 4  // Forward: home passes a read fault to the owner, which answers the reader
+	kindFetch      = msg.KindCohBase + 5  // Call: home takes the object from its owner for a writer with no valid copy
 	kindRemRead    = msg.KindCohBase + 7  // Call: remote load (read-mostly, result readers)
 	kindRemWrite   = msg.KindCohBase + 8  // Call: remote store (read-mostly)
 	kindRegCons    = msg.KindCohBase + 9  // Call: register as consumer; reply data+seq
@@ -448,11 +479,17 @@ const (
 	kindCohMax     = msg.KindCohBase + 0x1f
 )
 
-// fetch sub-modes for kindFetch.
+// A read fault's reply is the object (encodeDataReply, never shorter
+// than its 8-byte sequence) or a nack, whose first byte is the reason.
 const (
-	fetchForRead  = 1 // conventional read: owner downgrades, home takes ownership
-	fetchForWrite = 2 // ownership transfer: owner invalidates
-	fetchDirty    = 3 // Berkeley read: owner stays dirty owner
+	// nackRetry: the node the fault was forwarded to no longer holds the
+	// object (ownership moved on, or the node left and the home took the
+	// object back). The reader asks the home again.
+	nackRetry = 1
+	// nackOwnerDown: the wire to the owner died and nobody can serve the
+	// object; the owner's node ID follows (U32). The fault fails with
+	// *transport.ErrPeerDown.
+	nackOwnerDown = 2
 )
 
 // NewNode creates the Munin server for this node and registers its
@@ -658,6 +695,8 @@ func (n *Node) dispatch(k *vkernel.Kernel, req *msg.Msg) {
 		n.handleWriteOwn(req)
 	case kindInv:
 		n.handleInv(req)
+	case kindFwdRead:
+		n.handleFwdRead(req)
 	case kindDiffBatch:
 		n.handleDiffBatch(req)
 	case kindApplyBatch:

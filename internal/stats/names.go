@@ -21,6 +21,8 @@ const (
 	CFaultWrite            = "fault.write"
 	CFetchRetry            = "fetch.retry"
 	CFetchServed           = "fetch.served"
+	CFwdRead               = "fwd.read"
+	CFwdNack               = "fwd.nack"
 	CTwin                  = "twin"
 	CWriteBuffered         = "write.buffered"
 	CDiffSent              = "diff.sent"
@@ -107,6 +109,8 @@ var registered = map[string]string{
 	CFaultWrite:            "protocol",
 	CFetchRetry:            "protocol",
 	CFetchServed:           "protocol",
+	CFwdRead:               "protocol",
+	CFwdNack:               "protocol",
 	CTwin:                  "protocol",
 	CWriteBuffered:         "protocol",
 	CDiffSent:              "protocol",

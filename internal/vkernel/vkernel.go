@@ -6,8 +6,9 @@
 // between the different processors"; this package is that substrate.
 // Every node runs one Kernel. Incoming messages are dispatched by message
 // kind to registered handlers, and a handler may itself issue Calls to
-// other nodes (directory protocols need this: a home node forwards a
-// request to the current owner while the requester stays blocked).
+// other nodes (directory protocols need this: a home node invalidates
+// the copy holders while the requester stays blocked) or pass the request
+// on for another node to answer (Forward).
 //
 // What dispatch guarantees is what one goroutine per request would: a
 // request starts running as soon as it is dispatched and is never queued
@@ -24,6 +25,21 @@
 // A request of a kind nobody handles, and a reply to a call that is no
 // longer pending, are dropped and counted (drop.unhandled,
 // drop.stray_reply).
+//
+// A call is completed by its sequence number alone: whichever node
+// sends a reply carrying the caller's Seq answers it, whether or not the
+// request was addressed to that node. Forward rests on this — the V
+// kernel's Forward: a handler passes the request on to a third node and
+// that node's Reply goes straight to the original caller, so data the
+// third node holds reaches the caller without a detour through the
+// forwarder. The forwarder gives up the duty to reply but may still do
+// so (to refuse the call when the forward cannot be delivered); a second
+// reply finds the call no longer pending and is counted
+// drop.stray_reply. What fails a forwarded call is what fails any call —
+// the death or departure of the node it was addressed to, the forwarder
+// — because that is the only destination the caller's kernel knows; a
+// forwarder that learns the third node is lost must answer the caller
+// itself.
 //
 // Requests ride the transport's asynchronous writer pipeline: CallStart
 // and MulticastCallStart enqueue without waiting for the wire, Flush
@@ -60,6 +76,7 @@
 package vkernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -542,6 +559,28 @@ func (k *Kernel) MulticastCall(members []msg.NodeID, kind msg.Kind, payload []by
 	return p.Wait()
 }
 
+// Forward passes req, a request this node is handling, on to dst as a
+// request of the given kind and payload, in place of replying to it.
+// dst's handler sees the original caller in req.From and the caller's
+// sequence number in req.Seq, so its Reply completes the caller's call
+// directly (see the package comment for who may answer a Seq). Forward
+// enqueues and returns like Send; it registers nothing, because the
+// caller, not this node, awaits the reply. An error means the request
+// never left — the caller is still this node's to answer.
+func (k *Kernel) Forward(req *msg.Msg, dst msg.NodeID, kind msg.Kind, payload []byte) error {
+	// The caller's ID rides in the payload: From must stay this node,
+	// since a wire transport drops a frame whose From is not the
+	// connection's peer.
+	p := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(req.From))
+	return k.ep.Send(&msg.Msg{
+		Kind:    kind,
+		Flags:   msg.FlagForward,
+		To:      dst,
+		Seq:     req.Seq,
+		Payload: append(p, payload...),
+	})
+}
+
 // Flush fences this node's outgoing pipeline: it returns once every
 // message enqueued before the call has been written to the wire. It
 // does not wait for replies — Pending.Wait does that.
@@ -659,8 +698,11 @@ func (k *Kernel) dispatchLoop() {
 			continue
 		}
 		h := k.lookup(m.Kind)
+		if h != nil && m.Flags&msg.FlagForward != 0 && !k.unwrapForward(m) {
+			h = nil // a forward that names no caller: nothing could answer it
+		}
 		if h == nil {
-			// No handler registered: drop, like an unbound port.
+			// Nobody to hand it to: drop, like an unbound port.
 			k.C.Add(stats.CDropUnhandled, 1)
 			continue
 		}
@@ -680,6 +722,22 @@ func (k *Kernel) dispatchLoop() {
 			go k.serve(r, stay)
 		}
 	}
+}
+
+// unwrapForward turns a forwarded request (Forward) into the request its
+// handler answers: From becomes the original caller, whose ID leads the
+// payload. It reports false for a frame that names no node of this
+// cluster.
+func (k *Kernel) unwrapForward(m *msg.Msg) bool {
+	if len(m.Payload) < 4 {
+		return false
+	}
+	caller := msg.NodeID(binary.BigEndian.Uint32(m.Payload))
+	if caller < 0 || int(caller) >= k.Nodes() {
+		return false
+	}
+	m.From, m.Payload = caller, m.Payload[4:]
+	return true
 }
 
 // request is one inbound request and the handler it was dispatched to.

@@ -569,3 +569,168 @@ func TestGoodbyeDeliversReplyAndFailsOnlyUnanswered(t *testing.T) {
 		t.Fatalf("call.failed_peer = %d after a clean departure, want 0", got)
 	}
 }
+
+// TestForwardedReplyCompletesOriginalCall pins the contract Forward
+// rests on: a call is completed by its Seq alone, so the reply of a node
+// the request was forwarded to — a node the caller never addressed —
+// answers it, and the forwarder keeps no record of the call. Over tcp as
+// well as chan, because the tcp reader drops a frame whose From is not
+// the connection's peer: the test fails there if Forward put the caller
+// in the header's From instead of the payload, and on both transports if
+// the dispatcher matched a reply's sender against the call's
+// destination.
+func TestForwardedReplyCompletesOriginalCall(t *testing.T) {
+	for _, wire := range []string{"chan", "tcp"} {
+		t.Run(wire, func(t *testing.T) {
+			var net transport.Network = transport.NewChanNetwork(3, transport.CostModel{})
+			if wire == "tcp" {
+				tn, err := transport.NewTCPNetwork(3, transport.CostModel{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net = tn
+			}
+			ks := make([]*Kernel, 3)
+			for i := range ks {
+				ks[i] = NewUnstarted(net, msg.NodeID(i))
+			}
+			defer func() {
+				net.Close()
+				for _, k := range ks {
+					k.Wait()
+				}
+			}()
+			const kindServe = msg.KindPing + 1
+			ks[1].Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) {
+				if err := k.Forward(req, 2, kindServe, append([]byte("via1:"), req.Payload...)); err != nil {
+					t.Errorf("forward: %v", err)
+				}
+				if len(req.Payload) > 1 {
+					// The forwarder may still answer; whichever reply is
+					// second finds the call gone.
+					k.Reply(req, []byte("refused"))
+				}
+			})
+			ks[2].Handle(kindServe, kindServe, func(k *Kernel, req *msg.Msg) {
+				if req.From != 0 {
+					t.Errorf("forwarded request shows From = %d, want the caller 0", req.From)
+				}
+				k.Reply(req, append([]byte("served:"), req.Payload...))
+			})
+			for _, k := range ks {
+				k.Start()
+			}
+
+			reply, err := ks[0].Call(1, msg.KindPing, []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(reply.Payload); got != "served:via1:x" || reply.From != 2 {
+				t.Fatalf("reply = %q from node %d, want %q from node 2", got, reply.From, "served:via1:x")
+			}
+			ks[1].mu.Lock()
+			held := len(ks[1].pending)
+			ks[1].mu.Unlock()
+			if held != 0 {
+				t.Fatalf("the forwarder holds %d pending calls, want 0", held)
+			}
+
+			// Two replies to one call: exactly one is delivered, the other
+			// is a counted stray once both have been dispatched.
+			reply, err = ks[0].Call(1, msg.KindPing, []byte("xy"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(reply.Payload); got != "refused" && got != "served:via1:xy" {
+				t.Fatalf("reply = %q, want the forwarder's or the server's", got)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for ks[0].Counters()[stats.CDropStrayReply] != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("drop.stray_reply = %d, want 1", ks[0].Counters()[stats.CDropStrayReply])
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			// A forward that names no node of the cluster is dropped and
+			// counted, and the kernel carries on.
+			if err := ks[1].Forward(&msg.Msg{From: 7, Seq: 1}, 2, kindServe, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ks[0].Call(1, msg.KindPing, []byte("z")); err != nil {
+				t.Fatal(err)
+			}
+			if got := ks[2].Counters()[stats.CDropUnhandled]; got != 1 {
+				t.Fatalf("drop.unhandled at the server = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestForwardedCallFailsWhenHomeDies: what fails a forwarded call is the
+// loss of the node it was addressed to. The caller's kernel knows no
+// other destination, so when the forwarder's wire dies while the third
+// node still sits on the request, the call returns *ErrPeerDown naming
+// the forwarder — promptly, not at Close. It hangs if a forwarded call
+// were taken out of the peer-down sweep (say, by re-addressing the
+// Pending to the node that will answer).
+func TestForwardedCallFailsWhenHomeDies(t *testing.T) {
+	addrs, err := netutil.ReserveAddrs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[msg.NodeID]string{0: addrs[0], 1: addrs[1], 2: addrs[2]}
+	nets := make([]*transport.MeshNetwork, 3)
+	ks := make([]*Kernel, 3)
+	for i := range nets {
+		nets[i], err = transport.NewMeshNetwork(transport.Topology{Self: msg.NodeID(i), Peers: peers}, transport.CostModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks[i] = NewUnstarted(nets[i], msg.NodeID(i))
+	}
+	t.Cleanup(func() {
+		for i := range nets {
+			ks[i].Close()
+			nets[i].Close()
+			ks[i].Wait()
+		}
+	})
+	const kindServe = msg.KindPing + 1
+	ks[0].Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) {
+		if err := k.Forward(req, 2, kindServe, nil); err != nil {
+			t.Errorf("forward: %v", err)
+		}
+	})
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	ks[2].Handle(kindServe, kindServe, func(k *Kernel, req *msg.Msg) {
+		close(arrived)
+		<-release // sits on the request for as long as the test runs
+	})
+	for _, k := range ks {
+		k.Start()
+	}
+
+	res := make(chan error, 1)
+	go func() {
+		_, err := ks[1].Call(0, msg.KindPing, nil)
+		res <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the forwarded request never reached node 2")
+	}
+	nets[0].Kill()
+	select {
+	case err := <-res:
+		var pd *transport.ErrPeerDown
+		if !errors.As(err, &pd) || pd.Node != 0 {
+			t.Fatalf("forwarded call returned %v, want *ErrPeerDown{Node: 0}", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("forwarded call never returned after the forwarder died")
+	}
+}
