@@ -59,6 +59,27 @@ type E17Metrics struct {
 // parent to kill it parked at the exit gate.
 const e17BodyDoneLine = "E17BODYDONE"
 
+// e17DownSeenLine is printed by node 0 once it has handled a peer's
+// wire death (member.down_wait), which purges the dead incarnation's
+// parked gate arrivals — the cue for the parent to release the held
+// survivors in the parked-arrival case.
+const e17DownSeenLine = "E17DOWNSEEN"
+
+// e17ReportDown prints e17DownSeenLine once node 0's member.down_wait
+// counter moves, polling until stop closes.
+func e17ReportDown(sys *core.System, out io.Writer, stop <-chan struct{}) {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for sys.NodeCounters(0)[stats.CMemberDownWait] == 0 {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+	}
+	fmt.Fprintln(out, e17DownSeenLine)
+}
+
 // e17Value is the deterministic value member m stores in its i-th
 // object; determinism is what makes a partial pre-crash flush plus an
 // identical redo byte-equal to the uninterrupted run.
@@ -204,6 +225,17 @@ func RunE17Member(cfg meshChildConfig, out *os.File) (E17Metrics, error) {
 	self := int(topo.Self)
 	if self != cfg.Victim && out != nil {
 		fmt.Fprintln(out, meshReadyLine)
+	}
+	if self == 0 && out != nil {
+		stop, exited := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(exited)
+			e17ReportDown(sys, out, stop)
+		}()
+		defer func() {
+			close(stop)
+			<-exited
+		}()
 	}
 	var hold chan struct{}
 	if cfg.HoldExit {
@@ -398,7 +430,12 @@ func e17Round(k, members, victimID int, cs e17Case) (vic E17Metrics, surv map[in
 	}
 	if cs.crash == "" {
 		// Release the held survivors only now: their exit-gate arrivals
-		// must find the stale arrival already purged.
+		// must find the stale arrival already purged. The victim's exit
+		// does not order node 0's handling of its wire death before a
+		// survivor's arrival, so wait for node 0 to report it.
+		if _, err := scanForPrefix(procs[0].cmd, procs[0].out, e17DownSeenLine, 20*time.Second); err != nil {
+			return vic, surv, fmt.Errorf("member 0: %w", err)
+		}
 		for _, idx := range survivors {
 			if idx != 0 {
 				fmt.Fprintln(procs[idx].stdin, "GO")

@@ -20,26 +20,27 @@ import (
 )
 
 // Read copies object bytes [off, off+len(buf)) into buf, running the
-// object's coherence protocol if the local copy is not valid. q is the
-// calling thread's delayed update queue (used only to let loose
-// protocols observe the thread's own buffered writes, which live in the
-// local copy already — reads never flush).
+// object's coherence protocol (its policy row's read) if the local copy
+// is not valid. q is the calling thread's delayed update queue; it only
+// picks the thread's counter shard, because reads never flush (the
+// thread's own buffered writes already live in the local copy).
 func (n *Node) Read(q *duq.Queue, id memory.ObjectID, off int, buf []byte) {
 	n.awaitRecovered()
 	o := n.mustObj(id)
 	checkRange(o, off, len(buf))
-	o.eng.read(n, q, o, off, buf)
+	o.pol.read(n, o, off, buf)
 	n.reads.AddShard(q.Shard(), 1)
 }
 
 // Write stores data at [off, off+len(data)), running the object's
-// coherence protocol. Loose protocols (write-many, result) buffer the
-// update in q until the thread's next synchronization point.
+// coherence protocol (its policy row's write). Loose protocols
+// (write-many, result, producer-consumer) buffer the update in q until
+// the thread's next synchronization point.
 func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 	n.awaitRecovered()
 	o := n.mustObj(id)
 	checkRange(o, off, len(data))
-	o.eng.write(n, q, o, off, data)
+	o.pol.write(n, q, o, off, data)
 	n.writes.AddShard(q.Shard(), 1)
 }
 
@@ -67,9 +68,9 @@ func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 // node may transiently observe a later-written object's update before
 // an earlier-written one homed elsewhere; any thread that
 // synchronizes sees everything, because the flush completed before
-// the lock or barrier was released. ROADMAP.md ("cross-home flush
-// ordering option") tracks a strict mode for programs that read
-// unsynchronized across homes.
+// the lock or barrier was released. There is no stricter mode: a
+// program that reads unsynchronized across homes gets no order between
+// them (docs/ARCHITECTURE.md, "Life of a flush").
 func (n *Node) FlushQueue(q *duq.Queue) {
 	if err := n.TryFlushQueue(q); err != nil {
 		panic(fmt.Sprintf("munin: flush: %v", err))
@@ -209,8 +210,8 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 	)
 	for _, id := range fs.ids {
 		o := n.mustObj(id)
-		switch o.meta.Annot {
-		case WriteMany, Result:
+		switch o.pol.flush {
+		case flushHome:
 			o.mu.Lock()
 			spans := o.takeDirty(fs)
 			o.mu.Unlock()
@@ -231,7 +232,7 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 				fs.dstOrder = append(fs.dstOrder, home)
 			}
 			fs.entries = append(fs.entries, dstEntry{dst: home, e: batchEntry{id: id, spans: spans}})
-		case ProducerConsumer:
+		case flushConsumers:
 			n.becomeProducer(o)
 			members := n.pushMembers(o)
 			key := memberKey(members)
@@ -245,8 +246,6 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 				pcOrder = append(pcOrder, key)
 			}
 			g.objs = append(g.objs, o)
-		default:
-			// Other annotations never enter the DUQ.
 		}
 	}
 
@@ -588,7 +587,7 @@ func (n *Node) ensureReadable(o *Obj) {
 			o.cond.Broadcast()
 			continue
 		}
-		if o.meta.Annot == WriteOnce {
+		if o.pol.frozen {
 			// The replica is born frozen, in storage of its own: a
 			// reader that raced an Evict may still be copying out of the
 			// previous snapshot, which nothing ever writes again.
@@ -668,7 +667,7 @@ func (o *Obj) alignSeq(seq uint64) {
 // writeOnceWrite's sole-copy check and its store.
 var testHookWriteOnceChecked func()
 
-func (n *Node) writeOnceWrite(o *Obj, off int, data []byte) {
+func (n *Node) writeOnceWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 	home := n.homeOf(&o.meta)
 	if home != n.id {
 		panic(fmt.Sprintf("munin: write-once object %q written from node %d (home %d) after initialization",
@@ -699,11 +698,16 @@ func (n *Node) writeOnceWrite(o *Obj, off int, data []byte) {
 	o.mu.Unlock()
 }
 
-// writeOnceFault serves a write-once read that found nothing published:
-// the replica is Invalid (never fetched, or evicted), or this is the
-// home and the object is still being initialised. An Evict can undo the
-// fetch before this thread is back under o.mu, hence the loop.
-func (n *Node) writeOnceFault(o *Obj, off int, buf []byte) {
+// writeOnceRead serves a write-once read. A hit copies out of the frozen
+// snapshot and takes no lock at all. A read that finds nothing published
+// takes o.mu: the replica is Invalid (never fetched, or evicted), or this
+// is the home and the object is still being initialised. An Evict can
+// undo the fetch before this thread is back under o.mu, hence the loop.
+func (n *Node) writeOnceRead(o *Obj, off int, buf []byte) {
+	if s := o.snap.view(); s != "" {
+		copy(buf, s[off:])
+		return
+	}
 	o.mu.Lock()
 	for o.state == Invalid {
 		o.mu.Unlock()
@@ -910,7 +914,7 @@ func (n *Node) readMostlyRead(o *Obj, off int, buf []byte) {
 	copy(buf, msg.NewReader(reply.Payload).BytesN())
 }
 
-func (n *Node) readMostlyWrite(o *Obj, off int, data []byte) {
+func (n *Node) readMostlyWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 	home := n.homeOf(&o.meta)
 	if home == n.id {
 		// The home applies locally and, in replicated mode,
@@ -970,7 +974,7 @@ func (n *Node) resultRead(o *Obj, off int, buf []byte) {
 // request is sent.
 var testHookWriteOwnBuilt func(n *Node)
 
-func (n *Node) ownershipWrite(o *Obj, off int, data []byte) {
+func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 	o.mu.Lock()
 	for {
 		if o.state == Exclusive {

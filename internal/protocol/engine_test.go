@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"munin/internal/duq"
+	"munin/internal/memory"
 	"munin/internal/msg"
 )
 
@@ -29,35 +30,50 @@ func TestEngineKindStrings(t *testing.T) {
 	}
 }
 
+// TestEngineResolvesPerAnnotation: an allocation with the zero Engine
+// installs its annotation's directory row, and a per-object
+// Options.Engine picks the engine for that object alone.
 func TestEngineResolvesPerAnnotation(t *testing.T) {
 	r := newRig(t, 2)
-	r.nodes[0].SetAnnotationEngine(ReadMostly, EngineLease)
-	meta := Meta{Annot: ReadMostly}
-	if e := r.nodes[0].resolveEngine(&meta); e != EngineLease {
-		t.Fatalf("annotation selection ignored: %v", e)
-	}
-	// Per-object option overrides the table.
-	meta.Opts.Engine = EngineDirectory
-	if e := r.nodes[0].resolveEngine(&meta); e != EngineDirectory {
-		t.Fatalf("per-object override ignored: %v", e)
-	}
-	// Everything else defaults to the directory machine.
-	conv := Meta{Annot: Conventional}
-	if e := r.nodes[0].resolveEngine(&conv); e != EngineDirectory {
-		t.Fatalf("default engine: %v", e)
+	lease := DefaultOptions()
+	lease.Engine = EngineLease
+	dir := DefaultOptions()
+	dir.Engine = EngineDirectory
+	r.alloc(1, "conv", 8, Conventional, DefaultOptions(), nil)
+	r.alloc(2, "rm", 8, ReadMostly, DefaultOptions(), nil)
+	r.alloc(3, "rm-lease", 8, ReadMostly, lease, nil)
+	r.alloc(4, "rm-dir", 8, ReadMostly, dir, nil)
+	for _, c := range []struct {
+		id   memory.ObjectID
+		row  *policy
+		kind EngineKind
+	}{
+		{1, &rows[Conventional], EngineDirectory},
+		{2, &rows[ReadMostly], EngineDirectory},
+		{3, &leaseRow, EngineLease},
+		{4, &rows[ReadMostly], EngineDirectory},
+	} {
+		for i, n := range r.nodes {
+			o := n.mustObj(c.id)
+			if o.pol != c.row || o.pol.engine != c.kind || o.meta.Opts.Engine != c.kind {
+				t.Fatalf("node %d object %d: row engine %v, resolved engine %v, want %v",
+					i, c.id, o.pol.engine, o.meta.Opts.Engine, c.kind)
+			}
+		}
 	}
 }
 
+// TestEngineTravelsInAnnounce: the allocating node resolves the engine
+// and the announce carries it, so a node that only decodes the announce
+// installs the same row.
 func TestEngineTravelsInAnnounce(t *testing.T) {
-	// Only node 0 selects the lease engine for read-mostly objects; the
-	// announce must carry the resolved kind so node 1 installs the same
-	// engine anyway.
 	r := newRig(t, 2)
-	r.nodes[0].SetAnnotationEngine(ReadMostly, EngineLease)
-	r.alloc(2, "rm", 8, ReadMostly, DefaultOptions(), u64bytes(5)) // home = node 0
+	opts := DefaultOptions()
+	opts.Engine = EngineLease
+	r.alloc(2, "rm", 8, ReadMostly, opts, u64bytes(5)) // home = node 0
 	for i, n := range r.nodes {
-		if k := n.mustObj(2).eng.kind(); k != EngineLease {
-			t.Fatalf("node %d installed %v", i, k)
+		if o := n.mustObj(2); o.pol != &leaseRow {
+			t.Fatalf("node %d installed the %v engine's row", i, o.pol.engine)
 		}
 	}
 }
@@ -72,16 +88,6 @@ func TestLeaseRequiresReadMostly(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = EngineLease
 	r.alloc(1, "bad", 8, Conventional, opts, nil)
-}
-
-func TestSetAnnotationEngineRejectsLeaseForOthers(t *testing.T) {
-	r := newRig(t, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAnnotationEngine(WriteMany, lease) did not panic")
-		}
-	}()
-	r.nodes[0].SetAnnotationEngine(WriteMany, EngineLease)
 }
 
 // ---------------------------------------------------------------------

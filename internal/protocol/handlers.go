@@ -39,8 +39,8 @@ func (n *Node) handleRead(req *msg.Msg) {
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeRead, 1)
 
-	switch o.meta.Annot {
-	case Conventional, GeneralRW:
+	switch {
+	case o.pol.owned:
 		// The owner serves the read and stays owner; the home only adds the
 		// reader to the copy set, so the owner's next write fault finds it
 		// there and invalidates it.
@@ -63,10 +63,10 @@ func (n *Node) handleRead(req *msg.Msg) {
 		d.mu.Unlock()
 		n.k.ReplyOwned(req, wb)
 
-	case WriteOnce:
+	case o.pol.frozen:
 		// Serving the first replica ends initialisation: the home copy
 		// freezes into the snapshot every later read — remote fetches
-		// here, local hits in directoryEngine.read — copies from. d.mu is
+		// here, local hits in writeOnceRead — copies from. d.mu is
 		// what orders this against writeOnceWrite's check-then-write.
 		d.mu.Lock()
 		o.mu.Lock()
@@ -501,7 +501,7 @@ func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeI
 	}
 	o.applySeq++
 	seq := o.applySeq
-	if o.meta.Annot == WriteMany {
+	if o.pol.relay {
 		for m := range d.copyset {
 			if m != n.id && m != from {
 				ds.relays = append(ds.relays, relay{to: m, entry: i})
@@ -780,7 +780,7 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 		n.C.Add(stats.CApplyGap, 1)
 		o.pendApply[seq] = memory.CloneSpans(spans) // see the Invalid case
 
-		if o.meta.Annot == ProducerConsumer && !o.isProducer && o.dirty.Empty() {
+		if o.pol.flush == flushConsumers && !o.isProducer && o.dirty.Empty() {
 			o.state = Invalid
 			o.genInv++
 			o.mu.Unlock()
@@ -811,7 +811,7 @@ func (n *Node) handleRemRead(req *msg.Msg) {
 	n.C.Add(stats.CHomeRemRead, 1)
 	n.k.ReplyOwned(req, wb)
 
-	if o.meta.Annot != ReadMostly || !o.meta.Opts.Dynamic {
+	if !o.pol.remote || !o.meta.Opts.Dynamic {
 		return
 	}
 	d := n.dirEntryOf(id)
@@ -868,7 +868,7 @@ func (n *Node) handleRemWrite(req *msg.Msg) {
 // update to re-measure.
 func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, from msg.NodeID) uint64 {
 	o := n.mustObj(id)
-	if o.meta.Annot != ReadMostly {
+	if !o.pol.remote {
 		return 0
 	}
 	o.mu.Lock()

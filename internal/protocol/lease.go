@@ -10,7 +10,7 @@ import (
 	"munin/internal/vkernel"
 )
 
-// The Tardis-style lease engine (engine #2). The directory engine keeps
+// The Tardis-style lease engine (leaseRow). The directory engine keeps
 // replicas coherent by acting on every write: the home multicasts a
 // refresh or invalidation to the whole copyset, so a write to a
 // read-mostly object costs O(copyset) messages — exactly the fan-out
@@ -47,19 +47,6 @@ import (
 // against the home. What the lease engine gives up is eager delivery
 // between sync points; what it gains is a write cost independent of how
 // many nodes are reading — the fan-out is gone (bench E16).
-
-// leaseEng implements the engine interface for read-mostly objects.
-type leaseEng struct{}
-
-func (leaseEng) kind() EngineKind { return EngineLease }
-
-func (leaseEng) read(n *Node, q *duq.Queue, o *Obj, off int, buf []byte) {
-	n.leaseRead(o, off, buf)
-}
-
-func (leaseEng) write(n *Node, q *duq.Queue, o *Obj, off int, data []byte) {
-	n.leaseWrite(o, off, data)
-}
 
 // leaseRead serves a read under the lease protocol: local while the
 // lease is live, a take/renew round trip to the home otherwise.
@@ -127,7 +114,7 @@ func (n *Node) leaseRead(o *Obj, off int, buf []byte) {
 // leaseWrite applies a write under the lease protocol: bump-and-apply
 // at the home, write-through from everywhere else. No multicast — the
 // version bump is the entire publication.
-func (n *Node) leaseWrite(o *Obj, off int, data []byte) {
+func (n *Node) leaseWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 	if n.homeOf(&o.meta) == n.id {
 		o.mu.Lock()
 		copy(o.data[off:], data)

@@ -15,6 +15,12 @@
 //	Conventional       the same protocol — the default when no annotation
 //	                   is given (§3.1)
 //
+// Each mechanism is a policy row (policy.go): the object's read and write
+// methods plus the few protocol parameters the handlers branch on. Alloc
+// picks an object's row once, from its annotation and Options.Engine, and
+// nothing else looks at the annotation again. Read-mostly objects have a
+// second row under the Tardis-style lease engine (lease.go).
+//
 // The two ownership annotations run one protocol in which an object's
 // bytes cross the wire once, from the node that has them to the node
 // that needs them, and the home relays none: the home keeps the
@@ -132,10 +138,8 @@ type Options struct {
 	// §3.4.1 replication-vs-remote comparison.
 	ForceReplicated bool
 	// Engine selects the coherence engine for this object.
-	// EngineDefault (zero) defers to the node's per-annotation
-	// selection (SetAnnotationEngine), which itself defaults to the
-	// directory engine. EngineLease is valid for read-mostly objects
-	// only.
+	// EngineDefault (zero) is the directory engine, which runs every
+	// annotation. EngineLease is valid for read-mostly objects only.
 	Engine EngineKind
 }
 
@@ -204,6 +208,9 @@ type Obj struct {
 	cond *sync.Cond
 
 	meta Meta
+	// pol is the object's coherence protocol, one of the package's
+	// policy rows, chosen at install from the annotation and engine.
+	pol *policy
 	// data is the local copy. A write-once object has one only at its
 	// home while it is being initialised: everywhere else, and at the
 	// home from the first replica on, its bytes are snap and data is nil.
@@ -260,10 +267,6 @@ type Obj struct {
 
 	// Read-mostly dynamic mode: true once switched to replication.
 	replicated bool
-
-	// eng is the coherence engine driving this object's Read/Write
-	// faults, resolved at install time (see resolveEngine).
-	eng engine
 
 	// dir is the directory record, created on first use at the home
 	// (dirEntryOf); nil on nodes that never acted as this object's home.
@@ -428,10 +431,6 @@ type Node struct {
 	// exactly when §3.2 requires remote updates to become visible.
 	syncEpoch atomic.Uint64
 
-	// annotEngine is the per-annotation engine selection
-	// (SetAnnotationEngine); the zero value defers to EngineDirectory.
-	annotEngine [GeneralRW + 1]EngineKind
-
 	// Recovery gate (recovery.go): a member constructed to rejoin an
 	// existing cluster blocks application reads and writes until its
 	// recovery handshake completes, so it can never serve pre-crash
@@ -549,16 +548,14 @@ func (n *Node) dirEntryOf(id memory.ObjectID) *dirEntry {
 	return o.dir.Load()
 }
 
-// checkAllocArgs validates allocation arguments and fills a nil init
-// with zeroes.
-func checkAllocArgs(meta Meta, init []byte) []byte {
+// checkAllocArgs validates allocation arguments, resolves the object's
+// engine into meta — the announce carries the row's engine, so every
+// node installs the same row — and fills a nil init with zeroes.
+func checkAllocArgs(meta *Meta, init []byte) []byte {
 	if meta.Size <= 0 {
 		panic(fmt.Sprintf("munin: alloc %q: size must be positive", meta.Name))
 	}
-	if meta.Opts.Engine == EngineLease && meta.Annot != ReadMostly {
-		panic(fmt.Sprintf("munin: alloc %q: lease engine supports read-mostly objects only, not %v",
-			meta.Name, meta.Annot))
-	}
+	meta.Opts.Engine = policyOf(meta).engine // panics on a lease request the lease row does not cover
 	if init != nil && len(init) != meta.Size {
 		panic(fmt.Sprintf("munin: alloc %q: init length %d != size %d", meta.Name, len(init), meta.Size))
 	}
@@ -573,11 +570,7 @@ func checkAllocArgs(meta Meta, init []byte) []byte {
 // touch the object. The initial data lives at the object's home;
 // private objects get a full local copy on every node.
 func (n *Node) Alloc(meta Meta, init []byte) {
-	// Resolve the engine before announcing: the announce carries the
-	// resolved kind, so every node installs the same engine no matter
-	// what its own per-annotation selection says.
-	meta.Opts.Engine = n.resolveEngine(&meta)
-	init = checkAllocArgs(meta, init)
+	init = checkAllocArgs(&meta, init)
 	payload := encodeAlloc(meta, init)
 	// Synchronous install on every node: setup traffic, acked so no
 	// worker can race an in-flight announce.
@@ -603,31 +596,27 @@ func (n *Node) Alloc(meta Meta, init []byte) {
 // single-driver path that announces the object to every node of an
 // in-process cluster.
 func (n *Node) InstallLocal(meta Meta, init []byte) {
-	meta.Opts.Engine = n.resolveEngine(&meta)
-	init = checkAllocArgs(meta, init)
+	init = checkAllocArgs(&meta, init)
 	n.install(meta, init)
 }
 
 // install creates the local view of a newly allocated object.
 func (n *Node) install(meta Meta, init []byte) {
-	o := &Obj{meta: meta, pendApply: make(map[uint64][]memory.Span)}
+	o := &Obj{meta: meta, pol: policyOf(&meta), pendApply: make(map[uint64][]memory.Span)}
 	o.cond = sync.NewCond(&o.mu)
-	o.eng = engineFor(n.resolveEngine(&meta))
 	// ForceReplicated: a read-mostly object serves reads from local
 	// replicas from the very first access instead of remote load/store
 	// — under the directory engine via the replicated-mode flag, under
 	// the lease engine by construction (every read installs a leased
-	// local copy), so the flag needs no engine-side state there.
-	if meta.Annot == ReadMostly && meta.Opts.ForceReplicated && o.eng.kind() == EngineDirectory {
-		o.replicated = true
-	}
+	// local copy), so the lease row needs no flag.
+	o.replicated = o.pol.remote && meta.Opts.ForceReplicated
 	home := n.homeOf(&meta)
-	switch meta.Annot {
-	case Private:
+	switch {
+	case o.pol.private:
 		// Every node gets its own independent copy.
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
-	case Migratory:
+	case o.pol.lockBound:
 		// Data rides with the lock. Register the transfer hooks; the
 		// seed lives at the lock's home (done by the allocator below).
 		o.data = append([]byte(nil), init...)
@@ -636,17 +625,14 @@ func (n *Node) install(meta Meta, init []byte) {
 			panic("munin: migratory object requires a lock service")
 		}
 		n.locks.AttachMigratory(meta.Opts.Lock, o.migratorySnapshot, o.migratoryInstall)
+	case home == n.id:
+		o.data = append([]byte(nil), init...)
+		o.state = Exclusive
+	case o.pol.frozen:
+		o.state = Invalid // the replica, when fetched, is o.snap
 	default:
-		switch {
-		case home == n.id:
-			o.data = append([]byte(nil), init...)
-			o.state = Exclusive
-		case meta.Annot == WriteOnce:
-			o.state = Invalid // the replica, when fetched, is o.snap
-		default:
-			o.data = make([]byte, meta.Size)
-			o.state = Invalid
-		}
+		o.data = make([]byte, meta.Size)
+		o.state = Invalid
 	}
 	n.objs.put(o)
 	if home == n.id {
@@ -655,7 +641,7 @@ func (n *Node) install(meta Meta, init []byte) {
 		d.owner = n.id
 		d.copyset[n.id] = true
 		d.mu.Unlock()
-		if meta.Annot == Migratory {
+		if o.pol.lockBound {
 			// Park the initial bytes with the lock so the first
 			// acquirer anywhere receives them.
 			if err := n.locks.SeedMigratory(meta.Opts.Lock, init); err != nil {

@@ -9,9 +9,9 @@ import (
 	"munin/internal/stats"
 )
 
-// Protocol-level recovery (ROADMAP "reconnect-aware protocol
-// recovery"): PR 4's epoch-versioned reconnect revives the wire after
-// a member crashes and restarts, but the protocol state above it is
+// Protocol-level recovery (docs/ARCHITECTURE.md, "Recovery"): the
+// transport's epoch-versioned reconnect revives the wire after a
+// member crashes and restarts, but the protocol state above it is
 // one-sided — survivors still record the dead incarnation's copies,
 // ownership, producer registrations, and queued lock grants, while the
 // restarted process comes back with nothing. The recovery handshake
@@ -98,7 +98,7 @@ func (n *Node) RecoverAnnounce(setupSum uint64, setupN int) error {
 	}
 	var objs []objKind
 	n.objs.each(func(o *Obj) {
-		objs = append(objs, objKind{o.meta.ID, o.eng.kind()})
+		objs = append(objs, objKind{o.meta.ID, o.pol.engine})
 	})
 	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
 
@@ -169,7 +169,7 @@ func (n *Node) handleRecover(req *msg.Msg) {
 			reject(fmt.Sprintf("announced object %d was never allocated here", id))
 			return
 		}
-		if got := o.eng.kind(); got != kind {
+		if got := o.pol.engine; got != kind {
 			reject(fmt.Sprintf("object %d engine %d != local engine %d", id, kind, got))
 			return
 		}

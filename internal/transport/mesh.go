@@ -520,6 +520,25 @@ func (p *meshPeer) resetAck() {
 	}
 }
 
+// handshakeState returns what an inbound hello is judged against: the
+// pair's effective epoch, and whether the hello would be a rejoin (the
+// peer is latched down or departed). The effective epoch includes this
+// side's in-flight dial proposal, so two simultaneous first dials (both
+// proposing epoch+1) land in the duplicate tiebreak instead of each side
+// accepting the other's "newer" generation and installing two
+// connections. Caller holds p.mu.
+func (p *meshPeer) handshakeState() (cur uint64, rejoin bool) {
+	cur = p.epoch
+	if p.dialing && p.proposed > cur {
+		cur = p.proposed
+	}
+	return cur, p.down || p.gone
+}
+
+// errPeerRedialed is the cause of a latch taken because the peer dialed
+// in again over a connection this side still held.
+var errPeerRedialed = errors.New("peer re-dialed over the live connection")
+
 // handleInbound runs the acceptor side of the connect handshake: read
 // and validate the hello, resolve stale epochs and duplicate
 // connections, answer accept/reject (the accept carries the agreed
@@ -552,16 +571,20 @@ func (m *MeshNetwork) handleInbound(conn net.Conn) {
 		return
 	}
 	p.mu.Lock()
-	// The pair's effective epoch includes this side's in-flight dial
-	// proposal, so two simultaneous first dials (both proposing
-	// epoch+1) land in the duplicate tiebreak instead of each side
-	// accepting the other's "newer" generation and installing two
-	// connections.
-	cur := p.epoch
-	if p.dialing && p.proposed > cur {
-		cur = p.proposed
+	cur, rejoin := p.handshakeState()
+	if m.topo.Reconnect.Enabled && !rejoin && p.conn != nil && (p.dialer == from || hepoch > cur) {
+		// The peer dials again over a connection this side still holds:
+		// an owner re-dial or a newer epoch means the peer's end of that
+		// stream is dead (it restarted, or it latched the pair and is
+		// re-dialing), and this side's reader has not seen the EOF yet.
+		// Latch the old generation down first, exactly as that EOF
+		// would, so its pending calls fail and the accept below is the
+		// counted, announced rejoin it is.
+		p.mu.Unlock()
+		m.peerDown(p, errPeerRedialed)
+		p.mu.Lock()
+		cur, rejoin = p.handshakeState()
 	}
-	rejoin := p.down || p.gone
 	accept := false
 	switch {
 	case rejoin && !m.topo.Reconnect.Enabled:

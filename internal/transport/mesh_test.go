@@ -209,6 +209,38 @@ func readWireMsg(t *testing.T, conn net.Conn) *msg.Msg {
 	return msgs[0]
 }
 
+// hangUp ends a raw test connection the way a departing mesh member
+// does: it sends the goodbye, waits for the mesh's ack (skipping any
+// frames still queued ahead of it), and closes. The mesh then holds the
+// pair as departed, so its own Close has no ack to wait out.
+func hangUp(t *testing.T, conn net.Conn) {
+	t.Helper()
+	defer conn.Close()
+	var word [4]byte
+	binary.BigEndian.PutUint32(word[:], ctrlGoodbye)
+	if _, err := conn.Write(word[:]); err != nil {
+		t.Errorf("hang-up: writing goodbye: %v", err)
+		return
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		if _, err := io.ReadFull(conn, word[:]); err != nil {
+			t.Errorf("hang-up: no goodbye ack: %v", err)
+			return
+		}
+		n := binary.BigEndian.Uint32(word[:])
+		if n == ctrlGoodbyeAck {
+			return
+		}
+		if n <= maxFrameLen {
+			if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
+				t.Errorf("hang-up: skipping a frame: %v", err)
+				return
+			}
+		}
+	}
+}
+
 // TestMeshTiebreakRejectsHigherDialer pins the acceptor side of the
 // duplicate-connection rule: a node that already owns the pair's
 // connection as the LOWER-ID dialer rejects an inbound duplicate from
@@ -234,7 +266,7 @@ func TestMeshTiebreakRejectsHigherDialer(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig, _ := acceptWithHello(t, fake, 0)
-	defer orig.Close()
+	defer hangUp(t, orig)
 	if got := readWireMsg(t, orig); string(got.Payload) != "one" {
 		t.Fatalf("got %v", got)
 	}
@@ -287,7 +319,7 @@ func TestMeshTiebreakLowerDialerReplaces(t *testing.T) {
 
 	// Duplicate: "node 0" dials in. Dialer ID 0 < 1 wins.
 	winner, verdict, _ := dialWithHello(t, m.Addr(), 0, 1)
-	defer winner.Close()
+	defer hangUp(t, winner)
 	if verdict != helloAccept {
 		t.Fatalf("duplicate from lower dialer got verdict %d, want accept", verdict)
 	}
@@ -422,12 +454,15 @@ func TestMeshRejectsBadHello(t *testing.T) {
 		conn.Close()
 	}
 
-	// Wrong magic.
+	// Wrong magic, in a hello of full length: a short one would only
+	// meet the handshake timeout.
 	conn, err := net.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write([]byte("XXXX000000"))
+	bad := encodeHello(1, 1)
+	copy(bad, "XXXX")
+	conn.Write(bad)
 	expectClosed(conn, "bad magic")
 
 	// Wrong version.
@@ -435,7 +470,7 @@ func TestMeshRejectsBadHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := encodeHello(1, 1)
+	bad = encodeHello(1, 1)
 	binary.BigEndian.PutUint16(bad[4:6], meshProtoVersion+1)
 	conn.Write(bad)
 	expectClosed(conn, "bad version")
@@ -649,7 +684,7 @@ func TestMeshStaleEpochHelloRejected(t *testing.T) {
 
 	// A newer generation (epoch 2 > current 1) wins and replaces.
 	fresh, verdict, agreed := dialWithHello(t, m.Addr(), 1, 2)
-	defer fresh.Close()
+	defer hangUp(t, fresh)
 	if verdict != helloAccept || agreed != 2 {
 		t.Fatalf("newer-epoch hello got verdict %d agreed %d, want accept at 2", verdict, agreed)
 	}
@@ -705,6 +740,8 @@ func TestMeshReconnectRedialsAndClearsLatch(t *testing.T) {
 
 	downCh := make(chan msg.NodeID, 1)
 	m.OnPeerDown(func(peer msg.NodeID, epoch uint64, err error) { downCh <- peer })
+	reconnCh := make(chan uint64, 1)
+	m.OnPeerReconnect(func(peer msg.NodeID, epoch uint64) { reconnCh <- epoch })
 	conn1.Close() // abrupt: wire death, not goodbye
 	select {
 	case <-downCh:
@@ -720,21 +757,19 @@ func TestMeshReconnectRedialsAndClearsLatch(t *testing.T) {
 	// The peer "recovers": accept the background re-dial, which must
 	// propose the next generation.
 	conn2, epoch2 := acceptWithHello(t, fake, 0)
-	defer conn2.Close()
+	defer hangUp(t, conn2)
 	if epoch2 != 2 {
 		t.Fatalf("re-dial proposed epoch %d, want 2", epoch2)
 	}
-	// The latch clears once the handshake completes; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("two")})
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("send never recovered after re-dial: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The latch clears when the handshake completes, which the reconnect
+	// notification reports.
+	select {
+	case <-reconnCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("re-dial never completed")
+	}
+	if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("two")}); err != nil {
+		t.Fatalf("send after re-dial: %v", err)
 	}
 	if got := readWireMsg(t, conn2); string(got.Payload) != "two" {
 		t.Fatalf("after reconnect, got %v", got)
@@ -778,6 +813,8 @@ func TestMeshRejoinAcceptedWithPolicy(t *testing.T) {
 	}
 	downCh := make(chan msg.NodeID, 1)
 	m.OnPeerDown(func(peer msg.NodeID, epoch uint64, err error) { downCh <- peer })
+	reconnCh := make(chan uint64, 1)
+	m.OnPeerReconnect(func(peer msg.NodeID, epoch uint64) { reconnCh <- epoch })
 	// The peer "crashes": its listener disappears and the connection
 	// dies, so the background re-dial cannot succeed.
 	fake.Close()
@@ -806,20 +843,19 @@ func TestMeshRejoinAcceptedWithPolicy(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	defer conn2.Close()
+	defer hangUp(t, conn2)
 	if agreed != 2 {
 		t.Fatalf("rejoin agreed epoch %d, want 2 (past the dead generation)", agreed)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("two")})
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("send never recovered after rejoin: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The connection is published, and the latch cleared, before the
+	// reconnect notification fires.
+	select {
+	case <-reconnCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rejoin never completed")
+	}
+	if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("two")}); err != nil {
+		t.Fatalf("send after rejoin: %v", err)
 	}
 	if got := readWireMsg(t, conn2); string(got.Payload) != "two" {
 		t.Fatalf("after rejoin, got %v", got)
@@ -905,7 +941,7 @@ func TestMeshMisroutedFramesCounted(t *testing.T) {
 	// directly as node 1 with a fresh (newer) epoch and write a
 	// misrouted frame on the accepted connection.
 	conn, verdict, _ := dialWithHello(t, a.Addr(), 1, 99)
-	defer conn.Close()
+	defer hangUp(t, conn)
 	if verdict != helloAccept {
 		t.Fatalf("handshake verdict %d, want accept", verdict)
 	}
@@ -965,6 +1001,107 @@ func TestMeshOwnerRedialFromScratchAccepted(t *testing.T) {
 	}
 	if got := readWireMsg(t, fresh); string(got.Payload) != "hi" {
 		t.Fatalf("after owner re-dial, got %v", got)
+	}
+}
+
+// TestMeshRedialOverLiveConnectionIsRejoin: with a reconnect policy, a
+// peer that dials in again while this side still holds the pair's
+// connection — a restarted peer's hello arriving before this side's
+// reader saw the old stream's EOF — produces the events the EOF-first
+// order produces: OnPeerDown for the old epoch, then a counted
+// wire.reconnects and OnPeerReconnect for the new one. Both shapes of
+// that hello are covered: an owner re-dial from scratch (the peer dialed
+// the old connection) and a newer epoch over a connection this side
+// dialed.
+func TestMeshRedialOverLiveConnectionIsRejoin(t *testing.T) {
+	type event struct {
+		peer  msg.NodeID
+		epoch uint64
+	}
+	for _, tc := range []struct {
+		name       string
+		selfDialed bool   // this side dialed the live connection
+		redial     uint64 // epoch the second hello proposes
+	}{
+		{name: "owner re-dial from scratch", redial: 1},
+		{name: "newer epoch over own dial", selfDialed: true, redial: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := reserveAddrs(t, 2)
+			fake, err := net.Listen("tcp", addrs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fake.Close()
+			m, err := NewMeshNetwork(Topology{
+				Self:  0,
+				Peers: map[msg.NodeID]string{0: addrs[0], 1: addrs[1]},
+				// A background re-dial never fires within the test.
+				Reconnect: ReconnectPolicy{Enabled: true, MaxAttempts: 1, Backoff: time.Hour},
+			}, CostModel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			downs := make(chan event, 4)
+			m.OnPeerDown(func(peer msg.NodeID, epoch uint64, err error) { downs <- event{peer, epoch} })
+			reconns := make(chan event, 4)
+			m.OnPeerReconnect(func(peer msg.NodeID, epoch uint64) { reconns <- event{peer, epoch} })
+
+			// Establish epoch 1.
+			var orig net.Conn
+			if tc.selfDialed {
+				if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("one")}); err != nil {
+					t.Fatal(err)
+				}
+				orig, _ = acceptWithHello(t, fake, 0)
+				readWireMsg(t, orig)
+			} else {
+				var verdict byte
+				orig, verdict, _ = dialWithHello(t, m.Addr(), 1, 1)
+				if verdict != helloAccept {
+					t.Fatalf("establish: verdict %d, want accept", verdict)
+				}
+			}
+			defer orig.Close()
+
+			// The second hello, over the live connection.
+			fresh, verdict, agreed := dialWithHello(t, m.Addr(), 1, tc.redial)
+			defer hangUp(t, fresh)
+			if verdict != helloAccept || agreed != 2 {
+				t.Fatalf("second hello: verdict %d agreed %d, want accept at 2", verdict, agreed)
+			}
+			// The down callbacks run before the verdict is written.
+			select {
+			case d := <-downs:
+				if d != (event{1, 1}) {
+					t.Fatalf("OnPeerDown %+v, want peer 1 epoch 1", d)
+				}
+			default:
+				t.Fatal("the replaced generation was never latched down")
+			}
+			select {
+			case r := <-reconns:
+				if r != (event{1, 2}) {
+					t.Fatalf("OnPeerReconnect %+v, want peer 1 epoch 2", r)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("OnPeerReconnect never fired")
+			}
+			if got := m.Stats().WireReconnects(); got != 1 {
+				t.Fatalf("wire.reconnects = %d, want 1", got)
+			}
+			if got := m.Stats().WirePeerDown(); got != 1 {
+				t.Fatalf("wire.peer_down = %d, want 1", got)
+			}
+			// Traffic rides the replacement.
+			if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("two")}); err != nil {
+				t.Fatal(err)
+			}
+			if got := readWireMsg(t, fresh); string(got.Payload) != "two" {
+				t.Fatalf("after rejoin, got %v", got)
+			}
+		})
 	}
 }
 
@@ -1135,7 +1272,7 @@ func TestMeshReconnectNotifyFiresBeforeTraffic(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	defer conn3.Close()
+	defer hangUp(t, conn3)
 	select {
 	case r := <-reconnCh:
 		if r.peer != 1 || r.epoch != agreed {
