@@ -6,7 +6,7 @@
 // and zeroes whatever was reading the old one.
 //
 // The rule: every compile-time-constant name reaching a stats.Set
-// sink (Add, Get, Counter, Sharded) or a vkernel Counters() map index must be
+// sink (Add, Get, Counter) or a vkernel Counters() map index must be
 // registered in internal/stats/names.go, and call sites in production
 // code must spell it via the registry constant, not a string literal.
 // Dynamic names (per-class families built from ClassOf etc.) are
@@ -53,8 +53,7 @@ func checkCall(pass *framework.Pass, call *ast.CallExpr) {
 	}
 	sink := framework.FuncIs(fn, statsPath, "Set", "Add") ||
 		framework.FuncIs(fn, statsPath, "Set", "Get") ||
-		framework.FuncIs(fn, statsPath, "Set", "Counter") ||
-		framework.FuncIs(fn, statsPath, "Set", "Sharded")
+		framework.FuncIs(fn, statsPath, "Set", "Counter")
 	if !sink {
 		return
 	}

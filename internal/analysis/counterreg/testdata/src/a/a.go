@@ -16,8 +16,7 @@ func sinks(s *stats.Set) {
 	_ = s.Get(stats.CWrites)
 	_ = s.Get("diff.snet") // want `counter name "diff.snet" is not registered`
 	s.Counter(stats.CTwin).Add(1)
-	s.Sharded(stats.CWrites).AddShard(3, 1)
-	s.Sharded("wriets") // want `counter name "wriets" is not registered`
+	s.Counter("wriets") // want `counter name "wriets" is not registered`
 }
 
 func dynamic(s *stats.Set, class string) {

@@ -17,7 +17,10 @@
 //     path, either replies, forwards/parks the request (any use of
 //     the request value beyond reading its fields), counts a
 //     documented drop (a stats counter whose name contains "drop"),
-//     or panics. A silent `return` in a Call handler leaves the
+//     or panics. A wire resolver — a function of the package whose
+//     name ends in "FromWire" — counts its own drop when it returns
+//     nil, so the branch a handler takes on `v == nil`, v assigned
+//     from a resolver, counts as resolved. A silent `return` in a Call handler leaves the
 //     caller parked until the peer-down sweep — a hang with no
 //     counter to find it by.
 //
@@ -264,6 +267,8 @@ type pathWalker struct {
 	c    *checker
 	req  types.Object
 	kind string
+	// wire holds the variables assigned from a wire resolver's result.
+	wire map[types.Object]bool
 }
 
 // stmts walks a statement list; reports any return reached while
@@ -297,14 +302,17 @@ func (w *pathWalker) stmt(s ast.Stmt, resolved bool) (bool, bool) {
 	case *ast.GoStmt:
 		// The goroutine owns the request from here (async reply).
 		return resolved || w.exprResolves(st.Call), false
-	case *ast.AssignStmt, *ast.DeclStmt, *ast.SendStmt, *ast.IncDecStmt:
+	case *ast.AssignStmt:
+		w.noteWireResolve(st)
+		return resolved || w.exprResolves(s), false
+	case *ast.DeclStmt, *ast.SendStmt, *ast.IncDecStmt:
 		return resolved || w.exprResolves(s), false
 	case *ast.IfStmt:
 		if st.Init != nil {
 			resolved, _ = w.stmt(st.Init, resolved)
 		}
 		resolved = resolved || w.exprResolves(st.Cond)
-		bodyRes, bodyTerm := w.stmts(st.Body.List, resolved)
+		bodyRes, bodyTerm := w.stmts(st.Body.List, resolved || w.wireMiss(st.Cond))
 		if st.Else == nil {
 			// Fall-through includes the cond-false path: resolution
 			// inside the body does not carry past it.
@@ -387,6 +395,65 @@ func (w *pathWalker) switchStmt(s ast.Stmt, resolved bool) (bool, bool) {
 	// Without a default the zero-case path falls through unresolved.
 	covered := hasDefault && allCover
 	return resolved || covered, hasDefault && allTerm && len(body.List) > 0
+}
+
+// noteWireResolve records `v := resolverFromWire(...)`.
+func (w *pathWalker) noteWireResolve(as *ast.AssignStmt) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return
+	}
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok || !w.isWireResolve(as.Rhs[0]) {
+		return
+	}
+	if obj := w.c.pass.TypesInfo.ObjectOf(id); obj != nil {
+		if w.wire == nil {
+			w.wire = map[types.Object]bool{}
+		}
+		w.wire[obj] = true
+	}
+}
+
+// isWireResolve reports whether e calls a wire resolver: a function or
+// method of this package whose name ends in "FromWire".
+func (w *pathWalker) isWireResolve(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := framework.CalleeFunc(w.c.pass.TypesInfo, call)
+	return fn != nil && fn.Pkg() == w.c.pass.Pkg && strings.HasSuffix(fn.Name(), "FromWire")
+}
+
+// wireMiss reports whether cond is `v == nil` for a resolver's result v,
+// or a resolver call compared with nil directly: its true branch is the
+// one where the resolver counted a drop.
+func (w *pathWalker) wireMiss(cond ast.Expr) bool {
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || be.Op != token.EQL {
+		return false
+	}
+	x := be.X
+	if isNil(w.c.pass.TypesInfo, x) {
+		x = be.Y
+	} else if !isNil(w.c.pass.TypesInfo, be.Y) {
+		return false
+	}
+	if w.isWireResolve(x) {
+		return true
+	}
+	id, ok := ast.Unparen(x).(*ast.Ident)
+	return ok && w.wire[w.c.pass.TypesInfo.ObjectOf(id)]
+}
+
+// isNil reports whether e is the predeclared nil.
+func isNil(info *types.Info, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isNil := info.ObjectOf(id).(*types.Nil)
+	return isNil
 }
 
 // exprResolves reports whether the node resolves the request: a bare

@@ -17,11 +17,13 @@ const (
 	kindDup  = msg.KindAppBase + 3 // dispatched by two switches (firing)
 	kindNone = msg.KindAppBase + 4 // want `message kind kindNone is not dispatched`
 	kindFall = msg.KindAppBase + 5 // Call: arm can fall through unresolved (firing)
+	kindWire = msg.KindAppBase + 6 // Call: returns on a wire resolver's nil result (clean)
+	kindMiss = msg.KindAppBase + 7 // Call: silent return on a resolver's non-nil result (firing)
 	kindOut  = msg.KindAppBase + 9 // want `message kind kindOut \(= 1545\) lies outside every k\.Handle range`
 )
 
 func register(k *vkernel.Kernel, c *stats.Set) {
-	k.Handle(kindPing, kindFall, func(k *vkernel.Kernel, req *msg.Msg) {
+	k.Handle(kindPing, kindMiss, func(k *vkernel.Kernel, req *msg.Msg) {
 		dispatch(k, c, req)
 	})
 }
@@ -48,9 +50,33 @@ func dispatch(k *vkernel.Kernel, c *stats.Set, req *msg.Msg) {
 		if len(req.Payload) > 0 {
 			k.Reply(req, nil)
 		}
+	case kindWire:
+		o := objFromWire(req.Payload)
+		if o == nil {
+			return
+		}
+		if objFromWire(req.Payload[1:]) == nil {
+			return
+		}
+		k.Reply(req, o)
+	case kindMiss:
+		o := objFromWire(req.Payload)
+		if o != nil {
+			return // want `handler for Call kind kindMiss returns without replying, forwarding the request, or counting a documented drop`
+		}
+		k.Reply(req, nil)
 	case kindOut:
 		k.Reply(req, nil)
 	}
+}
+
+// objFromWire stands in for a wire resolver, which counts a drop when
+// it finds nothing.
+func objFromWire(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
 }
 
 func dispatchAlt(k *vkernel.Kernel, req *msg.Msg) {
@@ -71,6 +97,12 @@ func caller(k *vkernel.Kernel) error {
 		return err
 	}
 	if _, err := k.Call(0, kindFall, nil); err != nil {
+		return err
+	}
+	if _, err := k.Call(0, kindWire, nil); err != nil {
+		return err
+	}
+	if _, err := k.Call(0, kindMiss, nil); err != nil {
 		return err
 	}
 	_, err := k.Call(0, kindNone, nil)

@@ -80,36 +80,51 @@ type Ctx interface {
 
 // --- Typed access helpers -------------------------------------------
 
-// scratcher is optionally implemented by a Ctx that owns a staging word
-// the helpers below may borrow for the duration of one call. A buffer
-// passed through the Ctx interface escapes, so without it every typed
-// access heap-allocates its 8 bytes; a Ctx is single-threaded by
-// contract, which makes a per-Ctx word safe to reuse.
-type scratcher interface {
-	Scratch() *[8]byte
+// wordCtx is optionally implemented by a Ctx that serves word-sized
+// accesses itself, for the helpers below: internal/core's Ctx reads a
+// word of a cached write-once copy without resolving the region again,
+// and stages every other word without allocating. size is 4 or 8, and
+// the word is big-endian. A Ctx that wraps another — by embedding Ctx —
+// does not have these methods, so every access still reaches its Read
+// and Write.
+type wordCtx interface {
+	ReadWord(r RegionID, off, size int) uint64
+	WriteWord(r RegionID, off, size int, v uint64)
 }
 
-// word returns an n-byte staging buffer for one access through c.
-func word(c Ctx, n int) []byte {
-	if s, ok := c.(scratcher); ok {
-		return s.Scratch()[:n]
+// readWord reads the size-byte word at off.
+func readWord(c Ctx, r RegionID, off, size int) uint64 {
+	if w, ok := c.(wordCtx); ok {
+		return w.ReadWord(r, off, size)
 	}
-	return make([]byte, n)
+	b := make([]byte, size)
+	c.Read(r, off, b)
+	if size == 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	return uint64(binary.BigEndian.Uint32(b))
+}
+
+// writeWord writes v as the size-byte word at off.
+func writeWord(c Ctx, r RegionID, off, size int, v uint64) {
+	if w, ok := c.(wordCtx); ok {
+		w.WriteWord(r, off, size, v)
+		return
+	}
+	b := make([]byte, size)
+	if size == 8 {
+		binary.BigEndian.PutUint64(b, v)
+	} else {
+		binary.BigEndian.PutUint32(b, uint32(v))
+	}
+	c.Write(r, off, b)
 }
 
 // ReadU64 reads a big-endian uint64 at off.
-func ReadU64(c Ctx, r RegionID, off int) uint64 {
-	b := word(c, 8)
-	c.Read(r, off, b)
-	return binary.BigEndian.Uint64(b)
-}
+func ReadU64(c Ctx, r RegionID, off int) uint64 { return readWord(c, r, off, 8) }
 
 // WriteU64 writes a big-endian uint64 at off.
-func WriteU64(c Ctx, r RegionID, off int, v uint64) {
-	b := word(c, 8)
-	binary.BigEndian.PutUint64(b, v)
-	c.Write(r, off, b)
-}
+func WriteU64(c Ctx, r RegionID, off int, v uint64) { writeWord(c, r, off, 8, v) }
 
 // ReadI64 reads a big-endian int64 at off.
 func ReadI64(c Ctx, r RegionID, off int) int64 { return int64(ReadU64(c, r, off)) }
@@ -128,15 +143,7 @@ func WriteF64(c Ctx, r RegionID, off int, v float64) {
 }
 
 // ReadU32 reads a big-endian uint32 at off.
-func ReadU32(c Ctx, r RegionID, off int) uint32 {
-	b := word(c, 4)
-	c.Read(r, off, b)
-	return binary.BigEndian.Uint32(b)
-}
+func ReadU32(c Ctx, r RegionID, off int) uint32 { return uint32(readWord(c, r, off, 4)) }
 
 // WriteU32 writes a big-endian uint32 at off.
-func WriteU32(c Ctx, r RegionID, off int, v uint32) {
-	b := word(c, 4)
-	binary.BigEndian.PutUint32(b, v)
-	c.Write(r, off, b)
-}
+func WriteU32(c Ctx, r RegionID, off int, v uint32) { writeWord(c, r, off, 4, uint64(v)) }

@@ -29,6 +29,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -384,6 +385,8 @@ func (s *System) RunErr(nthreads int, body func(c api.Ctx)) error {
 			locks:  s.locks[t.Node],
 			queue:  duq.New(),
 		}
+		c.node.Attach(c.queue)
+		defer c.node.Detach(c.queue)
 		defer c.exit()
 		body(c)
 	}
@@ -471,15 +474,32 @@ func (s *System) Close() {
 	s.clu.Close()
 }
 
-// Ctx is one thread's handle to the Munin system. It implements api.Ctx.
+// Ctx is one thread's handle to the Munin system. It implements api.Ctx,
+// and api's word methods (ReadWord, WriteWord).
 type Ctx struct {
 	sys    *System
 	thread *threads.Thread
 	node   *protocol.Node
 	locks  *dlock.Service
 	queue  *duq.Queue
-	// word is the staging buffer api's typed helpers borrow (Scratch).
+	// table is the thread's translation table, indexed by RegionID (see
+	// lookup). It grows on demand and belongs to this thread alone.
+	table []xlate
+	// word is the staging buffer the word methods hand to a row's read
+	// or write: a buffer on the stack would escape through the row's
+	// indirect call and cost an allocation per access.
 	word [8]byte
+}
+
+// xlate is one region's entry in a thread's translation table: what the
+// region resolves to on the thread's node, valid while the node's
+// translation generation is still gen (protocol.Node.Gen).
+type xlate struct {
+	gen uint64
+	obj *protocol.Obj
+	// view is obj's published write-once snapshot, or "" while it has
+	// none; a read of it needs neither the object nor its row.
+	view string
 }
 
 var _ api.Ctx = (*Ctx)(nil)
@@ -493,20 +513,91 @@ func (c *Ctx) NThreads() int { return c.thread.NThreads }
 // Node implements api.Ctx.
 func (c *Ctx) Node() int { return int(c.thread.Node) }
 
-// Scratch lends api's typed access helpers (ReadU64, WriteU32, ...) a
-// per-thread staging word, so they need not heap-allocate a buffer for
-// every access. A Ctx belongs to one thread, like its queue, and a
-// helper is done with the word before it returns.
-func (c *Ctx) Scratch() *[8]byte { return &c.word }
+// lookup returns r's translation: one load of the node's generation
+// when the thread has it cached, a resolution through objectOf and the
+// node's object table when not — which panics on an unknown region or
+// object, as an access always has.
+func (c *Ctx) lookup(r api.RegionID) *xlate {
+	if uint(r) < uint(len(c.table)) {
+		if e := &c.table[r]; e.gen == c.node.Gen() {
+			return e
+		}
+	}
+	return c.fill(r)
+}
+
+// fill resolves r and caches the object. It caches no view: the access
+// that missed runs the object's row, which is where it waits out a
+// recovery, and only then may ReadWord pick the view up. The generation
+// is loaded first, so a retract that follows the object's or the view's
+// load also moves the generation past the entry's.
+func (c *Ctx) fill(r api.RegionID) *xlate {
+	id := c.sys.objectOf(r)
+	if int(r) >= len(c.table) {
+		c.table = append(c.table, make([]xlate, len(*c.sys.regions.Load())-len(c.table))...)
+	}
+	e := &c.table[r]
+	e.gen = c.node.Gen()
+	e.obj = c.node.Object(id)
+	e.view = ""
+	return e
+}
 
 // Read implements api.Ctx.
 func (c *Ctx) Read(r api.RegionID, off int, buf []byte) {
-	c.node.Read(c.queue, c.sys.objectOf(r), off, buf)
+	c.node.ReadObj(c.queue, c.lookup(r).obj, off, buf)
 }
 
 // Write implements api.Ctx.
 func (c *Ctx) Write(r api.RegionID, off int, data []byte) {
-	c.node.Write(c.queue, c.sys.objectOf(r), off, data)
+	c.node.WriteObj(c.queue, c.lookup(r).obj, off, data)
+}
+
+// ReadWord reads the size-byte (4 or 8) big-endian word at off; api's
+// typed helpers (ReadU64, ReadU32, ...) come here. A word of a cached
+// write-once view is read straight out of it. Every other read runs the
+// object's row on the cached handle, with every check Read makes, and
+// then caches the object's view if it has one by now.
+func (c *Ctx) ReadWord(r api.RegionID, off, size int) uint64 {
+	var e *xlate
+	if uint(r) < uint(len(c.table)) && c.table[r].gen == c.node.Gen() {
+		e = &c.table[r] // lookup's hit, by hand: lookup is too big to inline
+	} else {
+		e = c.fill(r)
+	}
+	if s := e.view; off >= 0 && off <= len(s)-size {
+		c.node.CountRead(c.queue)
+		if size == 8 {
+			s = s[off : off+8]
+			return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+				uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+		}
+		s = s[off : off+4]
+		return uint64(s[0])<<24 | uint64(s[1])<<16 | uint64(s[2])<<8 | uint64(s[3])
+	}
+	b := c.word[:size]
+	c.node.ReadObj(c.queue, e.obj, off, b)
+	if e.view == "" {
+		e.view = e.obj.View()
+	}
+	if size == 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	return uint64(binary.BigEndian.Uint32(b))
+}
+
+// WriteWord writes v as the size-byte (4 or 8) big-endian word at off,
+// through the object's row on the cached handle; api's typed helpers
+// (WriteU64, WriteU32, ...) come here.
+func (c *Ctx) WriteWord(r api.RegionID, off, size int, v uint64) {
+	e := c.lookup(r)
+	b := c.word[:size]
+	if size == 8 {
+		binary.BigEndian.PutUint64(b, v)
+	} else {
+		binary.BigEndian.PutUint32(b, uint32(v))
+	}
+	c.node.WriteObj(c.queue, e.obj, off, b)
 }
 
 // Acquire implements api.Ctx: flush, then take the distributed lock.

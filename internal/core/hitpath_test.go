@@ -70,6 +70,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(2000, func() {
 			o, off := k%hitObjects, k*8%hitSize
 			api.ReadU64(c, f.ro[o], off)
+			api.ReadU32(c, f.ro[o], off+4)
 			api.WriteU64(c, f.rw[o], off, uint64(k))
 			api.ReadU32(c, f.rw[o], off)
 			api.WriteU32(c, f.rw[o], off+4, uint32(k))
@@ -81,13 +82,15 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestAccessCountersExactUnderSharding: reads, writes and
-// write.buffered are sharded per calling thread, and their sum must
-// still be exact whenever the threads are quiescent — mid-Run, with
-// every thread parked at a harness gate, and after the Run. Every
-// thread writes every write-many object, so the counts are also exact
-// with co-located writers of one object.
-func TestAccessCountersExactUnderSharding(t *testing.T) {
+// TestAccessCountersExactOnCells: every thread adds its reads, writes
+// and write.buffered to cells of its own (stats.Cell), and the counters
+// must still be exact whenever the threads are quiescent — mid-Run,
+// with every thread parked at a harness gate and its cells attached,
+// and after the Run, when every cell has been folded in. Every thread
+// writes every write-many object, so the counts are also exact with
+// co-located writers of one object; the read-only replicas are read
+// from the threads' translation tables.
+func TestAccessCountersExactOnCells(t *testing.T) {
 	const threads, per = 4, 5000
 	f := newHitFixture(t)
 	base := f.sys.NodeCounters(0)
@@ -126,6 +129,42 @@ func TestAccessCountersExactUnderSharding(t *testing.T) {
 		round(c)
 	})
 	check("after Run", 2)
+}
+
+// TestAccessCountersExactUnattached: a queue no runtime thread attached
+// — the shape of a probe that drives protocol.Node directly — counts in
+// the counters' own words, exactly, from several goroutines at once.
+func TestAccessCountersExactUnattached(t *testing.T) {
+	const goroutines, per = 4, 2000
+	f := newHitFixture(t)
+	node := f.sys.ProtocolNode(0)
+	base := f.sys.NodeCounters(0)
+	ro, rw := f.sys.objectOf(f.ro[0]), f.sys.objectOf(f.rw[0])
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := duq.New()
+			var word [8]byte
+			for k := 0; k < per; k++ {
+				node.Read(q, ro, k*8%hitSize, word[:])
+				node.Write(q, rw, (g*per+k)*8%hitSize, word[:])
+			}
+			node.FlushQueue(q)
+		}()
+	}
+	wg.Wait()
+	got := f.sys.NodeCounters(0)
+	for name, want := range map[string]int64{
+		"reads":          goroutines * per,
+		"writes":         goroutines * per,
+		"write.buffered": goroutines * per,
+	} {
+		if d := got[name] - base[name]; d != want {
+			t.Errorf("%s = %d, want %d", name, d, want)
+		}
+	}
 }
 
 // TestHitPathRacesRelayAndInstall drives the lock-free lookup tables
@@ -249,6 +288,11 @@ func TestAccessPathPanics(t *testing.T) {
 			fmt.Sprintf(`munin: migratory object "mig" written without holding lock %d`, lock)},
 		{"write-once after replication", func(c api.Ctx) { c.Write(once, 0, buf) },
 			`munin: write-once object "once" written after replication`},
+		{"word read past the end of a cached view", func(c api.Ctx) { readCached(c, once, 0); api.ReadU64(c, once, 4) },
+			`munin: access [4,12) out of range for "once" (size 8)`},
+		{"half-word read before a cached view", func(c api.Ctx) { readCached(c, once, 0); api.ReadU32(c, once, -4) },
+			`munin: access [-4,0) out of range for "once" (size 8)`},
+		{"unknown region word read", func(c api.Ctx) { api.ReadU64(c, api.RegionID(99), 0) }, "munin: unknown region 99"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,6 +316,12 @@ func TestAccessPathPanics(t *testing.T) {
 		}
 		c.Release(lock)
 		c.Read(once, 0, buf)
+		if v := readCached(c, once, 0); v != binary.BigEndian.Uint64(buf) {
+			t.Errorf("word read of the cached view = %#x, want %#x", v, buf)
+		}
+		if v := api.ReadU32(c, once, 4); v != binary.BigEndian.Uint32(buf[4:]) {
+			t.Errorf("last half-word of the cached view = %#x, want %#x", v, buf[4:])
+		}
 	})
 }
 
@@ -303,5 +353,17 @@ func BenchmarkReadHit(b *testing.B) {
 func BenchmarkWriteHit(b *testing.B) {
 	benchHit(b, func(c api.Ctx, f hitFixture, k int) {
 		api.WriteU64(c, f.rw[(k*c.NThreads()+c.ThreadID())%hitObjects], k*8%hitSize, uint64(k))
+	})
+}
+
+func BenchmarkReadHitU32(b *testing.B) {
+	benchHit(b, func(c api.Ctx, f hitFixture, k int) {
+		api.ReadU32(c, f.ro[k%hitObjects], k*4%hitSize)
+	})
+}
+
+func BenchmarkWriteHitU32(b *testing.B) {
+	benchHit(b, func(c api.Ctx, f hitFixture, k int) {
+		api.WriteU32(c, f.rw[(k*c.NThreads()+c.ThreadID())%hitObjects], k*4%hitSize, uint32(k))
 	})
 }

@@ -29,9 +29,8 @@
 package duq
 
 import (
-	"sync/atomic"
-
 	"munin/internal/memory"
+	"munin/internal/stats"
 )
 
 // Queue is one thread's delayed update queue. It is not safe for
@@ -47,23 +46,20 @@ type Queue struct {
 	combined  int64 // writes absorbed into an already-dirty entry
 	emptyFlux int64 // flushes with nothing pending
 
-	shard uint32 // see Shard
+	// Reads, Writes and Buffered are this thread's cells of its node's
+	// reads, writes and write.buffered counters. A queue is the one thing
+	// every access of a thread carries down to the protocol layer, which
+	// attaches the cells when the runtime starts the thread and folds
+	// them into the counters when it exits (protocol.Node.Attach and
+	// Detach). Through a queue that is never attached, accesses add to
+	// the counters' own words.
+	Reads, Writes, Buffered stats.Cell
 }
-
-// nextShard hands every queue of the process the next shard index.
-var nextShard atomic.Uint32
 
 // New creates an empty queue.
 func New() *Queue {
-	return &Queue{dirty: make(map[memory.ObjectID]bool), shard: nextShard.Add(1)}
+	return &Queue{dirty: make(map[memory.ObjectID]bool)}
 }
-
-// Shard returns the index that selects this queue's thread's cell in a
-// sharded counter (stats.Counter.AddShard). A queue is the one thing
-// every access of a thread carries down to the protocol layer, and
-// queues created one after another — a Run's thread team — get
-// consecutive indexes, so co-located threads land in different cells.
-func (q *Queue) Shard() uint32 { return q.shard }
 
 // MarkDirty records that obj was modified by this thread. It returns
 // true if this is the first modification of obj by this thread since its

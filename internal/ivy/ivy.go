@@ -206,7 +206,10 @@ func (s *System) access(q *duq.Queue, node int, r api.RegionID, off int, buf []b
 // Run implements api.System.
 func (s *System) Run(nthreads int, body func(c api.Ctx)) {
 	threads.SPMD(s.cfg.Nodes, nthreads, s.cfg.Placement, func(t *threads.Thread) {
-		body(&Ctx{sys: s, thread: t, queue: duq.New()})
+		q, node := duq.New(), s.nodes[t.Node]
+		node.Attach(q)
+		defer node.Detach(q)
+		body(&Ctx{sys: s, thread: t, queue: q})
 	})
 }
 
@@ -237,7 +240,7 @@ func (s *System) Close() {
 type Ctx struct {
 	sys    *System
 	thread *threads.Thread
-	queue  *duq.Queue // unused by Conventional pages; kept for interface symmetry
+	queue  *duq.Queue // carries the thread's counter cells; Conventional pages buffer nothing in it
 }
 
 var _ api.Ctx = (*Ctx)(nil)

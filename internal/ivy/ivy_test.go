@@ -1,6 +1,7 @@
 package ivy
 
 import (
+	"sync"
 	"testing"
 
 	"munin/internal/api"
@@ -177,4 +178,53 @@ func TestNameAndPageSize(t *testing.T) {
 	if s.Name() != "ivy" || s.PageSize() != DefaultPageSize || s.Nodes() != 1 {
 		t.Fatalf("basics: %s %d %d", s.Name(), s.PageSize(), s.Nodes())
 	}
+}
+
+// TestAccessCountersExactOnCells: Ivy's threads count their page reads
+// and writes in cells of their own (stats.Cell), like Munin's. Summed
+// over the nodes, reads and writes are exact with every thread parked
+// mid-Run and again after the Run folded the cells in. Each thread's
+// page is its own, so every access is one local page hit; a word that
+// straddles two pages would count twice.
+func TestAccessCountersExactOnCells(t *testing.T) {
+	const threads, per = 4, 1000
+	s := newSys(t, 2, 64)
+	r := s.Alloc("lanes", threads*64, protocol.Conventional, protocol.DefaultOptions(), nil)
+	total := func(name string) (n int64) {
+		for _, node := range s.nodes {
+			n += node.C.Get(name)
+		}
+		return n
+	}
+	baseR, baseW := total("reads"), total("writes")
+	check := func(when string, rounds int64) {
+		if got := total("reads") - baseR; got != threads*per*rounds {
+			t.Errorf("%s: reads = %d, want %d", when, got, threads*per*rounds)
+		}
+		if got := total("writes") - baseW; got != threads*per*rounds {
+			t.Errorf("%s: writes = %d, want %d", when, got, threads*per*rounds)
+		}
+	}
+	var arrive, leave sync.WaitGroup
+	arrive.Add(threads)
+	leave.Add(1)
+	round := func(c api.Ctx) {
+		off := c.ThreadID() * 64
+		for k := 0; k < per; k++ {
+			api.WriteU64(c, r, off+k%8*8, uint64(k))
+			api.ReadU64(c, r, off+k%8*8)
+		}
+	}
+	s.Run(threads, func(c api.Ctx) {
+		round(c)
+		arrive.Done()
+		if c.ThreadID() == 0 {
+			arrive.Wait()
+			check("mid-Run", 1)
+			leave.Done()
+		}
+		leave.Wait()
+		round(c)
+	})
+	check("after Run", 2)
 }

@@ -21,27 +21,39 @@ import (
 
 // Read copies object bytes [off, off+len(buf)) into buf, running the
 // object's coherence protocol (its policy row's read) if the local copy
-// is not valid. q is the calling thread's delayed update queue; it only
-// picks the thread's counter shard, because reads never flush (the
-// thread's own buffered writes already live in the local copy).
+// is not valid. q is the calling thread's delayed update queue; reads
+// never flush (the thread's own buffered writes already live in the
+// local copy), so q only carries the thread's counter cell.
 func (n *Node) Read(q *duq.Queue, id memory.ObjectID, off int, buf []byte) {
+	n.ReadObj(q, n.mustObj(id), off, buf)
+}
+
+// ReadObj is Read on an object Object resolved.
+func (n *Node) ReadObj(q *duq.Queue, o *Obj, off int, buf []byte) {
 	n.awaitRecovered()
-	o := n.mustObj(id)
 	checkRange(o, off, len(buf))
 	o.pol.read(n, o, off, buf)
-	n.reads.AddShard(q.Shard(), 1)
+	n.reads.AddCell(&q.Reads, 1)
 }
+
+// CountRead counts a read the caller served itself from an object's
+// View.
+func (n *Node) CountRead(q *duq.Queue) { n.reads.AddCell(&q.Reads, 1) }
 
 // Write stores data at [off, off+len(data)), running the object's
 // coherence protocol (its policy row's write). Loose protocols
 // (write-many, result, producer-consumer) buffer the update in q until
 // the thread's next synchronization point.
 func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
+	n.WriteObj(q, n.mustObj(id), off, data)
+}
+
+// WriteObj is Write on an object Object resolved.
+func (n *Node) WriteObj(q *duq.Queue, o *Obj, off int, data []byte) {
 	n.awaitRecovered()
-	o := n.mustObj(id)
 	checkRange(o, off, len(data))
 	o.pol.write(n, q, o, off, data)
-	n.writes.AddShard(q.Shard(), 1)
+	n.writes.AddCell(&q.Writes, 1)
 }
 
 // FlushQueue propagates every delayed update in q. The runtime calls
@@ -692,7 +704,7 @@ func (n *Node) writeOnceWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		// object is back in initialisation: thaw it into a private copy.
 		// Readers still inside the old snapshot keep the old bytes.
 		o.data = []byte(s)
-		o.snap.retract()
+		n.retract(o)
 	}
 	copy(o.data[off:], data)
 	o.mu.Unlock()
@@ -750,7 +762,7 @@ func (n *Node) Evict(id memory.ObjectID) {
 	}
 	o.state = Invalid
 	o.genInv++
-	o.snap.retract()
+	n.retract(o)
 	o.mu.Unlock()
 	n.C.Add(stats.CEvict, 1)
 	n.k.Send(home, kindEvict, msg.NewBuilder(4).U32(uint32(id)).Bytes())
@@ -769,7 +781,7 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
-	n.writeBuffered.AddShard(q.Shard(), 1)
+	n.writeBuffered.AddCell(&q.Buffered, 1)
 }
 
 // storeBuffered is the one place a delayed-update write lands: it queues
@@ -802,7 +814,7 @@ func (n *Node) producerWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
-	n.writeBuffered.AddShard(q.Shard(), 1)
+	n.writeBuffered.AddCell(&q.Buffered, 1)
 }
 
 // becomeProducer registers this node as the object's producer with the

@@ -35,7 +35,10 @@ func (n *Node) handleRead(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeRead, 1)
 
@@ -214,7 +217,10 @@ func (n *Node) handleFwdRead(req *msg.Msg) {
 	if testHookFwdRead != nil {
 		testHookFwdRead("arrived")
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	o.mu.Lock()
 	if o.state == Invalid {
 		o.mu.Unlock()
@@ -275,7 +281,10 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeWriteOwn, 1)
 
@@ -396,7 +405,10 @@ func (n *Node) handleInv(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	if testHookInv != nil {
 		testHookInv()
 	}
@@ -421,7 +433,10 @@ func (n *Node) handleFetch(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	o.mu.Lock()
 	wb := encodeBytesReply(o.data)
 	o.invalidate()
@@ -679,6 +694,9 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 			n.C.Add(stats.CDropMalformed, 1)
 			return
 		}
+		if n.objFromWire(id) == nil {
+			return
+		}
 		ds.entries = append(ds.entries, batchEntry{id: id, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
 	}
 	// The merge both installs the spans (copying into the home copies)
@@ -716,6 +734,9 @@ func (n *Node) handleApplyBatch(req *msg.Msg) {
 		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
 		if e.Err() != nil || r.Err() != nil {
 			n.C.Add(stats.CDropMalformed, 1)
+			return
+		}
+		if n.objFromWire(id) == nil {
 			return
 		}
 		ds.applies = append(ds.applies, applyEntry{id: id, seq: seq, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
@@ -803,8 +824,14 @@ func (n *Node) handleRemRead(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
-	checkRange(o, off, ln)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
+	if !inRange(o, off, ln) {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
 	o.mu.Lock()
 	wb := encodeBytesReply(o.data[off : off+ln])
 	o.mu.Unlock()
@@ -843,8 +870,14 @@ func (n *Node) handleRemWrite(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
-	checkRange(o, off, len(data))
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
+	if !inRange(o, off, len(data)) {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
 	o.mu.Lock()
 	copy(o.data[off:], data)
 	o.mu.Unlock()
@@ -946,7 +979,10 @@ func (n *Node) handleRegCons(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	d := n.dirEntryOf(id)
 
 	d.mu.Lock()
@@ -1013,7 +1049,10 @@ func (n *Node) handleConsUpd(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	o.mu.Lock()
 	o.consumers = consumers
 	o.mu.Unlock()
@@ -1027,6 +1066,9 @@ func (n *Node) handleEvict(req *msg.Msg) {
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
+	if n.objFromWire(id) == nil {
 		return
 	}
 	d := n.dirEntryOf(id)
@@ -1045,7 +1087,10 @@ func (n *Node) handleModeSw(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	o.mu.Lock()
 	o.replicated = replicated
 	o.mu.Unlock()

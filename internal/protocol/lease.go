@@ -157,7 +157,10 @@ func (n *Node) handleLeaseRead(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(memory.ObjectID(lr.Obj))
+	o := n.objFromWire(memory.ObjectID(lr.Obj))
+	if o == nil {
+		return
+	}
 	o.mu.Lock()
 	ver := o.applySeq
 	if lr.Have && lr.Ver == ver {
@@ -191,7 +194,10 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.mustObj(id)
+	o := n.objFromWire(id)
+	if o == nil {
+		return
+	}
 	checkRange(o, off, len(data))
 	o.mu.Lock()
 	copy(o.data[off:], data)

@@ -66,6 +66,7 @@ import (
 
 	"munin/internal/cluster"
 	"munin/internal/dlock"
+	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
@@ -201,6 +202,14 @@ func (f *frozen) view() string {
 
 func (f *frozen) publish(s string) { f.p.Store(&s) }
 func (f *frozen) retract()         { f.p.Store(nil) }
+
+// retract withdraws o's snapshot and bumps the generation, so no thread
+// goes on reading the snapshot from a cached translation. Every retract
+// goes through here. Caller holds o.mu.
+func (n *Node) retract(o *Obj) {
+	o.snap.retract()
+	n.gen.Add(1)
+}
 
 // Obj is one node's view of a shared object.
 type Obj struct {
@@ -424,6 +433,21 @@ type Node struct {
 	// objs is the lock-free-read object table (see objTable).
 	objs objTable
 
+	// gen is the translation generation. A thread may cache what an
+	// object ID resolves to on this node — the *Obj, and a write-once
+	// object's published snapshot (Obj.View) — for as long as gen is
+	// unchanged (Gen; internal/core's translation table). Whatever could
+	// make a cached translation wrong bumps it: install, which may
+	// replace an ID's *Obj (recovery re-installs); every retract of a
+	// snapshot (Evict, the home's thaw in writeOnceWrite); and
+	// BeginRecovery, which a cached read would otherwise walk past. So
+	// one load per access shoots down every thread's cache. It starts at
+	// 1: a zeroed cache entry never matches.
+	gen atomic.Uint64
+	// The line above is read on every access of every thread; keep the
+	// written-per-sync word below off it.
+	_ [56]byte
+
 	// syncEpoch counts this node's synchronization points: TryFlushQueue
 	// bumps it before draining, so every acquire/release/barrier/atomic
 	// and thread exit advances it. The lease engine binds leases to it —
@@ -448,9 +472,9 @@ type Node struct {
 
 	// Counters feeding the experiments: faults, fetches, updates...
 	C stats.Set
-	// The three counters every access bumps, resolved once here and
-	// sharded per calling thread (stats.Counter.AddShard); they live in
-	// C under their usual names like every other counter.
+	// The three counters every access bumps, resolved once here. A
+	// thread adds to them through the cells on its queue (Attach); they
+	// live in C under their usual names like every other counter.
 	reads, writes, writeBuffered *stats.Counter
 }
 
@@ -501,9 +525,10 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 		id:    k.Node(),
 		nodes: k.Nodes(),
 	}
-	n.reads = n.C.Sharded(stats.CReads)
-	n.writes = n.C.Sharded(stats.CWrites)
-	n.writeBuffered = n.C.Sharded(stats.CWriteBuffered)
+	n.gen.Store(1)
+	n.reads = n.C.Counter(stats.CReads)
+	n.writes = n.C.Counter(stats.CWrites)
+	n.writeBuffered = n.C.Counter(stats.CWriteBuffered)
 	k.Handle(kindAlloc, kindAlloc, n.dispatch)
 	k.Handle(kindRead, kindCohMax, n.dispatch)
 	return n
@@ -511,6 +536,40 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 
 // ID returns this node's ID.
 func (n *Node) ID() msg.NodeID { return n.id }
+
+// Attach gives the thread that owns q its own cells of this node's
+// access counters, so its reads and writes count with plain stores. The
+// runtime calls it when it starts a thread placed on this node, and
+// Detach when the thread exits.
+func (n *Node) Attach(q *duq.Queue) {
+	n.reads.Attach(&q.Reads)
+	n.writes.Attach(&q.Writes)
+	n.writeBuffered.Attach(&q.Buffered)
+}
+
+// Detach folds the cells Attach gave q into the node's counters. It is
+// called by q's own thread.
+func (n *Node) Detach(q *duq.Queue) {
+	q.Reads.Fold()
+	q.Writes.Fold()
+	q.Buffered.Fold()
+}
+
+// Gen returns the node's translation generation (see Node.gen): a
+// translation cached under one value is valid while Gen still returns
+// it.
+func (n *Node) Gen() uint64 { return n.gen.Load() }
+
+// Object returns this node's view of id, for a caller that caches the
+// translation (Gen) and accesses through ReadObj and WriteObj. Like
+// Read, it panics if the object was never allocated here.
+func (n *Node) Object(id memory.ObjectID) *Obj { return n.mustObj(id) }
+
+// View returns the object's published snapshot — a write-once copy,
+// whose bytes never change — or "" when none is published. Reads of
+// [0, len) may be served from it for as long as the node's Gen is what
+// it was before View was called: every retract bumps it.
+func (o *Obj) View() string { return o.snap.view() }
 
 // homeOf returns the home node for an object.
 func (n *Node) homeOf(m *Meta) msg.NodeID {
@@ -530,6 +589,19 @@ func (n *Node) mustObj(id memory.ObjectID) *Obj {
 	o := n.obj(id)
 	if o == nil {
 		panic(fmt.Sprintf("munin: node %d: access to unallocated object %d", n.id, id))
+	}
+	return o
+}
+
+// objFromWire resolves an object ID that arrived in a message. Every
+// handler takes its IDs through it: a peer's bytes are not this
+// program's bug, so an ID this node never installed is counted as a drop
+// (drop.unknown_object) and yields nil where mustObj — the resolver of
+// the local API path — would panic.
+func (n *Node) objFromWire(id memory.ObjectID) *Obj {
+	o := n.obj(id)
+	if o == nil {
+		n.C.Add(stats.CDropUnknownObject, 1)
 	}
 	return o
 }
@@ -635,6 +707,7 @@ func (n *Node) install(meta Meta, init []byte) {
 		o.state = Invalid
 	}
 	n.objs.put(o)
+	n.gen.Add(1)
 	if home == n.id {
 		d := n.dirEntryOf(meta.ID)
 		d.mu.Lock()
@@ -741,9 +814,15 @@ func decodeAlloc(p []byte) (Meta, []byte) {
 	return meta, init
 }
 
+// inRange reports whether [off, off+n) lies inside the object, without
+// overflowing however large off and n are.
+func inRange(o *Obj, off, n int) bool {
+	return off >= 0 && n >= 0 && off <= o.meta.Size-n
+}
+
 // checkRange panics on out-of-bounds object access.
 func checkRange(o *Obj, off, n int) {
-	if off < 0 || n < 0 || off+n > o.meta.Size {
+	if !inRange(o, off, n) {
 		panic(fmt.Sprintf("munin: access [%d,%d) out of range for %q (size %d)",
 			off, off+n, o.meta.Name, o.meta.Size))
 	}

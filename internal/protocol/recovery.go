@@ -43,9 +43,12 @@ import (
 // BeginRecovery marks this node as recovering: application reads and
 // writes block until FinishRecovery. It must be called during
 // construction, before any application thread can touch shared memory.
+// It bumps the translation generation all the same: a read served from
+// a cached translation skips awaitRecovered.
 func (n *Node) BeginRecovery() {
 	n.recoverCh = make(chan struct{})
 	n.recovering.Store(true)
+	n.gen.Add(1)
 }
 
 // FinishRecovery completes the recovery handshake and releases every

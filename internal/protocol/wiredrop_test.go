@@ -1,0 +1,76 @@
+package protocol
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"munin/internal/duq"
+	"munin/internal/memory"
+	"munin/internal/msg"
+	"munin/internal/stats"
+)
+
+// A message a peer sends is input, not a local program's bug: whatever
+// it names, the member counts a drop and goes on serving. Each case is
+// sent from node 1 to node 0 over the rig's transport, so a handler that
+// panicked would take the test binary with it.
+func TestWireInputIsDroppedNotFatal(t *testing.T) {
+	init := pattern(16, 3)
+	cases := []struct {
+		name    string
+		kind    msg.Kind
+		payload []byte
+		counter string
+	}{
+		{"kindInv for an object never allocated", kindInv,
+			msg.NewBuilder(4).U32(999).Bytes(), stats.CDropUnknownObject},
+		{"kindRemWrite at offset 1<<20 of a 16-byte object", kindRemWrite,
+			msg.NewBuilder(32).U32(2).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+		{"kindRemRead past the end", kindRemRead,
+			msg.NewBuilder(32).U32(2).Int(8).Int(9).Bytes(), stats.CDropMalformed},
+		{"kindRemRead with a length that overflows", kindRemRead,
+			msg.NewBuilder(32).U32(2).Int(8).Int(1<<62 + 1<<61).Bytes(), stats.CDropMalformed},
+		{"kindRemWrite at a negative offset", kindRemWrite,
+			msg.NewBuilder(32).U32(2).Int(-1).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+		{"kindRemWrite for an object never allocated", kindRemWrite,
+			msg.NewBuilder(32).U32(999).Int(0).BytesN([]byte{0xff}).Bytes(), stats.CDropUnknownObject},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2)
+			opts := DefaultOptions()
+			opts.Home = 0
+			r.alloc(2, "rm", len(init), ReadMostly, opts, init)
+			home := r.nodes[0]
+			before := home.C.Snapshot()
+			if err := r.nodes[1].k.Send(0, tc.kind, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); home.C.Get(tc.counter) == before[tc.counter]; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never counted", tc.counter)
+				}
+			}
+			after := home.C.Snapshot()
+			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived} {
+				want := before[name]
+				if name == tc.counter {
+					want++
+				}
+				if after[name] != want {
+					t.Errorf("%s moved from %d to %d, want %d", name, before[name], after[name], want)
+				}
+			}
+			// The member still serves its object, locally and to the peer,
+			// with the bytes it had.
+			got := make([]byte, len(init))
+			for _, n := range r.nodes {
+				n.Read(duq.New(), memory.ObjectID(2), 0, got)
+				if !bytes.Equal(got, init) {
+					t.Errorf("node %d reads %x after the drop, want %x", n.ID(), got, init)
+				}
+			}
+		})
+	}
+}

@@ -66,6 +66,7 @@ const (
 	CRecoverRejected       = "recover.rejected"
 	CRecoverDone           = "recover.done"
 	CDropMalformed         = "drop.malformed"
+	CDropUnknownObject     = "drop.unknown_object"
 
 	// core (counted on the protocol node): run-gate lifecycle.
 	CRecoverGateSynced = "recover.gate_synced"
@@ -154,6 +155,7 @@ var registered = map[string]string{
 	CRecoverRejected:       "protocol",
 	CRecoverDone:           "protocol",
 	CDropMalformed:         "protocol",
+	CDropUnknownObject:     "protocol",
 
 	CRecoverGateSynced: "core",
 	CRecoverGateResync: "core",

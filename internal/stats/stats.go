@@ -5,44 +5,36 @@
 // *Counter handle is a single atomic add; an increment by name
 // (Set.Add) is a lock-free lookup in a published read-only map followed
 // by that atomic add — the Set's mutex is taken only to register a name
-// the first time it is seen. Counters that every access of every thread
-// bumps (the protocol's reads/writes) are sharded: each thread adds to
-// its own padded cell (AddShard) and readers sum the cells, so two
-// threads never write the same cache line. Snapshots are consistent
-// enough for reporting (individual cells are read atomically;
-// cross-counter skew is acceptable for traffic accounting) and exact
+// the first time it is seen. The counters every access of every thread
+// bumps (the protocol's reads and writes) go through cells instead: a
+// thread attaches one Cell per counter when it starts, adds to it with
+// a plain store, and folds it into the counter when it exits, so an
+// access neither takes a locked instruction nor writes a cache line
+// another thread writes. Snapshots are consistent enough for reporting
+// (cross-counter skew is acceptable for traffic accounting) and exact
 // whenever the writers are quiescent.
 package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Shards is the number of padded cells of a sharded counter. A power
-// of two so the cell index is a mask; threads beyond it share cells,
-// which costs contention but never exactness.
-const Shards = 16
-
-// shardCell is one thread's share of a sharded counter, padded to a
-// cache line of its own.
-type shardCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
 // Counter is a monotonically increasing (or explicitly reset) 64-bit
-// counter safe for concurrent use. A counter created by Set.Sharded
-// additionally carries per-thread cells; its value is the sum of all
-// of them.
+// counter safe for concurrent use. Its value is its own word plus every
+// cell attached to it.
 type Counter struct {
-	v      atomic.Int64
-	shards *[Shards]shardCell // nil unless sharded
+	v atomic.Int64
+	// mu guards cells. It is taken to attach and fold a cell and to read
+	// the counter, never to add to it.
+	mu    sync.Mutex
+	cells []*Cell
 	// Pad to a cache line: threads bumping counters of different names
 	// must not bounce one line between them.
-	_ [48]byte
+	_ [24]byte
 }
 
 // Add increments the counter by delta.
@@ -51,37 +43,82 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// AddShard increments the counter by delta in the cell selected by
-// shard — the calling thread's index (duq.Queue.Shard), so co-located
-// threads add to different cache lines. On a counter without cells it
-// is Add.
-func (c *Counter) AddShard(shard uint32, delta int64) {
-	if c.shards == nil {
-		c.v.Add(delta)
-		return
-	}
-	c.shards[shard&(Shards-1)].v.Add(delta)
+// Cell is one thread's share of a Counter. Only the thread that
+// attached it adds to it, so an add is a plain load and store to a word
+// no other thread writes; readers of the counter sum the attached cells.
+// The zero value is an unattached cell.
+type Cell struct {
+	n int64
+	c *Counter // the counter it is attached to; nil when unattached
 }
 
-// Load returns the current value.
-func (c *Counter) Load() int64 {
-	n := c.v.Load()
-	if c.shards != nil {
-		for i := range c.shards {
-			n += c.shards[i].v.Load()
-		}
+// Attach makes cell the calling thread's share of c until the thread
+// folds it (Cell.Fold). Only that thread may add through the cell
+// (AddCell), and a cell is attached to one counter at a time.
+func (c *Counter) Attach(cell *Cell) {
+	c.mu.Lock()
+	cell.c = c
+	c.cells = append(c.cells, cell)
+	c.mu.Unlock()
+}
+
+// AddCell increments the counter by delta through cell when cell is
+// attached to c, and through the counter's own word otherwise — so a
+// thread that never attached a cell still counts, at the price of an
+// atomic add. Only the cell's own thread may call it with the cell.
+func (c *Counter) AddCell(cell *Cell, delta int64) {
+	if cell.c == c {
+		cell.n += delta
+		return
+	}
+	c.v.Add(delta)
+}
+
+// Fold adds the cell's count into its counter's own word and detaches
+// the cell, so the count outlives the thread. The cell's thread calls
+// it when it exits; folding an unattached cell does nothing.
+func (cell *Cell) Fold() {
+	c := cell.c
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.v.Add(cell.n)
+	c.cells = slices.DeleteFunc(c.cells, func(x *Cell) bool { return x == cell })
+	cell.n, cell.c = 0, nil
+	c.mu.Unlock()
+}
+
+// sumCells reads cells that their threads may be adding to as it runs.
+// Each cell is one aligned word with a single writer, so a read returns
+// a value the cell held (on 64-bit platforms), and the exact count once
+// the writer is quiescent — the same promise the rest of a snapshot
+// makes. The race detector is told not to report these reads, the one
+// place a cell is read by a thread other than its own.
+//
+//go:norace
+func sumCells(cells []*Cell) int64 {
+	var n int64
+	for _, cell := range cells {
+		n += cell.n
 	}
 	return n
 }
 
-// Reset sets the counter back to zero.
+// Load returns the current value: the counter's word plus its attached
+// cells.
+func (c *Counter) Load() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.v.Load() + sumCells(c.cells)
+}
+
+// Reset sets the counter back to zero. Attached cells are left to their
+// threads; the counter's word absorbs what they hold.
 func (c *Counter) Reset() {
-	c.v.Store(0)
-	if c.shards != nil {
-		for i := range c.shards {
-			c.shards[i].v.Store(0)
-		}
-	}
+	c.mu.Lock()
+	c.v.Store(-sumCells(c.cells))
+	c.mu.Unlock()
 }
 
 // Set is a named collection of counters. The zero value is ready to use.
@@ -107,9 +144,9 @@ func (s *Set) table() map[string]*Counter {
 // lookup returns the named counter from the published table, or nil.
 func (s *Set) lookup(name string) *Counter { return s.table()[name] }
 
-// register returns the named counter, publishing it (with cells if
-// sharded) when the name is new.
-func (s *Set) register(name string, sharded bool) *Counter {
+// register returns the named counter, publishing it when the name is
+// new.
+func (s *Set) register(name string) *Counter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c := s.lookup(name); c != nil {
@@ -121,9 +158,6 @@ func (s *Set) register(name string, sharded bool) *Counter {
 		next[k] = c
 	}
 	c := &Counter{}
-	if sharded {
-		c.shards = new([Shards]shardCell)
-	}
 	next[name] = c
 	s.counters.Store(&next)
 	return c
@@ -135,18 +169,7 @@ func (s *Set) Counter(name string) *Counter {
 	if c := s.lookup(name); c != nil {
 		return c
 	}
-	return s.register(name, false)
-}
-
-// Sharded registers name as a sharded counter and returns its handle,
-// for the owner of a hot counter to resolve once at construction and
-// bump with AddShard. It must be the first use of the name in the set:
-// a counter already registered without cells stays unsharded.
-func (s *Set) Sharded(name string) *Counter {
-	if c := s.lookup(name); c != nil {
-		return c
-	}
-	return s.register(name, true)
+	return s.register(name)
 }
 
 // Add is shorthand for s.Counter(name).Add(delta).

@@ -117,40 +117,88 @@ func TestSetConcurrentRegistration(t *testing.T) {
 	}
 }
 
-func TestShardedCounter(t *testing.T) {
+// TestCellsAttachAndFold: a counter's value is its word plus its
+// attached cells — exact while the cells' threads are parked mid-run,
+// and still exact once every thread has folded its cell in and gone.
+func TestCellsAttachAndFold(t *testing.T) {
 	var s Set
-	c := s.Sharded("hot")
-	if s.Sharded("hot") != c || s.Counter("hot") != c {
-		t.Fatal("a sharded counter must be the one registered under its name")
-	}
-	const workers, per = 2 * Shards, 1000 // more threads than cells: cells are shared, the sum stays exact
-	var wg sync.WaitGroup
+	c := s.Counter("hot")
+	const workers, per = 8, 1000
+	var arrive, leave, done sync.WaitGroup
+	arrive.Add(workers)
+	leave.Add(1)
+	done.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer done.Done()
+			var cell Cell
+			c.Attach(&cell)
+			defer cell.Fold()
 			for j := 0; j < per; j++ {
-				c.AddShard(uint32(w), 1)
+				c.AddCell(&cell, 1)
+			}
+			arrive.Done()
+			leave.Wait()
+			for j := 0; j < per; j++ {
+				c.AddCell(&cell, 1)
 			}
 		}()
 	}
-	wg.Wait()
-	s.Add("hot", 5) // by name: lands in the counter's own cell
+	arrive.Wait()
+	s.Add("hot", 5) // by name: lands in the counter's own word
 	if got, want := s.Get("hot"), int64(workers*per+5); got != want {
-		t.Fatalf("Get = %d, want %d", got, want)
+		t.Fatalf("mid-run Get = %d, want %d", got, want)
 	}
-	if got := s.Snapshot()["hot"]; got != workers*per+5 {
-		t.Fatalf("Snapshot = %d, want %d", got, workers*per+5)
+	leave.Done()
+	done.Wait()
+	if got, want := s.Snapshot()["hot"], int64(2*workers*per+5); got != want {
+		t.Fatalf("after fold Snapshot = %d, want %d", got, want)
 	}
+	if len(c.cells) != 0 {
+		t.Fatalf("%d cells still attached after every thread folded", len(c.cells))
+	}
+}
+
+// TestCellUnattachedAddsToWord: a thread that never attached a cell —
+// or adds through a cell attached to another counter — still counts, in
+// the counter's own word.
+func TestCellUnattachedAddsToWord(t *testing.T) {
+	var s Set
+	c, other := s.Counter("c"), s.Counter("other")
+	var loose, foreign Cell
+	other.Attach(&foreign)
+	c.AddCell(&loose, 3)
+	c.AddCell(&foreign, 4)
+	if got := c.Load(); got != 7 {
+		t.Fatalf("c = %d, want 7", got)
+	}
+	if got := other.Load(); got != 0 {
+		t.Fatalf("other = %d, want 0: a cell counts only for the counter it is attached to", got)
+	}
+	loose.Fold() // unattached: nothing to do
+	foreign.Fold()
+	if got := c.Load() + other.Load(); got != 7 {
+		t.Fatalf("after folds c+other = %d, want 7", got)
+	}
+}
+
+// TestCellReset: Reset zeroes a counter whose cells are still attached
+// without writing them, and counting through them resumes from zero.
+func TestCellReset(t *testing.T) {
+	var s Set
+	c := s.Counter("c")
+	var cell Cell
+	c.Attach(&cell)
+	c.AddCell(&cell, 10)
+	c.Add(2)
 	s.Reset()
 	if got := c.Load(); got != 0 {
 		t.Fatalf("after Reset = %d, want 0", got)
 	}
-	// A plain counter accepts AddShard too (it has one cell).
-	p := s.Counter("plain")
-	p.AddShard(9, 3)
-	if got := p.Load(); got != 3 {
-		t.Fatalf("plain AddShard = %d, want 3", got)
+	c.AddCell(&cell, 3)
+	cell.Fold()
+	if got := c.Load(); got != 3 {
+		t.Fatalf("after Reset, add and fold = %d, want 3", got)
 	}
 }
 
@@ -300,7 +348,7 @@ func ExampleTable() {
 // and costs a lock-free lookup plus an uncontended atomic add. "same"
 // is two threads hammering one counter word: the cache line bounces
 // between the cores on every add, which is why the counters every
-// access bumps are sharded (AddShard) instead of added to by name.
+// access bumps go through per-thread cells (AddCell) instead.
 func BenchmarkSetAdd(b *testing.B) {
 	names := []string{CFaultRead, CFaultWrite, CTwin, CDiffSent}
 	for _, mode := range []string{"distinct", "same"} {
@@ -317,6 +365,27 @@ func BenchmarkSetAdd(b *testing.B) {
 				}
 				for pb.Next() {
 					s.Add(name, 1)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkCounterAdd: the increment every access makes, through the
+// calling thread's attached cell and through the counter's word, from
+// one thread and from two (-cpu 1,2).
+func BenchmarkCounterAdd(b *testing.B) {
+	for _, mode := range []string{"cell", "word"} {
+		b.Run(mode, func(b *testing.B) {
+			var c Counter
+			b.RunParallel(func(pb *testing.PB) {
+				var cell Cell
+				if mode == "cell" {
+					c.Attach(&cell)
+					defer cell.Fold()
+				}
+				for pb.Next() {
+					c.AddCell(&cell, 1)
 				}
 			})
 		})

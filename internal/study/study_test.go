@@ -213,3 +213,45 @@ func TestTracerPassesThrough(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerSeesEveryTypedAccess: the typed helpers reach a wrapped
+// Ctx's Read and Write. core's Ctx serves them through word methods that
+// skip the slice path, and a wrapper that embeds api.Ctx must not pick
+// those up — every ReadU64, WriteU64 and ReadU32 is recorded, including
+// reads of a write-once replica the inner Ctx would answer from its
+// translation table.
+func TestTracerSeesEveryTypedAccess(t *testing.T) {
+	const per = 50
+	tr := tracedSystem(t, 2)
+	once := tr.Alloc("once", 64, protocol.WriteOnce, protocol.DefaultOptions(), nil)
+	many := tr.Alloc("many", 64, protocol.WriteMany, protocol.DefaultOptions(), nil)
+	tr.Run(2, func(c api.Ctx) {
+		if _, ok := c.(interface {
+			ReadWord(r api.RegionID, off, size int) uint64
+		}); ok {
+			t.Error("the traced Ctx has the inner Ctx's word methods")
+		}
+		for k := 0; k < per; k++ {
+			api.ReadU64(c, once, k%8*8)
+			api.ReadU32(c, once, k%16*4)
+			api.WriteU64(c, many, c.ThreadID()*32, uint64(k))
+			api.ReadU32(c, many, c.ThreadID()*32+4)
+		}
+	})
+	count := func(r api.RegionID) (reads, writes int) {
+		for _, a := range tr.objs[r].accesses {
+			if a.write {
+				writes++
+			} else {
+				reads++
+			}
+		}
+		return reads, writes
+	}
+	if r, w := count(once); r != 2*2*per || w != 0 {
+		t.Errorf("write-once object: %d reads, %d writes recorded; want %d, 0", r, w, 2*2*per)
+	}
+	if r, w := count(many); r != 2*per || w != 2*per {
+		t.Errorf("write-many object: %d reads, %d writes recorded; want %d, %d", r, w, 2*per, 2*per)
+	}
+}
