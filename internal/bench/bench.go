@@ -67,13 +67,6 @@ func newIvy(nodes, page int) *ivy.System {
 	return s
 }
 
-// dataMsgs / dataBytes exclude one-time allocation (control) traffic so
-// the comparisons measure steady-state sharing behaviour, which is what
-// the paper's traffic claims are about.
-func dataMsgs(st *transport.Stats) int64 { return st.Messages() - st.ClassMessages("control") }
-
-func dataBytes(st *transport.Stats) int64 { return st.Bytes() - st.ClassBytes("control") }
-
 // F1 demonstrates Figure 1: the observable difference between strict
 // and loose coherence. Thread B updates an object; before B reaches a
 // synchronization point, a concurrent reader C on another node may
@@ -223,12 +216,12 @@ func E1(nodes int) *Result {
 	for _, e := range es {
 		ms := newMunin(nodes)
 		e.run(ms)
-		mm, mb := dataMsgs(ms.Stats()), dataBytes(ms.Stats())
+		mm, mb := ms.Messages(), ms.Bytes()
 		ms.Close()
 
 		is := newIvy(nodes, 1024)
 		e.run(is)
-		im, ib := dataMsgs(is.Stats()), dataBytes(is.Stats())
+		im, ib := is.Messages(), is.Bytes()
 		is.Close()
 
 		mpMsgs, mpBytes := "-", "-"

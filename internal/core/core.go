@@ -272,12 +272,13 @@ func (s *System) Self() int { return int(s.self) }
 // Alloc implements api.System: creates one shared object with the given
 // annotation, cluster-wide. Must run before worker threads start.
 //
-// Object IDs are assigned from program order alone, so an SPMD program
-// whose every member executes the same setup code allocates identical
-// IDs in every process with no coordinator and no announce traffic: in
-// mesh shape each member installs only its own view of the object. The
-// run gate's setup digest (folded here over the allocation's identity,
-// options and initial contents) catches members whose setup diverged.
+// Object IDs are assigned from program order alone, so allocation needs
+// no coordinator and sends no message in either shape: every node that
+// lives in this process installs its own view of the object — all of
+// them in node order in-process, the self node in mesh shape, where
+// every member executes the same setup code. The run gate's setup
+// digest (folded here over the allocation's identity, options and
+// initial contents) catches members whose setup diverged.
 func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts protocol.Options, init []byte) api.RegionID {
 	s.mu.Lock()
 	id := s.nextObj
@@ -305,10 +306,10 @@ func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts pro
 		opts.Dynamic, opts.ForceReplicated, uint8(opts.Engine), len(init))
 	s.recordSetupRaw(init)
 	meta := protocol.Meta{ID: id, Name: name, Size: size, Annot: hint, Opts: opts}
-	if s.self >= 0 {
-		s.nodes[s.self].InstallLocal(meta, init)
-	} else {
-		s.nodes[0].Alloc(meta, init)
+	for _, n := range s.nodes {
+		if n != nil {
+			n.InstallLocal(meta, init)
+		}
 	}
 	return region
 }

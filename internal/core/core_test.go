@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"munin/internal/api"
+	"munin/internal/cluster"
+	"munin/internal/dlock"
 	"munin/internal/protocol"
 )
 
@@ -174,8 +178,8 @@ func TestTypedHelpers(t *testing.T) {
 func TestTrafficCountersAdvance(t *testing.T) {
 	s := newSys(t, 2)
 	r := s.Alloc("x", 8, protocol.Conventional, protocol.DefaultOptions(), nil)
-	if s.Messages() == 0 {
-		t.Fatal("alloc sent no messages") // announce traffic
+	if s.Messages() != 0 {
+		t.Fatalf("alloc sent %d messages, want none", s.Messages()) // every node installs it locally
 	}
 	before := s.Messages()
 	s.Run(2, func(c api.Ctx) {
@@ -189,6 +193,69 @@ func TestTrafficCountersAdvance(t *testing.T) {
 	}
 	if s.Stats() == nil || s.NodeCounters(0) == nil {
 		t.Fatal("stats accessors broken")
+	}
+}
+
+// TestAllocSendsNothing: every node of an in-process cluster installs
+// each object itself, so allocation sends no message — and each node's
+// first read (first acquire, for the migratory object) still returns the
+// initial bytes. One object per policy row: the nine annotations under
+// the directory engine, homed on node 2 (the write-once one among them),
+// plus a lease read-mostly object; the migratory object's lock is homed
+// away from the object, so its home cannot be the node that seeds it.
+func TestAllocSendsNothing(t *testing.T) {
+	for _, tr := range []string{"chan", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			s, err := New(Config{Nodes: 3, Transport: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			type object struct {
+				name string
+				r    api.RegionID
+				lock dlock.LockID // migratory only
+				init []byte
+			}
+			var objs []object
+			alloc := func(name string, a protocol.Annotation, opts protocol.Options) {
+				init := []byte(fmt.Sprintf("%-16s", name))
+				objs = append(objs, object{name: name, r: s.Alloc(name, len(init), a, opts, init), lock: opts.Lock, init: init})
+			}
+			for a := protocol.Conventional; a <= protocol.GeneralRW; a++ {
+				opts := protocol.DefaultOptions()
+				opts.Home = 2
+				if a == protocol.Migratory {
+					opts.Lock = s.NewLock()
+					for cluster.HomeOf(uint64(opts.Lock), 3) == 2 {
+						opts.Lock = s.NewLock()
+					}
+				}
+				alloc(a.String(), a, opts)
+			}
+			lease := protocol.DefaultOptions()
+			lease.Home = 2
+			lease.Engine = protocol.EngineLease
+			alloc("lease", protocol.ReadMostly, lease)
+			if m := s.Messages(); m != 0 {
+				t.Fatalf("allocating %d objects sent %d messages, want none", len(objs), m)
+			}
+			s.Run(3, func(c api.Ctx) {
+				for _, o := range objs {
+					got := make([]byte, len(o.init))
+					if o.lock != 0 {
+						c.Acquire(o.lock)
+						c.Read(o.r, 0, got)
+						c.Release(o.lock)
+					} else {
+						c.Read(o.r, 0, got)
+					}
+					if !bytes.Equal(got, o.init) {
+						t.Errorf("node %d: first read of %s = %q, want %q", c.Node(), o.name, got, o.init)
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -61,7 +61,6 @@ const (
 	kindAcquire  = msg.KindLockBase + 0 // Call: request ownership; reply = grant(+data)
 	kindRelease  = msg.KindLockBase + 1 // Send: surrender ownership to home (+data)
 	kindRecall   = msg.KindLockBase + 2 // Send: home asks owner to surrender
-	kindSeed     = msg.KindLockBase + 3 // Call: seed migratory data at home
 	kindBarrier  = msg.KindLockBase + 4 // Call: arrive at barrier; reply = release
 	kindFetchAdd = msg.KindLockBase + 5 // Call: atomic fetch-and-add
 	kindAtomLoad = msg.KindLockBase + 6 // Call: atomic load
@@ -233,18 +232,17 @@ func (s *Service) AttachMigratory(id LockID, provide func(emit func([]byte)), ap
 }
 
 // SeedMigratory parks initial migratory data for lock id at its home so
-// the first grant anywhere delivers it. Call once, before use.
-func (s *Service) SeedMigratory(id LockID, data []byte) error {
-	b := encodeLockPayload(uint32(id), data)
-	if s.home(id) == s.k.Node() {
-		h := s.homeState(id)
-		h.mu.Lock()
-		h.stored = append([]byte(nil), data...)
-		h.mu.Unlock()
-		return nil
+// the first grant anywhere delivers it. Every node installs a migratory
+// object with the same bytes and seeds it, so only the home's call
+// stores: no node ever writes another's stored bytes.
+func (s *Service) SeedMigratory(id LockID, data []byte) {
+	if s.home(id) != s.k.Node() {
+		return
 	}
-	_, err := s.k.Call(s.home(id), kindSeed, b)
-	return err
+	h := s.homeState(id)
+	h.mu.Lock()
+	h.stored = append([]byte(nil), data...)
+	h.mu.Unlock()
 }
 
 // Acquire blocks the calling thread until it holds lock id.
@@ -460,8 +458,6 @@ func (s *Service) dispatch(k *vkernel.Kernel, req *msg.Msg) {
 		s.handleRelease(req)
 	case kindRecall:
 		s.handleRecall(req)
-	case kindSeed:
-		s.handleSeed(req)
 	case kindBarrier:
 		s.handleBarrier(req)
 	case kindFetchAdd:
@@ -536,15 +532,6 @@ func (s *Service) handleRecall(req *msg.Msg) {
 	// Held (or ownership still in flight): mark; Release/Acquire will
 	// honor it.
 	p.recall = true
-}
-
-func (s *Service) handleSeed(req *msg.Msg) {
-	id, data := decodeLockPayload(req.Payload)
-	h := s.homeState(LockID(id))
-	h.mu.Lock()
-	h.stored = append([]byte(nil), data...)
-	h.mu.Unlock()
-	s.k.Reply(req, nil)
 }
 
 // encodeLockPayload packs (lockID, data) for the wire. data == nil means

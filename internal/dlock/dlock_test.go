@@ -144,9 +144,7 @@ func TestMigratoryDataTravelsWithLock(t *testing.T) {
 			func(emit func([]byte)) { emit(locals[i]) },
 			func(b []byte) { locals[i] = append([]byte(nil), b...) })
 	}
-	if err := svcs[0].SeedMigratory(lock, []byte{10}); err != nil {
-		t.Fatal(err)
-	}
+	svcs[2].SeedMigratory(lock, []byte{10}) // the home seeds itself
 	// Ring: each node increments the value 5 times.
 	for round := 0; round < 5; round++ {
 		for n := 0; n < 3; n++ {
@@ -168,12 +166,30 @@ func TestSeedMigratoryAtHomeItself(t *testing.T) {
 	var got []byte
 	svcs[1].AttachMigratory(lock, func(emit func([]byte)) { emit(got) },
 		func(b []byte) { got = append([]byte(nil), b...) })
-	if err := svcs[0].SeedMigratory(lock, []byte("seeded")); err != nil {
-		t.Fatal(err)
-	}
+	svcs[0].SeedMigratory(lock, []byte("seeded"))
 	svcs[1].Acquire(lock)
 	if string(got) != "seeded" {
 		t.Fatalf("got %q", got)
+	}
+	svcs[1].Release(lock)
+}
+
+// Every node installs a migratory object, so every node seeds its lock:
+// only the home's seed stores, and no other node's reaches it.
+func TestSeedMigratoryOffHomeStoresNothing(t *testing.T) {
+	c, svcs := harness(t, 2)
+	const lock = LockID(0) // home = node 0
+	var got []byte
+	svcs[1].AttachMigratory(lock, func(emit func([]byte)) { emit(got) },
+		func(b []byte) { got = append([]byte(nil), b...) })
+	svcs[0].SeedMigratory(lock, []byte("home"))
+	svcs[1].SeedMigratory(lock, []byte("other"))
+	if m := c.Stats().Messages(); m != 0 {
+		t.Fatalf("seeding sent %d messages, want none", m)
+	}
+	svcs[1].Acquire(lock)
+	if string(got) != "home" {
+		t.Fatalf("got %q, want the home's seed", got)
 	}
 	svcs[1].Release(lock)
 }

@@ -120,7 +120,7 @@ func (s *System) Alloc(name string, size int, _ protocol.Annotation, _ protocol.
 	s.numPages = needPages
 	s.mu.Unlock()
 
-	// Install the newly needed pages cluster-wide.
+	// Install the newly needed pages on every node; nothing is sent.
 	for _, p := range newPages {
 		meta := protocol.Meta{
 			ID:    memory.ObjectID(pageObjBase + p),
@@ -129,7 +129,9 @@ func (s *System) Alloc(name string, size int, _ protocol.Annotation, _ protocol.
 			Annot: protocol.Conventional,
 			Opts:  protocol.DefaultOptions(),
 		}
-		s.nodes[0].Alloc(meta, nil)
+		for _, n := range s.nodes {
+			n.InstallLocal(meta, nil)
+		}
 	}
 
 	if init != nil {

@@ -77,6 +77,27 @@ func TestInitData(t *testing.T) {
 	})
 }
 
+// TestAllocSendsNothing: every node installs each new page itself, so
+// an allocation without initial bytes sends no message, and the pages
+// still serve every node.
+func TestAllocSendsNothing(t *testing.T) {
+	s := newSys(t, 3, 64)
+	r := s.Alloc("x", 200, protocol.Conventional, protocol.DefaultOptions(), nil) // four pages
+	if m := s.Messages(); m != 0 {
+		t.Fatalf("allocating four pages sent %d messages, want none", m)
+	}
+	s.Run(3, func(c api.Ctx) {
+		if c.ThreadID() == 1 {
+			api.WriteU64(c, r, 192, 7)
+		}
+	})
+	s.Run(3, func(c api.Ctx) {
+		if got := api.ReadU64(c, r, 192); got != 7 {
+			t.Errorf("thread %d read %d, want 7", c.ThreadID(), got)
+		}
+	})
+}
+
 func TestRegionsPackIntoSharedPages(t *testing.T) {
 	s := newSys(t, 2, 1024)
 	a := s.Alloc("a", 8, protocol.Conventional, protocol.DefaultOptions(), nil)

@@ -1041,6 +1041,10 @@ func (n *Node) handleConsUpd(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	nc := int(r.U32())
+	if nc > r.Remaining()/4 {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
 	consumers := make([]msg.NodeID, 0, nc)
 	for i := 0; i < nc; i++ {
 		consumers = append(consumers, msg.NodeID(r.U32()))

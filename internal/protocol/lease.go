@@ -198,7 +198,10 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) {
 	if o == nil {
 		return
 	}
-	checkRange(o, off, len(data))
+	if !inRange(o, off, len(data)) {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
 	o.mu.Lock()
 	copy(o.data[off:], data)
 	o.applySeq++

@@ -14,7 +14,7 @@ type EngineKind uint8
 const (
 	// EngineDefault is the zero value, so plain Options pick up the
 	// annotation's own row, which is the directory engine's. Alloc
-	// resolves it to EngineDirectory before announcing.
+	// resolves it to EngineDirectory before any node installs it.
 	EngineDefault EngineKind = iota
 	// EngineDirectory is the classic home/directory machine: a copyset
 	// per object at the home, updates pushed (refresh) or copies

@@ -478,11 +478,11 @@ type Node struct {
 	reads, writes, writeBuffered *stats.Counter
 }
 
-// Message kinds (KindCohBase + n). Allocation announces are control
-// traffic (msg.KindPing range), not coherence traffic: the benchmark
+// Message kinds (KindCohBase + n). Allocation announces (Node.Alloc) are
+// control traffic (msg.KindPing range), not coherence traffic: the bench
 // harness separates one-time setup from steady-state sharing messages.
 const (
-	kindAlloc      = msg.KindPing + 1     // Call: install object metadata (+init data at home)
+	kindAlloc      = msg.KindPing + 1     // Call: install object metadata + initial bytes (Node.Alloc)
 	kindRead       = msg.KindCohBase + 1  // Call: fetch a readable copy from home
 	kindWriteOwn   = msg.KindCohBase + 2  // Call: acquire exclusive ownership
 	kindInv        = msg.KindCohBase + 3  // Call/multicast: invalidate local copy (acked)
@@ -580,7 +580,7 @@ func (n *Node) homeOf(m *Meta) msg.NodeID {
 }
 
 // obj returns the local view of id, or nil if the object was never
-// allocated (announced) here.
+// installed here.
 func (n *Node) obj(id memory.ObjectID) *Obj { return n.objs.get(id) }
 
 // mustObj panics if the object is unknown — accessing unallocated
@@ -621,8 +621,9 @@ func (n *Node) dirEntryOf(id memory.ObjectID) *dirEntry {
 }
 
 // checkAllocArgs validates allocation arguments, resolves the object's
-// engine into meta — the announce carries the row's engine, so every
-// node installs the same row — and fills a nil init with zeroes.
+// engine into meta — from meta alone, so every node that installs the
+// object (and Alloc's announce) gets the same row — and fills a nil
+// init with zeroes.
 func checkAllocArgs(meta *Meta, init []byte) []byte {
 	if meta.Size <= 0 {
 		panic(fmt.Sprintf("munin: alloc %q: size must be positive", meta.Name))
@@ -637,10 +638,11 @@ func checkAllocArgs(meta *Meta, init []byte) []byte {
 	return init
 }
 
-// Alloc installs a new shared object cluster-wide. It must be called
-// from single-threaded setup code (the driver), before worker threads
-// touch the object. The initial data lives at the object's home;
-// private objects get a full local copy on every node.
+// Alloc installs a new shared object cluster-wide with one kindAlloc call
+// to each other node. It must be called from single-threaded setup code
+// (the driver), before worker threads touch the object. The runtime
+// installs with InstallLocal instead; Alloc serves protocol-level
+// harnesses that build nodes without it.
 func (n *Node) Alloc(meta Meta, init []byte) {
 	init = checkAllocArgs(&meta, init)
 	payload := encodeAlloc(meta, init)
@@ -658,15 +660,13 @@ func (n *Node) Alloc(meta Meta, init []byte) {
 	}
 }
 
-// InstallLocal installs a new shared object on this node only — the
-// SPMD allocation path for the multi-process runtime. Every process of
-// an SPMD program executes the same setup code in the same order, so
-// each process installs its own view of the object under the identical,
-// deterministically assigned ID and no announce traffic is needed at
-// all (the runtime's run gate verifies the processes really did
-// allocate identically; see internal/core). Alloc, by contrast, is the
-// single-driver path that announces the object to every node of an
-// in-process cluster.
+// InstallLocal installs a new shared object on this node only and sends
+// nothing: the runtime's allocation path in both shapes. In-process the
+// allocator calls it on every node; in an SPMD program each process
+// executes the same setup code, so each installs its own view under the
+// identical, deterministically assigned ID (the run gate verifies that;
+// see internal/core). Every node gets the initial bytes, so the object's
+// home keeps them and the lock's home seeds a migratory object locally.
 func (n *Node) InstallLocal(meta Meta, init []byte) {
 	init = checkAllocArgs(&meta, init)
 	n.install(meta, init)
@@ -689,14 +689,15 @@ func (n *Node) install(meta Meta, init []byte) {
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
 	case o.pol.lockBound:
-		// Data rides with the lock. Register the transfer hooks; the
-		// seed lives at the lock's home (done by the allocator below).
+		// Data rides with the lock. Register the transfer hooks and
+		// seed the lock (it stores at the lock's home only).
 		o.data = append([]byte(nil), init...)
 		o.state = Invalid // valid only while the lock is held here
 		if n.locks == nil {
 			panic("munin: migratory object requires a lock service")
 		}
 		n.locks.AttachMigratory(meta.Opts.Lock, o.migratorySnapshot, o.migratoryInstall)
+		n.locks.SeedMigratory(meta.Opts.Lock, init)
 	case home == n.id:
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
@@ -714,13 +715,6 @@ func (n *Node) install(meta Meta, init []byte) {
 		d.owner = n.id
 		d.copyset[n.id] = true
 		d.mu.Unlock()
-		if o.pol.lockBound {
-			// Park the initial bytes with the lock so the first
-			// acquirer anywhere receives them.
-			if err := n.locks.SeedMigratory(meta.Opts.Lock, init); err != nil {
-				panic(fmt.Sprintf("munin: seed migratory %q: %v", meta.Name, err))
-			}
-		}
 	}
 }
 
@@ -745,7 +739,11 @@ func (o *Obj) migratoryInstall(b []byte) {
 func (n *Node) dispatch(k *vkernel.Kernel, req *msg.Msg) {
 	switch req.Kind {
 	case kindAlloc:
-		meta, init := decodeAlloc(req.Payload)
+		meta, init, err := decodeAlloc(req.Payload)
+		if err != nil {
+			n.C.Add(stats.CDropMalformed, 1)
+			return
+		}
 		n.install(meta, init)
 		n.k.Reply(req, nil)
 	case kindRead:
@@ -794,7 +792,7 @@ func encodeAlloc(meta Meta, init []byte) []byte {
 	return b.Bytes()
 }
 
-func decodeAlloc(p []byte) (Meta, []byte) {
+func decodeAlloc(p []byte) (Meta, []byte, error) {
 	r := msg.NewReader(p)
 	var meta Meta
 	meta.ID = memory.ObjectID(r.U32())
@@ -808,10 +806,7 @@ func decodeAlloc(p []byte) (Meta, []byte) {
 	meta.Opts.ForceReplicated = r.Bool()
 	meta.Opts.Engine = EngineKind(r.U8())
 	init := r.BytesN() // install copies it; nothing here outlives the request
-	if r.Err() != nil {
-		panic(fmt.Sprintf("munin: corrupt alloc payload: %v", r.Err()))
-	}
-	return meta, init
+	return meta, init, r.Err()
 }
 
 // inRange reports whether [off, off+n) lies inside the object, without

@@ -701,7 +701,10 @@ func TestMetaRoundTripThroughAlloc(t *testing.T) {
 		Opts: Options{Home: 1, Lock: 9, Update: Invalidate, Dynamic: true,
 			Engine: EngineDirectory}}
 	init := []byte{1, 2, 3, 4}
-	gotMeta, gotInit := decodeAlloc(encodeAlloc(meta, init))
+	gotMeta, gotInit, err := decodeAlloc(encodeAlloc(meta, init))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gotMeta != meta {
 		t.Fatalf("meta round trip: %+v vs %+v", gotMeta, meta)
 	}

@@ -35,6 +35,12 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			msg.NewBuilder(32).U32(2).Int(-1).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
 		{"kindRemWrite for an object never allocated", kindRemWrite,
 			msg.NewBuilder(32).U32(999).Int(0).BytesN([]byte{0xff}).Bytes(), stats.CDropUnknownObject},
+		{"kindAlloc with a truncated payload", kindAlloc,
+			msg.NewBuilder(8).U32(7).U8(3).Bytes(), stats.CDropMalformed},
+		{"kindLeaseWrite at offset 1<<20 of a 16-byte lease object", kindLeaseWrite,
+			msg.NewBuilder(32).U32(3).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+		{"kindConsUpd with a consumer count the payload cannot hold", kindConsUpd,
+			msg.NewBuilder(16).U32(2).U32(1<<32 - 1).U32(1).Bytes(), stats.CDropMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +48,8 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Home = 0
 			r.alloc(2, "rm", len(init), ReadMostly, opts, init)
+			opts.Engine = EngineLease
+			r.alloc(3, "lease", len(init), ReadMostly, opts, init)
 			home := r.nodes[0]
 			before := home.C.Snapshot()
 			if err := r.nodes[1].k.Send(0, tc.kind, tc.payload); err != nil {
@@ -53,7 +61,7 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := home.C.Snapshot()
-			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived} {
+			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
 				want := before[name]
 				if name == tc.counter {
 					want++
@@ -62,13 +70,15 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 					t.Errorf("%s moved from %d to %d, want %d", name, before[name], after[name], want)
 				}
 			}
-			// The member still serves its object, locally and to the peer,
-			// with the bytes it had.
+			// The member still serves its objects, locally and to the
+			// peer, with the bytes it had.
 			got := make([]byte, len(init))
-			for _, n := range r.nodes {
-				n.Read(duq.New(), memory.ObjectID(2), 0, got)
-				if !bytes.Equal(got, init) {
-					t.Errorf("node %d reads %x after the drop, want %x", n.ID(), got, init)
+			for _, id := range []memory.ObjectID{2, 3} {
+				for _, n := range r.nodes {
+					n.Read(duq.New(), id, 0, got)
+					if !bytes.Equal(got, init) {
+						t.Errorf("node %d reads %x from object %d after the drop, want %x", n.ID(), got, id, init)
+					}
 				}
 			}
 		})
