@@ -179,14 +179,15 @@ func TestE5MigratoryCheaper(t *testing.T) {
 	// and the data rides inside it; a conventional object adds its own
 	// ownership transfer on top. A section reads, then writes: a read
 	// fault (request, forward, data from the owner) and an upgrade
-	// (request, invalidation and ack, grant without data) are 7 messages
-	// when the previous section ran on a third node; when it ran on the
-	// object's home (node 1) the home answers the read itself and has
-	// nobody to invalidate, 2 + 2. Section 0 finds the home owning, 4,
-	// then 7, 4 and nine rings of 7 + 7 + 4: 177.
+	// (request, forward to the old owner, its grant without data) are 6
+	// messages when the previous section ran on a third node; when it ran
+	// on the object's home (node 1) the home answers the read itself and
+	// grants the upgrade itself, 2 + 2. Section 0 finds the home owning,
+	// 4, then 6, 4 and nine rings of 6 + 6 + 4: 158 (177 while the home
+	// retired the old owner with an invalidation and its ack).
 	pinned(t, r, map[string]float64{
 		"migratory.perCS":    118.0 / 30,
-		"conventional.perCS": (118.0 + 177.0) / 30,
+		"conventional.perCS": (118.0 + 158.0) / 30,
 	})
 }
 

@@ -615,7 +615,7 @@ func (n *Node) ensureReadable(o *Obj) {
 	}
 }
 
-// errOwnerLost is the cause of a read fault the home refused with
+// errOwnerLost is the cause of a fault the home refused with
 // nackOwnerDown.
 var errOwnerLost = errors.New("the object's home lost its wire to the owner")
 
@@ -754,7 +754,7 @@ func (n *Node) Evict(id memory.ObjectID) {
 	for o.fetching || o.owning {
 		o.cond.Wait()
 	}
-	if o.state == Invalid || o.dirtyOwner {
+	if o.state == Invalid || o.owns {
 		// Nothing to drop, or this node owns the object: like the home's,
 		// the owner's copy is the authoritative one.
 		o.mu.Unlock()
@@ -994,6 +994,10 @@ func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 			o.mu.Unlock()
 			return
 		}
+		if lost := o.lost; lost != nil {
+			o.mu.Unlock()
+			panic(fmt.Sprintf("munin: write fault %q: %v", o.meta.Name, lost))
+		}
 		if o.fetching || o.owning {
 			o.cond.Wait()
 			continue
@@ -1011,33 +1015,40 @@ func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		if testHookWriteOwnBuilt != nil {
 			testHookWriteOwnBuilt(n)
 		}
-		// The grant is installed — and this write applied — inline on
-		// the dispatcher goroutine, strictly before any later forward,
-		// fetch or invalidation from the home is dispatched. This closes
-		// the "grant delivered but not yet installed" window: no other
-		// node can ever be served this object's pre-install state.
+		// The grant comes from the home or from the old owner. It is
+		// installed — and this write applied — inline on the dispatcher
+		// goroutine, strictly before anything its sender sent later is
+		// dispatched; a forward the home sent ahead of it parks until the
+		// install (awaitGrant). Either way no other node can be served
+		// this object's pre-install state.
+		var lost *transport.ErrPeerDown
 		err := n.k.CallInline(n.homeOf(&o.meta), kindWriteOwn, req,
 			func(reply *msg.Msg) {
 				r := msg.NewReader(reply.Payload)
-				hasData := r.Bool()
-				var fresh []byte
-				if hasData {
-					fresh = r.BytesN()
-				}
+				how := r.U8()
 				o.mu.Lock()
-				if hasData {
-					copy(o.data, fresh)
+				switch how {
+				case nackOwnerDown:
+					lost = &transport.ErrPeerDown{Node: msg.NodeID(r.U32()), Cause: errOwnerLost}
+					o.lost = lost
+				default: // a grant (encodeGrant), with the bytes if how is 1
+					o.epoch = r.U32()
+					if how == 1 {
+						copy(o.data, r.BytesN())
+					}
+					o.state = Exclusive
+					o.owns = true
+					copy(o.data[off:], data)
 				}
-				o.state = Exclusive
-				o.dirtyOwner = true
-				copy(o.data[off:], data)
 				o.owning = false
-				o.grantPending = false
 				o.cond.Broadcast()
 				o.mu.Unlock()
 			})
 		if err != nil {
 			panic(fmt.Sprintf("munin: write fault %q: %v", o.meta.Name, err))
+		}
+		if lost != nil {
+			panic(fmt.Sprintf("munin: write fault %q: %v", o.meta.Name, lost))
 		}
 		return // the inline callback applied the write
 	}

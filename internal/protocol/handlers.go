@@ -46,25 +46,19 @@ func (n *Node) handleRead(req *msg.Msg) {
 	case o.pol.owned:
 		// The owner serves the read and stays owner; the home only adds the
 		// reader to the copy set, so the owner's next write fault finds it
-		// there and invalidates it.
+		// there and invalidates it. When the home owns the object it serves
+		// the read as a remote owner serves a forwarded one, outside d.mu.
 		d.mu.Lock()
 		d.copyset[req.From] = true
+		epoch := d.epoch
 		if d.owner != n.id {
-			n.forwardRead(d, req, id)
+			n.forward(d, o, req, kindFwdRead, msg.NewBuilder(8).U32(uint32(id)).U32(epoch).Bytes(),
+				forwarded{to: d.owner, seq: req.Seq})
 			d.mu.Unlock()
 			return
 		}
-		o.mu.Lock()
-		// One of this node's own threads may have a grant install pending on
-		// the local dispatcher (see handleWriteOwn): wait for it, or the
-		// reader would be served the pre-install bytes.
-		for o.grantPending {
-			o.cond.Wait()
-		}
-		wb := o.shareOwned()
-		o.mu.Unlock()
 		d.mu.Unlock()
-		n.k.ReplyOwned(req, wb)
+		n.serveRead(o, req, epoch)
 
 	case o.pol.frozen:
 		// Serving the first replica ends initialisation: the home copy
@@ -121,17 +115,36 @@ func (o *Obj) shareOwned() *bufpool.Buffer {
 	return encodeDataReply(o.data, 0)
 }
 
-// invalidate retires the local copy; the generation bump lets a fetch
-// whose reply is still in flight notice (ensureReadable). Caller holds
-// o.mu.
+// invalidate retires the local copy, and with it any ownership this node
+// held; the generation bump lets a fetch whose reply is still in flight
+// notice (ensureReadable). Caller holds o.mu.
 func (o *Obj) invalidate() {
 	o.state = Invalid
 	o.genInv++
-	o.dirtyOwner = false
+	o.owns = false
+}
+
+// awaitGrant parks the caller until this node has installed the grant of
+// ownership period epoch — the period whose owner a forward was sent to
+// — or has lost the object. A forward that finds the grant missing
+// arrived ahead of it: the grant comes from the old owner, on a
+// connection that shares no order with the home's, and serving the
+// forward from the pre-grant copy would hand out bytes the grant is
+// about to replace. A forward for the period this node is in is served
+// at once, even while its own next ownership request waits at the home:
+// requests are granted in the home's order, so a chain of owners each
+// waiting for the one before it cannot close into a cycle. The period,
+// not Obj.owning, is what tells the two apart: a node can be owner with
+// the forward that ends its period still unserved and already be named
+// owner of a later period by its own request. Caller holds o.mu.
+func (o *Obj) awaitGrant(epoch uint32) {
+	for int32(o.epoch-epoch) < 0 && o.lost == nil {
+		o.cond.Wait()
+	}
 }
 
 // encodeBytesReply builds a reply that is one length-prefixed byte
-// string: a fetch served to the home, a remote load.
+// string: a remote load.
 func encodeBytesReply(data []byte) *bufpool.Buffer {
 	wb, b := vkernel.NewWire(msg.BytesNSize(len(data)))
 	b.BytesN(data)
@@ -139,58 +152,104 @@ func encodeBytesReply(data []byte) *bufpool.Buffer {
 	return wb
 }
 
-// forwardRead passes a read fault on to the object's owner, which
-// replies to the reader itself (handleFwdRead), and notes the forward in
-// d.fwd. The caller holds d.mu and has added the reader to the copy set:
-// the forward leaves before any later grant can, and home-to-owner
-// delivery is FIFO, so it can overtake neither the grant that made the
-// node owner nor be overtaken unnoticed by the invalidation that ends its
-// ownership — a forward that arrives after that finds the copy Invalid
-// and is nacked. A forward that cannot be sent is refused here, in the
-// reader's terms.
-func (n *Node) forwardRead(d *dirEntry, req *msg.Msg, id memory.ObjectID) {
-	n.C.Add(stats.CFwdRead, 1)
-	// The owner needs what the home was sent, the object's ID.
-	err := n.k.Forward(req, d.owner, kindFwdRead, req.Payload)
+// forward passes a fault on to the object's owner f.to, which answers
+// the faulting node itself (handleFwdRead, handleFwdWrite), and notes it
+// in d.fwd. The caller holds d.mu and has already recorded what the
+// fault changes in the directory, so forwards leave in the home's order;
+// one that reaches its target ahead of the grant naming it owner parks
+// there (awaitGrant), and a read forward that arrives after the write
+// that ended the target's ownership finds the copy Invalid and is
+// nacked. A forward that cannot be sent is refused here.
+func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, kind msg.Kind, payload []byte, f forwarded) {
+	if f.write {
+		n.C.Add(stats.CFwdWrite, 1)
+	} else {
+		n.C.Add(stats.CFwdRead, 1)
+	}
+	err := n.k.Forward(req, f.to, kind, payload)
 	var down *transport.ErrPeerDown
 	switch {
 	case err == nil:
 		if d.fwd == nil {
 			d.fwd = make(map[msg.NodeID]forwarded)
 		}
-		d.fwd[req.From] = forwarded{to: d.owner, seq: req.Seq}
+		d.fwd[req.From] = f
 	case isGone(err):
-		// The owner left; PeerGone is about to take the object back.
-		n.nackRead(req.From, req.Seq, nackRetry, 0)
+		// The owner left; PeerGone is about to prune it.
+		n.refuse(o, req.From, f, nackRetry)
 	case errors.As(err, &down):
-		n.nackRead(req.From, req.Seq, nackOwnerDown, d.owner)
+		n.refuse(o, req.From, f, nackOwnerDown)
 	case !isShutdown(err):
-		panic(fmt.Sprintf("munin: forward read of object %d to node %d: %v", id, d.owner, err))
+		panic(fmt.Sprintf("munin: forward a fault on object %d to node %d: %v", o.meta.ID, f.to, err))
 	}
 }
 
-// nackRead answers the read fault (reader, seq) with a nack in place of
-// the object: nackRetry, or nackOwnerDown naming the lost owner.
-func (n *Node) nackRead(reader msg.NodeID, seq uint64, reason uint8, owner msg.NodeID) {
+// refuse answers, in the lost owner's stead, the fault of node from that
+// the home forwarded (f). A read is nacked: nackRetry, or nackOwnerDown
+// naming the owner. A write is granted by the home when it can be
+// without the owner's bytes — the writer's copy is current (f.good), or
+// the owner departed, which takes its unsynchronized bytes with it, and
+// the writer gets the home's copy as the home takes back any object a
+// departed owner held (prunePeer). Otherwise the write is nacked with
+// nackOwnerDown, and the writer, which the directory already names
+// owner, holds the object as lost. Each answer is safe when the owner
+// did serve the forward before it was lost, or the note is older than
+// the fault's completion: the faulting node takes whichever reply comes
+// first and drops the other as stray. Caller holds d.mu.
+func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) {
+	call := &msg.Msg{Kind: kindRead, From: from, Seq: f.seq}
+	if !f.write {
+		n.nack(call, reason, f.to)
+		return
+	}
+	call.Kind = kindWriteOwn
+	switch {
+	case f.good:
+		n.k.ReplyOwned(call, encodeGrant(false, f.epoch, nil))
+	case reason == nackRetry:
+		o.mu.Lock()
+		wb := encodeGrant(true, f.epoch, o.data)
+		o.mu.Unlock()
+		n.k.ReplyOwned(call, wb)
+	default:
+		n.nack(call, nackOwnerDown, f.to)
+	}
+}
+
+// nack answers the fault req with a nack in place of the object or the
+// grant: nackRetry, or nackOwnerDown naming the lost owner.
+func (n *Node) nack(req *msg.Msg, reason uint8, owner msg.NodeID) {
 	n.C.Add(stats.CFwdNack, 1)
 	b := msg.NewBuilder(5).U8(reason)
 	if reason == nackOwnerDown {
 		b.U32(uint32(owner))
 	}
-	n.k.Reply(&msg.Msg{Kind: kindRead, From: reader, Seq: seq}, b.Bytes())
+	n.k.Reply(req, b.Bytes())
 }
 
-// refuseForwards answers every noted read fault that was forwarded to
-// peer, which is lost, and forgets the note peer itself left (its calls
-// died with it). Caller holds d.mu.
-func (n *Node) refuseForwards(d *dirEntry, peer msg.NodeID, reason uint8) {
+// refuseForwards answers every noted fault that was forwarded to peer,
+// which is lost (refuse), and forgets the note peer itself left (its
+// calls died with it). Caller holds d.mu.
+func (n *Node) refuseForwards(o *Obj, d *dirEntry, peer msg.NodeID, reason uint8) {
 	delete(d.fwd, peer)
-	for reader, f := range d.fwd {
+	for from, f := range d.fwd {
 		if f.to == peer {
-			delete(d.fwd, reader)
-			n.nackRead(reader, f.seq, reason, peer)
+			delete(d.fwd, from)
+			n.refuse(o, from, f, reason)
 		}
 	}
+}
+
+// ownedFromWire is objFromWire for the messages of the ownership
+// protocols: an object whose row has no owner is counted
+// (drop.misdirected) and yields nil.
+func (n *Node) ownedFromWire(id memory.ObjectID) *Obj {
+	o := n.objFromWire(id)
+	if o != nil && !o.pol.owned {
+		n.C.Add(stats.CDropMisdirected, 1)
+		return nil
+	}
+	return o
 }
 
 // testHookFwdRead, when a test sets it, runs in the owner's forwarded-read
@@ -199,17 +258,12 @@ func (n *Node) refuseForwards(d *dirEntry, peer msg.NodeID, reason uint8) {
 var testHookFwdRead func(stage string)
 
 // handleFwdRead serves a read fault the home forwarded to this node as
-// the object's owner: the reply goes to the reader (req.From is the
-// reader, not the home — vkernel.Forward). A node that no longer holds a
-// valid copy — its ownership ended before the forward arrived — says so,
-// and the reader asks the home again. A node that holds one may serve it
-// whether or not it still owns the object: the reader has been in the
-// copy set since before the forward left the home, so any write granted
-// since has invalidated the reader, and its generation check discards
-// whatever this reply carries.
+// the owner of the object's ownership period epoch: the reply goes to the
+// reader (req.From is the reader, not the home — vkernel.Forward).
 func (n *Node) handleFwdRead(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
+	epoch := r.U32()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
@@ -217,14 +271,30 @@ func (n *Node) handleFwdRead(req *msg.Msg) {
 	if testHookFwdRead != nil {
 		testHookFwdRead("arrived")
 	}
-	o := n.objFromWire(id)
-	if o == nil {
+	if o := n.ownedFromWire(id); o != nil {
+		n.serveRead(o, req, epoch)
+	}
+}
+
+// serveRead is the owner's half of a read fault: it shares the copy with
+// the reader, once any grant this node awaits is installed (awaitGrant).
+// A node that no longer holds a valid copy — its ownership ended before
+// the fault got here — says so, and the reader asks the home again. A
+// node that holds one may serve it whether or not it still owns the
+// object: the reader has been in the copy set since before the fault
+// left the home, so any write granted since has invalidated the reader,
+// and its generation check discards whatever this reply carries.
+func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) {
+	o.mu.Lock()
+	o.awaitGrant(epoch)
+	if lost := o.lost; lost != nil {
+		o.mu.Unlock()
+		n.nack(req, nackOwnerDown, lost.Node)
 		return
 	}
-	o.mu.Lock()
 	if o.state == Invalid {
 		o.mu.Unlock()
-		n.nackRead(req.From, req.Seq, nackRetry, 0)
+		n.nack(req, nackRetry, 0)
 		return
 	}
 	wb := o.shareOwned()
@@ -236,23 +306,19 @@ func (n *Node) handleFwdRead(req *msg.Msg) {
 	n.k.ReplyOwned(req, wb)
 }
 
-// fetchFrom takes the object from its remote owner for a writer that
-// holds no valid copy: the owner replies with the bytes and invalidates.
-// The result aliases the reply, which is this caller's alone (see
-// transport.Endpoint.Recv).
-func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID) []byte {
-	n.C.Add(stats.CHomeFetch, 1)
-	reply, err := n.k.Call(owner, kindFetch, msg.NewBuilder(4).U32(uint32(id)).Bytes())
-	if err != nil {
-		panic(fmt.Sprintf("munin: fetch object %d from node %d: %v", id, owner, err))
-	}
-	return msg.NewReader(reply.Payload).BytesN()
-}
-
 // handleWriteOwn grants exclusive ownership to the requester after
 // retiring every other copy (strict coherence for the ownership
 // protocols). This node is the home; d.mu serializes conflicting
-// requests for the same object.
+// requests for the same object, and is never held across a remote
+// owner's round trip.
+//
+// Every copy holder but the requester and the old owner is retired by
+// the concurrent kindInv round. The directory then names the requester
+// owner and sole holder, and the old owner is left to hand ownership on:
+// the home forwards the request to a remote old owner (kindFwdWrite),
+// which invalidates its copy and grants the requester directly, and
+// serves it itself, outside d.mu, when it is the old owner. A requester
+// that already owns the object is granted by the home.
 //
 // The grant carries no data when the requester vouched for its copy
 // (ownershipWrite: state != Invalid when the request was built) and is
@@ -260,9 +326,9 @@ func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID) []byte {
 // valid and current, whoever the owner is:
 //
 //   - A copy is invalidated only by a handleWriteOwn that, in the same
-//     hold of d.mu, removes its node from the copy set (the kindInv round
-//     below, or kindFetch for an owner that must hand over bytes), or by
-//     its own node's Evict.
+//     hold of d.mu, removes its node from the copy set (the kindInv round,
+//     or the reset that retires the old owner, whose forward invalidates
+//     it), or by its own node's Evict.
 //   - A node enters the copy set only by a request of its own (kindRead,
 //     kindWriteOwn). Between vouching and the grant the requester has
 //     neither outstanding: a node runs one fault per object at a time
@@ -270,9 +336,7 @@ func (n *Node) fetchFrom(owner msg.NodeID, id memory.ObjectID) []byte {
 //
 // So a requester that vouched and was since invalidated cannot be back in
 // the copy set — it finds itself missing and is sent the bytes — and one
-// that is in the copy set has not been invalidated since it vouched. A
-// remote old owner is then just another copy holder: it is retired by the
-// same kindInv as the rest, and no byte moves.
+// that is in the copy set has not been invalidated since it vouched.
 func (n *Node) handleWriteOwn(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
@@ -281,71 +345,56 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 		n.C.Add(stats.CDropMalformed, 1)
 		return
 	}
-	o := n.objFromWire(id)
+	o := n.ownedFromWire(id)
 	if o == nil {
+		return
+	}
+	if n.homeOf(&o.meta) != n.id {
+		n.C.Add(stats.CDropMisdirected, 1)
 		return
 	}
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeWriteOwn, 1)
 
 	d.mu.Lock()
-	requester := req.From
-	oldOwner := d.owner
-	// The grant is encoded the moment the bytes are in hand — under o.mu
-	// when the home owns them — and sent once every other copy is gone.
-	var grant *bufpool.Buffer
-	switch {
-	case vouched && d.copyset[requester]:
-		grant = encodeGrant(false, nil)
-	case oldOwner == n.id:
-		// The home itself owns the copy. One of its own threads
-		// may have a grant install pending on the local
-		// dispatcher; wait for it, or we would grab the
-		// pre-install bytes and lose the home's write.
-		o.mu.Lock()
-		for o.grantPending {
-			o.cond.Wait()
-		}
-		grant = encodeGrant(true, o.data)
-		o.invalidate()
-		o.mu.Unlock()
-		delete(d.copyset, oldOwner)
-	default:
-		grant = encodeGrant(true, n.fetchFrom(oldOwner, id))
-		delete(d.copyset, oldOwner)
-	}
-	n.invalidateCopies(o, d, requester)
-	d.owner = requester
+	requester, oldOwner, epoch := req.From, d.owner, d.epoch
+	good := vouched && d.copyset[requester]
+	n.invalidateCopies(o, d, requester, oldOwner)
+	// Every grant starts a period, an upgrade by the owner included: the
+	// home's own threads install theirs through the dispatcher, and until
+	// they have, the home's service of the next fault must park.
+	d.owner, d.epoch = requester, epoch+1
 	d.copyset = map[msg.NodeID]bool{requester: true}
-	if requester == n.id {
-		// Granting to one of our own threads: mark the local copy
-		// until the inline install runs, so home-side handlers do not
-		// grab pre-install bytes.
-		o.mu.Lock()
-		o.grantPending = true
-		o.mu.Unlock()
+	switch oldOwner {
+	case requester:
+		// An owner's copy is valid (a node whose ownership was lost
+		// refuses its own faults). The grant goes out before d.mu is
+		// released, so the next forward to this owner cannot overtake it.
+		n.k.ReplyOwned(req, encodeGrant(false, epoch+1, nil))
+	case n.id:
+		d.mu.Unlock()
+		n.serveWrite(o, req, epoch, good)
+		return
+	default:
+		f := forwarded{to: oldOwner, seq: req.Seq, epoch: epoch + 1, write: true, good: good}
+		n.forward(d, o, req, kindFwdWrite, msg.NewBuilder(9).U32(uint32(id)).U32(epoch).Bool(good).Bytes(), f)
 	}
-	// The grant goes out before the directory entry is released: the
-	// next fault's handler sends its forward or kindFetch to the new owner
-	// from inside this same lock, and per-pair delivery is FIFO, so
-	// neither can overtake the grant and be served pre-install bytes.
-	n.k.ReplyOwned(req, grant)
 	d.mu.Unlock()
 }
 
-// invalidateCopies retires every copy of the object but the requester's,
-// all at once: one kindInv per remote holder is started before any
-// acknowledgment is awaited, so the round costs the slowest holder's
-// round trip, not the sum. Holders are taken in node-ID order, which
-// makes the round's traffic repeat. A holder that departed cleanly took
-// its copy with it; any other failure leaves a copy nobody can vouch for.
-// The caller holds d.mu and resets the copy set afterwards.
-func (n *Node) invalidateCopies(o *Obj, d *dirEntry, requester msg.NodeID) {
+// invalidateCopies retires every copy of the object but the requester's
+// and the old owner's, all at once: one kindInv per remote holder is
+// started before any acknowledgment is awaited, so the round costs the
+// slowest holder's round trip, not the sum. Holders are taken in node-ID
+// order, which makes the round's traffic repeat. A holder that departed
+// cleanly took its copy with it; any other failure leaves a copy nobody
+// can vouch for. The caller holds d.mu and resets the copy set afterwards.
+func (n *Node) invalidateCopies(o *Obj, d *dirEntry, requester, oldOwner msg.NodeID) {
 	var arr [8]msg.NodeID
 	remote := arr[:0]
 	for member := range d.copyset {
 		switch member {
-		case requester:
+		case requester, oldOwner:
 		case n.id:
 			o.mu.Lock()
 			o.invalidate()
@@ -373,16 +422,75 @@ func (n *Node) invalidateCopies(o *Obj, d *dirEntry, requester msg.NodeID) {
 	}
 }
 
+// testHookFwdWrite, when a test sets it, runs in the old owner's half of
+// a write fault at node n: with "arrived" when a forwarded write has been
+// decoded, with "served" after the grant has been encoded and the copy
+// invalidated, before the grant is sent.
+var testHookFwdWrite func(n *Node, stage string)
+
+// handleFwdWrite serves a write fault the home forwarded to this node as
+// the owner of the object's ownership period epoch, which the write ends:
+// the grant goes to the writer (req.From).
+func (n *Node) handleFwdWrite(req *msg.Msg) {
+	r := msg.NewReader(req.Payload)
+	id := memory.ObjectID(r.U32())
+	epoch := r.U32()
+	good := r.Bool()
+	if r.Err() != nil {
+		n.C.Add(stats.CDropMalformed, 1)
+		return
+	}
+	if testHookFwdWrite != nil {
+		testHookFwdWrite(n, "arrived")
+	}
+	if o := n.ownedFromWire(id); o != nil {
+		n.serveWrite(o, req, epoch, good)
+	}
+}
+
+// serveWrite is the old owner's half of a write fault that ends
+// ownership period epoch: once this node has installed that period's
+// grant (awaitGrant), it invalidates its copy and grants the writer the
+// next period — without data when the home found the writer's vouch
+// good, else with the bytes, which cross the wire once. A node whose
+// ownership was lost passes the loss on to the writer. A node that does
+// not own the period was sent a forward the protocol never sends: it is
+// counted and dropped.
+func (n *Node) serveWrite(o *Obj, req *msg.Msg, epoch uint32, good bool) {
+	o.mu.Lock()
+	o.awaitGrant(epoch)
+	if lost := o.lost; lost != nil {
+		o.mu.Unlock()
+		n.nack(req, nackOwnerDown, lost.Node)
+		return
+	}
+	if !o.owns || o.epoch != epoch {
+		o.mu.Unlock()
+		n.C.Add(stats.CDropMisdirected, 1)
+		return
+	}
+	grant := encodeGrant(!good, epoch+1, o.data)
+	o.invalidate()
+	o.mu.Unlock()
+	if !good {
+		n.C.Add(stats.CFetchServed, 1)
+	}
+	if testHookFwdWrite != nil {
+		testHookFwdWrite(n, "served")
+	}
+	n.k.ReplyOwned(req, grant)
+}
+
 // encodeGrant builds an ownership grant: whether the requester needs
-// the object's bytes (it does unless it already owned the copy), then
-// the bytes.
-func encodeGrant(hasData bool, fresh []byte) *bufpool.Buffer {
-	size := 1
+// the object's bytes (it does unless its copy is valid), the ownership
+// period it starts, then the bytes.
+func encodeGrant(hasData bool, epoch uint32, fresh []byte) *bufpool.Buffer {
+	size := 5
 	if hasData {
 		size += msg.BytesNSize(len(fresh))
 	}
 	wb, b := vkernel.NewWire(size)
-	b.Bool(hasData)
+	b.Bool(hasData).U32(epoch)
 	if hasData {
 		b.BytesN(fresh)
 	}
@@ -417,32 +525,6 @@ func (n *Node) handleInv(req *msg.Msg) {
 	o.mu.Unlock()
 	n.C.Add(stats.CInvReceived, 1)
 	n.k.Reply(req, nil)
-}
-
-// handleFetch surrenders the object to the home on behalf of a writer
-// that holds no valid copy: the bytes go back in the reply and the local
-// copy is retired. No wait is needed for an in-flight grant: grants
-// install inline on the dispatcher (CallInline), so if the home granted
-// this node ownership before issuing this fetch, the install — including
-// the write that triggered it — already ran when this handler was
-// spawned.
-func (n *Node) handleFetch(req *msg.Msg) {
-	r := msg.NewReader(req.Payload)
-	id := memory.ObjectID(r.U32())
-	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
-		return
-	}
-	o := n.objFromWire(id)
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	wb := encodeBytesReply(o.data)
-	o.invalidate()
-	o.mu.Unlock()
-	n.C.Add(stats.CFetchServed, 1)
-	n.k.ReplyOwned(req, wb)
 }
 
 // decodeScratch is the receive-side pooled scratch: a handler decodes
@@ -694,7 +776,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 			n.C.Add(stats.CDropMalformed, 1)
 			return
 		}
-		if n.objFromWire(id) == nil {
+		if n.entryFromWire(id, ds.spans[lo:]) == nil {
 			return
 		}
 		ds.entries = append(ds.entries, batchEntry{id: id, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
@@ -709,6 +791,23 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 		b.U64(s)
 	}
 	n.k.Reply(req, b.Bytes())
+}
+
+// entryFromWire is objFromWire for a batch entry: it also counts as
+// malformed, and yields nil for, an entry with a span outside the object
+// — a peer's bad input, not this program's bug.
+func (n *Node) entryFromWire(id memory.ObjectID, spans []memory.Span) *Obj {
+	o := n.objFromWire(id)
+	if o == nil {
+		return nil
+	}
+	for _, sp := range spans {
+		if !inRange(o, sp.Off, len(sp.Data)) {
+			n.C.Add(stats.CDropMalformed, 1)
+			return nil
+		}
+	}
+	return o
 }
 
 // handleApplyBatch installs sequenced refreshes at a copy, in entry
@@ -736,7 +835,7 @@ func (n *Node) handleApplyBatch(req *msg.Msg) {
 			n.C.Add(stats.CDropMalformed, 1)
 			return
 		}
-		if n.objFromWire(id) == nil {
+		if n.entryFromWire(id, ds.spans[lo:]) == nil {
 			return
 		}
 		ds.applies = append(ds.applies, applyEntry{id: id, seq: seq, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})

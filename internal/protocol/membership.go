@@ -67,7 +67,7 @@ func (n *Node) PeerDown(peer msg.NodeID) {
 	n.objs.each(func(o *Obj) {
 		if d := o.dir.Load(); d != nil {
 			d.mu.Lock()
-			n.refuseForwards(d, peer, nackOwnerDown)
+			n.refuseForwards(o, d, peer, nackOwnerDown)
 			d.mu.Unlock()
 		}
 	})
@@ -95,7 +95,8 @@ func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
 				if o.state == Invalid {
 					o.state = Shared // serveable, though possibly stale
 				}
-				o.dirtyOwner = false
+				d.epoch++
+				o.epoch, o.owns = d.epoch, true
 				o.mu.Unlock()
 				d.owner = n.id
 				d.copyset[n.id] = true
@@ -103,7 +104,7 @@ func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
 			}
 			// Readers whose faults were forwarded to peer ask again and
 			// find the home owning whatever peer owned.
-			n.refuseForwards(d, peer, nackRetry)
+			n.refuseForwards(o, d, peer, nackRetry)
 			d.mu.Unlock()
 		}
 		o.mu.Lock()

@@ -275,8 +275,8 @@ func TestPeerGoneReclaimsExclusiveOwner(t *testing.T) {
 		t.Fatalf("member.reclaimed_owner = %d, want 1", got)
 	}
 
-	// Survivors' accesses must not panic (before the fix: fetchFrom the
-	// departed owner panicked the home's dispatcher). The departed
+	// Survivors' accesses must not panic (before the reclaim, a fetch from
+	// the departed owner panicked the home's dispatcher). The departed
 	// member's unsynchronized write is lost; the home serves its own
 	// copy.
 	buf := make([]byte, 8)

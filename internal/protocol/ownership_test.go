@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,20 +58,23 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
-// TestFaultRoundCosts7MessagesAndOneCopy is the `fault` workload's shape
+// TestFaultRoundCosts6MessagesAndOneCopy is the `fault` workload's shape
 // on 3 nodes: a writer and a reader away from the home swap roles every
-// round. In steady state a round costs exactly 7 coherence messages —
-// upgrade request, invalidation and its ack, data-free grant; read
-// request, forward, data — and the object crosses the wire once. It
-// fails with 8 messages and three copies if reads are relayed through the
-// home (fetch, write-back, reply) or with two copies if an upgrade from a
-// valid copy is sent the bytes again.
-func TestFaultRoundCosts7MessagesAndOneCopy(t *testing.T) {
+// round. In steady state a round costs exactly 6 coherence messages —
+// upgrade request, its forward to the old owner, the old owner's
+// data-free grant; read request, forward, data — and the object crosses
+// the wire once. It fails with 7 messages if the home retires the old
+// owner with an invalidation and grants the upgrade itself, with 8 and
+// three copies if reads are relayed through the home (fetch, write-back,
+// reply), or with two copies if an upgrade from a valid copy is sent the
+// bytes again.
+func TestFaultRoundCosts6MessagesAndOneCopy(t *testing.T) {
 	const size = 4096
-	// By hand, 24-byte headers: request 29 (ID + vouch), invalidation 28,
-	// ack 24, grant 25 (no data), read 28, forward 32 (caller + ID), data
+	// By hand, 24-byte headers: request 29 (ID + vouch), write forward 37
+	// (caller + ID + period + vouch found good), grant 29 (flag + period,
+	// no data), read 28, read forward 36 (caller + ID + period), data
 	// 24 + 2 (length) + 4096 + 8 (sequence).
-	const roundBytes = 29 + 28 + 24 + 25 + 28 + 32 + (24 + 2 + size + 8)
+	const roundBytes = 29 + 37 + 29 + 28 + 36 + (24 + 2 + size + 8)
 	for _, annot := range []Annotation{Conventional, GeneralRW} {
 		onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
 			r := mk(t, 3)
@@ -97,19 +101,68 @@ func TestFaultRoundCosts7MessagesAndOneCopy(t *testing.T) {
 			for i := 2; i < 2+rounds; i++ {
 				round(i)
 			}
-			if got := st.Messages() - m0; got != 7*rounds {
-				t.Errorf("%v: %d messages over %d rounds, want 7 a round", annot, got, rounds)
+			if got := st.Messages() - m0; got != 6*rounds {
+				t.Errorf("%v: %d messages over %d rounds, want 6 a round", annot, got, rounds)
 			}
 			if got := st.Bytes() - b0; got != roundBytes*rounds {
 				t.Errorf("%v: %d bytes over %d rounds, want %d a round (one %d-byte copy)",
 					annot, got, rounds, roundBytes, size)
 			}
 			home := r.nodes[2]
-			if got := home.C.Get(stats.CHomeFetch); got != 0 {
-				t.Errorf("%v: home.fetch = %d, want 0: no round moved bytes through the home", annot, got)
-			}
 			if got := home.C.Get(stats.CFwdRead); got != 2+rounds {
 				t.Errorf("%v: fwd.read = %d, want %d", annot, got, 2+rounds)
+			}
+			if got := home.C.Get(stats.CFwdWrite); got != 1+rounds {
+				t.Errorf("%v: fwd.write = %d, want %d", annot, got, 1+rounds)
+			}
+			if got := home.C.Get(stats.CHomeInv); got != 0 {
+				t.Errorf("%v: home.inv = %d, want 0: the old owner is retired by the forward", annot, got)
+			}
+		})
+	}
+}
+
+// TestWritePingPongCosts3MessagesAndOneCopy: two nodes away from the
+// home take turns writing one 4 KB object and never read it, so every
+// write finds no valid copy and the object moves with ownership. A
+// transfer costs exactly 3 messages — request, its forward to the old
+// owner, the old owner's grant with the bytes — and one copy. It fails
+// with 4 messages and two copies if the home fetches the bytes from the
+// old owner and grants them itself.
+func TestWritePingPongCosts3MessagesAndOneCopy(t *testing.T) {
+	const size = 4096
+	// By hand, 24-byte headers: request 29 (ID + vouch), forward 37
+	// (caller + ID + period + vouch found good), grant 24 + 1 (flag) + 4
+	// (period) + 2 (length) + 4096.
+	const transferBytes = 29 + 37 + (24 + 1 + 4 + 2 + size)
+	for _, annot := range []Annotation{Conventional, GeneralRW} {
+		onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
+			r := mk(t, 3)
+			opts := DefaultOptions()
+			opts.Home = 2
+			r.alloc(1, "o", size, annot, opts, nil)
+			q := duq.New()
+			write := func(i int) { r.nodes[i%2].Write(q, 1, 8*(i%2), u64bytes(uint64(i))) }
+			// Write 0 takes the object off the home; from write 1 on the
+			// old owner is always the other writer.
+			write(0)
+			write(1)
+			st := r.c.Stats()
+			m0, b0 := st.Messages(), st.Bytes()
+			const transfers = 10
+			for i := 2; i < 2+transfers; i++ {
+				write(i)
+			}
+			if got := st.Messages() - m0; got != 3*transfers {
+				t.Errorf("%v: %d messages over %d transfers, want 3 a transfer", annot, got, transfers)
+			}
+			if got := st.Bytes() - b0; got != transferBytes*transfers {
+				t.Errorf("%v: %d bytes over %d transfers, want %d a transfer (one %d-byte copy)",
+					annot, got, transfers, transferBytes, size)
+			}
+			last := 2 + transfers - 1
+			if a, b := readU64(r.nodes[0], q, 1, 0), readU64(r.nodes[0], q, 1, 8); a != uint64(last-1) || b != uint64(last) {
+				t.Fatalf("%v: node 0 reads (%d, %d), want (%d, %d)", annot, a, b, last-1, last)
 			}
 		})
 	}
@@ -250,8 +303,11 @@ func TestDataFreeGrantNeverLandsOnAnInvalidatedCopy(t *testing.T) {
 		if a, b := readU64(loser, q, 1, 0), readU64(loser, q, 1, 8); a != 7 || b != 9 {
 			t.Fatalf("the loser holds (%d, %d), want (7, 9): its grant carried no bytes", a, b)
 		}
-		if n := home.C.Get(stats.CHomeFetch); n != 1 {
-			t.Fatalf("home.fetch = %d, want 1: the loser's bytes come from the winner", n)
+		if n := home.C.Get(stats.CFwdWrite); n != 1 {
+			t.Fatalf("fwd.write = %d, want 1: the loser's request goes to the winner", n)
+		}
+		if n := winner.C.Get(stats.CFetchServed); n != 1 {
+			t.Fatalf("fetch.served at the winner = %d, want 1: it grants the loser the bytes", n)
 		}
 	})
 }
@@ -363,6 +419,196 @@ func TestInvalidationRoundIsConcurrent(t *testing.T) {
 	}
 }
 
+// waitOrTimeout waits for ch, failing the test after the bound.
+func waitOrTimeout(t *testing.T, what string, ch <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not happen within 10s", what)
+	}
+}
+
+// TestForwardedReadParksUntilTheGrant: the old owner's grant to a writer
+// is held while a reader faults; the home, which already names the
+// writer owner, forwards the read there, ahead of the grant. The writer
+// must park the read until the grant is installed and then serve the
+// written bytes. If it served its pre-grant copy (valid: it vouched for
+// it) the reader would return the old value, and — in the copy set of a
+// period whose owner writes with no fault — keep reading it afterwards.
+func TestForwardedReadParksUntilTheGrant(t *testing.T) {
+	onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
+		// Hooks name nodes by ID, which is fixed before any handler runs.
+		grantHeld, releaseGrant := make(chan struct{}), make(chan struct{})
+		readArrived := make(chan struct{})
+		var grantOnce, readOnce sync.Once
+		var armed atomic.Bool // only the reader's fault, not the writer's setup read
+		setHook(t, &testHookFwdWrite, func(n *Node, s string) {
+			if n.ID() == 0 && s == "served" { // the owner's grant to the writer
+				grantOnce.Do(func() { close(grantHeld); <-releaseGrant })
+			}
+		})
+		setHook(t, &testHookFwdRead, func(s string) {
+			if s == "arrived" && armed.Load() {
+				readOnce.Do(func() { close(readArrived) })
+			}
+		})
+		r := mk(t, 4)
+		_, writer, reader := ownerRig(t, r, 1)
+		readU64(writer, duq.New(), 1, 0) // a valid copy: the grant carries no data
+		wrote := make(chan struct{})
+		go func() { defer close(wrote); writer.Write(duq.New(), 1, 0, u64bytes(2)) }()
+		waitOrTimeout(t, "the old owner's grant", grantHeld)
+		armed.Store(true)
+		got := make(chan uint64, 1)
+		go func() { got <- readU64(reader, duq.New(), 1, 0) }()
+		waitOrTimeout(t, "the read's forward to the writer", readArrived)
+		time.Sleep(20 * time.Millisecond) // long enough for a forward that does not park
+		close(releaseGrant)
+		within(t, "the write", func() { <-wrote })
+		within(t, "the read", func() {
+			if v := <-got; v != 2 {
+				t.Errorf("the reader returned %d, want 2: the writer served its pre-grant copy", v)
+			}
+		})
+		if v := readU64(reader, duq.New(), 1, 0); v != 2 {
+			t.Fatalf("the reader reads %d after the write completed, want 2", v)
+		}
+	})
+}
+
+// TestSecondWriterChainsBehindFirstGrant: the old owner's grant to a
+// first writer is held while a second writer faults; the home forwards
+// the second write to the first writer, whose grant has not arrived. The
+// first writer must park it, install its grant and write, and only then
+// hand the object on, with its write. Served at once, the forward finds
+// no ownership to hand on and the second write never completes.
+func TestSecondWriterChainsBehindFirstGrant(t *testing.T) {
+	onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
+		arrived := make(chan struct{})
+		var once sync.Once
+		grantHeld, releaseGrant := make(chan struct{}), make(chan struct{})
+		var grantOnce sync.Once
+		setHook(t, &testHookFwdWrite, func(n *Node, s string) {
+			switch {
+			case n.ID() == 0 && s == "served": // the owner's grant to w1
+				grantOnce.Do(func() { close(grantHeld); <-releaseGrant })
+			case n.ID() == 1 && s == "arrived": // w2's write at w1
+				once.Do(func() { close(arrived) })
+			}
+		})
+		r := mk(t, 4)
+		_, w1, w2 := ownerRig(t, r, 1)
+		wrote1, wrote2 := make(chan struct{}), make(chan struct{})
+		go func() { defer close(wrote1); w1.Write(duq.New(), 1, 8, u64bytes(7)) }()
+		waitOrTimeout(t, "the old owner's grant to the first writer", grantHeld)
+		go func() { defer close(wrote2); w2.Write(duq.New(), 1, 0, u64bytes(9)) }()
+		waitOrTimeout(t, "the second write's forward to the first writer", arrived)
+		time.Sleep(20 * time.Millisecond)
+		close(releaseGrant)
+		within(t, "the first write", func() { <-wrote1 })
+		within(t, "the second write", func() { <-wrote2 })
+		for _, n := range r.nodes {
+			if a, b := readU64(n, duq.New(), 1, 0), readU64(n, duq.New(), 1, 8); a != 9 || b != 7 {
+				t.Fatalf("node %d reads (%d, %d), want (9, 7)", n.ID(), a, b)
+			}
+		}
+	})
+}
+
+// TestOldOwnerServesForwardWhileItsUpgradeWaits: the owner, holding a
+// Shared copy after a read, faults to write and its request is parked
+// before it leaves; a rival's write reaches the home first and is
+// forwarded to the owner. The owner still owns the object, so it must
+// serve the forward at once — the rival's write completes while the
+// owner's request is still out — and its own request, taken up next, is
+// granted with the rival's bytes. If a node parked every forward while
+// an ownership request of its own is out, the rival would never be
+// granted.
+func TestOldOwnerServesForwardWhileItsUpgradeWaits(t *testing.T) {
+	onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
+		r := mk(t, 4)
+		owner, rival, _ := ownerRig(t, r, 1)
+		readU64(rival, duq.New(), 1, 0)
+		hook, parked, release := parkWriteOwnOf(owner)
+		setHook(t, &testHookWriteOwnBuilt, hook)
+		ownerWrote := make(chan struct{})
+		go func() { defer close(ownerWrote); owner.Write(duq.New(), 1, 8, u64bytes(5)) }()
+		waitOrTimeout(t, "the owner's vouch", parked)
+		within(t, "the rival's write", func() { rival.Write(duq.New(), 1, 0, u64bytes(7)) })
+		close(release)
+		within(t, "the owner's write", func() { <-ownerWrote })
+		for _, n := range r.nodes {
+			if a, b := readU64(n, duq.New(), 1, 0), readU64(n, duq.New(), 1, 8); a != 7 || b != 5 {
+				t.Fatalf("node %d reads (%d, %d), want (7, 5)", n.ID(), a, b)
+			}
+		}
+		if n := r.nodes[3].C.Get(stats.CFwdWrite); n != 2 {
+			t.Fatalf("fwd.write = %d, want 2 (the rival's write to the owner, the owner's to the rival)", n)
+		}
+	})
+}
+
+// TestNextPeriodForwardWaitsForCurrentOne: the forward that ends the
+// owner's period is held on arrival; meanwhile the owner is named owner
+// again by its own request (granted through the rival it is handing the
+// object to), and a third writer's forward for that next period reaches
+// it while it still owns the current one. The owner must serve the two
+// in period order. A node that told them apart by "my request is out and
+// I do not own" alone would take up the later one at once, find it owns
+// the wrong period, and drop it: the third writer's write never
+// completes.
+func TestNextPeriodForwardWaitsForCurrentOne(t *testing.T) {
+	onBothWires(t, func(t *testing.T, mk func(*testing.T, int) *rig) {
+		held, release := make(chan struct{}), make(chan struct{})
+		var first atomic.Bool
+		setHook(t, &testHookFwdWrite, func(n *Node, s string) {
+			// Only the rival's forward parks: the third writer's, arriving
+			// later, must not queue behind it (as it would in a sync.Once).
+			if n.ID() == 0 && s == "arrived" && first.CompareAndSwap(false, true) {
+				close(held)
+				<-release
+			}
+		})
+		r := mk(t, 4)
+		owner, rival, third := ownerRig(t, r, 1)
+		readU64(rival, duq.New(), 1, 0)
+		home := r.nodes[3]
+		done := make([]chan struct{}, 3)
+		for i := range done {
+			done[i] = make(chan struct{})
+		}
+		go func() { defer close(done[0]); rival.Write(duq.New(), 1, 0, u64bytes(7)) }()
+		waitOrTimeout(t, "the rival's forward at the owner", held)
+		go func() { defer close(done[1]); owner.Write(duq.New(), 1, 8, u64bytes(5)) }()
+		waitFwdWrites(t, home, 2) // the owner's request is forwarded to the rival
+		go func() { defer close(done[2]); third.Write(duq.New(), 1, 0, u64bytes(3)) }()
+		waitFwdWrites(t, home, 3) // the third writer's request is forwarded to the owner
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+		for i, what := range []string{"the rival's write", "the owner's write", "the third writer's write"} {
+			within(t, what, func() { <-done[i] })
+		}
+		// In period order the third writer overwrites the rival's word
+		// and keeps the owner's.
+		for _, n := range r.nodes {
+			if a, b := readU64(n, duq.New(), 1, 0), readU64(n, duq.New(), 1, 8); a != 3 || b != 5 {
+				t.Fatalf("node %d reads (%d, %d), want (3, 5)", n.ID(), a, b)
+			}
+		}
+	})
+}
+
+// waitFwdWrites waits until the home has forwarded want write faults.
+func waitFwdWrites(t *testing.T, home *Node, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); home.C.Get(stats.CFwdWrite) < want; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fwd.write stayed at %d, want %d", home.C.Get(stats.CFwdWrite), want)
+		}
+	}
+}
+
 // meshMember is one in-process member of a three-member loopback mesh,
 // wired the way internal/core wires the SPMD runtime.
 type meshMember struct {
@@ -470,5 +716,100 @@ func TestLostForwardeeFailsOrRetriesTheReader(t *testing.T) {
 				t.Fatal("the read neither completed nor failed: nobody answered for the lost owner")
 			}
 		})
+	}
+}
+
+// TestLostOldOwnerFailsOrGrantsTheWriter: the old owner is lost between
+// the home's forward of a write fault and its grant. The home awaits
+// nothing from it — the writer does — so the home must answer for it. A
+// writer whose copy the home found current is granted by the home,
+// without data, whether the owner's wire died or it departed. A writer
+// without a valid copy needs the owner's bytes: after a wire death its
+// fault fails with the typed *transport.ErrPeerDown naming the owner;
+// after a clean departure it is granted the home's copy, as a departed
+// owner's objects are taken back. The write hangs if the home keeps no
+// note of the forward (or PeerDown/PeerGone do not consult it).
+func TestLostOldOwnerFailsOrGrantsTheWriter(t *testing.T) {
+	for _, loss := range []string{"killed", "departed"} {
+		for _, vouch := range []string{"with copy", "without copy"} {
+			t.Run(loss+"/"+vouch, func(t *testing.T) {
+				parked, release := make(chan struct{}), make(chan struct{})
+				var once sync.Once
+				setHook(t, &testHookFwdWrite, func(n *Node, s string) {
+					if n.ID() == 2 && s == "arrived" { // the writer's fault at the owner
+						once.Do(func() { close(parked); <-release })
+					}
+				})
+				m := newMeshMembers(t, 3)
+				home, writer, owner := m[0], m[1], m[2]
+				opts := DefaultOptions()
+				opts.Home = 0
+				meta := Meta{ID: 1, Name: "conv", Size: 16, Annot: Conventional, Opts: opts}
+				for _, mm := range m {
+					mm.node.InstallLocal(meta, append(u64bytes(3), u64bytes(3)...))
+				}
+				owner.node.Write(duq.New(), 1, 0, u64bytes(4))
+				if vouch == "with copy" {
+					readU64(writer.node, duq.New(), 1, 0)
+				}
+
+				res := make(chan any, 1)
+				go func() {
+					defer func() { res <- recover() }()
+					writer.node.Write(duq.New(), 1, 8, u64bytes(9))
+				}()
+				<-parked // the forward is at the owner, unanswered
+				gone := make(chan struct{})
+				go func() {
+					defer close(gone)
+					if loss == "killed" {
+						owner.clu.Kill()
+					} else {
+						owner.clu.Close()
+					}
+				}()
+				defer func() {
+					close(release)
+					<-gone
+					writer.clu.Close()
+					home.clu.Close()
+				}()
+
+				var panicked any
+				select {
+				case panicked = <-res:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the write neither completed nor failed: nobody answered for the lost owner")
+				}
+				if loss == "killed" && vouch == "without copy" {
+					want := (&transport.ErrPeerDown{Node: 2}).Error()
+					want = want[:strings.Index(want, "down")+len("down")]
+					if s := fmt.Sprint(panicked); !strings.Contains(s, want) {
+						t.Fatalf("write after the owner's death: panic %q; want a panic carrying %q", s, want)
+					}
+					// The object is lost with its owner at the writer too.
+					func() {
+						defer func() {
+							if s := fmt.Sprint(recover()); !strings.Contains(s, want) {
+								t.Fatalf("second write: panic %q, want %q", s, want)
+							}
+						}()
+						writer.node.Write(duq.New(), 1, 8, u64bytes(10))
+					}()
+					return
+				}
+				if panicked != nil {
+					t.Fatalf("write after the owner was lost: panic %v, want a grant from the home", panicked)
+				}
+				wantFirst := uint64(4) // the writer's copy was current
+				if vouch == "without copy" {
+					wantFirst = 3 // the home's copy: the owner's write left with it
+				}
+				q := duq.New()
+				if a, b := readU64(writer.node, q, 1, 0), readU64(writer.node, q, 1, 8); a != wantFirst || b != 9 {
+					t.Fatalf("the writer reads (%d, %d), want (%d, 9)", a, b, wantFirst)
+				}
+			})
+		}
 	}
 }

@@ -27,9 +27,9 @@
 // directory (owner and copy set) and serialises faults; a read fault is
 // forwarded to the owner, which answers the reader directly and stays
 // owner (as in Li and Hudak's Ivy and in Berkeley — there is no
-// write-back to the home); a write fault from a node that still holds a
-// valid copy is granted without data. Only a write fault without a valid
-// copy moves bytes through the home (handleWriteOwn).
+// write-back to the home); a write fault is forwarded to the old owner,
+// which grants the writer directly — without data when the writer still
+// holds a valid copy (handleWriteOwn).
 //
 // Every node runs one *Node (the paper's per-processor "Munin server").
 // Application threads call Read/Write with their thread's delayed update
@@ -70,6 +70,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
 
@@ -235,24 +236,26 @@ type Obj struct {
 	dirty memory.Dirty
 
 	state    CopyState
-	fetching bool // a fetch/ownership request is in flight
-	owning   bool // an ownership request by this node is outstanding
-	// grantPending is set by the home when it has issued an ownership
-	// grant to one of this node's own threads whose inline install has
-	// not yet run. Home-side handlers that grab the local copy
-	// directly must wait it out (the installer is the dispatcher and
-	// needs only o.mu, so the wait cannot deadlock); a mere queued
-	// request (owning set, grantPending clear) must NOT be waited on —
-	// its grant cannot be processed while the waiter holds the
-	// directory lock.
-	grantPending bool
-	genInv       uint64 // bumped on each invalidation (fetch-race detection)
+	fetching bool   // a fetch/ownership request is in flight
+	owning   bool   // an ownership request by this node is outstanding
+	genInv   uint64 // bumped on each invalidation (fetch-race detection)
 
-	// dirtyOwner is set while this node owns the object away from its
-	// initial home copy: an ownership grant was installed here and no
-	// invalidation has taken it since. Read faults are forwarded to this
-	// copy (it stays owner after serving them), so it is never evicted.
-	dirtyOwner bool
+	// owns is set while this node holds ownership of an owned-row
+	// object: its grant is installed (or, at the home, it never gave
+	// ownership away) and no invalidation has taken it since. Read faults
+	// are forwarded to this copy (it stays owner after serving them), so
+	// it is never evicted.
+	owns bool
+	// epoch is the ownership period of the last grant installed here
+	// (dirEntry.epoch); a forward for a later period parks until its
+	// grant is (awaitGrant).
+	epoch uint32
+	// lost is set on a node the directory names owner when the home
+	// refused its write fault because the old owner's wire died before
+	// the grant came (refuse): the bytes are with that owner. Every later
+	// fault on the object at this node fails with it, and every fault
+	// forwarded here is refused with it.
+	lost *transport.ErrPeerDown
 
 	// Write-many / producer-consumer update ordering: home (or the
 	// producer) stamps sequence numbers; receivers apply in order.
@@ -302,8 +305,12 @@ type dirEntry struct {
 	// receivers observe sequence numbers in order and an acknowledged
 	// relay implies every earlier relay was installed. Held across the
 	// stamp + multicast + ack round, never together with mu.
-	relayMu  sync.Mutex
-	owner    msg.NodeID // ownership protocols; home initially
+	relayMu sync.Mutex
+	owner   msg.NodeID // ownership protocols; home initially
+	// epoch numbers the owner's ownership period: every grant and every
+	// reclaim by the home starts the next one. Forwards carry the period
+	// of the owner they are sent to.
+	epoch    uint32
 	copyset  map[msg.NodeID]bool
 	reads    int64 // remote reads observed (dynamic decisions)
 	writes   int64 // remote writes observed
@@ -311,24 +318,29 @@ type dirEntry struct {
 	dropped  int64 // copies dropped by the last invalidation round
 	producer msg.NodeID
 
-	// fwd notes, per faulting node, the last read fault the home passed on
-	// to the owner (forwardRead): the owner answers the reader directly, so
-	// this is all the home has to refuse the call with should the owner be
-	// lost first. One entry a node, because a node has one fault per object
-	// outstanding (Obj.fetching); an entry outlives its call until the next
-	// forward replaces it, and refusing a call that has completed costs the
-	// reader one drop.stray_reply.
+	// fwd notes, per faulting node, the last fault the home passed on to
+	// the owner (forward): the owner answers the faulting node directly,
+	// so this is all the home has to answer for it should the owner be
+	// lost first (refuse). One entry a node, because a node has one fault
+	// per object outstanding (Obj.fetching, Obj.owning); an entry
+	// outlives its call until the next forward replaces it, and answering
+	// a call that has completed costs the faulting node one
+	// drop.stray_reply.
 	fwd map[msg.NodeID]forwarded
 
 	updMode    UpdateMode // current refresh/invalidate choice
 	updModeSet bool
 }
 
-// forwarded is one read fault passed on to the owner: the node it went
-// to and the faulting node's call sequence.
+// forwarded is one fault passed on to the owner: the node it went to,
+// the faulting node's call sequence, whether it is a write, and for a
+// write the ownership period its grant starts and whether the writer's
+// vouch was good (the grant carries no data).
 type forwarded struct {
-	to  msg.NodeID
-	seq uint64
+	to          msg.NodeID
+	seq         uint64
+	epoch       uint32
+	write, good bool
 }
 
 // objTable maps ObjectID to the node's *Obj. Every Read, Write, fault,
@@ -487,7 +499,7 @@ const (
 	kindWriteOwn   = msg.KindCohBase + 2  // Call: acquire exclusive ownership
 	kindInv        = msg.KindCohBase + 3  // Call/multicast: invalidate local copy (acked)
 	kindFwdRead    = msg.KindCohBase + 4  // Forward: home passes a read fault to the owner, which answers the reader
-	kindFetch      = msg.KindCohBase + 5  // Call: home takes the object from its owner for a writer with no valid copy
+	kindFwdWrite   = msg.KindCohBase + 5  // Forward: home passes a write fault to the old owner, which grants the writer
 	kindRemRead    = msg.KindCohBase + 7  // Call: remote load (read-mostly, result readers)
 	kindRemWrite   = msg.KindCohBase + 8  // Call: remote store (read-mostly)
 	kindRegCons    = msg.KindCohBase + 9  // Call: register as consumer; reply data+seq
@@ -701,6 +713,7 @@ func (n *Node) install(meta Meta, init []byte) {
 	case home == n.id:
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
+		o.owns = true
 	case o.pol.frozen:
 		o.state = Invalid // the replica, when fetched, is o.snap
 	default:
@@ -754,12 +767,12 @@ func (n *Node) dispatch(k *vkernel.Kernel, req *msg.Msg) {
 		n.handleInv(req)
 	case kindFwdRead:
 		n.handleFwdRead(req)
+	case kindFwdWrite:
+		n.handleFwdWrite(req)
 	case kindDiffBatch:
 		n.handleDiffBatch(req)
 	case kindApplyBatch:
 		n.handleApplyBatch(req)
-	case kindFetch:
-		n.handleFetch(req)
 	case kindRemRead:
 		n.handleRemRead(req)
 	case kindRemWrite:

@@ -41,6 +41,20 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			msg.NewBuilder(32).U32(3).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
 		{"kindConsUpd with a consumer count the payload cannot hold", kindConsUpd,
 			msg.NewBuilder(16).U32(2).U32(1<<32 - 1).U32(1).Bytes(), stats.CDropMalformed},
+		{"kindDiffBatch with a span past the end of a 16-byte object", kindDiffBatch,
+			msg.NewBuilder(32).U32(1).Entry(func(e *msg.Builder) {
+				e.U32(2)
+				memory.EncodeSpans(e, []memory.Span{{Off: 12, Data: []byte{1, 2, 3, 4, 5}}})
+			}).Bytes(), stats.CDropMalformed},
+		{"kindApplyBatch with a span at offset 1<<31 of a 16-byte object", kindApplyBatch,
+			encodeApplyBatch([]applyEntry{{id: 2, seq: 1, spans: []memory.Span{{Off: 1 << 31, Data: []byte{0xff}}}}}),
+			stats.CDropMalformed},
+		{"kindWriteOwn for a read-mostly object", kindWriteOwn,
+			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), stats.CDropMisdirected},
+		{"kindFwdWrite for a read-mostly object", kindFwdWrite,
+			msg.NewBuilder(16).U32(2).U32(0).Bool(false).Bytes(), stats.CDropMisdirected},
+		{"kindFwdRead for a read-mostly object", kindFwdRead,
+			msg.NewBuilder(8).U32(2).U32(0).Bytes(), stats.CDropMisdirected},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,7 +75,7 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := home.C.Snapshot()
-			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
+			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CDropMisdirected, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
 				want := before[name]
 				if name == tc.counter {
 					want++

@@ -22,6 +22,7 @@ const (
 	CFetchRetry            = "fetch.retry"
 	CFetchServed           = "fetch.served"
 	CFwdRead               = "fwd.read"
+	CFwdWrite              = "fwd.write"
 	CFwdNack               = "fwd.nack"
 	CTwin                  = "twin"
 	CWriteBuffered         = "write.buffered"
@@ -51,7 +52,6 @@ const (
 	CHomeWriteOwn          = "home.writeown"
 	CHomeInv               = "home.inv"
 	CHomeDiff              = "home.diff"
-	CHomeFetch             = "home.fetch"
 	CHomeRelay             = "home.relay"
 	CHomeRemRead           = "home.remread"
 	CHomeRemWrite          = "home.remwrite"
@@ -67,6 +67,7 @@ const (
 	CRecoverDone           = "recover.done"
 	CDropMalformed         = "drop.malformed"
 	CDropUnknownObject     = "drop.unknown_object"
+	CDropMisdirected       = "drop.misdirected"
 
 	// core (counted on the protocol node): run-gate lifecycle.
 	CRecoverGateSynced = "recover.gate_synced"
@@ -111,6 +112,7 @@ var registered = map[string]string{
 	CFetchRetry:            "protocol",
 	CFetchServed:           "protocol",
 	CFwdRead:               "protocol",
+	CFwdWrite:              "protocol",
 	CFwdNack:               "protocol",
 	CTwin:                  "protocol",
 	CWriteBuffered:         "protocol",
@@ -140,7 +142,6 @@ var registered = map[string]string{
 	CHomeWriteOwn:          "protocol",
 	CHomeInv:               "protocol",
 	CHomeDiff:              "protocol",
-	CHomeFetch:             "protocol",
 	CHomeRelay:             "protocol",
 	CHomeRemRead:           "protocol",
 	CHomeRemWrite:          "protocol",
@@ -156,6 +157,7 @@ var registered = map[string]string{
 	CRecoverDone:           "protocol",
 	CDropMalformed:         "protocol",
 	CDropUnknownObject:     "protocol",
+	CDropMisdirected:       "protocol",
 
 	CRecoverGateSynced: "core",
 	CRecoverGateResync: "core",
