@@ -89,10 +89,12 @@ func TestE1MuninBeatsIvy(t *testing.T) {
 	// The two programs whose sharing is fixed by their text, and the
 	// hand-coded message-passing baselines (gauss and fft differ by a
 	// few messages with the order threads reach a barrier; qsort, tsp
-	// and mp's tsp hand out work from a shared queue).
+	// and mp's tsp hand out work from a shared queue). Life's boundary
+	// rows register their producer and consumers at the rows' homes; a
+	// home that produces a row registers itself without a message.
 	pinned(t, r, map[string]float64{
 		"munin.matmul.msgs": 24, "munin.matmul.bytes": 45708,
-		"munin.life.msgs": 199, "munin.life.bytes": 7816,
+		"munin.life.msgs": 185, "munin.life.bytes": 7276,
 		"mp.matmul.msgs": 6, "mp.matmul.bytes": 20946,
 		"mp.gauss.msgs": 29, "mp.gauss.bytes": 12254,
 		"mp.fft.msgs": 11, "mp.fft.bytes": 4464,

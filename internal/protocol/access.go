@@ -818,7 +818,8 @@ func (n *Node) producerWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 }
 
 // becomeProducer registers this node as the object's producer with the
-// home and caches the current consumer set.
+// home and caches the current consumer set. The home registers itself
+// in place: its copy is the one a remote producer would be sent.
 func (n *Node) becomeProducer(o *Obj) {
 	o.mu.Lock()
 	if o.isProducer {
@@ -826,7 +827,17 @@ func (n *Node) becomeProducer(o *Obj) {
 		return
 	}
 	o.mu.Unlock()
-	reply, err := n.k.Call(n.homeOf(&o.meta), kindRegCons,
+	home := n.homeOf(&o.meta)
+	if home == n.id {
+		consumers := n.registerPC(o, n.id, true)
+		o.mu.Lock()
+		o.isProducer = true
+		o.prodSeq = o.applySeq
+		o.consumers = consumers
+		o.mu.Unlock()
+		return
+	}
+	reply, err := n.k.Call(home, kindRegCons,
 		msg.NewBuilder(5).U32(uint32(o.meta.ID)).Bool(true).Bytes())
 	if err != nil {
 		panic(fmt.Sprintf("munin: register producer %q: %v", o.meta.Name, err))

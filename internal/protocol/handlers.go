@@ -186,33 +186,35 @@ func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, kind msg.Kind, payload
 
 // refuse answers, in the lost owner's stead, the fault of node from that
 // the home forwarded (f). A read is nacked: nackRetry, or nackOwnerDown
-// naming the owner. A write is granted by the home when it can be
-// without the owner's bytes — the writer's copy is current (f.good), or
-// the owner departed, which takes its unsynchronized bytes with it, and
-// the writer gets the home's copy as the home takes back any object a
-// departed owner held (prunePeer). Otherwise the write is nacked with
-// nackOwnerDown, and the writer, which the directory already names
-// owner, holds the object as lost. Each answer is safe when the owner
-// did serve the forward before it was lost, or the note is older than
-// the fault's completion: the faulting node takes whichever reply comes
-// first and drops the other as stray. Caller holds d.mu.
+// naming the owner. A write is granted by the home only when the owner
+// departed or restarted (nackRetry), which takes its unsynchronized
+// bytes with it: without data when the writer's copy is current
+// (f.good), else with the home's copy, as the home takes back any
+// object a departed owner held (prunePeer). After a wire death
+// (nackOwnerDown) the write is nacked whatever the vouch, and the
+// writer, which the directory already names owner, holds the object as
+// lost: the owner may be alive behind the dead wire, still holding the
+// copy the unsent forward would have invalidated, and a grant from the
+// home would leave that copy valid outside every copy set. Each answer
+// is safe when the owner did serve the forward before it was lost, or
+// the note is older than the fault's completion: the faulting node
+// takes whichever reply comes first and drops the other as stray.
+// Caller holds d.mu.
 func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) {
 	call := &msg.Msg{Kind: kindRead, From: from, Seq: f.seq}
-	if !f.write {
-		n.nack(call, reason, f.to)
-		return
+	if f.write {
+		call.Kind = kindWriteOwn
 	}
-	call.Kind = kindWriteOwn
 	switch {
+	case !f.write || reason == nackOwnerDown:
+		n.nack(call, reason, f.to)
 	case f.good:
 		n.k.ReplyOwned(call, encodeGrant(false, f.epoch, nil))
-	case reason == nackRetry:
+	default:
 		o.mu.Lock()
 		wb := encodeGrant(true, f.epoch, o.data)
 		o.mu.Unlock()
 		n.k.ReplyOwned(call, wb)
-	default:
-		n.nack(call, nackOwnerDown, f.to)
 	}
 }
 
@@ -1082,44 +1084,7 @@ func (n *Node) handleRegCons(req *msg.Msg) {
 	if o == nil {
 		return
 	}
-	d := n.dirEntryOf(id)
-
-	d.mu.Lock()
-	if isProducer {
-		if d.producer >= 0 && d.producer != req.From {
-			d.mu.Unlock()
-			panic(fmt.Sprintf("munin: producer-consumer object %q has two producing nodes (%d and %d)",
-				o.meta.Name, d.producer, req.From))
-		}
-		d.producer = req.From
-	} else {
-		d.copyset[req.From] = true
-	}
-	consumers := make([]msg.NodeID, 0, len(d.copyset))
-	for m := range d.copyset {
-		if m != n.id && m != d.producer {
-			consumers = append(consumers, m)
-		}
-	}
-	producer := d.producer
-	d.mu.Unlock()
-
-	// A new consumer must be known to the producer before its first
-	// read returns, so every subsequent push reaches it. The update is
-	// therefore a Call, acknowledged before we snapshot the contents:
-	// any push that raced the registration lands at the home before
-	// the snapshot and is covered by the consumer's base sequence.
-	if !isProducer && producer >= 0 && producer != req.From {
-		ub := msg.NewBuilder(16)
-		ub.U32(uint32(id)).U32(uint32(len(consumers)))
-		for _, c := range consumers {
-			ub.U32(uint32(c))
-		}
-		if _, err := n.k.Call(producer, kindConsUpd, ub.Bytes()); err != nil && !n.relayBenign(err) {
-			panic(fmt.Sprintf("munin: consumer-set update for object %d: %v", id, err))
-		}
-	}
-
+	consumers := n.registerPC(o, req.From, isProducer)
 	if !isProducer {
 		consumers = nil // only the producer is told who consumes
 	}
@@ -1133,6 +1098,58 @@ func (n *Node) handleRegCons(req *msg.Msg) {
 	}
 	wb.B = b.Bytes()
 	n.k.ReplyOwned(req, wb)
+}
+
+// registerPC is the home's half of a producer-consumer registration:
+// it records from as the object's producer or as a consumer and returns
+// the consumer set as the producer caches it. The home's own
+// registrations (becomeProducer at the home) call it directly rather
+// than through a message to itself.
+func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) []msg.NodeID {
+	d := n.dirEntryOf(o.meta.ID)
+	d.mu.Lock()
+	if isProducer {
+		if d.producer >= 0 && d.producer != from {
+			d.mu.Unlock()
+			panic(fmt.Sprintf("munin: producer-consumer object %q has two producing nodes (%d and %d)",
+				o.meta.Name, d.producer, from))
+		}
+		d.producer = from
+	} else {
+		d.copyset[from] = true
+	}
+	consumers := make([]msg.NodeID, 0, len(d.copyset))
+	for m := range d.copyset {
+		if m != n.id && m != d.producer {
+			consumers = append(consumers, m)
+		}
+	}
+	producer := d.producer
+	d.mu.Unlock()
+
+	// A new consumer must be known to the producer before its first
+	// read returns, so every subsequent push reaches it. The update is
+	// therefore made — a Call, acknowledged, when the producer is
+	// another node — before the caller snapshots the contents: any push
+	// that raced the registration lands at the home before the snapshot
+	// and is covered by the consumer's base sequence.
+	switch {
+	case isProducer || producer < 0 || producer == from:
+	case producer == n.id:
+		o.mu.Lock()
+		o.consumers = consumers
+		o.mu.Unlock()
+	default:
+		ub := msg.NewBuilder(16)
+		ub.U32(uint32(o.meta.ID)).U32(uint32(len(consumers)))
+		for _, c := range consumers {
+			ub.U32(uint32(c))
+		}
+		if _, err := n.k.Call(producer, kindConsUpd, ub.Bytes()); err != nil && !n.relayBenign(err) {
+			panic(fmt.Sprintf("munin: consumer-set update for object %d: %v", o.meta.ID, err))
+		}
+	}
+	return consumers
 }
 
 // handleConsUpd refreshes the producer's cached consumer set.

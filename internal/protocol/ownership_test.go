@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -618,17 +619,35 @@ type meshMember struct {
 
 func newMeshMembers(t *testing.T, n int) []meshMember {
 	t.Helper()
+	addrs := reserveAddrs(t, n)
+	return startMeshMembers(t, n, func(i int) transport.Topology {
+		return transport.Topology{Self: msg.NodeID(i), Peers: peersAt(addrs)}
+	})
+}
+
+func reserveAddrs(t *testing.T, n int) []string {
+	t.Helper()
 	addrs, err := netutil.ReserveAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := make(map[msg.NodeID]string, n)
+	return addrs
+}
+
+func peersAt(addrs []string) map[msg.NodeID]string {
+	peers := make(map[msg.NodeID]string, len(addrs))
 	for i, a := range addrs {
 		peers[msg.NodeID(i)] = a
 	}
+	return peers
+}
+
+// startMeshMembers starts n members, member i on topology topo(i).
+func startMeshMembers(t *testing.T, n int, topo func(i int) transport.Topology) []meshMember {
+	t.Helper()
 	members := make([]meshMember, n)
 	for i := range members {
-		topo := transport.Topology{Self: msg.NodeID(i), Peers: peers}
+		topo := topo(i)
 		clu, err := cluster.New(cluster.Config{Topology: &topo})
 		if err != nil {
 			t.Fatal(err)
@@ -641,6 +660,165 @@ func newMeshMembers(t *testing.T, n int) []meshMember {
 		members[i] = meshMember{clu, node}
 	}
 	return members
+}
+
+// wireCutter relays a loopback TCP connection between two mesh members,
+// so a test can cut that one pair's wire while both members live on.
+// While it drops, the bytes it reads are discarded, as on a wire that
+// dies under them; a cut closes every relayed connection and relays the
+// re-dialed ones.
+type wireCutter struct {
+	ln     net.Listener
+	target string
+	drop   atomic.Bool
+	mu     sync.Mutex
+	conns  []net.Conn
+}
+
+func newWireCutter(t *testing.T, target string) *wireCutter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &wireCutter{ln: ln, target: target}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go w.relay(c)
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); w.cut() })
+	return w
+}
+
+func (w *wireCutter) addr() string { return w.ln.Addr().String() }
+
+func (w *wireCutter) relay(c net.Conn) {
+	u, err := net.Dial("tcp", w.target)
+	if err != nil {
+		c.Close()
+		return
+	}
+	w.mu.Lock()
+	w.conns = append(w.conns, c, u)
+	w.mu.Unlock()
+	go w.pump(u, c)
+	w.pump(c, u)
+}
+
+func (w *wireCutter) pump(dst, src net.Conn) {
+	buf := make([]byte, 32<<10)
+	for {
+		k, err := src.Read(buf)
+		if k > 0 && !w.drop.Load() {
+			if _, werr := dst.Write(buf[:k]); werr != nil {
+				break
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
+	dst.Close()
+	src.Close()
+}
+
+func (w *wireCutter) cut() {
+	w.mu.Lock()
+	conns := w.conns
+	w.conns = nil
+	w.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+	w.drop.Store(false)
+}
+
+// TestRedialedOldOwnerNeverReadsStale: the wire between the home and the
+// old owner dies with the home's forward of a write fault on it, and the
+// two re-dial (Topology.Reconnect) with both alive. The old owner never
+// saw the forward: it still owns the object and holds a valid copy, and
+// a live peer that re-dials sends no kindRecover, so no prune retires
+// that copy. The writer's fault must therefore fail with the typed
+// *transport.ErrPeerDown, or, if it completes, the old owner must read
+// what it wrote. It fails if the home grants the writer in the old
+// owner's stead after a wire death: the writer's word lands and the old
+// owner keeps reading the word it overwrote.
+func TestRedialedOldOwnerNeverReadsStale(t *testing.T) {
+	addrs := reserveAddrs(t, 3)
+	// The home dials the owner through toOwner and the owner dials the
+	// home through toHome: whichever side dials, the pair's one
+	// connection runs through a cutter.
+	toOwner, toHome := newWireCutter(t, addrs[2]), newWireCutter(t, addrs[0])
+	m := startMeshMembers(t, 3, func(i int) transport.Topology {
+		peers := peersAt(addrs)
+		switch i {
+		case 0:
+			peers[2] = toOwner.addr()
+		case 2:
+			peers[0] = toHome.addr()
+		}
+		return transport.Topology{Self: msg.NodeID(i), Peers: peers,
+			Reconnect: transport.ReconnectPolicy{Enabled: true, Backoff: 20 * time.Millisecond}}
+	})
+	home, writer, owner := m[0], m[1], m[2]
+	defer func() {
+		for _, mm := range m {
+			mm.clu.Close()
+		}
+	}()
+	redialed := make(chan struct{}, 1)
+	home.clu.Network().(transport.PeerReconnectNotifier).OnPeerReconnect(func(peer msg.NodeID, _ uint64) {
+		if peer == 2 {
+			select {
+			case redialed <- struct{}{}:
+			default:
+			}
+		}
+	})
+	opts := DefaultOptions()
+	opts.Home = 0
+	meta := Meta{ID: 1, Name: "conv", Size: 16, Annot: Conventional, Opts: opts}
+	for _, mm := range m {
+		mm.node.InstallLocal(meta, append(u64bytes(3), u64bytes(3)...))
+	}
+	owner.node.Write(duq.New(), 1, 0, u64bytes(4))
+	readU64(writer.node, duq.New(), 1, 0) // the writer's copy is current: its vouch is good
+
+	toOwner.drop.Store(true)
+	toHome.drop.Store(true)
+	res := make(chan any, 1)
+	go func() {
+		defer func() { res <- recover() }()
+		writer.node.Write(duq.New(), 1, 8, u64bytes(9))
+	}()
+	waitFwdWrites(t, home.node, 1)
+	time.Sleep(20 * time.Millisecond) // the forward reaches the cutter and is dropped
+	toOwner.cut()
+	toHome.cut()
+
+	var panicked any
+	select {
+	case panicked = <-res:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write neither completed nor failed after the wire to the old owner died")
+	}
+	waitOrTimeout(t, "the home and the old owner re-dial", redialed)
+	if panicked != nil {
+		want := (&transport.ErrPeerDown{Node: 2}).Error()
+		want = want[:strings.Index(want, "down")+len("down")]
+		if s := fmt.Sprint(panicked); !strings.Contains(s, want) {
+			t.Fatalf("write across the dead wire: panic %q; want a panic carrying %q", s, want)
+		}
+		return
+	}
+	if got := readU64(owner.node, duq.New(), 1, 8); got != 9 {
+		t.Fatalf("the old owner reads %d after the writer's write of 9 completed: its copy outlived the ownership it lost", got)
+	}
 }
 
 // TestLostForwardeeFailsOrRetriesTheReader: the owner is lost between the
@@ -721,14 +899,15 @@ func TestLostForwardeeFailsOrRetriesTheReader(t *testing.T) {
 
 // TestLostOldOwnerFailsOrGrantsTheWriter: the old owner is lost between
 // the home's forward of a write fault and its grant. The home awaits
-// nothing from it — the writer does — so the home must answer for it. A
-// writer whose copy the home found current is granted by the home,
-// without data, whether the owner's wire died or it departed. A writer
-// without a valid copy needs the owner's bytes: after a wire death its
-// fault fails with the typed *transport.ErrPeerDown naming the owner;
-// after a clean departure it is granted the home's copy, as a departed
-// owner's objects are taken back. The write hangs if the home keeps no
-// note of the forward (or PeerDown/PeerGone do not consult it).
+// nothing from it — the writer does — so the home must answer for it.
+// After a wire death the writer's fault fails with the typed
+// *transport.ErrPeerDown naming the owner, whether or not its copy was
+// current: the owner may live on behind the dead wire
+// (TestRedialedOldOwnerNeverReadsStale). After a clean departure the
+// home grants the writer: without data when the writer's copy was
+// current, else with the home's copy, as a departed owner's objects are
+// taken back. The write hangs if the home keeps no note of the forward
+// (or PeerDown/PeerGone do not consult it).
 func TestLostOldOwnerFailsOrGrantsTheWriter(t *testing.T) {
 	for _, loss := range []string{"killed", "departed"} {
 		for _, vouch := range []string{"with copy", "without copy"} {
@@ -781,7 +960,7 @@ func TestLostOldOwnerFailsOrGrantsTheWriter(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatal("the write neither completed nor failed: nobody answered for the lost owner")
 				}
-				if loss == "killed" && vouch == "without copy" {
+				if loss == "killed" {
 					want := (&transport.ErrPeerDown{Node: 2}).Error()
 					want = want[:strings.Index(want, "down")+len("down")]
 					if s := fmt.Sprint(panicked); !strings.Contains(s, want) {

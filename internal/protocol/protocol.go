@@ -252,9 +252,10 @@ type Obj struct {
 	epoch uint32
 	// lost is set on a node the directory names owner when the home
 	// refused its write fault because the old owner's wire died before
-	// the grant came (refuse): the bytes are with that owner. Every later
-	// fault on the object at this node fails with it, and every fault
-	// forwarded here is refused with it.
+	// the grant came (refuse): the bytes, and perhaps a copy it still
+	// reads, are with that owner. Every later fault on the object at
+	// this node fails with it, and every fault forwarded here is
+	// refused with it.
 	lost *transport.ErrPeerDown
 
 	// Write-many / producer-consumer update ordering: home (or the
