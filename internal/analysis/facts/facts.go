@@ -137,7 +137,6 @@ var LockLevels = map[string]int{
 	// send queues (reached from every layer above via Send/Call).
 	"munin/internal/transport.meshPeer.mu":    30,
 	"munin/internal/transport.MeshNetwork.mu": 32,
-	"munin/internal/transport.TCPNetwork.mu":  32,
 	"munin/internal/transport.sendQueue.mu":   34,
 	"munin/internal/transport.queue.mu":       34,
 

@@ -25,8 +25,9 @@ type Config struct {
 	// Topology is set (the topology defines the cluster size).
 	Nodes int
 	// Transport selects the substrate: "chan" (default, in-process with
-	// modeled costs) or "tcp" (real loopback sockets). Ignored when
-	// Topology is set.
+	// modeled costs) or "tcp" (real loopback sockets: one mesh member
+	// per node, pre-connected, so the in-process cluster runs the peer
+	// pipeline a multi-process one does). Ignored when Topology is set.
 	Transport string
 	// Cost is the network cost model; zero value means free/instant,
 	// which is appropriate for unit tests. Use

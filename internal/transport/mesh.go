@@ -79,12 +79,12 @@ func encodeHello(self msg.NodeID, epoch uint64) []byte {
 // MeshNetwork is the multi-process transport: one Network per OS
 // process, holding exactly one usable endpoint (the topology's self
 // node) and reaching every other node over real TCP connections at the
-// addresses the Topology names. It is the layer that takes the writer
-// pipeline off loopback: the per-peer send queues, coalescing writers,
-// and frame codec are exactly the ones TCPNetwork uses — what changes
-// is connection lifecycle (lazy dialing with a hello handshake instead
-// of a fixed all-pairs dial at construction) and failure semantics
-// (wire death latches an ErrPeerDown instead of being impossible).
+// addresses the Topology names. Each peer has a bounded send queue
+// drained by a coalescing writer and, once connected, a reader; the
+// connection lifecycle around them is lazy dialing with a hello
+// handshake, and wire death latches an ErrPeerDown. TCPNetwork runs n
+// members of this type in one process, pre-connected and never dialing
+// (see newMember).
 //
 // Connections are bidirectional and one per node pair: whichever side
 // needs to send first dials, and the acceptor attributes the
@@ -115,8 +115,8 @@ type MeshNetwork struct {
 	topo  Topology
 	stats *Stats
 	cost  CostModel
-	ln    net.Listener
-	ep    *meshEndpoint
+	ln    net.Listener // nil for an in-process member, which never accepts
+	q     *queue       // receive side: the member is its node's Endpoint
 
 	mu       sync.Mutex
 	peers    map[msg.NodeID]*meshPeer
@@ -146,16 +146,7 @@ func NewMeshNetwork(topo Topology, cost CostModel) (*MeshNetwork, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: mesh listen %s: %w", topo.Addr(topo.Self), err)
 	}
-	m := &MeshNetwork{
-		topo:    topo,
-		stats:   newStats(topo.Nodes()),
-		cost:    cost,
-		ln:      ln,
-		peers:   make(map[msg.NodeID]*meshPeer),
-		conns:   make(map[net.Conn]struct{}),
-		closeCh: make(chan struct{}),
-	}
-	m.ep = &meshEndpoint{m: m, q: newQueue()}
+	m := newMember(topo, newStats(topo.Nodes()), cost, ln)
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -174,37 +165,63 @@ func NewMeshNetwork(topo Topology, cost CostModel) (*MeshNetwork, error) {
 	return m, nil
 }
 
+// newMember builds a member around its listener and the stats it
+// charges. An in-process member (TCPNetwork) has no listener and shares
+// its stats with the other nodes; its connections arrive through
+// attach, so it never dials or accepts.
+func newMember(topo Topology, st *Stats, cost CostModel, ln net.Listener) *MeshNetwork {
+	return &MeshNetwork{
+		topo:    topo,
+		stats:   st,
+		cost:    cost,
+		ln:      ln,
+		q:       newQueue(),
+		peers:   make(map[msg.NodeID]*meshPeer),
+		conns:   make(map[net.Conn]struct{}),
+		closeCh: make(chan struct{}),
+	}
+}
+
+// attach installs conn, an end of a connection made in this process, as
+// the connection to peer at epoch 1 (see TCPNetwork).
+func (m *MeshNetwork) attach(peer, dialer msg.NodeID, conn net.Conn) {
+	p := m.peer(peer)
+	m.registerConn(conn)
+	p.mu.Lock()
+	m.install(p, conn, dialer, 1)
+}
+
 // Addr returns the address the mesh actually bound (useful when the
 // topology named port 0).
 func (m *MeshNetwork) Addr() string { return m.ln.Addr().String() }
 
-// Self returns this process's node ID.
-func (m *MeshNetwork) Self() msg.NodeID { return m.topo.Self }
-
-// Endpoint implements Network. Only the self node's endpoint exists in
-// this process; asking for any other is a programming error.
+// Endpoint implements Network: the member is its self node's endpoint.
+// Only that endpoint exists in this process; asking for any other is a
+// programming error.
 func (m *MeshNetwork) Endpoint(n msg.NodeID) Endpoint {
 	if n != m.topo.Self {
 		panic(fmt.Sprintf("transport: mesh process for node %d has no endpoint for node %d",
 			m.topo.Self, n))
 	}
-	return m.ep
+	return m
 }
 
 // Nodes implements Network.
 func (m *MeshNetwork) Nodes() int { return m.topo.Nodes() }
 
-// Stats implements Network. The accounting covers this process's
-// traffic only — each mesh member counts what it sends and receives.
+// Stats implements Network. The accounting covers this member's
+// traffic only — what it sends and receives — unless, in a TCPNetwork,
+// every member charges the one Stats they share.
 func (m *MeshNetwork) Stats() *Stats { return m.stats }
 
-// Multicast falls back to unicast sends, like TCPNetwork: each member's
-// copy is enqueued on that peer's coalescing writer.
+// Multicast falls back to unicast sends (no hardware multicast on TCP),
+// each copy enqueued on its peer's coalescing writer: one wire message
+// per member, the penalty the paper notes without multicast support.
 func (m *MeshNetwork) Multicast(mm *msg.Msg, members []msg.NodeID) error {
 	for _, dst := range members {
 		cp := *mm
 		cp.To = dst
-		if err := m.ep.Send(&cp); err != nil {
+		if err := m.Send(&cp); err != nil {
 			return err
 		}
 	}
@@ -308,24 +325,10 @@ func (m *MeshNetwork) Leave() error {
 }
 
 func (m *MeshNetwork) doLeave() {
-	m.mu.Lock()
-	m.closed = true
-	close(m.closeCh)
-	peers := make([]*meshPeer, 0, len(m.peers))
-	for _, p := range m.peers {
-		peers = append(peers, p)
-	}
-	// Snapshot every installed connection (the registry, not the peer
-	// snapshot: once closed is set, registerConn refuses new installs,
-	// so this set is final).
-	conns := make([]net.Conn, 0, len(m.conns))
-	for c := range m.conns {
-		conns = append(conns, c)
-	}
-	m.mu.Unlock()
-	// Reconnect loops check closeCh and exit; after this no goroutine
-	// installs a connection or touches the wait groups.
-	m.reconnWG.Wait()
+	m.stop()
+	// Once closed is set, registerConn refuses new installs, so this
+	// set of connections is final.
+	peers, conns := m.snapshot()
 
 	// Give the write side a drain budget — a writer blocked in WriteTo
 	// against a stalled peer (full send buffer, remote not reading)
@@ -349,9 +352,7 @@ func (m *MeshNetwork) doLeave() {
 			await = append(await, ack)
 		}
 	}
-	for _, p := range peers {
-		p.q.close()
-	}
+	m.closeSends()
 	m.writerWG.Wait()
 	// Every goodbye is on the wire. Wait for each peer to confirm it
 	// consumed the drain — its explicit goodbye-ack, or its own
@@ -376,7 +377,14 @@ func (m *MeshNetwork) doLeave() {
 // reports ErrClosed.
 func (m *MeshNetwork) Close() error {
 	m.Leave()
-	m.closeOnce.Do(m.teardown)
+	m.closeOnce.Do(func() {
+		for _, conn := range m.closeWrites() {
+			conn.SetReadDeadline(time.Now().Add(meshCloseDrain))
+		}
+		m.ln.Close()
+		m.wg.Wait()
+		m.closeRecv()
+	})
 	return nil
 }
 
@@ -386,45 +394,73 @@ func (m *MeshNetwork) Close() error {
 // chaos/test path; production shutdown is Close, whose goodbye keeps
 // departure from being mistaken for failure.
 func (m *MeshNetwork) Kill() error {
-	m.leaveOnce.Do(func() {
-		m.mu.Lock()
-		m.closed = true
-		close(m.closeCh)
-		m.mu.Unlock()
-	})
+	m.leaveOnce.Do(m.stop)
 	m.closeOnce.Do(func() {
-		m.mu.Lock()
-		peers := make([]*meshPeer, 0, len(m.peers))
-		for _, p := range m.peers {
-			peers = append(peers, p)
-		}
-		conns := make([]net.Conn, 0, len(m.conns))
-		for c := range m.conns {
-			conns = append(conns, c)
-		}
-		m.mu.Unlock()
-		m.reconnWG.Wait()
-		for _, p := range peers {
-			p.q.close()
-		}
+		_, conns := m.snapshot()
 		for _, conn := range conns {
 			conn.Close()
 		}
+		m.closeSends()
 		m.ln.Close()
 		m.writerWG.Wait()
 		m.wg.Wait()
-		m.ep.q.close()
-		for _, p := range peers {
-			p.mu.Lock()
-			p.conn = nil
-			p.mu.Unlock()
-		}
+		m.closeRecv()
 	})
 	return nil
 }
 
-func (m *MeshNetwork) teardown() {
+// The shutdown phases. Close and Kill run them for one process's
+// member; TCPNetwork.Close runs each for every member before the next.
+
+// stop marks the member closed — from here on nothing dials, installs
+// a connection or latches a peer down — and waits out its reconnect
+// loops.
+func (m *MeshNetwork) stop() {
 	m.mu.Lock()
+	m.closed = true
+	close(m.closeCh)
+	m.mu.Unlock()
+	m.reconnWG.Wait()
+}
+
+// closeSends closes the send queues: blocked and later senders get
+// ErrClosed, and each writer drains what was already queued and exits.
+func (m *MeshNetwork) closeSends() {
+	peers, _ := m.snapshot()
+	for _, p := range peers {
+		p.q.close()
+	}
+}
+
+// closeWrites shuts down the write side of every installed connection,
+// so the reader at the other end gets a clean EOF once it has consumed
+// every drained frame, and returns them. It must follow the writers'
+// exit: nothing may write after it.
+func (m *MeshNetwork) closeWrites() []net.Conn {
+	_, conns := m.snapshot()
+	for _, conn := range conns {
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.CloseWrite()
+		}
+	}
+	return conns
+}
+
+// closeRecv runs once the readers have exited: the receive queue
+// closes (blocked Recv calls return ErrClosed once it is empty) and
+// every connection is released.
+func (m *MeshNetwork) closeRecv() {
+	m.q.close()
+	_, conns := m.snapshot()
+	for _, conn := range conns {
+		conn.Close()
+	}
+}
+
+// snapshot returns the member's peers and installed connections.
+func (m *MeshNetwork) snapshot() ([]*meshPeer, []net.Conn) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	peers := make([]*meshPeer, 0, len(m.peers))
 	for _, p := range m.peers {
 		peers = append(peers, p)
@@ -433,28 +469,7 @@ func (m *MeshNetwork) teardown() {
 	for c := range m.conns {
 		conns = append(conns, c)
 	}
-	m.mu.Unlock()
-
-	// Write sides shut down: CloseWrite gives the remote a clean EOF
-	// once it has consumed the drained frames; the read deadline bounds
-	// our own reader if the remote lingers.
-	for _, conn := range conns {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		conn.SetReadDeadline(time.Now().Add(meshCloseDrain))
-	}
-	m.ln.Close()
-	m.wg.Wait()
-	m.ep.q.close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	for _, p := range peers {
-		p.mu.Lock()
-		p.conn = nil
-		p.mu.Unlock()
-	}
+	return peers, conns
 }
 
 // peer returns (creating on first use) the outgoing pipeline state for
@@ -510,16 +525,6 @@ func (p *meshPeer) ackArrived() {
 	p.mu.Unlock()
 }
 
-// resetAck re-arms the goodbye-ack wait after a reconnect, so a later
-// Leave on the revived pair waits for a REAL ack instead of observing
-// the previous generation's. Caller holds p.mu.
-func (p *meshPeer) resetAck() {
-	if p.acked {
-		p.acked = false
-		p.ackCh = make(chan struct{})
-	}
-}
-
 // handshakeState returns what an inbound hello is judged against: the
 // pair's effective epoch, and whether the hello would be a rejoin (the
 // peer is latched down or departed). The effective epoch includes this
@@ -542,7 +547,7 @@ var errPeerRedialed = errors.New("peer re-dialed over the live connection")
 // handleInbound runs the acceptor side of the connect handshake: read
 // and validate the hello, resolve stale epochs and duplicate
 // connections, answer accept/reject (the accept carries the agreed
-// epoch), and on accept attach the shared reader path.
+// epoch), and on accept install the connection.
 func (m *MeshNetwork) handleInbound(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(meshHandshakeTimeout))
 	var hello [helloLen]byte
@@ -581,7 +586,7 @@ func (m *MeshNetwork) handleInbound(conn net.Conn) {
 		// would, so its pending calls fail and the accept below is the
 		// counted, announced rejoin it is.
 		p.mu.Unlock()
-		m.peerDown(p, errPeerRedialed)
+		m.peerDown(p, nil, errPeerRedialed)
 		p.mu.Lock()
 		cur, rejoin = p.handshakeState()
 	}
@@ -651,31 +656,39 @@ func (m *MeshNetwork) handleInbound(conn net.Conn) {
 		m.unregisterConn(conn)
 		return
 	}
+	conn.SetDeadline(time.Time{})
+	m.install(p, conn, from, agreed)
+}
+
+// install publishes conn as the pair's connection — generation epoch,
+// dialed by dialer — and starts its reader: the acceptor's handshake, a
+// first dial, a background re-dial and an in-process attach all end
+// here. The caller holds p.mu, which install releases, and registered
+// conn. A pair that was down or departed rejoins: its latches lift, and
+// the reconnect is counted and announced before the reader starts, so
+// subscribers rebuild state ahead of the peer's first frame.
+func (m *MeshNetwork) install(p *meshPeer, conn net.Conn, dialer msg.NodeID, epoch uint64) {
+	rejoin := p.down || p.gone
 	old := p.conn
-	p.conn = conn
-	p.dialer = from
-	p.epoch = agreed
+	p.conn, p.dialer, p.epoch = conn, dialer, epoch
 	p.down, p.gone = false, false
 	if rejoin {
 		p.q.clearFail()
-		p.resetAck()
+		// A later Leave must wait for this generation's ack.
+		if p.acked {
+			p.acked = false
+			p.ackCh = make(chan struct{})
+		}
 	}
 	p.mu.Unlock()
 
 	if rejoin {
 		m.stats.byClass.Add(stats.CWireReconnects, 1)
-		m.notifyReconnect(p.node, agreed)
+		m.notifyReconnect(p.node, epoch)
 	}
 	if old != nil {
 		old.Close()
 	}
-	conn.SetDeadline(time.Time{})
-	m.readConn(p, conn)
-}
-
-// startReader attaches the frame reader to an established connection on
-// its own goroutine (dialer side; the acceptor reuses its goroutine).
-func (m *MeshNetwork) startReader(p *meshPeer, conn net.Conn) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -683,20 +696,26 @@ func (m *MeshNetwork) startReader(p *meshPeer, conn net.Conn) {
 	}()
 }
 
-// readConn routes one established connection's inbound frames through
-// the shared reader path until the stream dies, then — if this was
-// still the pair's connection, the peer did not say goodbye, and the
-// mesh is not closing — latches the peer down: the stream's loss means
-// replies already requested can never arrive.
+// errConnLost is the cause of a latch taken because the pair's
+// connection stopped delivering.
+var errConnLost = errors.New("connection lost")
+
+// readConn routes one established connection's inbound frames to the
+// receive queue until the stream dies, then — if this was still the
+// pair's connection, the peer did not say goodbye, and the mesh is not
+// closing — latches the peer down: the stream's loss means replies
+// already requested can never arrive.
 func (m *MeshNetwork) readConn(p *meshPeer, conn net.Conn) {
 	readFrameStream(conn, func(mm *msg.Msg) {
-		if mm.To != m.topo.Self {
-			// Misrouted frame: drop, like an unknown port — but
-			// counted, so a topology misconfiguration is visible.
+		if mm.To != m.topo.Self || mm.From != p.node {
+			// The connection joins exactly this pair, so a message
+			// that claims another sender or another destination is
+			// dropped rather than routed by what its header says — but
+			// counted, so a misconfiguration is visible.
 			m.stats.byClass.Add(stats.CWireMisrouted, 1)
 			return
 		}
-		if m.ep.q.push(mm) == nil {
+		if m.q.push(mm) == nil {
 			m.stats.delivered(m.topo.Self)
 		}
 	}, func(word uint32) bool {
@@ -712,17 +731,7 @@ func (m *MeshNetwork) readConn(p *meshPeer, conn net.Conn) {
 	})
 	conn.Close()
 	m.unregisterConn(conn)
-	p.mu.Lock()
-	current := p.conn == conn
-	gone := p.gone
-	if current {
-		p.conn = nil
-		p.dialer = -1
-	}
-	p.mu.Unlock()
-	if current && !gone && !m.isClosed() {
-		m.peerDown(p, fmt.Errorf("connection lost"))
-	}
+	m.peerDown(p, conn, errConnLost)
 }
 
 // peerGoodbye handles a peer's goodbye: acknowledge it (through the
@@ -747,7 +756,7 @@ func (m *MeshNetwork) peerGoodbye(p *meshPeer) {
 		// is guaranteed to already fail new sends with *ErrPeerGone.
 		p.q.reject(&ErrPeerGone{Node: p.node})
 		m.stats.byClass.Add(stats.CWirePeerGone, 1)
-		m.ep.q.pushGone(p.node)
+		m.q.pushGone(p.node)
 	}
 	// Control items bypass the soft latch; if this mesh is itself
 	// closing (queue closed) the put fails and the peer's ack-wait is
@@ -761,25 +770,41 @@ func (m *MeshNetwork) peerGoodbye(p *meshPeer) {
 // OnPeerDown callbacks fire with the epoch that died so vkernel can
 // fail exactly the pending calls aimed at the dead generation. With a
 // reconnect policy, a background re-dial loop starts; without one the
-// latch is permanent.
-func (m *MeshNetwork) peerDown(p *meshPeer, cause error) {
+// latch is permanent. A departed peer, or a member that is closing,
+// latches nothing.
+//
+// dead, when non-nil, is the connection whose stream ended: it stops
+// being the pair's connection, and its loss latches the pair only if
+// it still was — the end of a generation a reconnect already replaced
+// is no outage.
+func (m *MeshNetwork) peerDown(p *meshPeer, dead net.Conn, cause error) {
+	closed := m.isClosed()
 	p.mu.Lock()
-	if p.down || p.gone {
+	conn := p.conn
+	if dead != nil && dead != conn {
 		p.mu.Unlock()
 		return
 	}
+	latch := !p.down && !p.gone && !closed
+	if latch || dead != nil {
+		p.conn, p.dialer = nil, -1
+	}
+	if !latch {
+		p.mu.Unlock()
+		return
+	}
+	// The queue latches before p.down is visible: a writer that finds
+	// the peer down (connFor) returns the queue's error with it, never
+	// a nil connection and a nil error.
+	err := &ErrPeerDown{Node: p.node, Cause: cause}
+	p.q.fail(err)
 	p.down = true
 	epoch := p.epoch
-	conn := p.conn
-	p.conn = nil
-	p.dialer = -1
 	p.mu.Unlock()
 
 	if conn != nil {
 		conn.Close()
 	}
-	err := &ErrPeerDown{Node: p.node, Cause: cause}
-	p.q.fail(err)
 	m.stats.byClass.Add(stats.CWirePeerDown, 1)
 	m.mu.Lock()
 	var cbs []func(msg.NodeID, uint64, error)
@@ -845,16 +870,7 @@ func (m *MeshNetwork) reconnectLoop(p *meshPeer) {
 			conn.Close()
 			return
 		}
-		p.conn = conn
-		p.dialer = m.topo.Self
-		p.epoch = agreed
-		p.down, p.gone = false, false
-		p.q.clearFail()
-		p.resetAck()
-		p.mu.Unlock()
-		m.stats.byClass.Add(stats.CWireReconnects, 1)
-		m.notifyReconnect(p.node, agreed)
-		m.startReader(p, conn)
+		m.install(p, conn, m.topo.Self, agreed)
 		return
 	}
 }
@@ -899,21 +915,18 @@ func (m *MeshNetwork) connFor(p *meshPeer) (net.Conn, error) {
 			return nil, err
 		}
 		if accepted {
-			if p.conn == nil {
+			if p.conn == nil && !p.down && !p.gone {
 				if !m.registerConn(conn) {
 					p.mu.Unlock()
 					conn.Close()
 					return nil, ErrClosed
 				}
-				p.conn = conn
-				p.dialer = m.topo.Self
-				p.epoch = agreed
-				p.mu.Unlock()
-				m.startReader(p, conn)
+				m.install(p, conn, m.topo.Self, agreed)
 				return conn, nil
 			}
 			// An inbound connection was installed while our dial was in
-			// flight; the installed one stands, ours is redundant.
+			// flight (the installed one stands, ours is redundant), or
+			// the pair latched meanwhile: look again.
 			p.mu.Unlock()
 			conn.Close()
 			continue
@@ -1000,10 +1013,13 @@ func (m *MeshNetwork) dialPeerOnce(node msg.NodeID, epoch uint64) (conn net.Conn
 	return c, binary.BigEndian.Uint64(ack[1:]), true, nil
 }
 
-// writeLoop is one peer's writer: identical in shape to the loopback
-// writer (drain, one vectored write, satisfy fences), with connection
-// establishment folded in and write/dial failures latched as peer
-// death instead of only on the queue.
+// writeLoop is one peer's writer: it drains whatever is queued and
+// emits it as one vectored write (writeItems), establishing the
+// connection first if there is none, then satisfies any fences that
+// were queued behind those messages. A write or dial failure latches
+// the peer down: the failed batch's messages are gone, so every later
+// send or fence must fail loudly rather than let callers wait for
+// replies that can never come.
 func (m *MeshNetwork) writeLoop(p *meshPeer) {
 	defer m.writerWG.Done()
 	ws := &writeScratch{}
@@ -1012,15 +1028,16 @@ func (m *MeshNetwork) writeLoop(p *meshPeer) {
 		if len(items) > 0 {
 			err := p.q.err()
 			if err == nil {
-				err = m.writeToPeer(p, items, ws)
+				var conn net.Conn
+				conn, err = m.writeToPeer(p, items, ws)
 				if err != nil {
 					if m.isClosed() {
 						err = ErrClosed
 					} else {
-						m.peerDown(p, err)
-						// The latched *ErrPeerDown — unless the peer
-						// was gone (no latch), where the raw write
-						// error stands.
+						m.peerDown(p, conn, err)
+						// The latched *ErrPeerDown — unless nothing
+						// latched (the peer departed, or conn was a
+						// replaced generation): the raw error stands.
 						if le := p.q.err(); le != nil {
 							err = le
 						}
@@ -1049,75 +1066,67 @@ func (m *MeshNetwork) writeLoop(p *meshPeer) {
 // replaced mid-write — it is no longer the pair's current connection
 // (a reconnect or a lost duplicate tiebreak swapped the stream under
 // us) — is retried once on the replacement rather than treated as peer
-// death, so a handshake race never turns into a false latch.
-func (m *MeshNetwork) writeToPeer(p *meshPeer, items []sendItem, ws *writeScratch) error {
+// death, so a handshake race never turns into a false latch. A failed
+// write returns the connection it failed on, so that its loss latches
+// that generation only (see peerDown); a failed connFor returns none.
+func (m *MeshNetwork) writeToPeer(p *meshPeer, items []sendItem, ws *writeScratch) (net.Conn, error) {
 	for attempt := 0; ; attempt++ {
 		conn, err := m.connFor(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		werr := writeItems(conn, items, ws, m.stats)
 		if werr == nil {
-			return nil
+			return conn, nil
 		}
 		p.mu.Lock()
 		replaced := p.conn != nil && p.conn != conn
 		p.mu.Unlock()
 		if !replaced || attempt >= 1 {
-			return werr
+			return conn, werr
 		}
 	}
 }
 
-// meshEndpoint is the self node's attachment to the mesh.
-type meshEndpoint struct {
-	m *MeshNetwork
-	q *queue // receive side
+// Node implements Endpoint.
+func (m *MeshNetwork) Node() msg.NodeID { return m.topo.Self }
+
+// Send implements Endpoint: marshal into a pooled buffer and hand it to
+// SendOwned, which charges it and queues it on the destination peer's
+// writer (dialing lazily on first use) without waiting for the wire —
+// Flush is the fence.
+func (m *MeshNetwork) Send(mm *msg.Msg) error {
+	mm.From = m.topo.Self
+	return m.SendOwned(marshalPooled(mm))
 }
 
-func (e *meshEndpoint) Node() msg.NodeID { return e.m.topo.Self }
-
-// Leave implements Leaver: announce departure to every connected peer,
-// drain, and wait for their acks. See MeshNetwork.Leave.
-func (e *meshEndpoint) Leave() error { return e.m.Leave() }
-
-// Send implements Endpoint: marshal (into a pooled buffer the writer
-// releases, see tcpEndpoint.Send), charge, and queue on the destination
-// peer's writer (which dials lazily on first use). Self-sends are
-// delivered directly to the local receive queue — they have no wire to
-// cross — as a private Marshal the queue's consumer owns.
-func (e *meshEndpoint) Send(mm *msg.Msg) error {
-	if int(mm.To) < 0 || int(mm.To) >= e.m.topo.Nodes() {
-		return fmt.Errorf("transport: send to unknown node %d", mm.To)
-	}
-	mm.From = e.m.topo.Self
-	e.m.stats.charge(mm, e.m.cost, e.m.topo.Self)
-	if mm.To == e.m.topo.Self {
-		return e.m.stats.deliverBytes(e.q, mm.To, mm.Marshal())
-	}
-	return e.m.peer(mm.To).q.putOwned(marshalPooled(mm), ClassOf(mm.Kind))
-}
-
-// SendOwned implements EncodedSender; see tcpEndpoint.SendOwned, self-sends
-// included.
-func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
+// SendOwned implements EncodedSender: enqueue an already-marshalled
+// wire buffer, taking ownership. The writer releases it after its
+// vectored write (a failure releases it here), so payload bytes move
+// once, diff scratch → wire buffer. A self-send copies the bytes for the
+// receive queue and releases the buffer at once.
+func (m *MeshNetwork) SendOwned(wb *bufpool.Buffer) error {
 	kind, to, err := msg.PeekHeader(wb.B)
 	if err != nil {
 		wb.Release()
 		return err
 	}
-	if int(to) < 0 || int(to) >= e.m.topo.Nodes() {
+	if int(to) < 0 || int(to) >= m.topo.Nodes() {
 		wb.Release()
 		return fmt.Errorf("transport: send to unknown node %d", to)
 	}
-	msg.SetFrom(wb.B, e.m.topo.Self)
-	e.m.stats.chargeEncoded(kind, len(wb.B), e.m.cost, e.m.topo.Self)
-	if to == e.m.topo.Self {
+	msg.SetFrom(wb.B, m.topo.Self)
+	m.stats.chargeEncoded(kind, len(wb.B), m.cost, m.topo.Self)
+	if to == m.topo.Self {
 		enc := append([]byte(nil), wb.B...)
 		wb.Release()
-		return e.m.stats.deliverBytes(e.q, to, enc)
+		return m.stats.deliverBytes(m.q, to, enc)
 	}
-	return e.m.peer(to).q.putOwned(wb, ClassOf(kind))
+	err = m.peer(to).q.put(sendItem{enc: wb.B, own: wb, class: ClassOf(kind)})
+	if err != nil {
+		wb.Release() // never queued: no writer will release it
+	}
+	return err
 }
 
 // Flush implements Endpoint: fence every peer pipeline this process has
@@ -1131,14 +1140,14 @@ func (e *meshEndpoint) SendOwned(wb *bufpool.Buffer) error {
 // whose traffic involves only healthy peers — for as long as the latch
 // holds. The fence's contract stays "everything enqueued has reached a
 // live wire or a latched failure"; only shutdown-class errors surface.
-func (e *meshEndpoint) Flush() error {
+func (m *MeshNetwork) Flush() error {
 	fs := getFenceSet()
 	defer fs.release()
-	e.m.mu.Lock()
-	for _, p := range e.m.peers {
+	m.mu.Lock()
+	for _, p := range m.peers {
 		fs.peers = append(fs.peers, p)
 	}
-	e.m.mu.Unlock()
+	m.mu.Unlock()
 
 	var first error
 	latched := func(err error) bool {
@@ -1166,9 +1175,9 @@ func (e *meshEndpoint) Flush() error {
 	return first
 }
 
-func (e *meshEndpoint) Recv() (*msg.Msg, error) {
+func (m *MeshNetwork) Recv() (*msg.Msg, error) {
 	for {
-		it, err := e.q.pop()
+		it, err := m.q.pop()
 		if err != nil {
 			return nil, err
 		}
@@ -1176,7 +1185,7 @@ func (e *meshEndpoint) Recv() (*msg.Msg, error) {
 			// Departure marker: every frame the peer sent has been
 			// returned by earlier Recv calls; only now do the gone
 			// callbacks fire, so nothing in flight is ever failed.
-			e.m.notifyPeerGone(it.peer)
+			m.notifyPeerGone(it.peer)
 			continue
 		}
 		return it.m, nil

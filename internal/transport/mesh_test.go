@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -360,7 +361,7 @@ func TestMeshDialFailureLatchesErrPeerDown(t *testing.T) {
 	}
 	// The fence waits out the failed dial but reports nil — peer death
 	// surfaces through OnPeerDown and fast-failing sends, not through
-	// the write-completion fence (see meshEndpoint.Flush).
+	// the write-completion fence (see MeshNetwork.Flush).
 	if err := m.Endpoint(1).Flush(); err != nil {
 		t.Fatalf("fence after dial failure = %v, want nil", err)
 	}
@@ -924,7 +925,8 @@ func TestMeshNoReconnectWithoutPolicy(t *testing.T) {
 }
 
 // TestMeshMisroutedFramesCounted: an inbound frame whose destination
-// header names another node is dropped but counted, so topology
+// header names another node, or whose sender header names another node
+// than the connection's peer, is dropped but counted, so topology
 // misconfigurations are visible in the counter dump.
 func TestMeshMisroutedFramesCounted(t *testing.T) {
 	a, b := newMeshPair(t)
@@ -946,15 +948,92 @@ func TestMeshMisroutedFramesCounted(t *testing.T) {
 		t.Fatalf("handshake verdict %d, want accept", verdict)
 	}
 	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 1, To: 7, Payload: []byte("lost")})
-	// And a well-routed one behind it, so we can sync on delivery.
+	// A frame that claims another sender than the connection's peer is
+	// dropped too: the forwarding contract trusts From.
+	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 2, To: 0, Payload: []byte("spoofed")})
+	// And a well-routed one behind them, so we can sync on delivery.
 	writeRawFrame(t, conn, &msg.Msg{Kind: msg.KindPing, From: 1, To: 0, Payload: []byte("ok")})
 	if m, err := a.Endpoint(0).Recv(); err != nil || string(m.Payload) != "ok" {
 		t.Fatalf("got %v, %v", m, err)
 	}
-	if got := a.Stats().WireMisrouted(); got != 1 {
-		t.Fatalf("wire.misrouted = %d, want 1", got)
+	if got := a.Stats().WireMisrouted(); got != 2 {
+		t.Fatalf("wire.misrouted = %d, want 2", got)
 	}
 	_ = b
+}
+
+// TestMeshReaderEOFAgainstDrainingWriter races a reader's EOF against a
+// writer that is draining: a sender keeps the writer busy while the
+// peer, over and over, rejoins and then hangs up. The reader's latch
+// must never leave the writer a moment in which the peer is down but
+// its queue holds no error — the writer would take a nil connection
+// and write to it. Each hang-up must latch the peer down, and each
+// rejoin clear the latch.
+func TestMeshReaderEOFAgainstDrainingWriter(t *testing.T) {
+	const cycles = 100
+	addrs := reserveAddrs(t, 2)
+	m, err := NewMeshNetwork(Topology{
+		Self:  0,
+		Peers: map[msg.NodeID]string{0: addrs[0], 1: addrs[1]},
+		// Nothing listens at node 1's address, and the background
+		// re-dial waits out the test: the rejoins below are the only
+		// way back.
+		Reconnect: ReconnectPolicy{Enabled: true, Backoff: time.Hour},
+	}, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	downs := make(chan struct{}, cycles) // one latch per cycle; the callback must not block
+	m.OnPeerDown(func(msg.NodeID, uint64, error) { downs <- struct{}{} })
+
+	// The sender floods the pair from each rejoin until the next latch
+	// fails its send.
+	rejoined := make(chan struct{}, 1)
+	payload := make([]byte, 1<<10)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-rejoined:
+			}
+			for m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: payload}) == nil {
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	epoch := uint64(1)
+	for i := 0; i < cycles; i++ {
+		conn, verdict, agreed := dialWithHello(t, m.Addr(), 1, epoch)
+		if verdict != helloAccept {
+			t.Fatalf("cycle %d: rejoin rejected", i)
+		}
+		epoch = agreed + 1
+		// The verdict precedes the install: wait for the pair's new
+		// generation (its latch cleared) before the sender floods it.
+		for m.PeerEpoch(1) != agreed {
+			runtime.Gosched()
+		}
+		select {
+		case rejoined <- struct{}{}:
+		default: // the sender never saw the last latch: it still floods
+		}
+		// Once the writer is draining onto the rejoined connection,
+		// hang up under it.
+		for w := m.Stats().WireWrites(); m.Stats().WireWrites() < w+1; {
+			runtime.Gosched()
+		}
+		conn.Close()
+		select {
+		case <-downs:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: the hang-up never latched the peer down", i)
+		}
+	}
 }
 
 // TestMeshOwnerRedialFromScratchAccepted: a peer that restarted

@@ -3,18 +3,13 @@
 // nodes share nothing and exchange only serialized messages, so every
 // byte of coherence traffic crosses an explicit, counted boundary.
 //
-// Three implementations are provided:
+// Three implementations are provided, over two pipelines:
 //
 //   - ChanNetwork: in-process, one goroutine-safe queue per node. This is
 //     the default substrate for experiments; it is deterministic-enough,
 //     fast, and charges every message against a configurable cost model
 //     (per-message latency + per-byte bandwidth) accumulated as modeled
 //     network time rather than slept, so benchmarks stay fast.
-//   - TCPNetwork: real sockets over loopback (package net), all nodes in
-//     one process — used to demonstrate that the runtime's messaging
-//     layer works over an actual network stack and to measure it at
-//     syscall granularity. One duplex connection per node pair, like
-//     the mesh: a reply returns on the socket its request arrived on.
 //   - MeshNetwork: one node per OS process, connected by a Topology
 //     (node ID → host:port). Lazy per-peer dialing with a versioned,
 //     epoch-carrying hello handshake, one bidirectional connection per
@@ -26,23 +21,29 @@
 //     (goodbye handshake; Close/Leave) is marked departed
 //     (ErrPeerGone, PeerGoneNotifier) with every in-flight frame
 //     delivered first. An opt-in ReconnectPolicy revives latched pairs
-//     on a fresh epoch.
+//     on a fresh epoch. A member is its own node's Endpoint.
+//   - TCPNetwork: n MeshNetwork members in one process, sharing one
+//     Stats, with every pair connected once at construction over
+//     loopback. The members never dial and say no goodbye; everything
+//     else — writers, readers, latches, notifiers — is the mesh's, so
+//     the code the in-process tests and benchmarks exercise is the code
+//     a multi-process cluster runs. It measures the wire at syscall
+//     granularity without a second process.
 //
 // # The writer pipeline
 //
-// Sending is asynchronous and coalescing. On TCPNetwork every node pair
-// shares one duplex connection, and each end of it has a writer
-// goroutine fed from a bounded send queue and a reader goroutine
-// feeding that node's receive queue: Send marshals the message into a
-// pooled buffer and queues it without waiting (SendOwned queues a
-// buffer the caller already marshalled into); the writer drains
-// whatever has accumulated for that peer and emits it as one
-// multi-message frame (see msg.EncodeFrame) through a single vectored
-// write (net.Buffers). A batched protocol flush therefore costs O(1)
-// write syscalls per destination no matter how many messages it
-// carries — the same software-overhead amortization Munin's
-// delayed-update queue performs at the protocol level, applied to the
-// wire.
+// Sending is asynchronous and coalescing. Every node pair shares one
+// duplex connection, and each end of it has a writer goroutine fed
+// from a bounded send queue and a reader goroutine feeding that node's
+// receive queue: Send marshals the message into a pooled buffer and
+// queues it without waiting (SendOwned queues a buffer the caller
+// already marshalled into); the writer drains whatever has accumulated
+// for that peer and emits it as one multi-message frame (see
+// msg.EncodeFrame) through a single vectored write (net.Buffers). A
+// batched protocol flush therefore costs O(1) write syscalls per
+// destination no matter how many messages it carries — the same
+// software-overhead amortization Munin's delayed-update queue performs
+// at the protocol level, applied to the wire.
 //
 // Because a request and its reply cross the same socket in opposite
 // directions, each carries the TCP acknowledgement of the other: one
@@ -60,14 +61,6 @@
 // implements the same interface trivially — its queue push already
 // delivers whole batches instantly, so Flush is a no-op.
 //
-// Closing a TCPNetwork quiesces the pipeline deterministically: send
-// queues close first (blocked senders get ErrClosed), every writer
-// drains what was already queued onto the wire and exits — nothing ever
-// writes on a closed connection — then the write sides shut down and
-// readers consume every drained frame before receive queues report
-// ErrClosed. A reader never closes its connection: the socket is also
-// its own end's writer's, and only Close knows that writer is done.
-//
 // Choosing a substrate: ChanNetwork for experiments, unit tests, and
 // anything that wants modeled network costs without real latency;
 // TCPNetwork when the measurement is about the wire itself (write
@@ -75,7 +68,7 @@
 // real byte stream; MeshNetwork when nodes must be separately
 // addressable processes or hosts (bench E12, `munin-bench -peers`).
 //
-// Both count messages and bytes per node and per traffic class, plus
+// All three count messages and bytes per node and per traffic class, plus
 // wire-level counters (wire.writes, wire.frames, wire.coalesced) that
 // make the coalescing observable; the benchmark harness reads these
 // counters to regenerate the paper's traffic comparisons.
@@ -131,7 +124,8 @@ func (e *ErrPeerGone) Error() string {
 }
 
 // PeerDownNotifier is implemented by transports that detect peer death
-// (MeshNetwork). vkernel registers a callback at construction so a
+// (MeshNetwork, which is also each TCPNetwork node's endpoint). vkernel
+// registers a callback on its node's endpoint at construction so a
 // latched wire failure fails exactly the pending calls aimed at the
 // dead peer.
 type PeerDownNotifier interface {
@@ -198,7 +192,7 @@ type PeerEpochs interface {
 // Endpoint is one node's attachment to the network.
 //
 // Sends are asynchronous: Send is a non-blocking enqueue onto the
-// transport's outgoing path; on TCPNetwork a per-peer writer goroutine
+// transport's outgoing path; on the TCP transports a per-peer writer goroutine
 // coalesces everything queued for a peer into one wire frame and emits
 // it with a single vectored write. Flush is the completion fence: it
 // returns once every message this endpoint enqueued before the call
@@ -235,7 +229,8 @@ type Endpoint interface {
 }
 
 // EncodedSender is the zero-copy variant of Endpoint.Send, implemented
-// by the wire transports (TCPNetwork, MeshNetwork). The caller builds
+// by the wire transports' endpoints (MeshNetwork, on its own or inside a
+// TCPNetwork). The caller builds
 // the complete marshalled message — msg.HeaderSize reserved bytes
 // stamped with msg.FillHeader, payload behind them — directly in a
 // pooled buffer and hands the buffer over.

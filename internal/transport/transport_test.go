@@ -268,38 +268,6 @@ func TestTCPCoalescesQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestTCPWriteErrorLatched kills one peer connection under its writer:
-// the failed batch's error must be latched so the fence reports it and
-// later sends fail fast instead of being silently dropped.
-func TestTCPWriteErrorLatched(t *testing.T) {
-	tcp, err := NewTCPNetwork(2, CostModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	ep := tcp.eps[0]
-	peer := ep.peers[1]
-	peer.q.hold()
-	if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1}); err != nil {
-		t.Fatal(err)
-	}
-	peer.conn.Close() // the wire dies with a message queued
-	peer.q.release()
-	if err := ep.Flush(); err == nil {
-		t.Fatal("flush after wire failure reported success")
-	}
-	if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1}); err == nil {
-		t.Fatal("send after wire failure reported success")
-	}
-	// Other peers are unaffected (self-connection still works).
-	if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 0}); err != nil {
-		t.Fatalf("send to healthy peer: %v", err)
-	}
-	if got, err := tcp.Endpoint(0).Recv(); err != nil || got.From != 0 {
-		t.Fatalf("healthy peer recv: %v %v", got, err)
-	}
-}
-
 // TestTCPCloseWakesBlockedSender fills a peer's bounded send queue with
 // the writer held, leaves one sender blocked on the bound, and closes
 // the network: the blocked sender must get ErrClosed (not a write on a
@@ -420,12 +388,12 @@ func TestTCPOneDuplexConnectionPerPair(t *testing.T) {
 	}
 	defer tcp.Close()
 	conns := map[string]bool{} // keyed by the lower node's local address
-	for i := 0; i < n; i++ {
+	for i := msg.NodeID(0); i < n; i++ {
 		if tcp.eps[i].peers[i] != nil {
 			t.Errorf("node %d holds a connection to itself", i)
 		}
 		for j := i + 1; j < n; j++ {
-			a, b := tcp.eps[i].peers[j].conn, tcp.eps[j].peers[i].conn
+			a, b := PairConn(tcp, i, j), PairConn(tcp, j, i)
 			if a.LocalAddr().String() != b.RemoteAddr().String() || a.RemoteAddr().String() != b.LocalAddr().String() {
 				t.Errorf("pair (%d,%d): ends %v-%v and %v-%v are not one connection",
 					i, j, a.LocalAddr(), a.RemoteAddr(), b.LocalAddr(), b.RemoteAddr())
@@ -437,11 +405,12 @@ func TestTCPOneDuplexConnectionPerPair(t *testing.T) {
 		t.Errorf("%d nodes hold %d connections, want %d", n, len(conns), want)
 	}
 
-	for i := 0; i < n; i++ {
+	for i := msg.NodeID(0); i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if i != 0 || j != 1 {
-				tcp.eps[i].peers[j].conn.Close()
-				tcp.eps[j].peers[i].conn.Close()
+				a, b := PairConn(tcp, i, j), PairConn(tcp, j, i)
+				a.Close()
+				b.Close()
 			}
 		}
 	}

@@ -62,8 +62,8 @@
 //
 // Every pending call records its destination set, each destination
 // tagged with the connection epoch in force when the call started. On
-// transports that detect peer death (transport.PeerDownNotifier — the
-// multi-process mesh), a latched wire failure fails exactly the
+// transports that detect peer death (transport.PeerDownNotifier — both
+// wire transports), a latched wire failure fails exactly the
 // pending calls aimed at the dead peer's generation with
 // *transport.ErrPeerDown instead of leaving them blocked until Close;
 // the epoch tag keeps a stale outage notification from killing calls
@@ -212,12 +212,14 @@ func New(net transport.Network, node msg.NodeID) *Kernel {
 // request is dispatched — a request dispatched earlier would be dropped
 // as unhandled and its caller, seeing a live peer, would park for good.
 //
-// If the network reports peer death (transport.PeerDownNotifier), the
-// kernel subscribes so pending calls aimed at a dead peer fail with
-// *transport.ErrPeerDown instead of blocking until Close; if it
-// reports clean departures (transport.PeerGoneNotifier), calls whose
-// replies truly never arrived fail with *transport.ErrPeerGone — after
-// every reply the peer did send has been dispatched.
+// If the node's endpoint reports peer death (transport.PeerDownNotifier),
+// the kernel subscribes so pending calls aimed at a dead peer fail with
+// *transport.ErrPeerDown instead of blocking until Close; if it reports
+// clean departures (transport.PeerGoneNotifier), calls whose replies
+// truly never arrived fail with *transport.ErrPeerGone — after every
+// reply the peer did send has been dispatched. The endpoint, not the
+// network, is asked because an in-process network holds every node and
+// each node hears only its own latches.
 func NewUnstarted(net transport.Network, node msg.NodeID) *Kernel {
 	k := &Kernel{
 		net:     net,
@@ -229,10 +231,10 @@ func NewUnstarted(net transport.Network, node msg.NodeID) *Kernel {
 		work:    make(chan request),
 	}
 	k.epochs, _ = net.(transport.PeerEpochs)
-	if pn, ok := net.(transport.PeerDownNotifier); ok {
+	if pn, ok := k.ep.(transport.PeerDownNotifier); ok {
 		pn.OnPeerDown(k.peerDown)
 	}
-	if gn, ok := net.(transport.PeerGoneNotifier); ok {
+	if gn, ok := k.ep.(transport.PeerGoneNotifier); ok {
 		gn.OnPeerGone(k.peerGone)
 	}
 	return k
