@@ -1,4 +1,4 @@
-// Command muninvet runs the repo's static-analysis suite: seven
+// Command muninvet runs the repo's static-analysis suite: six
 // analyzers that enforce invariants the type system cannot —
 //
 //	pooledbuf    bufpool single-owner discipline
@@ -6,7 +6,6 @@
 //	counterreg   counter names come from the internal/stats registry
 //	failpointref failpoint names resolve against failpoint.Names()
 //	lockorder    whole-program lock acquisition-order graph is acyclic
-//	msgdispatch  every message kind dispatched exactly once; handlers reply on every path
 //	errflow      sentinel errors matched with errors.Is/As; rendezvous errors not discarded
 //
 // Usage:
@@ -34,7 +33,6 @@ import (
 	"munin/internal/analysis/framework"
 	"munin/internal/analysis/lockhold"
 	"munin/internal/analysis/lockorder"
-	"munin/internal/analysis/msgdispatch"
 	"munin/internal/analysis/pooledbuf"
 )
 
@@ -44,7 +42,6 @@ var analyzers = []*framework.Analyzer{
 	counterreg.Analyzer,
 	failpointref.Analyzer,
 	lockorder.Analyzer,
-	msgdispatch.Analyzer,
 	errflow.Analyzer,
 }
 

@@ -4,12 +4,10 @@
 // exemptions, which error values and types form the typed failure
 // taxonomy, and the documented global lock-acquisition hierarchy.
 //
-// PR 9's analyzers each carried a private copy of the fragment they
-// needed; the interprocedural layer (framework.Program summaries) and
-// the analyzers built on it — lockorder, msgdispatch, errflow, and the
-// upgraded lockhold — all consult the same tables, so a new blocking
-// call or a new lock field is added here once and every diagnostic
-// sees it.
+// The interprocedural layer (framework.Program summaries) and the
+// analyzers built on it — lockorder, errflow and lockhold — all consult
+// the same tables, so a new blocking call or a new lock field is added
+// here once and every diagnostic sees it.
 package facts
 
 import (

@@ -43,6 +43,7 @@ import (
 	"munin/internal/protocol"
 	"munin/internal/threads"
 	"munin/internal/transport"
+	"munin/internal/vkernel"
 )
 
 // Config configures a Munin system.
@@ -240,7 +241,7 @@ func newMeshMember(cfg Config) (*System, error) {
 		node.BeginRecovery()
 		s.recoverPending.Store(true)
 	}
-	k.Handle(kindRunGate, kindGateSync, s.dispatchGate)
+	vkernel.HandleCalls(k, kindRunGate, s, gateCalls[:])
 	// Only now may the kernel dispatch: a peer that came up earlier has
 	// been able to send its first gate arrival since the listener was
 	// bound, and it must find this handler, not an unbound kind.

@@ -30,15 +30,26 @@ import (
 // coordinator state outside node 0's parked-arrival map are needed, and
 // the gate costs one round trip per remote member per Run boundary.
 
-// kindRunGate is the SPMD run-gate rendezvous message (a Call to node
-// 0; the reply is the release + verdict).
-const kindRunGate = msg.KindSyncBase + 1
+// The gate's message kinds: one contiguous block of Call kinds, ended by
+// a sentinel, answered by gateCalls (keyed by kind - kindRunGate).
+// Registered on the self kernel of every mesh member; only node 0 ever
+// receives either.
+const (
+	// kindRunGate is the SPMD run-gate rendezvous message (a Call to
+	// node 0; the reply is the release + verdict).
+	kindRunGate = msg.KindSyncBase + 1 + iota
+	// kindGateSync is a recovering member's gate resync (a Call to node
+	// 0 carrying its setup digest; the reply is a verdict plus the gate
+	// sequence the member must adopt so its next arrival pairs with the
+	// survivors' — see handleGateSync).
+	kindGateSync
+	kindGateEnd // sentinel
+)
 
-// kindGateSync is a recovering member's gate resync (a Call to node 0
-// carrying its setup digest; the reply is a verdict plus the gate
-// sequence the member must adopt so its next arrival pairs with the
-// survivors' — see handleGateSync).
-const kindGateSync = msg.KindSyncBase + 2
+var gateCalls = [kindGateEnd - kindRunGate]func(*System, *msg.Msg) vkernel.Outcome{
+	kindRunGate - kindRunGate:  (*System).handleRunGate,
+	kindGateSync - kindRunGate: (*System).handleGateSync,
+}
 
 // Gate verdict codes carried in the reply.
 const (
@@ -303,34 +314,22 @@ func (s *System) gatePeerBack(peer msg.NodeID) {
 	}
 }
 
-// dispatchGate routes the gate-range messages (kindRunGate and
-// kindGateSync). Registered on the self kernel of every mesh member;
-// only node 0 ever receives either.
-func (s *System) dispatchGate(k *vkernel.Kernel, req *msg.Msg) {
-	switch req.Kind {
-	case kindRunGate:
-		s.handleRunGate(k, req)
-	case kindGateSync:
-		s.handleGateSync(req)
-	}
-}
-
 // handleRunGate parks a remote member's arrival and completes the gate
 // once everyone — including this process's own program — has reached
-// it. Registered on the self kernel of every mesh member; only node 0
-// ever receives it.
-func (s *System) handleRunGate(_ *vkernel.Kernel, req *msg.Msg) {
+// it; the completion replies to every parked arrival, this one included.
+func (s *System) handleRunGate(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	seq := r.U64()
 	if r.Err() != nil {
 		s.nodes[s.self].C.Add(stats.CGateDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	s.gateMu.Lock()
 	g := s.gateInfoFor(seq)
 	g.reqs = append(g.reqs, req)
 	s.progressGateLocked(seq, g)
 	s.gateMu.Unlock()
+	return vkernel.Parked
 }
 
 // completeGateIfReady releases the gate once all members have arrived:
@@ -403,13 +402,13 @@ func (s *System) completeGateIfReady(seq uint64, g *gateInfo) {
 // arrival pairs with the survivors': the earliest gate still parked
 // here minus one, or node 0's own current sequence when nothing is
 // parked.
-func (s *System) handleGateSync(req *msg.Msg) {
+func (s *System) handleGateSync(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	sum := r.U64()
 	n := r.Int()
 	if r.Err() != nil {
 		s.nodes[s.self].C.Add(stats.CGateDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	peer := req.From
 	s.mu.Lock()
@@ -420,7 +419,7 @@ func (s *System) handleGateSync(req *msg.Msg) {
 		detail := fmt.Sprintf("node %d: %d setup records (digest %016x) vs node 0: %d (digest %016x)",
 			peer, n, sum, myN, mySum)
 		k.Reply(req, msg.NewBuilder(8+len(detail)).U8(gateDivergence).Str(detail).Bytes())
-		return
+		return vkernel.Replied
 	}
 	s.gateMu.Lock()
 	delete(s.downPeers, peer)
@@ -444,6 +443,7 @@ func (s *System) handleGateSync(req *msg.Msg) {
 		node.C.Add(stats.CRecoverGateSynced, 1)
 	}
 	k.Reply(req, msg.NewBuilder(16).U8(gateOK).U64(next).Bytes())
+	return vkernel.Replied
 }
 
 // resyncGate is the recovering member's side of the gate resync: send

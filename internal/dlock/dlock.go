@@ -56,21 +56,40 @@ type AtomicID uint32
 // CondID identifies a distributed condition variable.
 type CondID uint32
 
-// Message kinds used by the lock service.
+// Message kinds used by the lock service: one contiguous block, its
+// Call kinds, then its one-way kinds, then a sentinel one past the end.
+// The dispatch tables are keyed by kind minus the first kind of their
+// half, so a kind given two handlers, or a handler on a kind outside
+// its half, does not compile, and a kind given none panics in
+// NewService.
 const (
-	kindAcquire  = msg.KindLockBase + 0 // Call: request ownership; reply = grant(+data)
-	kindRelease  = msg.KindLockBase + 1 // Send: surrender ownership to home (+data)
-	kindRecall   = msg.KindLockBase + 2 // Send: home asks owner to surrender
-	kindBarrier  = msg.KindLockBase + 4 // Call: arrive at barrier; reply = release
-	kindFetchAdd = msg.KindLockBase + 5 // Call: atomic fetch-and-add
-	kindAtomLoad = msg.KindLockBase + 6 // Call: atomic load
-	kindCondWait = msg.KindLockBase + 7 // Call: block until signaled (pre-registered)
-	kindCondReg  = msg.KindLockBase + 8 // Call: register waiter, returns ticket
-	kindCondSig  = msg.KindLockBase + 9 // Call: signal/broadcast
+	kindAcquire  = msg.KindLockBase + iota // Call: request ownership; reply = grant(+data)
+	kindBarrier                            // Call: arrive at barrier; reply = release
+	kindFetchAdd                           // Call: atomic fetch-and-add
+	kindAtomLoad                           // Call: atomic load
+	kindCondWait                           // Call: block until signaled (pre-registered)
+	kindCondReg                            // Call: register waiter, returns ticket
+	kindCondSig                            // Call: signal/broadcast
+	kindRelease                            // Send: surrender ownership to home (+data)
+	kindRecall                             // Send: home asks owner to surrender
+	kindLockEnd                            // sentinel
 )
 
-// kindLockMax is the top of the range this service registers.
-const kindLockMax = msg.KindLockBase + 0x0f
+var (
+	lockCalls = [kindRelease - kindAcquire]func(*Service, *msg.Msg) vkernel.Outcome{
+		kindAcquire - kindAcquire:  (*Service).handleAcquire,
+		kindBarrier - kindAcquire:  (*Service).handleBarrier,
+		kindFetchAdd - kindAcquire: (*Service).handleFetchAdd,
+		kindAtomLoad - kindAcquire: (*Service).handleAtomLoad,
+		kindCondWait - kindAcquire: (*Service).handleCondWait,
+		kindCondReg - kindAcquire:  (*Service).handleCondReg,
+		kindCondSig - kindAcquire:  (*Service).handleCondSig,
+	}
+	lockSends = [kindLockEnd - kindRelease]func(*Service, *msg.Msg){
+		kindRelease - kindRelease: (*Service).handleRelease,
+		kindRecall - kindRelease:  (*Service).handleRecall,
+	}
+)
 
 // Service is one node's lock server plus its proxy table.
 type Service struct {
@@ -157,7 +176,8 @@ func NewService(k *vkernel.Kernel) *Service {
 		atomics:  make(map[AtomicID]*atomicState),
 		conds:    make(map[CondID]*condState),
 	}
-	k.Handle(msg.KindLockBase, kindLockMax, s.dispatch)
+	vkernel.HandleCalls(k, kindAcquire, s, lockCalls[:])
+	vkernel.HandleSends(k, kindRelease, s, lockSends[:])
 	return s
 }
 
@@ -283,13 +303,16 @@ func (s *Service) Acquire(id LockID) {
 			p.mu.Unlock()
 
 			reply, err := s.k.Call(s.home(id), kindAcquire, encodeLockPayload(uint32(id), nil))
+			var data []byte
+			if err == nil {
+				_, data, err = decodeLockPayload(reply.Payload)
+			}
 			if err != nil {
 				p.mu.Lock()
 				p.requesting = false
 				p.cond.Broadcast()
 				panic(fmt.Sprintf("dlock: acquire lock %d: %v", id, err))
 			}
-			_, data := decodeLockPayload(reply.Payload)
 			// The home's grant has arrived but ownership is not yet
 			// recorded: a member dying here leaves the home believing
 			// it owns the lock.
@@ -449,33 +472,39 @@ func (s *Service) resetPeer(peer msg.NodeID) (dequeued, released int64) {
 	return dequeued, released
 }
 
-// dispatch routes lock-service messages.
-func (s *Service) dispatch(k *vkernel.Kernel, req *msg.Msg) {
-	switch req.Kind {
-	case kindAcquire:
-		s.handleAcquire(req)
-	case kindRelease:
-		s.handleRelease(req)
-	case kindRecall:
-		s.handleRecall(req)
-	case kindBarrier:
-		s.handleBarrier(req)
-	case kindFetchAdd:
-		s.handleFetchAdd(req)
-	case kindAtomLoad:
-		s.handleAtomLoad(req)
-	case kindCondReg:
-		s.handleCondReg(req)
-	case kindCondWait:
-		s.handleCondWait(req)
-	case kindCondSig:
-		s.handleCondSig(req)
+// lockFromWire decodes the (lockID, data) payload of a lock message. A
+// peer's bad input is not this program's bug: a payload that does not
+// decode is counted (dlock.drop_malformed) and ok is false.
+func (s *Service) lockFromWire(p []byte) (id uint32, data []byte, ok bool) {
+	id, data, err := decodeLockPayload(p)
+	if err != nil {
+		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		return 0, nil, false
 	}
+	return id, data, true
 }
 
-func (s *Service) handleAcquire(req *msg.Msg) {
-	id, _ := decodeLockPayload(req.Payload)
-	h := s.homeState(LockID(id))
+// homeFromWire is lockFromWire for the messages a lock's home serves: it
+// also resolves the lock's home-side state, and a lock this node does
+// not home — where homeState would panic — is counted
+// (dlock.drop_misdirected). h is nil when the message is dropped.
+func (s *Service) homeFromWire(p []byte) (id uint32, data []byte, h *homeState) {
+	id, data, ok := s.lockFromWire(p)
+	if !ok {
+		return 0, nil, nil
+	}
+	if s.home(LockID(id)) != s.k.Node() {
+		s.k.C.Add(stats.CDlockDropMisdirected, 1)
+		return 0, nil, nil
+	}
+	return id, data, s.homeState(LockID(id))
+}
+
+func (s *Service) handleAcquire(req *msg.Msg) vkernel.Outcome {
+	id, _, h := s.homeFromWire(req.Payload)
+	if h == nil {
+		return vkernel.Dropped
+	}
 	h.mu.Lock()
 	if !h.owned {
 		h.owned = true
@@ -484,7 +513,7 @@ func (s *Service) handleAcquire(req *msg.Msg) {
 		h.stored = nil
 		h.mu.Unlock()
 		s.k.ReplyOwned(req, lockWire(id, data))
-		return
+		return vkernel.Replied
 	}
 	h.queue = append(h.queue, pendingGrant{node: req.From, req: req})
 	needRecall := len(h.queue) == 1
@@ -493,11 +522,14 @@ func (s *Service) handleAcquire(req *msg.Msg) {
 	if needRecall {
 		s.k.Send(owner, kindRecall, encodeLockPayload(id, nil))
 	}
+	return vkernel.Parked
 }
 
 func (s *Service) handleRelease(req *msg.Msg) {
-	id, data := decodeLockPayload(req.Payload)
-	h := s.homeState(LockID(id))
+	id, data, h := s.homeFromWire(req.Payload)
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	if len(h.queue) == 0 {
 		h.owned = false
@@ -519,7 +551,10 @@ func (s *Service) handleRelease(req *msg.Msg) {
 }
 
 func (s *Service) handleRecall(req *msg.Msg) {
-	id, _ := decodeLockPayload(req.Payload)
+	id, _, ok := s.lockFromWire(req.Payload)
+	if !ok {
+		return
+	}
 	p := s.proxy(LockID(id))
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -570,11 +605,12 @@ func putLockPayload(b *msg.Builder, id uint32, data []byte) {
 	}
 }
 
-// decodeLockPayload unpacks (lockID, data). data aliases p, which the
-// receiver owns (transport.Endpoint.Recv); what outlives the handler —
-// h.stored — is copied out, so a few parked bytes never pin the
-// coalesced frame they arrived in.
-func decodeLockPayload(p []byte) (id uint32, data []byte) {
+// decodeLockPayload unpacks (lockID, data), or reports a payload that
+// does not decode. data aliases p, which the receiver owns
+// (transport.Endpoint.Recv); what outlives the handler — h.stored — is
+// copied out, so a few parked bytes never pin the coalesced frame they
+// arrived in.
+func decodeLockPayload(p []byte) (id uint32, data []byte, err error) {
 	r := msg.NewReader(p)
 	id = r.U32()
 	if r.Bool() {
@@ -583,8 +619,8 @@ func decodeLockPayload(p []byte) (id uint32, data []byte) {
 			data = []byte{}
 		}
 	}
-	if r.Err() != nil {
-		panic(fmt.Sprintf("dlock: corrupt payload: %v", r.Err()))
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("dlock: corrupt lock payload: %w", err)
 	}
-	return id, data
+	return id, data, nil
 }

@@ -6,6 +6,7 @@ import (
 	"munin/internal/cluster"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/vkernel"
 )
 
 // ---------------------------------------------------------------------
@@ -33,13 +34,13 @@ func (s *Service) BarrierWait(id BarrierID, n int) {
 	}
 }
 
-func (s *Service) handleBarrier(req *msg.Msg) {
+func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := BarrierID(r.U32())
 	n := r.Int()
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	s.mu.Lock()
 	b, ok := s.barriers[id]
@@ -53,7 +54,7 @@ func (s *Service) handleBarrier(req *msg.Msg) {
 	b.arrived = append(b.arrived, req)
 	if len(b.arrived) < n {
 		b.mu.Unlock()
-		return
+		return vkernel.Parked
 	}
 	waiters := b.arrived
 	b.arrived = nil
@@ -61,6 +62,7 @@ func (s *Service) handleBarrier(req *msg.Msg) {
 	for _, w := range waiters {
 		s.k.Reply(w, nil)
 	}
+	return vkernel.Replied
 }
 
 // ---------------------------------------------------------------------
@@ -102,13 +104,13 @@ func (s *Service) atomicState(id AtomicID) *atomicState {
 	return a
 }
 
-func (s *Service) handleFetchAdd(req *msg.Msg) {
+func (s *Service) handleFetchAdd(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := AtomicID(r.U32())
 	delta := r.I64()
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	a := s.atomicState(id)
 	a.mu.Lock()
@@ -116,20 +118,22 @@ func (s *Service) handleFetchAdd(req *msg.Msg) {
 	a.v += delta
 	a.mu.Unlock()
 	s.k.Reply(req, msg.NewBuilder(8).I64(old).Bytes())
+	return vkernel.Replied
 }
 
-func (s *Service) handleAtomLoad(req *msg.Msg) {
+func (s *Service) handleAtomLoad(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := AtomicID(r.U32())
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	a := s.atomicState(id)
 	a.mu.Lock()
 	v := a.v
 	a.mu.Unlock()
 	s.k.Reply(req, msg.NewBuilder(8).I64(v).Bytes())
+	return vkernel.Replied
 }
 
 // ---------------------------------------------------------------------
@@ -192,12 +196,12 @@ func (s *Service) condSignal(cond CondID, all bool) {
 	}
 }
 
-func (s *Service) handleCondReg(req *msg.Msg) {
+func (s *Service) handleCondReg(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := CondID(r.U32())
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	c := s.condState(id)
 	c.mu.Lock()
@@ -206,15 +210,16 @@ func (s *Service) handleCondReg(req *msg.Msg) {
 	c.waiters[tkt] = nil // registered, not yet blocked
 	c.mu.Unlock()
 	s.k.Reply(req, msg.NewBuilder(8).U64(tkt).Bytes())
+	return vkernel.Replied
 }
 
-func (s *Service) handleCondWait(req *msg.Msg) {
+func (s *Service) handleCondWait(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := CondID(r.U32())
 	tkt := r.U64()
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	c := s.condState(id)
 	c.mu.Lock()
@@ -223,19 +228,20 @@ func (s *Service) handleCondWait(req *msg.Msg) {
 		delete(c.waiters, tkt)
 		c.mu.Unlock()
 		s.k.Reply(req, nil)
-		return
+		return vkernel.Replied
 	}
 	c.waiters[tkt] = req
 	c.mu.Unlock()
+	return vkernel.Parked
 }
 
-func (s *Service) handleCondSig(req *msg.Msg) {
+func (s *Service) handleCondSig(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := CondID(r.U32())
 	all := r.Bool()
 	if r.Err() != nil {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	c := s.condState(id)
 	c.mu.Lock()
@@ -259,6 +265,7 @@ func (s *Service) handleCondSig(req *msg.Msg) {
 		s.k.Reply(w, nil)
 	}
 	s.k.Reply(req, nil)
+	return vkernel.Replied
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ import (
 	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
+	"munin/internal/vkernel"
 )
 
 // TestBatchedFlushIsO1PerHome is the headline property of the batched
@@ -415,7 +416,9 @@ func TestMalformedBatchIsCountedAndChangesNothing(t *testing.T) {
 		for name, p := range damage(c.payload) {
 			beforeData, beforeSeqs := snapshot(c.at)
 			drops := c.at.C.Get("drop.malformed")
-			c.at.dispatch(c.at.k, &msg.Msg{Kind: c.kind, From: c.from, To: c.at.id, Seq: 1 << 40, Payload: p})
+			if out := cohCalls[c.kind-kindRead](c.at, &msg.Msg{Kind: c.kind, From: c.from, To: c.at.id, Seq: 1 << 40, Payload: p}); out != vkernel.Dropped {
+				t.Errorf("kind %#x, %s: handler returned outcome %d, want Dropped", c.kind, name, out)
+			}
 			if got := c.at.C.Get("drop.malformed") - drops; got != 1 {
 				t.Errorf("kind %#x, %s: drop.malformed moved by %d, want 1", c.kind, name, got)
 			}

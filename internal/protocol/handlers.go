@@ -28,16 +28,16 @@ func (n *Node) allOtherNodes() []msg.NodeID {
 
 // handleRead serves a copy of the object to a faulting reader. This node
 // is the object's home.
-func (n *Node) handleRead(req *msg.Msg) {
+func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeRead, 1)
@@ -52,13 +52,13 @@ func (n *Node) handleRead(req *msg.Msg) {
 		d.copyset[req.From] = true
 		epoch := d.epoch
 		if d.owner != n.id {
-			n.forward(d, o, req, kindFwdRead, msg.NewBuilder(8).U32(uint32(id)).U32(epoch).Bytes(),
+			out := n.forward(d, o, req, msg.NewBuilder(8).U32(uint32(id)).U32(epoch).Bytes(),
 				forwarded{to: d.owner, seq: req.Seq})
 			d.mu.Unlock()
-			return
+			return out
 		}
 		d.mu.Unlock()
-		n.serveRead(o, req, epoch)
+		return n.serveRead(o, req, epoch)
 
 	case o.pol.frozen:
 		// Serving the first replica ends initialisation: the home copy
@@ -82,6 +82,7 @@ func (n *Node) handleRead(req *msg.Msg) {
 		b.Str(s).U64(0)
 		wb.B = b.Bytes()
 		n.k.ReplyOwned(req, wb)
+		return vkernel.Replied
 
 	default:
 		// Replication protocols: the home copy is authoritative.
@@ -93,6 +94,7 @@ func (n *Node) handleRead(req *msg.Msg) {
 		d.rereads++
 		d.mu.Unlock()
 		n.k.ReplyOwned(req, wb)
+		return vkernel.Replied
 	}
 }
 
@@ -159,14 +161,17 @@ func encodeBytesReply(data []byte) *bufpool.Buffer {
 // one that reaches its target ahead of the grant naming it owner parks
 // there (awaitGrant), and a read forward that arrives after the write
 // that ended the target's ownership finds the copy Invalid and is
-// nacked. A forward that cannot be sent is refused here.
-func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, kind msg.Kind, payload []byte, f forwarded) {
+// nacked. A forward that cannot be sent is refused here. A write fault
+// travels as kindFwdWrite, a read fault as kindFwdRead.
+func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, payload []byte, f forwarded) vkernel.Outcome {
+	var err error
 	if f.write {
 		n.C.Add(stats.CFwdWrite, 1)
+		err = n.k.Forward(req, f.to, kindFwdWrite, payload)
 	} else {
 		n.C.Add(stats.CFwdRead, 1)
+		err = n.k.Forward(req, f.to, kindFwdRead, payload)
 	}
-	err := n.k.Forward(req, f.to, kind, payload)
 	var down *transport.ErrPeerDown
 	switch {
 	case err == nil:
@@ -174,12 +179,15 @@ func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, kind msg.Kind, payload
 			d.fwd = make(map[msg.NodeID]forwarded)
 		}
 		d.fwd[req.From] = f
+		return vkernel.Forwarded
 	case isGone(err):
 		// The owner left; PeerGone is about to prune it.
-		n.refuse(o, req.From, f, nackRetry)
+		return n.refuse(o, req.From, f, nackRetry)
 	case errors.As(err, &down):
-		n.refuse(o, req.From, f, nackOwnerDown)
-	case !isShutdown(err):
+		return n.refuse(o, req.From, f, nackOwnerDown)
+	case isShutdown(err):
+		return vkernel.Dropped
+	default:
 		panic(fmt.Sprintf("munin: forward a fault on object %d to node %d: %v", o.meta.ID, f.to, err))
 	}
 }
@@ -200,14 +208,14 @@ func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, kind msg.Kind, payload
 // the note is older than the fault's completion: the faulting node
 // takes whichever reply comes first and drops the other as stray.
 // Caller holds d.mu.
-func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) {
+func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) vkernel.Outcome {
 	call := &msg.Msg{Kind: kindRead, From: from, Seq: f.seq}
 	if f.write {
 		call.Kind = kindWriteOwn
 	}
 	switch {
 	case !f.write || reason == nackOwnerDown:
-		n.nack(call, reason, f.to)
+		return n.nack(call, reason, f.to)
 	case f.good:
 		n.k.ReplyOwned(call, encodeGrant(false, f.epoch, nil))
 	default:
@@ -216,17 +224,19 @@ func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) {
 		o.mu.Unlock()
 		n.k.ReplyOwned(call, wb)
 	}
+	return vkernel.Replied
 }
 
 // nack answers the fault req with a nack in place of the object or the
 // grant: nackRetry, or nackOwnerDown naming the lost owner.
-func (n *Node) nack(req *msg.Msg, reason uint8, owner msg.NodeID) {
+func (n *Node) nack(req *msg.Msg, reason uint8, owner msg.NodeID) vkernel.Outcome {
 	n.C.Add(stats.CFwdNack, 1)
 	b := msg.NewBuilder(5).U8(reason)
 	if reason == nackOwnerDown {
 		b.U32(uint32(owner))
 	}
 	n.k.Reply(req, b.Bytes())
+	return vkernel.Replied
 }
 
 // refuseForwards answers every noted fault that was forwarded to peer,
@@ -262,20 +272,22 @@ var testHookFwdRead func(stage string)
 // handleFwdRead serves a read fault the home forwarded to this node as
 // the owner of the object's ownership period epoch: the reply goes to the
 // reader (req.From is the reader, not the home — vkernel.Forward).
-func (n *Node) handleFwdRead(req *msg.Msg) {
+func (n *Node) handleFwdRead(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	epoch := r.U32()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	if testHookFwdRead != nil {
 		testHookFwdRead("arrived")
 	}
-	if o := n.ownedFromWire(id); o != nil {
-		n.serveRead(o, req, epoch)
+	o := n.ownedFromWire(id)
+	if o == nil {
+		return vkernel.Dropped
 	}
+	return n.serveRead(o, req, epoch)
 }
 
 // serveRead is the owner's half of a read fault: it shares the copy with
@@ -286,18 +298,16 @@ func (n *Node) handleFwdRead(req *msg.Msg) {
 // object: the reader has been in the copy set since before the fault
 // left the home, so any write granted since has invalidated the reader,
 // and its generation check discards whatever this reply carries.
-func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) {
+func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) vkernel.Outcome {
 	o.mu.Lock()
 	o.awaitGrant(epoch)
 	if lost := o.lost; lost != nil {
 		o.mu.Unlock()
-		n.nack(req, nackOwnerDown, lost.Node)
-		return
+		return n.nack(req, nackOwnerDown, lost.Node)
 	}
 	if o.state == Invalid {
 		o.mu.Unlock()
-		n.nack(req, nackRetry, 0)
-		return
+		return n.nack(req, nackRetry, 0)
 	}
 	wb := o.shareOwned()
 	o.mu.Unlock()
@@ -306,6 +316,7 @@ func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) {
 		testHookFwdRead("served")
 	}
 	n.k.ReplyOwned(req, wb)
+	return vkernel.Replied
 }
 
 // handleWriteOwn grants exclusive ownership to the requester after
@@ -339,21 +350,21 @@ func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) {
 // So a requester that vouched and was since invalidated cannot be back in
 // the copy set — it finds itself missing and is sent the bytes — and one
 // that is in the copy set has not been invalidated since it vouched.
-func (n *Node) handleWriteOwn(req *msg.Msg) {
+func (n *Node) handleWriteOwn(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	vouched := r.Bool()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.ownedFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	if n.homeOf(&o.meta) != n.id {
 		n.C.Add(stats.CDropMisdirected, 1)
-		return
+		return vkernel.Dropped
 	}
 	d := n.dirEntryOf(id)
 	n.C.Add(stats.CHomeWriteOwn, 1)
@@ -367,21 +378,23 @@ func (n *Node) handleWriteOwn(req *msg.Msg) {
 	// they have, the home's service of the next fault must park.
 	d.owner, d.epoch = requester, epoch+1
 	d.copyset = map[msg.NodeID]bool{requester: true}
+	var out vkernel.Outcome
 	switch oldOwner {
 	case requester:
 		// An owner's copy is valid (a node whose ownership was lost
 		// refuses its own faults). The grant goes out before d.mu is
 		// released, so the next forward to this owner cannot overtake it.
 		n.k.ReplyOwned(req, encodeGrant(false, epoch+1, nil))
+		out = vkernel.Replied
 	case n.id:
 		d.mu.Unlock()
-		n.serveWrite(o, req, epoch, good)
-		return
+		return n.serveWrite(o, req, epoch, good)
 	default:
 		f := forwarded{to: oldOwner, seq: req.Seq, epoch: epoch + 1, write: true, good: good}
-		n.forward(d, o, req, kindFwdWrite, msg.NewBuilder(9).U32(uint32(id)).U32(epoch).Bool(good).Bytes(), f)
+		out = n.forward(d, o, req, msg.NewBuilder(9).U32(uint32(id)).U32(epoch).Bool(good).Bytes(), f)
 	}
 	d.mu.Unlock()
+	return out
 }
 
 // invalidateCopies retires every copy of the object but the requester's
@@ -433,21 +446,23 @@ var testHookFwdWrite func(n *Node, stage string)
 // handleFwdWrite serves a write fault the home forwarded to this node as
 // the owner of the object's ownership period epoch, which the write ends:
 // the grant goes to the writer (req.From).
-func (n *Node) handleFwdWrite(req *msg.Msg) {
+func (n *Node) handleFwdWrite(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	epoch := r.U32()
 	good := r.Bool()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	if testHookFwdWrite != nil {
 		testHookFwdWrite(n, "arrived")
 	}
-	if o := n.ownedFromWire(id); o != nil {
-		n.serveWrite(o, req, epoch, good)
+	o := n.ownedFromWire(id)
+	if o == nil {
+		return vkernel.Dropped
 	}
+	return n.serveWrite(o, req, epoch, good)
 }
 
 // serveWrite is the old owner's half of a write fault that ends
@@ -458,18 +473,17 @@ func (n *Node) handleFwdWrite(req *msg.Msg) {
 // ownership was lost passes the loss on to the writer. A node that does
 // not own the period was sent a forward the protocol never sends: it is
 // counted and dropped.
-func (n *Node) serveWrite(o *Obj, req *msg.Msg, epoch uint32, good bool) {
+func (n *Node) serveWrite(o *Obj, req *msg.Msg, epoch uint32, good bool) vkernel.Outcome {
 	o.mu.Lock()
 	o.awaitGrant(epoch)
 	if lost := o.lost; lost != nil {
 		o.mu.Unlock()
-		n.nack(req, nackOwnerDown, lost.Node)
-		return
+		return n.nack(req, nackOwnerDown, lost.Node)
 	}
 	if !o.owns || o.epoch != epoch {
 		o.mu.Unlock()
 		n.C.Add(stats.CDropMisdirected, 1)
-		return
+		return vkernel.Dropped
 	}
 	grant := encodeGrant(!good, epoch+1, o.data)
 	o.invalidate()
@@ -481,6 +495,7 @@ func (n *Node) serveWrite(o *Obj, req *msg.Msg, epoch uint32, good bool) {
 		testHookFwdWrite(n, "served")
 	}
 	n.k.ReplyOwned(req, grant)
+	return vkernel.Replied
 }
 
 // encodeGrant builds an ownership grant: whether the requester needs
@@ -508,16 +523,16 @@ var testHookInv func()
 // in-flight ownership request: an invalidation can legitimately arrive
 // while this node's own WriteOwn is queued behind another node's at the
 // home, and the later grant will overwrite with fresh data anyway.
-func (n *Node) handleInv(req *msg.Msg) {
+func (n *Node) handleInv(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	if testHookInv != nil {
 		testHookInv()
@@ -527,6 +542,7 @@ func (n *Node) handleInv(req *msg.Msg) {
 	o.mu.Unlock()
 	n.C.Add(stats.CInvReceived, 1)
 	n.k.Reply(req, nil)
+	return vkernel.Replied
 }
 
 // decodeScratch is the receive-side pooled scratch: a handler decodes
@@ -757,7 +773,7 @@ func sameEntry(a, b relay) bool { return a.entry == b.entry }
 // relay excludes the sender, so the sender advances its own copies'
 // sequences from the reply instead (otherwise every later relay to it
 // would look like a gap and park forever).
-func (n *Node) handleDiffBatch(req *msg.Msg) {
+func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	count := int(r.U32())
 	// Each entry costs at least 9 bytes on the wire (1-byte length
@@ -765,7 +781,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 	// claiming more is corrupt — reject before trusting it.
 	if r.Err() != nil || count < 0 || count > r.Remaining()/9 {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	ds := getDecodeScratch()
 	defer putDecodeScratch(ds)
@@ -776,10 +792,10 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
 		if e.Err() != nil || r.Err() != nil {
 			n.C.Add(stats.CDropMalformed, 1)
-			return
+			return vkernel.Dropped
 		}
 		if n.entryFromWire(id, ds.spans[lo:]) == nil {
-			return
+			return vkernel.Dropped
 		}
 		ds.entries = append(ds.entries, batchEntry{id: id, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
 	}
@@ -793,6 +809,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) {
 		b.U64(s)
 	}
 	n.k.Reply(req, b.Bytes())
+	return vkernel.Replied
 }
 
 // entryFromWire is objFromWire for a batch entry: it also counts as
@@ -817,13 +834,13 @@ func (n *Node) entryFromWire(id memory.ObjectID, spans []memory.Span) *Obj {
 // while missing an earlier one. The whole batch is decoded before
 // anything is installed: a batch malformed at any entry is dropped
 // without having changed a byte.
-func (n *Node) handleApplyBatch(req *msg.Msg) {
+func (n *Node) handleApplyBatch(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	count := int(r.U32())
 	// At least 17 bytes an entry: the diff entry's 9 plus the sequence.
 	if r.Err() != nil || count < 0 || count > r.Remaining()/17 {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	ds := getDecodeScratch()
 	defer putDecodeScratch(ds)
@@ -835,10 +852,10 @@ func (n *Node) handleApplyBatch(req *msg.Msg) {
 		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
 		if e.Err() != nil || r.Err() != nil {
 			n.C.Add(stats.CDropMalformed, 1)
-			return
+			return vkernel.Dropped
 		}
 		if n.entryFromWire(id, ds.spans[lo:]) == nil {
-			return
+			return vkernel.Dropped
 		}
 		ds.applies = append(ds.applies, applyEntry{id: id, seq: seq, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
 	}
@@ -846,6 +863,7 @@ func (n *Node) handleApplyBatch(req *msg.Msg) {
 		n.applyRefresh(n.mustObj(e.id), e.seq, e.spans)
 	}
 	n.k.Reply(req, nil)
+	return vkernel.Replied
 }
 
 // isShutdown reports whether an error is a benign consequence of the
@@ -916,22 +934,22 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 // handleRemRead serves a remote load (read-mostly remote mode, result
 // readers away from the collector). The home tracks the read/write mix
 // to drive the §3.4.1 dynamic decision.
-func (n *Node) handleRemRead(req *msg.Msg) {
+func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	off := r.Int()
 	ln := r.Int()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	if !inRange(o, off, ln) {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	wb := encodeBytesReply(o.data[off : off+ln])
@@ -940,7 +958,7 @@ func (n *Node) handleRemRead(req *msg.Msg) {
 	n.k.ReplyOwned(req, wb)
 
 	if !o.pol.remote || !o.meta.Opts.Dynamic {
-		return
+		return vkernel.Replied
 	}
 	d := n.dirEntryOf(id)
 	d.mu.Lock()
@@ -958,26 +976,27 @@ func (n *Node) handleRemRead(req *msg.Msg) {
 		n.k.MulticastTo(n.allOtherNodes(), kindModeSw,
 			msg.NewBuilder(5).U32(uint32(id)).Bool(true).Bytes())
 	}
+	return vkernel.Replied
 }
 
 // handleRemWrite applies a remote store at the home and, for replicated
 // read-mostly objects, redistributes per the object's update mode.
-func (n *Node) handleRemWrite(req *msg.Msg) {
+func (n *Node) handleRemWrite(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	off := r.Int()
 	data := r.BytesN() // the request is this handler's to keep (transport.Endpoint.Recv)
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	if !inRange(o, off, len(data)) {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	copy(o.data[off:], data)
@@ -991,6 +1010,7 @@ func (n *Node) handleRemWrite(req *msg.Msg) {
 
 	seq := n.homeAfterRemoteWrite(id, []memory.Span{{Off: off, Data: data}}, req.From)
 	n.k.Reply(req, msg.NewBuilder(8).U64(seq).Bytes())
+	return vkernel.Replied
 }
 
 // homeAfterRemoteWrite redistributes a write at the home of a
@@ -1055,16 +1075,16 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 	}
 	// A refresh is a one-entry sequenced batch; an invalidation is the
 	// ownership protocols' kindInv — the same state change at the copy.
-	var kind msg.Kind
-	var payload []byte
-	if mode == Refresh {
-		kind, payload = kindApplyBatch, encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: spans}})
-		n.countBatch(1, len(payload))
-	} else {
-		kind, payload = kindInv, msg.NewBuilder(4).U32(uint32(id)).Bytes()
-	}
 	n.C.Add(stats.CHomeRelay, 1)
-	if _, err := n.k.MulticastCall(members, kind, payload); err != nil && !n.relayBenign(err) {
+	var err error
+	if mode == Refresh {
+		payload := encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: spans}})
+		n.countBatch(1, len(payload))
+		_, err = n.k.MulticastCall(members, kindApplyBatch, payload)
+	} else {
+		_, err = n.k.MulticastCall(members, kindInv, msg.NewBuilder(4).U32(uint32(id)).Bytes())
+	}
+	if err != nil && !n.relayBenign(err) {
 		panic(fmt.Sprintf("munin: redistribute object %d: %v", id, err))
 	}
 	return seq
@@ -1072,17 +1092,17 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 
 // handleRegCons registers a producer or consumer for a
 // producer-consumer object and returns the current contents + sequence.
-func (n *Node) handleRegCons(req *msg.Msg) {
+func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	isProducer := r.Bool()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	consumers := n.registerPC(o, req.From, isProducer)
 	if !isProducer {
@@ -1098,6 +1118,7 @@ func (n *Node) handleRegCons(req *msg.Msg) {
 	}
 	wb.B = b.Bytes()
 	n.k.ReplyOwned(req, wb)
+	return vkernel.Replied
 }
 
 // registerPC is the home's half of a producer-consumer registration:
@@ -1153,13 +1174,13 @@ func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) []msg.NodeID
 }
 
 // handleConsUpd refreshes the producer's cached consumer set.
-func (n *Node) handleConsUpd(req *msg.Msg) {
+func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	nc := int(r.U32())
 	if nc > r.Remaining()/4 {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	consumers := make([]msg.NodeID, 0, nc)
 	for i := 0; i < nc; i++ {
@@ -1167,16 +1188,17 @@ func (n *Node) handleConsUpd(req *msg.Msg) {
 	}
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	o.consumers = consumers
 	o.mu.Unlock()
 	n.k.Reply(req, nil)
+	return vkernel.Replied
 }
 
 // handleEvict removes a node from the copyset after it paged the copy
@@ -1198,7 +1220,8 @@ func (n *Node) handleEvict(req *msg.Msg) {
 }
 
 // handleModeSw switches a read-mostly object to replicated mode on this
-// node.
+// node. Only the object's home decides the mode (handleRemRead): a
+// switch from any other node is counted (drop.misdirected) and ignored.
 func (n *Node) handleModeSw(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
@@ -1209,6 +1232,10 @@ func (n *Node) handleModeSw(req *msg.Msg) {
 	}
 	o := n.objFromWire(id)
 	if o == nil {
+		return
+	}
+	if req.From != n.homeOf(&o.meta) {
+		n.C.Add(stats.CDropMisdirected, 1)
 		return
 	}
 	o.mu.Lock()

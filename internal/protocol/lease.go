@@ -151,15 +151,15 @@ func (n *Node) leaseWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 // handleLeaseRead grants or renews a lease at the home: echo the
 // version when the requester is current, ship version + bytes when it
 // is behind (or taking its first lease).
-func (n *Node) handleLeaseRead(req *msg.Msg) {
+func (n *Node) handleLeaseRead(req *msg.Msg) vkernel.Outcome {
 	lr, err := msg.DecodeLeaseReq(req.Payload)
 	if err != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(memory.ObjectID(lr.Obj))
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	ver := o.applySeq
@@ -167,7 +167,7 @@ func (n *Node) handleLeaseRead(req *msg.Msg) {
 		o.mu.Unlock()
 		n.C.Add(stats.CLeaseRenewed, 1)
 		n.k.Reply(req, msg.LeaseGrant{Ver: ver, Unchanged: true}.Encode())
-		return
+		return vkernel.Replied
 	}
 	g := msg.LeaseGrant{Ver: ver, Data: o.data}
 	wb, b := vkernel.NewWire(g.Size())
@@ -180,27 +180,28 @@ func (n *Node) handleLeaseRead(req *msg.Msg) {
 		n.C.Add(stats.CLeaseGranted, 1)
 	}
 	n.k.ReplyOwned(req, wb)
+	return vkernel.Replied
 }
 
 // handleLeaseWrite applies a write-through at the home and bumps the
 // object's logical version. The reply carries the new version; nothing
 // else moves — zero invalidation multicast, no copyset bookkeeping.
-func (n *Node) handleLeaseWrite(req *msg.Msg) {
+func (n *Node) handleLeaseWrite(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	off := r.Int()
 	data := r.BytesN()
 	if r.Err() != nil {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
 	if o == nil {
-		return
+		return vkernel.Dropped
 	}
 	if !inRange(o, off, len(data)) {
 		n.C.Add(stats.CDropMalformed, 1)
-		return
+		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	copy(o.data[off:], data)
@@ -209,4 +210,5 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) {
 	o.mu.Unlock()
 	n.C.Add(stats.CLeaseBumps, 1)
 	n.k.Reply(req, msg.NewBuilder(8).U64(ver).Bytes())
+	return vkernel.Replied
 }

@@ -491,28 +491,64 @@ type Node struct {
 	reads, writes, writeBuffered *stats.Counter
 }
 
-// Message kinds (KindCohBase + n). Allocation announces (Node.Alloc) are
-// control traffic (msg.KindPing range), not coherence traffic: the bench
-// harness separates one-time setup from steady-state sharing messages.
+// Message kinds. Each package's kinds form one contiguous block: its
+// Call kinds, then its one-way kinds, then a sentinel one past the end.
+// The dispatch tables below are keyed by kind minus the first kind of
+// their half, so a kind given two handlers, or a handler on a kind
+// outside its half, does not compile, and a kind given none panics in
+// NewNode. Allocation announces (Node.Alloc) are control traffic
+// (msg.KindPing range), not coherence traffic — the bench harness
+// separates one-time setup from steady-state sharing messages — so
+// kindAlloc is a block of its own.
 const (
-	kindAlloc      = msg.KindPing + 1     // Call: install object metadata + initial bytes (Node.Alloc)
-	kindRead       = msg.KindCohBase + 1  // Call: fetch a readable copy from home
-	kindWriteOwn   = msg.KindCohBase + 2  // Call: acquire exclusive ownership
-	kindInv        = msg.KindCohBase + 3  // Call/multicast: invalidate local copy (acked)
-	kindFwdRead    = msg.KindCohBase + 4  // Forward: home passes a read fault to the owner, which answers the reader
-	kindFwdWrite   = msg.KindCohBase + 5  // Forward: home passes a write fault to the old owner, which grants the writer
-	kindRemRead    = msg.KindCohBase + 7  // Call: remote load (read-mostly, result readers)
-	kindRemWrite   = msg.KindCohBase + 8  // Call: remote store (read-mostly)
-	kindRegCons    = msg.KindCohBase + 9  // Call: register as consumer; reply data+seq
-	kindConsUpd    = msg.KindCohBase + 10 // Call: home tells producer the consumer set changed (acked)
-	kindEvict      = msg.KindCohBase + 11 // Send: node dropped its copy (pageout)
-	kindModeSw     = msg.KindCohBase + 12 // Send/multicast: dynamic mode switch
-	kindDiffBatch  = msg.KindCohBase + 13 // Call: delayed-update diffs for one home, one entry per object (acked)
-	kindApplyBatch = msg.KindCohBase + 14 // Call/multicast: sequenced refreshes at copies, one entry per object (acked)
-	kindLeaseRead  = msg.KindCohBase + 15 // Call: lease take/renew (msg.LeaseReq -> msg.LeaseGrant)
-	kindLeaseWrite = msg.KindCohBase + 16 // Call: lease write-through; reply is the new version
-	kindRecover    = msg.KindCohBase + 17 // Call: rejoined member re-announces its allocations (recovery.go)
-	kindCohMax     = msg.KindCohBase + 0x1f
+	kindAlloc    = msg.KindPing + 1 + iota // Call: install object metadata + initial bytes (Node.Alloc)
+	kindAllocEnd                           // sentinel
+)
+
+const (
+	kindRead       = msg.KindCohBase + iota // Call: fetch a readable copy from home
+	kindWriteOwn                            // Call: acquire exclusive ownership
+	kindInv                                 // Call/multicast: invalidate local copy (acked)
+	kindFwdRead                             // Forward: home passes a read fault to the owner, which answers the reader
+	kindFwdWrite                            // Forward: home passes a write fault to the old owner, which grants the writer
+	kindRemRead                             // Call: remote load (read-mostly, result readers)
+	kindRemWrite                            // Call: remote store (read-mostly)
+	kindRegCons                             // Call: register as consumer; reply data+seq
+	kindConsUpd                             // Call: home tells producer the consumer set changed (acked)
+	kindDiffBatch                           // Call: delayed-update diffs for one home, one entry per object (acked)
+	kindApplyBatch                          // Call/multicast: sequenced refreshes at copies, one entry per object (acked)
+	kindLeaseRead                           // Call: lease take/renew (msg.LeaseReq -> msg.LeaseGrant)
+	kindLeaseWrite                          // Call: lease write-through; reply is the new version
+	kindRecover                             // Call: rejoined member re-announces its allocations (recovery.go)
+	kindEvict                               // Send: node dropped its copy (pageout)
+	kindModeSw                              // multicast: dynamic mode switch, from the home
+	kindCohEnd                              // sentinel
+)
+
+var (
+	allocCalls = [kindAllocEnd - kindAlloc]func(*Node, *msg.Msg) vkernel.Outcome{
+		kindAlloc - kindAlloc: (*Node).handleAlloc,
+	}
+	cohCalls = [kindEvict - kindRead]func(*Node, *msg.Msg) vkernel.Outcome{
+		kindRead - kindRead:       (*Node).handleRead,
+		kindWriteOwn - kindRead:   (*Node).handleWriteOwn,
+		kindInv - kindRead:        (*Node).handleInv,
+		kindFwdRead - kindRead:    (*Node).handleFwdRead,
+		kindFwdWrite - kindRead:   (*Node).handleFwdWrite,
+		kindRemRead - kindRead:    (*Node).handleRemRead,
+		kindRemWrite - kindRead:   (*Node).handleRemWrite,
+		kindRegCons - kindRead:    (*Node).handleRegCons,
+		kindConsUpd - kindRead:    (*Node).handleConsUpd,
+		kindDiffBatch - kindRead:  (*Node).handleDiffBatch,
+		kindApplyBatch - kindRead: (*Node).handleApplyBatch,
+		kindLeaseRead - kindRead:  (*Node).handleLeaseRead,
+		kindLeaseWrite - kindRead: (*Node).handleLeaseWrite,
+		kindRecover - kindRead:    (*Node).handleRecover,
+	}
+	cohSends = [kindCohEnd - kindEvict]func(*Node, *msg.Msg){
+		kindEvict - kindEvict:  (*Node).handleEvict,
+		kindModeSw - kindEvict: (*Node).handleModeSw,
+	}
 )
 
 // A read fault's reply is the object (encodeDataReply, never shorter
@@ -542,8 +578,9 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 	n.reads = n.C.Counter(stats.CReads)
 	n.writes = n.C.Counter(stats.CWrites)
 	n.writeBuffered = n.C.Counter(stats.CWriteBuffered)
-	k.Handle(kindAlloc, kindAlloc, n.dispatch)
-	k.Handle(kindRead, kindCohMax, n.dispatch)
+	vkernel.HandleCalls(k, kindAlloc, n, allocCalls[:])
+	vkernel.HandleCalls(k, kindRead, n, cohCalls[:])
+	vkernel.HandleSends(k, kindEvict, n, cohSends[:])
 	return n
 }
 
@@ -749,50 +786,16 @@ func (o *Obj) migratoryInstall(b []byte) {
 	o.state = Exclusive
 }
 
-// dispatch routes coherence messages to their handlers.
-func (n *Node) dispatch(k *vkernel.Kernel, req *msg.Msg) {
-	switch req.Kind {
-	case kindAlloc:
-		meta, init, err := decodeAlloc(req.Payload)
-		if err != nil {
-			n.C.Add(stats.CDropMalformed, 1)
-			return
-		}
-		n.install(meta, init)
-		n.k.Reply(req, nil)
-	case kindRead:
-		n.handleRead(req)
-	case kindWriteOwn:
-		n.handleWriteOwn(req)
-	case kindInv:
-		n.handleInv(req)
-	case kindFwdRead:
-		n.handleFwdRead(req)
-	case kindFwdWrite:
-		n.handleFwdWrite(req)
-	case kindDiffBatch:
-		n.handleDiffBatch(req)
-	case kindApplyBatch:
-		n.handleApplyBatch(req)
-	case kindRemRead:
-		n.handleRemRead(req)
-	case kindRemWrite:
-		n.handleRemWrite(req)
-	case kindRegCons:
-		n.handleRegCons(req)
-	case kindConsUpd:
-		n.handleConsUpd(req)
-	case kindEvict:
-		n.handleEvict(req)
-	case kindModeSw:
-		n.handleModeSw(req)
-	case kindLeaseRead:
-		n.handleLeaseRead(req)
-	case kindLeaseWrite:
-		n.handleLeaseWrite(req)
-	case kindRecover:
-		n.handleRecover(req)
+// handleAlloc installs an object another node allocated (Node.Alloc).
+func (n *Node) handleAlloc(req *msg.Msg) vkernel.Outcome {
+	meta, init, err := decodeAlloc(req.Payload)
+	if err != nil {
+		n.C.Add(stats.CDropMalformed, 1)
+		return vkernel.Dropped
 	}
+	n.install(meta, init)
+	n.k.Reply(req, nil)
+	return vkernel.Replied
 }
 
 // encodeAlloc packs object metadata + initial contents.

@@ -7,6 +7,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
+	"munin/internal/vkernel"
 )
 
 // Protocol-level recovery (docs/ARCHITECTURE.md, "Recovery"): the
@@ -148,10 +149,11 @@ const (
 // dropped, a held lock force-released to the next waiter). The reply
 // is the verdict; the pruning runs only on success, so a divergent
 // member never mutates survivor state.
-func (n *Node) handleRecover(req *msg.Msg) {
-	reject := func(detail string) {
+func (n *Node) handleRecover(req *msg.Msg) vkernel.Outcome {
+	reject := func(detail string) vkernel.Outcome {
 		n.C.Add(stats.CRecoverRejected, 1)
 		n.k.Reply(req, msg.NewBuilder(4+len(detail)).U8(recoverMismatch).Str(detail).Bytes())
+		return vkernel.Replied
 	}
 	r := msg.NewReader(req.Payload)
 	sum := r.U64()
@@ -160,8 +162,7 @@ func (n *Node) handleRecover(req *msg.Msg) {
 	if f := n.setupDigestFn(); f != nil {
 		mySum, myN := f()
 		if mySum != sum || myN != cnt {
-			reject(fmt.Sprintf("setup digest %016x/%d != local %016x/%d", sum, cnt, mySum, myN))
-			return
+			return reject(fmt.Sprintf("setup digest %016x/%d != local %016x/%d", sum, cnt, mySum, myN))
 		}
 	}
 	for i := 0; i < k; i++ {
@@ -169,20 +170,18 @@ func (n *Node) handleRecover(req *msg.Msg) {
 		kind := EngineKind(r.U8())
 		o := n.obj(id)
 		if o == nil {
-			reject(fmt.Sprintf("announced object %d was never allocated here", id))
-			return
+			return reject(fmt.Sprintf("announced object %d was never allocated here", id))
 		}
 		if got := o.pol.engine; got != kind {
-			reject(fmt.Sprintf("object %d engine %d != local engine %d", id, kind, got))
-			return
+			return reject(fmt.Sprintf("object %d engine %d != local engine %d", id, kind, got))
 		}
 	}
 	if r.Err() != nil {
-		reject(fmt.Sprintf("corrupt announce: %v", r.Err()))
-		return
+		return reject(fmt.Sprintf("corrupt announce: %v", r.Err()))
 	}
 	n.PeerRecovered(req.From)
 	n.k.Reply(req, msg.NewBuilder(1).U8(recoverOK).Bytes())
+	return vkernel.Replied
 }
 
 // PeerRecovered rebuilds this node's protocol state for a peer whose

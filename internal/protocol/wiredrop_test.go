@@ -55,6 +55,8 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			msg.NewBuilder(16).U32(2).U32(0).Bool(false).Bytes(), stats.CDropMisdirected},
 		{"kindFwdRead for a read-mostly object", kindFwdRead,
 			msg.NewBuilder(8).U32(2).U32(0).Bytes(), stats.CDropMisdirected},
+		{"kindModeSw from a node that is not the object's home", kindModeSw,
+			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), stats.CDropMisdirected},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,5 +98,24 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUndeclaredKindIsUnhandled: a kind inside the coherence or lock
+// service's range that neither declares is not registered, so the
+// kernel counts it (drop.unhandled) instead of a service swallowing it
+// with nothing counted while a caller waits for the reply.
+func TestUndeclaredKindIsUnhandled(t *testing.T) {
+	r := newRig(t, 2)
+	k := r.c.Kernel(0)
+	for i, kind := range []msg.Kind{msg.KindCohBase + 0x1f, msg.KindLockBase + 0x0f} {
+		if err := r.c.Kernel(1).Send(0, kind, msg.NewBuilder(4).U32(2).Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); k.C.Get(stats.CDropUnhandled) != int64(i+1); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("kind %#x: drop.unhandled reads %d, want %d", uint16(kind), k.C.Get(stats.CDropUnhandled), i+1)
+			}
+		}
 	}
 }

@@ -83,6 +83,7 @@ const (
 	CDlockRecoverDequeued = "dlock.recover_dequeued"
 	CDlockRecoverOwner    = "dlock.recover_owner"
 	CDlockDropMalformed   = "dlock.drop_malformed"
+	CDlockDropMisdirected = "dlock.drop_misdirected"
 
 	// vkernel: pending-call failure accounting.
 	CCallFailedPeer = "call.failed_peer"
@@ -171,6 +172,7 @@ var registered = map[string]string{
 	CDlockRecoverDequeued: "dlock",
 	CDlockRecoverOwner:    "dlock",
 	CDlockDropMalformed:   "dlock",
+	CDlockDropMisdirected: "dlock",
 
 	CCallFailedPeer: "vkernel",
 	CCallFailedGone: "vkernel",

@@ -5,7 +5,8 @@
 // The paper's prototype used the V kernel for "high-speed communication
 // between the different processors"; this package is that substrate.
 // Every node runs one Kernel. Incoming messages are dispatched by message
-// kind to registered handlers, and a handler may itself issue Calls to
+// kind to registered handlers (a package registers its kinds as one
+// table: HandleCalls, HandleSends), and a handler may itself issue Calls to
 // other nodes (directory protocols need this: a home node invalidates
 // the copy holders while the requester stays blocked) or pass the request
 // on for another node to answer (Forward).
@@ -95,6 +96,54 @@ var ErrClosed = errors.New("vkernel: closed")
 // Handler processes one incoming request. If the sender used Call, the
 // handler must eventually invoke k.Reply(req, ...) exactly once.
 type Handler func(k *Kernel, req *msg.Msg)
+
+// Outcome is how a Call handler dealt with its request. A Call handler
+// registered with HandleCalls returns one on every path, so a path that
+// neither answers nor counts why it did not has nothing to return and
+// does not compile.
+type Outcome uint8
+
+const (
+	// Replied: the handler sent the reply (Reply, ReplyOwned).
+	Replied Outcome = iota + 1
+	// Forwarded: the request went on to a node whose reply answers the
+	// caller (Forward).
+	Forwarded
+	// Parked: the request is kept and answered later, when what it
+	// waits for happens (a lock grant, a barrier, a gate).
+	Parked
+	// Dropped: the request is never answered. The handler counted why
+	// (a drop.* counter), or the node is shutting down and its callers
+	// fail with it.
+	Dropped
+)
+
+// HandleCalls registers calls[i] as the handler of kind lo+i: the Call
+// half of a package's dispatch table, whose Call kinds fill
+// [lo, lo+len(calls)). r is the receiver every handler is called on.
+// It panics if a slot is empty — a kind declared without a handler.
+func HandleCalls[R any](k *Kernel, lo msg.Kind, r R, calls []func(R, *msg.Msg) Outcome) {
+	k.handleTable(lo, len(calls), func(i int) bool { return calls[i] != nil },
+		func(_ *Kernel, req *msg.Msg) { calls[req.Kind-lo](r, req) })
+}
+
+// HandleSends is HandleCalls for the one-way half of a dispatch table:
+// handlers of kinds sent with Send or Multicast, which answer nothing.
+func HandleSends[R any](k *Kernel, lo msg.Kind, r R, sends []func(R, *msg.Msg)) {
+	k.handleTable(lo, len(sends), func(i int) bool { return sends[i] != nil },
+		func(_ *Kernel, req *msg.Msg) { sends[req.Kind-lo](r, req) })
+}
+
+// handleTable registers h for the n kinds from lo once filled reports
+// every slot of the table behind h filled.
+func (k *Kernel) handleTable(lo msg.Kind, n int, filled func(i int) bool, h Handler) {
+	for i := 0; i < n; i++ {
+		if !filled(i) {
+			panic(fmt.Sprintf("vkernel: message kind %#x has no handler in its table", uint16(lo)+uint16(i)))
+		}
+	}
+	k.Handle(lo, lo+msg.Kind(n-1), h)
+}
 
 // Kernel is one node's communication endpoint and dispatcher.
 type Kernel struct {
