@@ -1,22 +1,22 @@
-// Command muninvet runs the repo's static-analysis suite: six
+// Command muninvet runs the repo's static-analysis suite: four
 // analyzers that enforce invariants the type system cannot —
 //
 //	pooledbuf    bufpool single-owner discipline
-//	lockhold     no blocking calls under data mutexes; sorted fence order
 //	counterreg   counter names come from the internal/stats registry
 //	failpointref failpoint names resolve against failpoint.Names()
-//	lockorder    whole-program lock acquisition-order graph is acyclic
 //	errflow      sentinel errors matched with errors.Is/As; rendezvous errors not discarded
+//
+// The lock hierarchy is not among them: each mutex's rank is part of its
+// type (internal/lockrank), and the race build checks the ranks, the
+// fence order and blocking under a mutex as the program runs.
 //
 // Usage:
 //
 //	go run ./cmd/muninvet ./...
-//	go run ./cmd/muninvet -json ./...           # machine-readable findings
-//	go run ./cmd/muninvet -artifacts out ./...  # write lockorder.dot etc. to out/
+//	go run ./cmd/muninvet -json ./...   # machine-readable findings
 //
 // Exits 1 if any analyzer reports a diagnostic, 2 on driver errors.
-// CI runs it as a blocking step next to go vet and uploads the
-// lock-order DOT graph as a build artifact.
+// CI runs it as a blocking step next to go vet.
 package main
 
 import (
@@ -24,24 +24,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"munin/internal/analysis/counterreg"
 	"munin/internal/analysis/errflow"
 	"munin/internal/analysis/failpointref"
 	"munin/internal/analysis/framework"
-	"munin/internal/analysis/lockhold"
-	"munin/internal/analysis/lockorder"
 	"munin/internal/analysis/pooledbuf"
 )
 
 var analyzers = []*framework.Analyzer{
 	pooledbuf.Analyzer,
-	lockhold.Analyzer,
 	counterreg.Analyzer,
 	failpointref.Analyzer,
-	lockorder.Analyzer,
 	errflow.Analyzer,
 }
 
@@ -59,7 +54,6 @@ func main() {
 	only := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	artifactsDir := flag.String("artifacts", "", "directory to write analyzer artifacts (e.g. lockorder.dot)")
 	flag.Parse()
 
 	if *list {
@@ -100,19 +94,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "muninvet: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *artifactsDir != "" {
-		if err := os.MkdirAll(*artifactsDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "muninvet: %v\n", err)
-			os.Exit(2)
-		}
-		for name, data := range res.Artifacts {
-			if err := os.WriteFile(filepath.Join(*artifactsDir, name), data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "muninvet: %v\n", err)
-				os.Exit(2)
-			}
-		}
 	}
 
 	if *jsonOut {

@@ -27,32 +27,20 @@ func RunFixture(t *testing.T, a *Analyzer, fixtureDir string) {
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixtureDir, err)
 	}
-	var diags []Diagnostic
-	if a.Run != nil {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		diags = append(diags, pass.diags...)
+	pass := &Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.Info,
 	}
-	if a.RunProgram != nil {
-		prog := BuildProgram(fset, []*Package{pkg})
-		ppass := &ProgramPass{Analyzer: a, Fset: fset, Prog: prog}
-		if err := a.RunProgram(ppass); err != nil {
-			t.Fatalf("%s (program): %v", a.Name, err)
-		}
-		diags = append(diags, ppass.diags...)
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
 	}
 
 	wants := collectWants(t, fixtureDir)
 	got := map[posKey][]string{}
-	for _, d := range diags {
+	for _, d := range pass.diags {
 		p := fset.Position(d.Pos)
 		k := posKey{filepath.Base(p.Filename), p.Line}
 		got[k] = append(got[k], d.Message)

@@ -29,16 +29,11 @@ import (
 )
 
 // Analyzer describes one static check: a name for diagnostics, a doc
-// string, and a Run function applied once per package. Analyzers that
-// need the whole-program view — the call graph and bottom-up summaries
-// — set RunProgram (instead of, or in addition to, Run); the driver
-// builds one Program per invocation and applies every RunProgram hook
-// to it after the per-package passes.
+// string, and a Run function applied once per package.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Pass) error
-	RunProgram func(*ProgramPass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Pass is the interface between the driver and one analyzer run on one
@@ -72,47 +67,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ProgramPass is the interface between the driver and one
-// whole-program analyzer run: the interprocedural Program (call graph
-// + summaries) over every analyzed package, plus Report and an
-// artifact sink for machine-readable outputs (e.g. the lock-order DOT
-// graph).
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Prog     *Program
-
-	diags     []Diagnostic
-	artifacts map[string][]byte
-}
-
-// Report records a diagnostic.
-func (p *ProgramPass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	p.diags = append(p.diags, d)
-}
-
-// Reportf records a diagnostic at pos with a formatted message.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// SetArtifact attaches a named build artifact (collected into
-// Result.Artifacts; cmd/muninvet writes them to -artifacts).
-func (p *ProgramPass) SetArtifact(name string, data []byte) {
-	if p.artifacts == nil {
-		p.artifacts = map[string][]byte{}
-	}
-	p.artifacts[name] = data
-}
-
 // Result is the outcome of running a set of analyzers over a set of
-// packages: every diagnostic, sorted by position, plus any artifacts
-// the whole-program analyzers produced.
+// packages: every diagnostic, sorted by position.
 type Result struct {
-	Fset      *token.FileSet
-	Diags     []Diagnostic
-	Artifacts map[string][]byte
+	Fset  *token.FileSet
+	Diags []Diagnostic
 }
 
 // Run loads the packages matching patterns (go list syntax, e.g.
@@ -126,9 +85,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) (*Result, error) 
 	res := &Result{Fset: fset}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      fset,
@@ -140,29 +96,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) (*Result, error) 
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
 			}
 			res.Diags = append(res.Diags, pass.diags...)
-		}
-	}
-	// Whole-program passes: one shared Program (the call graph and
-	// summaries dominate the cost; every RunProgram analyzer reads the
-	// same one).
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			prog = BuildProgram(fset, pkgs)
-		}
-		pass := &ProgramPass{Analyzer: a, Fset: fset, Prog: prog}
-		if err := a.RunProgram(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		res.Diags = append(res.Diags, pass.diags...)
-		for name, data := range pass.artifacts {
-			if res.Artifacts == nil {
-				res.Artifacts = map[string][]byte{}
-			}
-			res.Artifacts[name] = data
 		}
 	}
 	sort.SliceStable(res.Diags, func(i, j int) bool {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // CalleeFunc resolves the function or method a call expression invokes
@@ -59,17 +58,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// NamedTypeIs reports whether t (possibly behind pointers) is the
-// named type pkgPath.name.
-func NamedTypeIs(t types.Type, pkgPath, name string) bool {
-	named := namedOf(t)
-	if named == nil {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // StringArg returns the compile-time constant string value of call
 // argument i, if it is one.
 func StringArg(info *types.Info, call *ast.CallExpr, i int) (string, bool) {
@@ -97,43 +85,6 @@ func IsStringLiteral(call *ast.CallExpr, i int) bool {
 	}
 	lit, ok := ast.Unparen(call.Args[i]).(*ast.BasicLit)
 	return ok && lit.Kind.String() == "STRING"
-}
-
-// ExprString renders a (small) expression for diagnostics: selector
-// chains and index expressions come out as written, everything else
-// falls back to a best-effort sketch.
-func ExprString(e ast.Expr) string {
-	var b strings.Builder
-	exprString(&b, e)
-	return b.String()
-}
-
-func exprString(b *strings.Builder, e ast.Expr) {
-	switch ex := e.(type) {
-	case *ast.Ident:
-		b.WriteString(ex.Name)
-	case *ast.SelectorExpr:
-		exprString(b, ex.X)
-		b.WriteByte('.')
-		b.WriteString(ex.Sel.Name)
-	case *ast.IndexExpr:
-		exprString(b, ex.X)
-		b.WriteByte('[')
-		exprString(b, ex.Index)
-		b.WriteByte(']')
-	case *ast.CallExpr:
-		exprString(b, ex.Fun)
-		b.WriteString("(…)")
-	case *ast.ParenExpr:
-		exprString(b, ex.X)
-	case *ast.StarExpr:
-		b.WriteByte('*')
-		exprString(b, ex.X)
-	case *ast.BasicLit:
-		b.WriteString(ex.Value)
-	default:
-		b.WriteString("<expr>")
-	}
 }
 
 // ObjectOf resolves an identifier expression (possibly parenthesized)

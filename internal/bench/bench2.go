@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"munin/internal/api"
+	"munin/internal/lockrank"
 	"munin/internal/protocol"
 	"munin/internal/stats"
 )
@@ -15,7 +16,7 @@ import (
 // harness's, not the DSM's — a c.Barrier would add its own arrivals
 // (lock-class messages) to the very count being taken.
 type pacer struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Pacer]
 	turned  *sync.Cond
 	n       int
 	waiting int

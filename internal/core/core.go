@@ -31,13 +31,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"munin/internal/api"
 	"munin/internal/cluster"
 	"munin/internal/dlock"
 	"munin/internal/duq"
+	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/protocol"
@@ -80,14 +80,6 @@ type Config struct {
 	// unblock shared-memory access (reads re-prime lazily via the
 	// ordinary fault path). See internal/protocol/recovery.go.
 	Recover bool
-	// ReadMostlyLease routes read-mostly objects through the Tardis-style
-	// lease engine instead of the directory machine: reads are served
-	// from leased local replicas, writes bump a logical version at the
-	// home with no invalidation multicast. Per-object Options.Engine
-	// still overrides. Every SPMD member must set it identically (the
-	// setup digest folds the resolved engine, so divergence fails the
-	// run gate).
-	ReadMostlyLease bool
 }
 
 // System is a running Munin instance. It implements api.System.
@@ -99,7 +91,7 @@ type System struct {
 	self   msg.NodeID       // mesh shape only; -1 in-process
 	nnodes int
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.CoreSystem]
 	nextObj memory.ObjectID
 	nextLck uint32
 	nextBar uint32
@@ -121,7 +113,7 @@ type System struct {
 	// Run-gate state (mesh shape; gates/lostPeers meaningful on node 0
 	// only).
 	gateSeq   uint64
-	gateMu    sync.Mutex
+	gateMu    lockrank.Mutex[lockrank.CoreGate]
 	gates     map[uint64]*gateInfo
 	lostPeers map[msg.NodeID]error
 	// downPeers are members whose wire died while a reconnect policy
@@ -298,9 +290,6 @@ func (s *System) Alloc(name string, size int, hint protocol.Annotation, opts pro
 		// caller didn't associate one. Deterministic too: the lock
 		// counter advances in program order like everything else.
 		opts.Lock = s.NewLock()
-	}
-	if hint == protocol.ReadMostly && opts.Engine == protocol.EngineDefault && s.cfg.ReadMostlyLease {
-		opts.Engine = protocol.EngineLease
 	}
 	s.recordSetup("alloc", name, size, uint8(hint),
 		int64(opts.Home), uint32(opts.Lock), uint8(opts.Update),

@@ -17,33 +17,19 @@ func sumCounter(s *System, name string) int64 {
 	return total
 }
 
-// TestReadMostlyLeaseKnobRoutesEngine: the Config knob must route
-// read-mostly allocations through the lease engine — visible as lease
-// grants at the home — and leave them on the directory machine when off.
-func TestReadMostlyLeaseKnobRoutesEngine(t *testing.T) {
-	for _, lease := range []bool{false, true} {
-		s, err := New(Config{Nodes: 3, ReadMostlyLease: lease})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := s.Alloc("rm", 8, protocol.ReadMostly, protocol.DefaultOptions(), nil)
-		s.Run(3, func(c api.Ctx) {
-			var b [8]byte
-			c.Read(r, 0, b[:])
-		})
-		granted := sumCounter(s, "lease.granted")
-		if lease && granted == 0 {
-			t.Fatal("knob on: no lease was ever granted")
-		}
-		if !lease && granted != 0 {
-			t.Fatalf("knob off: %d leases granted", granted)
-		}
-		s.Close()
+// engineOpts returns default options with the object on the lease engine
+// or on the directory engine.
+func engineOpts(lease bool) protocol.Options {
+	opts := protocol.DefaultOptions()
+	opts.Engine = protocol.EngineDirectory
+	if lease {
+		opts.Engine = protocol.EngineLease
 	}
+	return opts
 }
 
 // TestPerObjectEngineOverride: Options.Engine selects the lease engine
-// for one object without the global knob.
+// for one object.
 func TestPerObjectEngineOverride(t *testing.T) {
 	s := newSys(t, 2)
 	opts := protocol.DefaultOptions()
@@ -59,19 +45,20 @@ func TestPerObjectEngineOverride(t *testing.T) {
 }
 
 // TestLeaseEngineDifferentialOracle runs one synchronized read-mostly
-// workload with the lease engine on and off: every synchronized read
-// must see the preceding write under both engines, and the final shared
-// memory must be byte-identical.
+// workload with the object on the lease engine and on the directory
+// engine (Options.Engine): every synchronized read must see the
+// preceding write under both engines, and the final shared memory must
+// be byte-identical.
 func TestLeaseEngineDifferentialOracle(t *testing.T) {
 	const nodes, threads, rounds, size = 3, 6, 8, 64
 
 	final := func(lease bool) []byte {
-		s, err := New(Config{Nodes: nodes, ReadMostlyLease: lease})
+		s, err := New(Config{Nodes: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		r := s.Alloc("rm", size, protocol.ReadMostly, protocol.DefaultOptions(), nil)
+		r := s.Alloc("rm", size, protocol.ReadMostly, engineOpts(lease), nil)
 		bar := s.NewBarrier()
 		s.Run(threads, func(c api.Ctx) {
 			for round := 0; round < rounds; round++ {
@@ -106,21 +93,24 @@ func TestLeaseEngineDifferentialOracle(t *testing.T) {
 }
 
 // TestF1WorkloadLeaseOracle replays the Figure 1 workload (write-many
-// object, writer/reader around barriers) with the lease knob on and
-// off: the knob must not disturb non-read-mostly coherence, and the
-// post-synchronization read is 42 either way.
+// object, writer/reader around barriers) beside a read-mostly object on
+// the lease engine and on the directory engine: the lease object must
+// not disturb write-many coherence, and the post-synchronization read is
+// 42 either way.
 func TestF1WorkloadLeaseOracle(t *testing.T) {
 	for _, lease := range []bool{false, true} {
-		s, err := New(Config{Nodes: 2, ReadMostlyLease: lease})
+		s, err := New(Config{Nodes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rm := s.Alloc("rm", 8, protocol.ReadMostly, engineOpts(lease), nil)
 		r := s.Alloc("x", 8, protocol.WriteMany, protocol.DefaultOptions(), nil)
 		bar := s.NewBarrier()
 		var before, after uint64
 		s.Run(2, func(c api.Ctx) {
 			switch c.ThreadID() {
 			case 0:
+				api.WriteU64(c, rm, 0, 7)
 				api.WriteU64(c, r, 0, 41)
 				c.Barrier(bar, 2)
 				api.WriteU64(c, r, 0, 42)
@@ -130,6 +120,9 @@ func TestF1WorkloadLeaseOracle(t *testing.T) {
 				before = api.ReadU64(c, r, 0)
 				c.Barrier(bar, 2)
 				after = api.ReadU64(c, r, 0)
+				if got := api.ReadU64(c, rm, 0); got != 7 {
+					t.Errorf("lease=%v: read-mostly object reads %d after sync, want 7", lease, got)
+				}
 			}
 		})
 		if before != 41 && before != 42 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"munin/internal/failpoint"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 	"munin/internal/transport"
@@ -149,6 +150,7 @@ func (s *System) gateInfoFor(seq uint64) *gateInfo {
 // runGate brings every member of the mesh cluster to the next gate and
 // returns when all have arrived and the setup digests agree.
 func (s *System) runGate(nthreads int) error {
+	lockrank.Blocking()
 	s.mu.Lock()
 	s.gateSeq++
 	seq := s.gateSeq
@@ -451,6 +453,7 @@ func (s *System) handleGateSync(req *msg.Msg) vkernel.Outcome {
 // this process's next runGate arrival matches the gate the survivors
 // are (or will be) parked at.
 func (s *System) resyncGate() error {
+	lockrank.Blocking()
 	s.mu.Lock()
 	sum, n := s.setupSum, s.setupN
 	s.mu.Unlock()

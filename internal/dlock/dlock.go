@@ -39,6 +39,7 @@ import (
 	"munin/internal/bufpool"
 	"munin/internal/cluster"
 	"munin/internal/failpoint"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 	"munin/internal/vkernel"
@@ -96,7 +97,7 @@ type Service struct {
 	k     *vkernel.Kernel
 	nodes int
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.LockService]
 	proxies map[LockID]*proxy
 	homes   map[LockID]*homeState // state for locks homed on this node
 
@@ -116,13 +117,16 @@ type Service struct {
 
 // proxy is the local representative of one distributed lock.
 type proxy struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.LockProxy]
 	cond *sync.Cond
 
 	owner      bool // this node holds global ownership
 	held       bool // a local thread holds the lock
 	requesting bool // an ACQUIRE call is in flight
-	recall     bool // home asked us to surrender
+	// surrendering holds local acquirers off while a surrender takes the
+	// migratory data outside mu and sends the release.
+	surrendering bool
+	recall       bool // home asked us to surrender
 
 	// Migratory data hooks (nil when no data is attached to the lock).
 	provide func(emit func([]byte))
@@ -131,7 +135,7 @@ type proxy struct {
 
 // homeState is the global state of a lock homed on this node.
 type homeState struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.LockHome]
 	owned  bool
 	owner  msg.NodeID
 	queue  []pendingGrant
@@ -144,17 +148,17 @@ type pendingGrant struct {
 }
 
 type barrierState struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.BarrierHome]
 	arrived []*msg.Msg
 }
 
 type atomicState struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.AtomicHome]
 	v  int64
 }
 
 type condState struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.CondHome]
 	nextTkt uint64
 	// waiters maps ticket -> pending CondWait request (nil until the
 	// waiter blocks) ; signaled tickets are removed when both the
@@ -267,6 +271,7 @@ func (s *Service) SeedMigratory(id LockID, data []byte) {
 
 // Acquire blocks the calling thread until it holds lock id.
 func (s *Service) Acquire(id LockID) {
+	lockrank.Blocking()
 	p := s.proxy(id)
 	wasRemote := false
 	p.mu.Lock()
@@ -298,8 +303,9 @@ func (s *Service) Acquire(id LockID) {
 			continue
 		}
 		// Not owner.
-		if !p.requesting {
+		if !p.requesting && !p.surrendering {
 			p.requesting = true
+			apply := p.apply
 			p.mu.Unlock()
 
 			reply, err := s.k.Call(s.home(id), kindAcquire, encodeLockPayload(uint32(id), nil))
@@ -318,13 +324,16 @@ func (s *Service) Acquire(id LockID) {
 			// it owns the lock.
 			failpoint.Hit(failpoint.LockGranted)
 
+			// The data goes in before ownership is recorded: no local
+			// thread can enter the critical section until it is, and
+			// apply takes the object's lock, which ranks below p.mu.
+			if apply != nil && data != nil {
+				apply(data)
+			}
 			p.mu.Lock()
 			p.owner = true
 			p.requesting = false
 			wasRemote = true
-			if p.apply != nil && data != nil {
-				p.apply(data)
-			}
 			p.cond.Broadcast()
 			continue // loop: grab it (we might race another local thread)
 		}
@@ -334,6 +343,7 @@ func (s *Service) Acquire(id LockID) {
 
 // Release releases lock id, previously acquired by this thread's node.
 func (s *Service) Release(id LockID) {
+	lockrank.Blocking()
 	p := s.proxy(id)
 	p.mu.Lock()
 	if !p.held || !p.owner {
@@ -345,27 +355,32 @@ func (s *Service) Release(id LockID) {
 	naive := s.naive
 	s.mu.Unlock()
 	if p.recall || naive {
-		s.surrenderLocked(id, p)
+		s.surrender(id, p)
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// surrenderLocked gives global ownership back to the home. Caller holds
-// p.mu; the proxy must be owner with the lock free.
-func (s *Service) surrenderLocked(id LockID, p *proxy) {
-	p.owner = false
-	p.recall = false
+// surrender gives global ownership back to the home. Caller holds p.mu;
+// the proxy must be owner with the lock free. The migratory data is
+// taken and the release sent with p.mu released, because provide takes
+// the object's lock, which ranks below p.mu; surrendering keeps local
+// acquirers from asking the home for the lock before the release is on
+// its way. Returns with p.mu held.
+func (s *Service) surrender(id LockID, p *proxy) {
+	p.owner, p.recall, p.surrendering = false, false, true
+	provide := p.provide
+	p.mu.Unlock()
 	var wb *bufpool.Buffer
-	if p.provide != nil {
-		p.provide(func(data []byte) { wb = lockWire(uint32(id), data) })
+	if provide != nil {
+		provide(func(data []byte) { wb = lockWire(uint32(id), data) })
 	} else {
 		wb = lockWire(uint32(id), nil)
 	}
-	// Send outside the proxy lock would be nicer, but the one-way send
-	// never blocks on the remote side (unbounded queues), so holding
-	// p.mu here cannot deadlock.
-	if err := s.k.SendOwned(s.home(id), kindRelease, wb); err != nil {
+	err := s.k.SendOwned(s.home(id), kindRelease, wb)
+	p.mu.Lock()
+	p.surrendering = false
+	if err != nil {
 		panic(fmt.Sprintf("dlock: release lock %d: %v", id, err))
 	}
 }
@@ -560,7 +575,7 @@ func (s *Service) handleRecall(req *msg.Msg) {
 	defer p.mu.Unlock()
 	if p.owner && !p.held {
 		// Free right now: surrender immediately.
-		s.surrenderLocked(LockID(id), p)
+		s.surrender(LockID(id), p)
 		p.cond.Broadcast()
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"munin/internal/cluster"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 	"munin/internal/vkernel"
@@ -21,6 +22,7 @@ import (
 // BarrierWait blocks until n participants (including the caller) have
 // arrived at barrier id.
 func (s *Service) BarrierWait(id BarrierID, n int) {
+	lockrank.Blocking()
 	if n <= 0 {
 		panic("dlock: barrier needs n >= 1")
 	}
@@ -73,6 +75,7 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 // FetchAdd atomically adds delta to atomic id and returns the previous
 // value.
 func (s *Service) FetchAdd(id AtomicID, delta int64) int64 {
+	lockrank.Blocking()
 	payload := msg.NewBuilder(12).U32(uint32(id)).I64(delta).Bytes()
 	home := cluster.HomeOf(uint64(id), s.nodes)
 	reply, err := s.k.Call(home, kindFetchAdd, payload)

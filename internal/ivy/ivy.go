@@ -16,12 +16,12 @@ package ivy
 
 import (
 	"fmt"
-	"sync"
 
 	"munin/internal/api"
 	"munin/internal/cluster"
 	"munin/internal/dlock"
 	"munin/internal/duq"
+	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/protocol"
@@ -52,7 +52,7 @@ type System struct {
 	locks []*dlock.Service
 	nodes []*protocol.Node
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.IvySystem]
 	regions  []region
 	nextAddr int
 	numPages int

@@ -10,6 +10,7 @@ import (
 
 	"munin/internal/bufpool"
 	"munin/internal/failpoint"
+	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
@@ -84,6 +85,7 @@ func (n *Node) WriteObj(q *duq.Queue, o *Obj, off int, data []byte) {
 // program that reads unsynchronized across homes gets no order between
 // them (docs/ARCHITECTURE.md, "Life of a flush").
 func (n *Node) FlushQueue(q *duq.Queue) {
+	lockrank.Blocking()
 	if err := n.TryFlushQueue(q); err != nil {
 		panic(fmt.Sprintf("munin: flush: %v", err))
 	}
@@ -112,6 +114,7 @@ func (n *Node) FlushQueue(q *duq.Queue) {
 // nothing), so leaving them queued would only make a retry succeed
 // vacuously. The returned error is the loss report.
 func (n *Node) TryFlushQueue(q *duq.Queue) error {
+	lockrank.Blocking()
 	// This is the node's synchronization point: every acquire, release,
 	// barrier, atomic and thread exit flushes before proceeding. Bumping
 	// the epoch here — even when the queue is empty — lapses every
@@ -205,7 +208,7 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 	}
 	slices.SortFunc(fs.objs, func(a, b *Obj) int { return cmp.Compare(a.meta.ID, b.meta.ID) })
 	for _, o := range fs.objs {
-		o.pushMu.Lock()
+		o.pushMu.LockOrdered(uint64(o.meta.ID))
 	}
 	defer func() {
 		for _, o := range fs.objs {
@@ -829,7 +832,10 @@ func (n *Node) becomeProducer(o *Obj) {
 	o.mu.Unlock()
 	home := n.homeOf(&o.meta)
 	if home == n.id {
-		consumers := n.registerPC(o, n.id, true)
+		consumers, producer, ok := n.registerPC(o, n.id, true)
+		if !ok {
+			panic(twoProducers(o, producer, n.id))
+		}
 		o.mu.Lock()
 		o.isProducer = true
 		o.prodSeq = o.applySeq
@@ -843,6 +849,9 @@ func (n *Node) becomeProducer(o *Obj) {
 		panic(fmt.Sprintf("munin: register producer %q: %v", o.meta.Name, err))
 	}
 	r := msg.NewReader(reply.Payload)
+	if len(reply.Payload) == 4 { // refused: another node produces it
+		panic(twoProducers(o, msg.NodeID(r.U32()), n.id))
+	}
 	data := r.BytesN()
 	seq := r.U64()
 	nc := int(r.U32())
@@ -860,6 +869,13 @@ func (n *Node) becomeProducer(o *Obj) {
 	o.prodSeq = seq
 	o.consumers = consumers
 	o.mu.Unlock()
+}
+
+// twoProducers is the panic of a thread whose node tried to produce an
+// object another node already produces.
+func twoProducers(o *Obj, producer, from msg.NodeID) string {
+	return fmt.Sprintf("munin: producer-consumer object %q has two producing nodes (%d and %d)",
+		o.meta.Name, producer, from)
 }
 
 // ensureConsumer registers this node as a consumer on first read and

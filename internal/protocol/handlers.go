@@ -694,7 +694,7 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 			continue
 		}
 		d := n.dirEntryOf(id)
-		d.relayMu.Lock()
+		d.relayMu.LockOrdered(uint64(id))
 		ds.locked = append(ds.locked, d)
 	}
 	defer func() {
@@ -1104,7 +1104,14 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 	if o == nil {
 		return vkernel.Dropped
 	}
-	consumers := n.registerPC(o, req.From, isProducer)
+	consumers, producer, ok := n.registerPC(o, req.From, isProducer)
+	if !ok {
+		// The refusal is the recorded producer's ID, shorter than any
+		// registration reply; the registering thread panics on it.
+		n.C.Add(stats.CProducerRefused, 1)
+		n.k.Reply(req, msg.NewBuilder(4).U32(uint32(producer)).Bytes())
+		return vkernel.Replied
+	}
 	if !isProducer {
 		consumers = nil // only the producer is told who consumes
 	}
@@ -1123,29 +1130,31 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 
 // registerPC is the home's half of a producer-consumer registration:
 // it records from as the object's producer or as a consumer and returns
-// the consumer set as the producer caches it. The home's own
-// registrations (becomeProducer at the home) call it directly rather
-// than through a message to itself.
-func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) []msg.NodeID {
+// the consumer set as the producer caches it. A producer registration
+// from a node other than the recorded producer is refused: ok is false
+// and producer names the recorded one. The home's own registrations
+// (becomeProducer at the home) call it directly rather than through a
+// message to itself.
+func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers []msg.NodeID, producer msg.NodeID, ok bool) {
 	d := n.dirEntryOf(o.meta.ID)
 	d.mu.Lock()
 	if isProducer {
 		if d.producer >= 0 && d.producer != from {
+			producer = d.producer
 			d.mu.Unlock()
-			panic(fmt.Sprintf("munin: producer-consumer object %q has two producing nodes (%d and %d)",
-				o.meta.Name, d.producer, from))
+			return nil, producer, false
 		}
 		d.producer = from
 	} else {
 		d.copyset[from] = true
 	}
-	consumers := make([]msg.NodeID, 0, len(d.copyset))
+	consumers = make([]msg.NodeID, 0, len(d.copyset))
 	for m := range d.copyset {
 		if m != n.id && m != d.producer {
 			consumers = append(consumers, m)
 		}
 	}
-	producer := d.producer
+	producer = d.producer
 	d.mu.Unlock()
 
 	// A new consumer must be known to the producer before its first
@@ -1170,7 +1179,7 @@ func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) []msg.NodeID
 			panic(fmt.Sprintf("munin: consumer-set update for object %d: %v", o.meta.ID, err))
 		}
 	}
-	return consumers
+	return consumers, producer, true
 }
 
 // handleConsUpd refreshes the producer's cached consumer set.

@@ -67,6 +67,7 @@ import (
 	"munin/internal/cluster"
 	"munin/internal/dlock"
 	"munin/internal/duq"
+	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
@@ -214,7 +215,7 @@ func (n *Node) retract(o *Obj) {
 
 // Obj is one node's view of a shared object.
 type Obj struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.Obj]
 	cond *sync.Cond
 
 	meta Meta
@@ -274,7 +275,7 @@ type Obj struct {
 	// (or the consumers) in the order they were captured, and a thread
 	// whose bytes rode a co-located thread's flush cannot pass its own
 	// sync point before that flush is acknowledged.
-	pushMu sync.Mutex
+	pushMu lockrank.Mutex[lockrank.ObjPush]
 
 	registered bool // consumer has registered with home
 
@@ -301,12 +302,12 @@ func (o *Obj) Meta() Meta { return o.meta }
 
 // dirEntry is the home node's directory record for one object.
 type dirEntry struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.DirEntry]
 	// relayMu serializes update redistribution for this object so
 	// receivers observe sequence numbers in order and an acknowledged
 	// relay implies every earlier relay was installed. Held across the
 	// stamp + multicast + ack round, never together with mu.
-	relayMu sync.Mutex
+	relayMu lockrank.Mutex[lockrank.DirRelay]
 	owner   msg.NodeID // ownership protocols; home initially
 	// epoch numbers the owner's ownership period: every grant and every
 	// reclaim by the home starts the next one. Forwards carry the period
@@ -353,7 +354,7 @@ type forwarded struct {
 // rehashed copy twice the size, so an install is O(1) amortised however
 // sparse the IDs are (Ivy's pages start at 1<<20).
 type objTable struct {
-	mu    sync.Mutex                            // serializes put; get never takes it
+	mu    lockrank.Mutex[lockrank.ObjTable]     // serializes put; get never takes it
 	cells atomic.Pointer[[]atomic.Pointer[Obj]] // power-of-two length; a published array is filled in, never resized
 	n     int                                   // objects installed; under mu
 }
@@ -480,7 +481,7 @@ type Node struct {
 	// verify a rejoining member's announced setup digest against this
 	// member's own — SPMD members allocate identically, so any
 	// difference is program divergence.
-	digestMu    sync.Mutex
+	digestMu    lockrank.Mutex[lockrank.NodeDigest]
 	setupDigest func() (sum uint64, n int)
 
 	// Counters feeding the experiments: faults, fetches, updates...

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +59,8 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			msg.NewBuilder(8).U32(2).U32(0).Bytes(), stats.CDropMisdirected},
 		{"kindModeSw from a node that is not the object's home", kindModeSw,
 			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), stats.CDropMisdirected},
+		{"kindRegCons as producer of an object the home produces", kindRegCons,
+			msg.NewBuilder(8).U32(4).Bool(true).Bytes(), stats.CProducerRefused},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,9 +68,11 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Home = 0
 			r.alloc(2, "rm", len(init), ReadMostly, opts, init)
+			r.alloc(4, "pc", len(init), ProducerConsumer, opts, init)
+			home := r.nodes[0]
+			home.becomeProducer(home.mustObj(4))
 			opts.Engine = EngineLease
 			r.alloc(3, "lease", len(init), ReadMostly, opts, init)
-			home := r.nodes[0]
 			before := home.C.Snapshot()
 			if err := r.nodes[1].k.Send(0, tc.kind, tc.payload); err != nil {
 				t.Fatal(err)
@@ -77,7 +83,7 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := home.C.Snapshot()
-			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CDropMisdirected, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
+			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CDropMisdirected, stats.CProducerRefused, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
 				want := before[name]
 				if name == tc.counter {
 					want++
@@ -117,5 +123,44 @@ func TestUndeclaredKindIsUnhandled(t *testing.T) {
 				t.Fatalf("kind %#x: drop.unhandled reads %d, want %d", uint16(kind), k.C.Get(stats.CDropUnhandled), i+1)
 			}
 		}
+	}
+}
+
+// TestSecondProducerPanicsOnlyItsThread: a node that writes a
+// producer-consumer object another node already produces is refused by
+// the home, which counts the refusal and keeps serving the object; the
+// writing thread panics with the two producing nodes named.
+func TestSecondProducerPanicsOnlyItsThread(t *testing.T) {
+	r := newRig(t, 2)
+	opts := DefaultOptions()
+	opts.Home = 0
+	r.alloc(7, "pc", 8, ProducerConsumer, opts, nil)
+	q0 := duq.New()
+	r.nodes[0].Write(q0, 7, 0, u64bytes(1))
+	r.nodes[0].FlushQueue(q0)
+
+	func() {
+		defer func() {
+			got := fmt.Sprint(recover())
+			if want := `"pc" has two producing nodes (0 and 1)`; !strings.Contains(got, want) {
+				t.Fatalf("second producer's panic = %q, want one mentioning %q", got, want)
+			}
+		}()
+		r.nodes[1].Write(duq.New(), 7, 0, u64bytes(99))
+	}()
+	if got := r.nodes[0].C.Get(stats.CProducerRefused); got != 1 {
+		t.Fatalf("%s = %d at the home, want 1", stats.CProducerRefused, got)
+	}
+
+	// The home still serves the object: node 1 registers as a consumer
+	// and reads the producer's value, then its next one.
+	q1 := duq.New()
+	if got := readU64(r.nodes[1], q1, 7, 0); got != 1 {
+		t.Fatalf("consumer reads %d, want 1", got)
+	}
+	r.nodes[0].Write(q0, 7, 0, u64bytes(2))
+	r.nodes[0].FlushQueue(q0)
+	if got := readU64(r.nodes[1], q1, 7, 0); got != 2 {
+		t.Fatalf("consumer reads %d after the next push, want 2", got)
 	}
 }

@@ -68,6 +68,7 @@ const (
 	CDropMalformed         = "drop.malformed"
 	CDropUnknownObject     = "drop.unknown_object"
 	CDropMisdirected       = "drop.misdirected"
+	CProducerRefused       = "producer.refused"
 
 	// core (counted on the protocol node): run-gate lifecycle.
 	CRecoverGateSynced = "recover.gate_synced"
@@ -159,6 +160,7 @@ var registered = map[string]string{
 	CDropMalformed:         "protocol",
 	CDropUnknownObject:     "protocol",
 	CDropMisdirected:       "protocol",
+	CProducerRefused:       "protocol",
 
 	CRecoverGateSynced: "core",
 	CRecoverGateResync: "core",

@@ -19,8 +19,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"munin/internal/lockrank"
 )
 
 // Counter is a monotonically increasing (or explicitly reset) 64-bit
@@ -30,7 +31,7 @@ type Counter struct {
 	v atomic.Int64
 	// mu guards cells. It is taken to attach and fold a cell and to read
 	// the counter, never to add to it.
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.StatsCounter]
 	cells []*Cell
 	// Pad to a cache line: threads bumping counters of different names
 	// must not bounce one line between them.
@@ -125,7 +126,7 @@ func (c *Counter) Reset() {
 type Set struct {
 	// mu serializes registration only: it guards the copy-on-write
 	// replacement of the published map, never a lookup or an increment.
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.StatsSet]
 	// counters is the published name table. A published map is never
 	// written again; registering a name publishes a copy with the name
 	// added.

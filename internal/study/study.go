@@ -14,11 +14,11 @@
 package study
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"munin/internal/api"
 	"munin/internal/dlock"
+	"munin/internal/lockrank"
 	"munin/internal/protocol"
 )
 
@@ -48,7 +48,7 @@ type access struct {
 type objTrace struct {
 	name     string
 	hint     protocol.Annotation
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.Trace]
 	accesses []access
 }
 
@@ -59,7 +59,7 @@ type Tracer struct {
 
 	ord atomic.Int64 // global logical clock (one tick per event)
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Tracer]
 	objs    []*objTrace
 	syncOps []syncOp
 

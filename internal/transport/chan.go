@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 )
 
@@ -96,7 +97,10 @@ func (e *chanEndpoint) Send(m *msg.Msg) error {
 
 // Flush implements Endpoint. Sends are delivered synchronously, so the
 // fence is trivially satisfied.
-func (e *chanEndpoint) Flush() error { return nil }
+func (e *chanEndpoint) Flush() error {
+	lockrank.Blocking()
+	return nil
+}
 
 func (e *chanEndpoint) Recv() (*msg.Msg, error) {
 	it, err := e.q.pop()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"munin/internal/bufpool"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 )
@@ -118,7 +119,7 @@ type MeshNetwork struct {
 	ln    net.Listener // nil for an in-process member, which never accepts
 	q     *queue       // receive side: the member is its node's Endpoint
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.MeshNetwork]
 	peers    map[msg.NodeID]*meshPeer
 	conns    map[net.Conn]struct{} // every installed connection, for Close's teardown sweep
 	onDown   []func(msg.NodeID, uint64, error)
@@ -503,7 +504,7 @@ type meshPeer struct {
 	node msg.NodeID
 	q    *sendQueue
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.MeshPeer]
 	acked    bool          // the peer acked our goodbye (or sent its own)
 	ackCh    chan struct{} // closed when acked flips; replaced on a reconnect
 	conn     net.Conn      // the pair's established connection; nil until dialed/accepted
@@ -1141,6 +1142,7 @@ func (m *MeshNetwork) SendOwned(wb *bufpool.Buffer) error {
 // holds. The fence's contract stays "everything enqueued has reached a
 // live wire or a latched failure"; only shutdown-class errors surface.
 func (m *MeshNetwork) Flush() error {
+	lockrank.Blocking()
 	fs := getFenceSet()
 	defer fs.release()
 	m.mu.Lock()

@@ -81,6 +81,7 @@ import (
 	"sync/atomic"
 
 	"munin/internal/bufpool"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 )
@@ -561,7 +562,7 @@ type recvItem struct {
 // ping-pong queue (zero or one item) never allocates after its first
 // push.
 type queue struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.RecvQueue]
 	cond   *sync.Cond
 	items  []recvItem
 	head   int

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"munin/internal/bufpool"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 )
 
@@ -245,7 +246,7 @@ type sendItem struct {
 // sendQueue is the bounded MPSC queue feeding one peer connection's
 // writer goroutine.
 type sendQueue struct {
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.SendQueue]
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
 	items    []sendItem

@@ -85,6 +85,7 @@ import (
 	"sync/atomic"
 
 	"munin/internal/bufpool"
+	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
 	"munin/internal/transport"
@@ -153,7 +154,7 @@ type Kernel struct {
 	epochs transport.PeerEpochs // nil when the transport is unversioned
 
 	seq     atomic.Uint64
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Kernel]
 	pending map[uint64]*Pending
 	groups  map[int][]msg.NodeID
 	closed  bool
@@ -440,6 +441,7 @@ func (k *Kernel) unregister(seq uint64) {
 // over the departure. On the loopback transports a connection only
 // dies at shutdown, where Close unblocks every waiter with ErrClosed.
 func (p *Pending) Wait() ([]*msg.Msg, error) {
+	lockrank.Blocking()
 	if p == nil || p.want == 0 {
 		return nil, nil
 	}
@@ -546,6 +548,7 @@ func (k *Kernel) sendOwned(wb *bufpool.Buffer) error {
 // the V kernel's Send: the caller is suspended until the receiver
 // replies.
 func (k *Kernel) Call(dst msg.NodeID, kind msg.Kind, payload []byte) (*msg.Msg, error) {
+	lockrank.Blocking()
 	p, err := k.CallStart(dst, kind, payload)
 	if err != nil {
 		return nil, err
@@ -561,6 +564,7 @@ func (k *Kernel) Call(dst msg.NodeID, kind msg.Kind, payload []byte) (*msg.Msg, 
 // observe the pre-install state. fn must be short and must not block on
 // network operations. CallInline returns after fn has run.
 func (k *Kernel) CallInline(dst msg.NodeID, kind msg.Kind, payload []byte, fn func(*msg.Msg)) error {
+	lockrank.Blocking()
 	p, err := k.callStart(dst, kind, payload, fn)
 	if err != nil {
 		return err
@@ -603,6 +607,7 @@ func (k *Kernel) MulticastCallStart(members []msg.NodeID, kind msg.Kind, payload
 // until every copy holder has installed the update, so synchronization
 // that follows the flush is guaranteed to make the updates visible.
 func (k *Kernel) MulticastCall(members []msg.NodeID, kind msg.Kind, payload []byte) ([]*msg.Msg, error) {
+	lockrank.Blocking()
 	p, err := k.MulticastCallStart(members, kind, payload)
 	if err != nil {
 		return nil, err
@@ -635,7 +640,10 @@ func (k *Kernel) Forward(req *msg.Msg, dst msg.NodeID, kind msg.Kind, payload []
 // Flush fences this node's outgoing pipeline: it returns once every
 // message enqueued before the call has been written to the wire. It
 // does not wait for replies — Pending.Wait does that.
-func (k *Kernel) Flush() error { return k.ep.Flush() }
+func (k *Kernel) Flush() error {
+	lockrank.Blocking()
+	return k.ep.Flush()
+}
 
 // Reply sends a reply to a request received via a handler.
 func (k *Kernel) Reply(req *msg.Msg, payload []byte) error {
