@@ -1,14 +1,16 @@
-// Command muninvet runs the repo's static-analysis suite: four
+// Command muninvet runs the repo's static-analysis suite: three
 // analyzers that enforce invariants the type system cannot —
 //
-//	pooledbuf    bufpool single-owner discipline
 //	counterreg   counter names come from the internal/stats registry
 //	failpointref failpoint names resolve against failpoint.Names()
 //	errflow      sentinel errors matched with errors.Is/As; rendezvous errors not discarded
 //
 // The lock hierarchy is not among them: each mutex's rank is part of its
 // type (internal/lockrank), and the race build checks the ranks, the
-// fence order and blocking under a mutex as the program runs.
+// fence order and blocking under a mutex as the program runs. Nor is
+// pooled-buffer ownership: under -race a bufpool.Buffer panics on a
+// second Release and on a write after Release, and tests assert that
+// every Get is released once a cluster has closed.
 //
 // Usage:
 //
@@ -30,11 +32,9 @@ import (
 	"munin/internal/analysis/errflow"
 	"munin/internal/analysis/failpointref"
 	"munin/internal/analysis/framework"
-	"munin/internal/analysis/pooledbuf"
 )
 
 var analyzers = []*framework.Analyzer{
-	pooledbuf.Analyzer,
 	counterreg.Analyzer,
 	failpointref.Analyzer,
 	errflow.Analyzer,

@@ -86,16 +86,3 @@ func IsStringLiteral(call *ast.CallExpr, i int) bool {
 	lit, ok := ast.Unparen(call.Args[i]).(*ast.BasicLit)
 	return ok && lit.Kind.String() == "STRING"
 }
-
-// ObjectOf resolves an identifier expression (possibly parenthesized)
-// to its object, or nil.
-func ObjectOf(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}

@@ -9,6 +9,15 @@
 // into a sync.Pool would box it into an interface and allocate on every
 // Put, which is precisely the hot-path allocation this package exists
 // to remove.
+//
+// Built with -race, as every race run in CI is, a Buffer checks that
+// discipline itself (race.go): a second Release panics, and Release
+// fills the buffer's whole capacity with a poison byte that the next Get
+// of that buffer verifies, so a write after Release on the releasing
+// goroutine — which the race detector cannot see — panics there.
+// Without -race the checks compile to nothing. CheckBalance covers the
+// third rule, that every Get reaches a Release: tests assert the
+// counters balance once a cluster has closed.
 package bufpool
 
 import (
@@ -32,6 +41,7 @@ const (
 // capacity at least the size requested from Get; owners extend it with
 // append or by reslicing within capacity.
 type Buffer struct {
+	own   owner // empty without -race
 	B     []byte
 	class int8 // size-class index; -1 for oversize (not pooled)
 }
@@ -70,6 +80,7 @@ func Get(n int) *Buffer {
 	}
 	if v := pools[c].Get(); v != nil {
 		b := v.(*Buffer)
+		b.taken()
 		b.B = b.B[:0]
 		return b
 	}
@@ -86,6 +97,7 @@ func (b *Buffer) Release() {
 		return
 	}
 	puts.Add(1)
+	b.released()
 	if b.class < 0 {
 		return // oversize: let the GC have it
 	}
@@ -98,4 +110,22 @@ func (b *Buffer) Release() {
 // should hold news and oversize flat while gets and puts climb.
 func Stats() (getN, putN, newN, oversizeN int64) {
 	return gets.Load(), puts.Load(), news.Load(), oversize.Load()
+}
+
+// CheckBalance fails t unless, by the time t's cleanups run, every
+// buffer Get handed out since the call has come back through Release.
+// Call it before the test builds its cluster: cleanups run last-in
+// first-out, so the check then runs after the cluster's Close.
+func CheckBalance(t interface {
+	Helper()
+	Cleanup(func())
+	Errorf(format string, args ...any)
+}) {
+	t.Helper()
+	start := gets.Load() - puts.Load()
+	t.Cleanup(func() {
+		if out := gets.Load() - puts.Load() - start; out != 0 {
+			t.Errorf("bufpool: gets - releases moved by %d between the test's start and its cleanup: a buffer was dropped without Release", out)
+		}
+	})
 }

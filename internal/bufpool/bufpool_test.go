@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 )
@@ -67,6 +68,34 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Get/Release allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// fakeT records what CheckBalance reports and runs its cleanups on
+// demand.
+type fakeT struct {
+	cleanups []func()
+	errors   []string
+}
+
+func (f *fakeT) Helper()           {}
+func (f *fakeT) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
+func (f *fakeT) Errorf(format string, args ...any) {
+	f.errors = append(f.errors, fmt.Sprintf(format, args...))
+}
+
+func TestCheckBalance(t *testing.T) {
+	for _, leak := range []bool{false, true} {
+		f := &fakeT{}
+		CheckBalance(f)
+		b := Get(64)
+		if !leak {
+			b.Release()
+		}
+		f.cleanups[0]()
+		if got := len(f.errors) > 0; got != leak {
+			t.Fatalf("leak=%v: CheckBalance reported %q", leak, f.errors)
+		}
 	}
 }
 

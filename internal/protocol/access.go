@@ -839,7 +839,7 @@ func (n *Node) becomeProducer(o *Obj) {
 		o.mu.Lock()
 		o.isProducer = true
 		o.prodSeq = o.applySeq
-		o.consumers = consumers
+		o.adoptConsumers(consumers)
 		o.mu.Unlock()
 		return
 	}
@@ -867,8 +867,19 @@ func (n *Node) becomeProducer(o *Obj) {
 	}
 	o.isProducer = true
 	o.prodSeq = seq
-	o.consumers = consumers
+	o.adoptConsumers(consumers)
 	o.mu.Unlock()
+}
+
+// adoptConsumers caches the consumer set a producer registration
+// returned, unless a consumer-set update has already installed one: the
+// home sends that update only once this node is the recorded producer,
+// so it was taken after the registration's set and is the newer. Called
+// with o.mu held.
+func (o *Obj) adoptConsumers(consumers []msg.NodeID) {
+	if o.consumers == nil {
+		o.consumers = consumers
+	}
 }
 
 // twoProducers is the panic of a thread whose node tried to produce an

@@ -1155,14 +1155,17 @@ func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers [
 		}
 	}
 	producer = d.producer
-	d.mu.Unlock()
 
 	// A new consumer must be known to the producer before its first
 	// read returns, so every subsequent push reaches it. The update is
 	// therefore made — a Call, acknowledged, when the producer is
 	// another node — before the caller snapshots the contents: any push
 	// that raced the registration lands at the home before the snapshot
-	// and is covered by the consumer's base sequence.
+	// and is covered by the consumer's base sequence. d.mu is held until
+	// the producer has the set, so two registrations' sets reach it in
+	// the order they were taken: otherwise the older could land last and
+	// drop the newer consumer from every later push.
+	defer d.mu.Unlock()
 	switch {
 	case isProducer || producer < 0 || producer == from:
 	case producer == n.id:
@@ -1204,7 +1207,7 @@ func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	o.mu.Lock()
-	o.consumers = consumers
+	o.consumers = consumers // never nil: becomeProducer keeps it
 	o.mu.Unlock()
 	n.k.Reply(req, nil)
 	return vkernel.Replied

@@ -129,8 +129,9 @@ type Options struct {
 	Home msg.NodeID
 	// Lock associates a migratory object with its guarding lock.
 	Lock dlock.LockID
-	// Update selects refresh vs invalidate for replicated write-many
-	// and read-mostly objects. Default Refresh.
+	// Update selects refresh vs invalidate for a replicated read-mostly
+	// object: its home reads it when a remote write arrives. Write-many
+	// relays always refresh and ignore it. Default Refresh.
 	Update UpdateMode
 	// Dynamic lets the runtime adapt the mechanism from observed
 	// behaviour (§3.4): read-mostly objects switch from remote

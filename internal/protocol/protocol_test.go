@@ -531,6 +531,49 @@ func TestProducerConsumerLateConsumerCatchesUp(t *testing.T) {
 	}
 }
 
+// TestConcurrentConsumersAllGetPushes: consumers that register at once
+// each send the producer a consumer set, and the sets must reach it in
+// the order the home took them; if the older lands last, the newer
+// consumer drops out of every later push and reads its registration
+// copy for ever. Both shapes: the home produces (the set is installed
+// in place) and another node does (kindConsUpd).
+func TestConcurrentConsumersAllGetPushes(t *testing.T) {
+	for _, shape := range []struct{ nodes, producer int }{{3, 0}, {4, 1}} {
+		for iter := 0; iter < 300; iter++ {
+			func() {
+				r := newRig(t, shape.nodes)
+				defer r.c.Close()
+				opts := DefaultOptions()
+				opts.Home = 0
+				r.alloc(7, "pc", 8, ProducerConsumer, opts, nil)
+				qp := duq.New()
+				prod := r.nodes[shape.producer]
+				prod.Write(qp, 7, 0, u64bytes(1))
+				prod.FlushQueue(qp)
+				var wg sync.WaitGroup
+				qs := make([]*duq.Queue, shape.nodes)
+				for c := shape.producer + 1; c < shape.nodes; c++ {
+					qs[c] = duq.New()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						readU64(r.nodes[c], qs[c], 7, 0)
+					}()
+				}
+				wg.Wait()
+				prod.Write(qp, 7, 0, u64bytes(2))
+				prod.FlushQueue(qp)
+				for c := shape.producer + 1; c < shape.nodes; c++ {
+					if got := readU64(r.nodes[c], qs[c], 7, 0); got != 2 {
+						t.Fatalf("%d nodes, producer %d, run %d: consumer %d reads %d after the push, want 2",
+							shape.nodes, shape.producer, iter, c, got)
+					}
+				}
+			}()
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Read-mostly
 

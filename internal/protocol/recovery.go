@@ -61,10 +61,6 @@ func (n *Node) FinishRecovery() {
 	}
 }
 
-// Recovering reports whether the node is still inside its recovery
-// handshake.
-func (n *Node) Recovering() bool { return n.recovering.Load() }
-
 // awaitRecovered parks the calling application thread while the node
 // is recovering. One atomic load in steady state.
 func (n *Node) awaitRecovered() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"munin/internal/bufpool"
 	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
@@ -16,7 +17,9 @@ import (
 // A message a peer sends is input, not a local program's bug: whatever
 // it names, the member counts a drop and goes on serving. Each case is
 // sent from node 1 to node 0 over the rig's transport, so a handler that
-// panicked would take the test binary with it.
+// panicked would take the test binary with it, and every case ends with
+// the pooled-buffer count balanced: a drop path that built a reply and
+// returned without sending or releasing it fails the case.
 func TestWireInputIsDroppedNotFatal(t *testing.T) {
 	init := pattern(16, 3)
 	cases := []struct {
@@ -64,6 +67,7 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			bufpool.CheckBalance(t)
 			r := newRig(t, 2)
 			opts := DefaultOptions()
 			opts.Home = 0

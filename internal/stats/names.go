@@ -8,8 +8,6 @@
 // the build rather than silently drifting.
 package stats
 
-import "strings"
-
 // Counter names, grouped by the layer that owns them. The layer
 // strings match the Layer column of the ARCHITECTURE.md counters
 // table.
@@ -214,10 +212,6 @@ func Registered() []string {
 	return out
 }
 
-// LayerOf returns the owning layer of an exact registered name ("" if
-// unregistered).
-func LayerOf(name string) string { return registered[name] }
-
 // IsRegistered reports whether name is a declared counter: an exact
 // registry entry, a transport traffic-class counter ("app",
 // "app.bytes", ...), a whole-link aggregate, or a per-class coalescing
@@ -237,20 +231,4 @@ func IsRegistered(name string) bool {
 		}
 	}
 	return false
-}
-
-// LooksLikeCounterName reports whether a string literal is shaped like
-// a counter name (lowercase dotted identifier). The counterreg
-// analyzer uses it to ignore obviously-unrelated string arguments.
-func LooksLikeCounterName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		ok := r == '.' || r == '_' || (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return !strings.HasPrefix(s, ".") && !strings.HasSuffix(s, ".")
 }

@@ -8,7 +8,6 @@ package threads
 
 import (
 	"fmt"
-	"sync"
 
 	"munin/internal/msg"
 )
@@ -43,9 +42,10 @@ func Blocked(threadID, nthreads, nodes int) msg.NodeID {
 }
 
 // SPMD runs body on nthreads threads placed over nodes processors and
-// waits for all of them. A nil placement means RoundRobin. Panics in a
-// thread body are re-raised on the caller after all threads finish or
-// unwind, so tests fail loudly rather than deadlock.
+// waits for all of them. A nil placement means RoundRobin. The first
+// panic in a thread body is re-raised on the caller as soon as it is
+// recovered, so tests fail loudly rather than deadlock; the other
+// threads run on, and their later panics are dropped.
 func SPMD(nodes, nthreads int, place Placement, body func(t *Thread)) {
 	spmd(nodes, nthreads, place, body, -1)
 }
@@ -73,30 +73,28 @@ func spmd(nodes, nthreads int, place Placement, body func(t *Thread), only msg.N
 	if place == nil {
 		place = RoundRobin
 	}
-	var wg sync.WaitGroup
-	panics := make(chan any, nthreads)
+	// Each thread sends what it recovered (nil when it returned): the
+	// first panic is re-raised at once, not after the other threads,
+	// which may be waiting on a lock or barrier the dead thread will
+	// never release.
+	done := make(chan any, nthreads)
+	spawned := 0
 	for i := 0; i < nthreads; i++ {
 		node := place(i, nthreads, nodes)
 		if only >= 0 && node != only {
 			continue
 		}
-		wg.Add(1)
+		spawned++
 		t := &Thread{ID: i, Node: node, NThreads: nthreads}
 		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics <- r
-				}
-			}()
+			defer func() { done <- recover() }()
 			body(t)
 		}()
 	}
-	wg.Wait()
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
+	for ; spawned > 0; spawned-- {
+		if r := <-done; r != nil {
+			panic(r)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"munin/internal/msg"
 )
@@ -115,6 +116,33 @@ func TestSPMDPanicsPropagate(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// A thread that dies while another waits on something the dead one
+// would have done reaches the caller at once instead of hanging the
+// run: against an SPMD that waits for every thread, the timer fails the
+// test instead of letting it hang.
+func TestSPMDPanicDoesNotWaitForBlockedThreads(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		SPMD(2, 2, nil, func(th *Thread) {
+			if th.ID == 0 {
+				panic("boom")
+			}
+			<-block
+		})
+	}()
+	select {
+	case r := <-got:
+		if r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("thread 0's panic did not reach the caller within 5 s while thread 1 was blocked")
+	}
 }
 
 func TestSPMDBadShapePanics(t *testing.T) {

@@ -488,9 +488,6 @@ func (s *Stats) WireQueueStallNs() int64 { return s.byClass.Get(stats.CWireQueue
 // ClassMessages returns the message count for one traffic class.
 func (s *Stats) ClassMessages(class string) int64 { return s.byClass.Get(class) }
 
-// ClassBytes returns the byte count for one traffic class.
-func (s *Stats) ClassBytes(class string) int64 { return s.byClass.Get(class + ".bytes") }
-
 func (s *Stats) delivered(to msg.NodeID) {
 	if int(to) < len(s.perNode) && to >= 0 {
 		s.perNode[to].recvd.Add(1)

@@ -220,18 +220,23 @@ func TestUnhandledKindDropped(t *testing.T) {
 // the next one.
 func TestLateReplyCounted(t *testing.T) {
 	ks, _ := newTestKernels(t, 2)
+	lateSent := make(chan struct{})
 	ks[1].Handle(msg.KindPing, msg.KindPing, func(k *Kernel, req *msg.Msg) {
 		k.Reply(req, []byte("first"))
 		if len(req.Payload) > 0 {
 			k.Reply(req, []byte("late"))
+			close(lateSent)
 		}
 	})
 	reply, err := ks[0].Call(1, msg.KindPing, []byte("twice"))
 	if err != nil || string(reply.Payload) != "first" {
 		t.Fatalf("call: %v, %v", reply, err)
 	}
-	// Delivery is FIFO per sender and receiver: once this call's reply
-	// is in, the late one before it has been dispatched.
+	// Handlers run concurrently, so the next call's reply could beat the
+	// late one out of node 1; wait until the late one is sent. Delivery
+	// is FIFO per sender and receiver: once the next call's reply is in,
+	// the late one before it has been dispatched.
+	<-lateSent
 	if reply, err = ks[0].Call(1, msg.KindPing, nil); err != nil || string(reply.Payload) != "first" {
 		t.Fatalf("next call: %v, %v", reply, err)
 	}

@@ -104,11 +104,12 @@ const (
 )
 
 // Options tunes per-object protocol behaviour (home placement,
-// associated lock for migratory data, refresh vs invalidate, dynamic
-// adaptation, diff folding).
+// associated lock for migratory data, refresh vs invalidate for
+// replicated read-mostly objects, dynamic adaptation, diff folding).
 type Options = protocol.Options
 
-// UpdateMode selects refresh vs invalidate for replicated objects.
+// UpdateMode selects refresh vs invalidate for replicated read-mostly
+// objects; write-many updates always refresh.
 type UpdateMode = protocol.UpdateMode
 
 // Update modes (§3.4.2).

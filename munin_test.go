@@ -1,10 +1,13 @@
 package munin
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"munin/internal/bufpool"
 )
 
 // Facade-level tests: the public API a downstream user sees.
@@ -104,6 +107,84 @@ func TestAllAnnotationsUsableThroughFacade(t *testing.T) {
 	})
 	if mig != 3 {
 		t.Fatalf("migratory counter = %d, want 3", mig)
+	}
+}
+
+// TestBuffersBalanceAfterClose: every pooled buffer that 20 rounds over
+// all eight shared annotations, a lock and a barrier take is released
+// by the time the system has closed, over both in-process transports.
+// A reply dropped on an early return, or a send path that forgets its
+// buffer, leaves the count short.
+func TestBuffersBalanceAfterClose(t *testing.T) {
+	for _, tr := range []string{"chan", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			bufpool.CheckBalance(t)
+			sys, err := New(Config{Nodes: 3, Transport: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close) // runs before CheckBalance's check
+			lock := sys.NewLock()
+			bar := sys.NewBarrier()
+			migOpts := DefaultOptions()
+			migOpts.Lock = lock
+			resOpts := DefaultOptions()
+			resOpts.Home = 0
+			wo := sys.Alloc("wo", 8, WriteOnce, DefaultOptions(), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			wm := sys.Alloc("wm", 3, WriteMany, DefaultOptions(), nil)
+			pc := sys.Alloc("pc", 8, ProducerConsumer, DefaultOptions(), nil)
+			mig := sys.Alloc("mig", 8, Migratory, migOpts, nil)
+			res := sys.Alloc("res", 3, Result, resOpts, nil)
+			rm := sys.Alloc("rm", 8, ReadMostly, DefaultOptions(), nil)
+			grw := sys.Alloc("grw", 8, GeneralRW, DefaultOptions(), nil)
+			conv := sys.Alloc("conv", 8, Conventional, DefaultOptions(), nil)
+			const rounds = 20
+			var failures atomic.Int32
+			fail := func(format string, args ...any) {
+				if failures.Add(1) == 1 {
+					t.Errorf(format, args...)
+				}
+			}
+			sys.Run(3, func(c Ctx) {
+				id := c.ThreadID()
+				buf := make([]byte, 8)
+				for round := 1; round <= rounds; round++ {
+					if c.Read(wo, 0, buf); buf[0] != 1 {
+						fail("write-once reads %d, want 1", buf[0])
+					}
+					c.Write(wm, id, []byte{byte(round)})
+					c.Write(res, id, []byte{byte(round)})
+					WriteU64(c, conv, 0, uint64(round))
+					WriteU64(c, grw, 0, ReadU64(c, grw, 0)+1)
+					if id == 1 {
+						WriteU64(c, rm, 0, uint64(round))
+					}
+					ReadU64(c, rm, 0)
+					if id == 0 {
+						WriteU64(c, pc, 0, uint64(round))
+					}
+					c.Acquire(lock)
+					WriteU64(c, mig, 0, ReadU64(c, mig, 0)+1)
+					c.Release(lock)
+					c.Barrier(bar, 3)
+					if got := ReadU64(c, pc, 0); got != uint64(round) {
+						fail("round %d: consumer reads %d", round, got)
+					}
+					c.Read(wm, 0, buf[:3])
+					if want := bytes.Repeat([]byte{byte(round)}, 3); !bytes.Equal(buf[:3], want) {
+						fail("round %d: write-many reads %x, want %x", round, buf[:3], want)
+					}
+					c.Barrier(bar, 3)
+				}
+			})
+			sys.Run(1, func(c Ctx) {
+				c.Acquire(lock)
+				if got := ReadU64(c, mig, 0); got != 3*rounds {
+					fail("migratory counter = %d, want %d", got, 3*rounds)
+				}
+				c.Release(lock)
+			})
+		})
 	}
 }
 
