@@ -54,6 +54,7 @@ type meshChildConfig struct {
 	Recover  bool               `json:"recover,omitempty"`   // e17: rejoining incarnation — run the recovery handshake
 	SkipOut  bool               `json:"skip_body,omitempty"` // e17: rejoin after the barrier passed — skip the body, verify only
 	HoldExit bool               `json:"hold_exit,omitempty"` // e17: park this member's thread at end of body until a stdin line arrives
+	HoldBar  bool               `json:"hold_bar,omitempty"`  // e17: park this member's thread before its barrier arrival until a stdin line arrives
 }
 
 // MeshMetrics is what the writer process measures around its flush.

@@ -38,7 +38,8 @@ import (
 // The crash points cover the protocol steps named by the failpoint
 // package — a flush that was planned but not sent, a flush fully sent,
 // a lock grant received but not recorded, a lock held inside the
-// critical section, a member parked at the run gate — plus the
+// critical section, a member parked at the run gate, a member parked
+// at the barrier after an arrival that carries its updates — plus the
 // stale-arrival case the failpoints cannot reach (killed after its
 // exit-gate arrival was parked on node 0, exercising the gate's
 // stale-arrival purge).
@@ -123,14 +124,21 @@ type e17Recover struct {
 
 // e17Program is the program under test, identical in every shape. Each
 // member owns K disjoint write-many objects (all homed on node 0, the
-// surviving home): it primes and writes them with deterministic values,
-// the victim member additionally acquires a node-0-homed lock and
-// writes the critical-section object, and after a barrier every member
-// digests every shared byte. skipBody is the rejoin shape for crashes
-// past the barrier: the body already ran to completion in the dead
-// incarnation, so the fresh one goes straight to the digest sweep.
+// surviving home, like the barrier): it primes them, the victim member
+// acquires a node-0-homed lock and writes the critical-section object,
+// every member writes its objects with deterministic values, and after
+// a barrier every member digests every shared byte. Each member runs
+// alone on its node, so the members homed away from node 0 publish
+// their objects in their barrier arrivals; the victim's critical
+// section comes first, so its flushes (flush.planned, flush.sent) carry
+// the critical-section object and its arrival carries its own objects
+// (barrier.carried). skipBody is the rejoin shape for crashes past the
+// barrier: the body already ran to completion in the dead incarnation,
+// so the fresh one goes straight to the digest sweep. hold, when set,
+// parks every other member until it closes: before its barrier arrival
+// with holdBar, at the end of its body without.
 func e17Program(sys *core.System, k, members, victim int, skipBody bool,
-	hold chan struct{}, mark io.Writer, rec *e17Recover) (E17Metrics, error) {
+	hold chan struct{}, holdBar bool, mark io.Writer, rec *e17Recover) (E17Metrics, error) {
 	const objSize = 64
 	opts := protocol.DefaultOptions()
 	opts.Home = 0
@@ -161,13 +169,16 @@ func e17Program(sys *core.System, k, members, victim int, skipBody bool,
 			for _, r := range regions[me] {
 				c.Read(r, 0, b8[:]) // prime, so the flush cost is isolated
 			}
-			for i, r := range regions[me] {
-				api.WriteU64(c, r, 0, e17Value(me, i))
-			}
 			if me == victim {
 				c.Acquire(lck)
 				api.WriteU64(c, cs, 0, e17CSValue)
 				c.Release(lck)
+			}
+			for i, r := range regions[me] {
+				api.WriteU64(c, r, 0, e17Value(me, i))
+			}
+			if hold != nil && holdBar && me != victim {
+				<-hold // parent-gated arrival: the victim's arrival parks first
 			}
 			c.Barrier(bar, members)
 		}
@@ -190,7 +201,7 @@ func e17Program(sys *core.System, k, members, victim int, skipBody bool,
 		if mark != nil && me == victim {
 			fmt.Fprintln(mark, e17BodyDoneLine)
 		}
-		if hold != nil && me != victim {
+		if hold != nil && !holdBar && me != victim {
 			<-hold // parent-gated exit: keeps the exit gate open past the kill
 		}
 	})
@@ -238,7 +249,7 @@ func RunE17Member(cfg meshChildConfig, out *os.File) (E17Metrics, error) {
 		}()
 	}
 	var hold chan struct{}
-	if cfg.HoldExit {
+	if cfg.HoldExit || cfg.HoldBar {
 		hold = make(chan struct{})
 		go func() {
 			sc := bufio.NewScanner(os.Stdin)
@@ -254,7 +265,7 @@ func RunE17Member(cfg meshChildConfig, out *os.File) (E17Metrics, error) {
 	if cfg.Recover {
 		rec = &e17Recover{start: time.Now(), msgs0: sys.Messages()}
 	}
-	m, err := e17Program(sys, cfg.K, topo.Nodes(), cfg.Victim, cfg.SkipOut, hold, mark, rec)
+	m, err := e17Program(sys, cfg.K, topo.Nodes(), cfg.Victim, cfg.SkipOut, hold, cfg.HoldBar, mark, rec)
 	if err != nil {
 		return m, err
 	}
@@ -275,7 +286,7 @@ func runE17InProcess(k, members, victim int) (E17Metrics, error) {
 		return E17Metrics{}, err
 	}
 	defer sys.Close()
-	return e17Program(sys, k, members, victim, false, nil, nil, nil)
+	return e17Program(sys, k, members, victim, false, nil, false, nil, nil)
 }
 
 // e17Case names one crash point of the sweep.
@@ -283,18 +294,26 @@ type e17Case struct {
 	name  string
 	crash string // failpoint spec armed in the doomed incarnation; "" = parent kills it parked at the exit gate
 	skip  bool   // the barrier passed before the crash: the rejoin skips the body and only verifies
+	// holdBar parks the survivors before their barrier arrivals until
+	// node 0 has handled the victim's death, so the victim's arrival is
+	// parked, never the last, when it dies.
+	holdBar bool
 }
 
 // e17Cases is the crash-point sweep: one case per named protocol step,
 // plus the stale-arrival case only a parent-driven kill can reach.
 func e17Cases() []e17Case {
 	return []e17Case{
-		{"mid-flush-planned", failpoint.FlushPlanned, false},
-		{"mid-flush-sent", failpoint.FlushSent, false},
-		{"mid-grant", failpoint.LockGranted, false},
-		{"holding-lock", failpoint.LockHeld, false},
-		{"parked-in-run-gate", failpoint.GatePark + ":1", true},
-		{"parked-arrival", "", true},
+		{"mid-flush-planned", failpoint.FlushPlanned, false, false},
+		{"mid-flush-sent", failpoint.FlushSent, false, false},
+		{"mid-grant", failpoint.LockGranted, false, false},
+		{"holding-lock", failpoint.LockHeld, false, false},
+		{"parked-in-run-gate", failpoint.GatePark + ":1", true, false},
+		{"parked-arrival", "", true, false},
+		// The home drops the dead incarnation's parked arrival, carried
+		// updates and all, when the wire dies; the survivors then arrive,
+		// and the rejoin's own carried arrival completes the barrier.
+		{"parked-in-barrier", failpoint.BarrierCarried, false, true},
 	}
 }
 
@@ -384,6 +403,7 @@ func e17Round(k, members, victimID int, cs e17Case) (vic E17Metrics, surv map[in
 		cfg := meshChildConfig{
 			Role: "e17-member", Topo: topoFor(idx), K: k, Victim: victimID,
 			HoldExit: cs.crash == "" && idx != 0,
+			HoldBar:  cs.holdBar,
 		}
 		cmd, out, stdin, err := spawnE17Child(cfg)
 		if err != nil {
@@ -428,16 +448,17 @@ func e17Round(k, members, victimID int, cs e17Case) (vic E17Metrics, surv map[in
 			return vic, surv, fmt.Errorf("victim (%s) printed metrics before dying", cs.name)
 		}
 	}
-	if cs.crash == "" {
-		// Release the held survivors only now: their exit-gate arrivals
-		// must find the stale arrival already purged. The victim's exit
-		// does not order node 0's handling of its wire death before a
-		// survivor's arrival, so wait for node 0 to report it.
+	if cs.crash == "" || cs.holdBar {
+		// Release the held survivors only now: their exit-gate (or
+		// barrier) arrivals must find the stale arrival already purged.
+		// The victim's exit does not order node 0's handling of its wire
+		// death before a survivor's arrival, so wait for node 0 to
+		// report it.
 		if _, err := scanForPrefix(procs[0].cmd, procs[0].out, e17DownSeenLine, 20*time.Second); err != nil {
 			return vic, surv, fmt.Errorf("member 0: %w", err)
 		}
 		for _, idx := range survivors {
-			if idx != 0 {
+			if idx != 0 || cs.holdBar {
 				fmt.Fprintln(procs[idx].stdin, "GO")
 			}
 		}
@@ -549,7 +570,7 @@ func E17(nodes int) *Result {
 	res.Metrics["crash.points"] = float64(len(points))
 	res.Notes = append(res.Notes,
 		"oracle: every member's post-rejoin digest of every shared byte equals the digest of the identical program run uninterrupted in one process — deterministic values make a partial pre-crash flush plus an identical redo byte-equal",
-		"the crash points are the failpoint package's named protocol steps (flush planned, flush sent, lock granted, lock held, parked at the run gate) plus the parked-arrival kill only the parent can stage",
+		"the crash points are the failpoint package's named protocol steps (flush planned, flush sent, lock granted, lock held, parked at the run gate, parked at the barrier after a carried arrival) plus the parked-arrival kill only the parent can stage",
 		"rejoin cost is lazy: the handshake itself is one announce per surviving peer plus one gate resync; replicas re-prime through the ordinary read-fault path, so rejoin msgs scales with what the program actually touches",
 		"out of scope (documented in ARCHITECTURE): a crashed home, a crashed node 0, and crashes outside a Run window")
 	return res

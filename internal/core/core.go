@@ -368,6 +368,19 @@ func (s *System) Run(nthreads int, body func(c api.Ctx)) {
 // itself errors.As finds the typed *transport.ErrPeerDown /
 // ErrPeerGone. Panics from thread bodies still propagate as panics.
 func (s *System) RunErr(nthreads int, body func(c api.Ctx)) error {
+	// A thread its Run places alone on its node carries its updates in
+	// its barrier arrivals (Ctx.Barrier). Every member computes the same
+	// placement, so it knows this for the whole team, not just its share.
+	place := s.cfg.Placement
+	if place == nil {
+		place = threads.RoundRobin
+	}
+	perNode := make([]int, s.nnodes)
+	for i := 0; i < nthreads; i++ {
+		if node := int(place(i, nthreads, s.nnodes)); node >= 0 && node < s.nnodes {
+			perNode[node]++
+		}
+	}
 	run := func(t *threads.Thread) {
 		c := &Ctx{
 			sys:    s,
@@ -375,6 +388,7 @@ func (s *System) RunErr(nthreads int, body func(c api.Ctx)) error {
 			node:   s.nodes[t.Node],
 			locks:  s.locks[t.Node],
 			queue:  duq.New(),
+			solo:   perNode[t.Node] == 1,
 		}
 		c.node.Attach(c.queue)
 		defer c.node.Detach(c.queue)
@@ -480,6 +494,9 @@ type Ctx struct {
 	// or write: a buffer on the stack would escape through the row's
 	// indirect call and cost an allocation per access.
 	word [8]byte
+	// solo: the thread's Run placed no other thread on its node, so it
+	// may hold its objects' flush locks across a barrier (Barrier).
+	solo bool
 }
 
 // xlate is one region's entry in a thread's translation table: what the
@@ -608,10 +625,26 @@ func (c *Ctx) Release(l dlock.LockID) {
 	c.locks.Release(l)
 }
 
-// Barrier implements api.Ctx: flush, then wait for n participants.
+// Barrier implements api.Ctx: publish this thread's updates and wait
+// for n participants. A thread alone on its node publishes its updates
+// to objects homed at the barrier's home in its arrival, and the
+// release brings back the other participants' (protocol.FlushAtBarrier):
+// the barrier and the flush are one round. Any other thread flushes,
+// then arrives, because a co-located thread could not flush those
+// objects, or would read them stale, while this one holds them across
+// the barrier.
 func (c *Ctx) Barrier(b dlock.BarrierID, n int) {
-	c.node.FlushQueue(c.queue)
-	c.locks.BarrierWait(b, n)
+	if !c.solo || n <= 1 {
+		c.node.FlushQueue(c.queue)
+		c.locks.BarrierWait(b, n)
+		return
+	}
+	err := c.node.FlushAtBarrier(c.queue, c.locks.BarrierHome(b), func(size int, carry func(*msg.Builder)) ([]byte, error) {
+		return c.locks.BarrierCarry(b, n, size, carry)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("munin: barrier %d: %v", b, err))
+	}
 }
 
 // FetchAdd implements api.Ctx: flush (it is a synchronization op), then

@@ -105,6 +105,10 @@ type Service struct {
 	atomics  map[AtomicID]*atomicState
 	conds    map[CondID]*condState
 
+	// The coherence layer's barrier hooks (AttachBarrier), under mu.
+	barrierCheck func(Arrival) bool
+	barrierMerge func([]Arrival) ([][]byte, error)
+
 	// naive disables proxy ownership caching: every release surrenders
 	// the lock to the home. Used by the E8 experiment as the baseline.
 	naive bool
@@ -148,7 +152,9 @@ type pendingGrant struct {
 }
 
 type barrierState struct {
-	mu      lockrank.Mutex[lockrank.BarrierHome]
+	mu lockrank.Mutex[lockrank.BarrierHome]
+	// n is the open epoch's participant count, 0 while none is open.
+	n       int
 	arrived []*msg.Msg
 }
 
@@ -418,16 +424,35 @@ func (s *Service) PeerGone(peer msg.NodeID) {
 // incarnation's queued grant requests are dropped — their pending
 // calls died with its connection — and a lock it still held is
 // force-released to the next waiter, exactly like a departing owner's.
-// The fresh incarnation re-enters queues via ordinary acquires.
+// The fresh incarnation re-enters queues via ordinary acquires. Barrier
+// arrivals the dead incarnation parked here are dropped (PeerDown).
 //
-// Counters: dlock.recover_dequeued, dlock.recover_owner.
+// Counters: dlock.recover_dequeued, dlock.recover_owner,
+// dlock.barrier_purged.
 func (s *Service) PeerRecovered(peer msg.NodeID) {
+	s.PeerDown(peer)
 	dequeued, released := s.resetPeer(peer)
 	if dequeued > 0 {
 		s.k.C.Add(stats.CDlockRecoverDequeued, dequeued)
 	}
 	if released > 0 {
 		s.k.C.Add(stats.CDlockRecoverOwner, released)
+	}
+}
+
+// PeerDown drops the barrier arrivals a peer whose wire died has parked
+// at this node: the peer's pending calls failed with its connection, so
+// no release can reach the caller that sent them, and counting one
+// could complete a barrier without it — the others would pass while
+// the peer, or its recovered incarnation, waits at a barrier nobody
+// else will reach. The runtime calls it when the transport latches the
+// peer down; PeerRecovered purges again, for an arrival whose handler
+// was still running when the wire died.
+//
+// Counter: dlock.barrier_purged.
+func (s *Service) PeerDown(peer msg.NodeID) {
+	if purged := s.purgeArrivals(peer); purged > 0 {
+		s.k.C.Add(stats.CDlockBarrierPurged, purged)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"munin/internal/cluster"
+	"munin/internal/failpoint"
 	"munin/internal/lockrank"
 	"munin/internal/msg"
 	"munin/internal/stats"
@@ -18,53 +19,245 @@ import (
 // at once. A generation counter is unnecessary because a participant
 // cannot re-arrive before its own release reply, and replies are sent
 // before the next epoch's state is created.
+//
+// An arrival is the barrier's ID and participant count (12 bytes),
+// followed by what it carries: updates the participant publishes at the
+// barrier (BarrierCarry), opaque here. The home checks a carried part as
+// it arrives and merges every carried part once, at the last arrival,
+// through the hooks the coherence layer attached (AttachBarrier); each
+// release then carries that participant's part of the merge. A release
+// is empty when it carries nothing and the merge met no error;
+// otherwise it is the error's text (a length-prefixed string, empty for
+// none) followed by the participant's part.
+
+// barrierHeader is the size of an arrival that carries nothing: the
+// barrier's ID (U32) and participant count (Int).
+const barrierHeader = 12
+
+// Arrival is one participant's arrival at a barrier's home.
+type Arrival struct {
+	From msg.NodeID
+	// Carried is the arrival past its header: the updates it carries,
+	// empty when it carries none. It aliases the arrival's payload,
+	// which the home keeps until the release.
+	Carried []byte
+}
+
+// AttachBarrier registers the coherence layer's barrier hooks on this
+// node. check is called on each arrival that carries something, as it
+// arrives; false drops the arrival as malformed (dlock.drop_malformed),
+// and it does not count. merge is called once an epoch, when the last
+// participant arrives and at least one arrival carries something, with
+// every arrival in arrival order and no dlock mutex held. It returns
+// one release body per arrival (nil for none) and the error, if any,
+// the home met publishing the updates; every participant's release
+// reports that error.
+func (s *Service) AttachBarrier(check func(Arrival) bool, merge func([]Arrival) ([][]byte, error)) {
+	s.mu.Lock()
+	s.barrierCheck, s.barrierMerge = check, merge
+	s.mu.Unlock()
+}
+
+// BarrierHome returns the node barrier id is homed on.
+func (s *Service) BarrierHome(id BarrierID) msg.NodeID {
+	return cluster.HomeOf(uint64(id), s.nodes)
+}
 
 // BarrierWait blocks until n participants (including the caller) have
-// arrived at barrier id.
+// arrived at barrier id. It panics, like every rendezvous here, if the
+// arrival's call fails or the home reports an error.
 func (s *Service) BarrierWait(id BarrierID, n int) {
+	lockrank.Blocking()
+	if _, err := s.BarrierCarry(id, n, 0, nil); err != nil {
+		panic(fmt.Sprintf("dlock: barrier %d: %v", id, err))
+	}
+}
+
+// BarrierCarry is BarrierWait for an arrival that carries updates:
+// carry writes the size bytes of the carried part behind the header
+// (size 0 sends the plain 12-byte arrival, and carry is not called). It
+// returns the release's body — this participant's part of the home's
+// merge — and the error the arrival's call failed with or the home
+// reported; the body is returned with the home's error too, because
+// the merge happened. A one-party barrier sends nothing, so the caller
+// must not hand it a carried part.
+func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Builder)) ([]byte, error) {
 	lockrank.Blocking()
 	if n <= 0 {
 		panic("dlock: barrier needs n >= 1")
 	}
 	if n == 1 {
-		return
+		if size > 0 {
+			panic("dlock: a one-party barrier carries nothing")
+		}
+		return nil, nil
 	}
-	payload := msg.NewBuilder(12).U32(uint32(id)).Int(n).Bytes()
-	home := cluster.HomeOf(uint64(id), s.nodes)
-	if _, err := s.k.Call(home, kindBarrier, payload); err != nil {
-		panic(fmt.Sprintf("dlock: barrier %d: %v", id, err))
+	home := s.BarrierHome(id)
+	var reply *msg.Msg
+	if size == 0 {
+		r, err := s.k.Call(home, kindBarrier, msg.NewBuilder(barrierHeader).U32(uint32(id)).Int(n).Bytes())
+		if err != nil {
+			return nil, err
+		}
+		reply = r
+	} else {
+		wb, b := vkernel.NewWire(barrierHeader + size)
+		b.U32(uint32(id)).Int(n)
+		carry(&b)
+		wb.B = b.Bytes()
+		p, err := s.k.CallStartOwned(home, kindBarrier, wb)
+		if err != nil {
+			return nil, err
+		}
+		// A failed fence means the arrival may never leave: the peer's
+		// wire died (which fails the call too) or the node is closing.
+		if err := s.k.Flush(); err != nil {
+			return nil, err
+		}
+		// The carried updates are on the wire and the home holds them
+		// unmerged: a member dying here leaves its arrival parked there.
+		failpoint.Hit(failpoint.BarrierCarried)
+		replies, err := p.Wait()
+		if err != nil {
+			return nil, err
+		}
+		reply = replies[0]
 	}
+	body, text, ok := decodeRelease(reply.Payload)
+	if !ok {
+		return nil, fmt.Errorf("barrier %d: malformed release from node %d", id, home)
+	}
+	if text != "" {
+		return body, fmt.Errorf("at its home, node %d: %s", home, text)
+	}
+	return body, nil
 }
 
 func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := BarrierID(r.U32())
 	n := r.Int()
-	if r.Err() != nil {
+	// A count below one would release every parked waiter at once.
+	if r.Err() != nil || n <= 0 {
 		s.k.C.Add(stats.CDlockDropMalformed, 1)
 		return vkernel.Dropped
 	}
+	a := Arrival{From: req.From, Carried: req.Payload[barrierHeader:]}
 	s.mu.Lock()
 	b, ok := s.barriers[id]
 	if !ok {
 		b = &barrierState{}
 		s.barriers[id] = b
 	}
+	check, merge := s.barrierCheck, s.barrierMerge
 	s.mu.Unlock()
+	if len(a.Carried) > 0 && (check == nil || !check(a)) {
+		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		return vkernel.Dropped
+	}
 
 	b.mu.Lock()
+	switch {
+	case b.n == 0:
+		b.n = n
+	case n != b.n:
+		// A count that disagrees with the open epoch's would re-target
+		// it, releasing the waiters early or never.
+		b.mu.Unlock()
+		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		return vkernel.Dropped
+	}
 	b.arrived = append(b.arrived, req)
 	if len(b.arrived) < n {
 		b.mu.Unlock()
 		return vkernel.Parked
 	}
 	waiters := b.arrived
-	b.arrived = nil
+	b.arrived, b.n = nil, 0
 	b.mu.Unlock()
-	for _, w := range waiters {
-		s.k.Reply(w, nil)
-	}
+	s.release(waiters, merge)
 	return vkernel.Replied
+}
+
+// release answers every arrival of a completed epoch, merging what they
+// carry first. Each reply is sent whatever became of the others: a
+// participant whose wire died fails its own send only.
+func (s *Service) release(waiters []*msg.Msg, merge func([]Arrival) ([][]byte, error)) {
+	var arrivals []Arrival
+	for _, w := range waiters {
+		if len(w.Payload) > barrierHeader {
+			arrivals = make([]Arrival, len(waiters))
+			break
+		}
+	}
+	var bodies [][]byte
+	var err error
+	if arrivals != nil && merge != nil {
+		for i, w := range waiters {
+			arrivals[i] = Arrival{From: w.From, Carried: w.Payload[barrierHeader:]}
+		}
+		bodies, err = merge(arrivals)
+	}
+	for i, w := range waiters {
+		var body []byte
+		if i < len(bodies) {
+			body = bodies[i]
+		}
+		if err == nil && len(body) == 0 {
+			s.k.Reply(w, nil)
+			continue
+		}
+		text := ""
+		if err != nil {
+			text = err.Error()
+		}
+		wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body))
+		b.Str(text).Raw(body)
+		wb.B = b.Bytes()
+		s.k.ReplyOwned(w, wb)
+	}
+}
+
+// decodeRelease splits a release into the participant's body and the
+// home's error text ("" for none); ok is false if it does not decode.
+func decodeRelease(p []byte) (body []byte, text string, ok bool) {
+	if len(p) == 0 {
+		return nil, "", true
+	}
+	r := msg.NewReader(p)
+	text = r.Str()
+	body = r.Rest()
+	return body, text, r.Err() == nil
+}
+
+// purgeArrivals drops every arrival peer has parked at this node's
+// barriers and returns how many it dropped.
+func (s *Service) purgeArrivals(peer msg.NodeID) int64 {
+	s.mu.Lock()
+	bars := make([]*barrierState, 0, len(s.barriers))
+	for _, b := range s.barriers {
+		bars = append(bars, b)
+	}
+	s.mu.Unlock()
+	purged := int64(0)
+	for _, b := range bars {
+		b.mu.Lock()
+		kept := b.arrived[:0]
+		for _, w := range b.arrived {
+			if w.From == peer {
+				purged++
+				continue
+			}
+			kept = append(kept, w)
+		}
+		clear(b.arrived[len(kept):])
+		b.arrived = kept
+		if len(kept) == 0 {
+			b.n = 0
+		}
+		b.mu.Unlock()
+	}
+	return purged
 }
 
 // ---------------------------------------------------------------------

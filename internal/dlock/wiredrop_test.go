@@ -88,3 +88,77 @@ func TestLockPayloadRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A barrier arrival a peer sends is input too. One whose participant
+// count is below one would release every parked waiter at once; one
+// whose count disagrees with the open epoch's would re-target it; one
+// that carries updates no hook can check cannot be merged. Each is
+// counted as malformed and does not count: the parked waiter stays
+// parked, and the next good arrival completes the epoch.
+func TestBarrierWireInputIsDroppedNotFatal(t *testing.T) {
+	arrival := func(n int, carried ...byte) []byte {
+		return append(msg.NewBuilder(barrierHeader).U32(0).Int(n).Bytes(), carried...)
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"a count of zero", arrival(0)},
+		{"a negative count", arrival(-3)},
+		{"a count other than the open epoch's", arrival(3)},
+		{"a carried part with no barrier hooks attached", arrival(2, 0, 0, 0, 1)},
+		{"a truncated header", arrival(2)[:barrierHeader-1]},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Barrier 0 is homed on node 0; node 1's waiter parks there.
+			c, svcs := harness(t, 3)
+			k := c.Kernel(0)
+			released := make(chan struct{})
+			go func() {
+				svcs[1].BarrierWait(0, 2)
+				close(released)
+			}()
+			// The waiter's arrival is parked once the home holds it.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+				svcs[0].mu.Lock()
+				b := svcs[0].barriers[0]
+				svcs[0].mu.Unlock()
+				if b != nil {
+					b.mu.Lock()
+					parked := len(b.arrived)
+					b.mu.Unlock()
+					if parked == 1 {
+						break
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the waiter's arrival never parked")
+				}
+			}
+			before := k.C.Get(stats.CDlockDropMalformed)
+			if err := c.Kernel(2).Send(0, kindBarrier, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); k.C.Get(stats.CDlockDropMalformed) == before; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("dlock.drop_malformed never counted")
+				}
+			}
+			select {
+			case <-released:
+				t.Fatal("the malformed arrival released the parked waiter")
+			case <-time.After(20 * time.Millisecond):
+			}
+			svcs[2].BarrierWait(0, 2)
+			select {
+			case <-released:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the good arrival did not complete the epoch")
+			}
+			if got := k.C.Get(stats.CDlockDropMalformed); got != before+1 {
+				t.Errorf("dlock.drop_malformed moved by %d, want 1", got-before)
+			}
+		})
+	}
+}

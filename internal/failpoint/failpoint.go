@@ -44,13 +44,18 @@ const (
 	// GatePark fires just before a member parks in the run gate
 	// (sends its arrival to node 0 and blocks on the verdict).
 	GatePark = "gate.park"
+	// BarrierCarried fires after a barrier arrival that carries updates
+	// has been written to the wire, before its release comes back: the
+	// home holds the carried updates, unmerged, in a parked arrival of
+	// a member that then dies.
+	BarrierCarried = "barrier.carried"
 )
 
 // names is the registry of every declared failpoint. A Hit or ArmCrash
 // site must reference one of these (the muninvet failpointref analyzer
 // enforces it statically), and the E17 crash-point sweep must cover all
 // of them (bench asserts it against Names).
-var names = []string{FlushPlanned, FlushSent, LockGranted, LockHeld, GatePark}
+var names = []string{FlushPlanned, FlushSent, LockGranted, LockHeld, GatePark, BarrierCarried}
 
 // Names returns every registered failpoint name, in declaration order.
 // The returned slice is a copy.
@@ -155,7 +160,9 @@ func crashSelf() {
 }
 
 // ArmCrash parses a "name" or "name:skip" spec and arms a
-// self-SIGKILL at that point.
+// self-SIGKILL at that point. A name that is not registered is an
+// error: no Hit site could ever fire it, so a misspelt spec would arm
+// a crash that never happens.
 func ArmCrash(spec string) error {
 	name, skip := spec, 0
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
@@ -168,6 +175,9 @@ func ArmCrash(spec string) error {
 	}
 	if name == "" {
 		return fmt.Errorf("failpoint: empty name in spec %q", spec)
+	}
+	if !IsRegistered(name) {
+		return fmt.Errorf("failpoint: unknown name %q in spec %q (registered: %s)", name, spec, strings.Join(names, ", "))
 	}
 	Arm(name, skip, crashSelf)
 	return nil

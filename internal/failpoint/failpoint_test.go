@@ -80,3 +80,35 @@ func TestArmCrashSpecParsing(t *testing.T) {
 	}
 	DisarmAll()
 }
+
+// TestArmCrashRejectsUnknownNames: a spec naming no registered point
+// is an error and arms nothing — otherwise a misspelt crash point would
+// arm a hook no Hit site can fire, and a crash sweep would pass without
+// killing anything.
+func TestArmCrashRejectsUnknownNames(t *testing.T) {
+	for _, bad := range []string{"flush.send", "flush.sent.x", "barrier", "nosuch:2"} {
+		if err := ArmCrash(bad); err == nil {
+			DisarmAll()
+			t.Fatalf("ArmCrash(%q) = nil error, want error", bad)
+		}
+		if got := armed.Load(); got != 0 {
+			t.Fatalf("armed = %d after ArmCrash(%q) failed, want 0", got, bad)
+		}
+	}
+}
+
+// TestArmCrashArmsEveryRegisteredName: every name the registry exports
+// still arms, with and without a skip count.
+func TestArmCrashArmsEveryRegisteredName(t *testing.T) {
+	for _, name := range Names() {
+		for _, spec := range []string{name, name + ":1"} {
+			if err := ArmCrash(spec); err != nil {
+				t.Fatalf("ArmCrash(%q): %v", spec, err)
+			}
+			if got := armed.Load(); got != 1 {
+				t.Fatalf("armed = %d after ArmCrash(%q), want 1", got, spec)
+			}
+			DisarmAll()
+		}
+	}
+}

@@ -209,6 +209,47 @@ func DecodeSpansInto(dst []Span, buf []byte, r *msg.Reader) ([]Span, []byte) {
 	return dst, buf
 }
 
+// DecodeSpansView reads spans encoded by EncodeSpans that end r's
+// payload, appending them to dst without a copy: each span's bytes
+// alias the payload, so the spans live exactly as long as it does. It
+// consumes the rest of r; on a malformed payload, trailing bytes
+// included, dst is returned unchanged and r.Err() reports the failure.
+func DecodeSpansView(dst []Span, r *msg.Reader) []Span {
+	p := r.Rest()
+	if len(p) < 4 {
+		r.Fail()
+		return dst
+	}
+	n := int(binary.BigEndian.Uint32(p))
+	p = p[4:]
+	// As in DecodeSpansInto: at least 5 bytes a span.
+	if n > len(p)/5 {
+		r.Fail()
+		return dst
+	}
+	d0 := len(dst)
+	for i := 0; i < n; i++ {
+		if len(p) < 5 {
+			r.Fail()
+			return dst[:d0]
+		}
+		off := int(binary.BigEndian.Uint32(p))
+		size, k := binary.Uvarint(p[4:])
+		if k <= 0 || size > uint64(len(p)-4-k) {
+			r.Fail()
+			return dst[:d0]
+		}
+		p = p[4+k:]
+		dst = append(dst, Span{Off: off, Data: p[:size:size]})
+		p = p[size:]
+	}
+	if len(p) != 0 {
+		r.Fail()
+		return dst[:d0]
+	}
+	return dst
+}
+
 // DecodeSpans reads spans encoded by EncodeSpans into fresh storage.
 // The returned spans copy their data out of the reader's buffer; nil is
 // returned on malformed input (r.Err() reports why).

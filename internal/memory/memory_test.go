@@ -349,6 +349,44 @@ func TestDecodeSpansIntoTruncatedRestoresInputs(t *testing.T) {
 	}
 }
 
+// TestDecodeSpansView: the spans decode in place — each aliases the
+// payload — and a payload that is cut short anywhere, or runs on past
+// its spans, is an error that leaves dst as it was.
+func TestDecodeSpansView(t *testing.T) {
+	spans := []Span{{3, []byte{1, 2}}, {9, []byte{7}}, {200, make([]byte, 300)}}
+	b := msg.NewBuilder(512)
+	EncodeSpans(b, spans)
+	enc := b.Bytes()
+
+	dst := append(make([]Span, 0, 8), Span{Off: 1})
+	r := msg.NewReader(enc)
+	dst = DecodeSpansView(dst, r)
+	if r.Err() != nil || len(dst) != 4 || r.Remaining() != 0 {
+		t.Fatalf("decoded %v (err %v, %d bytes left)", dst, r.Err(), r.Remaining())
+	}
+	for i, sp := range spans {
+		if got := dst[1+i]; got.Off != sp.Off || !bytes.Equal(got.Data, sp.Data) {
+			t.Fatalf("span %d = %v, want %v", i, got, sp)
+		}
+	}
+	enc[len(enc)-1] ^= 0xFF // the last span's last byte
+	if dst[3].Data[len(dst[3].Data)-1] == 0 {
+		t.Fatal("decoded span does not alias the payload")
+	}
+	enc[len(enc)-1] ^= 0xFF
+
+	r = msg.NewReader(append(append([]byte(nil), enc...), 0))
+	if got := DecodeSpansView(dst[:1], r); r.Err() == nil || len(got) != 1 {
+		t.Errorf("payload with a trailing byte: decoded %d spans, err %v", len(got), r.Err())
+	}
+	for n := 0; n < len(enc); n++ {
+		r := msg.NewReader(enc[:n])
+		if got := DecodeSpansView(dst[:1], r); r.Err() == nil || len(got) != 1 {
+			t.Errorf("%d-byte prefix of a %d-byte payload: decoded %d spans, err %v", n, len(enc), len(got), r.Err())
+		}
+	}
+}
+
 func TestCloneSpansIndependent(t *testing.T) {
 	src := []byte{1, 2, 3, 4}
 	spans := []Span{{0, src[:2]}, {8, src[2:]}}

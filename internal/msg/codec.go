@@ -115,6 +115,13 @@ func (b *Builder) BytesN(p []byte) *Builder {
 	return b
 }
 
+// Raw appends p as it is, with no length prefix: the tail of a payload
+// whose decoder takes everything that remains (Reader.Rest).
+func (b *Builder) Raw(p []byte) *Builder {
+	b.buf = append(b.buf, p...)
+	return b
+}
+
 // Str appends a length-prefixed string.
 func (b *Builder) Str(s string) *Builder {
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(s)))
@@ -242,6 +249,15 @@ func (r *Reader) BytesN() []byte {
 
 // Str decodes a length-prefixed string.
 func (r *Reader) Str() string { return string(r.BytesN()) }
+
+// Rest decodes everything that remains, written by Builder.Raw. The
+// result aliases the underlying payload buffer.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.take(len(r.buf) - r.off)
+}
 
 // Entry decodes one length-prefixed sub-payload written by
 // Builder.Entry, returning a Reader positioned over just that entry.

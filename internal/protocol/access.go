@@ -127,9 +127,37 @@ func (n *Node) TryFlushQueue(q *duq.Queue) error {
 	if len(fs.ids) == 0 {
 		return nil
 	}
-	err := n.flushBatched(fs)
+	n.lockDrained(fs)
+	err := n.flushBatched(fs, -1)
+	n.unlockDrained(fs)
 	q.Commit(fs.ids)
 	return err
+}
+
+// lockDrained takes the flush lock of every drained object, in
+// object-ID order, before anything is captured; unlockDrained gives
+// them back once the flush is acknowledged. One rule for all three
+// delayed-update annotations: this node's updates to an object reach
+// its home, or its consumers, in the order they were captured — an
+// older capture can never land on top of a newer one — and a thread
+// whose bytes were taken by a co-located thread's flush waits here
+// until that flush is acknowledged, so it cannot pass its sync point
+// before its writes are visible. Concurrent flushes lock in the same
+// order, so overlapping dirty sets cannot deadlock.
+func (n *Node) lockDrained(fs *flushScratch) {
+	for _, id := range fs.ids {
+		fs.objs = append(fs.objs, n.mustObj(id))
+	}
+	slices.SortFunc(fs.objs, func(a, b *Obj) int { return cmp.Compare(a.meta.ID, b.meta.ID) })
+	for _, o := range fs.objs {
+		o.pushMu.LockOrdered(uint64(o.meta.ID))
+	}
+}
+
+func (n *Node) unlockDrained(fs *flushScratch) {
+	for _, o := range fs.objs {
+		o.pushMu.Unlock()
+	}
 }
 
 // flushScratch is the reusable state of one batched flush: the drained
@@ -149,6 +177,7 @@ type flushScratch struct {
 	dstOrder []msg.NodeID  // distinct homes in first-appearance order
 	grouped  []batchEntry  // entries regrouped contiguously per home
 	groups   []dstGroup    // remote homes' [lo,hi) ranges over grouped
+	carried  []batchEntry  // the entries a barrier arrival carries (FlushAtBarrier)
 	awaits   []flushAwait
 }
 
@@ -178,6 +207,7 @@ func putFlushScratch(fs *flushScratch) {
 	fs.ids, fs.objs, fs.spans, fs.buf = fs.ids[:0], fs.objs[:0], fs.spans[:0], fs.buf[:0]
 	fs.entries, fs.dstOrder = fs.entries[:0], fs.dstOrder[:0]
 	fs.grouped, fs.groups, fs.awaits = fs.grouped[:0], fs.groups[:0], fs.awaits[:0]
+	fs.carried = nil
 	flushScratchPool.Put(fs)
 }
 
@@ -189,33 +219,13 @@ type pcGroup struct {
 }
 
 // flushBatched plans and executes one batched, pipelined flush over
-// the drained dirty set (in first-modification order). A returned
-// error means some destination could not be reached or did not
-// acknowledge — notably *transport.ErrPeerDown from a dead peer.
-func (n *Node) flushBatched(fs *flushScratch) error {
-	// The flush lock of every drained object is taken before anything is
-	// captured and held until the last acknowledgment, in object-ID order
-	// (concurrent flushes lock in the same order, so overlapping dirty
-	// sets cannot deadlock). One rule for all three delayed-update
-	// annotations: this node's updates to an object reach its home, or
-	// its consumers, in the order they were captured — an older capture
-	// can never land on top of a newer one — and a thread whose bytes
-	// were taken by a co-located thread's flush waits here until that
-	// flush is acknowledged, so it cannot pass its sync point before its
-	// writes are visible.
-	for _, id := range fs.ids {
-		fs.objs = append(fs.objs, n.mustObj(id))
-	}
-	slices.SortFunc(fs.objs, func(a, b *Obj) int { return cmp.Compare(a.meta.ID, b.meta.ID) })
-	for _, o := range fs.objs {
-		o.pushMu.LockOrdered(uint64(o.meta.ID))
-	}
-	defer func() {
-		for _, o := range fs.objs {
-			o.pushMu.Unlock()
-		}
-	}()
-
+// the drained dirty set (in first-modification order), whose flush
+// locks the caller holds (lockDrained). The write-many and result
+// entries homed at node carry are not sent: they are left in
+// fs.carried for a barrier arrival to carry (carry < 0: none). A
+// returned error means some destination could not be reached or did
+// not acknowledge — notably *transport.ErrPeerDown from a dead peer.
+func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 	// Producer-consumer planning state is built lazily: the steady-state
 	// write-many/result flush (the allocation-gated hot path) never
 	// touches it.
@@ -275,9 +285,12 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 				fs.grouped = append(fs.grouped, de.e)
 			}
 		}
-		if dst == n.id {
+		switch dst {
+		case n.id:
 			local = fs.grouped[lo:len(fs.grouped):len(fs.grouped)]
-		} else {
+		case carry:
+			fs.carried = fs.grouped[lo:len(fs.grouped):len(fs.grouped)]
+		default:
 			fs.groups = append(fs.groups, dstGroup{dst: dst, lo: lo, hi: len(fs.grouped)})
 		}
 	}
@@ -342,8 +355,9 @@ func (n *Node) flushBatched(fs *flushScratch) error {
 		// Local flush at the home: the home copy already holds the
 		// bytes; just run the home-side merge + redistribution.
 		ds := getDecodeScratch()
-		n.homeMergeBatch(ds, local, n.id, true)
+		_, err := n.homeMergeBatch(ds, local, n.id, true)
 		putDecodeScratch(ds)
+		noteErr(err)
 	}
 	settle := func(a flushAwait) error {
 		replies, err := a.p.Wait()
@@ -391,22 +405,34 @@ func (o *Obj) takeDirty(fs *flushScratch) []memory.Span {
 // pooled buffer sized exactly, so the encode is one pass with no
 // intermediate Marshal copy.
 func encodeDiffBatch(entries []batchEntry) *bufpool.Buffer {
+	wb, b := vkernel.NewWire(diffEntriesSize(entries))
+	putDiffEntries(&b, entries)
+	wb.B = b.Bytes()
+	return wb
+}
+
+// diffEntriesSize is the encoded size of a kindDiffBatch payload, which
+// is also the carried part of a barrier arrival: a count word and one
+// length-prefixed (object, spans) entry per object.
+func diffEntriesSize(entries []batchEntry) int {
 	size := 4
 	for _, e := range entries {
 		esz := 4 + memory.EncodedSpansSize(e.spans)
 		size += msg.UvarintLen(uint64(esz)) + esz
 	}
-	wb, b := vkernel.NewWire(size)
+	return size
+}
+
+// putDiffEntries writes the payload diffEntriesSize sized.
+func putDiffEntries(b *msg.Builder, entries []batchEntry) {
 	b.U32(uint32(len(entries)))
 	for _, e := range entries {
 		// The Entry-style length prefix, written directly from the
 		// precomputed size instead of through a temporary Builder.
 		b.Uvarint(uint64(4 + memory.EncodedSpansSize(e.spans)))
 		b.U32(uint32(e.id))
-		memory.EncodeSpans(&b, e.spans)
+		memory.EncodeSpans(b, e.spans)
 	}
-	wb.B = b.Bytes()
-	return wb
 }
 
 // startDiffBatch enqueues one home's planned entries on the coalescing
@@ -423,11 +449,16 @@ func (n *Node) startDiffBatch(dst msg.NodeID, entries []batchEntry) (flushAwait,
 	}
 	return flushAwait{p: p, finish: func(replies []*msg.Msg) error {
 		r := msg.NewReader(replies[0].Payload)
-		if cnt := int(r.U32()); cnt != len(entries) || r.Err() != nil {
+		if cnt := int(r.U32()); cnt != len(entries) || r.Err() != nil || r.Remaining() < 8*cnt {
 			return fmt.Errorf("diff batch to node %d: reply has %d seqs, want %d", dst, cnt, len(entries))
 		}
 		for _, e := range entries {
 			n.settleOwnDiff(e.id, r.U64())
+		}
+		// The merge happened; a failed relay to a third node follows
+		// the sequence numbers.
+		if r.Remaining() > 0 {
+			return fmt.Errorf("diff batch to node %d: %s", dst, r.Str())
 		}
 		return nil
 	}}, nil

@@ -564,6 +564,13 @@ type decodeScratch struct {
 	relays  []relay            // what each copy holder must receive
 	members []msg.NodeID       // one relay group's holders
 	pends   []*vkernel.Pending // started relays awaiting their acks
+
+	// A barrier's merge (barrierMerge) takes entries from several
+	// senders: froms[i] sent entry i, and the relays to carriers — the
+	// participants whose releases carry their updates — are left in
+	// relays for the releases instead of being sent.
+	froms    []msg.NodeID
+	carriers []msg.NodeID
 }
 
 // relay is one (copy holder, entry index) pair of a home merge: the
@@ -589,6 +596,7 @@ func putDecodeScratch(ds *decodeScratch) {
 	ds.spans, ds.buf, ds.entries, ds.applies = ds.spans[:0], ds.buf[:0], ds.entries[:0], ds.applies[:0]
 	ds.ids, ds.locked, ds.seqs = ds.ids[:0], ds.locked[:0], ds.seqs[:0]
 	ds.relays, ds.members, ds.pends = ds.relays[:0], ds.members[:0], ds.pends[:0]
+	ds.froms, ds.carriers = ds.froms[:0], ds.carriers[:0]
 	decodeScratchPool.Put(ds)
 }
 
@@ -676,8 +684,15 @@ func (n *Node) countBatch(objs, payloadBytes int) {
 // other copy holders, grouped so each holder receives a single message
 // carrying its updates in entry order (per-receiver program order). It
 // returns the assigned sequence numbers, in entry order; they live in
-// ds, like the rest of the merge's working state.
-func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID, alreadyApplied bool) []uint64 {
+// ds, like the rest of the merge's working state. The error is a relay
+// that failed (its holder's wire died): the merge itself has happened,
+// every other relay was sent and acknowledged, and the error goes back
+// to whoever sent the updates (relay.failed).
+//
+// from sent every entry, unless ds.froms names each entry's sender; a
+// relay to a node in ds.carriers is left in ds.relays unsent, for the
+// barrier releases that carry it.
+func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID, alreadyApplied bool) ([]uint64, error) {
 	// relayMu serializes the stamp+relay+ack round per object: an
 	// acknowledged diff implies every earlier diff for the object has
 	// been installed at every copy, which is what lets a flush-then-
@@ -704,10 +719,13 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 	}()
 
 	for i, e := range entries {
+		if len(ds.froms) > 0 {
+			from = ds.froms[i]
+		}
 		ds.seqs = append(ds.seqs, n.mergeStamp(ds, i, e, from, alreadyApplied))
 	}
 	if len(ds.relays) == 0 {
-		return ds.seqs
+		return ds.seqs, nil
 	}
 
 	// Sorted by holder (stably, so each holder's run lists its entries in
@@ -718,17 +736,26 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 	// distinct groups overlap in the per-peer writers with no goroutine
 	// hop per group.
 	slices.SortStableFunc(ds.relays, func(a, b relay) int { return cmp.Compare(a.to, b.to) })
+	var firstErr error
+	failed := func(err error) {
+		if err != nil && !n.relayBenign(err) {
+			n.C.Add(stats.CRelayFailed, 1)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("relay to copy holders: %w", err)
+			}
+		}
+	}
 	for lo := 0; lo < len(ds.relays); {
 		run := holderRun(ds.relays[lo:])
 		lo += len(run)
-		if run[0].sent {
+		if run[0].sent || slices.Contains(ds.carriers, run[0].to) {
 			continue
 		}
 		ds.members = append(ds.members[:0], run[0].to)
 		for next := lo; next < len(ds.relays); {
 			other := holderRun(ds.relays[next:])
 			next += len(other)
-			if !other[0].sent && slices.EqualFunc(run, other, sameEntry) {
+			if !other[0].sent && !slices.Contains(ds.carriers, other[0].to) && slices.EqualFunc(run, other, sameEntry) {
 				ds.members = append(ds.members, other[0].to)
 				other[0].sent = true
 			}
@@ -742,17 +769,17 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 		n.C.Add(stats.CHomeRelay, 1)
 		n.countBatch(len(run), len(payload))
 		p, err := n.k.MulticastCallStart(ds.members, kindApplyBatch, payload)
-		if err != nil && !n.relayBenign(err) {
-			panic(fmt.Sprintf("munin: relay diff batch: %v", err))
+		if err != nil {
+			failed(err)
+			continue
 		}
 		ds.pends = append(ds.pends, p)
 	}
 	for _, p := range ds.pends {
-		if _, err := p.Wait(); err != nil && !n.relayBenign(err) {
-			panic(fmt.Sprintf("munin: relay diff batch: %v", err))
-		}
+		_, err := p.Wait()
+		failed(err)
 	}
-	return ds.seqs
+	return ds.seqs, firstErr
 }
 
 // holderRun returns the leading pairs of relays that share one holder.
@@ -802,11 +829,20 @@ func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 	// The merge both installs the spans (copying into the home copies)
 	// and relays them (copying into the relay payloads), so the scratch
 	// is dead by the time the reply goes out.
-	seqs := n.homeMergeBatch(ds, ds.entries, req.From, false)
-	b := msg.NewBuilder(4 + 8*len(seqs))
+	seqs, err := n.homeMergeBatch(ds, ds.entries, req.From, false)
+	// The reply is the sequence numbers, followed by the relay's error
+	// when one failed: the writer settles its copies either way.
+	text := ""
+	if err != nil {
+		text = err.Error()
+	}
+	b := msg.NewBuilder(4 + 8*len(seqs) + len(text) + 2)
 	b.U32(uint32(len(seqs)))
 	for _, s := range seqs {
 		b.U64(s)
+	}
+	if text != "" {
+		b.Str(text)
 	}
 	n.k.Reply(req, b.Bytes())
 	return vkernel.Replied

@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/netutil"
+	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -285,5 +288,82 @@ func TestPeerGoneReclaimsExclusiveOwner(t *testing.T) {
 	homeNode.Read(duq.New(), id, 0, buf)
 	if buf[0] != 9 {
 		t.Fatalf("home write after reclaim not visible: %v", buf)
+	}
+}
+
+// TestRelayToADeadHolderFailsTheWriterNotTheHome: node 2 holds a copy
+// of an object homed on node 0 and its process dies. When node 1
+// publishes an update, the home's relay to node 2 fails. The home must
+// not panic in its handler (which would take this test binary with it):
+// the merge stands, and the failure is the error of whoever published
+// the update — node 1's flush, or, when node 1 carries the update in a
+// barrier arrival, every participant's barrier.
+func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
+	for _, viaBarrier := range []bool{false, true} {
+		name := "flush"
+		if viaBarrier {
+			name = "barrier"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := newMeshMembers(t, 3)
+			for _, mm := range m[:2] {
+				defer mm.clu.Close()
+			}
+			opts := DefaultOptions()
+			opts.Home = 0
+			id := memory.ObjectID(1)
+			meta := Meta{ID: id, Name: "wm", Size: 64, Annot: WriteMany, Opts: opts}
+			for _, mm := range m {
+				mm.node.InstallLocal(meta, nil)
+			}
+			buf := make([]byte, 8)
+			for _, mm := range m[1:] {
+				mm.node.Read(duq.New(), id, 0, buf) // both become copy holders
+			}
+			m[2].clu.Kill()
+
+			home, writer := m[0].node, m[1].node
+			q := duq.New()
+			writer.Write(q, id, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			var err, homeErr error
+			if !viaBarrier {
+				err = writer.TryFlushQueue(q)
+			} else {
+				// Barrier 0 is homed on node 0, whose own participant
+				// carries nothing.
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					_, homeErr = home.locks.BarrierCarry(0, 2, 0, nil)
+				}()
+				err = writer.FlushAtBarrier(q, 0, func(size int, carry func(*msg.Builder)) ([]byte, error) {
+					return writer.locks.BarrierCarry(0, 2, size, carry)
+				})
+				<-done
+				if homeErr == nil || !strings.Contains(homeErr.Error(), "relay") {
+					t.Errorf("the home's own participant got %v, want the relay's error", homeErr)
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), "relay") {
+				t.Fatalf("publishing to a home whose relay fails = %v, want the relay's error", err)
+			}
+			if got := home.C.Get(stats.CRelayFailed); got != 1 {
+				t.Errorf("relay.failed = %d at the home, want 1", got)
+			}
+			// The merge stood: the home copy holds the update, and the
+			// writer settled its copy, so a second update flushes cleanly
+			// apart from the same dead holder.
+			home.Read(duq.New(), id, 0, buf)
+			if !bytes.Equal(buf, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+				t.Errorf("home copy = %v after the failed relay, want the update", buf)
+			}
+			writer.Write(q, id, 8, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+			if err := writer.TryFlushQueue(q); err == nil || !strings.Contains(err.Error(), "relay") {
+				t.Errorf("second flush = %v, want the relay's error again", err)
+			}
+			if writer.C.Get(stats.CApplyGap) != 0 {
+				t.Errorf("the writer's copy parked an update (apply.gap = %d)", writer.C.Get(stats.CApplyGap))
+			}
+		})
 	}
 }

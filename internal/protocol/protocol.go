@@ -583,6 +583,9 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 	vkernel.HandleCalls(k, kindAlloc, n, allocCalls[:])
 	vkernel.HandleCalls(k, kindRead, n, cohCalls[:])
 	vkernel.HandleSends(k, kindEvict, n, cohSends[:])
+	if locks != nil {
+		locks.AttachBarrier(n.barrierCheck, n.barrierMerge)
+	}
 	return n
 }
 

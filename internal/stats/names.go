@@ -67,6 +67,9 @@ const (
 	CDropUnknownObject     = "drop.unknown_object"
 	CDropMisdirected       = "drop.misdirected"
 	CProducerRefused       = "producer.refused"
+	CBarrierCarried        = "barrier.carried"
+	CBarrierReleased       = "barrier.released"
+	CRelayFailed           = "relay.failed"
 
 	// core (counted on the protocol node): run-gate lifecycle.
 	CRecoverGateSynced = "recover.gate_synced"
@@ -83,6 +86,7 @@ const (
 	CDlockRecoverOwner    = "dlock.recover_owner"
 	CDlockDropMalformed   = "dlock.drop_malformed"
 	CDlockDropMisdirected = "dlock.drop_misdirected"
+	CDlockBarrierPurged   = "dlock.barrier_purged"
 
 	// vkernel: pending-call failure accounting.
 	CCallFailedPeer = "call.failed_peer"
@@ -159,6 +163,9 @@ var registered = map[string]string{
 	CDropUnknownObject:     "protocol",
 	CDropMisdirected:       "protocol",
 	CProducerRefused:       "protocol",
+	CBarrierCarried:        "protocol",
+	CBarrierReleased:       "protocol",
+	CRelayFailed:           "protocol",
 
 	CRecoverGateSynced: "core",
 	CRecoverGateResync: "core",
@@ -173,6 +180,7 @@ var registered = map[string]string{
 	CDlockRecoverOwner:    "dlock",
 	CDlockDropMalformed:   "dlock",
 	CDlockDropMisdirected: "dlock",
+	CDlockBarrierPurged:   "dlock",
 
 	CCallFailedPeer: "vkernel",
 	CCallFailedGone: "vkernel",
