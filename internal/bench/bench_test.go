@@ -409,10 +409,9 @@ func TestE17RecoverySweep(t *testing.T) {
 		"crash.points": float64(len(failpoint.Names())),
 		// Rejoin is lazy: one announce a survivor, one gate resync, and
 		// the replicas the program touches re-primed by ordinary faults.
-		// The victim's own objects ride its barrier arrival rather than a
-		// diff batch of their own: 31 sends (32 while they were flushed
-		// before the arrival).
-		"rejoin.reprime_msgs": 31,
+		// The victim's second words ride its barrier arrival, so they
+		// add no send of their own.
+		"rejoin.reprime_msgs": 32,
 	})
 }
 

@@ -124,19 +124,19 @@ type e17Recover struct {
 
 // e17Program is the program under test, identical in every shape. Each
 // member owns K disjoint write-many objects (all homed on node 0, the
-// surviving home, like the barrier): it primes them, the victim member
-// acquires a node-0-homed lock and writes the critical-section object,
-// every member writes its objects with deterministic values, and after
-// a barrier every member digests every shared byte. Each member runs
-// alone on its node, so the members homed away from node 0 publish
-// their objects in their barrier arrivals; the victim's critical
-// section comes first, so its flushes (flush.planned, flush.sent) carry
-// the critical-section object and its arrival carries its own objects
-// (barrier.carried). skipBody is the rejoin shape for crashes past the
-// barrier: the body already ran to completion in the dead incarnation,
-// so the fresh one goes straight to the digest sweep. hold, when set,
-// parks every other member until it closes: before its barrier arrival
-// with holdBar, at the end of its body without.
+// surviving home, like the barrier): it primes and writes them with
+// deterministic values, the victim member additionally acquires a
+// node-0-homed lock and writes the critical-section object, every member
+// writes a second word of each of its objects, and after a barrier every
+// member digests every shared byte. The victim's Acquire flushes all K
+// of its objects in one batch (flush.planned, flush.sent); each member
+// runs alone on its node, so the members on nodes other than node 0
+// publish the second words in their barrier arrivals (barrier.carried).
+// skipBody is the rejoin shape for crashes past the barrier: the body
+// already ran to completion in the dead incarnation, so the fresh one
+// goes straight to the digest sweep. hold, when set, parks every other
+// member until it closes: before its barrier arrival with holdBar, at
+// the end of its body without.
 func e17Program(sys *core.System, k, members, victim int, skipBody bool,
 	hold chan struct{}, holdBar bool, mark io.Writer, rec *e17Recover) (E17Metrics, error) {
 	const objSize = 64
@@ -169,13 +169,16 @@ func e17Program(sys *core.System, k, members, victim int, skipBody bool,
 			for _, r := range regions[me] {
 				c.Read(r, 0, b8[:]) // prime, so the flush cost is isolated
 			}
+			for i, r := range regions[me] {
+				api.WriteU64(c, r, 0, e17Value(me, i))
+			}
 			if me == victim {
 				c.Acquire(lck)
 				api.WriteU64(c, cs, 0, e17CSValue)
 				c.Release(lck)
 			}
 			for i, r := range regions[me] {
-				api.WriteU64(c, r, 0, e17Value(me, i))
+				api.WriteU64(c, r, 8, e17Value(me, i)+1)
 			}
 			if hold != nil && holdBar && me != victim {
 				<-hold // parent-gated arrival: the victim's arrival parks first

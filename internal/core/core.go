@@ -218,6 +218,14 @@ func newMeshMember(cfg Config) (*System, error) {
 	if pd, ok := clu.Network().(transport.PeerDownNotifier); ok {
 		pd.OnPeerDown(func(peer msg.NodeID, _ uint64, err error) {
 			node.PeerDown(peer)
+			if s.recoverable {
+				// Only a peer that may come back loses its parked
+				// barrier arrivals: without a reconnect policy they
+				// still count, the barrier completes, and the
+				// survivors fail at the exit gate instead of waiting
+				// at a barrier the dead member can never reach again.
+				ls.PeerDown(peer)
+			}
 			s.gatePeerDown(peer, err)
 		})
 	}

@@ -322,3 +322,108 @@ func TestMeshRunGateFailsOnLostMember(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshBarrierMemberDiesParked: without a reconnect policy a member
+// that dies with its barrier arrival parked at the home is lost, not
+// awaited. Its arrival, carried update and all, still counts, so the
+// barrier completes when the survivors arrive, and each survivor's Run
+// fails at the exit gate with the member-lost error. Dropping the
+// arrival would leave the survivors waiting at the barrier for ever.
+func TestMeshBarrierMemberDiesParked(t *testing.T) {
+	var victimSys atomic.Pointer[System]
+	// cluster.Kill closes the kernels before it kills the wire: the
+	// victim's Run can return in between, and its Close must not get
+	// to say goodbye first.
+	killed := make(chan struct{})
+	downSeen := make(chan struct{})
+	var downOnce sync.Once
+	// A member's Close does not wait for its handlers: a home that left
+	// as soon as its own Run failed could drop the release it had not
+	// yet sent to the other survivor. Each survivor closes only once
+	// both Runs have returned.
+	var ran sync.WaitGroup
+	ran.Add(2)
+	program := func(sys *System) error {
+		bar := sys.NewBarrier()
+		ls := sys.locks[sys.self]
+		home := int(ls.BarrierHome(bar))
+		victim := 2 // neither the barrier's home nor node 0, whose gate must survive
+		if home == 2 {
+			victim = 1
+		}
+		opts := protocol.DefaultOptions()
+		opts.Home = msg.NodeID(home)
+		x := sys.Alloc("x", 64, protocol.WriteMany, opts, nil)
+		switch sys.Self() {
+		case home:
+			// Registered after the runtime's own handler, so it runs
+			// once the home has handled the death.
+			sys.clu.Network().(transport.PeerDownNotifier).OnPeerDown(func(peer msg.NodeID, _ uint64, _ error) {
+				if int(peer) == victim {
+					downOnce.Do(func() { close(downSeen) })
+				}
+			})
+		case victim:
+			victimSys.Store(sys)
+		}
+		var got uint64
+		err := sys.RunErr(3, func(c api.Ctx) {
+			switch c.ThreadID() {
+			case victim:
+				defer func() { recover() }() // the barrier fails as its member dies
+				api.WriteU64(c, x, 16, 7)    // rides the arrival: the thread is alone on its node
+				c.Barrier(bar, 3)            // its member dies parked here
+				return
+			case home:
+				deadline := time.Now().Add(10 * time.Second)
+				for ls.BarrierArrived(bar) < 1 {
+					if time.Now().After(deadline) {
+						t.Error("the victim's arrival never parked at the home")
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+				victimSys.Load().clu.Kill()
+				close(killed)
+			}
+			<-downSeen
+			c.Barrier(bar, 3)
+			if c.ThreadID() == home {
+				// The other survivor may leave before a read fault of
+				// its own could reach the home.
+				got = api.ReadU64(c, x, 16)
+			}
+		})
+		if sys.Self() == victim {
+			<-killed
+			return nil // killed mid-Run: whatever its Run reports
+		}
+		ran.Done()
+		ran.Wait()
+		if sys.Self() == home && got != 7 {
+			return fmt.Errorf("read %d after the barrier, want the dead member's 7", got)
+		}
+		// Node 0 may fail the exit gate and leave before the other
+		// survivor's arrival lands there, which is node 0 lost to it.
+		if err == nil || !strings.Contains(err.Error(), "lost") {
+			return fmt.Errorf("Run = %v, want the member-lost error", err)
+		}
+		// Node 0's verdict wraps a lost member's typed cause: the
+		// victim's wire death, or the other survivor's goodbye when it
+		// has already left.
+		var down *transport.ErrPeerDown
+		var gone *transport.ErrPeerGone
+		if sys.Self() == 0 && !errors.As(err, &down) && !errors.As(err, &gone) {
+			return fmt.Errorf("Run = %v, want it to wrap *transport.ErrPeerDown or *transport.ErrPeerGone", err)
+		}
+		if n := sys.clu.Kernel(sys.self).C.Get(stats.CDlockBarrierPurged); n != 0 {
+			return fmt.Errorf("purged %d barrier arrivals of a member that cannot come back", n)
+		}
+		return nil
+	}
+	for i, err := range spmdMembers(t, meshTopos(t, 3), program) {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+}

@@ -446,8 +446,11 @@ func (s *Service) PeerRecovered(peer msg.NodeID) {
 // could complete a barrier without it — the others would pass while
 // the peer, or its recovered incarnation, waits at a barrier nobody
 // else will reach. The runtime calls it when the transport latches the
-// peer down; PeerRecovered purges again, for an arrival whose handler
-// was still running when the wire died.
+// peer down and a reconnect policy lets it come back (a terminal
+// outage leaves the arrivals counted, so the barrier still completes
+// and the survivors fail at the run's exit gate); PeerRecovered purges
+// again, for an arrival whose handler was still running when the wire
+// died.
 //
 // Counter: dlock.barrier_purged.
 func (s *Service) PeerDown(peer msg.NodeID) {

@@ -63,6 +63,21 @@ func (s *Service) BarrierHome(id BarrierID) msg.NodeID {
 	return cluster.HomeOf(uint64(id), s.nodes)
 }
 
+// BarrierArrived returns how many arrivals barrier id's open epoch has
+// parked at this node, its home; 0 when none is open. A test waits on
+// it to stage a member's death with its arrival parked.
+func (s *Service) BarrierArrived(id BarrierID) int {
+	s.mu.Lock()
+	b := s.barriers[id]
+	s.mu.Unlock()
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.arrived)
+}
+
 // BarrierWait blocks until n participants (including the caller) have
 // arrived at barrier id. It panics, like every rendezvous here, if the
 // arrival's call fails or the home reports an error.
@@ -93,22 +108,17 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 		return nil, nil
 	}
 	home := s.BarrierHome(id)
-	var reply *msg.Msg
-	if size == 0 {
-		r, err := s.k.Call(home, kindBarrier, msg.NewBuilder(barrierHeader).U32(uint32(id)).Int(n).Bytes())
-		if err != nil {
-			return nil, err
-		}
-		reply = r
-	} else {
-		wb, b := vkernel.NewWire(barrierHeader + size)
-		b.U32(uint32(id)).Int(n)
+	wb, b := vkernel.NewWire(barrierHeader + size)
+	b.U32(uint32(id)).Int(n)
+	if size > 0 {
 		carry(&b)
-		wb.B = b.Bytes()
-		p, err := s.k.CallStartOwned(home, kindBarrier, wb)
-		if err != nil {
-			return nil, err
-		}
+	}
+	wb.B = b.Bytes()
+	p, err := s.k.CallStartOwned(home, kindBarrier, wb)
+	if err != nil {
+		return nil, err
+	}
+	if size > 0 {
 		// A failed fence means the arrival may never leave: the peer's
 		// wire died (which fails the call too) or the node is closing.
 		if err := s.k.Flush(); err != nil {
@@ -117,12 +127,12 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 		// The carried updates are on the wire and the home holds them
 		// unmerged: a member dying here leaves its arrival parked there.
 		failpoint.Hit(failpoint.BarrierCarried)
-		replies, err := p.Wait()
-		if err != nil {
-			return nil, err
-		}
-		reply = replies[0]
 	}
+	replies, err := p.Wait()
+	if err != nil {
+		return nil, err
+	}
+	reply := replies[0]
 	body, text, ok := decodeRelease(reply.Payload)
 	if !ok {
 		return nil, fmt.Errorf("barrier %d: malformed release from node %d", id, home)

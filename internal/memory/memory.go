@@ -178,10 +178,10 @@ func EncodeSpans(b *msg.Builder, spans []Span) {
 }
 
 // DecodeSpansInto reads spans encoded by EncodeSpans, appending the
-// span records to dst and their payload bytes to buf (both normally
-// pooled scratch on the receive path; the spans alias buf, so they are
-// dead once the scratch is released). On a malformed payload the inputs
-// are returned unchanged and r.Err() reports the failure.
+// span records to dst and their payload bytes to buf (the spans alias
+// buf, so they are dead once the caller reuses it). The receive path
+// decodes in place instead (DecodeSpansView). On a malformed payload
+// the inputs are returned unchanged and r.Err() reports the failure.
 func DecodeSpansInto(dst []Span, buf []byte, r *msg.Reader) ([]Span, []byte) {
 	n := int(r.U32())
 	if r.Err() != nil {

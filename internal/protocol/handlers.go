@@ -546,17 +546,17 @@ func (n *Node) handleInv(req *msg.Msg) vkernel.Outcome {
 }
 
 // decodeScratch is the receive-side pooled scratch: a handler decodes
-// a message's spans into it, installs them under the object locks
-// (copying into o.data, or cloning when an out-of-order update must be
-// parked — see applyRefresh), and returns it before replying. Nothing
-// decoded into it may outlive the handler. It also carries the working
+// a message's span headers into it (the bytes stay in the payload the
+// handler was handed), installs them under the object locks (copying
+// into o.data, or cloning when an out-of-order update must be parked —
+// see applyRefresh), and returns it before replying. Nothing decoded
+// into it may outlive the handler. It also carries the working
 // state of a home merge (homeMergeBatch), so merging a batch — of one
 // entry or of many — allocates nothing but the relay payloads.
 type decodeScratch struct {
-	spans   []memory.Span
-	buf     []byte
-	entries []batchEntry // decoded diffs (handleDiffBatch)
-	applies []applyEntry // decoded refreshes (handleApplyBatch), or the relay groups' entries
+	spans   []memory.Span // decoded spans; their bytes alias the payload they came from
+	entries []batchEntry  // decoded diffs (handleDiffBatch)
+	applies []applyEntry  // decoded refreshes (handleApplyBatch), or the relay groups' entries
 
 	ids     []memory.ObjectID  // entry IDs in relayMu lock order
 	locked  []*dirEntry        // directory entries whose relayMu the merge holds
@@ -593,7 +593,7 @@ func putDecodeScratch(ds *decodeScratch) {
 	clear(ds.applies)
 	clear(ds.locked)
 	clear(ds.pends)
-	ds.spans, ds.buf, ds.entries, ds.applies = ds.spans[:0], ds.buf[:0], ds.entries[:0], ds.applies[:0]
+	ds.spans, ds.entries, ds.applies = ds.spans[:0], ds.entries[:0], ds.applies[:0]
 	ds.ids, ds.locked, ds.seqs = ds.ids[:0], ds.locked[:0], ds.seqs[:0]
 	ds.relays, ds.members, ds.pends = ds.relays[:0], ds.members[:0], ds.pends[:0]
 	ds.froms, ds.carriers = ds.froms[:0], ds.carriers[:0]
@@ -816,7 +816,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 		e := r.Entry()
 		id := memory.ObjectID(e.U32())
 		lo := len(ds.spans)
-		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
+		ds.spans = memory.DecodeSpansView(ds.spans, e)
 		if e.Err() != nil || r.Err() != nil {
 			n.C.Add(stats.CDropMalformed, 1)
 			return vkernel.Dropped
@@ -885,7 +885,7 @@ func (n *Node) handleApplyBatch(req *msg.Msg) vkernel.Outcome {
 		id := memory.ObjectID(e.U32())
 		seq := e.U64()
 		lo := len(ds.spans)
-		ds.spans, ds.buf = memory.DecodeSpansInto(ds.spans, ds.buf, e)
+		ds.spans = memory.DecodeSpansView(ds.spans, e)
 		if e.Err() != nil || r.Err() != nil {
 			n.C.Add(stats.CDropMalformed, 1)
 			return vkernel.Dropped
@@ -920,8 +920,9 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 		// must not be dropped: park it. The fetch install drains every
 		// parked update newer than its snapshot (alignSeq); parked
 		// updates at or below the snapshot are discarded there. The
-		// spans alias the handler's pooled decode scratch, so parking —
-		// the one place they outlive the handler — clones them.
+		// spans alias the message they arrived in, so parking — the one
+		// place they outlive the handler — clones them rather than keep
+		// the whole message alive.
 		o.pendApply[seq] = memory.CloneSpans(spans)
 		o.mu.Unlock()
 	case seq <= o.applySeq:

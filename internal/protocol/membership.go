@@ -64,9 +64,6 @@ func (n *Node) PeerGone(peer msg.NodeID) {
 // be back (PeerRecovered), and until then its objects have no owner to
 // ask.
 func (n *Node) PeerDown(peer msg.NodeID) {
-	if n.locks != nil {
-		n.locks.PeerDown(peer)
-	}
 	n.objs.each(func(o *Obj) {
 		if d := o.dir.Load(); d != nil {
 			d.mu.Lock()
