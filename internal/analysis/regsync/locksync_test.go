@@ -2,7 +2,7 @@
 // ranked mutexes and rejects a rendezvous under a data mutex only where
 // the rendezvous says so, so two things must hold in the source. Every
 // mutex field of the module's types is a lockrank.Mutex, and every
-// rendezvous errflow knows of (facts.Blocking) starts with
+// rendezvous in the blocking list (discard_test.go) starts with
 // lockrank.Blocking().
 package regsync
 
@@ -11,10 +11,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"munin/internal/analysis/facts"
 )
 
 // sourceDirs returns the root package's directory and every package
@@ -77,7 +74,7 @@ func TestEveryLockHasARank(t *testing.T) {
 	}
 }
 
-// TestBlockingCallsCheckRanks: every module function in facts.Blocking
+// TestBlockingCallsCheckRanks: every module function in the blocking list
 // starts with lockrank.Blocking(). An interface entry stands for every
 // method of the module with the interface method's name and signature.
 func TestBlockingCallsCheckRanks(t *testing.T) {
@@ -130,10 +127,7 @@ func TestBlockingCallsCheckRanks(t *testing.T) {
 		}
 	}
 
-	for _, b := range facts.Blocking {
-		if !strings.HasPrefix(b.Pkg, "munin/") {
-			continue
-		}
+	for _, b := range blocking {
 		var impls []method
 		if sig, ok := ifaces[b.Pkg+"."+b.Recv+"."+b.Name]; ok {
 			for _, m := range all {
@@ -149,11 +143,11 @@ func TestBlockingCallsCheckRanks(t *testing.T) {
 			}
 		}
 		if len(impls) == 0 {
-			t.Errorf("facts.Blocking names %s.%s.%s, which the source does not declare", b.Pkg, b.Recv, b.Name)
+			t.Errorf("the blocking list names %s.%s.%s, which the source does not declare", b.Pkg, b.Recv, b.Name)
 		}
 		for _, m := range impls {
 			if !startsWithBlocking(m.decl) {
-				t.Errorf("%s: (%s).%s is a blocking rendezvous (facts.Blocking) but does not start with lockrank.Blocking()", m.pos, m.recv, b.Name)
+				t.Errorf("%s: (%s).%s is a blocking rendezvous (the blocking list) but does not start with lockrank.Blocking()", m.pos, m.recv, b.Name)
 			}
 		}
 	}

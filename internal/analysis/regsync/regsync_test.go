@@ -1,10 +1,9 @@
 // Package regsync holds the registry synchronization tests: the
-// counter registry in internal/stats must agree with the
-// docs/ARCHITECTURE.md counters table in both directions (and, in
-// kindsync_test.go, the dispatched message kinds with its kinds table).
-// They are cheap pure-Go tests so they run under plain
-// `go test ./...` — a rename that would orphan a docs row fails CI
-// instead.
+// counters the internal/stats structs declare must agree with the
+// docs/ARCHITECTURE.md counters table in both directions, layer
+// included (and, in kindsync_test.go, the dispatched message kinds with
+// its kinds table). They run under plain `go test ./...`, so a rename
+// that would orphan a docs row fails Tier-1.
 package regsync
 
 import (
@@ -38,19 +37,19 @@ func repoRoot(t *testing.T) string {
 
 var backtickRe = regexp.MustCompile("`([^`]+)`")
 
-// architectureCounters extracts the counter names documented in the
-// ARCHITECTURE.md counters table: every backticked token in the first
-// column of the table that follows the "| Counter | Layer | Meaning |"
-// header. Parametrized tokens — `<class>` placeholders, call shapes
-// like `Stats()`, and suffix fragments like `.bytes` — describe
-// families, not exact names, and are skipped.
-func architectureCounters(t *testing.T) []string {
+// architectureCounters extracts the counters documented in the
+// ARCHITECTURE.md counters table, each with the first word of its row's
+// Layer column: every backticked token in the first column of the table
+// that follows the "| Counter | Layer | Meaning |" header. A `<class>`
+// placeholder stands for each traffic class; call shapes like
+// `Messages()` name accessors, not counters, and are skipped.
+func architectureCounters(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(repoRoot(t), "docs", "ARCHITECTURE.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	names := map[string]string{}
 	inTable := false
 	for _, line := range strings.Split(string(data), "\n") {
 		switch {
@@ -64,15 +63,21 @@ func architectureCounters(t *testing.T) []string {
 			continue
 		}
 		cells := strings.Split(line, "|")
-		if len(cells) < 2 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
+		if len(cells) < 3 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
 			continue
 		}
+		layer := strings.Fields(cells[2])[0]
 		for _, m := range backtickRe.FindAllStringSubmatch(cells[1], -1) {
 			tok := m[1]
-			if strings.ContainsAny(tok, "<(") || strings.HasPrefix(tok, ".") {
-				continue
+			switch {
+			case strings.Contains(tok, "("):
+			case strings.Contains(tok, "<class>"):
+				for _, class := range stats.TrafficClasses {
+					names[strings.Replace(tok, "<class>", class, 1)] = layer
+				}
+			default:
+				names[tok] = layer
 			}
-			names = append(names, tok)
 		}
 	}
 	if len(names) == 0 {
@@ -81,28 +86,30 @@ func architectureCounters(t *testing.T) []string {
 	return names
 }
 
-// TestArchitectureTableRegistered: every exact counter name the docs
-// table documents must exist in the stats registry (typo'd docs rows
-// would otherwise describe counters nothing increments).
+// TestArchitectureTableRegistered: every counter the docs table
+// documents is declared by the counter struct of the layer its row
+// names (typo'd docs rows would otherwise describe counters nothing
+// increments).
 func TestArchitectureTableRegistered(t *testing.T) {
-	for _, name := range architectureCounters(t) {
-		if !stats.IsRegistered(name) {
-			t.Errorf("ARCHITECTURE.md documents counter %q but internal/stats/names.go does not register it", name)
+	for name, layer := range architectureCounters(t) {
+		switch got := stats.LayerOf(name); got {
+		case layer:
+		case "":
+			t.Errorf("ARCHITECTURE.md documents counter %q but no internal/stats counter struct declares it", name)
+		default:
+			t.Errorf("ARCHITECTURE.md puts counter %q in layer %s, but the %s struct declares it", name, layer, got)
 		}
 	}
 }
 
-// TestRegistryDocumented: every registered counter name must appear in
-// the docs table (counters added in code without a docs row drift out
-// of the paper-reproduction story).
+// TestRegistryDocumented: every declared counter must appear in the
+// docs table (counters added in code without a docs row drift out of
+// the paper-reproduction story).
 func TestRegistryDocumented(t *testing.T) {
-	documented := map[string]bool{}
-	for _, name := range architectureCounters(t) {
-		documented[name] = true
-	}
+	documented := architectureCounters(t)
 	for _, name := range stats.Registered() {
-		if !documented[name] {
-			t.Errorf("counter %q is registered in internal/stats/names.go but missing from the ARCHITECTURE.md counters table", name)
+		if _, ok := documented[name]; !ok {
+			t.Errorf("counter %q is declared in internal/stats but missing from the ARCHITECTURE.md counters table", name)
 		}
 	}
 }

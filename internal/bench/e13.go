@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -24,7 +23,7 @@ import (
 // epoch-versioned reconnect promises:
 //
 //  1. During the outage, exactly the calls aimed at the dead peer fail
-//     — the home's in-flight call fails with *transport.ErrPeerDown
+//     — the home's in-flight call fails with a peer-down error (transport.PeerDownOf)
 //     (call.failed_peer = 1), and a fresh probe call fails fast (well
 //     under a second) instead of hanging.
 //  2. After the rejoin dial, the latch clears on a fresh connection
@@ -54,7 +53,7 @@ const (
 // e13Outage is the home's measurement of the outage window.
 type e13Outage struct {
 	// ParkedDown: the call that was blocked inside the writer when it
-	// was killed failed with the typed *transport.ErrPeerDown.
+	// was killed failed with a peer-down error (transport.PeerDownOf).
 	ParkedDown bool `json:"parked_down"`
 	// ProbeDown: a fresh call issued during the outage failed typed.
 	ProbeDown bool `json:"probe_down"`
@@ -127,13 +126,13 @@ func RunE13Home(topo transport.Topology, out *os.File) error {
 	// killed), assert the failure vocabulary and the fail-fast bound.
 	go func() {
 		err := <-parkErr
-		var pd *transport.ErrPeerDown
-		o := e13Outage{ParkedDown: errors.As(err, &pd)}
+		_, parkedDown := transport.PeerDownOf(err)
+		o := e13Outage{ParkedDown: parkedDown}
 		start := time.Now()
 		_, probe := k.Call(1, kindE13Echo, nil)
 		o.ProbeMs = float64(time.Since(start).Nanoseconds()) / 1e6
-		o.ProbeDown = errors.As(probe, &pd)
-		o.FailedPeer = k.Counters()[stats.CCallFailedPeer]
+		_, o.ProbeDown = transport.PeerDownOf(probe)
+		o.FailedPeer = k.C.Get("call.failed_peer")
 		enc, _ := json.Marshal(o)
 		fmt.Fprintf(out, "%s%s\n", e13OutagePrefix, enc)
 	}()
@@ -367,7 +366,7 @@ func runE13RoundRetry(k int) (MeshMetrics, MeshMetrics, e13Outage, e13Rejoin, er
 func E13(nodes int) *Result {
 	tab := stats.NewTable("E13: kill-and-rejoin writer — outage fail-fast, epoch-versioned reconnect, flush still O(1)",
 		"dirty objects", "flush writes (before kill)", "flush writes (after rejoin)",
-		"parked call ErrPeerDown", "probe fail ms", "call.failed_peer", "reconnects", "epoch")
+		"parked call peer-down", "probe fail ms", "call.failed_peer", "reconnects", "epoch")
 	res := &Result{ID: "E13", Table: tab, Metrics: map[string]float64{}}
 
 	const k = 64
@@ -388,7 +387,7 @@ func E13(nodes int) *Result {
 	res.Metrics["rejoin.reconnects"] = float64(rejoin.Reconnects)
 	res.Metrics["rejoin.epoch"] = float64(rejoin.Epoch)
 	res.Notes = append(res.Notes,
-		"the writer process is SIGKILLed with a call parked inside it: the home fails exactly that call with *transport.ErrPeerDown (call.failed_peer = 1), fresh calls fail in milliseconds instead of hanging, and a restarted writer under the same node ID rejoins on a fresh connection epoch — the latch clears on both sides, nothing is replayed, and the batched flush still costs O(1) wire writes")
+		"the writer process is SIGKILLed with a call parked inside it: the home fails exactly that call with a peer-down error (call.failed_peer = 1), fresh calls fail in milliseconds instead of hanging, and a restarted writer under the same node ID rejoins on a fresh connection epoch — the latch clears on both sides, nothing is replayed, and the batched flush still costs O(1) wire writes")
 	return res
 }
 

@@ -231,9 +231,8 @@ func RunE16Reader(topo transport.Topology) (err error) {
 	got := beU64(buf[:])
 
 	// Report what we saw either way — the home cross-checks the value.
-	c := node.C.Snapshot()
 	b := msg.NewBuilder(24)
-	b.U64(got).U64(uint64(c[stats.CLeaseExpiredReads])).U64(uint64(c[stats.CRMRemoteReads]))
+	b.U64(got).U64(uint64(node.C.Get("lease.expired_reads"))).U64(uint64(node.C.Get("rm.remote_reads")))
 	if _, err := k.Call(0, kindE16Report, b.Bytes()); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}

@@ -71,7 +71,7 @@ const e17DownSeenLine = "E17DOWNSEEN"
 func e17ReportDown(sys *core.System, out io.Writer, stop <-chan struct{}) {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for sys.NodeCounters(0)[stats.CMemberDownWait] == 0 {
+	for sys.NodeCounters(0).Get("member.down_wait") == 0 {
 		select {
 		case <-stop:
 			return
@@ -307,16 +307,16 @@ type e17Case struct {
 // plus the stale-arrival case only a parent-driven kill can reach.
 func e17Cases() []e17Case {
 	return []e17Case{
-		{"mid-flush-planned", failpoint.FlushPlanned, false, false},
-		{"mid-flush-sent", failpoint.FlushSent, false, false},
-		{"mid-grant", failpoint.LockGranted, false, false},
-		{"holding-lock", failpoint.LockHeld, false, false},
-		{"parked-in-run-gate", failpoint.GatePark + ":1", true, false},
+		{"mid-flush-planned", failpoint.FlushPlanned.String(), false, false},
+		{"mid-flush-sent", failpoint.FlushSent.String(), false, false},
+		{"mid-grant", failpoint.LockGranted.String(), false, false},
+		{"holding-lock", failpoint.LockHeld.String(), false, false},
+		{"parked-in-run-gate", failpoint.GatePark.String() + ":1", true, false},
 		{"parked-arrival", "", true, false},
 		// The home drops the dead incarnation's parked arrival, carried
 		// updates and all, when the wire dies; the survivors then arrive,
 		// and the rejoin's own carried arrival completes the barrier.
-		{"parked-in-barrier", failpoint.BarrierCarried, false, true},
+		{"parked-in-barrier", failpoint.BarrierCarried.String(), false, true},
 	}
 }
 

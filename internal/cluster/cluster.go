@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"munin/internal/msg"
 	"munin/internal/transport"
@@ -49,6 +50,7 @@ type Cluster struct {
 	net     transport.Network
 	kernels []*vkernel.Kernel // mesh shape: only the self slot is non-nil
 	self    msg.NodeID        // mesh shape only; -1 in-process
+	killed  atomic.Bool       // a Kill has begun
 }
 
 // New builds and starts a cluster — or, with cfg.Topology, builds this
@@ -150,32 +152,30 @@ func (c *Cluster) OnPeerGone(fn func(peer msg.NodeID, err error)) {
 // and waits for all local dispatchers to exit. On the mesh transport
 // this is a graceful departure: the goodbye handshake drains
 // everything already sent, so peers mark this node departed
-// (*transport.ErrPeerGone) instead of latching it as dead.
-func (c *Cluster) Close() {
-	for _, k := range c.kernels {
-		if k != nil {
-			k.Close()
-		}
-	}
-	c.net.Close()
-	for _, k := range c.kernels {
-		if k != nil {
-			k.Wait()
-		}
-	}
-}
+// (transport.PeerGoneOf) instead of latching it as dead — unless a
+// Kill has begun, which Close then joins.
+func (c *Cluster) Close() { c.shutdown(false) }
 
 // Kill tears this member down abruptly — no goodbye — so remote peers
-// observe wire death (*transport.ErrPeerDown) exactly as if the
+// observe wire death (transport.PeerDownOf) exactly as if the
 // process had crashed. Falls back to Close on transports without an
 // abrupt path. This is the chaos/test hook.
-func (c *Cluster) Kill() {
+func (c *Cluster) Kill() { c.shutdown(true) }
+
+// shutdown closes the kernels, so no handler is left to hit a send
+// error, and then the wire. A Kill is marked before the kernels close:
+// a member whose Run ends on their close and reaches Close before the
+// wire dies must not say goodbye.
+func (c *Cluster) shutdown(kill bool) {
+	if kill {
+		c.killed.Store(true)
+	}
 	for _, k := range c.kernels {
 		if k != nil {
 			k.Close()
 		}
 	}
-	if killer, ok := c.net.(interface{ Kill() error }); ok {
+	if killer, ok := c.net.(interface{ Kill() error }); ok && c.killed.Load() {
 		killer.Kill()
 	} else {
 		c.net.Close()

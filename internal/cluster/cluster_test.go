@@ -6,7 +6,6 @@ import (
 
 	"munin/internal/msg"
 	"munin/internal/netutil"
-	"munin/internal/stats"
 	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
@@ -133,7 +132,55 @@ func TestMeshNodeHoldsRequestsUntilStart(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the call never completed: the request was consumed before its handler existed")
 	}
-	if n := late.Kernel(0).C.Get(stats.CDropUnhandled); n != 0 {
+	if n := late.Kernel(0).C.Get("drop.unhandled"); n != 0 {
 		t.Fatalf("drop.unhandled = %d on member 0, want 0", n)
+	}
+}
+
+// TestKillRacingCloseSaysNoGoodbye: a member whose work ends when Kill
+// closes its kernel, and which calls Close at once, must still die
+// without a goodbye. Its peer counts one wire death and no departure.
+func TestKillRacingCloseSaysNoGoodbye(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		addrs, err := netutil.ReserveAddrs(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := map[msg.NodeID]string{0: addrs[0], 1: addrs[1]}
+		build := func(self msg.NodeID) *Cluster {
+			c, err := New(Config{Topology: &transport.Topology{Self: self, Peers: peers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		peer, victim := build(0), build(1)
+		called := make(chan struct{})
+		peer.Kernel(0).Handle(msg.KindPing, msg.KindPing, func(k *vkernel.Kernel, req *msg.Msg) {
+			close(called) // and never reply: the call parks until the kernel closes
+		})
+		peer.Start()
+		victim.Start()
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			if _, err := victim.Kernel(1).Call(0, msg.KindPing, nil); err == nil {
+				t.Error("the parked call returned without an error")
+			}
+			victim.Close()
+		}()
+		<-called
+		victim.Kill()
+		<-closed
+		st := peer.Stats()
+		for deadline := time.Now().Add(10 * time.Second); st.WirePeerDown()+st.WirePeerGone() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the peer never saw the victim go")
+			}
+		}
+		if down, gone := st.WirePeerDown(), st.WirePeerGone(); down != 1 || gone != 0 {
+			t.Fatalf("round %d: wire.peer_down = %d, wire.peer_gone = %d, want 1 and 0", round, down, gone)
+		}
+		peer.Close()
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"munin/internal/dlock"
 	"munin/internal/msg"
 	"munin/internal/protocol"
-	"munin/internal/stats"
 	"munin/internal/threads"
 )
 
@@ -179,7 +178,7 @@ func TestNonParticipantBesideParkedParticipant(t *testing.T) {
 			<-parked
 			// Node 1's participant counts its carried update just before
 			// its arrival leaves.
-			for deadline := time.Now().Add(10 * time.Second); s.NodeCounters(1)[stats.CBarrierCarried] == 0; time.Sleep(100 * time.Microsecond) {
+			for deadline := time.Now().Add(10 * time.Second); s.NodeCounters(1)["barrier.carried"] == 0; time.Sleep(100 * time.Microsecond) {
 				if time.Now().After(deadline) {
 					t.Error("node 1's participant never carried its update")
 					break
@@ -197,10 +196,10 @@ func TestNonParticipantBesideParkedParticipant(t *testing.T) {
 			c.Release(lock)
 		}
 	})
-	if got := s.NodeCounters(1)[stats.CBarrierCarried]; got != 1 {
+	if got := s.NodeCounters(1)["barrier.carried"]; got != 1 {
 		t.Errorf("node 1's participant carried %d updates, want 1", got)
 	}
-	if got := s.NodeCounters(0)[stats.CBarrierCarried]; got != 0 {
+	if got := s.NodeCounters(0)["barrier.carried"]; got != 0 {
 		t.Errorf("node 0's participant carried %d updates, want 0: it shares its node", got)
 	}
 }
@@ -254,7 +253,7 @@ func TestCarriedUpdatesOfOneObjectConverge(t *testing.T) {
 		}
 	})
 	for node := 0; node < 2; node++ {
-		if s.NodeCounters(node)[stats.CBarrierCarried] == 0 {
+		if s.NodeCounters(node)["barrier.carried"] == 0 {
 			t.Errorf("node %d carried nothing", node)
 		}
 	}

@@ -41,6 +41,7 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/protocol"
+	"munin/internal/stats"
 	"munin/internal/threads"
 	"munin/internal/transport"
 	"munin/internal/vkernel"
@@ -373,8 +374,9 @@ func (s *System) Run(nthreads int, body func(c api.Ctx)) {
 // while waiting at the gate — always the verdict "run gate N: member M
 // lost: cause", whether node 0 reports a third member or a member's own
 // gate call finds node 0 gone; on the member that observed the loss
-// itself errors.As finds the typed *transport.ErrPeerDown /
-// ErrPeerGone. Panics from thread bodies still propagate as panics.
+// itself the cause is a peer-down or peer-gone error
+// (transport.PeerDownOf, PeerGoneOf). Panics from thread bodies still
+// propagate as panics.
 func (s *System) RunErr(nthreads int, body func(c api.Ctx)) error {
 	// A thread its Run places alone on its node carries its updates in
 	// its barrier arrivals (Ctx.Barrier). Every member computes the same
@@ -464,8 +466,9 @@ func (s *System) mustLocal(i int) int {
 	return i
 }
 
-// NodeCounters returns node i's protocol counters snapshot.
-func (s *System) NodeCounters(i int) map[string]int64 { return s.nodes[s.mustLocal(i)].C.Snapshot() }
+// NodeCounters returns the counters of node i that are not zero: its
+// protocol node's and the run gate's.
+func (s *System) NodeCounters(i int) stats.Values { return s.nodes[s.mustLocal(i)].C.Snapshot() }
 
 // LockService returns node i's lock service (for experiments that
 // measure the proxy benefit directly).

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"munin/internal/failpoint"
 	"munin/internal/lockrank"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
@@ -169,9 +167,9 @@ func (s *System) runGate(nthreads int) error {
 			// third member, returned and departed before the arrival
 			// landed — is a member lost: the verdict node 0 itself
 			// hands out (failGateLocked), typed cause included.
-			var gone *transport.ErrPeerGone
-			var down *transport.ErrPeerDown
-			if errors.As(err, &gone) || errors.As(err, &down) {
+			_, gone := transport.PeerGoneOf(err)
+			_, down := transport.PeerDownOf(err)
+			if gone || down {
 				return fmt.Errorf("munin: run gate %d: member 0 lost: %w", seq, err)
 			}
 			return fmt.Errorf("munin: run gate %d: %w", seq, err)
@@ -294,10 +292,8 @@ func (s *System) gatePeerDown(peer msg.NodeID, cause error) {
 	}
 	s.gateMu.Unlock()
 	if n := s.nodes[s.self]; n != nil {
-		n.C.Add(stats.CMemberDownWait, 1)
-		if purged > 0 {
-			n.C.Add(stats.CGateStalePurged, purged)
-		}
+		n.Core.MemberDownWait.Inc()
+		n.Core.GateStalePurged.Add(purged)
 	}
 }
 
@@ -312,7 +308,7 @@ func (s *System) gatePeerBack(peer msg.NodeID) {
 	delete(s.lostPeers, peer)
 	s.gateMu.Unlock()
 	if n := s.nodes[s.self]; n != nil {
-		n.C.Add(stats.CMemberReconnected, 1)
+		n.Core.MemberReconnected.Inc()
 	}
 }
 
@@ -323,7 +319,7 @@ func (s *System) handleRunGate(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	seq := r.U64()
 	if r.Err() != nil {
-		s.nodes[s.self].C.Add(stats.CGateDropMalformed, 1)
+		s.nodes[s.self].Core.GateDropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	s.gateMu.Lock()
@@ -409,7 +405,7 @@ func (s *System) handleGateSync(req *msg.Msg) vkernel.Outcome {
 	sum := r.U64()
 	n := r.Int()
 	if r.Err() != nil {
-		s.nodes[s.self].C.Add(stats.CGateDropMalformed, 1)
+		s.nodes[s.self].Core.GateDropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	peer := req.From
@@ -442,7 +438,7 @@ func (s *System) handleGateSync(req *msg.Msg) vkernel.Outcome {
 	}
 	s.gateMu.Unlock()
 	if node := s.nodes[s.self]; node != nil {
-		node.C.Add(stats.CRecoverGateSynced, 1)
+		node.Core.RecoverGateSynced.Inc()
 	}
 	k.Reply(req, msg.NewBuilder(16).U8(gateOK).U64(next).Bytes())
 	return vkernel.Replied
@@ -481,6 +477,6 @@ func (s *System) resyncGate() error {
 	s.mu.Lock()
 	s.gateSeq = next
 	s.mu.Unlock()
-	s.nodes[s.self].C.Add(stats.CRecoverGateResync, 1)
+	s.nodes[s.self].Core.RecoverGateResync.Inc()
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"munin/internal/msg"
 	"munin/internal/netutil"
 	"munin/internal/protocol"
-	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -57,7 +56,7 @@ func spmdMembers(t *testing.T, topos []transport.Topology, program func(sys *Sys
 			errs[i] = program(sys)
 			// Every kind a member can be sent is registered before its
 			// kernel dispatches anything, however early a peer calls.
-			if n := sys.clu.Kernel(topos[i].Self).C.Get(stats.CDropUnhandled); n != 0 {
+			if n := sys.clu.Kernel(topos[i].Self).C.Get("drop.unhandled"); n != 0 {
 				t.Errorf("member %d dropped %d requests for lack of a handler", i, n)
 			}
 		}(i)
@@ -411,12 +410,12 @@ func TestMeshBarrierMemberDiesParked(t *testing.T) {
 		// Node 0's verdict wraps a lost member's typed cause: the
 		// victim's wire death, or the other survivor's goodbye when it
 		// has already left.
-		var down *transport.ErrPeerDown
-		var gone *transport.ErrPeerGone
-		if sys.Self() == 0 && !errors.As(err, &down) && !errors.As(err, &gone) {
-			return fmt.Errorf("Run = %v, want it to wrap *transport.ErrPeerDown or *transport.ErrPeerGone", err)
+		_, down := transport.PeerDownOf(err)
+		_, gone := transport.PeerGoneOf(err)
+		if sys.Self() == 0 && !down && !gone {
+			return fmt.Errorf("Run = %v, want it to wrap a peer-down or peer-gone error", err)
 		}
-		if n := sys.clu.Kernel(sys.self).C.Get(stats.CDlockBarrierPurged); n != 0 {
+		if n := sys.clu.Kernel(sys.self).C.Get("dlock.barrier_purged"); n != 0 {
 			return fmt.Errorf("purged %d barrier arrivals of a member that cannot come back", n)
 		}
 		return nil

@@ -113,6 +113,8 @@ type Service struct {
 	// the lock to the home. Used by the E8 experiment as the baseline.
 	naive bool
 
+	ctr stats.Dlock // bound into the kernel's Set
+
 	// LocalAcquires counts acquisitions satisfied with zero messages.
 	localAcquires int64
 	// RemoteAcquires counts acquisitions that needed a home round trip.
@@ -186,6 +188,7 @@ func NewService(k *vkernel.Kernel) *Service {
 		atomics:  make(map[AtomicID]*atomicState),
 		conds:    make(map[CondID]*condState),
 	}
+	k.C.Bind(&s.ctr)
 	vkernel.HandleCalls(k, kindAcquire, s, lockCalls[:])
 	vkernel.HandleSends(k, kindRelease, s, lockSends[:])
 	return s
@@ -411,12 +414,8 @@ func (s *Service) surrender(id LockID, p *proxy) {
 // dropped), dlock.gone_owner (owned locks force-released).
 func (s *Service) PeerGone(peer msg.NodeID) {
 	dequeued, released := s.resetPeer(peer)
-	if dequeued > 0 {
-		s.k.C.Add(stats.CDlockGoneDequeued, dequeued)
-	}
-	if released > 0 {
-		s.k.C.Add(stats.CDlockGoneOwner, released)
-	}
+	s.ctr.GoneDequeued.Add(dequeued)
+	s.ctr.GoneOwner.Add(released)
 }
 
 // PeerRecovered rebuilds this home's lock state for a peer whose
@@ -432,12 +431,8 @@ func (s *Service) PeerGone(peer msg.NodeID) {
 func (s *Service) PeerRecovered(peer msg.NodeID) {
 	s.PeerDown(peer)
 	dequeued, released := s.resetPeer(peer)
-	if dequeued > 0 {
-		s.k.C.Add(stats.CDlockRecoverDequeued, dequeued)
-	}
-	if released > 0 {
-		s.k.C.Add(stats.CDlockRecoverOwner, released)
-	}
+	s.ctr.RecoverDequeued.Add(dequeued)
+	s.ctr.RecoverOwner.Add(released)
 }
 
 // PeerDown drops the barrier arrivals a peer whose wire died has parked
@@ -454,9 +449,7 @@ func (s *Service) PeerRecovered(peer msg.NodeID) {
 //
 // Counter: dlock.barrier_purged.
 func (s *Service) PeerDown(peer msg.NodeID) {
-	if purged := s.purgeArrivals(peer); purged > 0 {
-		s.k.C.Add(stats.CDlockBarrierPurged, purged)
-	}
+	s.ctr.BarrierPurged.Add(s.purgeArrivals(peer))
 }
 
 // resetPeer drops peer from every lock queue this node homes and
@@ -521,7 +514,7 @@ func (s *Service) resetPeer(peer msg.NodeID) (dequeued, released int64) {
 func (s *Service) lockFromWire(p []byte) (id uint32, data []byte, ok bool) {
 	id, data, err := decodeLockPayload(p)
 	if err != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return 0, nil, false
 	}
 	return id, data, true
@@ -537,7 +530,7 @@ func (s *Service) homeFromWire(p []byte) (id uint32, data []byte, h *homeState) 
 		return 0, nil, nil
 	}
 	if s.home(LockID(id)) != s.k.Node() {
-		s.k.C.Add(stats.CDlockDropMisdirected, 1)
+		s.ctr.DropMisdirected.Inc()
 		return 0, nil, nil
 	}
 	return id, data, s.homeState(LockID(id))

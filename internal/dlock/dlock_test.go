@@ -252,6 +252,46 @@ func TestBarrierReusableAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestBarrierRepliesRemoteFirst: the home's own participant arrives
+// first, yet when it wakes every reply of the round has been sent — the
+// remote participants' before its own. A home participant woken first
+// could end its Run and say goodbye before the other replies were
+// queued, and they would be lost.
+func TestBarrierRepliesRemoteFirst(t *testing.T) {
+	const id, parties, rounds = BarrierID(3), 3, 50
+	c, svcs := harness(t, parties)
+	h := svcs[0].BarrierHome(id)
+	for r := 0; r < rounds; r++ {
+		base := c.Stats().NodeSent(h)
+		var atWake int64
+		homeDone := make(chan struct{})
+		go func() {
+			svcs[h].BarrierWait(id, parties)
+			atWake = c.Stats().NodeSent(h) - base
+			close(homeDone)
+		}()
+		for svcs[h].BarrierArrived(id) == 0 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		var wg sync.WaitGroup
+		for n := range svcs {
+			if msg.NodeID(n) == h {
+				continue
+			}
+			wg.Add(1)
+			go func(s *Service) {
+				defer wg.Done()
+				s.BarrierWait(id, parties)
+			}(svcs[n])
+		}
+		wg.Wait()
+		<-homeDone
+		if total := c.Stats().NodeSent(h) - base; atWake != total {
+			t.Fatalf("round %d: the home's participant woke with %d of the home's %d messages sent", r, atWake, total)
+		}
+	}
+}
+
 func TestBarrierSingleParticipantIsFree(t *testing.T) {
 	c, svcs := harness(t, 2)
 	before := c.Stats().Messages()

@@ -7,7 +7,6 @@ import (
 	"munin/internal/failpoint"
 	"munin/internal/lockrank"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/vkernel"
 )
 
@@ -149,7 +148,7 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 	n := r.Int()
 	// A count below one would release every parked waiter at once.
 	if r.Err() != nil || n <= 0 {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	a := Arrival{From: req.From, Carried: req.Payload[barrierHeader:]}
@@ -162,7 +161,7 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 	check, merge := s.barrierCheck, s.barrierMerge
 	s.mu.Unlock()
 	if len(a.Carried) > 0 && (check == nil || !check(a)) {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 
@@ -174,7 +173,7 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 		// A count that disagrees with the open epoch's would re-target
 		// it, releasing the waiters early or never.
 		b.mu.Unlock()
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	b.arrived = append(b.arrived, req)
@@ -208,23 +207,31 @@ func (s *Service) release(waiters []*msg.Msg, merge func([]Arrival) ([][]byte, e
 		}
 		bodies, err = merge(arrivals)
 	}
-	for i, w := range waiters {
-		var body []byte
-		if i < len(bodies) {
-			body = bodies[i]
+	// Every remote participant's reply is queued before any of the
+	// home's own: a local participant that wakes may end its Run at once,
+	// and the goodbye its Close sends queues behind what is already sent.
+	for _, local := range [2]bool{false, true} {
+		for i, w := range waiters {
+			if (w.From == s.k.Node()) != local {
+				continue
+			}
+			var body []byte
+			if i < len(bodies) {
+				body = bodies[i]
+			}
+			if err == nil && len(body) == 0 {
+				s.k.Reply(w, nil)
+				continue
+			}
+			text := ""
+			if err != nil {
+				text = err.Error()
+			}
+			wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body))
+			b.Str(text).Raw(body)
+			wb.B = b.Bytes()
+			s.k.ReplyOwned(w, wb)
 		}
-		if err == nil && len(body) == 0 {
-			s.k.Reply(w, nil)
-			continue
-		}
-		text := ""
-		if err != nil {
-			text = err.Error()
-		}
-		wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body))
-		b.Str(text).Raw(body)
-		wb.B = b.Bytes()
-		s.k.ReplyOwned(w, wb)
 	}
 }
 
@@ -315,7 +322,7 @@ func (s *Service) handleFetchAdd(req *msg.Msg) vkernel.Outcome {
 	id := AtomicID(r.U32())
 	delta := r.I64()
 	if r.Err() != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	a := s.atomicState(id)
@@ -331,7 +338,7 @@ func (s *Service) handleAtomLoad(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := AtomicID(r.U32())
 	if r.Err() != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	a := s.atomicState(id)
@@ -406,7 +413,7 @@ func (s *Service) handleCondReg(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := CondID(r.U32())
 	if r.Err() != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	c := s.condState(id)
@@ -424,7 +431,7 @@ func (s *Service) handleCondWait(req *msg.Msg) vkernel.Outcome {
 	id := CondID(r.U32())
 	tkt := r.U64()
 	if r.Err() != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	c := s.condState(id)
@@ -446,7 +453,7 @@ func (s *Service) handleCondSig(req *msg.Msg) vkernel.Outcome {
 	id := CondID(r.U32())
 	all := r.Bool()
 	if r.Err() != nil {
-		s.k.C.Add(stats.CDlockDropMalformed, 1)
+		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	c := s.condState(id)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"munin/internal/msg"
-	"munin/internal/stats"
 )
 
 // A lock message a peer sends is input, not a local program's bug:
@@ -23,11 +22,11 @@ func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 		payload []byte
 		counter string
 	}{
-		{"kindAcquire with a truncated payload", kindAcquire, []byte{0, 0}, stats.CDlockDropMalformed},
-		{"kindAcquire for a lock homed on another node", kindAcquire, encodeLockPayload(1, nil), stats.CDlockDropMisdirected},
-		{"kindRelease with truncated data", kindRelease, truncated, stats.CDlockDropMalformed},
-		{"kindRelease for a lock homed on another node", kindRelease, encodeLockPayload(1, []byte{9}), stats.CDlockDropMisdirected},
-		{"kindRecall with an empty payload", kindRecall, nil, stats.CDlockDropMalformed},
+		{"kindAcquire with a truncated payload", kindAcquire, []byte{0, 0}, "dlock.drop_malformed"},
+		{"kindAcquire for a lock homed on another node", kindAcquire, encodeLockPayload(1, nil), "dlock.drop_misdirected"},
+		{"kindRelease with truncated data", kindRelease, truncated, "dlock.drop_malformed"},
+		{"kindRelease for a lock homed on another node", kindRelease, encodeLockPayload(1, []byte{9}), "dlock.drop_misdirected"},
+		{"kindRecall with an empty payload", kindRecall, nil, "dlock.drop_malformed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,7 +42,7 @@ func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := k.C.Snapshot()
-			for _, name := range []string{stats.CDlockDropMalformed, stats.CDlockDropMisdirected} {
+			for _, name := range []string{"dlock.drop_malformed", "dlock.drop_misdirected"} {
 				want := before[name]
 				if name == tc.counter {
 					want++
@@ -136,11 +135,11 @@ func TestBarrierWireInputIsDroppedNotFatal(t *testing.T) {
 					t.Fatal("the waiter's arrival never parked")
 				}
 			}
-			before := k.C.Get(stats.CDlockDropMalformed)
+			before := k.C.Get("dlock.drop_malformed")
 			if err := c.Kernel(2).Send(0, kindBarrier, tc.payload); err != nil {
 				t.Fatal(err)
 			}
-			for deadline := time.Now().Add(10 * time.Second); k.C.Get(stats.CDlockDropMalformed) == before; time.Sleep(100 * time.Microsecond) {
+			for deadline := time.Now().Add(10 * time.Second); k.C.Get("dlock.drop_malformed") == before; time.Sleep(100 * time.Microsecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("dlock.drop_malformed never counted")
 				}
@@ -156,7 +155,7 @@ func TestBarrierWireInputIsDroppedNotFatal(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("the good arrival did not complete the epoch")
 			}
-			if got := k.C.Get(stats.CDlockDropMalformed); got != before+1 {
+			if got := k.C.Get("dlock.drop_malformed"); got != before+1 {
 				t.Errorf("dlock.drop_malformed moved by %d, want 1", got-before)
 			}
 		})

@@ -4,8 +4,9 @@
 // A failpoint is a named place in the code where a test can arrange
 // for something to happen — typically killing the process outright to
 // simulate a crash at exactly that protocol step. Production code
-// calls Hit(name) at each step; when nothing is armed this is a single
-// atomic load, so the hooks are free in steady state.
+// calls Hit(p) at each step, p one of the Point vars below; when nothing
+// is armed this is a single atomic load, so the hooks are free in
+// steady state.
 //
 // Crash specs take the form "name" or "name:skip", where skip is the
 // number of hits to let pass before firing (so a test can crash on the
@@ -18,57 +19,59 @@ package failpoint
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Named protocol steps. Each constant marks one place in the protocol
-// where a member can die mid-operation and the cluster must recover.
-const (
+// A Point is one named protocol step where a member can die
+// mid-operation and the cluster must recover. The steps are the vars
+// below: Point's only field is unexported, so Hit, Arm and Disarm can
+// name no other step, and a spec string (ArmCrash) resolves to one of
+// them when it is parsed.
+type Point struct{ name string }
+
+// String returns the point's name, as a spec names it.
+func (p Point) String() string { return p.name }
+
+var (
 	// FlushPlanned fires after a flush has been planned (diffs taken,
 	// batches grouped) but before anything is sent: the delayed update
 	// queue has been drained, yet no home has seen a byte.
-	FlushPlanned = "flush.planned"
+	FlushPlanned = Point{"flush.planned"}
 	// FlushSent fires after the flush batches have been written and
 	// fenced but before the settle acknowledgements are awaited: homes
 	// may hold partial state from a writer that then dies.
-	FlushSent = "flush.sent"
+	FlushSent = Point{"flush.sent"}
 	// LockGranted fires on the requester after a distributed lock
 	// grant reply arrives but before the requester records ownership.
-	LockGranted = "lock.granted"
+	LockGranted = Point{"lock.granted"}
 	// LockHeld fires on the requester immediately after it takes the
 	// lock, i.e. the member dies inside the critical section.
-	LockHeld = "lock.held"
+	LockHeld = Point{"lock.held"}
 	// GatePark fires just before a member parks in the run gate
 	// (sends its arrival to node 0 and blocks on the verdict).
-	GatePark = "gate.park"
+	GatePark = Point{"gate.park"}
 	// BarrierCarried fires after a barrier arrival that carries updates
 	// has been written to the wire, before its release comes back: the
 	// home holds the carried updates, unmerged, in a parked arrival of
 	// a member that then dies.
-	BarrierCarried = "barrier.carried"
+	BarrierCarried = Point{"barrier.carried"}
 )
 
-// names is the registry of every declared failpoint. A Hit or ArmCrash
-// site must reference one of these (the muninvet failpointref analyzer
-// enforces it statically), and the E17 crash-point sweep must cover all
-// of them (bench asserts it against Names).
-var names = []string{FlushPlanned, FlushSent, LockGranted, LockHeld, GatePark, BarrierCarried}
+// points lists every Point. The E17 crash-point sweep must cover all of
+// them (bench asserts it against Names).
+var points = []Point{FlushPlanned, FlushSent, LockGranted, LockHeld, GatePark, BarrierCarried}
 
-// Names returns every registered failpoint name, in declaration order.
-// The returned slice is a copy.
-func Names() []string { return append([]string(nil), names...) }
-
-// IsRegistered reports whether name is a declared failpoint.
-func IsRegistered(name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
+// Names returns every point's name, in declaration order.
+func Names() []string {
+	names := make([]string, len(points))
+	for i, p := range points {
+		names[i] = p.name
 	}
-	return false
+	return names
 }
 
 var (
@@ -76,31 +79,31 @@ var (
 	// load when it is zero.
 	armed atomic.Int32
 
-	mu     sync.Mutex
-	points map[string]*point
+	mu    sync.Mutex
+	hooks map[Point]*hook
 )
 
-type point struct {
+type hook struct {
 	skip int32 // hits to let pass before firing
 	fn   func()
 }
 
-// Hit marks that execution reached the named step. If a hook is armed
+// Hit marks that execution reached step p. If a hook is armed
 // for it and its skip count is exhausted, the hook fires (once) and
 // the point disarms. Hit is safe for concurrent use and costs one
 // atomic load when nothing is armed.
-func Hit(name string) {
+func Hit(p Point) {
 	if armed.Load() == 0 {
 		return
 	}
 	var fn func()
 	mu.Lock()
-	if p, ok := points[name]; ok {
-		if p.skip > 0 {
-			p.skip--
+	if h, ok := hooks[p]; ok {
+		if h.skip > 0 {
+			h.skip--
 		} else {
-			fn = p.fn
-			delete(points, name)
+			fn = h.fn
+			delete(hooks, p)
 			armed.Add(-1)
 		}
 	}
@@ -110,26 +113,29 @@ func Hit(name string) {
 	}
 }
 
-// Arm installs fn at the named point, replacing any previous hook
-// there. The first skip hits pass through untouched; the next hit
-// fires fn and disarms the point.
-func Arm(name string, skip int, fn func()) {
-	mu.Lock()
-	if points == nil {
-		points = make(map[string]*point)
+// Arm installs fn at p, replacing any previous hook there. The first
+// skip hits pass through untouched; the next hit fires fn and disarms
+// the point.
+func Arm(p Point, skip int, fn func()) {
+	if p == (Point{}) {
+		panic("failpoint: Arm of the zero Point")
 	}
-	if _, ok := points[name]; !ok {
+	mu.Lock()
+	if hooks == nil {
+		hooks = make(map[Point]*hook)
+	}
+	if _, ok := hooks[p]; !ok {
 		armed.Add(1)
 	}
-	points[name] = &point{skip: int32(skip), fn: fn}
+	hooks[p] = &hook{skip: int32(skip), fn: fn}
 	mu.Unlock()
 }
 
-// Disarm removes any hook at the named point.
-func Disarm(name string) {
+// Disarm removes any hook at p.
+func Disarm(p Point) {
 	mu.Lock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
+	if _, ok := hooks[p]; ok {
+		delete(hooks, p)
 		armed.Add(-1)
 	}
 	mu.Unlock()
@@ -138,8 +144,8 @@ func Disarm(name string) {
 // DisarmAll removes every armed hook.
 func DisarmAll() {
 	mu.Lock()
-	for name := range points {
-		delete(points, name)
+	for p := range hooks {
+		delete(hooks, p)
 		armed.Add(-1)
 	}
 	mu.Unlock()
@@ -160,9 +166,8 @@ func crashSelf() {
 }
 
 // ArmCrash parses a "name" or "name:skip" spec and arms a
-// self-SIGKILL at that point. A name that is not registered is an
-// error: no Hit site could ever fire it, so a misspelt spec would arm
-// a crash that never happens.
+// self-SIGKILL at the Point of that name. A name no Point has is an
+// error: a misspelt spec would arm a crash that never happens.
 func ArmCrash(spec string) error {
 	name, skip := spec, 0
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
@@ -173,13 +178,11 @@ func ArmCrash(spec string) error {
 		}
 		skip = n
 	}
-	if name == "" {
-		return fmt.Errorf("failpoint: empty name in spec %q", spec)
+	i := slices.IndexFunc(points, func(p Point) bool { return p.name == name })
+	if i < 0 {
+		return fmt.Errorf("failpoint: unknown name %q in spec %q (points: %s)", name, spec, strings.Join(Names(), ", "))
 	}
-	if !IsRegistered(name) {
-		return fmt.Errorf("failpoint: unknown name %q in spec %q (registered: %s)", name, spec, strings.Join(names, ", "))
-	}
-	Arm(name, skip, crashSelf)
+	Arm(points[i], skip, crashSelf)
 	return nil
 }
 

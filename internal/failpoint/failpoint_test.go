@@ -97,16 +97,24 @@ func TestArmCrashRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// TestArmCrashArmsEveryRegisteredName: every name the registry exports
-// still arms, with and without a skip count.
+// TestArmCrashArmsEveryRegisteredName: every Point var is in Names(),
+// and ArmCrash resolves each name, with and without a skip count, to
+// that Point.
 func TestArmCrashArmsEveryRegisteredName(t *testing.T) {
-	for _, name := range Names() {
-		for _, spec := range []string{name, name + ":1"} {
+	vars := []Point{FlushPlanned, FlushSent, LockGranted, LockHeld, GatePark, BarrierCarried}
+	if names := Names(); len(names) != len(vars) {
+		t.Fatalf("Names() = %v, want the %d Point vars", names, len(vars))
+	}
+	for i, p := range vars {
+		if Names()[i] != p.String() {
+			t.Fatalf("Names()[%d] = %q, want %q", i, Names()[i], p)
+		}
+		for spec, skip := range map[string]int32{p.String(): 0, p.String() + ":1": 1} {
 			if err := ArmCrash(spec); err != nil {
 				t.Fatalf("ArmCrash(%q): %v", spec, err)
 			}
-			if got := armed.Load(); got != 1 {
-				t.Fatalf("armed = %d after ArmCrash(%q), want 1", got, spec)
+			if h := hooks[p]; armed.Load() != 1 || h == nil || h.skip != skip {
+				t.Fatalf("ArmCrash(%q) armed %d hooks, %v at %s, want one with skip %d", spec, armed.Load(), h, p, skip)
 			}
 			DisarmAll()
 		}

@@ -124,7 +124,8 @@ type Kernel struct{}
 
 func (Kernel) level() level { return level{40, false} }
 
-// StatsSet ranks stats.Set.mu, taken only to register a counter name.
+// StatsSet ranks stats.Set.mu, taken only to bind a counter struct or
+// make a counter by name.
 type StatsSet struct{}
 
 func (StatsSet) level() level { return level{50, false} }

@@ -139,9 +139,9 @@ func (b *Builder) Entry(fn func(e *Builder)) *Builder {
 	return b.BytesN(e.buf)
 }
 
-// ErrCodec is the error reported by Reader when decoding runs off the end
+// errCodec is the error reported by Reader when decoding runs off the end
 // of the payload or a length prefix is corrupt.
-var ErrCodec = errors.New("msg: malformed payload")
+var errCodec = errors.New("msg: malformed payload")
 
 // Reader decodes payloads written by Builder. Decoding errors are sticky:
 // after the first failure every subsequent Get returns the zero value and
@@ -164,7 +164,7 @@ func (r *Reader) Err() error { return r.err }
 // claims more elements than bytes remain — before acting on them.
 func (r *Reader) Fail() {
 	if r.err == nil {
-		r.err = ErrCodec
+		r.err = errCodec
 	}
 }
 
@@ -176,7 +176,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if r.off+n > len(r.buf) {
-		r.err = ErrCodec
+		r.err = errCodec
 		return nil
 	}
 	p := r.buf[r.off : r.off+n]
@@ -240,7 +240,7 @@ func (r *Reader) BytesN() []byte {
 	}
 	n, sz := binary.Uvarint(r.buf[r.off:])
 	if sz <= 0 || n > uint64(len(r.buf)-r.off-sz) {
-		r.err = ErrCodec
+		r.err = errCodec
 		return nil
 	}
 	r.off += sz

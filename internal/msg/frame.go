@@ -84,14 +84,14 @@ func DecodeFrameRawInto(dst [][]byte, buf []byte) ([][]byte, error) {
 	}
 	if count > MaxFrameMessages {
 		return nil, fmt.Errorf("msg: frame claims %d messages (max %d): %w",
-			count, MaxFrameMessages, ErrCodec)
+			count, MaxFrameMessages, errCodec)
 	}
 	// Every entry costs at least its one-byte length prefix, so a count
 	// beyond the remaining bytes is corrupt; rejecting it here keeps a
 	// hostile count word from sizing the preallocation below.
 	if count > r.Remaining() {
 		return nil, fmt.Errorf("msg: frame claims %d messages in %d bytes: %w",
-			count, r.Remaining(), ErrCodec)
+			count, r.Remaining(), errCodec)
 	}
 	entries := dst[:0]
 	if cap(entries) < count {
@@ -105,7 +105,7 @@ func DecodeFrameRawInto(dst [][]byte, buf []byte) ([][]byte, error) {
 		entries = append(entries, e)
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("msg: frame has %d trailing bytes: %w", r.Remaining(), ErrCodec)
+		return nil, fmt.Errorf("msg: frame has %d trailing bytes: %w", r.Remaining(), errCodec)
 	}
 	return entries, nil
 }

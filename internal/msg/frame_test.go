@@ -67,8 +67,8 @@ func TestFrameOversizedCountRejected(t *testing.T) {
 	b := NewBuilder(4)
 	b.U32(MaxFrameMessages + 1)
 	_, err := DecodeFrame(b.Bytes())
-	if !errors.Is(err, ErrCodec) {
-		t.Fatalf("oversized count: err = %v, want ErrCodec", err)
+	if !errors.Is(err, errCodec) {
+		t.Fatalf("oversized count: err = %v, want errCodec", err)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestFrameHostileCountRejectedBeforeAlloc(t *testing.T) {
 	// bytes could hold must be rejected before sizing the entry slice.
 	b := NewBuilder(8)
 	b.U32(MaxFrameMessages).U16(0)
-	if _, err := DecodeFrameRaw(b.Bytes()); !errors.Is(err, ErrCodec) {
+	if _, err := DecodeFrameRaw(b.Bytes()); !errors.Is(err, errCodec) {
 		t.Fatal("hostile count decoded without error")
 	}
 }
@@ -151,7 +151,7 @@ func TestBuilderSkipAndUvarint(t *testing.T) {
 func TestReaderFailIsSticky(t *testing.T) {
 	r := NewReader([]byte{1, 2, 3, 4})
 	r.Fail()
-	if !errors.Is(r.Err(), ErrCodec) {
+	if !errors.Is(r.Err(), errCodec) {
 		t.Fatalf("Fail err = %v", r.Err())
 	}
 	if r.U32() != 0 {

@@ -77,9 +77,9 @@ const headerSize = 2 + 2 + 4 + 4 + 8 + 4
 // no Marshal copy.
 const HeaderSize = headerSize
 
-// ErrShortMessage is returned when decoding a buffer too small to contain
+// errShortMessage is returned when decoding a buffer too small to contain
 // a complete message.
-var ErrShortMessage = errors.New("msg: short message")
+var errShortMessage = errors.New("msg: short message")
 
 // Marshal encodes m into a fresh byte slice.
 func (m *Msg) Marshal() []byte {
@@ -105,7 +105,7 @@ func (m *Msg) AppendMarshal(dst []byte) []byte {
 // buffers built directly in pooled storage.
 func FillHeader(buf []byte, kind Kind, flags uint16, from, to NodeID, seq uint64) {
 	if len(buf) < headerSize {
-		panic(ErrShortMessage)
+		panic(errShortMessage)
 	}
 	binary.BigEndian.PutUint16(buf[0:], uint16(kind))
 	binary.BigEndian.PutUint16(buf[2:], flags)
@@ -120,7 +120,7 @@ func FillHeader(buf []byte, kind Kind, flags uint16, from, to NodeID, seq uint64
 // encoded buffer without materializing a Msg.
 func PeekHeader(buf []byte) (kind Kind, to NodeID, err error) {
 	if len(buf) < headerSize {
-		return 0, 0, ErrShortMessage
+		return 0, 0, errShortMessage
 	}
 	return Kind(binary.BigEndian.Uint16(buf[0:])), NodeID(binary.BigEndian.Uint32(buf[8:])), nil
 }
@@ -130,7 +130,7 @@ func PeekHeader(buf []byte) (kind Kind, to NodeID, err error) {
 // an encoder never needs to know which endpoint will emit the buffer.
 func SetFrom(buf []byte, from NodeID) {
 	if len(buf) < headerSize {
-		panic(ErrShortMessage)
+		panic(errShortMessage)
 	}
 	binary.BigEndian.PutUint32(buf[4:], uint32(from))
 }
@@ -139,12 +139,12 @@ func SetFrom(buf []byte, from NodeID) {
 // aliases buf; callers that retain the message must copy.
 func Unmarshal(buf []byte) (*Msg, error) {
 	if len(buf) < headerSize {
-		return nil, ErrShortMessage
+		return nil, errShortMessage
 	}
 	plen := binary.BigEndian.Uint32(buf[20:])
 	if uint32(len(buf)-headerSize) < plen {
 		return nil, fmt.Errorf("msg: payload truncated: have %d want %d: %w",
-			len(buf)-headerSize, plen, ErrShortMessage)
+			len(buf)-headerSize, plen, errShortMessage)
 	}
 	return &Msg{
 		Kind:    Kind(binary.BigEndian.Uint16(buf[0:])),

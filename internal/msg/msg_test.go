@@ -48,14 +48,14 @@ func TestMsgEmptyPayload(t *testing.T) {
 }
 
 func TestUnmarshalShort(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, 5)); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("err = %v, want ErrShortMessage", err)
+	if _, err := Unmarshal(make([]byte, 5)); !errors.Is(err, errShortMessage) {
+		t.Fatalf("err = %v, want errShortMessage", err)
 	}
 	// Header claims a longer payload than present.
 	m := &Msg{Kind: KindPing, Payload: []byte{1, 2, 3, 4}}
 	buf := m.Marshal()
-	if _, err := Unmarshal(buf[:len(buf)-2]); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("truncated payload err = %v, want ErrShortMessage", err)
+	if _, err := Unmarshal(buf[:len(buf)-2]); !errors.Is(err, errShortMessage) {
+		t.Fatalf("truncated payload err = %v, want errShortMessage", err)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestBuilderReaderRoundTrip(t *testing.T) {
 func TestReaderStickyError(t *testing.T) {
 	r := NewReader([]byte{1})
 	_ = r.U64() // runs off the end
-	if !errors.Is(r.Err(), ErrCodec) {
-		t.Fatalf("err = %v, want ErrCodec", r.Err())
+	if !errors.Is(r.Err(), errCodec) {
+		t.Fatalf("err = %v, want errCodec", r.Err())
 	}
 	// Subsequent reads return zero values, error stays.
 	if v := r.U8(); v != 0 {
@@ -132,7 +132,7 @@ func TestReaderStickyError(t *testing.T) {
 	if v := r.Str(); v != "" {
 		t.Fatalf("after error Str = %q, want empty", v)
 	}
-	if !errors.Is(r.Err(), ErrCodec) {
+	if !errors.Is(r.Err(), errCodec) {
 		t.Fatalf("sticky error lost: %v", r.Err())
 	}
 }
@@ -145,8 +145,8 @@ func TestReaderCorruptLengthPrefix(t *testing.T) {
 	if v := r.BytesN(); v != nil {
 		t.Fatalf("BytesN on truncated = %v, want nil", v)
 	}
-	if !errors.Is(r.Err(), ErrCodec) {
-		t.Fatalf("err = %v, want ErrCodec", r.Err())
+	if !errors.Is(r.Err(), errCodec) {
+		t.Fatalf("err = %v, want errCodec", r.Err())
 	}
 }
 
@@ -205,8 +205,8 @@ func TestEntryOverrunStaysInsideFrame(t *testing.T) {
 	if v := e1.U8(); v != 1 {
 		t.Fatalf("entry1 = %d", v)
 	}
-	if v := e1.U8(); v != 0 || !errors.Is(e1.Err(), ErrCodec) {
-		t.Fatalf("overrun read = %d err = %v, want 0/ErrCodec", v, e1.Err())
+	if v := e1.U8(); v != 0 || !errors.Is(e1.Err(), errCodec) {
+		t.Fatalf("overrun read = %d err = %v, want 0/errCodec", v, e1.Err())
 	}
 	// The outer reader is still positioned at entry 2.
 	e2 := r.Entry()

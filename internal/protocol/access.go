@@ -13,7 +13,6 @@ import (
 	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/transport"
 	"munin/internal/vkernel"
 
@@ -34,12 +33,12 @@ func (n *Node) ReadObj(q *duq.Queue, o *Obj, off int, buf []byte) {
 	n.awaitRecovered()
 	checkRange(o, off, len(buf))
 	o.pol.read(n, o, off, buf)
-	n.reads.AddCell(&q.Reads, 1)
+	n.ctr.Reads.AddCell(&q.Reads, 1)
 }
 
 // CountRead counts a read the caller served itself from an object's
 // View.
-func (n *Node) CountRead(q *duq.Queue) { n.reads.AddCell(&q.Reads, 1) }
+func (n *Node) CountRead(q *duq.Queue) { n.ctr.Reads.AddCell(&q.Reads, 1) }
 
 // Write stores data at [off, off+len(data)), running the object's
 // coherence protocol (its policy row's write). Loose protocols
@@ -54,7 +53,7 @@ func (n *Node) WriteObj(q *duq.Queue, o *Obj, off int, data []byte) {
 	n.awaitRecovered()
 	checkRange(o, off, len(data))
 	o.pol.write(n, q, o, off, data)
-	n.writes.AddCell(&q.Writes, 1)
+	n.ctr.Writes.AddCell(&q.Writes, 1)
 }
 
 // FlushQueue propagates every delayed update in q. The runtime calls
@@ -96,11 +95,11 @@ func (n *Node) FlushQueue(q *duq.Queue) {
 // multi-process mesh a destination can become unreachable, and the
 // error distinguishes how (detect with errors.As):
 //
-//   - *transport.ErrPeerDown — the peer's wire DIED (crash, dial
+//   - a peer-down error (transport.PeerDownOf) — the peer's wire DIED (crash, dial
 //     failure, broken stream). Updates aimed at it may be lost; with a
 //     reconnect policy the pair can come back on a fresh epoch, but
 //     nothing from this flush is replayed.
-//   - *transport.ErrPeerGone — the peer DEPARTED cleanly (goodbye
+//   - a peer-gone error (transport.PeerGoneOf) — the peer DEPARTED cleanly (goodbye
 //     handshake). Everything it sent before leaving was delivered;
 //     this flush simply has nowhere to go.
 //
@@ -224,7 +223,7 @@ type pcGroup struct {
 // entries homed at node carry are not sent: they are left in
 // fs.carried for a barrier arrival to carry (carry < 0: none). A
 // returned error means some destination could not be reached or did
-// not acknowledge — notably *transport.ErrPeerDown from a dead peer.
+// not acknowledge — notably a peer-down error (transport.PeerDownOf) from a dead peer.
 func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 	// Producer-consumer planning state is built lazily: the steady-state
 	// write-many/result flush (the allocation-gated hot path) never
@@ -243,8 +242,8 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 			if len(spans) == 0 {
 				continue // a co-located thread's flush took the set, or nothing changed
 			}
-			n.C.Add(stats.CDiffSent, 1)
-			n.C.Add(stats.CDiffBytes, int64(memory.SpanBytes(spans)))
+			n.ctr.DiffSent.Inc()
+			n.ctr.DiffBytes.Add(int64(memory.SpanBytes(spans)))
 			home := n.homeOf(&o.meta)
 			known := false
 			for _, d := range fs.dstOrder {
@@ -307,7 +306,7 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 	// member dying here loses the whole drained dirty set.
 	failpoint.Hit(failpoint.FlushPlanned)
 	if work > 1 {
-		n.C.Add(stats.CFlushPipelined, 1)
+		n.ctr.FlushPipelined.Inc()
 	}
 
 	// Start phase: every destination's batch is enqueued on the
@@ -539,9 +538,9 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 		members = append(members, o.consumers...)
 		o.mu.Unlock()
 		members = n.withHome(o, members)
-		n.C.Add(stats.CDiffSent, 1)
-		n.C.Add(stats.CDiffBytes, int64(memory.SpanBytes(spans)))
-		n.C.Add(stats.CEagerPush, 1)
+		n.ctr.DiffSent.Inc()
+		n.ctr.DiffBytes.Add(int64(memory.SpanBytes(spans)))
+		n.ctr.EagerPush.Inc()
 		e := applyEntry{id: o.meta.ID, seq: seq, spans: spans}
 		if memberKey(members) == groupKey {
 			batch = append(batch, e)
@@ -603,7 +602,7 @@ func (n *Node) ensureReadable(o *Obj) {
 		gen := o.genInv
 		o.mu.Unlock()
 
-		n.C.Add(stats.CFaultRead, 1)
+		n.ctr.FaultRead.Inc()
 		reply, err := n.k.Call(n.homeOf(&o.meta), kindRead,
 			msg.NewBuilder(4).U32(uint32(o.meta.ID)).Bytes())
 		if err != nil {
@@ -614,7 +613,7 @@ func (n *Node) ensureReadable(o *Obj) {
 			r := msg.NewReader(reply.Payload)
 			if r.U8() == nackOwnerDown {
 				panic(fmt.Sprintf("munin: read fault %q: %v", o.meta.Name,
-					&transport.ErrPeerDown{Node: msg.NodeID(r.U32()), Cause: errOwnerLost}))
+					transport.PeerDownError(msg.NodeID(r.U32()), errOwnerLost)))
 			}
 			o.mu.Lock()
 			o.fetching = false
@@ -629,7 +628,7 @@ func (n *Node) ensureReadable(o *Obj) {
 		o.fetching = false
 		if o.genInv != gen {
 			// Invalidated while the reply was in flight: retry.
-			n.C.Add(stats.CFetchRetry, 1)
+			n.ctr.FetchRetry.Inc()
 			o.cond.Broadcast()
 			continue
 		}
@@ -798,7 +797,7 @@ func (n *Node) Evict(id memory.ObjectID) {
 	o.genInv++
 	n.retract(o)
 	o.mu.Unlock()
-	n.C.Add(stats.CEvict, 1)
+	n.ctr.Evict.Inc()
 	n.k.Send(home, kindEvict, msg.NewBuilder(4).U32(uint32(id)).Bytes())
 }
 
@@ -815,7 +814,7 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
-	n.writeBuffered.AddCell(&q.Buffered, 1)
+	n.ctr.WriteBuffered.AddCell(&q.Buffered, 1)
 }
 
 // storeBuffered is the one place a delayed-update write lands: it queues
@@ -826,7 +825,7 @@ func (n *Node) bufferedWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 func (n *Node) storeBuffered(q *duq.Queue, o *Obj, off int, data []byte) {
 	q.MarkDirty(o.meta.ID)
 	if o.dirty.Write(o.data, off, data) {
-		n.C.Add(stats.CTwin, 1) // clean -> dirty; benchmark/ reads it under this name
+		n.ctr.Twin.Inc() // clean -> dirty; benchmark/ reads it under this name
 	}
 }
 
@@ -848,7 +847,7 @@ func (n *Node) producerWrite(q *duq.Queue, o *Obj, off int, data []byte) {
 	}
 	n.storeBuffered(q, o, off, data)
 	o.mu.Unlock()
-	n.writeBuffered.AddCell(&q.Buffered, 1)
+	n.ctr.WriteBuffered.AddCell(&q.Buffered, 1)
 }
 
 // becomeProducer registers this node as the object's producer with the
@@ -939,8 +938,8 @@ func (n *Node) ensureConsumer(o *Obj) {
 	o.fetching = true
 	o.mu.Unlock()
 
-	n.C.Add(stats.CFaultRead, 1)
-	n.C.Add(stats.CConsumerStall, 1) // a consumer had to wait for data
+	n.ctr.FaultRead.Inc()
+	n.ctr.ConsumerStall.Inc() // a consumer had to wait for data
 	reply, err := n.k.Call(n.homeOf(&o.meta), kindRegCons,
 		msg.NewBuilder(5).U32(uint32(o.meta.ID)).Bool(false).Bytes())
 	if err != nil {
@@ -978,15 +977,15 @@ func (n *Node) readMostlyRead(o *Obj, off int, buf []byte) {
 	if replicated {
 		// The copy lapsed (or was never fetched): this read crosses
 		// the wire, like a lease take/refresh does.
-		n.C.Add(stats.CRMRemoteReads, 1)
+		n.ctr.RMRemoteReads.Inc()
 		n.ensureReadable(o)
 		o.mu.Lock()
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
 		return
 	}
-	n.C.Add(stats.CRemoteLoad, 1)
-	n.C.Add(stats.CRMRemoteReads, 1)
+	n.ctr.RemoteLoad.Inc()
+	n.ctr.RMRemoteReads.Inc()
 	reply, err := n.k.Call(home, kindRemRead,
 		msg.NewBuilder(12).U32(uint32(o.meta.ID)).Int(off).Int(len(buf)).Bytes())
 	if err != nil {
@@ -1006,7 +1005,7 @@ func (n *Node) readMostlyWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		n.homeAfterRemoteWrite(o.meta.ID, []memory.Span{{Off: off, Data: append([]byte(nil), data...)}}, n.id)
 		return
 	}
-	n.C.Add(stats.CRemoteStore, 1)
+	n.ctr.RemoteStore.Inc()
 	b := msg.NewBuilder(16 + len(data))
 	b.U32(uint32(o.meta.ID)).Int(off).BytesN(data)
 	reply, err := n.k.Call(home, kindRemWrite, b.Bytes())
@@ -1036,7 +1035,7 @@ func (n *Node) resultRead(o *Obj, off int, buf []byte) {
 		o.mu.Unlock()
 		return
 	}
-	n.C.Add(stats.CRemoteLoad, 1)
+	n.ctr.RemoteLoad.Inc()
 	reply, err := n.k.Call(home, kindRemRead,
 		msg.NewBuilder(12).U32(uint32(o.meta.ID)).Int(off).Int(len(buf)).Bytes())
 	if err != nil {
@@ -1079,7 +1078,7 @@ func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		valid := o.state != Invalid
 		o.mu.Unlock()
 
-		n.C.Add(stats.CFaultWrite, 1)
+		n.ctr.FaultWrite.Inc()
 		req := msg.NewBuilder(5).U32(uint32(o.meta.ID)).Bool(valid).Bytes()
 		if testHookWriteOwnBuilt != nil {
 			testHookWriteOwnBuilt(n)
@@ -1090,7 +1089,7 @@ func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		// dispatched; a forward the home sent ahead of it parks until the
 		// install (awaitGrant). Either way no other node can be served
 		// this object's pre-install state.
-		var lost *transport.ErrPeerDown
+		var lost error
 		err := n.k.CallInline(n.homeOf(&o.meta), kindWriteOwn, req,
 			func(reply *msg.Msg) {
 				r := msg.NewReader(reply.Payload)
@@ -1098,7 +1097,7 @@ func (n *Node) ownershipWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 				o.mu.Lock()
 				switch how {
 				case nackOwnerDown:
-					lost = &transport.ErrPeerDown{Node: msg.NodeID(r.U32()), Cause: errOwnerLost}
+					lost = transport.PeerDownError(msg.NodeID(r.U32()), errOwnerLost)
 					o.lost = lost
 				default: // a grant (encodeGrant), with the bytes if how is 1
 					o.epoch = r.U32()

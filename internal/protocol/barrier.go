@@ -10,7 +10,6 @@ import (
 	"munin/internal/lockrank"
 	"munin/internal/memory"
 	"munin/internal/msg"
-	"munin/internal/stats"
 )
 
 // A barrier publishes the updates it makes visible (§3.2: updates need
@@ -69,7 +68,7 @@ func (n *Node) FlushAtBarrier(q *duq.Queue, home msg.NodeID, arrive func(size in
 	size := 0
 	if len(carried) > 0 {
 		size = diffEntriesSize(carried)
-		n.C.Add(stats.CBarrierCarried, int64(len(carried)))
+		n.ctr.BarrierCarried.Add(int64(len(carried)))
 		n.countBatch(len(carried), size)
 	}
 	body, err := arrive(size, func(b *msg.Builder) { putDiffEntries(b, carried) })
@@ -159,7 +158,7 @@ func (n *Node) decodeCarried(ds *decodeScratch, p []byte, from msg.NodeID) bool 
 	count := int(r.U32())
 	// At least 9 bytes an entry, as in a kindDiffBatch (handleDiffBatch).
 	if r.Err() != nil || count <= 0 || count > r.Remaining()/9 {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return false
 	}
 	for i := 0; i < count; i++ {
@@ -168,7 +167,7 @@ func (n *Node) decodeCarried(ds *decodeScratch, p []byte, from msg.NodeID) bool 
 		lo := len(ds.spans)
 		ds.spans = memory.DecodeSpansView(ds.spans, e)
 		if e.Err() != nil || r.Err() != nil {
-			n.C.Add(stats.CDropMalformed, 1)
+			n.ctr.DropMalformed.Inc()
 			return false
 		}
 		o := n.entryFromWire(id, ds.spans[lo:])
@@ -176,14 +175,14 @@ func (n *Node) decodeCarried(ds *decodeScratch, p []byte, from msg.NodeID) bool 
 			return false
 		}
 		if o.pol.flush != flushHome || n.homeOf(&o.meta) != n.id {
-			n.C.Add(stats.CDropMisdirected, 1)
+			n.ctr.DropMisdirected.Inc()
 			return false
 		}
 		ds.entries = append(ds.entries, batchEntry{id: id, spans: ds.spans[lo:len(ds.spans):len(ds.spans)]})
 		ds.froms = append(ds.froms, from)
 	}
 	if r.Remaining() != 0 {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return false
 	}
 	return true
@@ -245,7 +244,7 @@ func (n *Node) barrierMerge(arrivals []dlock.Arrival) ([][]byte, error) {
 			}
 		}
 		bodies[i] = encodeRelease(ds.entries, seqs, lo, hi, run)
-		n.C.Add(stats.CBarrierReleased, int64(len(run)))
+		n.ctr.BarrierReleased.Add(int64(len(run)))
 	}
 	return bodies, err
 }

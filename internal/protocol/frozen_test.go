@@ -10,7 +10,6 @@ import (
 
 	"munin/internal/duq"
 	"munin/internal/memory"
-	"munin/internal/stats"
 )
 
 // Write-once objects are published frozen (Obj.snap): these tests pin
@@ -119,7 +118,7 @@ func TestFrozenReplicaReadsRaceEvict(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if got := node.C.Get(stats.CEvict); got < evictions/2 {
+	if got := node.C.Get("evict"); got < evictions/2 {
 		// An Evict that finds a reader's refetch not yet installed is a
 		// no-op; most must still have dropped a live replica.
 		t.Errorf("only %d of %d evictions found a replica", got, evictions)
@@ -234,11 +233,11 @@ func TestWriteOnceWriteCannotStraddleAReplica(t *testing.T) {
 	replica := make(chan uint64, 1)
 	testHookWriteOnceChecked = func() {
 		testHookWriteOnceChecked = nil
-		served := home.C.Get(stats.CHomeRead)
+		served := home.C.Get("home.read")
 		go func() { replica <- readU64(remote, duq.New(), 2, 0) }()
 		// Wait for the fault to reach the home's handler, then give it
 		// every chance to be served before the store happens.
-		for home.C.Get(stats.CHomeRead) == served {
+		for home.C.Get("home.read") == served {
 			time.Sleep(50 * time.Microsecond)
 		}
 		select {

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"munin/internal/bufpool"
 	"munin/internal/memory"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
@@ -32,7 +30,7 @@ func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -40,7 +38,7 @@ func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	d := n.dirEntryOf(id)
-	n.C.Add(stats.CHomeRead, 1)
+	n.ctr.HomeRead.Inc()
 
 	switch {
 	case o.pol.owned:
@@ -166,13 +164,13 @@ func encodeBytesReply(data []byte) *bufpool.Buffer {
 func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, payload []byte, f forwarded) vkernel.Outcome {
 	var err error
 	if f.write {
-		n.C.Add(stats.CFwdWrite, 1)
+		n.ctr.FwdWrite.Inc()
 		err = n.k.Forward(req, f.to, kindFwdWrite, payload)
 	} else {
-		n.C.Add(stats.CFwdRead, 1)
+		n.ctr.FwdRead.Inc()
 		err = n.k.Forward(req, f.to, kindFwdRead, payload)
 	}
-	var down *transport.ErrPeerDown
+	_, down := transport.PeerDownOf(err)
 	switch {
 	case err == nil:
 		if d.fwd == nil {
@@ -183,7 +181,7 @@ func (n *Node) forward(d *dirEntry, o *Obj, req *msg.Msg, payload []byte, f forw
 	case isGone(err):
 		// The owner left; PeerGone is about to prune it.
 		return n.refuse(o, req.From, f, nackRetry)
-	case errors.As(err, &down):
+	case down:
 		return n.refuse(o, req.From, f, nackOwnerDown)
 	case isShutdown(err):
 		return vkernel.Dropped
@@ -230,7 +228,7 @@ func (n *Node) refuse(o *Obj, from msg.NodeID, f forwarded, reason uint8) vkerne
 // nack answers the fault req with a nack in place of the object or the
 // grant: nackRetry, or nackOwnerDown naming the lost owner.
 func (n *Node) nack(req *msg.Msg, reason uint8, owner msg.NodeID) vkernel.Outcome {
-	n.C.Add(stats.CFwdNack, 1)
+	n.ctr.FwdNack.Inc()
 	b := msg.NewBuilder(5).U8(reason)
 	if reason == nackOwnerDown {
 		b.U32(uint32(owner))
@@ -258,7 +256,7 @@ func (n *Node) refuseForwards(o *Obj, d *dirEntry, peer msg.NodeID, reason uint8
 func (n *Node) ownedFromWire(id memory.ObjectID) *Obj {
 	o := n.objFromWire(id)
 	if o != nil && !o.pol.owned {
-		n.C.Add(stats.CDropMisdirected, 1)
+		n.ctr.DropMisdirected.Inc()
 		return nil
 	}
 	return o
@@ -277,7 +275,7 @@ func (n *Node) handleFwdRead(req *msg.Msg) vkernel.Outcome {
 	id := memory.ObjectID(r.U32())
 	epoch := r.U32()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	if testHookFwdRead != nil {
@@ -303,7 +301,8 @@ func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) vkernel.Outcome {
 	o.awaitGrant(epoch)
 	if lost := o.lost; lost != nil {
 		o.mu.Unlock()
-		return n.nack(req, nackOwnerDown, lost.Node)
+		owner, _ := transport.PeerDownOf(lost)
+		return n.nack(req, nackOwnerDown, owner)
 	}
 	if o.state == Invalid {
 		o.mu.Unlock()
@@ -311,7 +310,7 @@ func (n *Node) serveRead(o *Obj, req *msg.Msg, epoch uint32) vkernel.Outcome {
 	}
 	wb := o.shareOwned()
 	o.mu.Unlock()
-	n.C.Add(stats.CFetchServed, 1)
+	n.ctr.FetchServed.Inc()
 	if testHookFwdRead != nil {
 		testHookFwdRead("served")
 	}
@@ -355,7 +354,7 @@ func (n *Node) handleWriteOwn(req *msg.Msg) vkernel.Outcome {
 	id := memory.ObjectID(r.U32())
 	vouched := r.Bool()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.ownedFromWire(id)
@@ -363,11 +362,11 @@ func (n *Node) handleWriteOwn(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	if n.homeOf(&o.meta) != n.id {
-		n.C.Add(stats.CDropMisdirected, 1)
+		n.ctr.DropMisdirected.Inc()
 		return vkernel.Dropped
 	}
 	d := n.dirEntryOf(id)
-	n.C.Add(stats.CHomeWriteOwn, 1)
+	n.ctr.HomeWriteOwn.Inc()
 
 	d.mu.Lock()
 	requester, oldOwner, epoch := req.From, d.owner, d.epoch
@@ -423,7 +422,7 @@ func (n *Node) invalidateCopies(o *Obj, d *dirEntry, requester, oldOwner msg.Nod
 	var parr [8]*vkernel.Pending
 	pends := parr[:0]
 	for _, member := range remote {
-		n.C.Add(stats.CHomeInv, 1)
+		n.ctr.HomeInv.Inc()
 		p, err := n.k.CallStart(member, kindInv, inv)
 		if err != nil && !n.relayBenign(err) {
 			panic(fmt.Sprintf("munin: invalidate object %d at node %d: %v", o.meta.ID, member, err))
@@ -452,7 +451,7 @@ func (n *Node) handleFwdWrite(req *msg.Msg) vkernel.Outcome {
 	epoch := r.U32()
 	good := r.Bool()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	if testHookFwdWrite != nil {
@@ -478,18 +477,19 @@ func (n *Node) serveWrite(o *Obj, req *msg.Msg, epoch uint32, good bool) vkernel
 	o.awaitGrant(epoch)
 	if lost := o.lost; lost != nil {
 		o.mu.Unlock()
-		return n.nack(req, nackOwnerDown, lost.Node)
+		owner, _ := transport.PeerDownOf(lost)
+		return n.nack(req, nackOwnerDown, owner)
 	}
 	if !o.owns || o.epoch != epoch {
 		o.mu.Unlock()
-		n.C.Add(stats.CDropMisdirected, 1)
+		n.ctr.DropMisdirected.Inc()
 		return vkernel.Dropped
 	}
 	grant := encodeGrant(!good, epoch+1, o.data)
 	o.invalidate()
 	o.mu.Unlock()
 	if !good {
-		n.C.Add(stats.CFetchServed, 1)
+		n.ctr.FetchServed.Inc()
 	}
 	if testHookFwdWrite != nil {
 		testHookFwdWrite(n, "served")
@@ -527,7 +527,7 @@ func (n *Node) handleInv(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -540,7 +540,7 @@ func (n *Node) handleInv(req *msg.Msg) vkernel.Outcome {
 	o.mu.Lock()
 	o.invalidate()
 	o.mu.Unlock()
-	n.C.Add(stats.CInvReceived, 1)
+	n.ctr.InvReceived.Inc()
 	n.k.Reply(req, nil)
 	return vkernel.Replied
 }
@@ -609,7 +609,7 @@ func putDecodeScratch(ds *decodeScratch) {
 func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeID, alreadyApplied bool) uint64 {
 	o := n.mustObj(e.id)
 	d := n.dirEntryOf(e.id)
-	n.C.Add(stats.CHomeDiff, 1)
+	n.ctr.HomeDiff.Inc()
 
 	d.mu.Lock()
 	o.mu.Lock()
@@ -618,7 +618,7 @@ func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeI
 			// Diagnostic only: an incoming update to bytes this node has
 			// written and not yet flushed means the application raced
 			// (loose coherence allows either value).
-			n.C.Add(stats.CRaceDetected, 1)
+			n.ctr.RaceDetected.Inc()
 		}
 		memory.ApplySpans(o.data, e.spans)
 	}
@@ -674,9 +674,9 @@ func encodeApplyBatch(entries []applyEntry) []byte {
 // countBatch records the counters for one batch message of the given
 // entry count and payload size.
 func (n *Node) countBatch(objs, payloadBytes int) {
-	n.C.Add(stats.CBatchSent, 1)
-	n.C.Add(stats.CBatchObjs, int64(objs))
-	n.C.Add(stats.CBatchBytes, int64(payloadBytes))
+	n.ctr.BatchSent.Inc()
+	n.ctr.BatchObjs.Add(int64(objs))
+	n.ctr.BatchBytes.Add(int64(payloadBytes))
 }
 
 // homeMergeBatch is the home-side half of the delayed-update protocol:
@@ -739,7 +739,7 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 	var firstErr error
 	failed := func(err error) {
 		if err != nil && !n.relayBenign(err) {
-			n.C.Add(stats.CRelayFailed, 1)
+			n.ctr.RelayFailed.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("relay to copy holders: %w", err)
 			}
@@ -766,7 +766,7 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 			ds.applies = append(ds.applies, applyEntry{id: e.id, seq: ds.seqs[r.entry], spans: e.spans})
 		}
 		payload := encodeApplyBatch(ds.applies[first:])
-		n.C.Add(stats.CHomeRelay, 1)
+		n.ctr.HomeRelay.Inc()
 		n.countBatch(len(run), len(payload))
 		p, err := n.k.MulticastCallStart(ds.members, kindApplyBatch, payload)
 		if err != nil {
@@ -807,7 +807,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 	// prefix, 4-byte object ID, 4-byte span count), so a count word
 	// claiming more is corrupt — reject before trusting it.
 	if r.Err() != nil || count < 0 || count > r.Remaining()/9 {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	ds := getDecodeScratch()
@@ -818,7 +818,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 		lo := len(ds.spans)
 		ds.spans = memory.DecodeSpansView(ds.spans, e)
 		if e.Err() != nil || r.Err() != nil {
-			n.C.Add(stats.CDropMalformed, 1)
+			n.ctr.DropMalformed.Inc()
 			return vkernel.Dropped
 		}
 		if n.entryFromWire(id, ds.spans[lo:]) == nil {
@@ -858,7 +858,7 @@ func (n *Node) entryFromWire(id memory.ObjectID, spans []memory.Span) *Obj {
 	}
 	for _, sp := range spans {
 		if !inRange(o, sp.Off, len(sp.Data)) {
-			n.C.Add(stats.CDropMalformed, 1)
+			n.ctr.DropMalformed.Inc()
 			return nil
 		}
 	}
@@ -875,7 +875,7 @@ func (n *Node) handleApplyBatch(req *msg.Msg) vkernel.Outcome {
 	count := int(r.U32())
 	// At least 17 bytes an entry: the diff entry's 9 plus the sequence.
 	if r.Err() != nil || count < 0 || count > r.Remaining()/17 {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	ds := getDecodeScratch()
@@ -887,7 +887,7 @@ func (n *Node) handleApplyBatch(req *msg.Msg) vkernel.Outcome {
 		lo := len(ds.spans)
 		ds.spans = memory.DecodeSpansView(ds.spans, e)
 		if e.Err() != nil || r.Err() != nil {
-			n.C.Add(stats.CDropMalformed, 1)
+			n.ctr.DropMalformed.Inc()
 			return vkernel.Dropped
 		}
 		if n.entryFromWire(id, ds.spans[lo:]) == nil {
@@ -905,14 +905,14 @@ func (n *Node) handleApplyBatch(req *msg.Msg) vkernel.Outcome {
 // isShutdown reports whether an error is a benign consequence of the
 // cluster shutting down while asynchronous relays were in flight.
 func isShutdown(err error) bool {
-	return errors.Is(err, transport.ErrClosed) || errors.Is(err, vkernel.ErrClosed)
+	return transport.IsClosed(err) || vkernel.IsClosed(err)
 }
 
 // applyRefresh installs one sequenced refresh at a local copy, parking
 // out-of-order updates.
 func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 	o.mu.Lock()
-	n.C.Add(stats.CApplyReceived, 1)
+	n.ctr.ApplyReceived.Inc()
 	switch {
 	case o.state == Invalid:
 		// No installed copy. A fetch may be in flight (the home added
@@ -954,7 +954,7 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 		// predates our registration never reached us and no reply
 		// will ever advance past it), and consumers hold no buffered
 		// writes, so the wholesale install is safe for them.
-		n.C.Add(stats.CApplyGap, 1)
+		n.ctr.ApplyGap.Inc()
 		o.pendApply[seq] = memory.CloneSpans(spans) // see the Invalid case
 
 		if o.pol.flush == flushConsumers && !o.isProducer && o.dirty.Empty() {
@@ -977,7 +977,7 @@ func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 	off := r.Int()
 	ln := r.Int()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -985,13 +985,13 @@ func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	if !inRange(o, off, ln) {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	wb := encodeBytesReply(o.data[off : off+ln])
 	o.mu.Unlock()
-	n.C.Add(stats.CHomeRemRead, 1)
+	n.ctr.HomeRemRead.Inc()
 	n.k.ReplyOwned(req, wb)
 
 	if !o.pol.remote || !o.meta.Opts.Dynamic {
@@ -1009,7 +1009,7 @@ func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 	o.mu.Unlock()
 	d.mu.Unlock()
 	if switchIt {
-		n.C.Add(stats.CModeSwitch, 1)
+		n.ctr.ModeSwitch.Inc()
 		n.k.MulticastTo(n.allOtherNodes(), kindModeSw,
 			msg.NewBuilder(5).U32(uint32(id)).Bool(true).Bytes())
 	}
@@ -1024,7 +1024,7 @@ func (n *Node) handleRemWrite(req *msg.Msg) vkernel.Outcome {
 	off := r.Int()
 	data := r.BytesN() // the request is this handler's to keep (transport.Endpoint.Recv)
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -1032,13 +1032,13 @@ func (n *Node) handleRemWrite(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	if !inRange(o, off, len(data)) {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o.mu.Lock()
 	copy(o.data[off:], data)
 	o.mu.Unlock()
-	n.C.Add(stats.CHomeRemWrite, 1)
+	n.ctr.HomeRemWrite.Inc()
 
 	d := n.dirEntryOf(id)
 	d.mu.Lock()
@@ -1080,7 +1080,7 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 	if o.meta.Opts.Dynamic {
 		if d.updMode == Invalidate && d.dropped > 0 && d.rereads*2 >= d.dropped {
 			d.updMode = Refresh
-			n.C.Add(stats.CModeSwitch, 1)
+			n.ctr.ModeSwitch.Inc()
 		}
 	}
 	o.mu.Lock()
@@ -1112,7 +1112,7 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 	}
 	// A refresh is a one-entry sequenced batch; an invalidation is the
 	// ownership protocols' kindInv — the same state change at the copy.
-	n.C.Add(stats.CHomeRelay, 1)
+	n.ctr.HomeRelay.Inc()
 	var err error
 	if mode == Refresh {
 		payload := encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: spans}})
@@ -1134,7 +1134,7 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 	id := memory.ObjectID(r.U32())
 	isProducer := r.Bool()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -1145,7 +1145,7 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 	if !ok {
 		// The refusal is the recorded producer's ID, shorter than any
 		// registration reply; the registering thread panics on it.
-		n.C.Add(stats.CProducerRefused, 1)
+		n.ctr.ProducerRefused.Inc()
 		n.k.Reply(req, msg.NewBuilder(4).U32(uint32(producer)).Bytes())
 		return vkernel.Replied
 	}
@@ -1228,7 +1228,7 @@ func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 	id := memory.ObjectID(r.U32())
 	nc := int(r.U32())
 	if nc > r.Remaining()/4 {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	consumers := make([]msg.NodeID, 0, nc)
@@ -1236,7 +1236,7 @@ func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 		consumers = append(consumers, msg.NodeID(r.U32()))
 	}
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -1256,7 +1256,7 @@ func (n *Node) handleEvict(req *msg.Msg) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return
 	}
 	if n.objFromWire(id) == nil {
@@ -1276,7 +1276,7 @@ func (n *Node) handleModeSw(req *msg.Msg) {
 	id := memory.ObjectID(r.U32())
 	replicated := r.Bool()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return
 	}
 	o := n.objFromWire(id)
@@ -1284,7 +1284,7 @@ func (n *Node) handleModeSw(req *msg.Msg) {
 		return
 	}
 	if req.From != n.homeOf(&o.meta) {
-		n.C.Add(stats.CDropMisdirected, 1)
+		n.ctr.DropMisdirected.Inc()
 		return
 	}
 	o.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/vkernel"
 )
 
@@ -67,18 +66,18 @@ func (n *Node) leaseRead(o *Obj, off int, buf []byte) {
 	if o.leaseValid && o.leaseEpoch == epoch {
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
-		n.C.Add(stats.CLeaseLocalReads, 1)
+		n.ctr.LeaseLocalReads.Inc()
 		return
 	}
 	if o.leaseValid {
 		// We hold bytes but the lease lapsed at a synchronization
 		// point — the lazy pull TARDIS trades the invalidation for.
-		n.C.Add(stats.CLeaseExpiredReads, 1)
+		n.ctr.LeaseExpiredReads.Inc()
 	}
 	req := msg.LeaseReq{Obj: uint32(o.meta.ID), Have: o.leaseValid, Ver: o.leaseVer}
 	o.mu.Unlock()
 
-	n.C.Add(stats.CRMRemoteReads, 1)
+	n.ctr.RMRemoteReads.Inc()
 	reply, err := n.k.Call(n.homeOf(&o.meta), kindLeaseRead, req.Encode())
 	if err != nil {
 		panic(fmt.Sprintf("munin: lease read %q: %v", o.meta.Name, err))
@@ -120,10 +119,10 @@ func (n *Node) leaseWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		copy(o.data[off:], data)
 		o.applySeq++
 		o.mu.Unlock()
-		n.C.Add(stats.CLeaseBumps, 1)
+		n.ctr.LeaseBumps.Inc()
 		return
 	}
-	n.C.Add(stats.CRemoteStore, 1)
+	n.ctr.RemoteStore.Inc()
 	b := msg.NewBuilder(16 + len(data))
 	b.U32(uint32(o.meta.ID)).Int(off).BytesN(data)
 	reply, err := n.k.Call(n.homeOf(&o.meta), kindLeaseWrite, b.Bytes())
@@ -154,7 +153,7 @@ func (n *Node) leaseWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 func (n *Node) handleLeaseRead(req *msg.Msg) vkernel.Outcome {
 	lr, err := msg.DecodeLeaseReq(req.Payload)
 	if err != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(memory.ObjectID(lr.Obj))
@@ -165,7 +164,7 @@ func (n *Node) handleLeaseRead(req *msg.Msg) vkernel.Outcome {
 	ver := o.applySeq
 	if lr.Have && lr.Ver == ver {
 		o.mu.Unlock()
-		n.C.Add(stats.CLeaseRenewed, 1)
+		n.ctr.LeaseRenewed.Inc()
 		n.k.Reply(req, msg.LeaseGrant{Ver: ver, Unchanged: true}.Encode())
 		return vkernel.Replied
 	}
@@ -175,9 +174,9 @@ func (n *Node) handleLeaseRead(req *msg.Msg) vkernel.Outcome {
 	wb.B = b.Bytes()
 	o.mu.Unlock()
 	if lr.Have {
-		n.C.Add(stats.CLeaseRenewed, 1)
+		n.ctr.LeaseRenewed.Inc()
 	} else {
-		n.C.Add(stats.CLeaseGranted, 1)
+		n.ctr.LeaseGranted.Inc()
 	}
 	n.k.ReplyOwned(req, wb)
 	return vkernel.Replied
@@ -192,7 +191,7 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) vkernel.Outcome {
 	off := r.Int()
 	data := r.BytesN()
 	if r.Err() != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o := n.objFromWire(id)
@@ -200,7 +199,7 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	if !inRange(o, off, len(data)) {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o.mu.Lock()
@@ -208,7 +207,7 @@ func (n *Node) handleLeaseWrite(req *msg.Msg) vkernel.Outcome {
 	o.applySeq++
 	ver := o.applySeq
 	o.mu.Unlock()
-	n.C.Add(stats.CLeaseBumps, 1)
+	n.ctr.LeaseBumps.Inc()
 	n.k.Reply(req, msg.NewBuilder(8).U64(ver).Bytes())
 	return vkernel.Replied
 }

@@ -1,10 +1,7 @@
 package protocol
 
 import (
-	"errors"
-
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -22,7 +19,7 @@ import (
 // dispatched, so no diff or registration from the departed member is
 // still in flight when the pruning runs. A relay that raced the
 // departure and was already started is handled separately — the relay
-// paths treat *transport.ErrPeerGone as a benign skip (see isGone).
+// paths treat a peer-gone error (transport.PeerGoneOf) as a benign skip (see isGone).
 //
 // An ownership-protocol object (conventional/general-rw) the departed
 // member still owned exclusively is reclaimed by the home: the home
@@ -41,25 +38,19 @@ import (
 // back by the home).
 func (n *Node) PeerGone(peer msg.NodeID) {
 	copies, consumers, owners := n.prunePeer(peer)
-	if copies > 0 {
-		n.C.Add(stats.CMemberPrunedCopies, copies)
-	}
-	if consumers > 0 {
-		n.C.Add(stats.CMemberPrunedConsumers, consumers)
-	}
-	if owners > 0 {
-		n.C.Add(stats.CMemberReclaimedOwner, owners)
-	}
+	n.ctr.MemberPrunedCopies.Add(copies)
+	n.ctr.MemberPrunedConsumers.Add(consumers)
+	n.ctr.MemberReclaimedOwner.Add(owners)
 	// Last: whoever waits for the departure to be counted finds the rest
 	// of it counted too.
-	n.C.Add(stats.CMemberGone, 1)
+	n.ctr.MemberGone.Inc()
 }
 
 // PeerDown is the runtime's report that peer's wire died. The home
 // awaits nothing from the owner of an object whose read fault it
 // forwarded — the reader does, and its kernel knows only the home — so
 // the home refuses every such fault it noted for peer, and the readers
-// fail with the typed *transport.ErrPeerDown instead of waiting for a
+// fail with a peer-down error (transport.PeerDownOf) instead of waiting for a
 // reply that cannot come. Nothing is reclaimed: a peer that is down may
 // be back (PeerRecovered), and until then its objects have no owner to
 // ask.
@@ -123,12 +114,12 @@ func (n *Node) prunePeer(peer msg.NodeID) (copies, consumers, owners int64) {
 // isGone reports whether err is a clean peer departure. Update relays
 // and eager pushes treat it as a benign skip: the departed member's
 // copy left with it, so there is nothing to keep coherent — unlike
-// *transport.ErrPeerDown, where the peer may still believe it holds a
+// a peer-down error (transport.PeerDownOf), where the peer may still believe it holds a
 // valid copy. The skip is counted (relay.gone) so a departure racing a
 // flush stays observable.
 func isGone(err error) bool {
-	var gone *transport.ErrPeerGone
-	return errors.As(err, &gone)
+	_, gone := transport.PeerGoneOf(err)
+	return gone
 }
 
 // relayBenign reports whether a relay/push/invalidate error is benign:
@@ -138,7 +129,7 @@ func (n *Node) relayBenign(err error) bool {
 		return true
 	}
 	if isGone(err) {
-		n.C.Add(stats.CRelayGone, 1)
+		n.ctr.RelayGone.Inc()
 		return true
 	}
 	return false

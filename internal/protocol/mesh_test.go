@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -20,7 +19,7 @@ import (
 
 // TestFlushSurfacesErrPeerDownOverMesh: when the home's process dies,
 // a subsequent flush on the writer fails with the typed
-// *transport.ErrPeerDown instead of panicking opaquely or hanging —
+// a peer-down error (transport.PeerDownOf) instead of panicking opaquely or hanging —
 // the contract multi-process drivers (bench E12, munin-bench -peers)
 // rely on.
 func TestFlushSurfacesErrPeerDownOverMesh(t *testing.T) {
@@ -64,16 +63,15 @@ func TestFlushSurfacesErrPeerDownOverMesh(t *testing.T) {
 
 	// Dirty the object, then kill the home "process" abruptly before
 	// the flush — no goodbye, so the writer observes wire death (a
-	// graceful Close would surface *transport.ErrPeerGone instead; see
+	// graceful Close would surface a peer-gone error (transport.PeerGoneOf) instead; see
 	// TestFlushSurfacesErrPeerGoneAfterHomeLeaves).
 	writerNode.Write(q, id, 0, []byte{9, 9, 9, 9, 9, 9, 9, 9})
 	homeClu.Kill()
 
 	start := time.Now()
 	err := writerNode.TryFlushQueue(q)
-	var pd *transport.ErrPeerDown
-	if !errors.As(err, &pd) || pd.Node != 0 {
-		t.Fatalf("TryFlushQueue after home death = %v, want *transport.ErrPeerDown{Node: 0}", err)
+	if peer, down := transport.PeerDownOf(err); !down || peer != 0 {
+		t.Fatalf("TryFlushQueue after home death = %v, want node 0's peer-down error", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("flush took %v to fail, want < 1s", elapsed)
@@ -93,7 +91,7 @@ func TestFlushSurfacesErrPeerDownOverMesh(t *testing.T) {
 // TestFlushSurfacesErrPeerGoneAfterHomeLeaves pins the other half of
 // the failure vocabulary: a home that departs CLEANLY (graceful Close
 // → goodbye handshake) makes a later flush fail with the typed
-// *transport.ErrPeerGone — distinguishable from wire death, because
+// a peer-gone error (transport.PeerGoneOf) — distinguishable from wire death, because
 // nothing was lost: the home drained everything it had sent before
 // leaving.
 func TestFlushSurfacesErrPeerGoneAfterHomeLeaves(t *testing.T) {
@@ -139,9 +137,8 @@ func TestFlushSurfacesErrPeerGoneAfterHomeLeaves(t *testing.T) {
 
 	start := time.Now()
 	err := writerNode.TryFlushQueue(q)
-	var pg *transport.ErrPeerGone
-	if !errors.As(err, &pg) || pg.Node != 0 {
-		t.Fatalf("TryFlushQueue after home departure = %v, want *transport.ErrPeerGone{Node: 0}", err)
+	if peer, gone := transport.PeerGoneOf(err); !gone || peer != 0 {
+		t.Fatalf("TryFlushQueue after home departure = %v, want node 0's peer-gone error", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("flush took %v to fail, want < 1s", elapsed)
@@ -347,7 +344,7 @@ func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "relay") {
 				t.Fatalf("publishing to a home whose relay fails = %v, want the relay's error", err)
 			}
-			if got := home.C.Get(stats.CRelayFailed); got != 1 {
+			if got := home.C.Get("relay.failed"); got != 1 {
 				t.Errorf("relay.failed = %d at the home, want 1", got)
 			}
 			// The merge stood: the home copy holds the update, and the

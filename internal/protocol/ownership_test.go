@@ -110,13 +110,13 @@ func TestFaultRoundCosts6MessagesAndOneCopy(t *testing.T) {
 					annot, got, rounds, roundBytes, size)
 			}
 			home := r.nodes[2]
-			if got := home.C.Get(stats.CFwdRead); got != 2+rounds {
+			if got := home.C.Get("fwd.read"); got != 2+rounds {
 				t.Errorf("%v: fwd.read = %d, want %d", annot, got, 2+rounds)
 			}
-			if got := home.C.Get(stats.CFwdWrite); got != 1+rounds {
+			if got := home.C.Get("fwd.write"); got != 1+rounds {
 				t.Errorf("%v: fwd.write = %d, want %d", annot, got, 1+rounds)
 			}
-			if got := home.C.Get(stats.CHomeInv); got != 0 {
+			if got := home.C.Get("home.inv"); got != 0 {
 				t.Errorf("%v: home.inv = %d, want 0: the old owner is retired by the forward", annot, got)
 			}
 		})
@@ -252,10 +252,10 @@ func TestForwardAfterOwnershipMovedIsNacked(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("the read never completed: the forward was neither served nor nacked")
 		}
-		if n := owner.C.Get(stats.CFwdNack); n != 1 {
+		if n := owner.C.Get("fwd.nack"); n != 1 {
 			t.Fatalf("fwd.nack at the old owner = %d, want 1", n)
 		}
-		if n := r.nodes[3].C.Get(stats.CFwdRead); n != 2 {
+		if n := r.nodes[3].C.Get("fwd.read"); n != 2 {
 			t.Fatalf("fwd.read at the home = %d, want 2 (old owner, then new)", n)
 		}
 	})
@@ -304,10 +304,10 @@ func TestDataFreeGrantNeverLandsOnAnInvalidatedCopy(t *testing.T) {
 		if a, b := readU64(loser, q, 1, 0), readU64(loser, q, 1, 8); a != 7 || b != 9 {
 			t.Fatalf("the loser holds (%d, %d), want (7, 9): its grant carried no bytes", a, b)
 		}
-		if n := home.C.Get(stats.CFwdWrite); n != 1 {
+		if n := home.C.Get("fwd.write"); n != 1 {
 			t.Fatalf("fwd.write = %d, want 1: the loser's request goes to the winner", n)
 		}
-		if n := winner.C.Get(stats.CFetchServed); n != 1 {
+		if n := winner.C.Get("fetch.served"); n != 1 {
 			t.Fatalf("fetch.served at the winner = %d, want 1: it grants the loser the bytes", n)
 		}
 	})
@@ -386,7 +386,7 @@ func TestEvictWaitsForOwnershipRequest(t *testing.T) {
 	}
 	close(release)
 	within(t, "the write and the eviction", func() { <-wrote; <-evicted })
-	if n := node.C.Get(stats.CEvict); n != 0 {
+	if n := node.C.Get("evict"); n != 0 {
 		t.Fatalf("evict = %d, want 0: the node owns the object once its request is granted", n)
 	}
 	// The directory still knows the owner: another node's write finds and
@@ -415,7 +415,7 @@ func TestInvalidationRoundIsConcurrent(t *testing.T) {
 	within(t, "a write that invalidates three sharers", func() {
 		r.nodes[0].Write(duq.New(), 1, 0, u64bytes(1))
 	})
-	if n := r.nodes[0].C.Get(stats.CHomeInv); n != 3 {
+	if n := r.nodes[0].C.Get("home.inv"); n != 3 {
 		t.Fatalf("home.inv = %d, want 3", n)
 	}
 }
@@ -544,7 +544,7 @@ func TestOldOwnerServesForwardWhileItsUpgradeWaits(t *testing.T) {
 				t.Fatalf("node %d reads (%d, %d), want (7, 5)", n.ID(), a, b)
 			}
 		}
-		if n := r.nodes[3].C.Get(stats.CFwdWrite); n != 2 {
+		if n := r.nodes[3].C.Get("fwd.write"); n != 2 {
 			t.Fatalf("fwd.write = %d, want 2 (the rival's write to the owner, the owner's to the rival)", n)
 		}
 	})
@@ -603,9 +603,9 @@ func TestNextPeriodForwardWaitsForCurrentOne(t *testing.T) {
 // waitFwdWrites waits until the home has forwarded want write faults.
 func waitFwdWrites(t *testing.T, home *Node, want int64) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); home.C.Get(stats.CFwdWrite) < want; time.Sleep(100 * time.Microsecond) {
+	for deadline := time.Now().Add(10 * time.Second); home.C.Get("fwd.write") < want; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fwd.write stayed at %d, want %d", home.C.Get(stats.CFwdWrite), want)
+			t.Fatalf("fwd.write stayed at %d, want %d", home.C.Get("fwd.write"), want)
 		}
 	}
 }
@@ -744,7 +744,7 @@ func (w *wireCutter) cut() {
 // saw the forward: it still owns the object and holds a valid copy, and
 // a live peer that re-dials sends no kindRecover, so no prune retires
 // that copy. The writer's fault must therefore fail with the typed
-// *transport.ErrPeerDown, or, if it completes, the old owner must read
+// a peer-down error (transport.PeerDownOf), or, if it completes, the old owner must read
 // what it wrote. It fails if the home grants the writer in the old
 // owner's stead after a wire death: the writer's word lands and the old
 // owner keeps reading the word it overwrote.
@@ -809,7 +809,7 @@ func TestRedialedOldOwnerNeverReadsStale(t *testing.T) {
 	}
 	waitOrTimeout(t, "the home and the old owner re-dial", redialed)
 	if panicked != nil {
-		want := (&transport.ErrPeerDown{Node: 2}).Error()
+		want := transport.PeerDownError(2, nil).Error()
 		want = want[:strings.Index(want, "down")+len("down")]
 		if s := fmt.Sprint(panicked); !strings.Contains(s, want) {
 			t.Fatalf("write across the dead wire: panic %q; want a panic carrying %q", s, want)
@@ -825,7 +825,7 @@ func TestRedialedOldOwnerNeverReadsStale(t *testing.T) {
 // home's forward and its own reply. The home awaits nothing from the
 // owner — the reader does, through a call addressed to the home — so the
 // home must answer for it: after a wire death the reader's fault fails
-// with the typed *transport.ErrPeerDown naming the owner, after a clean
+// with a peer-down error (transport.PeerDownOf) naming the owner, after a clean
 // departure the reader is told to ask again and is served the copy the
 // home took back. Neither panics the home. The read hangs if the home
 // keeps no note of what it forwarded (or PeerDown/PeerGone do not consult
@@ -877,7 +877,7 @@ func TestLostForwardeeFailsOrRetriesTheReader(t *testing.T) {
 			select {
 			case out := <-res:
 				if loss == "killed" {
-					want := (&transport.ErrPeerDown{Node: 2}).Error()
+					want := transport.PeerDownError(2, nil).Error()
 					want = want[:strings.Index(want, "down")+len("down")]
 					if s := fmt.Sprint(out.panicked); !strings.Contains(s, want) {
 						t.Fatalf("read after the owner's death: value %d, panic %q; want a panic carrying %q", out.v, s, want)
@@ -887,7 +887,7 @@ func TestLostForwardeeFailsOrRetriesTheReader(t *testing.T) {
 				if out.panicked != nil || out.v != 3 {
 					t.Fatalf("read after the owner's departure: value %d, panic %v; want the home's copy, 3", out.v, out.panicked)
 				}
-				if n := home.node.C.Get(stats.CMemberReclaimedOwner); n != 1 {
+				if n := home.node.C.Get("member.reclaimed_owner"); n != 1 {
 					t.Fatalf("member.reclaimed_owner = %d, want 1", n)
 				}
 			case <-time.After(10 * time.Second):
@@ -901,7 +901,7 @@ func TestLostForwardeeFailsOrRetriesTheReader(t *testing.T) {
 // the home's forward of a write fault and its grant. The home awaits
 // nothing from it — the writer does — so the home must answer for it.
 // After a wire death the writer's fault fails with the typed
-// *transport.ErrPeerDown naming the owner, whether or not its copy was
+// a peer-down error (transport.PeerDownOf) naming the owner, whether or not its copy was
 // current: the owner may live on behind the dead wire
 // (TestRedialedOldOwnerNeverReadsStale). After a clean departure the
 // home grants the writer: without data when the writer's copy was
@@ -961,7 +961,7 @@ func TestLostOldOwnerFailsOrGrantsTheWriter(t *testing.T) {
 					t.Fatal("the write neither completed nor failed: nobody answered for the lost owner")
 				}
 				if loss == "killed" {
-					want := (&transport.ErrPeerDown{Node: 2}).Error()
+					want := transport.PeerDownError(2, nil).Error()
 					want = want[:strings.Index(want, "down")+len("down")]
 					if s := fmt.Sprint(panicked); !strings.Contains(s, want) {
 						t.Fatalf("write after the owner's death: panic %q; want a panic carrying %q", s, want)

@@ -52,8 +52,8 @@
 // On the multi-process mesh a destination can become unreachable
 // mid-flush; the failure surfaces out of TryFlushQueue (and the fault
 // handlers' panics) as a typed error rather than a hang —
-// *transport.ErrPeerDown when the peer's wire died,
-// *transport.ErrPeerGone when it departed cleanly via the goodbye
+// a peer-down error (transport.PeerDownOf) when the peer's wire died,
+// a peer-gone error (transport.PeerGoneOf) when it departed cleanly via the goodbye
 // handshake — because vkernel fails the pending acknowledgments the
 // moment the transport latches the peer.
 package protocol
@@ -71,7 +71,6 @@ import (
 	"munin/internal/memory"
 	"munin/internal/msg"
 	"munin/internal/stats"
-	"munin/internal/transport"
 	"munin/internal/vkernel"
 )
 
@@ -258,7 +257,7 @@ type Obj struct {
 	// reads, are with that owner. Every later fault on the object at
 	// this node fails with it, and every fault forwarded here is
 	// refused with it.
-	lost *transport.ErrPeerDown
+	lost error
 
 	// Write-many / producer-consumer update ordering: home (or the
 	// producer) stamps sequence numbers; receivers apply in order.
@@ -485,12 +484,13 @@ type Node struct {
 	digestMu    lockrank.Mutex[lockrank.NodeDigest]
 	setupDigest func() (sum uint64, n int)
 
-	// Counters feeding the experiments: faults, fetches, updates...
-	C stats.Set
-	// The three counters every access bumps, resolved once here. A
-	// thread adds to them through the cells on its queue (Attach); they
-	// live in C under their usual names like every other counter.
-	reads, writes, writeBuffered *stats.Counter
+	// C names this node's counters: ctr, and Core, which the runtime's
+	// run gate bumps. A thread adds to the counters every access bumps
+	// (reads, writes, write.buffered) through the cells on its queue
+	// (Attach).
+	C    stats.Set
+	ctr  stats.Protocol
+	Core stats.Core
 }
 
 // Message kinds. Each package's kinds form one contiguous block: its
@@ -562,7 +562,7 @@ const (
 	nackRetry = 1
 	// nackOwnerDown: the wire to the owner died and nobody can serve the
 	// object; the owner's node ID follows (U32). The fault fails with
-	// *transport.ErrPeerDown.
+	// a peer-down error (transport.PeerDownOf).
 	nackOwnerDown = 2
 )
 
@@ -577,9 +577,8 @@ func NewNode(k *vkernel.Kernel, locks *dlock.Service) *Node {
 		nodes: k.Nodes(),
 	}
 	n.gen.Store(1)
-	n.reads = n.C.Counter(stats.CReads)
-	n.writes = n.C.Counter(stats.CWrites)
-	n.writeBuffered = n.C.Counter(stats.CWriteBuffered)
+	n.C.Bind(&n.ctr)
+	n.C.Bind(&n.Core)
 	vkernel.HandleCalls(k, kindAlloc, n, allocCalls[:])
 	vkernel.HandleCalls(k, kindRead, n, cohCalls[:])
 	vkernel.HandleSends(k, kindEvict, n, cohSends[:])
@@ -597,9 +596,9 @@ func (n *Node) ID() msg.NodeID { return n.id }
 // runtime calls it when it starts a thread placed on this node, and
 // Detach when the thread exits.
 func (n *Node) Attach(q *duq.Queue) {
-	n.reads.Attach(&q.Reads)
-	n.writes.Attach(&q.Writes)
-	n.writeBuffered.Attach(&q.Buffered)
+	n.ctr.Reads.Attach(&q.Reads)
+	n.ctr.Writes.Attach(&q.Writes)
+	n.ctr.WriteBuffered.Attach(&q.Buffered)
 }
 
 // Detach folds the cells Attach gave q into the node's counters. It is
@@ -656,7 +655,7 @@ func (n *Node) mustObj(id memory.ObjectID) *Obj {
 func (n *Node) objFromWire(id memory.ObjectID) *Obj {
 	o := n.obj(id)
 	if o == nil {
-		n.C.Add(stats.CDropUnknownObject, 1)
+		n.ctr.DropUnknownObject.Inc()
 	}
 	return o
 }
@@ -795,7 +794,7 @@ func (o *Obj) migratoryInstall(b []byte) {
 func (n *Node) handleAlloc(req *msg.Msg) vkernel.Outcome {
 	meta, init, err := decodeAlloc(req.Payload)
 	if err != nil {
-		n.C.Add(stats.CDropMalformed, 1)
+		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	n.install(meta, init)

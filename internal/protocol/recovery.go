@@ -6,7 +6,6 @@ import (
 
 	"munin/internal/memory"
 	"munin/internal/msg"
-	"munin/internal/stats"
 	"munin/internal/vkernel"
 )
 
@@ -57,7 +56,7 @@ func (n *Node) BeginRecovery() {
 func (n *Node) FinishRecovery() {
 	if n.recovering.CompareAndSwap(true, false) {
 		close(n.recoverCh)
-		n.C.Add(stats.CRecoverDone, 1)
+		n.ctr.RecoverDone.Inc()
 	}
 }
 
@@ -126,8 +125,8 @@ func (n *Node) RecoverAnnounce(setupSum uint64, setupN int) error {
 			return fmt.Errorf("munin: recover: node %d rejected announce: %s", dst, r.Str())
 		}
 	}
-	n.C.Add(stats.CRecoverAnnounced, 1)
-	n.C.Add(stats.CRecoverObjects, int64(len(objs)))
+	n.ctr.RecoverAnnounced.Inc()
+	n.ctr.RecoverObjects.Add(int64(len(objs)))
 	return nil
 }
 
@@ -147,7 +146,7 @@ const (
 // member never mutates survivor state.
 func (n *Node) handleRecover(req *msg.Msg) vkernel.Outcome {
 	reject := func(detail string) vkernel.Outcome {
-		n.C.Add(stats.CRecoverRejected, 1)
+		n.ctr.RecoverRejected.Inc()
 		n.k.Reply(req, msg.NewBuilder(4+len(detail)).U8(recoverMismatch).Str(detail).Bytes())
 		return vkernel.Replied
 	}
@@ -194,14 +193,8 @@ func (n *Node) PeerRecovered(peer msg.NodeID) {
 	if n.locks != nil {
 		n.locks.PeerRecovered(peer)
 	}
-	n.C.Add(stats.CMemberRecovered, 1)
-	if copies > 0 {
-		n.C.Add(stats.CMemberPrunedCopies, copies)
-	}
-	if consumers > 0 {
-		n.C.Add(stats.CMemberPrunedConsumers, consumers)
-	}
-	if owners > 0 {
-		n.C.Add(stats.CMemberReclaimedOwner, owners)
-	}
+	n.ctr.MemberRecovered.Inc()
+	n.ctr.MemberPrunedCopies.Add(copies)
+	n.ctr.MemberPrunedConsumers.Add(consumers)
+	n.ctr.MemberReclaimedOwner.Add(owners)
 }

@@ -29,41 +29,41 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 		counter string
 	}{
 		{"kindInv for an object never allocated", kindInv,
-			msg.NewBuilder(4).U32(999).Bytes(), stats.CDropUnknownObject},
+			msg.NewBuilder(4).U32(999).Bytes(), "drop.unknown_object"},
 		{"kindRemWrite at offset 1<<20 of a 16-byte object", kindRemWrite,
-			msg.NewBuilder(32).U32(2).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(32).U32(2).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), "drop.malformed"},
 		{"kindRemRead past the end", kindRemRead,
-			msg.NewBuilder(32).U32(2).Int(8).Int(9).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(32).U32(2).Int(8).Int(9).Bytes(), "drop.malformed"},
 		{"kindRemRead with a length that overflows", kindRemRead,
-			msg.NewBuilder(32).U32(2).Int(8).Int(1<<62 + 1<<61).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(32).U32(2).Int(8).Int(1<<62 + 1<<61).Bytes(), "drop.malformed"},
 		{"kindRemWrite at a negative offset", kindRemWrite,
-			msg.NewBuilder(32).U32(2).Int(-1).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(32).U32(2).Int(-1).BytesN([]byte{0xff}).Bytes(), "drop.malformed"},
 		{"kindRemWrite for an object never allocated", kindRemWrite,
-			msg.NewBuilder(32).U32(999).Int(0).BytesN([]byte{0xff}).Bytes(), stats.CDropUnknownObject},
+			msg.NewBuilder(32).U32(999).Int(0).BytesN([]byte{0xff}).Bytes(), "drop.unknown_object"},
 		{"kindAlloc with a truncated payload", kindAlloc,
-			msg.NewBuilder(8).U32(7).U8(3).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(8).U32(7).U8(3).Bytes(), "drop.malformed"},
 		{"kindLeaseWrite at offset 1<<20 of a 16-byte lease object", kindLeaseWrite,
-			msg.NewBuilder(32).U32(3).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(32).U32(3).Int(1 << 20).BytesN([]byte{0xff}).Bytes(), "drop.malformed"},
 		{"kindConsUpd with a consumer count the payload cannot hold", kindConsUpd,
-			msg.NewBuilder(16).U32(2).U32(1<<32 - 1).U32(1).Bytes(), stats.CDropMalformed},
+			msg.NewBuilder(16).U32(2).U32(1<<32 - 1).U32(1).Bytes(), "drop.malformed"},
 		{"kindDiffBatch with a span past the end of a 16-byte object", kindDiffBatch,
 			msg.NewBuilder(32).U32(1).Entry(func(e *msg.Builder) {
 				e.U32(2)
 				memory.EncodeSpans(e, []memory.Span{{Off: 12, Data: []byte{1, 2, 3, 4, 5}}})
-			}).Bytes(), stats.CDropMalformed},
+			}).Bytes(), "drop.malformed"},
 		{"kindApplyBatch with a span at offset 1<<31 of a 16-byte object", kindApplyBatch,
 			encodeApplyBatch([]applyEntry{{id: 2, seq: 1, spans: []memory.Span{{Off: 1 << 31, Data: []byte{0xff}}}}}),
-			stats.CDropMalformed},
+			"drop.malformed"},
 		{"kindWriteOwn for a read-mostly object", kindWriteOwn,
-			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), stats.CDropMisdirected},
+			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), "drop.misdirected"},
 		{"kindFwdWrite for a read-mostly object", kindFwdWrite,
-			msg.NewBuilder(16).U32(2).U32(0).Bool(false).Bytes(), stats.CDropMisdirected},
+			msg.NewBuilder(16).U32(2).U32(0).Bool(false).Bytes(), "drop.misdirected"},
 		{"kindFwdRead for a read-mostly object", kindFwdRead,
-			msg.NewBuilder(8).U32(2).U32(0).Bytes(), stats.CDropMisdirected},
+			msg.NewBuilder(8).U32(2).U32(0).Bytes(), "drop.misdirected"},
 		{"kindModeSw from a node that is not the object's home", kindModeSw,
-			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), stats.CDropMisdirected},
+			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), "drop.misdirected"},
 		{"kindRegCons as producer of an object the home produces", kindRegCons,
-			msg.NewBuilder(8).U32(4).Bool(true).Bytes(), stats.CProducerRefused},
+			msg.NewBuilder(8).U32(4).Bool(true).Bytes(), "producer.refused"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,7 +87,7 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := home.C.Snapshot()
-			for _, name := range []string{stats.CDropUnknownObject, stats.CDropMalformed, stats.CDropMisdirected, stats.CProducerRefused, stats.CHomeRemRead, stats.CHomeRemWrite, stats.CInvReceived, stats.CLeaseBumps} {
+			for _, name := range []string{"drop.unknown_object", "drop.malformed", "drop.misdirected", "producer.refused", "home.remread", "home.remwrite", stats.CInvReceived, "lease.bumps"} {
 				want := before[name]
 				if name == tc.counter {
 					want++
@@ -122,9 +122,9 @@ func TestUndeclaredKindIsUnhandled(t *testing.T) {
 		if err := r.c.Kernel(1).Send(0, kind, msg.NewBuilder(4).U32(2).Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); k.C.Get(stats.CDropUnhandled) != int64(i+1); time.Sleep(100 * time.Microsecond) {
+		for deadline := time.Now().Add(10 * time.Second); k.C.Get("drop.unhandled") != int64(i+1); time.Sleep(100 * time.Microsecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("kind %#x: drop.unhandled reads %d, want %d", uint16(kind), k.C.Get(stats.CDropUnhandled), i+1)
+				t.Fatalf("kind %#x: drop.unhandled reads %d, want %d", uint16(kind), k.C.Get("drop.unhandled"), i+1)
 			}
 		}
 	}
@@ -152,8 +152,8 @@ func TestSecondProducerPanicsOnlyItsThread(t *testing.T) {
 		}()
 		r.nodes[1].Write(duq.New(), 7, 0, u64bytes(99))
 	}()
-	if got := r.nodes[0].C.Get(stats.CProducerRefused); got != 1 {
-		t.Fatalf("%s = %d at the home, want 1", stats.CProducerRefused, got)
+	if got := r.nodes[0].C.Get("producer.refused"); got != 1 {
+		t.Fatalf("%s = %d at the home, want 1", "producer.refused", got)
 	}
 
 	// The home still serves the object: node 1 registers as a consumer

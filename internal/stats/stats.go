@@ -1,22 +1,24 @@
 // Package stats provides low-overhead counters, histograms and table
 // rendering used throughout the Munin runtime and its benchmark harness.
 //
-// All counters are safe for concurrent use. An increment through a
-// *Counter handle is a single atomic add; an increment by name
-// (Set.Add) is a lock-free lookup in a published read-only map followed
-// by that atomic add — the Set's mutex is taken only to register a name
-// the first time it is seen. The counters every access of every thread
-// bumps (the protocol's reads and writes) go through cells instead: a
-// thread attaches one Cell per counter when it starts, adds to it with
-// a plain store, and folds it into the counter when it exits, so an
-// access neither takes a locked instruction nor writes a cache line
-// another thread writes. Snapshots are consistent enough for reporting
-// (cross-counter skew is acceptable for traffic accounting) and exact
-// whenever the writers are quiescent.
+// All counters are safe for concurrent use. The runtime bumps a counter
+// through its field in a layer's counter struct (counters.go): a
+// single atomic add. A Set names counters: a layer binds its struct
+// into one (Set.Bind) so they can be read by name, and an increment by
+// name (Set.Add) is a lock-free lookup followed by that atomic add. The counters every access of every
+// thread bumps (the protocol's reads and writes) go through cells
+// instead: a thread attaches one Cell per counter when it starts, adds
+// to it with a plain store, and folds it into the counter when it
+// exits, so an access neither takes a locked instruction nor writes a
+// cache line another thread writes. Snapshots are consistent enough for
+// reporting (cross-counter skew is acceptable for traffic accounting)
+// and exact whenever the writers are quiescent.
 package stats
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -123,94 +125,144 @@ func (c *Counter) Reset() {
 }
 
 // Set is a named collection of counters. The zero value is ready to use.
+// Its counters are those of the layer structs bound into it (Bind) and
+// those made by name (Counter, Add); every name must be declared by a
+// counter struct.
 type Set struct {
-	// mu serializes registration only: it guards the copy-on-write
-	// replacement of the published map, never a lookup or an increment.
-	mu lockrank.Mutex[lockrank.StatsSet]
-	// counters is the published name table. A published map is never
-	// written again; registering a name publishes a copy with the name
-	// added.
-	counters atomic.Pointer[map[string]*Counter]
+	// mu serializes Bind and making a counter by name: it guards the
+	// copy-on-write replacement of the published values below, never a
+	// lookup or an increment. A published value is never written again.
+	mu    lockrank.Mutex[lockrank.StatsSet]
+	bound atomic.Pointer[[]reflect.Value]     // the bound layer structs
+	made  atomic.Pointer[map[string]*Counter] // the counters made by name
 }
 
-// table returns the published name table (nil before the first
-// registration). Callers only read it.
-func (s *Set) table() map[string]*Counter {
-	if m := s.counters.Load(); m != nil {
-		return *m
+func (s *Set) boundLayers() []reflect.Value {
+	if p := s.bound.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
 
-// lookup returns the named counter from the published table, or nil.
-func (s *Set) lookup(name string) *Counter { return s.table()[name] }
+func (s *Set) madeByName() map[string]*Counter {
+	if p := s.made.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
-// register returns the named counter, publishing it when the name is
-// new.
-func (s *Set) register(name string) *Counter {
+// lookup returns the named counter, or nil if the set holds none.
+func (s *Set) lookup(name string) *Counter {
+	if c := s.madeByName()[name]; c != nil {
+		return c
+	}
+	if f, ok := declared[name]; ok {
+		for _, v := range s.boundLayers() {
+			if v.Type() == f.layer {
+				return f.in(v)
+			}
+		}
+	}
+	return nil
+}
+
+// each calls fn with every counter of the set and its name.
+func (s *Set) each(fn func(name string, c *Counter)) {
+	for name, c := range s.madeByName() {
+		fn(name, c)
+	}
+	for _, v := range s.boundLayers() {
+		for _, f := range fields[v.Type()] {
+			fn(f.name, f.in(v))
+		}
+	}
+}
+
+// Bind makes the counters of layer, a pointer to one of the counter
+// structs, the set's counters of their names. Binding costs no more
+// than recording the pointer: a name finds its field through the
+// declarations. It panics if the set already holds a counter of one of
+// those names.
+func (s *Set) Bind(layer any) {
+	v := reflect.ValueOf(layer).Elem()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(fields[v.Type()]) == 0 {
+		panic(fmt.Sprintf("stats: %s declares no counters", v.Type()))
+	}
+	for _, b := range s.boundLayers() {
+		if b.Type() == v.Type() {
+			panic(fmt.Sprintf("stats: a second %s bound", v.Type()))
+		}
+	}
+	for name := range s.madeByName() {
+		if declared[name].layer == v.Type() {
+			panic(fmt.Sprintf("stats: counter %q made by name before its struct was bound", name))
+		}
+	}
+	next := append(slices.Clip(s.boundLayers()), v)
+	s.bound.Store(&next)
+}
+
+// Counter returns the named counter, making it if the set holds none.
+// Only making one takes the Set's mutex.
+func (s *Set) Counter(name string) *Counter {
+	if c := s.lookup(name); c != nil {
+		return c
+	}
+	mustDeclare(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c := s.lookup(name); c != nil {
 		return c
 	}
-	old := s.table()
-	next := make(map[string]*Counter, len(old)+1)
-	for k, c := range old {
-		next[k] = c
+	next := maps.Clone(s.madeByName())
+	if next == nil {
+		next = map[string]*Counter{}
 	}
 	c := &Counter{}
 	next[name] = c
-	s.counters.Store(&next)
+	s.made.Store(&next)
 	return c
-}
-
-// Counter returns (creating if necessary) the counter with the given
-// name. Only the first call for a name takes the Set's mutex.
-func (s *Set) Counter(name string) *Counter {
-	if c := s.lookup(name); c != nil {
-		return c
-	}
-	return s.register(name)
 }
 
 // Add is shorthand for s.Counter(name).Add(delta).
 func (s *Set) Add(name string, delta int64) { s.Counter(name).Add(delta) }
 
-// Get returns the value of the named counter (zero if it does not exist).
+// Get returns the value of the named counter: zero if the set does not
+// hold it, and a panic if no counter struct declares the name.
 func (s *Set) Get(name string) int64 {
 	if c := s.lookup(name); c != nil {
 		return c.Load()
 	}
+	mustDeclare(name)
 	return 0
 }
 
-// Snapshot returns a copy of all counter values, keyed by name.
-func (s *Set) Snapshot() map[string]int64 {
-	m := s.table()
-	out := make(map[string]int64, len(m))
-	for k, c := range m {
-		out[k] = c.Load()
-	}
+// Values is a snapshot of counters by name. Get is its checked read.
+type Values map[string]int64
+
+// Get returns the named counter's value, and panics if no counter
+// struct declares the name.
+func (v Values) Get(name string) int64 {
+	mustDeclare(name)
+	return v[name]
+}
+
+// Snapshot returns the value of every counter in the set that is not
+// zero, keyed by name.
+func (s *Set) Snapshot() Values {
+	out := Values{}
+	s.each(func(name string, c *Counter) {
+		if n := c.Load(); n != 0 {
+			out[name] = n
+		}
+	})
 	return out
 }
 
 // Reset zeroes every counter in the set.
-func (s *Set) Reset() {
-	for _, c := range s.table() {
-		c.Reset()
-	}
-}
-
-// Names returns the sorted counter names present in the set.
-func (s *Set) Names() []string {
-	m := s.table()
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s *Set) Reset() { s.each(func(_ string, c *Counter) { c.Reset() }) }
 
 // Histogram is a fixed-bucket histogram of int64 samples, safe for
 // concurrent use. Buckets are defined by their upper bounds; samples

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,26 +47,89 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestSetCreatesAndAccumulates(t *testing.T) {
 	var s Set
-	s.Add("msgs", 3)
-	s.Add("msgs", 4)
-	s.Add("bytes", 100)
-	if got := s.Get("msgs"); got != 7 {
-		t.Fatalf("msgs = %d, want 7", got)
+	s.Add(CFaultRead, 3)
+	s.Add(CFaultRead, 4)
+	s.Add(CTwin, 100)
+	if got := s.Get(CFaultRead); got != 7 {
+		t.Fatalf("fault.read = %d, want 7", got)
 	}
-	if got := s.Get("missing"); got != 0 {
-		t.Fatalf("missing = %d, want 0", got)
+	if got := s.Get("evict"); got != 0 {
+		t.Fatalf("evict, never added = %d, want 0", got)
 	}
 	snap := s.Snapshot()
-	if snap["bytes"] != 100 || snap["msgs"] != 7 {
+	if len(snap) != 2 || snap[CTwin] != 100 || snap.Get(CFaultRead) != 7 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "bytes" || names[1] != "msgs" {
-		t.Fatalf("names = %v", names)
-	}
 	s.Reset()
-	if s.Get("msgs") != 0 || s.Get("bytes") != 0 {
+	if s.Get(CFaultRead) != 0 || s.Get(CTwin) != 0 || len(s.Snapshot()) != 0 {
 		t.Fatalf("reset failed: %v", s.Snapshot())
+	}
+}
+
+// TestUndeclaredNameFails: a name no counter struct declares is a typo,
+// and every by-name access to it panics instead of reading 0.
+func TestUndeclaredNameFails(t *testing.T) {
+	var s Set
+	s.Add(CReads, 1)
+	for what, access := range map[string]func(){
+		"Set.Get":     func() { s.Get("raeds") },
+		"Set.Add":     func() { s.Add("raeds", 1) },
+		"Set.Counter": func() { s.Counter("raeds") },
+		"Values.Get":  func() { s.Snapshot().Get("raeds") },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"raeds"`) {
+					t.Errorf("%s of an undeclared name: recovered %v, want a panic naming it", what, r)
+				}
+			}()
+			access()
+		}()
+	}
+}
+
+// TestBindNamesEveryField: a bound struct's counters are the set's
+// counters under their declared names, per-class arrays included, and
+// a second Bind of the same names panics.
+func TestBindNamesEveryField(t *testing.T) {
+	var s Set
+	var p Protocol
+	var tr Transport
+	s.Bind(&p)
+	s.Bind(&tr)
+	p.HomeDiff.Inc()
+	tr.Msgs[2].Add(3)
+	tr.Bytes[5].Add(64)
+	tr.CoalescedBy[1].Inc()
+	want := Values{"home.diff": 1, "coherence": 3, "app.bytes": 64, "wire.coalesced.lock": 1}
+	if got := s.Snapshot(); !maps.Equal(got, want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
+	}
+	for _, name := range Registered() {
+		if l := LayerOf(name); (l == "protocol" || l == "transport") && s.lookup(name) == nil {
+			t.Errorf("%s counter %q is not bound", l, name)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding a struct's names twice did not panic")
+		}
+	}()
+	s.Bind(&Protocol{})
+}
+
+// TestReaderConstantsDeclared: the names readers outside the runtime
+// look counters up by are declared, each by the layer that counts it.
+func TestReaderConstantsDeclared(t *testing.T) {
+	for _, name := range []string{CReads, CFaultRead, CFaultWrite, CFetchRetry, CTwin, CBatchSent, CBatchObjs, CBatchBytes, CApplyGap, CInvReceived, CHomeRelay} {
+		if LayerOf(name) != "protocol" {
+			t.Errorf("%q: layer %q, want protocol", name, LayerOf(name))
+		}
+	}
+	for _, name := range []string{CWireWrites, CWireQueueStallNs} {
+		if LayerOf(name) != "transport" {
+			t.Errorf("%q: layer %q, want transport", name, LayerOf(name))
+		}
 	}
 }
 
@@ -77,13 +141,13 @@ func TestSetConcurrentSameName(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				s.Add("x", 1)
+				s.Add(CReads, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Get("x"); got != 4000 {
-		t.Fatalf("x = %d, want 4000", got)
+	if got := s.Get(CReads); got != 4000 {
+		t.Fatalf("reads = %d, want 4000", got)
 	}
 }
 
@@ -93,6 +157,7 @@ func TestSetConcurrentSameName(t *testing.T) {
 func TestSetConcurrentRegistration(t *testing.T) {
 	var s Set
 	const workers, names, per = 8, 40, 50
+	declared := Registered()[:names]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -100,7 +165,7 @@ func TestSetConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
 				for i := 0; i < names; i++ {
-					s.Add(fmt.Sprintf("c%d", (i+w)%names), 1)
+					s.Add(declared[(i+w)%names], 1)
 				}
 			}
 		}()
@@ -122,7 +187,7 @@ func TestSetConcurrentRegistration(t *testing.T) {
 // and still exact once every thread has folded its cell in and gone.
 func TestCellsAttachAndFold(t *testing.T) {
 	var s Set
-	c := s.Counter("hot")
+	c := s.Counter(CReads)
 	const workers, per = 8, 1000
 	var arrive, leave, done sync.WaitGroup
 	arrive.Add(workers)
@@ -145,13 +210,13 @@ func TestCellsAttachAndFold(t *testing.T) {
 		}()
 	}
 	arrive.Wait()
-	s.Add("hot", 5) // by name: lands in the counter's own word
-	if got, want := s.Get("hot"), int64(workers*per+5); got != want {
+	s.Add(CReads, 5) // by name: lands in the counter's own word
+	if got, want := s.Get(CReads), int64(workers*per+5); got != want {
 		t.Fatalf("mid-run Get = %d, want %d", got, want)
 	}
 	leave.Done()
 	done.Wait()
-	if got, want := s.Snapshot()["hot"], int64(2*workers*per+5); got != want {
+	if got, want := s.Snapshot()[CReads], int64(2*workers*per+5); got != want {
 		t.Fatalf("after fold Snapshot = %d, want %d", got, want)
 	}
 	if len(c.cells) != 0 {
@@ -164,7 +229,7 @@ func TestCellsAttachAndFold(t *testing.T) {
 // the counter's own word.
 func TestCellUnattachedAddsToWord(t *testing.T) {
 	var s Set
-	c, other := s.Counter("c"), s.Counter("other")
+	c, other := s.Counter("writes"), s.Counter(CTwin)
 	var loose, foreign Cell
 	other.Attach(&foreign)
 	c.AddCell(&loose, 3)
@@ -186,7 +251,7 @@ func TestCellUnattachedAddsToWord(t *testing.T) {
 // without writing them, and counting through them resumes from zero.
 func TestCellReset(t *testing.T) {
 	var s Set
-	c := s.Counter("c")
+	c := s.Counter("writes")
 	var cell Cell
 	c.Attach(&cell)
 	c.AddCell(&cell, 10)
@@ -350,7 +415,7 @@ func ExampleTable() {
 // between the cores on every add, which is why the counters every
 // access bumps go through per-thread cells (AddCell) instead.
 func BenchmarkSetAdd(b *testing.B) {
-	names := []string{CFaultRead, CFaultWrite, CTwin, CDiffSent}
+	names := []string{CFaultRead, CFaultWrite, CTwin, "diff.sent"}
 	for _, mode := range []string{"distinct", "same"} {
 		b.Run(mode, func(b *testing.B) {
 			var s Set

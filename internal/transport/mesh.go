@@ -12,7 +12,6 @@ import (
 	"munin/internal/bufpool"
 	"munin/internal/lockrank"
 	"munin/internal/msg"
-	"munin/internal/stats"
 )
 
 // Mesh connect handshake. Every connection opens with a fixed-size
@@ -83,7 +82,7 @@ func encodeHello(self msg.NodeID, epoch uint64) []byte {
 // addresses the Topology names. Each peer has a bounded send queue
 // drained by a coalescing writer and, once connected, a reader; the
 // connection lifecycle around them is lazy dialing with a hello
-// handshake, and wire death latches an ErrPeerDown. TCPNetwork runs n
+// handshake, and wire death latches an errPeerDown. TCPNetwork runs n
 // members of this type in one process, pre-connected and never dialing
 // (see newMember).
 //
@@ -101,7 +100,7 @@ func encodeHello(self msg.NodeID, epoch uint64) []byte {
 //
 //   - Wire death: a dial fails (after brief retries), a write errors,
 //     or an established connection's read side dies. The peer is
-//     latched DOWN — later Sends fail fast with *ErrPeerDown, queued
+//     latched DOWN — later Sends fail fast with *errPeerDown, queued
 //     fences observe it, and OnPeerDown callbacks fire once per outage
 //     with the epoch that died. Without a reconnect policy the latch
 //     is permanent; with Topology.Reconnect enabled the mesh re-dials
@@ -111,7 +110,7 @@ func encodeHello(self msg.NodeID, epoch uint64) []byte {
 //   - Departure: the peer announced a goodbye and drained. The peer is
 //     marked GONE, not down — every frame it sent is still delivered,
 //     and only then do OnPeerGone callbacks fire; new Sends fail with
-//     *ErrPeerGone. No OnPeerDown fires and nothing was lost.
+//     *errPeerGone. No OnPeerDown fires and nothing was lost.
 type MeshNetwork struct {
 	topo  Topology
 	stats *Stats
@@ -119,13 +118,11 @@ type MeshNetwork struct {
 	ln    net.Listener // nil for an in-process member, which never accepts
 	q     *queue       // receive side: the member is its node's Endpoint
 
-	mu       lockrank.Mutex[lockrank.MeshNetwork]
-	peers    map[msg.NodeID]*meshPeer
-	conns    map[net.Conn]struct{} // every installed connection, for Close's teardown sweep
-	onDown   []func(msg.NodeID, uint64, error)
-	onGone   []func(msg.NodeID, error)
-	onReconn []func(msg.NodeID, uint64)
-	closed   bool
+	mu        lockrank.Mutex[lockrank.MeshNetwork]
+	peers     map[msg.NodeID]*meshPeer
+	conns     map[net.Conn]struct{} // every installed connection, for Close's teardown sweep
+	listeners []peerListener        // append-only: notify ranges over it unlocked
+	closed    bool
 
 	closeCh   chan struct{} // closed when Leave/Close begins; wakes reconnect loops
 	leaveOnce sync.Once
@@ -229,41 +226,54 @@ func (m *MeshNetwork) Multicast(mm *msg.Msg, members []msg.NodeID) error {
 	return nil
 }
 
+// A peerListener is one OnPeerDown, OnPeerGone or OnPeerReconnect
+// callback, called for the events of its kind.
+type peerListener struct {
+	on uint8 // peerDownEvent, peerGoneEvent or peerReconnectEvent
+	fn func(peer msg.NodeID, epoch uint64, err error)
+}
+
+const (
+	peerDownEvent uint8 = iota
+	peerGoneEvent
+	peerReconnectEvent
+)
+
+func (m *MeshNetwork) listen(on uint8, fn func(msg.NodeID, uint64, error)) {
+	m.mu.Lock()
+	m.listeners = append(m.listeners, peerListener{on, fn})
+	m.mu.Unlock()
+}
+
+func (m *MeshNetwork) notify(on uint8, peer msg.NodeID, epoch uint64, err error) {
+	m.mu.Lock()
+	ls := m.listeners
+	m.mu.Unlock()
+	for _, l := range ls {
+		if l.on == on {
+			l.fn(peer, epoch, err)
+		}
+	}
+}
+
 // OnPeerDown implements PeerDownNotifier.
 func (m *MeshNetwork) OnPeerDown(fn func(peer msg.NodeID, epoch uint64, err error)) {
-	m.mu.Lock()
-	m.onDown = append(m.onDown, fn)
-	m.mu.Unlock()
+	m.listen(peerDownEvent, fn)
 }
 
 // OnPeerGone implements PeerGoneNotifier. Callbacks run on the self
 // endpoint's Recv path, after every frame the departed peer sent has
 // been returned by Recv.
 func (m *MeshNetwork) OnPeerGone(fn func(peer msg.NodeID, err error)) {
-	m.mu.Lock()
-	m.onGone = append(m.onGone, fn)
-	m.mu.Unlock()
+	m.listen(peerGoneEvent, func(peer msg.NodeID, _ uint64, err error) { fn(peer, err) })
 }
 
 // OnPeerReconnect implements PeerReconnectNotifier. Callbacks run on
 // the transport goroutine that completed the rejoin handshake, before
-// any frame from the fresh connection is dispatched.
+// the new connection's reader starts, so subscribers finish rebuilding
+// state ahead of the peer's first frame.
 func (m *MeshNetwork) OnPeerReconnect(fn func(peer msg.NodeID, epoch uint64)) {
-	m.mu.Lock()
-	m.onReconn = append(m.onReconn, fn)
-	m.mu.Unlock()
-}
-
-// notifyReconnect fires the reconnect callbacks for a revived pair.
-// It must be called before the new connection's reader starts so
-// subscribers finish rebuilding state ahead of the peer's first frame.
-func (m *MeshNetwork) notifyReconnect(peer msg.NodeID, epoch uint64) {
-	m.mu.Lock()
-	cbs := append([]func(msg.NodeID, uint64){}, m.onReconn...)
-	m.mu.Unlock()
-	for _, cb := range cbs {
-		cb(peer, epoch)
-	}
+	m.listen(peerReconnectEvent, func(peer msg.NodeID, epoch uint64, _ error) { fn(peer, epoch) })
 }
 
 // PeerEpoch implements PeerEpochs: the current connection epoch agreed
@@ -316,8 +326,8 @@ func (m *MeshNetwork) unregisterConn(c net.Conn) {
 // Leave waits (bounded by meshCloseDrain) for the peers' goodbye-acks
 // — proof their readers consumed the drain. Receivers mark this node
 // departed, deliver every frame already on the wire, and fail only new
-// sends with *ErrPeerGone; no peer-down latch fires anywhere. After
-// Leave the endpoint accepts no new sends (they fail with ErrClosed);
+// sends with *errPeerGone; no peer-down latch fires anywhere. After
+// Leave the endpoint accepts no new sends (they fail with errClosed);
 // the receive side stays open until Close. Idempotent, and Close calls
 // it first, so a bare Close is also a graceful goodbye.
 func (m *MeshNetwork) Leave() error {
@@ -375,7 +385,7 @@ func (m *MeshNetwork) doLeave() {
 // ack-wait — see Leave), then teardown — write sides shut down so
 // remote readers get a clean EOF, local readers are torn down (bounded
 // by meshCloseDrain if the remote side lingers) and the receive queue
-// reports ErrClosed.
+// reports errClosed.
 func (m *MeshNetwork) Close() error {
 	m.Leave()
 	m.closeOnce.Do(func() {
@@ -391,7 +401,7 @@ func (m *MeshNetwork) Close() error {
 
 // Kill tears the mesh down abruptly: no goodbye, no drain — every
 // connection closes mid-stream, so peers observe wire death
-// (*ErrPeerDown) exactly as if the process had crashed. This is the
+// (*errPeerDown) exactly as if the process had crashed. This is the
 // chaos/test path; production shutdown is Close, whose goodbye keeps
 // departure from being mistaken for failure.
 func (m *MeshNetwork) Kill() error {
@@ -425,7 +435,7 @@ func (m *MeshNetwork) stop() {
 }
 
 // closeSends closes the send queues: blocked and later senders get
-// ErrClosed, and each writer drains what was already queued and exits.
+// errClosed, and each writer drains what was already queued and exits.
 func (m *MeshNetwork) closeSends() {
 	peers, _ := m.snapshot()
 	for _, p := range peers {
@@ -448,7 +458,7 @@ func (m *MeshNetwork) closeWrites() []net.Conn {
 }
 
 // closeRecv runs once the readers have exited: the receive queue
-// closes (blocked Recv calls return ErrClosed once it is empty) and
+// closes (blocked Recv calls return errClosed once it is empty) and
 // every connection is released.
 func (m *MeshNetwork) closeRecv() {
 	m.q.close()
@@ -597,7 +607,7 @@ func (m *MeshNetwork) handleInbound(conn net.Conn) {
 		// The latch is permanent without a reconnect policy: accepting
 		// would create a half-open pair where the peer's requests
 		// arrive but every reply dies on the failed send queue — its
-		// Calls would hang with no ErrPeerDown ever surfacing on its
+		// Calls would hang with no errPeerDown ever surfacing on its
 		// side. Rejecting tells the dialer promptly.
 	case !rejoin && hepoch < cur && !(p.conn != nil && p.dialer == from):
 		// Stale dial: a leftover from a generation this pair has
@@ -684,8 +694,8 @@ func (m *MeshNetwork) install(p *meshPeer, conn net.Conn, dialer msg.NodeID, epo
 	p.mu.Unlock()
 
 	if rejoin {
-		m.stats.byClass.Add(stats.CWireReconnects, 1)
-		m.notifyReconnect(p.node, epoch)
+		m.stats.ctr.Reconnects.Inc()
+		m.notify(peerReconnectEvent, p.node, epoch, nil)
 	}
 	if old != nil {
 		old.Close()
@@ -713,7 +723,7 @@ func (m *MeshNetwork) readConn(p *meshPeer, conn net.Conn) {
 			// that claims another sender or another destination is
 			// dropped rather than routed by what its header says — but
 			// counted, so a misconfiguration is visible.
-			m.stats.byClass.Add(stats.CWireMisrouted, 1)
+			m.stats.ctr.Misrouted.Inc()
 			return
 		}
 		if m.q.push(mm) == nil {
@@ -754,9 +764,9 @@ func (m *MeshNetwork) peerGoodbye(p *meshPeer) {
 	if fresh {
 		// The soft latch is set BEFORE the ack goes back: once the
 		// departing side's Close returns (it saw the ack), this side
-		// is guaranteed to already fail new sends with *ErrPeerGone.
-		p.q.reject(&ErrPeerGone{Node: p.node})
-		m.stats.byClass.Add(stats.CWirePeerGone, 1)
+		// is guaranteed to already fail new sends with *errPeerGone.
+		p.q.reject(&errPeerGone{Node: p.node})
+		m.stats.ctr.PeerGone.Inc()
 		m.q.pushGone(p.node)
 	}
 	// Control items bypass the soft latch; if this mesh is itself
@@ -766,7 +776,7 @@ func (m *MeshNetwork) peerGoodbye(p *meshPeer) {
 }
 
 // peerDown latches one peer's wire as failed (once per outage): the
-// send queue fails so blocked and future senders observe *ErrPeerDown,
+// send queue fails so blocked and future senders observe *errPeerDown,
 // the established connection (if any) closes, and registered
 // OnPeerDown callbacks fire with the epoch that died so vkernel can
 // fail exactly the pending calls aimed at the dead generation. With a
@@ -797,7 +807,7 @@ func (m *MeshNetwork) peerDown(p *meshPeer, dead net.Conn, cause error) {
 	// The queue latches before p.down is visible: a writer that finds
 	// the peer down (connFor) returns the queue's error with it, never
 	// a nil connection and a nil error.
-	err := &ErrPeerDown{Node: p.node, Cause: cause}
+	err := &errPeerDown{Node: p.node, Cause: cause}
 	p.q.fail(err)
 	p.down = true
 	epoch := p.epoch
@@ -806,18 +816,14 @@ func (m *MeshNetwork) peerDown(p *meshPeer, dead net.Conn, cause error) {
 	if conn != nil {
 		conn.Close()
 	}
-	m.stats.byClass.Add(stats.CWirePeerDown, 1)
+	m.stats.ctr.PeerDown.Inc()
 	m.mu.Lock()
-	var cbs []func(msg.NodeID, uint64, error)
-	cbs = append(cbs, m.onDown...)
 	if m.topo.Reconnect.Enabled && !m.closed {
 		m.reconnWG.Add(1)
 		go m.reconnectLoop(p)
 	}
 	m.mu.Unlock()
-	for _, cb := range cbs {
-		cb(p.node, epoch, err)
-	}
+	m.notify(peerDownEvent, p.node, epoch, err)
 }
 
 // reconnectLoop is this side's background re-dial after a latch,
@@ -895,11 +901,11 @@ func (m *MeshNetwork) connFor(p *meshPeer) (net.Conn, error) {
 		}
 		if p.gone {
 			p.mu.Unlock()
-			return nil, &ErrPeerGone{Node: p.node}
+			return nil, &errPeerGone{Node: p.node}
 		}
 		if m.isClosed() {
 			p.mu.Unlock()
-			return nil, ErrClosed
+			return nil, errClosed
 		}
 		p.dialing = true
 		p.proposed = p.epoch + 1
@@ -920,7 +926,7 @@ func (m *MeshNetwork) connFor(p *meshPeer) (net.Conn, error) {
 				if !m.registerConn(conn) {
 					p.mu.Unlock()
 					conn.Close()
-					return nil, ErrClosed
+					return nil, errClosed
 				}
 				m.install(p, conn, m.topo.Self, agreed)
 				return conn, nil
@@ -971,7 +977,7 @@ func (m *MeshNetwork) dialPeer(node msg.NodeID, epoch uint64) (conn net.Conn, ag
 			time.Sleep(meshDialBackoff)
 		}
 		if m.isClosed() {
-			return nil, 0, false, ErrClosed
+			return nil, 0, false, errClosed
 		}
 		c, a, ok, derr := m.dialPeerOnce(node, epoch)
 		if derr != nil {
@@ -987,7 +993,7 @@ func (m *MeshNetwork) dialPeer(node msg.NodeID, epoch uint64) (conn net.Conn, ag
 // epoch. On accept, agreed is the epoch the acceptor stamped into its
 // ack — the pair's new generation.
 func (m *MeshNetwork) dialPeerOnce(node msg.NodeID, epoch uint64) (conn net.Conn, agreed uint64, accepted bool, err error) {
-	m.stats.byClass.Add(stats.CWireDials, 1)
+	m.stats.ctr.Dials.Inc()
 	c, derr := net.DialTimeout("tcp", m.topo.Addr(node), meshDialTimeout)
 	if derr != nil {
 		return nil, 0, false, derr
@@ -1033,10 +1039,10 @@ func (m *MeshNetwork) writeLoop(p *meshPeer) {
 				conn, err = m.writeToPeer(p, items, ws)
 				if err != nil {
 					if m.isClosed() {
-						err = ErrClosed
+						err = errClosed
 					} else {
 						m.peerDown(p, conn, err)
-						// The latched *ErrPeerDown — unless nothing
+						// The latched *errPeerDown — unless nothing
 						// latched (the peer departed, or conn was a
 						// replaced generation): the raw error stands.
 						if le := p.q.err(); le != nil {
@@ -1123,7 +1129,7 @@ func (m *MeshNetwork) SendOwned(wb *bufpool.Buffer) error {
 		wb.Release()
 		return m.stats.deliverBytes(m.q, to, enc)
 	}
-	err = m.peer(to).q.put(sendItem{enc: wb.B, own: wb, class: ClassOf(kind)})
+	err = m.peer(to).q.put(sendItem{enc: wb.B, own: wb, class: classOf(kind)})
 	if err != nil {
 		wb.Release() // never queued: no writer will release it
 	}
@@ -1153,8 +1159,8 @@ func (m *MeshNetwork) Flush() error {
 
 	var first error
 	latched := func(err error) bool {
-		var pd *ErrPeerDown
-		var pg *ErrPeerGone
+		var pd *errPeerDown
+		var pg *errPeerGone
 		return errors.As(err, &pd) || errors.As(err, &pg)
 	}
 	for _, p := range fs.peers {
@@ -1187,20 +1193,9 @@ func (m *MeshNetwork) Recv() (*msg.Msg, error) {
 			// Departure marker: every frame the peer sent has been
 			// returned by earlier Recv calls; only now do the gone
 			// callbacks fire, so nothing in flight is ever failed.
-			m.notifyPeerGone(it.peer)
+			m.notify(peerGoneEvent, it.peer, 0, &errPeerGone{Node: it.peer})
 			continue
 		}
 		return it.m, nil
-	}
-}
-
-func (m *MeshNetwork) notifyPeerGone(peer msg.NodeID) {
-	m.mu.Lock()
-	var cbs []func(msg.NodeID, error)
-	cbs = append(cbs, m.onGone...)
-	m.mu.Unlock()
-	err := &ErrPeerGone{Node: peer}
-	for _, cb := range cbs {
-		cb(peer, err)
 	}
 }

@@ -342,7 +342,7 @@ func TestMeshTiebreakLowerDialerReplaces(t *testing.T) {
 func TestMeshDialFailureLatchesErrPeerDown(t *testing.T) {
 	// Node 1's topology points node 0 at a port nobody listens on:
 	// the lazy dial fails, the peer latches, and both the fence and
-	// later sends surface *ErrPeerDown.
+	// later sends surface *errPeerDown.
 	addrs := reserveAddrs(t, 2) // both released; addr[0] is dead
 	m, err := NewMeshNetwork(Topology{
 		Self:  1,
@@ -365,7 +365,7 @@ func TestMeshDialFailureLatchesErrPeerDown(t *testing.T) {
 	if err := m.Endpoint(1).Flush(); err != nil {
 		t.Fatalf("fence after dial failure = %v, want nil", err)
 	}
-	var pd *ErrPeerDown
+	var pd *errPeerDown
 	select {
 	case peer := <-downCh:
 		if peer != 0 {
@@ -377,7 +377,7 @@ func TestMeshDialFailureLatchesErrPeerDown(t *testing.T) {
 	// Later sends fail fast with the same typed error.
 	err = m.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, To: 0})
 	if !errors.As(err, &pd) {
-		t.Fatalf("send after latch = %v, want *ErrPeerDown", err)
+		t.Fatalf("send after latch = %v, want *errPeerDown", err)
 	}
 	if got := m.Stats().WirePeerDown(); got != 1 {
 		t.Fatalf("wire.peer_down = %d, want 1", got)
@@ -404,16 +404,16 @@ func TestMeshConnectionDeathLatchesErrPeerDown(t *testing.T) {
 	a.Kill()
 	select {
 	case err := <-downCh:
-		var pd *ErrPeerDown
+		var pd *errPeerDown
 		if !errors.As(err, &pd) || pd.Node != 0 {
 			t.Fatalf("peer-down error = %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnPeerDown never fired after the connection died")
 	}
-	var pd *ErrPeerDown
+	var pd *errPeerDown
 	if err := b.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, To: 0}); !errors.As(err, &pd) {
-		t.Fatalf("send after connection death = %v, want *ErrPeerDown", err)
+		t.Fatalf("send after connection death = %v, want *errPeerDown", err)
 	}
 }
 
@@ -521,7 +521,7 @@ func TestMeshFlushFencesHealthyPeersDespiteDeadOne(t *testing.T) {
 	}
 	// The fence drains the healthy peer and does NOT surface the dead
 	// peer: its loss is reported through OnPeerDown (and, in a kernel,
-	// the pending-call fan-in). Returning ErrPeerDown from every later
+	// the pending-call fan-in). Returning errPeerDown from every later
 	// fence would poison flushes that involve only healthy peers.
 	if err := b.Endpoint(1).Flush(); err != nil {
 		t.Fatalf("fence = %v, want nil despite the dead peer", err)
@@ -539,9 +539,9 @@ func TestMeshFlushFencesHealthyPeersDespiteDeadOne(t *testing.T) {
 		t.Fatal("dead peer never reported via OnPeerDown")
 	}
 	// Direct sends to the latched peer still fail fast and typed.
-	var pd *ErrPeerDown
+	var pd *errPeerDown
 	if err := b.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, To: 2}); !errors.As(err, &pd) || pd.Node != 2 {
-		t.Fatalf("send to latched peer = %v, want *ErrPeerDown{Node: 2}", err)
+		t.Fatalf("send to latched peer = %v, want *errPeerDown{Node: 2}", err)
 	}
 }
 
@@ -550,7 +550,7 @@ func TestMeshFlushFencesHealthyPeersDespiteDeadOne(t *testing.T) {
 // drains, and is marked DEPARTED — its in-flight frames are all
 // delivered (observed strictly before the gone notification), no
 // peer-down latch fires anywhere, and only new sends fail, with the
-// typed *ErrPeerGone.
+// typed *errPeerGone.
 func TestMeshGoodbyeMarksPeerDepartedNotDown(t *testing.T) {
 	a, b := newMeshPair(t)
 	goneCh := make(chan msg.NodeID, 1)
@@ -588,9 +588,9 @@ func TestMeshGoodbyeMarksPeerDepartedNotDown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnPeerGone never fired after the goodbye")
 	}
-	var pg *ErrPeerGone
+	var pg *errPeerGone
 	if err := b.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, To: 0}); !errors.As(err, &pg) || pg.Node != 0 {
-		t.Fatalf("send to departed peer = %v, want *ErrPeerGone{Node: 0}", err)
+		t.Fatalf("send to departed peer = %v, want *errPeerGone{Node: 0}", err)
 	}
 	if got := b.Stats().WirePeerDown(); got != 0 {
 		t.Fatalf("wire.peer_down = %d after a clean goodbye, want 0", got)
@@ -607,7 +607,7 @@ func TestMeshGoodbyeMarksPeerDepartedNotDown(t *testing.T) {
 
 // TestMeshLeaveAnnouncesDeparture: Endpoint.Leave is the goodbye
 // handshake without the teardown — peers mark this node departed, and
-// this node's own endpoint refuses new sends with ErrClosed.
+// this node's own endpoint refuses new sends with errClosed.
 func TestMeshLeaveAnnouncesDeparture(t *testing.T) {
 	a, b := newMeshPair(t)
 	if err := a.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1, Payload: []byte("hi")}); err != nil {
@@ -626,12 +626,12 @@ func TestMeshLeaveAnnouncesDeparture(t *testing.T) {
 	}
 	// Leave returns only after the peers acked the drain, so B's
 	// departed latch is already visible.
-	var pg *ErrPeerGone
+	var pg *errPeerGone
 	if err := b.Endpoint(1).Send(&msg.Msg{Kind: msg.KindPing, To: 0}); !errors.As(err, &pg) {
-		t.Fatalf("send to left peer = %v, want *ErrPeerGone", err)
+		t.Fatalf("send to left peer = %v, want *errPeerGone", err)
 	}
-	if err := a.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after own Leave = %v, want ErrClosed", err)
+	if err := a.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.Is(err, errClosed) {
+		t.Fatalf("send after own Leave = %v, want errClosed", err)
 	}
 	if got := b.Stats().WirePeerDown(); got != 0 {
 		t.Fatalf("wire.peer_down = %d after Leave, want 0", got)
@@ -710,7 +710,7 @@ func TestMeshStaleEpochHelloRejected(t *testing.T) {
 // latched peer is an outage, not a death sentence — the mesh re-dials
 // in the background, the handshake agrees on the next epoch, the latch
 // clears, and new sends flow. During the outage sends still fail fast
-// with *ErrPeerDown, and nothing is replayed.
+// with *errPeerDown, and nothing is replayed.
 func TestMeshReconnectRedialsAndClearsLatch(t *testing.T) {
 	addrs := reserveAddrs(t, 2)
 	fake, err := net.Listen("tcp", addrs[1])
@@ -750,9 +750,9 @@ func TestMeshReconnectRedialsAndClearsLatch(t *testing.T) {
 		t.Fatal("peer never latched down")
 	}
 	// During the outage, sends fail fast and typed.
-	var pd *ErrPeerDown
+	var pd *errPeerDown
 	if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 0x1}); !errors.As(err, &pd) {
-		t.Fatalf("send during outage = %v, want *ErrPeerDown", err)
+		t.Fatalf("send during outage = %v, want *errPeerDown", err)
 	}
 
 	// The peer "recovers": accept the background re-dial, which must
@@ -915,9 +915,9 @@ func TestMeshNoReconnectWithoutPolicy(t *testing.T) {
 		t.Fatalf("rejoin without policy got verdict %d, want reject", verdict)
 	}
 	// And the latch is still in force.
-	var pd *ErrPeerDown
+	var pd *errPeerDown
 	if err := m.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.As(err, &pd) {
-		t.Fatalf("send after latch = %v, want *ErrPeerDown", err)
+		t.Fatalf("send after latch = %v, want *errPeerDown", err)
 	}
 	if got := m.Stats().WireReconnects(); got != 0 {
 		t.Fatalf("wire.reconnects = %d without a policy, want 0", got)
@@ -1008,6 +1008,12 @@ func TestMeshReaderEOFAgainstDrainingWriter(t *testing.T) {
 
 	epoch := uint64(1)
 	for i := 0; i < cycles; i++ {
+		// Counted while the pair is down, when nothing can be written:
+		// the next write is the writer draining onto the rejoined
+		// connection. Counted after the sender is let go, the count
+		// could already include the write that has filled the unread
+		// connection, and the wait below would never end.
+		w := m.Stats().WireWrites()
 		conn, verdict, agreed := dialWithHello(t, m.Addr(), 1, epoch)
 		if verdict != helloAccept {
 			t.Fatalf("cycle %d: rejoin rejected", i)
@@ -1024,7 +1030,7 @@ func TestMeshReaderEOFAgainstDrainingWriter(t *testing.T) {
 		}
 		// Once the writer is draining onto the rejoined connection,
 		// hang up under it.
-		for w := m.Stats().WireWrites(); m.Stats().WireWrites() < w+1; {
+		for m.Stats().WireWrites() < w+1 {
 			runtime.Gosched()
 		}
 		conn.Close()

@@ -87,14 +87,14 @@ func (tn *TCPNetwork) Multicast(m *msg.Msg, members []msg.NodeID) error {
 // Close shuts every member down phase by phase, each phase finished for
 // all members before the next starts:
 //
-//  1. send queues close — blocked or late senders get ErrClosed;
+//  1. send queues close — blocked or late senders get errClosed;
 //  2. writers drain what was already queued onto the wire and exit, so
 //     nothing ever writes on a closed connection;
 //  3. the write side of every connection end shuts down, giving the
 //     reader at the other end a clean EOF after it has consumed every
 //     drained frame;
 //  4. readers exit, having routed everything that made it to the wire;
-//  5. receive queues close — blocked Recv calls return ErrClosed.
+//  5. receive queues close — blocked Recv calls return errClosed.
 //
 // Step 2 finishes for every writer before step 3 starts for any
 // connection because the two directions of a pair share one socket: an

@@ -14,7 +14,7 @@ import (
 
 // ReconnectPolicy controls whether a MeshNetwork tries to revive a
 // peer after its wire latched as failed. The zero value — disabled —
-// preserves the original lifecycle: ErrPeerDown is permanent for the
+// preserves the original lifecycle: errPeerDown is permanent for the
 // life of the network.
 //
 // With Enabled set, a latch is an outage instead of a death sentence:
@@ -49,7 +49,7 @@ type Topology struct {
 	// Self's entry is the address this process binds.
 	Peers map[msg.NodeID]string `json:"-"`
 	// Reconnect is the opt-in reconnect-after-latch policy. The zero
-	// value keeps ErrPeerDown permanent.
+	// value keeps errPeerDown permanent.
 	Reconnect ReconnectPolicy `json:"reconnect"`
 }
 

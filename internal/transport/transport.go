@@ -16,10 +16,10 @@
 //     pair (duplicate dials tie-broken deterministically by lower
 //     dialer ID; stale-epoch dials rejected), and real failure
 //     semantics with a two-sided vocabulary: a dead peer latches
-//     ErrPeerDown into sends, fences, and — via PeerDownNotifier —
+//     errPeerDown into sends, fences, and — via PeerDownNotifier —
 //     vkernel's pending-call table, while a peer that leaves cleanly
 //     (goodbye handshake; Close/Leave) is marked departed
-//     (ErrPeerGone, PeerGoneNotifier) with every in-flight frame
+//     (errPeerGone, PeerGoneNotifier) with every in-flight frame
 //     delivered first. An opt-in ReconnectPolicy revives latched pairs
 //     on a fresh epoch. A member is its own node's Endpoint.
 //   - TCPNetwork: n MeshNetwork members in one process, sharing one
@@ -86,42 +86,76 @@ import (
 	"munin/internal/stats"
 )
 
-// ErrClosed is returned by operations on a closed endpoint or network.
-var ErrClosed = errors.New("transport: closed")
+// The failure taxonomy's errors are unexported: == or a type assertion
+// stops matching once a layer wraps one, so other packages match them
+// through IsClosed, PeerDownOf and PeerGoneOf, which see through it.
 
-// ErrPeerDown reports that a peer's wire has failed: a dial could not
+// errClosed is returned by operations on a closed endpoint or network.
+var errClosed = errors.New("transport: closed")
+
+// IsClosed reports whether err is, or wraps, the error of an operation
+// on a closed endpoint or network.
+func IsClosed(err error) bool { return errors.Is(err, errClosed) }
+
+// errPeerDown reports that a peer's wire has failed: a dial could not
 // be completed, a write error was latched on the peer's send queue, or
 // an established connection died. Once latched, every later Send,
 // Flush fence, and (through vkernel's pending-call table) every
 // outstanding call aimed at that peer fails with this error instead of
-// hanging until Close. Detect it with errors.As; Unwrap exposes the
-// underlying network error.
-type ErrPeerDown struct {
+// hanging until Close. Unwrap exposes the underlying network error.
+type errPeerDown struct {
 	// Node is the peer whose wire failed.
 	Node msg.NodeID
 	// Cause is the underlying dial/write/read error.
 	Cause error
 }
 
-func (e *ErrPeerDown) Error() string {
+func (e *errPeerDown) Error() string {
 	return fmt.Sprintf("transport: peer %d down: %v", e.Node, e.Cause)
 }
 
-func (e *ErrPeerDown) Unwrap() error { return e.Cause }
+func (e *errPeerDown) Unwrap() error { return e.Cause }
 
-// ErrPeerGone reports that a peer left the computation deliberately: it
+// PeerDownError returns the error a call to node fails with once node's
+// wire has failed for cause. A layer that learns of a lost peer second
+// hand reports the loss with it.
+func PeerDownError(node msg.NodeID, cause error) error {
+	return &errPeerDown{Node: node, Cause: cause}
+}
+
+// PeerDownOf reports whether err is, or wraps, a peer's wire failure,
+// and which peer's.
+func PeerDownOf(err error) (msg.NodeID, bool) {
+	var e *errPeerDown
+	if errors.As(err, &e) {
+		return e.Node, true
+	}
+	return 0, false
+}
+
+// errPeerGone reports that a peer left the computation deliberately: it
 // announced departure with a goodbye frame, drained everything it had
-// already sent, and closed. Unlike *ErrPeerDown nothing was lost — every
-// frame the peer put on the wire before the goodbye was delivered — but
-// the peer will accept no new traffic, so later Sends and calls aimed
-// at it fail with this error. Detect it with errors.As.
-type ErrPeerGone struct {
+// already sent, and closed. Unlike a wire failure nothing was lost —
+// every frame the peer put on the wire before the goodbye was delivered
+// — but the peer will accept no new traffic, so later Sends and calls
+// aimed at it fail with this error.
+type errPeerGone struct {
 	// Node is the peer that departed.
 	Node msg.NodeID
 }
 
-func (e *ErrPeerGone) Error() string {
+func (e *errPeerGone) Error() string {
 	return fmt.Sprintf("transport: peer %d departed", e.Node)
+}
+
+// PeerGoneOf reports whether err is, or wraps, a peer's clean departure,
+// and which peer's.
+func PeerGoneOf(err error) (msg.NodeID, bool) {
+	var e *errPeerGone
+	if errors.As(err, &e) {
+		return e.Node, true
+	}
+	return 0, false
 }
 
 // PeerDownNotifier is implemented by transports that detect peer death
@@ -171,7 +205,7 @@ type PeerGoneNotifier interface {
 // announces a goodbye to every connected peer, drains everything
 // already enqueued onto the wire, and waits (bounded) for the peers to
 // confirm they consumed the drain. Peers mark the leaver departed
-// (*ErrPeerGone for new sends) instead of latching it down, and no
+// (*errPeerGone for new sends) instead of latching it down, and no
 // in-flight frame is lost.
 type Leaver interface {
 	// Leave announces departure and drains. Idempotent; Close implies
@@ -259,7 +293,7 @@ type Network interface {
 	Multicast(m *msg.Msg, members []msg.NodeID) error
 	// Stats returns the network's traffic accounting.
 	Stats() *Stats
-	// Close shuts the network down; blocked Recv calls return ErrClosed.
+	// Close shuts the network down; blocked Recv calls return errClosed.
 	Close() error
 }
 
@@ -287,11 +321,10 @@ func (c CostModel) Cost(size int) int64 {
 
 // Stats accumulates traffic accounting for a network.
 type Stats struct {
-	msgs      atomic.Int64
-	bytes     atomic.Int64
 	modeledNs atomic.Int64
 	perNode   []nodeStats
-	byClass   stats.Set
+	ctr       stats.Transport
+	byName    stats.Set // ctr, by name
 }
 
 type nodeStats struct {
@@ -299,14 +332,23 @@ type nodeStats struct {
 }
 
 func newStats(n int) *Stats {
-	return &Stats{perNode: make([]nodeStats, n)}
+	s := &Stats{perNode: make([]nodeStats, n)}
+	s.byName.Bind(&s.ctr)
+	return s
 }
 
 // Messages returns the total number of wire messages sent.
-func (s *Stats) Messages() int64 { return s.msgs.Load() }
+func (s *Stats) Messages() int64 { return sum(s.ctr.Msgs[:]) }
 
 // Bytes returns the total number of wire bytes sent.
-func (s *Stats) Bytes() int64 { return s.bytes.Load() }
+func (s *Stats) Bytes() int64 { return sum(s.ctr.Bytes[:]) }
+
+func sum(cs []stats.Counter) (n int64) {
+	for i := range cs {
+		n += cs[i].Load()
+	}
+	return n
+}
 
 // ModeledNetworkNs returns the accumulated modeled network time in
 // nanoseconds under the network's cost model.
@@ -321,81 +363,39 @@ func (s *Stats) NodeReceived(n msg.NodeID) int64 { return s.perNode[n].recvd.Loa
 // NodeSentBytes returns the number of bytes node n has sent.
 func (s *Stats) NodeSentBytes(n msg.NodeID) int64 { return s.perNode[n].sentBytes.Load() }
 
-// ByClass returns a snapshot of per-class (kind-range) message counts.
-func (s *Stats) ByClass() map[string]int64 { return s.byClass.Snapshot() }
+// ByClass returns a snapshot of the wire counters that are not zero:
+// per-class (kind-range) message and byte counts and the wire.* counters.
+func (s *Stats) ByClass() stats.Values { return s.byName.Snapshot() }
 
 // Reset zeroes all counters. Callers must ensure the network is quiescent.
 func (s *Stats) Reset() {
-	s.msgs.Store(0)
-	s.bytes.Store(0)
 	s.modeledNs.Store(0)
 	for i := range s.perNode {
 		s.perNode[i].sent.Store(0)
 		s.perNode[i].recvd.Store(0)
 		s.perNode[i].sentBytes.Store(0)
 	}
-	s.byClass.Reset()
+	s.byName.Reset()
+}
+
+// trafficClass indexes stats.TrafficClasses: control, lock, coherence,
+// ivy, sync, app.
+type trafficClass uint8
+
+// classBases holds the first kind of each traffic class after control.
+var classBases = [...]msg.Kind{msg.KindLockBase, msg.KindCohBase, msg.KindIvyBase, msg.KindSyncBase, msg.KindAppBase}
+
+func classOf(k msg.Kind) trafficClass {
+	c := 0
+	for c < len(classBases) && k >= classBases[c] {
+		c++
+	}
+	return trafficClass(c)
 }
 
 // ClassOf maps a message kind to a human-readable traffic class used in
 // per-class accounting.
-func ClassOf(k msg.Kind) string {
-	switch {
-	case k >= msg.KindAppBase:
-		return "app"
-	case k >= msg.KindSyncBase:
-		return "sync"
-	case k >= msg.KindIvyBase:
-		return "ivy"
-	case k >= msg.KindCohBase:
-		return "coherence"
-	case k >= msg.KindLockBase:
-		return "lock"
-	default:
-		return "control"
-	}
-}
-
-// classBytesOf returns the precomputed "<class>.bytes" counter key for
-// a kind. The obvious ClassOf(k)+".bytes" concatenation allocates on
-// every charge — one of the per-message heap allocations the zero-copy
-// flush path eliminates.
-func classBytesOf(k msg.Kind) string {
-	switch {
-	case k >= msg.KindAppBase:
-		return "app.bytes"
-	case k >= msg.KindSyncBase:
-		return "sync.bytes"
-	case k >= msg.KindIvyBase:
-		return "ivy.bytes"
-	case k >= msg.KindCohBase:
-		return "coherence.bytes"
-	case k >= msg.KindLockBase:
-		return "lock.bytes"
-	default:
-		return "control.bytes"
-	}
-}
-
-// coalescedClassOf returns the precomputed "wire.coalesced.<class>"
-// counter key for a class name produced by ClassOf (same reasoning as
-// classBytesOf: the concatenation is a hot-path allocation).
-func coalescedClassOf(class string) string {
-	switch class {
-	case "app":
-		return "wire.coalesced.app"
-	case "sync":
-		return "wire.coalesced.sync"
-	case "ivy":
-		return "wire.coalesced.ivy"
-	case "coherence":
-		return "wire.coalesced.coherence"
-	case "lock":
-		return "wire.coalesced.lock"
-	default:
-		return "wire.coalesced.control"
-	}
-}
+func ClassOf(k msg.Kind) string { return stats.TrafficClasses[classOf(k)] }
 
 func (s *Stats) charge(m *msg.Msg, cost CostModel, from msg.NodeID) {
 	s.chargeEncoded(m.Kind, m.WireSize(), cost, from)
@@ -404,15 +404,14 @@ func (s *Stats) charge(m *msg.Msg, cost CostModel, from msg.NodeID) {
 // chargeEncoded is charge for an already-marshalled buffer: the caller
 // supplies the kind and wire size from the header instead of a Msg.
 func (s *Stats) chargeEncoded(kind msg.Kind, size int, cost CostModel, from msg.NodeID) {
-	s.msgs.Add(1)
-	s.bytes.Add(int64(size))
 	s.modeledNs.Add(cost.Cost(size))
 	if int(from) < len(s.perNode) && from >= 0 {
 		s.perNode[from].sent.Add(1)
 		s.perNode[from].sentBytes.Add(int64(size))
 	}
-	s.byClass.Add(ClassOf(kind), 1)
-	s.byClass.Add(classBytesOf(kind), int64(size))
+	c := classOf(kind)
+	s.ctr.Msgs[c].Inc()
+	s.ctr.Bytes[c].Add(int64(size))
 }
 
 // chargeWire records one coalesced wire emission: frames frame
@@ -420,13 +419,13 @@ func (s *Stats) chargeEncoded(kind msg.Kind, size int, cost CostModel, from msg.
 // class of every message that rode in a frame with at least one other
 // message — the coalescing the batched flush is supposed to produce,
 // counted per class so it stays observable.
-func (s *Stats) chargeWire(frames int, sharedClasses []string) {
-	s.byClass.Add(stats.CWireWrites, 1)
-	s.byClass.Add(stats.CWireFrames, int64(frames))
+func (s *Stats) chargeWire(frames int, sharedClasses []trafficClass) {
+	s.ctr.Writes.Inc()
+	s.ctr.Frames.Add(int64(frames))
 	if len(sharedClasses) > 0 {
-		s.byClass.Add(stats.CWireCoalesced, int64(len(sharedClasses)))
+		s.ctr.Coalesced.Add(int64(len(sharedClasses)))
 		for _, c := range sharedClasses {
-			s.byClass.Add(coalescedClassOf(c), 1)
+			s.ctr.CoalescedBy[c].Inc()
 		}
 	}
 }
@@ -435,8 +434,8 @@ func (s *Stats) chargeWire(frames int, sharedClasses []string) {
 // how long it waited — the writer-side backpressure that makes
 // saturated peers visible in benchmark output.
 func (s *Stats) chargeStall(ns int64) {
-	s.byClass.Add(stats.CWireQueueStall, 1)
-	s.byClass.Add(stats.CWireQueueStallNs, ns)
+	s.ctr.QueueStall.Inc()
+	s.ctr.QueueStallNs.Add(ns)
 }
 
 // WireWrites returns the number of coalesced write operations issued to
@@ -446,47 +445,47 @@ func (s *Stats) chargeStall(ns int64) {
 // enormous iovec list at IOV_MAX; that kernel-level chunking is not
 // modeled) — and one per message on the chan transport, which has no
 // wire to coalesce for.
-func (s *Stats) WireWrites() int64 { return s.byClass.Get(stats.CWireWrites) }
+func (s *Stats) WireWrites() int64 { return s.ctr.Writes.Load() }
 
 // WireFrames returns the number of frame envelopes emitted.
-func (s *Stats) WireFrames() int64 { return s.byClass.Get(stats.CWireFrames) }
+func (s *Stats) WireFrames() int64 { return s.ctr.Frames.Load() }
 
 // WireCoalesced returns the number of messages that shared a wire frame
 // with at least one other message.
-func (s *Stats) WireCoalesced() int64 { return s.byClass.Get(stats.CWireCoalesced) }
+func (s *Stats) WireCoalesced() int64 { return s.ctr.Coalesced.Load() }
 
 // WireDials returns the number of connection attempts the mesh
 // transport made (lazy per-peer dialing; retries count individually).
-func (s *Stats) WireDials() int64 { return s.byClass.Get(stats.CWireDials) }
+func (s *Stats) WireDials() int64 { return s.ctr.Dials.Load() }
 
 // WirePeerDown returns the number of peers whose wire has been latched
 // as failed.
-func (s *Stats) WirePeerDown() int64 { return s.byClass.Get(stats.CWirePeerDown) }
+func (s *Stats) WirePeerDown() int64 { return s.ctr.PeerDown.Load() }
 
 // WirePeerGone returns the number of peers that departed cleanly (a
 // goodbye frame was received and their in-flight frames drained).
-func (s *Stats) WirePeerGone() int64 { return s.byClass.Get(stats.CWirePeerGone) }
+func (s *Stats) WirePeerGone() int64 { return s.ctr.PeerGone.Load() }
 
 // WireReconnects returns the number of times a latched peer's wire was
 // re-established under a reconnect policy (either side: an accepted
 // rejoin dial from the peer, or this side's successful re-dial).
-func (s *Stats) WireReconnects() int64 { return s.byClass.Get(stats.CWireReconnects) }
+func (s *Stats) WireReconnects() int64 { return s.ctr.Reconnects.Load() }
 
 // WireMisrouted returns the number of inbound frames whose destination
 // header named some other node — dropped, but counted, so a topology
 // misconfiguration shows up in the counter dump instead of as silence.
-func (s *Stats) WireMisrouted() int64 { return s.byClass.Get(stats.CWireMisrouted) }
+func (s *Stats) WireMisrouted() int64 { return s.ctr.Misrouted.Load() }
 
 // WireQueueStalls returns how many Sends blocked on a full peer send
 // queue (writer-side backpressure).
-func (s *Stats) WireQueueStalls() int64 { return s.byClass.Get(stats.CWireQueueStall) }
+func (s *Stats) WireQueueStalls() int64 { return s.ctr.QueueStall.Load() }
 
 // WireQueueStallNs returns the total nanoseconds Sends spent blocked on
 // full peer send queues.
-func (s *Stats) WireQueueStallNs() int64 { return s.byClass.Get(stats.CWireQueueStallNs) }
+func (s *Stats) WireQueueStallNs() int64 { return s.ctr.QueueStallNs.Load() }
 
 // ClassMessages returns the message count for one traffic class.
-func (s *Stats) ClassMessages(class string) int64 { return s.byClass.Get(class) }
+func (s *Stats) ClassMessages(class string) int64 { return s.byName.Get(class) }
 
 func (s *Stats) delivered(to msg.NodeID) {
 	if int(to) < len(s.perNode) && to >= 0 {
@@ -605,7 +604,7 @@ func (q *queue) pushItem(it recvItem) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if len(q.items) == cap(q.items) && q.head > len(q.items)/2 {
 		// Full, and mostly popped slots: slide the live items down
@@ -627,7 +626,7 @@ func (q *queue) pop() (recvItem, error) {
 		q.cond.Wait()
 	}
 	if q.head == len(q.items) {
-		return recvItem{}, ErrClosed
+		return recvItem{}, errClosed
 	}
 	it := q.items[q.head]
 	q.items[q.head] = recvItem{} // the slot must not keep the message reachable

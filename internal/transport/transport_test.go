@@ -75,8 +75,8 @@ func TestRecvAfterCloseReturnsErrClosed(t *testing.T) {
 				done <- err
 			}()
 			net.Close()
-			if err := <-done; !errors.Is(err, ErrClosed) {
-				t.Fatalf("err = %v, want ErrClosed", err)
+			if err := <-done; !errors.Is(err, errClosed) {
+				t.Fatalf("err = %v, want errClosed", err)
 			}
 		})
 	}
@@ -270,7 +270,7 @@ func TestTCPCoalescesQueuedMessages(t *testing.T) {
 
 // TestTCPCloseWakesBlockedSender fills a peer's bounded send queue with
 // the writer held, leaves one sender blocked on the bound, and closes
-// the network: the blocked sender must get ErrClosed (not a write on a
+// the network: the blocked sender must get errClosed (not a write on a
 // closed connection), and Close must return.
 func TestTCPCloseWakesBlockedSender(t *testing.T) {
 	tcp, err := NewTCPNetwork(2, CostModel{})
@@ -288,25 +288,25 @@ func TestTCPCloseWakesBlockedSender(t *testing.T) {
 	go func() {
 		blocked <- ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1})
 	}()
-	// The close must both wake the blocked sender with ErrClosed and
+	// The close must both wake the blocked sender with errClosed and
 	// still drain the already-queued messages to the wire.
 	if err := tcp.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := <-blocked; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked sender got %v, want ErrClosed", err)
+	if err := <-blocked; !errors.Is(err, errClosed) {
+		t.Fatalf("blocked sender got %v, want errClosed", err)
 	}
-	if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("enqueue after close got %v, want ErrClosed", err)
+	if err := ep.Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.Is(err, errClosed) {
+		t.Fatalf("enqueue after close got %v, want errClosed", err)
 	}
-	if err := ep.Flush(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("flush after close got %v, want ErrClosed", err)
+	if err := ep.Flush(); !errors.Is(err, errClosed) {
+		t.Fatalf("flush after close got %v, want errClosed", err)
 	}
 }
 
 // TestTCPCloseDeliversQueued checks the deterministic drain: messages
 // enqueued (but not yet written) when Close starts are still delivered
-// to their destination queues before Recv reports ErrClosed.
+// to their destination queues before Recv reports errClosed.
 func TestTCPCloseDeliversQueued(t *testing.T) {
 	tcp, err := NewTCPNetwork(2, CostModel{})
 	if err != nil {
@@ -332,15 +332,15 @@ func TestTCPCloseDeliversQueued(t *testing.T) {
 			t.Fatalf("recv %d: got seq %d", i, got.Seq)
 		}
 	}
-	if _, err := tcp.Endpoint(1).Recv(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("drained recv got %v, want ErrClosed", err)
+	if _, err := tcp.Endpoint(1).Recv(); !errors.Is(err, errClosed) {
+		t.Fatalf("drained recv got %v, want errClosed", err)
 	}
 }
 
 // TestTCPCloseDeliversQueuedBothWays is the duplex form of the drain
 // check: both directions of one pair — one socket — have messages
 // queued when Close starts, and every one of them is delivered before
-// either Recv reports ErrClosed. A reader that closed the connection on
+// either Recv reports errClosed. A reader that closed the connection on
 // seeing the other direction's EOF would lose one side's batch.
 func TestTCPCloseDeliversQueuedBothWays(t *testing.T) {
 	tcp, err := NewTCPNetwork(2, CostModel{})
@@ -370,8 +370,8 @@ func TestTCPCloseDeliversQueuedBothWays(t *testing.T) {
 				t.Fatalf("node %d recv %d: got seq %d from %d", to, i, got.Seq, got.From)
 			}
 		}
-		if _, err := tcp.Endpoint(to).Recv(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("node %d drained recv got %v, want ErrClosed", to, err)
+		if _, err := tcp.Endpoint(to).Recv(); !errors.Is(err, errClosed) {
+			t.Fatalf("node %d drained recv got %v, want errClosed", to, err)
 		}
 	}
 }

@@ -116,7 +116,7 @@ func marshalPooled(m *msg.Msg) *bufpool.Buffer {
 type writeScratch struct {
 	hdr    []byte
 	bufs   net.Buffers
-	shared []string
+	shared []trafficClass
 	// io is the consumable slice header handed to net.Buffers.WriteTo,
 	// which advances it as bytes drain. WriteTo takes its receiver's
 	// address through an interface, so calling it on a stack local
@@ -238,7 +238,7 @@ func uvarintLen(n int) int {
 type sendItem struct {
 	enc   []byte          // marshalled message; nil for a fence or control word
 	own   *bufpool.Buffer // pooled buffer backing enc (SendOwned); released by the writer
-	class string          // traffic class, for coalescing accounting
+	class trafficClass    // for coalescing accounting
 	fence chan error
 	ctrl  uint32 // control word (> maxFrameLen); 0 for messages/fences
 }
@@ -268,7 +268,7 @@ func newSendQueue(limit int, onStall func(int64)) *sendQueue {
 }
 
 // put appends an item, blocking while the queue is at its bound. A
-// sender blocked here when the queue closes is woken with ErrClosed; a
+// sender blocked here when the queue closes is woken with errClosed; a
 // latched write error fails the send immediately (the peer is dead and
 // the writer only discards). Time spent blocked is reported through
 // onStall (the wire.queue_stall counters) so saturated peers show up
@@ -286,7 +286,7 @@ func (q *sendQueue) put(it sendItem) error {
 		}
 	}
 	if q.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if q.failed != nil {
 		return q.failed

@@ -1,7 +1,6 @@
 package transport_test
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -12,8 +11,8 @@ import (
 
 // TestTCPWriteErrorLatched kills one pair's wire with a message queued
 // on it. The loss is reported the way a mesh member reports it: the
-// next send to that peer fails with *ErrPeerDown, and a Call in flight
-// to it fails with *ErrPeerDown instead of hanging, because node 0's
+// next send to that peer fails with a peer-down error, and a Call in flight
+// to it fails with a peer-down error instead of hanging, because node 0's
 // kernel hears its own member's latch. Flush does not report it — a
 // latched peer's loss reaches callers through their pending calls (see
 // MeshNetwork.Flush). The node's other destinations are unaffected.
@@ -43,17 +42,18 @@ func TestTCPWriteErrorLatched(t *testing.T) {
 	transport.PairConn(tcp, 0, 1).Close() // the wire dies with the request queued
 	release()
 
-	var pd *transport.ErrPeerDown
 	select {
 	case err := <-called:
-		if !errors.As(err, &pd) || pd.Node != 1 {
-			t.Fatalf("call in flight over the dead wire = %v, want *ErrPeerDown for node 1", err)
+		if peer, down := transport.PeerDownOf(err); !down || peer != 1 {
+			t.Fatalf("call in flight over the dead wire = %v, want node 1's peer-down error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("call in flight over the dead wire never failed")
 	}
-	if err := tcp.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1}); !errors.As(err, &pd) {
-		t.Fatalf("send after wire failure = %v, want *ErrPeerDown", err)
+	if err := tcp.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 1}); err == nil {
+		t.Fatal("send after wire failure succeeded")
+	} else if _, down := transport.PeerDownOf(err); !down {
+		t.Fatalf("send after wire failure = %v, want a peer-down error", err)
 	}
 	// Other peers are unaffected (self-connection still works).
 	if err := tcp.Endpoint(0).Send(&msg.Msg{Kind: msg.KindPing, To: 0}); err != nil {

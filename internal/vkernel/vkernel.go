@@ -66,11 +66,11 @@
 // transports that detect peer death (transport.PeerDownNotifier — both
 // wire transports), a latched wire failure fails exactly the
 // pending calls aimed at the dead peer's generation with
-// *transport.ErrPeerDown instead of leaving them blocked until Close;
+// a peer-down error (transport.PeerDownOf) instead of leaving them blocked until Close;
 // the epoch tag keeps a stale outage notification from killing calls
 // started after a policy reconnect. A peer that departs cleanly
 // (goodbye — transport.PeerGoneNotifier) fails its remaining pending
-// calls with *transport.ErrPeerGone, and only after every reply it
+// calls with a peer-gone error (transport.PeerGoneOf), and only after every reply it
 // actually sent has been dispatched, so an in-flight reply never loses
 // a race to the latch. The kernel counts the failures as
 // call.failed_peer / call.failed_gone (see Counters).
@@ -91,8 +91,12 @@ import (
 	"munin/internal/transport"
 )
 
-// ErrClosed is returned by calls on a closed kernel.
-var ErrClosed = errors.New("vkernel: closed")
+// errClosed is returned by calls on a closed kernel.
+var errClosed = errors.New("vkernel: closed")
+
+// IsClosed reports whether err is, or wraps, the error of a call on a
+// closed kernel.
+func IsClosed(err error) bool { return errors.Is(err, errClosed) }
 
 // Handler processes one incoming request. If the sender used Call, the
 // handler must eventually invoke k.Reply(req, ...) exactly once.
@@ -173,13 +177,10 @@ type Kernel struct {
 	// before traffic flows.
 	ranges atomic.Pointer[[]handlerRange]
 
-	// C counts kernel-level events: call.failed_peer (pending calls
-	// failed because their destination's wire died), call.failed_gone
-	// (pending calls failed because their destination departed cleanly
-	// with nothing more to say), drop.unhandled (requests of a kind no
-	// handler is registered for) and drop.stray_reply (replies whose
-	// call is no longer pending).
-	C stats.Set
+	// C names the kernel's counters (ctr) and the lock service's
+	// (dlock binds them here).
+	C   stats.Set
+	ctr stats.Vkernel
 }
 
 type handlerRange struct {
@@ -264,9 +265,9 @@ func New(net transport.Network, node msg.NodeID) *Kernel {
 //
 // If the node's endpoint reports peer death (transport.PeerDownNotifier),
 // the kernel subscribes so pending calls aimed at a dead peer fail with
-// *transport.ErrPeerDown instead of blocking until Close; if it reports
+// a peer-down error (transport.PeerDownOf) instead of blocking until Close; if it reports
 // clean departures (transport.PeerGoneNotifier), calls whose replies
-// truly never arrived fail with *transport.ErrPeerGone — after every
+// truly never arrived fail with a peer-gone error (transport.PeerGoneOf) — after every
 // reply the peer did send has been dispatched. The endpoint, not the
 // network, is asked because an in-process network holds every node and
 // each node hears only its own latches.
@@ -280,6 +281,7 @@ func NewUnstarted(net transport.Network, node msg.NodeID) *Kernel {
 		done:    make(chan struct{}),
 		work:    make(chan request),
 	}
+	k.C.Bind(&k.ctr)
 	k.epochs, _ = net.(transport.PeerEpochs)
 	if pn, ok := k.ep.(transport.PeerDownNotifier); ok {
 		pn.OnPeerDown(k.peerDown)
@@ -314,7 +316,7 @@ func (k *Kernel) peerEpoch(dst msg.NodeID) uint64 {
 // replies fails whole: its synchronization guarantee (every
 // destination acknowledged) can no longer be met.
 func (k *Kernel) peerDown(peer msg.NodeID, epoch uint64, err error) {
-	k.failAwaiting(err, stats.CCallFailedPeer, func(p *Pending) bool {
+	k.failAwaiting(err, &k.ctr.CallFailedPeer, func(p *Pending) bool {
 		return p.awaitingEpoch(peer, epoch)
 	})
 }
@@ -325,12 +327,12 @@ func (k *Kernel) peerDown(peer msg.NodeID, epoch uint64, err error) {
 // only calls whose replies genuinely never arrived are failed, which
 // is the race the goodbye protocol exists to close.
 func (k *Kernel) peerGone(peer msg.NodeID, err error) {
-	k.failAwaiting(err, stats.CCallFailedGone, func(p *Pending) bool {
+	k.failAwaiting(err, &k.ctr.CallFailedGone, func(p *Pending) bool {
 		return p.awaiting(peer, false)
 	})
 }
 
-func (k *Kernel) failAwaiting(err error, counter string, match func(*Pending) bool) {
+func (k *Kernel) failAwaiting(err error, counter *stats.Counter, match func(*Pending) bool) {
 	k.mu.Lock()
 	var failed []*Pending
 	for seq, p := range k.pending {
@@ -341,16 +343,13 @@ func (k *Kernel) failAwaiting(err error, counter string, match func(*Pending) bo
 	}
 	k.mu.Unlock()
 	for _, p := range failed {
-		k.C.Add(counter, 1)
+		counter.Inc()
 		select {
 		case p.fail <- err:
 		default: // already failed (second peer died first)
 		}
 	}
 }
-
-// Counters returns a snapshot of the kernel's event counters.
-func (k *Kernel) Counters() map[string]int64 { return k.C.Snapshot() }
 
 // Node returns this kernel's node ID.
 func (k *Kernel) Node() msg.NodeID { return k.node }
@@ -414,7 +413,7 @@ func (k *Kernel) register(inline func(*msg.Msg), dsts ...msg.NodeID) (uint64, *P
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
-		return 0, nil, ErrClosed
+		return 0, nil, errClosed
 	}
 	k.pending[seq] = p
 	k.mu.Unlock()
@@ -434,12 +433,12 @@ func (k *Kernel) unregister(seq uint64) {
 // A request aimed at a peer whose wire dies — the dial failed, a write
 // was lost, or the established connection broke — has no reply coming;
 // on transports that detect peer death (the mesh), Wait returns
-// *transport.ErrPeerDown for it promptly instead of blocking until the
+// a peer-down error (transport.PeerDownOf) for it promptly instead of blocking until the
 // kernel closes. A request whose peer departs cleanly (goodbye) fails
-// with *transport.ErrPeerGone, but only after every reply the peer
+// with a peer-gone error (transport.PeerGoneOf), but only after every reply the peer
 // actually sent has been dispatched — an in-flight reply always wins
 // over the departure. On the loopback transports a connection only
-// dies at shutdown, where Close unblocks every waiter with ErrClosed.
+// dies at shutdown, where Close unblocks every waiter with errClosed.
 func (p *Pending) Wait() ([]*msg.Msg, error) {
 	lockrank.Blocking()
 	if p == nil || p.want == 0 {
@@ -464,7 +463,7 @@ func (p *Pending) next() (*msg.Msg, error) {
 	case err := <-p.fail:
 		return nil, err
 	case <-p.k.done:
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 }
 
@@ -702,7 +701,7 @@ func (k *Kernel) MulticastTo(members []msg.NodeID, kind msg.Kind, payload []byte
 	return k.net.Multicast(m, dst)
 }
 
-// Close shuts the kernel down. Pending Calls fail with ErrClosed.
+// Close shuts the kernel down. Pending Calls fail with errClosed.
 func (k *Kernel) Close() {
 	k.mu.Lock()
 	if k.closed {
@@ -752,7 +751,7 @@ func (k *Kernel) dispatchLoop() {
 				p.ch <- m
 			} else {
 				// Late: the call failed or the kernel closed it.
-				k.C.Add(stats.CDropStrayReply, 1)
+				k.ctr.DropStrayReply.Inc()
 			}
 			continue
 		}
@@ -762,7 +761,7 @@ func (k *Kernel) dispatchLoop() {
 		}
 		if h == nil {
 			// Nobody to hand it to: drop, like an unbound port.
-			k.C.Add(stats.CDropUnhandled, 1)
+			k.ctr.DropUnhandled.Inc()
 			continue
 		}
 		// Hand the request to a parked worker if one is waiting; the

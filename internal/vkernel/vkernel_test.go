@@ -11,7 +11,6 @@ import (
 
 	"munin/internal/msg"
 	"munin/internal/netutil"
-	"munin/internal/stats"
 	"munin/internal/transport"
 )
 
@@ -209,7 +208,7 @@ func TestUnhandledKindDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ping was dispatched behind the stray, so the drop is counted.
-	if got := ks[1].Counters()[stats.CDropUnhandled]; got != 1 {
+	if got := ks[1].ctr.DropUnhandled.Load(); got != 1 {
 		t.Fatalf("drop.unhandled = %d, want 1", got)
 	}
 }
@@ -240,7 +239,7 @@ func TestLateReplyCounted(t *testing.T) {
 	if reply, err = ks[0].Call(1, msg.KindPing, nil); err != nil || string(reply.Payload) != "first" {
 		t.Fatalf("next call: %v, %v", reply, err)
 	}
-	if got := ks[0].Counters()[stats.CDropStrayReply]; got != 1 {
+	if got := ks[0].ctr.DropStrayReply.Load(); got != 1 {
 		t.Fatalf("drop.stray_reply = %d, want 1", got)
 	}
 }
@@ -352,8 +351,8 @@ func TestCallAfterCloseFails(t *testing.T) {
 	k1 := New(net, 1)
 	_ = k1
 	k0.Close()
-	if _, err := k0.Call(1, msg.KindPing, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if _, err := k0.Call(1, msg.KindPing, nil); !errors.Is(err, errClosed) {
+		t.Fatalf("err = %v, want errClosed", err)
 	}
 	net.Close()
 	k0.Wait()
@@ -372,8 +371,8 @@ func TestPendingCallFailsOnClose(t *testing.T) {
 		errc <- err
 	}()
 	k0.Close()
-	if err := <-errc; !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if err := <-errc; !errors.Is(err, errClosed) {
+		t.Fatalf("err = %v, want errClosed", err)
 	}
 	net.Close()
 	k0.Wait()
@@ -438,7 +437,7 @@ func newMeshKernels(t *testing.T) (k0, k1 *Kernel, net0, net1 *transport.MeshNet
 
 // TestBlockedCallFailsWithErrPeerDownOnWireDeath is the ROADMAP's
 // wire-death acceptance shape: a Call blocked on a reply returns
-// *transport.ErrPeerDown promptly (well under a second) when the
+// a peer-down error (transport.PeerDownOf) promptly (well under a second) when the
 // peer's connection dies mid-call, instead of hanging until Close.
 func TestBlockedCallFailsWithErrPeerDownOnWireDeath(t *testing.T) {
 	k0, k1, net0, _ := newMeshKernels(t)
@@ -474,9 +473,8 @@ func TestBlockedCallFailsWithErrPeerDownOnWireDeath(t *testing.T) {
 
 	select {
 	case out := <-res:
-		var pd *transport.ErrPeerDown
-		if !errors.As(out.err, &pd) || pd.Node != 0 {
-			t.Fatalf("blocked call returned %v, want *ErrPeerDown{Node: 0}", out.err)
+		if peer, down := transport.PeerDownOf(out.err); !down || peer != 0 {
+			t.Fatalf("blocked call returned %v, want node 0's peer-down error", out.err)
 		}
 		if waited := time.Since(killAt); waited > time.Second {
 			t.Fatalf("call took %v after the wire died, want < 1s", waited)
@@ -484,7 +482,7 @@ func TestBlockedCallFailsWithErrPeerDownOnWireDeath(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked call never returned after the wire died")
 	}
-	if got := k1.Counters()["call.failed_peer"]; got != 1 {
+	if got := k1.ctr.CallFailedPeer.Load(); got != 1 {
 		t.Fatalf("call.failed_peer = %d, want 1", got)
 	}
 }
@@ -502,7 +500,7 @@ func TestReplyBeatsLatePeerDeath(t *testing.T) {
 	}
 	net0.Close()
 	// The completed call is untouched; only the counter stays zero.
-	if got := k1.Counters()["call.failed_peer"]; got != 0 {
+	if got := k1.ctr.CallFailedPeer.Load(); got != 0 {
 		t.Fatalf("call.failed_peer = %d after a completed call, want 0", got)
 	}
 }
@@ -512,7 +510,7 @@ func TestReplyBeatsLatePeerDeath(t *testing.T) {
 // one call and departs IMMEDIATELY, with the reply still in flight,
 // while a second call it never answered stays pending. The answered
 // call must receive its reply — never a latch error — and exactly the
-// unanswered call fails, with the typed *transport.ErrPeerGone and
+// unanswered call fails, with a peer-gone error (transport.PeerGoneOf) and
 // counted as call.failed_gone.
 func TestGoodbyeDeliversReplyAndFailsOnlyUnanswered(t *testing.T) {
 	k0, k1, net0, _ := newMeshKernels(t)
@@ -560,17 +558,16 @@ func TestGoodbyeDeliversReplyAndFailsOnlyUnanswered(t *testing.T) {
 	}
 	select {
 	case err := <-parkedRes:
-		var pg *transport.ErrPeerGone
-		if !errors.As(err, &pg) || pg.Node != 0 {
-			t.Fatalf("unanswered call = %v, want *transport.ErrPeerGone{Node: 0}", err)
+		if peer, gone := transport.PeerGoneOf(err); !gone || peer != 0 {
+			t.Fatalf("unanswered call = %v, want node 0's peer-gone error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("unanswered call never failed after the departure")
 	}
-	if got := k1.Counters()["call.failed_gone"]; got != 1 {
+	if got := k1.ctr.CallFailedGone.Load(); got != 1 {
 		t.Fatalf("call.failed_gone = %d, want 1", got)
 	}
-	if got := k1.Counters()["call.failed_peer"]; got != 0 {
+	if got := k1.ctr.CallFailedPeer.Load(); got != 0 {
 		t.Fatalf("call.failed_peer = %d after a clean departure, want 0", got)
 	}
 }
@@ -650,9 +647,9 @@ func TestForwardedReplyCompletesOriginalCall(t *testing.T) {
 				t.Fatalf("reply = %q, want the forwarder's or the server's", got)
 			}
 			deadline := time.Now().Add(5 * time.Second)
-			for ks[0].Counters()[stats.CDropStrayReply] != 1 {
+			for ks[0].ctr.DropStrayReply.Load() != 1 {
 				if time.Now().After(deadline) {
-					t.Fatalf("drop.stray_reply = %d, want 1", ks[0].Counters()[stats.CDropStrayReply])
+					t.Fatalf("drop.stray_reply = %d, want 1", ks[0].ctr.DropStrayReply.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -665,7 +662,7 @@ func TestForwardedReplyCompletesOriginalCall(t *testing.T) {
 			if _, err := ks[0].Call(1, msg.KindPing, []byte("z")); err != nil {
 				t.Fatal(err)
 			}
-			if got := ks[2].Counters()[stats.CDropUnhandled]; got != 1 {
+			if got := ks[2].ctr.DropUnhandled.Load(); got != 1 {
 				t.Fatalf("drop.unhandled at the server = %d, want 1", got)
 			}
 		})
@@ -675,7 +672,7 @@ func TestForwardedReplyCompletesOriginalCall(t *testing.T) {
 // TestForwardedCallFailsWhenHomeDies: what fails a forwarded call is the
 // loss of the node it was addressed to. The caller's kernel knows no
 // other destination, so when the forwarder's wire dies while the third
-// node still sits on the request, the call returns *ErrPeerDown naming
+// node still sits on the request, the call returns a peer-down error naming
 // the forwarder — promptly, not at Close. It hangs if a forwarded call
 // were taken out of the peer-down sweep (say, by re-addressing the
 // Pending to the node that will answer).
@@ -731,11 +728,21 @@ func TestForwardedCallFailsWhenHomeDies(t *testing.T) {
 	nets[0].Kill()
 	select {
 	case err := <-res:
-		var pd *transport.ErrPeerDown
-		if !errors.As(err, &pd) || pd.Node != 0 {
-			t.Fatalf("forwarded call returned %v, want *ErrPeerDown{Node: 0}", err)
+		if peer, down := transport.PeerDownOf(err); !down || peer != 0 {
+			t.Fatalf("forwarded call returned %v, want node 0's peer-down error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("forwarded call never returned after the forwarder died")
+	}
+}
+
+// TestIsClosedSeesThroughWrapping: a call on a closed kernel fails with
+// the error IsClosed matches, however the caller wraps it.
+func TestIsClosedSeesThroughWrapping(t *testing.T) {
+	ks, _ := newTestKernels(t, 2)
+	ks[0].Close()
+	_, err := ks[0].Call(1, msg.KindPing, nil)
+	if !IsClosed(err) || !IsClosed(fmt.Errorf("flush: %w", err)) || IsClosed(fmt.Errorf("flush: %v", err)) {
+		t.Fatalf("call on a closed kernel: %v; IsClosed must match it through %%w only", err)
 	}
 }
