@@ -56,16 +56,28 @@ func runWithin(t *testing.T, s *System, nthreads int, body func(c api.Ctx)) {
 // the releases: 4 + 2 + 2 + 2 = 10. With a second thread on both nodes
 // neither carries, and the round costs what every round did before
 // barriers carried updates: 4 + 4 + 4 = 12.
+//
+// With the barrier and the objects homed on node 0, node 0's
+// participant takes part like any other, but its arrival is no message.
+// Alone on its node it carries its updates too, already in the home
+// copies: node 1's arrival and its release, which brings back node 0's
+// updates, are the whole round, 2. Beside a second thread on node 0 it
+// merges its updates in place before it arrives, relaying them to node
+// 1, acked: 2 + 2 = 4.
 func TestCarriedBarrierRoundCounts(t *testing.T) {
+	byParity := func(id, _, _ int) msg.NodeID { return msg.NodeID(id % 2) }
 	cases := []struct {
 		name    string
+		home    msg.NodeID // of the barrier and the objects
 		threads int
 		place   threads.Placement
 		want    int64
 	}{
-		{"alone on nodes 0 and 1", 2, nil, 4},
-		{"a second thread on node 0", 3, func(id, _, _ int) msg.NodeID { return msg.NodeID(id % 2) }, 10},
-		{"a second thread on both nodes", 4, func(id, _, _ int) msg.NodeID { return msg.NodeID(id % 2) }, 12},
+		{"alone on nodes 0 and 1", 2, 2, nil, 4},
+		{"a second thread on node 0", 2, 3, byParity, 10},
+		{"a second thread on both nodes", 2, 4, byParity, 12},
+		{"the home's participant alone on its node", 0, 2, nil, 2},
+		{"a second thread beside the home's participant", 0, 3, byParity, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,9 +87,9 @@ func TestCarriedBarrierRoundCounts(t *testing.T) {
 			}
 			defer s.Close()
 			const objects = 64
-			bar := barrierHomedOn(s, 2)
+			bar := barrierHomedOn(s, int(tc.home))
 			opts := protocol.DefaultOptions()
-			opts.Home = 2
+			opts.Home = tc.home
 			objs := make([]api.RegionID, objects)
 			for o := range objs {
 				objs[o] = s.Alloc(fmt.Sprintf("o%d", o), 1024, protocol.WriteMany, opts, nil)
@@ -206,13 +218,12 @@ func TestNonParticipantBesideParkedParticipant(t *testing.T) {
 
 // TestCarriedUpdatesOfOneObjectConverge: three threads, one a node,
 // each write their own word of every object each round and meet at a
-// barrier homed on node 2. Nodes 0 and 1 carry their updates of the
-// objects homed on node 2, so the home stamps two carried updates of
-// each such object in one merge and each release must apply the other
-// participant's before advancing past its own; node 2's thread merges
-// its own in place, and the objects homed on node 0 take the ordinary
-// flush. After every barrier every thread reads every word of the
-// round.
+// barrier homed on node 2. Every thread carries its updates of the
+// objects homed on node 2 — node 2's are already in its home copies —
+// so the home stamps three updates of each such object in one merge and
+// each release must apply the others' before advancing past its own;
+// the objects homed on node 0 take the ordinary flush. After every
+// barrier every thread reads every word of the round.
 func TestCarriedUpdatesOfOneObjectConverge(t *testing.T) {
 	s := newSys(t, 3)
 	bar := barrierHomedOn(s, 2)
@@ -252,7 +263,7 @@ func TestCarriedUpdatesOfOneObjectConverge(t *testing.T) {
 			}
 		}
 	})
-	for node := 0; node < 2; node++ {
+	for node := 0; node < 3; node++ {
 		if s.NodeCounters(node)["barrier.carried"] == 0 {
 			t.Errorf("node %d carried nothing", node)
 		}

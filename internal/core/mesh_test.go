@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"munin/internal/api"
+	"munin/internal/dlock"
 	"munin/internal/msg"
 	"munin/internal/netutil"
 	"munin/internal/protocol"
@@ -399,26 +400,124 @@ func TestMeshBarrierMemberDiesParked(t *testing.T) {
 		}
 		ran.Done()
 		ran.Wait()
-		if sys.Self() == home && got != 7 {
-			return fmt.Errorf("read %d after the barrier, want the dead member's 7", got)
+		return survivorVerdict(sys, home, got, err)
+	}
+	for i, err := range spmdMembers(t, meshTopos(t, 3), program) {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
 		}
-		// Node 0 may fail the exit gate and leave before the other
-		// survivor's arrival lands there, which is node 0 lost to it.
-		if err == nil || !strings.Contains(err.Error(), "lost") {
-			return fmt.Errorf("Run = %v, want the member-lost error", err)
+	}
+}
+
+// survivorVerdict checks what a survivor of a member that died parked
+// at a barrier reports: the home's participant read the dead member's
+// carried word (got) after the barrier, and each survivor's Run failed
+// at the exit gate with the member-lost error, its arrival unpurged.
+func survivorVerdict(sys *System, home int, got uint64, err error) error {
+	if sys.Self() == home && got != 7 {
+		return fmt.Errorf("read %d after the barrier, want the dead member's 7", got)
+	}
+	// Node 0 may fail the exit gate and leave before the other
+	// survivor's arrival lands there, which is node 0 lost to it.
+	if err == nil || !strings.Contains(err.Error(), "lost") {
+		return fmt.Errorf("Run = %v, want the member-lost error", err)
+	}
+	// Node 0's verdict wraps a lost member's typed cause: the victim's
+	// wire death, or the other survivor's goodbye when it has already
+	// left.
+	_, down := transport.PeerDownOf(err)
+	_, gone := transport.PeerGoneOf(err)
+	if sys.Self() == 0 && !down && !gone {
+		return fmt.Errorf("Run = %v, want it to wrap a peer-down or peer-gone error", err)
+	}
+	if n := sys.clu.Kernel(sys.self).C.Get("dlock.barrier_purged"); n != 0 {
+		return fmt.Errorf("purged %d barrier arrivals of a member that cannot come back", n)
+	}
+	return nil
+}
+
+// TestMeshBarrierMemberDiesBesideParkedHome is
+// TestMeshBarrierMemberDiesParked with the home's participant parked
+// first: it arrives without a message, a local waiter in the barrier's
+// state with no call of its own, and only then does the victim's
+// carried arrival park beside it and its member die. The other survivor
+// then arrives and completes the barrier, the dead member's arrival
+// counted; the home's participant must be handed its release, read the
+// dead member's word, and fail at the exit gate like the other
+// survivor.
+func TestMeshBarrierMemberDiesBesideParkedHome(t *testing.T) {
+	var (
+		victimSys atomic.Pointer[System]
+		homeLocks atomic.Pointer[dlock.Service]
+		downOnce  sync.Once
+		ran       sync.WaitGroup
+	)
+	killed := make(chan struct{})
+	downSeen := make(chan struct{})
+	ran.Add(2)
+	// arrived waits until the home holds n arrivals at bar.
+	arrived := func(bar dlock.BarrierID, n int) bool {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if ls := homeLocks.Load(); ls != nil && ls.BarrierArrived(bar) >= n {
+				return true
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("the home never held %d arrivals", n)
+				return false
+			}
 		}
-		// Node 0's verdict wraps a lost member's typed cause: the
-		// victim's wire death, or the other survivor's goodbye when it
-		// has already left.
-		_, down := transport.PeerDownOf(err)
-		_, gone := transport.PeerGoneOf(err)
-		if sys.Self() == 0 && !down && !gone {
-			return fmt.Errorf("Run = %v, want it to wrap a peer-down or peer-gone error", err)
+	}
+	program := func(sys *System) error {
+		bar := sys.NewBarrier()
+		ls := sys.locks[sys.self]
+		home := int(ls.BarrierHome(bar))
+		victim := 2 // neither the barrier's home nor node 0, whose gate must survive
+		if home == 2 {
+			victim = 1
 		}
-		if n := sys.clu.Kernel(sys.self).C.Get("dlock.barrier_purged"); n != 0 {
-			return fmt.Errorf("purged %d barrier arrivals of a member that cannot come back", n)
+		opts := protocol.DefaultOptions()
+		opts.Home = msg.NodeID(home)
+		x := sys.Alloc("x", 64, protocol.WriteMany, opts, nil)
+		switch sys.Self() {
+		case home:
+			homeLocks.Store(ls)
+			sys.clu.Network().(transport.PeerDownNotifier).OnPeerDown(func(peer msg.NodeID, _ uint64, _ error) {
+				if int(peer) == victim {
+					downOnce.Do(func() { close(downSeen) })
+				}
+			})
+		case victim:
+			victimSys.Store(sys)
 		}
-		return nil
+		var got uint64
+		err := sys.RunErr(3, func(c api.Ctx) {
+			switch c.ThreadID() {
+			case home:
+				c.Barrier(bar, 3) // parks first, a local waiter
+				got = api.ReadU64(c, x, 16)
+			case victim:
+				defer func() { recover() }() // the barrier fails as its member dies
+				if !arrived(bar, 1) {
+					return
+				}
+				api.WriteU64(c, x, 16, 7) // rides the arrival: the thread is alone on its node
+				c.Barrier(bar, 3)         // its member dies parked here
+			default: // the other survivor
+				if arrived(bar, 2) {
+					victimSys.Load().clu.Kill()
+				}
+				close(killed)
+				<-downSeen
+				c.Barrier(bar, 3)
+			}
+		})
+		if sys.Self() == victim {
+			<-killed
+			return nil // killed mid-Run: whatever its Run reports
+		}
+		ran.Done()
+		ran.Wait()
+		return survivorVerdict(sys, home, got, err)
 	}
 	for i, err := range spmdMembers(t, meshTopos(t, 3), program) {
 		if err != nil {

@@ -157,7 +157,23 @@ type barrierState struct {
 	mu lockrank.Mutex[lockrank.BarrierHome]
 	// n is the open epoch's participant count, 0 while none is open.
 	n       int
-	arrived []*msg.Msg
+	arrived []arrival
+}
+
+// arrival is one participant parked at a barrier's home: a remote one's
+// request, which its release replies to, or a local one's waiter, which
+// its release is handed to.
+type arrival struct {
+	Arrival
+	req  *msg.Msg      // a remote participant's arrival, nil for a local one
+	wake chan released // a local participant's hand-off, nil for a remote one
+}
+
+// released is what a local participant's release hands it: its body and
+// the error the home met publishing the updates.
+type released struct {
+	body []byte
+	err  error
 }
 
 type atomicState struct {

@@ -8,6 +8,7 @@ import (
 
 	"munin/internal/cluster"
 	"munin/internal/msg"
+	"munin/internal/vkernel"
 )
 
 // harness builds an n-node cluster with a lock service on every node.
@@ -253,10 +254,11 @@ func TestBarrierReusableAcrossEpochs(t *testing.T) {
 }
 
 // TestBarrierRepliesRemoteFirst: the home's own participant arrives
-// first, yet when it wakes every reply of the round has been sent — the
-// remote participants' before its own. A home participant woken first
-// could end its Run and say goodbye before the other replies were
-// queued, and they would be lost.
+// first, parking in the barrier's state without a message, yet when its
+// release is handed to it every remote participant's release has been
+// queued: the home's messages when it wakes are all the home sends in
+// the round. A home participant woken first could end its Run and say
+// goodbye before the other replies were queued, and they would be lost.
 func TestBarrierRepliesRemoteFirst(t *testing.T) {
 	const id, parties, rounds = BarrierID(3), 3, 50
 	c, svcs := harness(t, parties)
@@ -289,6 +291,36 @@ func TestBarrierRepliesRemoteFirst(t *testing.T) {
 		if total := c.Stats().NodeSent(h) - base; atWake != total {
 			t.Fatalf("round %d: the home's participant woke with %d of the home's %d messages sent", r, atWake, total)
 		}
+	}
+}
+
+// TestBarrierLocalWaiterFailsOnClose: a participant at a barrier homed
+// on its own node arrives without a message and waits on no call, so no
+// peer's death or departure can fail it. When its node closes it must
+// return the kernel's close error, not hang.
+func TestBarrierLocalWaiterFailsOnClose(t *testing.T) {
+	const id = BarrierID(3)
+	c, svcs := harness(t, 2)
+	h := svcs[0].BarrierHome(id)
+	got := make(chan error, 1)
+	go func() {
+		_, err := svcs[h].BarrierCarry(id, 2, 0, nil)
+		got <- err
+	}()
+	for svcs[h].BarrierArrived(id) == 0 {
+		time.Sleep(10 * time.Microsecond)
+	}
+	if n := c.Stats().Messages(); n != 0 {
+		t.Fatalf("the home's own arrival sent %d messages, want 0", n)
+	}
+	c.Kernel(h).Close()
+	select {
+	case err := <-got:
+		if !vkernel.IsClosed(err) {
+			t.Fatalf("the parked participant returned %v, want the kernel's close error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked participant did not return within 5 s of its node closing")
 	}
 }
 

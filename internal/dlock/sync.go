@@ -2,6 +2,7 @@ package dlock
 
 import (
 	"fmt"
+	"slices"
 
 	"munin/internal/cluster"
 	"munin/internal/failpoint"
@@ -13,11 +14,14 @@ import (
 // ---------------------------------------------------------------------
 // Barriers
 //
-// A barrier is homed on one node; arrivals are Calls that the home holds
-// open until the last participant arrives, then all replies are released
-// at once. A generation counter is unnecessary because a participant
-// cannot re-arrive before its own release reply, and replies are sent
-// before the next epoch's state is created.
+// A barrier is homed on one node, which holds every arrival of an epoch
+// until the last participant arrives, then releases them all at once. A
+// participant on another node arrives with a Call that the home leaves
+// parked; a participant on the home itself enters the barrier's state
+// directly and waits for its release to be handed to it, so its arrival
+// sends no message. A generation counter is unnecessary because a
+// participant cannot re-arrive before its own release, and every
+// release is out before the next epoch's state is created.
 //
 // An arrival is the barrier's ID and participant count (12 bytes),
 // followed by what it carries: updates the participant publishes at the
@@ -25,9 +29,9 @@ import (
 // it arrives and merges every carried part once, at the last arrival,
 // through the hooks the coherence layer attached (AttachBarrier); each
 // release then carries that participant's part of the merge. A release
-// is empty when it carries nothing and the merge met no error;
-// otherwise it is the error's text (a length-prefixed string, empty for
-// none) followed by the participant's part.
+// on the wire is empty when it carries nothing and the merge met no
+// error; otherwise it is the error's text (a length-prefixed string,
+// empty for none) followed by the participant's part.
 
 // barrierHeader is the size of an arrival that carries nothing: the
 // barrier's ID (U32) and participant count (Int).
@@ -37,8 +41,7 @@ const barrierHeader = 12
 type Arrival struct {
 	From msg.NodeID
 	// Carried is the arrival past its header: the updates it carries,
-	// empty when it carries none. It aliases the arrival's payload,
-	// which the home keeps until the release.
+	// empty when it carries none. The home keeps it until the release.
 	Carried []byte
 }
 
@@ -63,8 +66,9 @@ func (s *Service) BarrierHome(id BarrierID) msg.NodeID {
 }
 
 // BarrierArrived returns how many arrivals barrier id's open epoch has
-// parked at this node, its home; 0 when none is open. A test waits on
-// it to stage a member's death with its arrival parked.
+// parked at this node, its home, its own participants' included; 0 when
+// none is open. A test waits on it to stage a member's death with its
+// arrival parked.
 func (s *Service) BarrierArrived(id BarrierID) int {
 	s.mu.Lock()
 	b := s.barriers[id]
@@ -79,7 +83,7 @@ func (s *Service) BarrierArrived(id BarrierID) int {
 
 // BarrierWait blocks until n participants (including the caller) have
 // arrived at barrier id. It panics, like every rendezvous here, if the
-// arrival's call fails or the home reports an error.
+// arrival fails or the home reports an error.
 func (s *Service) BarrierWait(id BarrierID, n int) {
 	lockrank.Blocking()
 	if _, err := s.BarrierCarry(id, n, 0, nil); err != nil {
@@ -91,10 +95,12 @@ func (s *Service) BarrierWait(id BarrierID, n int) {
 // carry writes the size bytes of the carried part behind the header
 // (size 0 sends the plain 12-byte arrival, and carry is not called). It
 // returns the release's body — this participant's part of the home's
-// merge — and the error the arrival's call failed with or the home
-// reported; the body is returned with the home's error too, because
-// the merge happened. A one-party barrier sends nothing, so the caller
-// must not hand it a carried part.
+// merge — and the error the arrival failed with or the home reported;
+// the body is returned with the home's error too, because the merge
+// happened. An arrival at a barrier homed on this node sends nothing:
+// it fails only if it is malformed or the kernel closes while it waits.
+// A one-party barrier sends nothing either, so the caller must not hand
+// it a carried part.
 func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Builder)) ([]byte, error) {
 	lockrank.Blocking()
 	if n <= 0 {
@@ -107,6 +113,9 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 		return nil, nil
 	}
 	home := s.BarrierHome(id)
+	if home == s.k.Node() {
+		return s.waitHere(id, n, size, carry)
+	}
 	wb, b := vkernel.NewWire(barrierHeader + size)
 	b.U32(uint32(id)).Int(n)
 	if size > 0 {
@@ -117,9 +126,9 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 	if err != nil {
 		return nil, err
 	}
-	if size > 0 {
-		// A failed fence means the arrival may never leave: the peer's
-		// wire died (which fails the call too) or the node is closing.
+	if size > 0 && failpoint.Armed(failpoint.BarrierCarried) {
+		// The crash point wants the arrival on the wire; Wait reports a
+		// dead wire or a closing node without this fence.
 		if err := s.k.Flush(); err != nil {
 			return nil, err
 		}
@@ -142,6 +151,27 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 	return body, nil
 }
 
+// waitHere is BarrierCarry's arrival at a barrier homed on this node:
+// it enters the barrier's state as any arrival does and waits for its
+// release, or for the kernel to close.
+func (s *Service) waitHere(id BarrierID, n, size int, carry func(b *msg.Builder)) ([]byte, error) {
+	a := arrival{Arrival: Arrival{From: s.k.Node()}, wake: make(chan released, 1)}
+	if size > 0 {
+		b := msg.NewBuilder(size)
+		carry(b)
+		a.Carried = b.Bytes()
+	}
+	if ok, _ := s.arrive(id, n, a); !ok {
+		return nil, fmt.Errorf("barrier %d: this node's own arrival was dropped as malformed", id)
+	}
+	select {
+	case r := <-a.wake:
+		return r.body, r.err
+	case <-s.k.Done():
+		return nil, s.k.Err()
+	}
+}
+
 func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := BarrierID(r.U32())
@@ -151,18 +181,33 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
-	a := Arrival{From: req.From, Carried: req.Payload[barrierHeader:]}
+	ok, last := s.arrive(id, n, arrival{Arrival: Arrival{From: req.From, Carried: req.Payload[barrierHeader:]}, req: req})
+	switch {
+	case !ok:
+		return vkernel.Dropped
+	case last:
+		return vkernel.Replied
+	}
+	return vkernel.Parked
+}
+
+// arrive enters a into barrier id's open epoch of n participants and,
+// if it is the last to arrive, releases the epoch. An arrival whose
+// carried part fails its check, or whose count disagrees with the open
+// epoch's, is dropped (dlock.drop_malformed): ok is false and it does
+// not count.
+func (s *Service) arrive(id BarrierID, n int, a arrival) (ok, last bool) {
 	s.mu.Lock()
-	b, ok := s.barriers[id]
-	if !ok {
+	b, found := s.barriers[id]
+	if !found {
 		b = &barrierState{}
 		s.barriers[id] = b
 	}
 	check, merge := s.barrierCheck, s.barrierMerge
 	s.mu.Unlock()
-	if len(a.Carried) > 0 && (check == nil || !check(a)) {
+	if len(a.Carried) > 0 && (check == nil || !check(a.Arrival)) {
 		s.ctr.DropMalformed.Inc()
-		return vkernel.Dropped
+		return false, false
 	}
 
 	b.mu.Lock()
@@ -174,63 +219,66 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 		// it, releasing the waiters early or never.
 		b.mu.Unlock()
 		s.ctr.DropMalformed.Inc()
-		return vkernel.Dropped
+		return false, false
 	}
-	b.arrived = append(b.arrived, req)
+	b.arrived = append(b.arrived, a)
 	if len(b.arrived) < n {
 		b.mu.Unlock()
-		return vkernel.Parked
+		return true, false
 	}
 	waiters := b.arrived
 	b.arrived, b.n = nil, 0
 	b.mu.Unlock()
 	s.release(waiters, merge)
-	return vkernel.Replied
+	return true, true
 }
 
 // release answers every arrival of a completed epoch, merging what they
 // carry first. Each reply is sent whatever became of the others: a
 // participant whose wire died fails its own send only.
-func (s *Service) release(waiters []*msg.Msg, merge func([]Arrival) ([][]byte, error)) {
-	var arrivals []Arrival
-	for _, w := range waiters {
-		if len(w.Payload) > barrierHeader {
-			arrivals = make([]Arrival, len(waiters))
-			break
-		}
-	}
+func (s *Service) release(waiters []arrival, merge func([]Arrival) ([][]byte, error)) {
 	var bodies [][]byte
 	var err error
-	if arrivals != nil && merge != nil {
+	if merge != nil && slices.ContainsFunc(waiters, func(w arrival) bool { return len(w.Carried) > 0 }) {
+		arrivals := make([]Arrival, len(waiters))
 		for i, w := range waiters {
-			arrivals[i] = Arrival{From: w.From, Carried: w.Payload[barrierHeader:]}
+			arrivals[i] = w.Arrival
 		}
 		bodies, err = merge(arrivals)
 	}
-	// Every remote participant's reply is queued before any of the
-	// home's own: a local participant that wakes may end its Run at once,
+	body := func(i int) []byte {
+		if i < len(bodies) {
+			return bodies[i]
+		}
+		return nil
+	}
+	// Every remote participant's reply is queued before any local
+	// participant wakes: a local participant may end its Run at once,
 	// and the goodbye its Close sends queues behind what is already sent.
-	for _, local := range [2]bool{false, true} {
-		for i, w := range waiters {
-			if (w.From == s.k.Node()) != local {
-				continue
-			}
-			var body []byte
-			if i < len(bodies) {
-				body = bodies[i]
-			}
-			if err == nil && len(body) == 0 {
-				s.k.Reply(w, nil)
-				continue
-			}
-			text := ""
-			if err != nil {
-				text = err.Error()
-			}
-			wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body))
-			b.Str(text).Raw(body)
-			wb.B = b.Bytes()
-			s.k.ReplyOwned(w, wb)
+	for i, w := range waiters {
+		if w.req == nil {
+			continue
+		}
+		if err == nil && len(body(i)) == 0 {
+			s.k.Reply(w.req, nil)
+			continue
+		}
+		text := ""
+		if err != nil {
+			text = err.Error()
+		}
+		wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body(i)))
+		b.Str(text).Raw(body(i))
+		wb.B = b.Bytes()
+		s.k.ReplyOwned(w.req, wb)
+	}
+	var herr error
+	if err != nil {
+		herr = fmt.Errorf("at its home, node %d: %w", s.k.Node(), err)
+	}
+	for i, w := range waiters {
+		if w.wake != nil {
+			w.wake <- released{body: body(i), err: herr}
 		}
 	}
 }
@@ -261,7 +309,7 @@ func (s *Service) purgeArrivals(peer msg.NodeID) int64 {
 		b.mu.Lock()
 		kept := b.arrived[:0]
 		for _, w := range b.arrived {
-			if w.From == peer {
+			if w.req != nil && w.From == peer {
 				purged++
 				continue
 			}

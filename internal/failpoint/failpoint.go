@@ -113,6 +113,19 @@ func Hit(p Point) {
 	}
 }
 
+// Armed reports whether a hook is armed at p. Like Hit it costs one
+// atomic load when nothing is armed, so a caller can skip work that
+// only a hook at p needs.
+func Armed(p Point) bool {
+	if armed.Load() == 0 {
+		return false
+	}
+	mu.Lock()
+	_, ok := hooks[p]
+	mu.Unlock()
+	return ok
+}
+
 // Arm installs fn at p, replacing any previous hook there. The first
 // skip hits pass through untouched; the next hit fires fn and disarms
 // the point.

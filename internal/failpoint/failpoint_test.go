@@ -23,6 +23,24 @@ func TestArmFiresOnceAndDisarms(t *testing.T) {
 	}
 }
 
+func TestArmedNamesOnlyTheArmedPoint(t *testing.T) {
+	if Armed(BarrierCarried) {
+		t.Fatal("Armed with nothing armed")
+	}
+	Arm(BarrierCarried, 1, func() {})
+	if !Armed(BarrierCarried) || Armed(FlushSent) {
+		t.Fatalf("Armed(BarrierCarried) = %v, Armed(FlushSent) = %v; want true, false", Armed(BarrierCarried), Armed(FlushSent))
+	}
+	Hit(BarrierCarried) // skipped: still armed
+	if !Armed(BarrierCarried) {
+		t.Fatal("a skipped hit disarmed the point")
+	}
+	Hit(BarrierCarried) // fires and disarms
+	if Armed(BarrierCarried) {
+		t.Fatal("still armed after the hook fired")
+	}
+}
+
 func TestSkipCount(t *testing.T) {
 	fired := 0
 	Arm(GatePark, 2, func() { fired++ })

@@ -221,7 +221,9 @@ type pcGroup struct {
 // the drained dirty set (in first-modification order), whose flush
 // locks the caller holds (lockDrained). The write-many and result
 // entries homed at node carry are not sent: they are left in
-// fs.carried for a barrier arrival to carry (carry < 0: none). A
+// fs.carried for a barrier arrival to carry (carry < 0: none), and when
+// carry is this node they wait for the barrier's merge instead of
+// merging in place. A
 // returned error means some destination could not be reached or did
 // not acknowledge — notably a peer-down error (transport.PeerDownOf) from a dead peer.
 func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
@@ -285,10 +287,10 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 			}
 		}
 		switch dst {
-		case n.id:
-			local = fs.grouped[lo:len(fs.grouped):len(fs.grouped)]
 		case carry:
 			fs.carried = fs.grouped[lo:len(fs.grouped):len(fs.grouped)]
+		case n.id:
+			local = fs.grouped[lo:len(fs.grouped):len(fs.grouped)]
 		default:
 			fs.groups = append(fs.groups, dstGroup{dst: dst, lo: lo, hi: len(fs.grouped)})
 		}
@@ -354,7 +356,7 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 		// Local flush at the home: the home copy already holds the
 		// bytes; just run the home-side merge + redistribution.
 		ds := getDecodeScratch()
-		_, err := n.homeMergeBatch(ds, local, n.id, true)
+		_, err := n.homeMergeBatch(ds, local, n.id)
 		putDecodeScratch(ds)
 		noteErr(err)
 	}

@@ -35,7 +35,10 @@ import (
 // elsewhere, and producer-consumer pushes, take the ordinary flush and
 // are acknowledged first; the write-many and result updates homed at
 // home are carried by the arrival, which arrive sends (size bytes,
-// written by carry) before it returns the release's body. The flush
+// written by carry) before it returns the release's body. When home is
+// this node the carried updates are already in the home copies: the
+// arrival hands them to the merge without a message, which stamps them
+// and relays them with the other participants' (barrierMerge). The flush
 // locks of every drained object stay held until the release is applied:
 // only a thread alone on its node may do that, for a co-located thread
 // flushing the same object would wait behind the whole barrier, and a
@@ -57,11 +60,7 @@ func (n *Node) FlushAtBarrier(q *duq.Queue, home msg.NodeID, arrive func(size in
 	defer q.Commit(fs.ids)
 	n.lockDrained(fs)
 	defer n.unlockDrained(fs)
-	carry := home
-	if home == n.id {
-		carry = -1 // the home's own updates merge where they are
-	}
-	if err := n.flushBatched(fs, carry); err != nil {
+	if err := n.flushBatched(fs, home); err != nil {
 		return err
 	}
 	carried := fs.carried
@@ -69,7 +68,9 @@ func (n *Node) FlushAtBarrier(q *duq.Queue, home msg.NodeID, arrive func(size in
 	if len(carried) > 0 {
 		size = diffEntriesSize(carried)
 		n.ctr.BarrierCarried.Add(int64(len(carried)))
-		n.countBatch(len(carried), size)
+		if home != n.id { // an arrival at this node's own barrier is no message
+			n.countBatch(len(carried), size)
+		}
 	}
 	body, err := arrive(size, func(b *msg.Builder) { putDiffEntries(b, carried) })
 	if err != nil && body == nil {
@@ -190,11 +191,13 @@ func (n *Node) decodeCarried(ds *decodeScratch, p []byte, from msg.NodeID) bool 
 
 // barrierMerge is the home's merge at a barrier's last arrival
 // (dlock.AttachBarrier): every carried entry, in arrival order, goes
-// through homeMergeBatch as one batch with a sender per entry. A
-// participant that carried something is a carrier — its relays ride its
-// release — unless another arrival came from its node too; everyone
-// else's relays are sent and acknowledged inside the merge. It returns
-// each arrival's release body: nil for one that carried nothing.
+// through homeMergeBatch as one batch with a sender per entry; the
+// home's own participant's entries are already in the home copies, and
+// are stamped and relayed with the others. A participant that carried
+// something is a carrier — its relays ride its release — unless another
+// arrival came from its node too; everyone else's relays are sent and
+// acknowledged inside the merge. It returns each arrival's release
+// body: nil for one that carried nothing.
 func (n *Node) barrierMerge(arrivals []dlock.Arrival) ([][]byte, error) {
 	ds := getDecodeScratch()
 	defer putDecodeScratch(ds)
@@ -223,7 +226,7 @@ func (n *Node) barrierMerge(arrivals []dlock.Arrival) ([][]byte, error) {
 			ds.carriers = append(ds.carriers, a.From)
 		}
 	}
-	seqs, err := n.homeMergeBatch(ds, ds.entries, 0, false)
+	seqs, err := n.homeMergeBatch(ds, ds.entries, 0)
 
 	// ds.relays is sorted by holder, each holder's run in entry order.
 	bodies := make([][]byte, len(arrivals))

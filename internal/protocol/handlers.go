@@ -604,16 +604,17 @@ func putDecodeScratch(ds *decodeScratch) {
 // authoritative home copy, stamps it with the object's next update
 // sequence number (returned), and records in ds.relays the copy holders
 // the update must be relayed to (write-many only; result objects stop
-// at the home — the collector reads the merged copy there). The caller
-// must hold the object's relayMu.
-func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeID, alreadyApplied bool) uint64 {
+// at the home — the collector reads the merged copy there). An update
+// this node sent is already in the home copy: its thread wrote it there.
+// The caller must hold the object's relayMu.
+func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeID) uint64 {
 	o := n.mustObj(e.id)
 	d := n.dirEntryOf(e.id)
 	n.ctr.HomeDiff.Inc()
 
 	d.mu.Lock()
 	o.mu.Lock()
-	if !alreadyApplied {
+	if from != n.id {
 		if o.dirty.Touches(e.spans) {
 			// Diagnostic only: an incoming update to bytes this node has
 			// written and not yet flushed means the application raced
@@ -692,7 +693,7 @@ func (n *Node) countBatch(objs, payloadBytes int) {
 // from sent every entry, unless ds.froms names each entry's sender; a
 // relay to a node in ds.carriers is left in ds.relays unsent, for the
 // barrier releases that carry it.
-func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID, alreadyApplied bool) ([]uint64, error) {
+func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID) ([]uint64, error) {
 	// relayMu serializes the stamp+relay+ack round per object: an
 	// acknowledged diff implies every earlier diff for the object has
 	// been installed at every copy, which is what lets a flush-then-
@@ -722,7 +723,7 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 		if len(ds.froms) > 0 {
 			from = ds.froms[i]
 		}
-		ds.seqs = append(ds.seqs, n.mergeStamp(ds, i, e, from, alreadyApplied))
+		ds.seqs = append(ds.seqs, n.mergeStamp(ds, i, e, from))
 	}
 	if len(ds.relays) == 0 {
 		return ds.seqs, nil
@@ -829,7 +830,7 @@ func (n *Node) handleDiffBatch(req *msg.Msg) vkernel.Outcome {
 	// The merge both installs the spans (copying into the home copies)
 	// and relays them (copying into the relay payloads), so the scratch
 	// is dead by the time the reply goes out.
-	seqs, err := n.homeMergeBatch(ds, ds.entries, req.From, false)
+	seqs, err := n.homeMergeBatch(ds, ds.entries, req.From)
 	// The reply is the sequence numbers, followed by the relay's error
 	// when one failed: the writer settles its copies either way.
 	text := ""

@@ -713,6 +713,23 @@ func (k *Kernel) Close() {
 	k.mu.Unlock()
 }
 
+// Done returns a channel that is closed when the kernel closes. A
+// thread that waits for something other than a reply — a barrier
+// arrival parked at its own node — selects on it, so that it fails
+// with Err when the node closes instead of blocking for ever.
+func (k *Kernel) Done() <-chan struct{} { return k.done }
+
+// Err returns the error calls fail with once the kernel has closed
+// (IsClosed reports it), and nil while it is open.
+func (k *Kernel) Err() error {
+	select {
+	case <-k.done:
+		return errClosed
+	default:
+		return nil
+	}
+}
+
 // Wait blocks until the dispatch loop has exited (after the underlying
 // network is closed).
 func (k *Kernel) Wait() { k.wg.Wait() }

@@ -746,3 +746,22 @@ func TestIsClosedSeesThroughWrapping(t *testing.T) {
 		t.Fatalf("call on a closed kernel: %v; IsClosed must match it through %%w only", err)
 	}
 }
+
+// TestDoneClosesWithTheKernel: Done is open and Err nil while the kernel
+// runs; Close closes Done, and Err is then the close error.
+func TestDoneClosesWithTheKernel(t *testing.T) {
+	ks, _ := newTestKernels(t, 1)
+	select {
+	case <-ks[0].Done():
+		t.Fatal("Done closed on a running kernel")
+	default:
+	}
+	if err := ks[0].Err(); err != nil {
+		t.Fatalf("Err = %v on a running kernel, want nil", err)
+	}
+	ks[0].Close()
+	<-ks[0].Done()
+	if err := ks[0].Err(); !IsClosed(err) {
+		t.Fatalf("Err = %v after Close, want the close error", err)
+	}
+}
