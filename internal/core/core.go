@@ -637,21 +637,22 @@ func (c *Ctx) Release(l dlock.LockID) {
 }
 
 // Barrier implements api.Ctx: publish this thread's updates and wait
-// for n participants. A thread alone on its node publishes its updates
-// to objects homed at the barrier's home in its arrival, and the
-// release brings back the other participants' (protocol.FlushAtBarrier):
-// the barrier and the flush are one round. Any other thread flushes,
-// then arrives, because a co-located thread could not flush those
-// objects, or would read them stale, while this one holds them across
-// the barrier.
+// for n participants. A thread alone on its node is a carrier: it
+// publishes its updates to objects homed at the barrier's home and its
+// producer-consumer pushes in its arrival, and the release brings back
+// every update its node must apply (protocol.FlushAtBarrier): the
+// barrier and the flush are one round. Any other thread flushes, then
+// arrives, because a co-located thread could not flush those objects,
+// or would read them stale, while this one holds them across the
+// barrier.
 func (c *Ctx) Barrier(b dlock.BarrierID, n int) {
 	if !c.solo || n <= 1 {
 		c.node.FlushQueue(c.queue)
 		c.locks.BarrierWait(b, n)
 		return
 	}
-	err := c.node.FlushAtBarrier(c.queue, c.locks.BarrierHome(b), func(size int, carry func(*msg.Builder)) ([]byte, error) {
-		return c.locks.BarrierCarry(b, n, size, carry)
+	err := c.node.FlushAtBarrier(c.queue, c.locks.BarrierHome(b), func(p dlock.Carry) ([]byte, error) {
+		return c.locks.BarrierCarry(b, n, p)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("munin: barrier %d: %v", b, err))

@@ -66,6 +66,7 @@ type CondID uint32
 const (
 	kindAcquire  = msg.KindLockBase + iota // Call: request ownership; reply = grant(+data)
 	kindBarrier                            // Call: arrive at barrier; reply = release
+	kindCarrier                            // Call: a carrier's arrival at a barrier; reply = release
 	kindFetchAdd                           // Call: atomic fetch-and-add
 	kindAtomLoad                           // Call: atomic load
 	kindCondWait                           // Call: block until signaled (pre-registered)
@@ -80,6 +81,7 @@ var (
 	lockCalls = [kindRelease - kindAcquire]func(*Service, *msg.Msg) vkernel.Outcome{
 		kindAcquire - kindAcquire:  (*Service).handleAcquire,
 		kindBarrier - kindAcquire:  (*Service).handleBarrier,
+		kindCarrier - kindAcquire:  (*Service).handleCarrier,
 		kindFetchAdd - kindAcquire: (*Service).handleFetchAdd,
 		kindAtomLoad - kindAcquire: (*Service).handleAtomLoad,
 		kindCondWait - kindAcquire: (*Service).handleCondWait,
@@ -107,7 +109,7 @@ type Service struct {
 
 	// The coherence layer's barrier hooks (AttachBarrier), under mu.
 	barrierCheck func(Arrival) bool
-	barrierMerge func([]Arrival) ([][]byte, error)
+	barrierMerge func([]Arrival) (Releases, error)
 
 	// naive disables proxy ownership caching: every release surrenders
 	// the lock to the home. Used by the E8 experiment as the baseline.
@@ -161,19 +163,12 @@ type barrierState struct {
 }
 
 // arrival is one participant parked at a barrier's home: a remote one's
-// request, which its release replies to, or a local one's waiter, which
-// its release is handed to.
+// request, which its release replies to, or a local one's waiter, to
+// which its release hands the error the home met publishing the updates.
 type arrival struct {
 	Arrival
-	req  *msg.Msg      // a remote participant's arrival, nil for a local one
-	wake chan released // a local participant's hand-off, nil for a remote one
-}
-
-// released is what a local participant's release hands it: its body and
-// the error the home met publishing the updates.
-type released struct {
-	body []byte
-	err  error
+	req  *msg.Msg   // a remote participant's arrival, nil for a local one
+	wake chan error // a local participant's hand-off, nil for a remote one
 }
 
 type atomicState struct {

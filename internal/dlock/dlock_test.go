@@ -304,7 +304,7 @@ func TestBarrierLocalWaiterFailsOnClose(t *testing.T) {
 	h := svcs[0].BarrierHome(id)
 	got := make(chan error, 1)
 	go func() {
-		_, err := svcs[h].BarrierCarry(id, 2, 0, nil)
+		_, err := svcs[h].BarrierCarry(id, 2, Carry{})
 		got <- err
 	}()
 	for svcs[h].BarrierArrived(id) == 0 {

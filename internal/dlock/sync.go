@@ -23,15 +23,19 @@ import (
 // participant cannot re-arrive before its own release, and every
 // release is out before the next epoch's state is created.
 //
-// An arrival is the barrier's ID and participant count (12 bytes),
-// followed by what it carries: updates the participant publishes at the
-// barrier (BarrierCarry), opaque here. The home checks a carried part as
-// it arrives and merges every carried part once, at the last arrival,
-// through the hooks the coherence layer attached (AttachBarrier); each
-// release then carries that participant's part of the merge. A release
-// on the wire is empty when it carries nothing and the merge met no
-// error; otherwise it is the error's text (a length-prefixed string,
-// empty for none) followed by the participant's part.
+// An arrival is the barrier's ID and participant count (12 bytes). A
+// carrier's arrival (kindCarrier, BarrierCarry) is one whose participant
+// applies its release: it may carry, behind the header, the updates the
+// participant publishes at the barrier, opaque here, and the kind alone
+// says it is a carrier, so one that carries nothing is as long as a
+// plain arrival (kindBarrier, BarrierWait), which carries nothing. The
+// home checks a carried part as it arrives and merges every carried part
+// once, at the last arrival, through the hooks the coherence layer
+// attached (AttachBarrier); each remote carrier's release then carries
+// that participant's part of the merge. A release on the wire is empty
+// when it carries nothing and the merge met no error; otherwise it is
+// the error's text (a length-prefixed string, empty for none) followed
+// by the participant's part.
 
 // barrierHeader is the size of an arrival that carries nothing: the
 // barrier's ID (U32) and participant count (Int).
@@ -40,21 +44,50 @@ const barrierHeader = 12
 // Arrival is one participant's arrival at a barrier's home.
 type Arrival struct {
 	From msg.NodeID
-	// Carried is the arrival past its header: the updates it carries,
-	// empty when it carries none. The home keeps it until the release.
+	// Carrier is set for a carrier's arrival (BarrierCarry), whose
+	// participant applies its release.
+	Carrier bool
+	// Carried is a remote carrier's arrival past its header: the updates
+	// it carries, empty when it carries none. The home keeps it until
+	// the release.
 	Carried []byte
+	// Local is what this node's own carrier publishes, handed to the
+	// merge in place (Carry.Local); nil for every other arrival.
+	Local any
+}
+
+// Carry is what a carrier's arrival publishes. An arrival sent to
+// another node carries the Size bytes Write puts behind its header (none
+// when Size is 0); an arrival at this node's own barrier hands Local to
+// the merge instead (nil: nothing).
+type Carry struct {
+	Size  int
+	Write func(*msg.Builder)
+	Local any
+}
+
+// Releases is a merge's release bodies, one per arrival, each written
+// straight into its remote participant's reply. A local participant's
+// body is never asked for: its part of the merge took effect in place.
+// Done is called once every reply is written.
+type Releases interface {
+	// Size is the byte size of arrival i's release body, 0 for none.
+	Size(i int) int
+	// Put writes arrival i's release body: Size(i) bytes.
+	Put(i int, b *msg.Builder)
+	Done()
 }
 
 // AttachBarrier registers the coherence layer's barrier hooks on this
-// node. check is called on each arrival that carries something, as it
-// arrives; false drops the arrival as malformed (dlock.drop_malformed),
-// and it does not count. merge is called once an epoch, when the last
-// participant arrives and at least one arrival carries something, with
-// every arrival in arrival order and no dlock mutex held. It returns
-// one release body per arrival (nil for none) and the error, if any,
-// the home met publishing the updates; every participant's release
-// reports that error.
-func (s *Service) AttachBarrier(check func(Arrival) bool, merge func([]Arrival) ([][]byte, error)) {
+// node. check is called on each arrival that carries something on the
+// wire, as it arrives; false drops the arrival as malformed
+// (dlock.drop_malformed), and it does not count. merge is called once an
+// epoch, when the last participant arrives and at least one arrival
+// carries something, with every arrival in arrival order and no dlock
+// mutex held. It returns the release bodies (nil for none) and the
+// error, if any, the home met publishing the updates; every
+// participant's release reports that error.
+func (s *Service) AttachBarrier(check func(Arrival) bool, merge func([]Arrival) (Releases, error)) {
 	s.mu.Lock()
 	s.barrierCheck, s.barrierMerge = check, merge
 	s.mu.Unlock()
@@ -83,50 +116,62 @@ func (s *Service) BarrierArrived(id BarrierID) int {
 
 // BarrierWait blocks until n participants (including the caller) have
 // arrived at barrier id. It panics, like every rendezvous here, if the
-// arrival fails or the home reports an error.
+// arrival fails or the home reports an error. Its arrival is not a
+// carrier's: it carries nothing and gets no release body.
 func (s *Service) BarrierWait(id BarrierID, n int) {
 	lockrank.Blocking()
-	if _, err := s.BarrierCarry(id, n, 0, nil); err != nil {
+	if _, err := s.barrier(id, n, false, Carry{}); err != nil {
 		panic(fmt.Sprintf("dlock: barrier %d: %v", id, err))
 	}
 }
 
-// BarrierCarry is BarrierWait for an arrival that carries updates:
-// carry writes the size bytes of the carried part behind the header
-// (size 0 sends the plain 12-byte arrival, and carry is not called). It
+// BarrierCarry is BarrierWait for a carrier: a participant that
+// publishes updates at the barrier (c) and applies its release. It
 // returns the release's body — this participant's part of the home's
 // merge — and the error the arrival failed with or the home reported;
 // the body is returned with the home's error too, because the merge
-// happened. An arrival at a barrier homed on this node sends nothing:
-// it fails only if it is malformed or the kernel closes while it waits.
-// A one-party barrier sends nothing either, so the caller must not hand
-// it a carried part.
-func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Builder)) ([]byte, error) {
+// happened. An arrival at a barrier homed on this node sends nothing and
+// gets no body, since its part of the merge took effect in place: it
+// fails only if the kernel closes while it waits. A one-party barrier
+// sends nothing either, so the caller must not hand it anything to
+// carry.
+func (s *Service) BarrierCarry(id BarrierID, n int, c Carry) ([]byte, error) {
 	lockrank.Blocking()
+	return s.barrier(id, n, true, c)
+}
+
+// barrier is one arrival at barrier id, a carrier's or a plain one.
+func (s *Service) barrier(id BarrierID, n int, carrier bool, c Carry) ([]byte, error) {
 	if n <= 0 {
 		panic("dlock: barrier needs n >= 1")
 	}
 	if n == 1 {
-		if size > 0 {
+		if c.Size > 0 || c.Local != nil {
 			panic("dlock: a one-party barrier carries nothing")
 		}
 		return nil, nil
 	}
 	home := s.BarrierHome(id)
 	if home == s.k.Node() {
-		return s.waitHere(id, n, size, carry)
+		return nil, s.waitHere(id, n, carrier, c.Local)
 	}
-	wb, b := vkernel.NewWire(barrierHeader + size)
+	wb, b := vkernel.NewWire(barrierHeader + c.Size)
 	b.U32(uint32(id)).Int(n)
-	if size > 0 {
-		carry(&b)
+	if c.Size > 0 {
+		c.Write(&b)
 	}
 	wb.B = b.Bytes()
-	p, err := s.k.CallStartOwned(home, kindBarrier, wb)
+	var p *vkernel.Pending
+	var err error
+	if carrier {
+		p, err = s.k.CallStartOwned(home, kindCarrier, wb)
+	} else {
+		p, err = s.k.CallStartOwned(home, kindBarrier, wb)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if size > 0 && failpoint.Armed(failpoint.BarrierCarried) {
+	if c.Size > 0 && failpoint.Armed(failpoint.BarrierCarried) {
 		// The crash point wants the arrival on the wire; Wait reports a
 		// dead wire or a closing node without this fence.
 		if err := s.k.Flush(); err != nil {
@@ -151,28 +196,37 @@ func (s *Service) BarrierCarry(id BarrierID, n, size int, carry func(b *msg.Buil
 	return body, nil
 }
 
-// waitHere is BarrierCarry's arrival at a barrier homed on this node:
-// it enters the barrier's state as any arrival does and waits for its
-// release, or for the kernel to close.
-func (s *Service) waitHere(id BarrierID, n, size int, carry func(b *msg.Builder)) ([]byte, error) {
-	a := arrival{Arrival: Arrival{From: s.k.Node()}, wake: make(chan released, 1)}
-	if size > 0 {
-		b := msg.NewBuilder(size)
-		carry(b)
-		a.Carried = b.Bytes()
-	}
+// waitHere is an arrival at a barrier homed on this node: it enters the
+// barrier's state as any arrival does and waits for its release, or for
+// the kernel to close.
+func (s *Service) waitHere(id BarrierID, n int, carrier bool, local any) error {
+	a := arrival{Arrival: Arrival{From: s.k.Node(), Carrier: carrier, Local: local}, wake: make(chan error, 1)}
 	if ok, _ := s.arrive(id, n, a); !ok {
-		return nil, fmt.Errorf("barrier %d: this node's own arrival was dropped as malformed", id)
+		return fmt.Errorf("barrier %d: this node's own arrival was dropped as malformed", id)
 	}
 	select {
-	case r := <-a.wake:
-		return r.body, r.err
+	case err := <-a.wake:
+		return err
 	case <-s.k.Done():
-		return nil, s.k.Err()
+		return s.k.Err()
 	}
 }
 
+// handleBarrier takes a plain arrival, which carries nothing.
 func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
+	if len(req.Payload) > barrierHeader {
+		s.ctr.DropMalformed.Inc()
+		return vkernel.Dropped
+	}
+	return s.handleArrival(req, false)
+}
+
+// handleCarrier takes a carrier's arrival.
+func (s *Service) handleCarrier(req *msg.Msg) vkernel.Outcome {
+	return s.handleArrival(req, true)
+}
+
+func (s *Service) handleArrival(req *msg.Msg, carrier bool) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := BarrierID(r.U32())
 	n := r.Int()
@@ -181,7 +235,7 @@ func (s *Service) handleBarrier(req *msg.Msg) vkernel.Outcome {
 		s.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
-	ok, last := s.arrive(id, n, arrival{Arrival: Arrival{From: req.From, Carried: req.Payload[barrierHeader:]}, req: req})
+	ok, last := s.arrive(id, n, arrival{Arrival: Arrival{From: req.From, Carrier: carrier, Carried: req.Payload[barrierHeader:]}, req: req})
 	switch {
 	case !ok:
 		return vkernel.Dropped
@@ -236,21 +290,19 @@ func (s *Service) arrive(id BarrierID, n int, a arrival) (ok, last bool) {
 // release answers every arrival of a completed epoch, merging what they
 // carry first. Each reply is sent whatever became of the others: a
 // participant whose wire died fails its own send only.
-func (s *Service) release(waiters []arrival, merge func([]Arrival) ([][]byte, error)) {
-	var bodies [][]byte
+func (s *Service) release(waiters []arrival, merge func([]Arrival) (Releases, error)) {
+	var rel Releases
 	var err error
-	if merge != nil && slices.ContainsFunc(waiters, func(w arrival) bool { return len(w.Carried) > 0 }) {
+	if merge != nil && slices.ContainsFunc(waiters, func(w arrival) bool { return len(w.Carried) > 0 || w.Local != nil }) {
 		arrivals := make([]Arrival, len(waiters))
 		for i, w := range waiters {
 			arrivals[i] = w.Arrival
 		}
-		bodies, err = merge(arrivals)
+		rel, err = merge(arrivals)
 	}
-	body := func(i int) []byte {
-		if i < len(bodies) {
-			return bodies[i]
-		}
-		return nil
+	text := ""
+	if err != nil {
+		text = err.Error()
 	}
 	// Every remote participant's reply is queued before any local
 	// participant wakes: a local participant may end its Run at once,
@@ -259,26 +311,32 @@ func (s *Service) release(waiters []arrival, merge func([]Arrival) ([][]byte, er
 		if w.req == nil {
 			continue
 		}
-		if err == nil && len(body(i)) == 0 {
+		size := 0
+		if rel != nil {
+			size = rel.Size(i)
+		}
+		if err == nil && size == 0 {
 			s.k.Reply(w.req, nil)
 			continue
 		}
-		text := ""
-		if err != nil {
-			text = err.Error()
+		wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + size)
+		b.Str(text)
+		if size > 0 {
+			rel.Put(i, &b)
 		}
-		wb, b := vkernel.NewWire(msg.BytesNSize(len(text)) + len(body(i)))
-		b.Str(text).Raw(body(i))
 		wb.B = b.Bytes()
 		s.k.ReplyOwned(w.req, wb)
+	}
+	if rel != nil {
+		rel.Done()
 	}
 	var herr error
 	if err != nil {
 		herr = fmt.Errorf("at its home, node %d: %w", s.k.Node(), err)
 	}
-	for i, w := range waiters {
+	for _, w := range waiters {
 		if w.wake != nil {
-			w.wake <- released{body: body(i), err: herr}
+			w.wake <- herr
 		}
 	}
 }

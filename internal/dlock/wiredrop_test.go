@@ -91,22 +91,27 @@ func TestLockPayloadRoundTrip(t *testing.T) {
 // A barrier arrival a peer sends is input too. One whose participant
 // count is below one would release every parked waiter at once; one
 // whose count disagrees with the open epoch's would re-target it; one
-// that carries updates no hook can check cannot be merged. Each is
-// counted as malformed and does not count: the parked waiter stays
-// parked, and the next good arrival completes the epoch.
+// that carries updates no hook can check cannot be merged, and a plain
+// arrival, which is no carrier's, carries nothing. Each is counted as
+// malformed and does not count: the parked waiter stays parked, and the
+// next good arrival completes the epoch.
 func TestBarrierWireInputIsDroppedNotFatal(t *testing.T) {
 	arrival := func(n int, carried ...byte) []byte {
 		return append(msg.NewBuilder(barrierHeader).U32(0).Int(n).Bytes(), carried...)
 	}
 	cases := []struct {
 		name    string
+		kind    msg.Kind
 		payload []byte
 	}{
-		{"a count of zero", arrival(0)},
-		{"a negative count", arrival(-3)},
-		{"a count other than the open epoch's", arrival(3)},
-		{"a carried part with no barrier hooks attached", arrival(2, 0, 0, 0, 1)},
-		{"a truncated header", arrival(2)[:barrierHeader-1]},
+		{"a count of zero", kindBarrier, arrival(0)},
+		{"a negative count", kindBarrier, arrival(-3)},
+		{"a count other than the open epoch's", kindBarrier, arrival(3)},
+		{"a plain arrival with a carried part", kindBarrier, arrival(2, 0, 0, 0, 1)},
+		{"a truncated header", kindBarrier, arrival(2)[:barrierHeader-1]},
+		{"a carried part with no barrier hooks attached", kindCarrier, arrival(2, 0, 0, 0, 1)},
+		{"a carrier's count other than the open epoch's", kindCarrier, arrival(3)},
+		{"a carrier's truncated header", kindCarrier, arrival(2)[:barrierHeader-1]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,7 +141,7 @@ func TestBarrierWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			before := k.C.Get("dlock.drop_malformed")
-			if err := c.Kernel(2).Send(0, kindBarrier, tc.payload); err != nil {
+			if err := c.Kernel(2).Send(0, tc.kind, tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			for deadline := time.Now().Add(10 * time.Second); k.C.Get("dlock.drop_malformed") == before; time.Sleep(100 * time.Microsecond) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"munin/internal/bufpool"
@@ -177,6 +176,8 @@ type flushScratch struct {
 	grouped  []batchEntry  // entries regrouped contiguously per home
 	groups   []dstGroup    // remote homes' [lo,hi) ranges over grouped
 	carried  []batchEntry  // the entries a barrier arrival carries (FlushAtBarrier)
+	pushes   []pushEntry   // the producer-consumer pushes it carries
+	members  []msg.NodeID  // member-set arena behind the pushes' destination sets
 	awaits   []flushAwait
 }
 
@@ -203,37 +204,43 @@ func putFlushScratch(fs *flushScratch) {
 	// the awaits: they hold Pendings and closures that would otherwise
 	// outlive their flush inside the pool.
 	clear(fs.awaits)
+	clear(fs.pushes)
 	fs.ids, fs.objs, fs.spans, fs.buf = fs.ids[:0], fs.objs[:0], fs.spans[:0], fs.buf[:0]
 	fs.entries, fs.dstOrder = fs.entries[:0], fs.dstOrder[:0]
 	fs.grouped, fs.groups, fs.awaits = fs.grouped[:0], fs.groups[:0], fs.awaits[:0]
-	fs.carried = nil
+	fs.carried, fs.pushes, fs.members = nil, fs.pushes[:0], fs.members[:0]
 	flushScratchPool.Put(fs)
 }
 
 // pcGroup collects the producer-consumer objects of one flush that
 // share a destination set, so their pushes travel as one multicast.
 type pcGroup struct {
+	members []msg.NodeID // sorted
+	objs    []*Obj       // in first-modification order
+}
+
+// pushEntry is one stamped producer-consumer push and its destination
+// set: the consumers and the object's home, sorted.
+type pushEntry struct {
+	applyEntry
 	members []msg.NodeID
-	objs    []*Obj // in first-modification order
 }
 
 // flushBatched plans and executes one batched, pipelined flush over
 // the drained dirty set (in first-modification order), whose flush
-// locks the caller holds (lockDrained). The write-many and result
-// entries homed at node carry are not sent: they are left in
-// fs.carried for a barrier arrival to carry (carry < 0: none), and when
-// carry is this node they wait for the barrier's merge instead of
-// merging in place. A
-// returned error means some destination could not be reached or did
-// not acknowledge — notably a peer-down error (transport.PeerDownOf) from a dead peer.
+// locks the caller holds (lockDrained). A barrier arrival to node carry
+// (carry < 0: none) carries what is not sent: the write-many and result
+// entries homed at carry, left in fs.carried, and every
+// producer-consumer push, stamped and left in fs.pushes; when carry is
+// this node they wait for the barrier's merge instead of merging in
+// place. A returned error means some destination could not be reached
+// or did not acknowledge — notably a peer-down error
+// (transport.PeerDownOf) from a dead peer.
 func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 	// Producer-consumer planning state is built lazily: the steady-state
 	// write-many/result flush (the allocation-gated hot path) never
 	// touches it.
-	var (
-		pcGroups map[string]*pcGroup
-		pcOrder  []string
-	)
+	var pcGroups []pcGroup
 	for _, id := range fs.ids {
 		o := n.mustObj(id)
 		switch o.pol.flush {
@@ -260,18 +267,24 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 			fs.entries = append(fs.entries, dstEntry{dst: home, e: batchEntry{id: id, spans: spans}})
 		case flushConsumers:
 			n.becomeProducer(o)
-			members := n.pushMembers(o)
-			key := memberKey(members)
-			if pcGroups == nil {
-				pcGroups = make(map[string]*pcGroup)
+			if carry >= 0 {
+				// A push with no member has nowhere to go.
+				if p, ok := n.stampPush(fs, o); ok && len(p.members) > 0 {
+					fs.pushes = append(fs.pushes, p)
+				}
+				continue
 			}
-			g, ok := pcGroups[key]
-			if !ok {
-				g = &pcGroup{members: members}
-				pcGroups[key] = g
-				pcOrder = append(pcOrder, key)
+			o.mu.Lock()
+			members := n.pushMembers(fs, o)
+			o.mu.Unlock()
+			g := 0
+			for g < len(pcGroups) && !slices.Equal(pcGroups[g].members, members) {
+				g++
 			}
-			g.objs = append(g.objs, o)
+			if g == len(pcGroups) {
+				pcGroups = append(pcGroups, pcGroup{members: members})
+			}
+			pcGroups[g].objs = append(pcGroups[g].objs, o)
 		}
 	}
 
@@ -296,7 +309,7 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 		}
 	}
 
-	work := len(fs.groups) + len(pcOrder)
+	work := len(fs.groups) + len(pcGroups)
 	if len(local) > 0 {
 		work++
 	}
@@ -334,8 +347,8 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 		}
 		fs.awaits = append(fs.awaits, a)
 	}
-	for _, key := range pcOrder {
-		as, err := n.startPushBatch(fs, pcGroups[key])
+	for i := range pcGroups {
+		as, err := n.startPushBatch(fs, &pcGroups[i])
 		fs.awaits = append(fs.awaits, as...)
 		if err != nil && !n.relayBenign(err) {
 			noteErr(err)
@@ -474,36 +487,42 @@ func (n *Node) settleOwnDiff(id memory.ObjectID, seq uint64) {
 	o.mu.Unlock()
 }
 
-// withHome appends the object's home to a consumer-set snapshot unless
-// it is already present or this node is the home.
-func (n *Node) withHome(o *Obj, members []msg.NodeID) []msg.NodeID {
-	home := n.homeOf(&o.meta)
-	for _, m := range members {
-		if m == home {
-			return members
-		}
-	}
-	if home != n.id {
-		members = append(members, home)
-	}
-	return members
-}
-
 // pushMembers snapshots the destination set of one producer-consumer
-// push: the cached consumer set plus the home.
-func (n *Node) pushMembers(o *Obj) []msg.NodeID {
-	o.mu.Lock()
-	members := make([]msg.NodeID, 0, len(o.consumers)+1)
-	members = append(members, o.consumers...)
-	o.mu.Unlock()
-	return n.withHome(o, members)
+// push — the cached consumer set plus the home, unless this node is the
+// home — sorted and without repeats, into the scratch's member arena.
+// The caller holds o.mu.
+func (n *Node) pushMembers(fs *flushScratch, o *Obj) []msg.NodeID {
+	lo := len(fs.members)
+	fs.members = append(fs.members, o.consumers...)
+	if home := n.homeOf(&o.meta); home != n.id {
+		fs.members = append(fs.members, home)
+	}
+	slices.Sort(fs.members[lo:])
+	fs.members = fs.members[:lo+len(slices.Compact(fs.members[lo:]))]
+	return fs.members[lo:len(fs.members):len(fs.members)]
 }
 
-// memberKey is a canonical (order-independent) key for a member set.
-func memberKey(members []msg.NodeID) string {
-	s := append([]msg.NodeID(nil), members...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return fmt.Sprint(s)
+// stampPush takes o's dirty set as its producer's next update, or
+// reports false when there is none. The sequence number and the
+// destination set are taken under one o.mu hold: the (members, seq)
+// pairing the consumer registration handshake relies on (see
+// handleRegCons).
+func (n *Node) stampPush(fs *flushScratch, o *Obj) (pushEntry, bool) {
+	o.mu.Lock()
+	spans := o.takeDirty(fs)
+	if len(spans) == 0 {
+		o.mu.Unlock()
+		return pushEntry{}, false
+	}
+	o.prodSeq++
+	seq := o.prodSeq
+	o.applySeq = seq // our copy already reflects this update
+	members := n.pushMembers(fs, o)
+	o.mu.Unlock()
+	n.ctr.DiffSent.Inc()
+	n.ctr.DiffBytes.Add(int64(memory.SpanBytes(spans)))
+	n.ctr.EagerPush.Inc()
+	return pushEntry{applyEntry: applyEntry{id: o.meta.ID, seq: seq, spans: spans}, members: members}, true
 }
 
 // startPushBatch stamps one producer-consumer group's updates and
@@ -513,41 +532,20 @@ func memberKey(members []msg.NodeID) string {
 // consumers see each object's sequence numbers in order, and an
 // acknowledged push implies all earlier pushes landed.
 func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error) {
-	groupKey := memberKey(g.members)
-	type solo struct {
-		members []msg.NodeID
-		entry   applyEntry
-	}
 	batch := make([]applyEntry, 0, len(g.objs))
-	var solos []solo
+	var solos []pushEntry
 	for _, o := range g.objs { // first-modification order
-		o.mu.Lock()
-		spans := o.takeDirty(fs)
-		if len(spans) == 0 {
-			o.mu.Unlock()
+		p, ok := n.stampPush(fs, o)
+		if !ok {
 			continue
 		}
-		o.prodSeq++
-		seq := o.prodSeq
-		o.applySeq = seq // our copy already reflects this update
-		// Re-snapshot the destination set under the same o.mu hold as
-		// the sequence stamp — the (members, seq) pairing the consumer
-		// registration handshake relies on (see handleRegCons). The
-		// plan-time set was only a grouping hint; if a registration
+		// The plan-time set was only a grouping hint; if a registration
 		// changed it since, the object leaves the batch and is pushed
 		// alone to its fresh set.
-		members := make([]msg.NodeID, 0, len(o.consumers)+1)
-		members = append(members, o.consumers...)
-		o.mu.Unlock()
-		members = n.withHome(o, members)
-		n.ctr.DiffSent.Inc()
-		n.ctr.DiffBytes.Add(int64(memory.SpanBytes(spans)))
-		n.ctr.EagerPush.Inc()
-		e := applyEntry{id: o.meta.ID, seq: seq, spans: spans}
-		if memberKey(members) == groupKey {
-			batch = append(batch, e)
+		if slices.Equal(p.members, g.members) {
+			batch = append(batch, p.applyEntry)
 		} else {
-			solos = append(solos, solo{members: members, entry: e})
+			solos = append(solos, p)
 		}
 	}
 
@@ -571,7 +569,7 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 		}
 	}
 	for _, s := range solos {
-		if err := push(s.members, []applyEntry{s.entry}); err != nil {
+		if err := push(s.members, []applyEntry{s.applyEntry}); err != nil {
 			return awaits, err
 		}
 	}
@@ -864,7 +862,7 @@ func (n *Node) becomeProducer(o *Obj) {
 	o.mu.Unlock()
 	home := n.homeOf(&o.meta)
 	if home == n.id {
-		consumers, producer, ok := n.registerPC(o, n.id, true)
+		consumers, producer, _, _, ok := n.registerPC(o, n.id, true)
 		if !ok {
 			panic(twoProducers(o, producer, n.id))
 		}

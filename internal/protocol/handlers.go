@@ -568,9 +568,14 @@ type decodeScratch struct {
 	// A barrier's merge (barrierMerge) takes entries from several
 	// senders: froms[i] sent entry i, and the relays to carriers — the
 	// participants whose releases carry their updates — are left in
-	// relays for the releases instead of being sent.
+	// relays for the releases instead of being sent. pushes are the
+	// producer-consumer pushes the arrivals carry, and parts each
+	// arrival's release.
 	froms    []msg.NodeID
 	carriers []msg.NodeID
+	pushes   []pushEntry
+	nodes    []msg.NodeID // member-set arena behind pushes
+	parts    []releasePart
 }
 
 // relay is one (copy holder, entry index) pair of a home merge: the
@@ -593,10 +598,13 @@ func putDecodeScratch(ds *decodeScratch) {
 	clear(ds.applies)
 	clear(ds.locked)
 	clear(ds.pends)
+	clear(ds.pushes)
+	clear(ds.parts)
 	ds.spans, ds.entries, ds.applies = ds.spans[:0], ds.entries[:0], ds.applies[:0]
 	ds.ids, ds.locked, ds.seqs = ds.ids[:0], ds.locked[:0], ds.seqs[:0]
 	ds.relays, ds.members, ds.pends = ds.relays[:0], ds.members[:0], ds.pends[:0]
 	ds.froms, ds.carriers = ds.froms[:0], ds.carriers[:0]
+	ds.pushes, ds.nodes, ds.parts = ds.pushes[:0], ds.nodes[:0], ds.parts[:0]
 	decodeScratchPool.Put(ds)
 }
 
@@ -682,25 +690,29 @@ func (n *Node) countBatch(objs, payloadBytes int) {
 
 // homeMergeBatch is the home-side half of the delayed-update protocol:
 // it merges a batch in entry order and redistributes the updates to the
-// other copy holders, grouped so each holder receives a single message
-// carrying its updates in entry order (per-receiver program order). It
-// returns the assigned sequence numbers, in entry order; they live in
-// ds, like the rest of the merge's working state. The error is a relay
-// that failed (its holder's wire died): the merge itself has happened,
-// every other relay was sent and acknowledged, and the error goes back
-// to whoever sent the updates (relay.failed).
+// other copy holders (sendRelays). It returns the assigned sequence
+// numbers, in entry order; they live in ds, like the rest of the merge's
+// working state. The error is a relay that failed (its holder's wire
+// died): the merge itself has happened, every other relay was sent and
+// acknowledged, and the error goes back to whoever sent the updates
+// (relay.failed).
 //
-// from sent every entry, unless ds.froms names each entry's sender; a
-// relay to a node in ds.carriers is left in ds.relays unsent, for the
-// barrier releases that carry it.
+// from sent every entry, unless ds.froms names each entry's sender.
 func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID) ([]uint64, error) {
-	// relayMu serializes the stamp+relay+ack round per object: an
-	// acknowledged diff implies every earlier diff for the object has
-	// been installed at every copy, which is what lets a flush-then-
-	// synchronize sequence guarantee visibility. Lock in object-ID
-	// order: entry order is the sender's first-modification order, so
-	// two concurrent batches could otherwise lock in conflicting orders
-	// and deadlock.
+	n.lockRelays(ds, entries)
+	defer unlockRelays(ds)
+	n.stampBatch(ds, entries, from)
+	return ds.seqs, n.sendRelays(ds, entries)
+}
+
+// lockRelays takes the relayMu of every entry's object. relayMu
+// serializes the stamp+relay+ack round per object: an acknowledged diff
+// implies every earlier diff for the object has been installed at every
+// copy, which is what lets a flush-then-synchronize sequence guarantee
+// visibility. Lock in object-ID order: entry order is the sender's
+// first-modification order, so two concurrent batches could otherwise
+// lock in conflicting orders and deadlock.
+func (n *Node) lockRelays(ds *decodeScratch, entries []batchEntry) {
 	for _, e := range entries {
 		ds.ids = append(ds.ids, e.id)
 	}
@@ -713,22 +725,34 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 		d.relayMu.LockOrdered(uint64(id))
 		ds.locked = append(ds.locked, d)
 	}
-	defer func() {
-		for _, d := range ds.locked {
-			d.relayMu.Unlock()
-		}
-	}()
+}
 
+func unlockRelays(ds *decodeScratch) {
+	for _, d := range ds.locked {
+		d.relayMu.Unlock()
+	}
+}
+
+// stampBatch merges and stamps every entry in entry order, appending
+// the sequence numbers to ds.seqs and the relays they need to ds.relays.
+func (n *Node) stampBatch(ds *decodeScratch, entries []batchEntry, from msg.NodeID) {
 	for i, e := range entries {
 		if len(ds.froms) > 0 {
 			from = ds.froms[i]
 		}
 		ds.seqs = append(ds.seqs, n.mergeStamp(ds, i, e, from))
 	}
-	if len(ds.relays) == 0 {
-		return ds.seqs, nil
-	}
+}
 
+// sendRelays sends ds.relays, each entries[r.entry] at ds.seqs[r.entry],
+// grouped so each holder receives a single message carrying its updates
+// in entry order (per-receiver program order), and waits for the acks.
+// A relay to a node in ds.carriers is left in ds.relays unsent, for the
+// barrier release that carries it.
+func (n *Node) sendRelays(ds *decodeScratch, entries []batchEntry) error {
+	if len(ds.relays) == 0 {
+		return nil
+	}
 	// Sorted by holder (stably, so each holder's run lists its entries in
 	// entry order), holders that need the identical update list form one
 	// group — the common case, every object replicated at the same
@@ -780,7 +804,7 @@ func (n *Node) homeMergeBatch(ds *decodeScratch, entries []batchEntry, from msg.
 		_, err := p.Wait()
 		failed(err)
 	}
-	return ds.seqs, firstErr
+	return firstErr
 }
 
 // holderRun returns the leading pairs of relays that share one holder.
@@ -1142,7 +1166,7 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 	if o == nil {
 		return vkernel.Dropped
 	}
-	consumers, producer, ok := n.registerPC(o, req.From, isProducer)
+	consumers, producer, snap, seq, ok := n.registerPC(o, req.From, isProducer)
 	if !ok {
 		// The refusal is the recorded producer's ID, shorter than any
 		// registration reply; the registering thread panics on it.
@@ -1154,8 +1178,11 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 		consumers = nil // only the producer is told who consumes
 	}
 	o.mu.Lock()
-	wb, b := vkernel.NewWire(msg.BytesNSize(len(o.data)) + 8 + 4 + 4*len(consumers))
-	b.BytesN(o.data).U64(o.applySeq)
+	if snap == nil {
+		snap, seq = o.data, o.applySeq
+	}
+	wb, b := vkernel.NewWire(msg.BytesNSize(len(snap)) + 8 + 4 + 4*len(consumers))
+	b.BytesN(snap).U64(seq)
 	o.mu.Unlock()
 	b.U32(uint32(len(consumers)))
 	for _, c := range consumers {
@@ -1172,15 +1199,17 @@ func (n *Node) handleRegCons(req *msg.Msg) vkernel.Outcome {
 // from a node other than the recorded producer is refused: ok is false
 // and producer names the recorded one. The home's own registrations
 // (becomeProducer at the home) call it directly rather than through a
-// message to itself.
-func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers []msg.NodeID, producer msg.NodeID, ok bool) {
+// message to itself. snap, when not nil, is the contents a new consumer
+// starts from, at sequence number seq: the producer's own copy, taken
+// when it learned the new set.
+func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers []msg.NodeID, producer msg.NodeID, snap []byte, seq uint64, ok bool) {
 	d := n.dirEntryOf(o.meta.ID)
 	d.mu.Lock()
 	if isProducer {
 		if d.producer >= 0 && d.producer != from {
 			producer = d.producer
 			d.mu.Unlock()
-			return nil, producer, false
+			return nil, producer, nil, 0, false
 		}
 		d.producer = from
 	} else {
@@ -1197,12 +1226,17 @@ func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers [
 	// A new consumer must be known to the producer before its first
 	// read returns, so every subsequent push reaches it. The update is
 	// therefore made — a Call, acknowledged, when the producer is
-	// another node — before the caller snapshots the contents: any push
-	// that raced the registration lands at the home before the snapshot
-	// and is covered by the consumer's base sequence. d.mu is held until
-	// the producer has the set, so two registrations' sets reach it in
-	// the order they were taken: otherwise the older could land last and
-	// drop the newer consumer from every later push.
+	// another node — before the contents are snapshot. A push the
+	// producer stamped before it learned the set may not have reached
+	// the home yet: it can wait in a barrier arrival until the barrier
+	// completes, which a consumer that takes part in that barrier holds
+	// up by registering. So a producer on another node answers with its
+	// own copy and sequence number, taken under the same o.mu hold as
+	// the new set: every push it stamped before is covered by that base,
+	// and every push it stamps after names the new consumer. d.mu is
+	// held until the producer has the set, so two registrations' sets
+	// reach it in the order they were taken: otherwise the older could
+	// land last and drop the newer consumer from every later push.
 	defer d.mu.Unlock()
 	switch {
 	case isProducer || producer < 0 || producer == from:
@@ -1216,14 +1250,26 @@ func (n *Node) registerPC(o *Obj, from msg.NodeID, isProducer bool) (consumers [
 		for _, c := range consumers {
 			ub.U32(uint32(c))
 		}
-		if _, err := n.k.Call(producer, kindConsUpd, ub.Bytes()); err != nil && !n.relayBenign(err) {
+		reply, err := n.k.Call(producer, kindConsUpd, ub.Bytes())
+		if err != nil && !n.relayBenign(err) {
 			panic(fmt.Sprintf("munin: consumer-set update for object %d: %v", o.meta.ID, err))
 		}
+		// An empty reply: the producer has stamped nothing yet, so the
+		// home's copy is current.
+		if err == nil && len(reply.Payload) > 0 {
+			r := msg.NewReader(reply.Payload)
+			seq = r.U64()
+			if data := r.BytesN(); r.Err() == nil && len(data) == len(o.data) {
+				snap = data
+			}
+		}
 	}
-	return consumers, producer, true
+	return consumers, producer, snap, seq, true
 }
 
-// handleConsUpd refreshes the producer's cached consumer set.
+// handleConsUpd refreshes the producer's cached consumer set and, once
+// this node produces the object, answers with its copy and its last
+// stamped sequence number (registerPC): empty before then.
 func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
@@ -1246,8 +1292,16 @@ func (n *Node) handleConsUpd(req *msg.Msg) vkernel.Outcome {
 	}
 	o.mu.Lock()
 	o.consumers = consumers // never nil: becomeProducer keeps it
+	if !o.isProducer {
+		o.mu.Unlock()
+		n.k.Reply(req, nil)
+		return vkernel.Replied
+	}
+	wb, b := vkernel.NewWire(8 + msg.BytesNSize(len(o.data)))
+	b.U64(o.prodSeq).BytesN(o.data)
 	o.mu.Unlock()
-	n.k.Reply(req, nil)
+	wb.B = b.Bytes()
+	n.k.ReplyOwned(req, wb)
 	return vkernel.Replied
 }
 

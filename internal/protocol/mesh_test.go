@@ -331,10 +331,10 @@ func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					_, homeErr = home.locks.BarrierCarry(0, 2, 0, nil)
+					_, homeErr = home.locks.BarrierCarry(0, 2, dlock.Carry{})
 				}()
-				err = writer.FlushAtBarrier(q, 0, func(size int, carry func(*msg.Builder)) ([]byte, error) {
-					return writer.locks.BarrierCarry(0, 2, size, carry)
+				err = writer.FlushAtBarrier(q, 0, func(p dlock.Carry) ([]byte, error) {
+					return writer.locks.BarrierCarry(0, 2, p)
 				})
 				<-done
 				if homeErr == nil || !strings.Contains(homeErr.Error(), "relay") {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"munin/internal/bufpool"
+	"munin/internal/dlock"
 	"munin/internal/duq"
 	"munin/internal/memory"
 	"munin/internal/msg"
@@ -166,5 +167,107 @@ func TestSecondProducerPanicsOnlyItsThread(t *testing.T) {
 	r.nodes[0].FlushQueue(q0)
 	if got := readU64(r.nodes[1], q1, 7, 0); got != 2 {
 		t.Fatalf("consumer reads %d after the next push, want 2", got)
+	}
+}
+
+// TestCarriedPushIsDroppedNotFatal: a carrier's arrival that carries
+// producer-consumer pushes is input too. The barrier's home checks every
+// push as the arrival comes in, and one that fails is dropped with its
+// arrival: one counted drop.* at the protocol layer and one
+// dlock.drop_malformed, no parked waiter released, and no byte of any
+// copy changed. The next good arrival completes the epoch.
+func TestCarriedPushIsDroppedNotFatal(t *testing.T) {
+	init := pattern(16, 5)
+	// part is a carried part with no write-many entries and one push of
+	// object id at sequence 1, claiming count members and listing
+	// members, then the spans.
+	part := func(id uint32, count int, members []uint32, spans []memory.Span) []byte {
+		b := msg.NewBuilder(64).U32(0).U32(1)
+		b.Entry(func(e *msg.Builder) {
+			e.U32(id).U64(1).U32(uint32(count))
+			for _, m := range members {
+				e.U32(m)
+			}
+			if spans != nil {
+				memory.EncodeSpans(e, spans)
+			}
+		})
+		return b.Bytes()
+	}
+	one := []memory.Span{{Off: 0, Data: []byte{0xee}}}
+	cases := []struct {
+		name    string
+		part    []byte
+		counter string
+	}{
+		{"a push naming an object that is not producer-consumer", part(2, 1, []uint32{0}, one), "drop.misdirected"},
+		{"a push with a span past the end of its object", part(4, 1, []uint32{0}, []memory.Span{{Off: 12, Data: []byte{1, 2, 3, 4, 5}}}), "drop.malformed"},
+		{"a push to a member at the node count", part(4, 1, []uint32{3}, one), "drop.malformed"},
+		{"a push that lists its sender as a member", part(4, 2, []uint32{0, 1}, one), "drop.malformed"},
+		{"a push whose member list is truncated", part(4, 5, []uint32{0, 2}, nil), "drop.malformed"},
+		{"a push whose members repeat", part(4, 2, []uint32{2, 2}, one), "drop.malformed"},
+		{"a push naming an object never allocated", part(999, 1, []uint32{0}, one), "drop.unknown_object"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3)
+			opts := DefaultOptions()
+			opts.Home = 0
+			r.alloc(2, "wm", len(init), WriteMany, opts, init)
+			r.alloc(4, "pc", len(init), ProducerConsumer, opts, init)
+			// Barrier 0 is homed on node 0; node 2's plain arrival parks
+			// there.
+			released := make(chan struct{})
+			go func() {
+				r.locks[2].BarrierWait(0, 2)
+				close(released)
+			}()
+			for deadline := time.Now().Add(10 * time.Second); r.locks[0].BarrierArrived(0) != 1; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("node 2's arrival never parked")
+				}
+			}
+			home, k := r.nodes[0], r.c.Kernel(0)
+			before, kbefore := home.C.Snapshot(), k.C.Get("dlock.drop_malformed")
+			// The dropped arrival is never answered: its call fails when
+			// the rig closes.
+			go r.locks[1].BarrierCarry(0, 2, dlock.Carry{Size: len(tc.part), Write: func(b *msg.Builder) { b.Raw(tc.part) }})
+			for deadline := time.Now().Add(10 * time.Second); k.C.Get("dlock.drop_malformed") == kbefore; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("dlock.drop_malformed never counted")
+				}
+			}
+			after := home.C.Snapshot()
+			for _, name := range []string{"drop.unknown_object", "drop.malformed", "drop.misdirected", "apply.received"} {
+				want := before[name]
+				if name == tc.counter {
+					want++
+				}
+				if after[name] != want {
+					t.Errorf("%s moved from %d to %d, want %d", name, before[name], after[name], want)
+				}
+			}
+			if got := k.C.Get("dlock.drop_malformed"); got != kbefore+1 {
+				t.Errorf("dlock.drop_malformed moved by %d, want 1", got-kbefore)
+			}
+			select {
+			case <-released:
+				t.Fatal("the dropped arrival released the parked waiter")
+			case <-time.After(20 * time.Millisecond):
+			}
+			r.locks[1].BarrierWait(0, 2)
+			select {
+			case <-released:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the good arrival did not complete the epoch")
+			}
+			got := make([]byte, len(init))
+			for _, id := range []memory.ObjectID{2, 4} {
+				home.Read(duq.New(), id, 0, got)
+				if !bytes.Equal(got, init) {
+					t.Errorf("the home reads %x from object %d after the drop, want %x", got, id, init)
+				}
+			}
+		})
 	}
 }
