@@ -123,8 +123,12 @@ func RunE16Home(topo transport.Topology, readers, writes int, lease bool, ready 
 	})
 	k.Handle(kindE16Report, kindE16Report, func(k *vkernel.Kernel, req *msg.Msg) {
 		r := msg.NewReader(req.Payload)
-		verdicts <- verdict{value: r.U64(), expired: int64(r.U64()), remote: int64(r.U64())}
+		v := verdict{value: r.U64(), expired: int64(r.U64()), remote: int64(r.U64())}
+		// Reply before the verdict is handed over: the home closes once
+		// it has every verdict, and a reply queued after that would
+		// fail the reader's report with its departure.
 		k.Reply(req, nil)
+		verdicts <- v
 	})
 	clu.Start()
 

@@ -487,6 +487,13 @@ func (s *System) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	if s.self >= 0 {
+		// A member leaving the mesh hands its locks back before its
+		// goodbye, so waiters forwarded to it are granted by the homes.
+		// An error is a wire that has already failed: the goodbye is
+		// all that is left to send.
+		_ = s.locks[s.self].Leave()
+	}
 	s.clu.Close()
 }
 

@@ -6,8 +6,9 @@
 // # Protocol
 //
 // Every lock has a home node (HomeOf(id)). The home holds the lock's
-// global state: which node currently owns it and a FIFO queue of nodes
-// waiting for ownership. Each node runs a Service holding one proxy per
+// global state: whether it is owned, its tail — the node it last
+// promised the lock to — and, for each node it forwarded a waiter to,
+// that waiter's request. Each node runs a Service holding one proxy per
 // lock it has touched. Threads always operate on the local proxy:
 //
 //   - If the node already owns the lock and no local thread holds it,
@@ -16,24 +17,45 @@
 //   - Otherwise the first local waiter issues an ACQUIRE call to the
 //     home; the reply *is* the ownership grant (the caller stays
 //     suspended in the V-kernel Call until granted).
-//   - The home RECALLs the lock from the owning node when other nodes
-//     queue. The owner surrenders ownership (RELEASE to home) once its
-//     local holder lets go; the home then grants to the head of the
-//     queue. Remote waiters take priority over local re-acquisition once
-//     a recall has arrived, which keeps transfers FIFO at the home and
-//     prevents remote starvation.
+//   - The home grants an unowned lock itself, with the migratory data
+//     parked there. An owned lock is not the home's to give: the home
+//     forwards the ACQUIRE to the tail (kindPass) and makes the caller
+//     the new tail. The tail's proxy answers the forwarded request with
+//     the grant, straight to the waiter, as soon as it owns the lock and
+//     no local thread holds it. A transfer is request, forward and
+//     grant, and the data crosses the wire once: the object "is
+//     migrated, together with the lock itself, to the next thread in the
+//     lock queue" (§3.3.3).
+//   - A node with a parked forward may enter the critical section once
+//     more (the forward can arrive before the grant it queues behind);
+//     its next release passes the lock on. Remote waiters are served in
+//     the order the home forwarded them.
+//   - The queue is a chain. A proxy parks at most one forward: the home
+//     forwards to a node only while it is the tail, and a node becomes
+//     the tail again only by asking again, which it does only after it
+//     has passed the lock on. That ACQUIRE retires the home's entry for
+//     the node, so the home's state is bounded by the node count.
+//   - A node gives a lock back to its home (RELEASE, a Call the home
+//     acknowledges, so nothing the node sends later overtakes it) in
+//     three cases: at every release in naive mode, when it leaves the
+//     computation (Leave), and when its grant to a forwarded waiter
+//     could not be sent. The home grants the waiter it forwarded to that
+//     node itself, with the data, or parks the data when there is none.
+//     A naive proxy serves no forward: one that crossed its release is
+//     counted as dropped (dlock.drop_forward), and the home grants the
+//     waiter.
 //
 // # Migratory data
 //
-// Grant and release messages carry an opaque data payload. The migratory
+// Grants and releases carry an opaque data payload. The migratory
 // coherence protocol (paper §3.3.3) registers a provider/applier pair on
 // the proxy, so the migratory objects guarded by a lock travel inside
-// the lock-transfer messages themselves — "the object is migrated,
-// together with the lock itself, to the next thread in the lock queue."
+// the lock-transfer messages themselves.
 package dlock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"munin/internal/bufpool"
@@ -57,12 +79,10 @@ type AtomicID uint32
 // CondID identifies a distributed condition variable.
 type CondID uint32
 
-// Message kinds used by the lock service: one contiguous block, its
-// Call kinds, then its one-way kinds, then a sentinel one past the end.
-// The dispatch tables are keyed by kind minus the first kind of their
-// half, so a kind given two handlers, or a handler on a kind outside
-// its half, does not compile, and a kind given none panics in
-// NewService.
+// Message kinds used by the lock service: one contiguous block of Call
+// kinds, then a sentinel one past the end. The dispatch table is keyed
+// by kind minus the first kind, so a kind given two handlers does not
+// compile, and a kind given none panics in NewService.
 const (
 	kindAcquire  = msg.KindLockBase + iota // Call: request ownership; reply = grant(+data)
 	kindBarrier                            // Call: arrive at barrier; reply = release
@@ -72,27 +92,23 @@ const (
 	kindCondWait                           // Call: block until signaled (pre-registered)
 	kindCondReg                            // Call: register waiter, returns ticket
 	kindCondSig                            // Call: signal/broadcast
-	kindRelease                            // Send: surrender ownership to home (+data)
-	kindRecall                             // Send: home asks owner to surrender
+	kindRelease                            // Call: hand ownership back to the home (+data); reply = ack
+	kindPass                               // Call: a waiter's ACQUIRE the home forwards to the tail; reply, to the waiter = grant(+data)
 	kindLockEnd                            // sentinel
 )
 
-var (
-	lockCalls = [kindRelease - kindAcquire]func(*Service, *msg.Msg) vkernel.Outcome{
-		kindAcquire - kindAcquire:  (*Service).handleAcquire,
-		kindBarrier - kindAcquire:  (*Service).handleBarrier,
-		kindCarrier - kindAcquire:  (*Service).handleCarrier,
-		kindFetchAdd - kindAcquire: (*Service).handleFetchAdd,
-		kindAtomLoad - kindAcquire: (*Service).handleAtomLoad,
-		kindCondWait - kindAcquire: (*Service).handleCondWait,
-		kindCondReg - kindAcquire:  (*Service).handleCondReg,
-		kindCondSig - kindAcquire:  (*Service).handleCondSig,
-	}
-	lockSends = [kindLockEnd - kindRelease]func(*Service, *msg.Msg){
-		kindRelease - kindRelease: (*Service).handleRelease,
-		kindRecall - kindRelease:  (*Service).handleRecall,
-	}
-)
+var lockCalls = [kindLockEnd - kindAcquire]func(*Service, *msg.Msg) vkernel.Outcome{
+	kindAcquire - kindAcquire:  (*Service).handleAcquire,
+	kindBarrier - kindAcquire:  (*Service).handleBarrier,
+	kindCarrier - kindAcquire:  (*Service).handleCarrier,
+	kindFetchAdd - kindAcquire: (*Service).handleFetchAdd,
+	kindAtomLoad - kindAcquire: (*Service).handleAtomLoad,
+	kindCondWait - kindAcquire: (*Service).handleCondWait,
+	kindCondReg - kindAcquire:  (*Service).handleCondReg,
+	kindCondSig - kindAcquire:  (*Service).handleCondSig,
+	kindRelease - kindAcquire:  (*Service).handleRelease,
+	kindPass - kindAcquire:     (*Service).handlePass,
+}
 
 // Service is one node's lock server plus its proxy table.
 type Service struct {
@@ -111,8 +127,8 @@ type Service struct {
 	barrierCheck func(Arrival) bool
 	barrierMerge func([]Arrival) (Releases, error)
 
-	// naive disables proxy ownership caching: every release surrenders
-	// the lock to the home. Used by the E8 experiment as the baseline.
+	// naive disables proxy ownership caching: every release hands the
+	// lock back to the home. Used by the E8 experiment as the baseline.
 	naive bool
 
 	ctr stats.Dlock // bound into the kernel's Set
@@ -131,10 +147,13 @@ type proxy struct {
 	owner      bool // this node holds global ownership
 	held       bool // a local thread holds the lock
 	requesting bool // an ACQUIRE call is in flight
-	// surrendering holds local acquirers off while a surrender takes the
-	// migratory data outside mu and sends the release.
-	surrendering bool
-	recall       bool // home asked us to surrender
+	// passing holds local acquirers off while the lock leaves this node:
+	// the migratory data is taken and the grant or the hand-back sent
+	// outside mu.
+	passing bool
+	// next is the waiter's ACQUIRE the home forwarded here, parked until
+	// the lock is free: the next release grants it the lock.
+	next *msg.Msg
 
 	// Migratory data hooks (nil when no data is attached to the lock).
 	provide func(emit func([]byte))
@@ -143,16 +162,35 @@ type proxy struct {
 
 // homeState is the global state of a lock homed on this node.
 type homeState struct {
-	mu     lockrank.Mutex[lockrank.LockHome]
-	owned  bool
-	owner  msg.NodeID
-	queue  []pendingGrant
+	mu    lockrank.Mutex[lockrank.LockHome]
+	owned bool
+	// tail is the node the lock was last promised to, while owned.
+	tail msg.NodeID
+	// fwd holds one entry per node that owes a forwarded waiter the
+	// lock: at most one per node.
+	fwd    []forwarded
 	stored []byte // migratory data parked at home while unowned
 }
 
-type pendingGrant struct {
-	node msg.NodeID
-	req  *msg.Msg // pending ACQUIRE call to reply to
+// forwarded is a waiter whose ACQUIRE the home forwarded to node at,
+// which owes it the lock. req is the waiter's request, kept so that the
+// home can grant it itself if the lock comes back instead; it is nil
+// once the waiter is lost, and the lock then goes on to whoever the home
+// forwarded to the waiter.
+type forwarded struct {
+	at, waiter msg.NodeID
+	req        *msg.Msg
+}
+
+// take removes and returns the entry of the waiter node n owes the lock.
+func (h *homeState) take(n msg.NodeID) (forwarded, bool) {
+	for i, f := range h.fwd {
+		if f.at == n {
+			h.fwd = slices.Delete(h.fwd, i, i+1)
+			return f, true
+		}
+	}
+	return forwarded{}, false
 }
 
 type barrierState struct {
@@ -201,7 +239,6 @@ func NewService(k *vkernel.Kernel) *Service {
 	}
 	k.C.Bind(&s.ctr)
 	vkernel.HandleCalls(k, kindAcquire, s, lockCalls[:])
-	vkernel.HandleSends(k, kindRelease, s, lockSends[:])
 	return s
 }
 
@@ -297,13 +334,12 @@ func (s *Service) Acquire(id LockID) {
 	p.mu.Lock()
 	for {
 		if p.owner && !p.held {
-			// Local (zero-message) acquisition. A pending recall does
-			// not block this acquisition: the node is allowed to enter
-			// the critical section once more, and Release will then
-			// surrender ownership to the home. (Surrendering here
-			// instead would bounce a fresh grant away before the
-			// granted thread ever ran, since the home recalls
-			// eagerly when more waiters are queued behind a grant.)
+			// Local (zero-message) acquisition. A parked forward does
+			// not block it: the node may enter the critical section once
+			// more, and Release then passes the lock on. (Passing it here
+			// instead would send a fresh grant away before the granted
+			// thread ever ran, since a waiter can be forwarded here before
+			// this node's own grant arrives.)
 			p.held = true
 			p.mu.Unlock()
 			s.mu.Lock()
@@ -323,11 +359,13 @@ func (s *Service) Acquire(id LockID) {
 			continue
 		}
 		// Not owner.
-		if !p.requesting && !p.surrendering {
+		if !p.requesting && !p.passing {
 			p.requesting = true
 			apply := p.apply
 			p.mu.Unlock()
 
+			// The grant comes from the home, or from the node the home
+			// forwarded this request to.
 			reply, err := s.k.Call(s.home(id), kindAcquire, encodeLockPayload(uint32(id), nil))
 			var data []byte
 			if err == nil {
@@ -339,9 +377,9 @@ func (s *Service) Acquire(id LockID) {
 				p.cond.Broadcast()
 				panic(fmt.Sprintf("dlock: acquire lock %d: %v", id, err))
 			}
-			// The home's grant has arrived but ownership is not yet
-			// recorded: a member dying here leaves the home believing
-			// it owns the lock.
+			// The grant has arrived but ownership is not yet recorded: a
+			// member dying here leaves the home believing it owns the
+			// lock.
 			failpoint.Hit(failpoint.LockGranted)
 
 			// The data goes in before ownership is recorded: no local
@@ -362,6 +400,8 @@ func (s *Service) Acquire(id LockID) {
 }
 
 // Release releases lock id, previously acquired by this thread's node.
+// With a forwarded waiter parked it passes the lock on; in naive mode it
+// hands the lock back to the home.
 func (s *Service) Release(id LockID) {
 	lockrank.Blocking()
 	p := s.proxy(id)
@@ -374,74 +414,158 @@ func (s *Service) Release(id LockID) {
 	s.mu.Lock()
 	naive := s.naive
 	s.mu.Unlock()
-	if p.recall || naive {
-		s.surrender(id, p)
+	var err error
+	switch {
+	case naive:
+		err = s.handBack(id, p)
+	case p.next != nil:
+		err = s.pass(id, p)
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-// surrender gives global ownership back to the home. Caller holds p.mu;
-// the proxy must be owner with the lock free. The migratory data is
-// taken and the release sent with p.mu released, because provide takes
-// the object's lock, which ranks below p.mu; surrendering keeps local
-// acquirers from asking the home for the lock before the release is on
-// its way. Returns with p.mu held.
-func (s *Service) surrender(id LockID, p *proxy) {
-	p.owner, p.recall, p.surrendering = false, false, true
-	provide := p.provide
-	p.mu.Unlock()
-	var wb *bufpool.Buffer
-	if provide != nil {
-		provide(func(data []byte) { wb = lockWire(uint32(id), data) })
-	} else {
-		wb = lockWire(uint32(id), nil)
-	}
-	err := s.k.SendOwned(s.home(id), kindRelease, wb)
-	p.mu.Lock()
-	p.surrendering = false
 	if err != nil {
 		panic(fmt.Sprintf("dlock: release lock %d: %v", id, err))
 	}
 }
 
+// pass grants the lock to the waiter parked in p.next, straight from
+// this node, with the migratory data. Caller holds p.mu; the proxy owns
+// the lock, free. The data is taken and the grant sent with p.mu
+// released, because provide takes the object's lock, which ranks below
+// p.mu; passing keeps local acquirers from asking for the lock again
+// before the grant is on its way. A grant that cannot be sent — the
+// waiter's wire died or it left — is counted (dlock.grant_failed), and
+// the lock goes back to the home, which grants the waiter itself or
+// passes the lock on past it; the error is the hand-back's. Returns with
+// p.mu held.
+func (s *Service) pass(id LockID, p *proxy) error {
+	next := p.next
+	p.next, p.owner, p.passing = nil, false, true
+	provide := p.provide
+	p.mu.Unlock()
+	err := s.k.ReplyOwned(next, lockData(id, provide))
+	p.mu.Lock()
+	if err != nil {
+		s.ctr.GrantFailed.Inc()
+		p.owner = true
+		err = s.handBack(id, p)
+	}
+	p.passing = false
+	return err
+}
+
+// handBack gives the lock back to its home with the migratory data and
+// waits for the home's ack, so that this node's next ACQUIRE cannot
+// overtake it. The home grants the waiter it forwarded here, if any, so
+// a parked forward is dropped. Caller holds p.mu and the proxy owns the
+// lock; returns with p.mu held, like pass.
+func (s *Service) handBack(id LockID, p *proxy) error {
+	p.next, p.owner, p.passing = nil, false, true
+	provide := p.provide
+	p.mu.Unlock()
+	pend, err := s.k.CallStartOwned(s.home(id), kindRelease, lockData(id, provide))
+	if err == nil {
+		_, err = pend.Wait()
+	}
+	p.mu.Lock()
+	p.passing = false
+	return err
+}
+
+// lockData builds a grant or a hand-back of lock id: the migratory data
+// provide emits, or none.
+func lockData(id LockID, provide func(emit func([]byte))) *bufpool.Buffer {
+	if provide == nil {
+		return lockWire(uint32(id), nil)
+	}
+	var wb *bufpool.Buffer
+	provide(func(data []byte) { wb = lockWire(uint32(id), data) })
+	return wb
+}
+
+// Leave hands every lock this node owns, held or not, back to its home,
+// migratory data included. The runtime calls it before a clean
+// departure (its goodbye), so a waiter forwarded here is granted by the
+// home from the bytes the lock carried last, and the home never has to
+// guess at the departure whether the lock was passed on (PeerGone). A
+// lock homed on this node is skipped: its home state leaves with the
+// node. A lock whose home cannot be reached stays with this node
+// (dlock.handback_failed), and that home's PeerGone releases it.
+//
+// Leave then fences this node's sends: a grant passed on just before
+// may wait behind the first dial to its waiter, and a pair still
+// dialing when the goodbye goes out is torn down with what it queued.
+// The error is the fence's.
+func (s *Service) Leave() error {
+	s.mu.Lock()
+	owned := make(map[LockID]*proxy, len(s.proxies))
+	for id, p := range s.proxies {
+		if s.home(id) != s.k.Node() {
+			owned[id] = p
+		}
+	}
+	s.mu.Unlock()
+	for id, p := range owned {
+		p.mu.Lock()
+		if p.owner {
+			if err := s.handBack(id, p); err != nil {
+				s.ctr.HandBackFailed.Inc()
+			}
+		}
+		p.mu.Unlock()
+	}
+	return s.k.Flush()
+}
+
 // PeerGone prunes a cleanly departed member from this node's home-side
-// lock state: its queued ACQUIRE requests are dropped (the waiter's
-// process is gone; granting to it would only pay a failed send), and a
-// lock it still owned is released — granted to the next queued waiter,
-// or parked unowned — so the remaining members are not deadlocked
-// behind an owner that will never surrender. A migratory payload the
-// departed owner held is lost with it (clean departure while holding a
-// lock is a program error; this keeps the failure local to that lock).
+// lock state. A member departing through the runtime has handed every
+// lock it owned back first (Leave), so what is left is:
+//
+//   - a request of the peer's that the home forwarded to another node:
+//     the entry is marked lost, and when that node's grant fails and the
+//     lock comes back, the home passes it on past the peer
+//     (dlock.gone_dequeued);
+//   - a waiter the home forwarded to the peer: the peer passed the lock
+//     on before it left, and the grant may still be on its way on
+//     another wire, so the home sends nothing (it re-grants only from
+//     bytes it holds, and a dataless grant could overtake the real one);
+//   - a lock the peer is the tail of: it never handed it back, so it is
+//     released, its migratory payload lost with it, and parked at home
+//     unowned (dlock.gone_owner) — unless a node still owes the peer the
+//     lock: then the peer never got it, and the lock comes back to the
+//     home with that node's failed grant. Clean departure while holding
+//     a lock is a program error; this keeps the failure local to that
+//     lock.
 //
 // The runtime calls this when the transport reports a goodbye
 // (transport.PeerGoneNotifier), strictly after everything the peer sent
-// — including any final RELEASE — has been dispatched, so only state
-// the peer genuinely abandoned is pruned. Barrier arrivals are left
-// untouched: an arrival that already counted keeps counting (the
-// release reply to the departed member fails once, harmlessly).
-//
-// Counters (on the kernel's set): dlock.gone_dequeued (queued grants
-// dropped), dlock.gone_owner (owned locks force-released).
+// has been dispatched. Barrier arrivals are left untouched: an arrival
+// that already counted keeps counting (the release reply to the
+// departed member fails once, harmlessly).
 func (s *Service) PeerGone(peer msg.NodeID) {
-	dequeued, released := s.resetPeer(peer)
+	dequeued, released := s.resetPeer(peer, false)
 	s.ctr.GoneDequeued.Add(dequeued)
 	s.ctr.GoneOwner.Add(released)
 }
 
 // PeerRecovered rebuilds this home's lock state for a peer whose
-// restarted incarnation is rejoining (protocol recovery): the dead
-// incarnation's queued grant requests are dropped — their pending
-// calls died with its connection — and a lock it still held is
-// force-released to the next waiter, exactly like a departing owner's.
-// The fresh incarnation re-enters queues via ordinary acquires. Barrier
-// arrivals the dead incarnation parked here are dropped (PeerDown).
+// restarted incarnation is rejoining (protocol recovery). The dead
+// incarnation's requests forwarded to other nodes are marked lost, as
+// in PeerGone. A lock the dead incarnation owed a forwarded waiter is
+// granted to that waiter by the home, without data: the bytes died with
+// the incarnation, and its last frames were delivered long before its
+// successor rejoined. A lock it was the tail of is released, even if a
+// node still owes it the lock: the home cannot tell a crashed waiter
+// from a crashed holder granted directly, and takes it for the holder,
+// whose lock would otherwise be lost for good. The fresh
+// incarnation re-enters by ordinary acquires. Barrier arrivals the dead
+// incarnation parked here are dropped (PeerDown).
 //
 // Counters: dlock.recover_dequeued, dlock.recover_owner,
 // dlock.barrier_purged.
 func (s *Service) PeerRecovered(peer msg.NodeID) {
 	s.PeerDown(peer)
-	dequeued, released := s.resetPeer(peer)
+	dequeued, released := s.resetPeer(peer, true)
 	s.ctr.RecoverDequeued.Add(dequeued)
 	s.ctr.RecoverOwner.Add(released)
 }
@@ -463,11 +587,10 @@ func (s *Service) PeerDown(peer msg.NodeID) {
 	s.ctr.BarrierPurged.Add(s.purgeArrivals(peer))
 }
 
-// resetPeer drops peer from every lock queue this node homes and
-// force-releases any lock peer owned, granting it to the next queued
-// waiter. Shared by PeerGone (clean departure) and PeerRecovered
-// (crashed incarnation rejoining).
-func (s *Service) resetPeer(peer msg.NodeID) (dequeued, released int64) {
+// resetPeer is PeerGone's and PeerRecovered's walk over the locks this
+// node homes; crashed selects PeerRecovered's dataless grant to a waiter
+// the peer owed the lock.
+func (s *Service) resetPeer(peer msg.NodeID, crashed bool) (dequeued, released int64) {
 	s.mu.Lock()
 	type idHome struct {
 		id LockID
@@ -482,41 +605,60 @@ func (s *Service) resetPeer(peer msg.NodeID) (dequeued, released int64) {
 	for _, ih := range homes {
 		h := ih.h
 		h.mu.Lock()
-		kept := h.queue[:0]
-		for _, pg := range h.queue {
-			if pg.node == peer {
-				dequeued++
-				continue
+		waiting := false
+		for i := range h.fwd {
+			if h.fwd[i].waiter == peer {
+				waiting = true
+				if h.fwd[i].req != nil {
+					h.fwd[i].req = nil
+					dequeued++
+				}
 			}
-			kept = append(kept, pg)
 		}
-		h.queue = kept
-		var next *pendingGrant
-		moreWaiters := false
-		if h.owned && h.owner == peer {
-			released++
-			if len(h.queue) > 0 {
-				pg := h.queue[0]
-				h.queue = h.queue[1:]
-				h.owner = pg.node
-				moreWaiters = len(h.queue) > 0
-				next = &pg
-			} else {
-				h.owned = false
-				h.stored = nil // the owner's migratory payload left with it
+		owed, owes := h.take(peer)
+		regrant := false
+		switch {
+		case owes:
+			if crashed {
+				released++
+				regrant = true
 			}
+		case h.owned && h.tail == peer && (crashed || !waiting):
+			released++
+			h.owned = false
+			h.stored = nil // the owner's migratory payload left with it
 		}
 		h.mu.Unlock()
-		if next != nil {
-			// Grant with no data: the departed owner never provided its
-			// release payload.
-			s.k.Reply(next.req, encodeLockPayload(uint32(ih.id), nil))
-			if moreWaiters {
-				s.k.Send(next.node, kindRecall, encodeLockPayload(uint32(ih.id), nil))
-			}
+		if regrant {
+			s.grant(uint32(ih.id), h, owed, nil)
 		}
 	}
 	return dequeued, released
+}
+
+// grant gives the lock to f's waiter, with data, in place of node f.at,
+// which owed it. A waiter that is lost, or that the grant cannot reach,
+// is passed over: the lock goes on to the waiter the home forwarded to
+// it, or, if it was the tail, back to the home. data must stay valid
+// until grant returns.
+func (s *Service) grant(id uint32, h *homeState, f forwarded, data []byte) {
+	for {
+		if f.req != nil && s.k.ReplyOwned(f.req, lockWire(id, data)) == nil {
+			return
+		}
+		h.mu.Lock()
+		next, ok := h.take(f.waiter)
+		if !ok {
+			if h.owned && h.tail == f.waiter {
+				h.owned = false
+				h.stored = append([]byte(nil), data...)
+			}
+			h.mu.Unlock()
+			return
+		}
+		h.mu.Unlock()
+		f = next
+	}
 }
 
 // lockFromWire decodes the (lockID, data) payload of a lock message. A
@@ -553,67 +695,95 @@ func (s *Service) handleAcquire(req *msg.Msg) vkernel.Outcome {
 		return vkernel.Dropped
 	}
 	h.mu.Lock()
+	// A node asks again only once it has passed the lock on: it owes the
+	// waiter forwarded to it nothing more.
+	h.take(req.From)
 	if !h.owned {
-		h.owned = true
-		h.owner = req.From
+		h.owned, h.tail = true, req.From
 		data := h.stored
 		h.stored = nil
 		h.mu.Unlock()
 		s.k.ReplyOwned(req, lockWire(id, data))
 		return vkernel.Replied
 	}
-	h.queue = append(h.queue, pendingGrant{node: req.From, req: req})
-	needRecall := len(h.queue) == 1
-	owner := h.owner
-	h.mu.Unlock()
-	if needRecall {
-		s.k.Send(owner, kindRecall, encodeLockPayload(id, nil))
+	tail := h.tail
+	if tail == req.From {
+		// The tail cannot ask again before it has passed the lock on or
+		// handed it back: this is a repeated request, and forwarding it
+		// to its own sender would park it for good.
+		h.mu.Unlock()
+		s.ctr.DropMalformed.Inc()
+		return vkernel.Dropped
 	}
-	return vkernel.Parked
+	h.fwd = append(h.fwd, forwarded{at: tail, waiter: req.From, req: req})
+	h.tail = req.From
+	h.mu.Unlock()
+	// A forward that cannot be sent leaves the entry to the tail's
+	// departure or recovery (PeerGone, PeerRecovered).
+	s.k.Forward(req, tail, kindPass, encodeLockPayload(id, nil))
+	return vkernel.Forwarded
 }
 
-func (s *Service) handleRelease(req *msg.Msg) {
+// handleRelease takes a lock back from the node that owns it: a naive
+// release, a departure's hand-back or a grant that could not be sent.
+// The home grants the waiter it forwarded to that node, if any, or parks
+// the data; it acknowledges first, since the state the node's next
+// request meets is already in place.
+func (s *Service) handleRelease(req *msg.Msg) vkernel.Outcome {
 	id, data, h := s.homeFromWire(req.Payload)
 	if h == nil {
-		return
+		return vkernel.Dropped
 	}
 	h.mu.Lock()
-	if len(h.queue) == 0 {
+	f, owed := h.take(req.From)
+	if !owed && h.owned && h.tail == req.From {
 		h.owned = false
 		h.stored = append([]byte(nil), data...)
-		h.mu.Unlock()
-		return
 	}
-	next := h.queue[0]
-	h.queue = h.queue[1:]
-	h.owner = next.node
-	moreWaiters := len(h.queue) > 0
 	h.mu.Unlock()
-	// Grant: the reply to the waiter's pending ACQUIRE call, carrying
-	// the migratory data that rode in on the release.
-	s.k.ReplyOwned(next.req, lockWire(id, data))
-	if moreWaiters {
-		s.k.Send(next.node, kindRecall, encodeLockPayload(id, nil))
+	s.k.Reply(req, nil)
+	if owed {
+		s.grant(id, h, f, data)
 	}
+	return vkernel.Replied
 }
 
-func (s *Service) handleRecall(req *msg.Msg) {
+// handlePass serves a waiter's ACQUIRE its home forwarded here: the
+// proxy grants it the lock as soon as it owns the lock and no local
+// thread holds it. A forward is served only by a proxy that owns or
+// requests the lock, has none parked and does not hand every release
+// back to the home (naive mode); any other is counted
+// (dlock.drop_forward): the home grants a naive proxy's waiter itself.
+func (s *Service) handlePass(req *msg.Msg) vkernel.Outcome {
 	id, _, ok := s.lockFromWire(req.Payload)
 	if !ok {
-		return
+		return vkernel.Dropped
 	}
+	if req.Flags&msg.FlagForward == 0 {
+		// Only a forward names the waiter to grant.
+		s.ctr.DropMalformed.Inc()
+		return vkernel.Dropped
+	}
+	s.mu.Lock()
+	naive := s.naive
+	s.mu.Unlock()
 	p := s.proxy(LockID(id))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.owner && !p.held {
-		// Free right now: surrender immediately.
-		s.surrender(LockID(id), p)
-		p.cond.Broadcast()
-		return
+	if naive || p.next != nil || !(p.owner || p.requesting) {
+		s.ctr.DropForward.Inc()
+		return vkernel.Dropped
 	}
-	// Held (or ownership still in flight): mark; Release/Acquire will
-	// honor it.
-	p.recall = true
+	p.next = req
+	if !p.owner || p.held {
+		return vkernel.Parked
+	}
+	// Free right now: pass it on at once.
+	if err := s.pass(LockID(id), p); err != nil {
+		s.ctr.HandBackFailed.Inc()
+	}
+	p.cond.Broadcast()
+	return vkernel.Replied
 }
 
 // encodeLockPayload packs (lockID, data) for the wire. data == nil means

@@ -12,25 +12,31 @@ import (
 	"munin/internal/transport"
 )
 
-// meshPair builds a two-member mesh — two separate MeshNetworks over
-// real loopback sockets, the same shape two OS processes have — with a
-// lock service on each member's kernel, and wires each service's
-// PeerGone pruning to the transport's departure notification exactly as
-// the SPMD runtime (internal/core) does.
-func meshPair(t *testing.T) [2]struct {
-	Clu *cluster.Cluster
-	Svc *Service
-} {
+// meshMember is one member of a test mesh: its cluster, its lock
+// service, and the departures its service has pruned (PeerGone), in
+// order.
+type meshMember struct {
+	Clu  *cluster.Cluster
+	Svc  *Service
+	Gone chan msg.NodeID
+}
+
+// meshN builds an n-member mesh — n separate MeshNetworks over real
+// loopback sockets, the same shape n OS processes have — with a lock
+// service on each member's kernel, and wires each service's PeerGone
+// pruning to the transport's departure notification exactly as the
+// SPMD runtime (internal/core) does.
+func meshN(t *testing.T, n int) []meshMember {
 	t.Helper()
-	addrs, err := netutil.ReserveAddrs(2)
+	addrs, err := netutil.ReserveAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := map[msg.NodeID]string{0: addrs[0], 1: addrs[1]}
-	var out [2]struct {
-		Clu *cluster.Cluster
-		Svc *Service
+	peers := make(map[msg.NodeID]string, n)
+	for i, a := range addrs {
+		peers[msg.NodeID(i)] = a
 	}
+	out := make([]meshMember, n)
 	for i := range out {
 		topo := transport.Topology{Self: msg.NodeID(i), Peers: peers}
 		clu, err := cluster.New(cluster.Config{Topology: &topo})
@@ -38,12 +44,22 @@ func meshPair(t *testing.T) [2]struct {
 			t.Fatal(err)
 		}
 		svc := NewService(clu.Kernel(msg.NodeID(i)))
-		clu.OnPeerGone(func(peer msg.NodeID, _ error) { svc.PeerGone(peer) })
+		gone := make(chan msg.NodeID, n)
+		clu.OnPeerGone(func(peer msg.NodeID, _ error) {
+			svc.PeerGone(peer)
+			gone <- peer
+		})
 		clu.Start()
-		out[i].Clu = clu
-		out[i].Svc = svc
+		out[i] = meshMember{clu, svc, gone}
 	}
 	return out
+}
+
+// meshPair is meshN for two members.
+func meshPair(t *testing.T) [2]meshMember {
+	t.Helper()
+	m := meshN(t, 2)
+	return [2]meshMember{m[0], m[1]}
 }
 
 // TestMeshBarrierAcrossMembers is the cross-process barrier test: two
@@ -154,5 +170,183 @@ func TestPeerGoneReleasesDepartedOwner(t *testing.T) {
 	}
 	if got := pair[0].Clu.Kernel(0).C.Get("dlock.gone_owner"); got != 1 {
 		t.Fatalf("dlock.gone_owner = %d, want 1", got)
+	}
+}
+
+// meshRecords is attachRecords for a mesh: every member seeds lock id's
+// 64-byte migratory copy, and only the home's seed stores.
+func meshRecords(m []meshMember, id LockID) [][]byte {
+	svcs := make([]*Service, len(m))
+	for i := range m {
+		svcs[i] = m[i].Svc
+	}
+	return attachRecords(svcs, id)
+}
+
+// waitParked waits until svc's proxy of lock id has a forward parked.
+func waitParked(t *testing.T, svc *Service, id LockID) {
+	t.Helper()
+	p := svc.proxy(id)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		p.mu.Lock()
+		parked := p.next != nil
+		p.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter's forward never parked at the holder")
+		}
+	}
+}
+
+// TestHolderDepartsRightAfterPassing: member 1 passes the lock to member
+// 2 straight from its release and leaves at once. Its grant and its
+// goodbye travel on different wires, so the home (member 0) cannot tell
+// from the goodbye whether the grant is still on its way; it must send
+// nothing, or a dataless grant could overtake the real one and the
+// waiter would read stale bytes. The waiter reads the passer's last
+// value, and no second grant reaches it.
+func TestHolderDepartsRightAfterPassing(t *testing.T) {
+	m := meshN(t, 3)
+	defer m[2].Clu.Close()
+	defer m[0].Clu.Close()
+	const lock = LockID(0) // homed on member 0
+	copies := meshRecords(m, lock)
+
+	m[1].Svc.Acquire(lock)
+	got := make(chan byte, 1)
+	go func() {
+		m[2].Svc.Acquire(lock)
+		got <- copies[2][0]
+		m[2].Svc.Release(lock)
+	}()
+	waitParked(t, m[1].Svc, lock)
+	copies[1][0] = 7
+	m[1].Svc.Release(lock) // passes the lock and the 7 to member 2
+	// It owns nothing, so it hands nothing back; it fences the grant,
+	// which may wait behind the first dial to member 2, onto the wire.
+	if err := m[1].Svc.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	m[1].Clu.Close()
+
+	select {
+	case v := <-got:
+		if v != 7 {
+			t.Fatalf("the waiter read %d, want the passer's 7", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter was never granted the lock")
+	}
+	select {
+	case <-m[0].Gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the home never saw member 1 depart")
+	}
+	// A grant the home sent at the goodbye would reach member 2 as a
+	// reply nobody waits for.
+	k2 := m[2].Clu.Kernel(2)
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := k2.C.Get("drop.stray_reply"); n != 0 {
+			t.Fatalf("the waiter got %d grants it did not wait for: the home granted at the goodbye", n)
+		}
+	}
+	if n := m[0].Clu.Kernel(0).C.Get("dlock.gone_owner"); n != 0 {
+		t.Fatalf("dlock.gone_owner = %d, want 0: the passer owned nothing when it left", n)
+	}
+}
+
+// TestHolderDepartsWithParkedForward: member 1 leaves while it holds the
+// lock with member 2's forward parked. Its departure hands the lock back
+// to the home (Leave), data included, and the home grants member 2 from
+// those bytes, so the waiter neither hangs nor reads stale bytes.
+func TestHolderDepartsWithParkedForward(t *testing.T) {
+	m := meshN(t, 3)
+	defer m[2].Clu.Close()
+	defer m[0].Clu.Close()
+	const lock = LockID(0) // homed on member 0
+	copies := meshRecords(m, lock)
+
+	m[1].Svc.Acquire(lock)
+	copies[1][0] = 9
+	got := make(chan byte, 1)
+	go func() {
+		m[2].Svc.Acquire(lock)
+		got <- copies[2][0]
+		m[2].Svc.Release(lock)
+	}()
+	waitParked(t, m[1].Svc, lock)
+	if err := m[1].Svc.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	m[1].Clu.Close()
+
+	select {
+	case v := <-got:
+		if v != 9 {
+			t.Fatalf("the waiter read %d, want the departed holder's 9", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter forwarded to the departed holder hangs")
+	}
+	if n := m[0].Clu.Kernel(0).C.Get("dlock.gone_owner"); n != 0 {
+		t.Fatalf("dlock.gone_owner = %d, want 0: the holder handed the lock back", n)
+	}
+}
+
+// TestDirectGrantFailureGoesBackToTheHome: a holder whose grant to a
+// forwarded waiter cannot be sent — the waiter left — counts it
+// (dlock.grant_failed), panics nothing, and hands the lock back to the
+// home with its bytes. The home has marked the waiter lost, so it parks
+// the bytes, and the next acquirer reads the holder's last write.
+func TestDirectGrantFailureGoesBackToTheHome(t *testing.T) {
+	m := meshN(t, 3)
+	defer m[1].Clu.Close()
+	defer m[0].Clu.Close()
+	const lock = LockID(0) // homed on member 0
+	copies := meshRecords(m, lock)
+
+	// Pass the lock 1 → 2 → 1 first, so members 1 and 2 share a
+	// connection for member 2's goodbye to ride.
+	for _, n := range []int{1, 2} {
+		m[n].Svc.Acquire(lock)
+		m[n].Svc.Release(lock)
+	}
+	m[1].Svc.Acquire(lock)
+	go func() {
+		defer func() { recover() }() // its own node closes under it
+		m[2].Svc.Acquire(lock)
+	}()
+	waitParked(t, m[1].Svc, lock)
+	m[2].Clu.Close()
+	for _, mm := range m[:2] {
+		select {
+		case <-mm.Gone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("member 2's departure was never seen")
+		}
+	}
+	copies[1][0] = 5
+	m[1].Svc.Release(lock) // the grant to member 2 fails
+	if n := m[1].Clu.Kernel(1).C.Get("dlock.grant_failed"); n != 1 {
+		t.Fatalf("dlock.grant_failed = %d, want 1", n)
+	}
+	if n := m[0].Clu.Kernel(0).C.Get("dlock.gone_dequeued"); n != 1 {
+		t.Fatalf("dlock.gone_dequeued = %d, want 1", n)
+	}
+	done := make(chan byte, 1)
+	go func() {
+		m[0].Svc.Acquire(lock)
+		done <- copies[0][0]
+		m[0].Svc.Release(lock)
+	}()
+	select {
+	case v := <-done:
+		if v != 5 {
+			t.Fatalf("the next holder read %d, want the failed granter's 5", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the lock was lost with the failed grant")
 	}
 }

@@ -11,7 +11,9 @@ import (
 // A lock message a peer sends is input, not a local program's bug:
 // whatever it names, the member counts a drop and goes on serving. Each
 // case is sent from node 1 to node 0 over the harness's transport, so a
-// handler that panicked would take the test binary with it.
+// handler that panicked would take the test binary with it. A forwarded
+// case goes as a home's forward does (vkernel.Forward), naming node 1
+// as the waiter.
 func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 	// Lock 0 is homed on node 0, lock 1 on node 1 (cluster.HomeOf).
 	truncated := encodeLockPayload(0, []byte{1, 2, 3})
@@ -19,21 +21,31 @@ func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 	cases := []struct {
 		name    string
 		kind    msg.Kind
+		forward bool
 		payload []byte
 		counter string
 	}{
-		{"kindAcquire with a truncated payload", kindAcquire, []byte{0, 0}, "dlock.drop_malformed"},
-		{"kindAcquire for a lock homed on another node", kindAcquire, encodeLockPayload(1, nil), "dlock.drop_misdirected"},
-		{"kindRelease with truncated data", kindRelease, truncated, "dlock.drop_malformed"},
-		{"kindRelease for a lock homed on another node", kindRelease, encodeLockPayload(1, []byte{9}), "dlock.drop_misdirected"},
-		{"kindRecall with an empty payload", kindRecall, nil, "dlock.drop_malformed"},
+		{"kindAcquire with a truncated payload", kindAcquire, false, []byte{0, 0}, "dlock.drop_malformed"},
+		{"kindAcquire for a lock homed on another node", kindAcquire, false, encodeLockPayload(1, nil), "dlock.drop_misdirected"},
+		{"kindRelease with truncated data", kindRelease, false, truncated, "dlock.drop_malformed"},
+		{"kindRelease for a lock homed on another node", kindRelease, false, encodeLockPayload(1, []byte{9}), "dlock.drop_misdirected"},
+		{"kindPass with an empty payload", kindPass, true, nil, "dlock.drop_malformed"},
+		{"kindPass with a truncated payload", kindPass, true, []byte{0, 0}, "dlock.drop_malformed"},
+		{"kindPass that names no caller", kindPass, false, encodeLockPayload(0, nil), "dlock.drop_malformed"},
+		{"kindPass for a lock this node neither owns nor requests", kindPass, true, encodeLockPayload(1, nil), "dlock.drop_forward"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, svcs := harness(t, 2)
 			k := c.Kernel(0)
 			before := k.C.Snapshot()
-			if err := c.Kernel(1).Send(0, tc.kind, tc.payload); err != nil {
+			send := c.Kernel(1).Send
+			if tc.forward {
+				send = func(dst msg.NodeID, kind msg.Kind, payload []byte) error {
+					return c.Kernel(1).Forward(&msg.Msg{From: 1}, dst, kind, payload)
+				}
+			}
+			if err := send(0, tc.kind, tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			for deadline := time.Now().Add(10 * time.Second); k.C.Get(tc.counter) == before[tc.counter]; time.Sleep(100 * time.Microsecond) {
@@ -42,7 +54,7 @@ func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 				}
 			}
 			after := k.C.Snapshot()
-			for _, name := range []string{"dlock.drop_malformed", "dlock.drop_misdirected"} {
+			for _, name := range []string{"dlock.drop_malformed", "dlock.drop_misdirected", "dlock.drop_forward"} {
 				want := before[name]
 				if name == tc.counter {
 					want++

@@ -120,6 +120,9 @@ type Dlock struct {
 	RecoverOwner    Counter `counter:"dlock.recover_owner"`
 	DropMalformed   Counter `counter:"dlock.drop_malformed"`
 	DropMisdirected Counter `counter:"dlock.drop_misdirected"`
+	DropForward     Counter `counter:"dlock.drop_forward"`
+	GrantFailed     Counter `counter:"dlock.grant_failed"`
+	HandBackFailed  Counter `counter:"dlock.handback_failed"`
 	BarrierPurged   Counter `counter:"dlock.barrier_purged"`
 }
 
