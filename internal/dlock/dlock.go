@@ -37,9 +37,10 @@
 //     the node, so the home's state is bounded by the node count.
 //   - A node gives a lock back to its home (RELEASE, a Call the home
 //     acknowledges, so nothing the node sends later overtakes it) in
-//     three cases: at every release in naive mode, when it leaves the
-//     computation (Leave), and when its grant to a forwarded waiter
-//     could not be sent. The home grants the waiter it forwarded to that
+//     four cases: at every release in naive mode, when it leaves the
+//     computation (Leave), when its grant to a forwarded waiter could
+//     not be sent, and at the release after the home withdrew a crashed
+//     waiter forwarded to it (PeerRecovered). The home grants the waiter it forwarded to that
 //     node itself, with the data, or parks the data when there is none.
 //     A naive proxy serves no forward: one that crossed its release is
 //     counted as dropped (dlock.drop_forward), and the home grants the
@@ -94,6 +95,7 @@ const (
 	kindCondSig                            // Call: signal/broadcast
 	kindRelease                            // Call: hand ownership back to the home (+data); reply = ack
 	kindPass                               // Call: a waiter's ACQUIRE the home forwards to the tail; reply, to the waiter = grant(+data)
+	kindRevoke                             // Call: the home asks after a crashed waiter's grant; reply = whether it went out
 	kindLockEnd                            // sentinel
 )
 
@@ -108,6 +110,7 @@ var lockCalls = [kindLockEnd - kindAcquire]func(*Service, *msg.Msg) vkernel.Outc
 	kindCondSig - kindAcquire:  (*Service).handleCondSig,
 	kindRelease - kindAcquire:  (*Service).handleRelease,
 	kindPass - kindAcquire:     (*Service).handlePass,
+	kindRevoke - kindAcquire:   (*Service).handleRevoke,
 }
 
 // Service is one node's lock server plus its proxy table.
@@ -154,6 +157,13 @@ type proxy struct {
 	// next is the waiter's ACQUIRE the home forwarded here, parked until
 	// the lock is free: the next release grants it the lock.
 	next *msg.Msg
+	// passed is the forward this proxy last granted, and revoked one
+	// the home withdrew before it arrived (handleRevoke).
+	passed, revoked reqKey
+	// giveBack hands the lock back to the home at the next release
+	// instead of keeping it: the home withdrew the waiter forwarded here,
+	// which had crashed, and grants the lock to whoever follows it.
+	giveBack bool
 
 	// Migratory data hooks (nil when no data is attached to the lock).
 	provide func(emit func([]byte))
@@ -171,6 +181,14 @@ type homeState struct {
 	fwd    []forwarded
 	stored []byte // migratory data parked at home while unowned
 }
+
+// reqKey names a request: its caller and the caller's sequence number.
+type reqKey struct {
+	from msg.NodeID
+	seq  uint64
+}
+
+func keyOf(m *msg.Msg) reqKey { return reqKey{m.From, m.Seq} }
 
 // forwarded is a waiter whose ACQUIRE the home forwarded to node at,
 // which owes it the lock. req is the waiter's request, kept so that the
@@ -192,6 +210,10 @@ func (h *homeState) take(n msg.NodeID) (forwarded, bool) {
 	}
 	return forwarded{}, false
 }
+
+// lost releases a lock whose holder is gone, and its bytes with it.
+// Caller holds h.mu.
+func (h *homeState) lost() { h.owned, h.stored = false, nil }
 
 type barrierState struct {
 	mu lockrank.Mutex[lockrank.BarrierHome]
@@ -400,8 +422,9 @@ func (s *Service) Acquire(id LockID) {
 }
 
 // Release releases lock id, previously acquired by this thread's node.
-// With a forwarded waiter parked it passes the lock on; in naive mode it
-// hands the lock back to the home.
+// With a forwarded waiter parked it passes the lock on; in naive mode,
+// or when the home withdrew a crashed waiter (giveBack), it hands the
+// lock back to the home.
 func (s *Service) Release(id LockID) {
 	lockrank.Blocking()
 	p := s.proxy(id)
@@ -416,7 +439,7 @@ func (s *Service) Release(id LockID) {
 	s.mu.Unlock()
 	var err error
 	switch {
-	case naive:
+	case naive || p.giveBack:
 		err = s.handBack(id, p)
 	case p.next != nil:
 		err = s.pass(id, p)
@@ -441,12 +464,14 @@ func (s *Service) Release(id LockID) {
 func (s *Service) pass(id LockID, p *proxy) error {
 	next := p.next
 	p.next, p.owner, p.passing = nil, false, true
+	p.passed = keyOf(next)
 	provide := p.provide
 	p.mu.Unlock()
 	err := s.k.ReplyOwned(next, lockData(id, provide))
 	p.mu.Lock()
 	if err != nil {
 		s.ctr.GrantFailed.Inc()
+		p.passed = reqKey{}
 		p.owner = true
 		err = s.handBack(id, p)
 	}
@@ -460,7 +485,7 @@ func (s *Service) pass(id LockID, p *proxy) error {
 // a parked forward is dropped. Caller holds p.mu and the proxy owns the
 // lock; returns with p.mu held, like pass.
 func (s *Service) handBack(id LockID, p *proxy) error {
-	p.next, p.owner, p.passing = nil, false, true
+	p.next, p.owner, p.passing, p.giveBack = nil, false, true, false
 	provide := p.provide
 	p.mu.Unlock()
 	pend, err := s.k.CallStartOwned(s.home(id), kindRelease, lockData(id, provide))
@@ -522,20 +547,19 @@ func (s *Service) Leave() error {
 // lock it owned back first (Leave), so what is left is:
 //
 //   - a request of the peer's that the home forwarded to another node:
-//     the entry is marked lost, and when that node's grant fails and the
-//     lock comes back, the home passes it on past the peer
-//     (dlock.gone_dequeued);
-//   - a waiter the home forwarded to the peer: the peer passed the lock
-//     on before it left, and the grant may still be on its way on
-//     another wire, so the home sends nothing (it re-grants only from
+//     the entry is marked lost (dlock.gone_dequeued). The peer left
+//     waiting: that node's grant to it fails and the lock comes back to
+//     the home, which passes it on past the peer to the waiter forwarded
+//     to it, so that entry is kept;
+//   - otherwise, a waiter the home forwarded to the peer: the peer passed
+//     the lock on before it left, and the grant may still be on its way
+//     on another wire, so the home sends nothing (it re-grants only from
 //     bytes it holds, and a dataless grant could overtake the real one);
-//   - a lock the peer is the tail of: it never handed it back, so it is
-//     released, its migratory payload lost with it, and parked at home
-//     unowned (dlock.gone_owner) — unless a node still owes the peer the
-//     lock: then the peer never got it, and the lock comes back to the
-//     home with that node's failed grant. Clean departure while holding
-//     a lock is a program error; this keeps the failure local to that
-//     lock.
+//   - otherwise, a lock the peer is the tail of: it never handed it
+//     back, so it is released, its migratory payload lost with it, and
+//     parked at home unowned (dlock.gone_owner). Clean departure while
+//     holding a lock is a program error; this keeps the failure local to
+//     that lock.
 //
 // The runtime calls this when the transport reports a goodbye
 // (transport.PeerGoneNotifier), strictly after everything the peer sent
@@ -551,13 +575,15 @@ func (s *Service) PeerGone(peer msg.NodeID) {
 // PeerRecovered rebuilds this home's lock state for a peer whose
 // restarted incarnation is rejoining (protocol recovery). The dead
 // incarnation's requests forwarded to other nodes are marked lost, as
-// in PeerGone. A lock the dead incarnation owed a forwarded waiter is
-// granted to that waiter by the home, without data: the bytes died with
-// the incarnation, and its last frames were delivered long before its
-// successor rejoined. A lock it was the tail of is released, even if a
-// node still owes it the lock: the home cannot tell a crashed waiter
-// from a crashed holder granted directly, and takes it for the holder,
-// whose lock would otherwise be lost for good. The fresh
+// in PeerGone. Its bytes died with it, and its last frames were
+// delivered long before its successor rejoined. Only the node the home
+// last forwarded its request to knows whether the lock reached it, so
+// the home asks that node (ask): if the grant went out, or the home
+// never forwarded the peer, the lock died with the peer, and the home
+// grants a waiter the peer owed the lock itself, without data, or
+// releases a lock the peer was the tail of. If not, the peer drops out
+// of the queue, and the asked node hands the lock back to the home at
+// its next release. The fresh
 // incarnation re-enters by ordinary acquires. Barrier arrivals the dead
 // incarnation parked here are dropped (PeerDown).
 //
@@ -588,8 +614,7 @@ func (s *Service) PeerDown(peer msg.NodeID) {
 }
 
 // resetPeer is PeerGone's and PeerRecovered's walk over the locks this
-// node homes; crashed selects PeerRecovered's dataless grant to a waiter
-// the peer owed the lock.
+// node homes; crashed selects PeerRecovered's rules.
 func (s *Service) resetPeer(peer msg.NodeID, crashed bool) (dequeued, released int64) {
 	s.mu.Lock()
 	type idHome struct {
@@ -605,35 +630,82 @@ func (s *Service) resetPeer(peer msg.NodeID, crashed bool) (dequeued, released i
 	for _, ih := range homes {
 		h := ih.h
 		h.mu.Lock()
+		// last is the latest entry that names the peer as the waiter.
+		var last forwarded
 		waiting := false
 		for i := range h.fwd {
 			if h.fwd[i].waiter == peer {
-				waiting = true
+				last, waiting = h.fwd[i], true
 				if h.fwd[i].req != nil {
 					h.fwd[i].req = nil
 					dequeued++
 				}
 			}
 		}
-		owed, owes := h.take(peer)
-		regrant := false
+		var owed forwarded
+		owes, asking := false, crashed && last.req != nil
 		switch {
-		case owes:
-			if crashed {
+		case asking:
+			// Only the node the peer last waited at can tell (ask).
+		case crashed:
+			if owed, owes = h.take(peer); !owes && h.owned && h.tail == peer {
 				released++
-				regrant = true
+				h.lost()
 			}
-		case h.owned && h.tail == peer && (crashed || !waiting):
-			released++
-			h.owned = false
-			h.stored = nil // the owner's migratory payload left with it
+		case !waiting:
+			if _, ok := h.take(peer); !ok && h.owned && h.tail == peer {
+				released++
+				h.lost()
+			}
 		}
 		h.mu.Unlock()
-		if regrant {
+		switch {
+		case asking:
+			if s.ask(ih.id, h, last) {
+				released++
+			}
+		case owes:
+			released++
 			s.grant(uint32(ih.id), h, owed, nil)
 		}
 	}
 	return dequeued, released
+}
+
+// ask settles a lock whose crashed waiter, f.waiter, the home forwarded
+// to f.at, the one node that knows whether it granted the waiter the
+// lock (handleRevoke). If the grant went out, the lock died with the
+// waiter: the home grants the waiter forwarded to it, without data, or
+// releases the lock. If not, f.at keeps the lock until its next release
+// hands it back, and the crashed waiter drops out of the chain: f.at
+// owes the lock to the waiter forwarded to it, or is the tail. A request
+// served meanwhile finds the crashed waiter still in the chain, as if it
+// were alive: a waiter forwarded to it is one that follows it. A node
+// that cannot be asked is taken to keep the lock; its own departure or
+// recovery settles it. Reports whether the lock was released or granted.
+func (s *Service) ask(id LockID, h *homeState, f forwarded) (released bool) {
+	reply, err := s.k.Call(f.at, kindRevoke, msg.NewBuilder(16).
+		U32(uint32(id)).U32(uint32(f.waiter)).U64(f.req.Seq).Bytes())
+	passed := err == nil && len(reply.Payload) == 1 && reply.Payload[0] != 0
+	h.mu.Lock()
+	h.fwd = slices.DeleteFunc(h.fwd, func(g forwarded) bool { return g.at == f.at && g.waiter == f.waiter })
+	next, owes := h.take(f.waiter)
+	switch {
+	case passed && owes:
+		released = true
+	case passed && h.owned && h.tail == f.waiter:
+		released = true
+		h.lost()
+	case owes:
+		h.fwd = append(h.fwd, forwarded{at: f.at, waiter: next.waiter, req: next.req})
+	case h.tail == f.waiter:
+		h.tail = f.at
+	}
+	h.mu.Unlock()
+	if passed && owes {
+		s.grant(uint32(id), h, next, nil)
+	}
+	return released
 }
 
 // grant gives the lock to f's waiter, with data, in place of node f.at,
@@ -751,9 +823,10 @@ func (s *Service) handleRelease(req *msg.Msg) vkernel.Outcome {
 // handlePass serves a waiter's ACQUIRE its home forwarded here: the
 // proxy grants it the lock as soon as it owns the lock and no local
 // thread holds it. A forward is served only by a proxy that owns or
-// requests the lock, has none parked and does not hand every release
-// back to the home (naive mode); any other is counted
-// (dlock.drop_forward): the home grants a naive proxy's waiter itself.
+// requests the lock, has none parked, does not hand every release back
+// to the home (naive mode) and was not told the waiter crashed
+// (handleRevoke); any other is counted (dlock.drop_forward): the home
+// grants a naive proxy's waiter itself.
 func (s *Service) handlePass(req *msg.Msg) vkernel.Outcome {
 	id, _, ok := s.lockFromWire(req.Payload)
 	if !ok {
@@ -770,7 +843,7 @@ func (s *Service) handlePass(req *msg.Msg) vkernel.Outcome {
 	p := s.proxy(LockID(id))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if naive || p.next != nil || !(p.owner || p.requesting) {
+	if naive || p.next != nil || !(p.owner || p.requesting) || keyOf(req) == p.revoked {
 		s.ctr.DropForward.Inc()
 		return vkernel.Dropped
 	}
@@ -783,6 +856,52 @@ func (s *Service) handlePass(req *msg.Msg) vkernel.Outcome {
 		s.ctr.HandBackFailed.Inc()
 	}
 	p.cond.Broadcast()
+	return vkernel.Replied
+}
+
+// handleRevoke answers a lock's home that asks, at a crashed waiter's
+// rejoin, whether this node granted that waiter the lock (ask). Reply 1:
+// the grant went out. Reply 0: it did not and never will — a forward
+// still parked is dropped, and one still on its way will be — and this
+// node's next release hands the lock back to the home (giveBack), at
+// once if nobody holds it, for the home to grant whoever follows. A
+// payload that does not decode is dlock.drop_malformed, one not from
+// the lock's home dlock.drop_misdirected.
+func (s *Service) handleRevoke(req *msg.Msg) vkernel.Outcome {
+	r := msg.NewReader(req.Payload)
+	id := LockID(r.U32())
+	w := reqKey{msg.NodeID(r.U32()), r.U64()}
+	if r.Err() != nil {
+		s.ctr.DropMalformed.Inc()
+		return vkernel.Dropped
+	}
+	if req.From != s.home(id) {
+		s.ctr.DropMisdirected.Inc()
+		return vkernel.Dropped
+	}
+	p := s.proxy(id)
+	p.mu.Lock()
+	passed := p.passed == w
+	if !passed {
+		if p.next != nil && keyOf(p.next) == w {
+			p.next = nil
+		} else {
+			p.revoked = w
+		}
+		p.giveBack = p.owner || p.requesting
+	}
+	p.mu.Unlock()
+	// The reply goes first: the home serves the hand-back only once it
+	// has the answer.
+	s.k.Reply(req, msg.NewBuilder(1).Bool(passed).Bytes())
+	p.mu.Lock()
+	if p.giveBack && p.owner && !p.held && !p.passing {
+		if err := s.handBack(id, p); err != nil {
+			s.ctr.HandBackFailed.Inc()
+		}
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
 	return vkernel.Replied
 }
 

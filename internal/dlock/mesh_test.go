@@ -350,3 +350,55 @@ func TestDirectGrantFailureGoesBackToTheHome(t *testing.T) {
 		t.Fatal("the lock was lost with the failed grant")
 	}
 }
+
+// TestWaiterDepartsWithAWaiterForwardedToIt: member 2 leaves while it
+// waits at holder member 1 and member 3 waits behind it. Member 1's
+// grant to member 2 fails, so the lock comes back to the home with
+// member 1's bytes, and the home passes it on past member 2 to member 3.
+func TestWaiterDepartsWithAWaiterForwardedToIt(t *testing.T) {
+	m := meshN(t, 4)
+	defer m[3].Clu.Close()
+	defer m[1].Clu.Close()
+	defer m[0].Clu.Close()
+	const lock = LockID(0) // homed on member 0
+	copies := meshRecords(m, lock)
+
+	// Pass the lock 1 → 2 → 1 first, so members 1 and 2 share a
+	// connection for member 2's goodbye to ride.
+	for _, n := range []int{1, 2} {
+		m[n].Svc.Acquire(lock)
+		m[n].Svc.Release(lock)
+	}
+	m[1].Svc.Acquire(lock)
+	go func() {
+		defer func() { recover() }() // its own node closes under it
+		m[2].Svc.Acquire(lock)
+	}()
+	waitParked(t, m[1].Svc, lock)
+	got := make(chan byte, 1)
+	go func() {
+		defer func() { recover() }() // a hung acquire fails when the home closes
+		m[3].Svc.Acquire(lock)
+		got <- copies[3][0]
+		m[3].Svc.Release(lock)
+	}()
+	waitParked(t, m[2].Svc, lock)
+	m[2].Clu.Close()
+	for _, mm := range m[:2] {
+		select {
+		case <-mm.Gone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("member 2's departure was never seen")
+		}
+	}
+	copies[1][0] = 5
+	m[1].Svc.Release(lock) // the grant to member 2 fails
+	select {
+	case v := <-got:
+		if v != 5 {
+			t.Fatalf("member 3 read %d, want member 1's 5", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("member 3, forwarded to the departed waiter, hangs")
+	}
+}

@@ -2,10 +2,12 @@ package dlock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"munin/internal/cluster"
+	"munin/internal/msg"
 )
 
 // record is the migratory object every transfer test attaches to its
@@ -212,4 +214,185 @@ func TestHolderCrashesWithParkedForward(t *testing.T) {
 	if n := c.Kernel(0).C.Get("dlock.recover_owner"); n != 1 {
 		t.Fatalf("dlock.recover_owner = %d, want 1", n)
 	}
+}
+
+// TestWaiterCrashesBehindALiveHolder: a waiter whose node crashes while
+// its request is forwarded to a live holder may or may not have been
+// granted the lock; only the holder knows. When the crashed node's
+// successor rejoins, the home asks the holder instead of taking the
+// crashed waiter for the holder. While node 1 holds the lock, nobody
+// else enters, and the next one to enter reads node 1's last write; a
+// lock that did reach the crashed waiter is released.
+func TestWaiterCrashesBehindALiveHolder(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes int
+		// granted: node 1 passes the lock to the waiter before it
+		// crashes. behind: a waiter is forwarded on to the crashed one.
+		granted, behind bool
+	}{
+		{name: "the crashed waiter is the tail", nodes: 3},
+		{name: "a waiter is forwarded on to the crashed one", nodes: 4, behind: true},
+		{name: "the crashed waiter had been granted", nodes: 3, granted: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, svcs := harness(t, tc.nodes)
+			const lock = LockID(0) // homed on node 0
+			copies := attachRecords(svcs, lock)
+			var holds atomic.Bool // node 1 is in the critical section
+			svcs[1].Acquire(lock)
+			holds.Store(true)
+			copies[1][0] = 7
+			go func() {
+				defer func() { recover() }() // its node crashes under it
+				svcs[2].Acquire(lock)
+			}()
+			waitParked(t, svcs[1], lock)
+			if tc.behind {
+				go func() {
+					defer func() { recover() }() // its node closes with the test
+					svcs[3].Acquire(lock)
+					if holds.Load() {
+						t.Error("node 3 entered while node 1 holds the lock")
+					}
+					svcs[3].Release(lock) // to node 0, with node 1's bytes
+				}()
+				waitParked(t, svcs[2], lock)
+			}
+			if tc.granted {
+				holds.Store(false)
+				svcs[1].Release(lock) // the grant goes to node 2
+				for p := svcs[2].proxy(lock); ; time.Sleep(100 * time.Microsecond) {
+					p.mu.Lock()
+					owner := p.owner
+					p.mu.Unlock()
+					if owner {
+						break
+					}
+				}
+			}
+			c.Kernel(2).Close()
+			svcs[0].PeerRecovered(2)
+
+			got := make(chan byte, 1)
+			go func() {
+				defer func() { recover() }() // a hung acquire fails when the test ends
+				svcs[0].Acquire(lock)
+				if holds.Load() {
+					t.Error("node 0 entered while node 1 holds the lock")
+				}
+				got <- copies[0][0]
+				svcs[0].Release(lock)
+			}()
+			if !tc.granted {
+				// Node 0's request waits at the tail: node 3 if it
+				// waits, else node 1.
+				tail := 1
+				if tc.behind {
+					tail = 3
+				}
+				waitParked(t, svcs[tail], lock)
+				holds.Store(false)
+				svcs[1].Release(lock)
+			}
+			select {
+			case v := <-got:
+				// Unless the bytes died with the waiter, they reach
+				// node 0, through node 3 if it waits.
+				if !tc.granted && v != 7 {
+					t.Fatalf("node 0 read %d, want node 1's 7", v)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the lock was lost with the crashed waiter")
+			}
+		})
+	}
+}
+
+// TestRequestServedWhileTheHomeAsks: a request for the lock that the
+// home serves while it asks the holder about a crashed waiter goes to
+// the crashed waiter, still the tail, which drops it. The answer splices
+// the crashed waiter out of the chain, so the request follows the
+// holder, whose release hands the lock back for the home to grant it.
+func TestRequestServedWhileTheHomeAsks(t *testing.T) {
+	c, svcs := harness(t, 3)
+	const lock = LockID(0) // homed on node 0
+	copies := attachRecords(svcs, lock)
+	svcs[1].Acquire(lock)
+	copies[1][0] = 7
+	// Node 2's request, as its proxy would send it.
+	if _, err := c.Kernel(2).CallStart(0, kindAcquire, encodeLockPayload(uint32(lock), nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, svcs[1], lock)
+	c.Kernel(2).Close()
+
+	// Node 1 answers the home's question only once the test lets go of
+	// its proxy.
+	p1 := svcs[1].proxy(lock)
+	p1.mu.Lock()
+	base := c.Stats().Messages()
+	recovered := make(chan struct{})
+	go func() {
+		svcs[0].PeerRecovered(2)
+		close(recovered)
+	}()
+	waitMsgs(t, c, base+1) // the question
+	got := make(chan byte, 1)
+	go func() {
+		defer func() { recover() }() // a hung acquire fails when the test ends
+		svcs[0].Acquire(lock)
+		got <- copies[0][0]
+		svcs[0].Release(lock)
+	}()
+	waitMsgs(t, c, base+3) // node 0's request and its forward to node 2
+	p1.mu.Unlock()
+	<-recovered
+	svcs[1].Release(lock) // back to the home, which grants node 0
+	select {
+	case v := <-got:
+		if v != 7 {
+			t.Fatalf("node 0 read %d, want node 1's 7", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request served while the home asked hangs")
+	}
+}
+
+// TestWithdrawnForwardIsDropped: a forward the home withdrew before it
+// arrived — the home asked after its crashed waiter first — is not
+// served when it does arrive (dlock.drop_forward), even by a node that
+// owns the lock, and the lock goes back to the home at the next release.
+func TestWithdrawnForwardIsDropped(t *testing.T) {
+	c, svcs := harness(t, 2)
+	const lock = LockID(1) // homed on node 1
+	svcs[0].Acquire(lock)
+	k1 := c.Kernel(1)
+	reply, err := k1.Call(0, kindRevoke, msg.NewBuilder(16).U32(uint32(lock)).U32(1).U64(99).Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Payload) != 1 || reply.Payload[0] != 0 {
+		t.Fatalf("reply %v, want [0]: node 0 never granted the waiter", reply.Payload)
+	}
+	if err := k1.Forward(&msg.Msg{From: 1, Seq: 99}, 0, kindPass, encodeLockPayload(uint32(lock), nil)); err != nil {
+		t.Fatal(err)
+	}
+	k0 := c.Kernel(0)
+	for deadline := time.Now().Add(10 * time.Second); k0.C.Get("dlock.drop_forward") == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the withdrawn forward was never dropped")
+		}
+	}
+	p := svcs[0].proxy(lock)
+	p.mu.Lock()
+	next := p.next
+	p.mu.Unlock()
+	if next != nil {
+		t.Fatal("node 0 parked the withdrawn forward")
+	}
+	svcs[0].Release(lock) // hands the lock back
+	svcs[1].Acquire(lock) // from the home, which holds it
+	svcs[1].Release(lock)
 }

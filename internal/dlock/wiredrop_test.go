@@ -33,6 +33,8 @@ func TestLockWireInputIsDroppedNotFatal(t *testing.T) {
 		{"kindPass with a truncated payload", kindPass, true, []byte{0, 0}, "dlock.drop_malformed"},
 		{"kindPass that names no caller", kindPass, false, encodeLockPayload(0, nil), "dlock.drop_malformed"},
 		{"kindPass for a lock this node neither owns nor requests", kindPass, true, encodeLockPayload(1, nil), "dlock.drop_forward"},
+		{"kindRevoke with a truncated payload", kindRevoke, false, []byte{0, 0}, "dlock.drop_malformed"},
+		{"kindRevoke not from the lock's home", kindRevoke, false, msg.NewBuilder(16).U32(0).U32(1).U64(1).Bytes(), "dlock.drop_misdirected"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
