@@ -397,6 +397,7 @@ func (s *Service) Acquire(id LockID) {
 				p.mu.Lock()
 				p.requesting = false
 				p.cond.Broadcast()
+				p.mu.Unlock()
 				panic(fmt.Sprintf("dlock: acquire lock %d: %v", id, err))
 			}
 			// The grant has arrived but ownership is not yet recorded: a

@@ -205,6 +205,34 @@ func TestReleaseWithoutHoldPanics(t *testing.T) {
 	svcs[0].Release(3)
 }
 
+// TestFailedAcquireLeavesTheProxyUsable: an ACQUIRE whose call fails
+// panics, and a caller that recovers the panic can call Acquire on the
+// same lock again, which fails the same way instead of blocking on a
+// proxy the first failure left locked.
+func TestFailedAcquireLeavesTheProxyUsable(t *testing.T) {
+	c, svcs := harness(t, 2)
+	const lock = LockID(0) // homed on node 0
+	c.Close()
+	acquire := func() (failed bool) {
+		defer func() { failed = recover() != nil }()
+		svcs[1].Acquire(lock)
+		return false
+	}
+	if !acquire() {
+		t.Fatal("an acquire through a closed cluster did not fail")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- acquire() }()
+	select {
+	case failed := <-done:
+		if !failed {
+			t.Fatal("the second acquire through a closed cluster did not fail")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second acquire blocked on the proxy the first failure left locked")
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	_, svcs := harness(t, 4)
 	var phase atomic.Int32

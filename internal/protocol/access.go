@@ -31,7 +31,7 @@ func (n *Node) Read(q *duq.Queue, id memory.ObjectID, off int, buf []byte) {
 func (n *Node) ReadObj(q *duq.Queue, o *Obj, off int, buf []byte) {
 	n.awaitRecovered()
 	checkRange(o, off, len(buf))
-	o.pol.read(n, o, off, buf)
+	o.pol.Load().read(n, o, off, buf)
 	n.ctr.Reads.AddCell(&q.Reads, 1)
 }
 
@@ -51,7 +51,7 @@ func (n *Node) Write(q *duq.Queue, id memory.ObjectID, off int, data []byte) {
 func (n *Node) WriteObj(q *duq.Queue, o *Obj, off int, data []byte) {
 	n.awaitRecovered()
 	checkRange(o, off, len(data))
-	o.pol.write(n, q, o, off, data)
+	o.pol.Load().write(n, q, o, off, data)
 	n.ctr.Writes.AddCell(&q.Writes, 1)
 }
 
@@ -243,7 +243,7 @@ func (n *Node) flushBatched(fs *flushScratch, carry msg.NodeID) error {
 	var pcGroups []pcGroup
 	for _, id := range fs.ids {
 		o := n.mustObj(id)
-		switch o.pol.flush {
+		switch o.pol.Load().flush {
 		case flushHome:
 			o.mu.Lock()
 			spans := o.takeDirty(fs)
@@ -578,7 +578,11 @@ func (n *Node) startPushBatch(fs *flushScratch, g *pcGroup) ([]flushAwait, error
 
 // ---------------------------------------------------------------------
 // Replication fault path (write-once, write-many, conventional reads,
-// general-rw reads, read-mostly in replicated mode).
+// general-rw reads, replicated read-mostly).
+
+// testHookFetched, when a test sets it, runs in ensureReadable after a
+// fetch's reply has arrived and before the copy is installed.
+var testHookFetched func()
 
 // ensureReadable guarantees o has a valid local copy, fetching one
 // through the home if necessary. The invalidation generation counter
@@ -603,6 +607,10 @@ func (n *Node) ensureReadable(o *Obj) {
 		o.mu.Unlock()
 
 		n.ctr.FaultRead.Inc()
+		pol := o.pol.Load()
+		if pol.remote {
+			n.ctr.RMRemoteReads.Inc()
+		}
 		reply, err := n.k.Call(n.homeOf(&o.meta), kindRead,
 			msg.NewBuilder(4).U32(uint32(o.meta.ID)).Bytes())
 		if err != nil {
@@ -620,6 +628,9 @@ func (n *Node) ensureReadable(o *Obj) {
 			o.cond.Broadcast()
 			continue
 		}
+		if testHookFetched != nil {
+			testHookFetched()
+		}
 		r := msg.NewReader(reply.Payload)
 		data := r.BytesN()
 		seq := r.U64()
@@ -632,7 +643,7 @@ func (n *Node) ensureReadable(o *Obj) {
 			o.cond.Broadcast()
 			continue
 		}
-		if o.pol.frozen {
+		if pol.frozen {
 			// The replica is born frozen, in storage of its own: a
 			// reader that raced an Evict may still be copying out of the
 			// previous snapshot, which nothing ever writes again.
@@ -960,88 +971,91 @@ func (n *Node) ensureConsumer(o *Obj) {
 }
 
 // ---------------------------------------------------------------------
-// Read-mostly (§3.3.5): the prototype uses remote load/store. With
-// Options.Dynamic the home observes the read/write mix and may switch
-// the object to replication (§3.4.1), after which reads are local.
+// Remote load/store: read-mostly (§3.3.5) and result objects.
 
-func (n *Node) readMostlyRead(o *Obj, off int, buf []byte) {
+// remoteRead serves a read by remote load from the home; the home reads
+// its own copy. A reply that says the home has replicated a read-mostly
+// object (§3.4.1, handleRemRead) swaps this node to replicatedRow, so
+// its next read faults a copy in. Until then the old row is as good:
+// the home serves every remote load and store.
+func (n *Node) remoteRead(o *Obj, off int, buf []byte) {
 	home := n.homeOf(&o.meta)
-	o.mu.Lock()
-	replicated := o.replicated
-	if home == n.id || (replicated && o.state != Invalid) {
-		copy(buf, o.data[off:])
-		o.mu.Unlock()
-		return
-	}
-	o.mu.Unlock()
-	if replicated {
-		// The copy lapsed (or was never fetched): this read crosses
-		// the wire, like a lease take/refresh does.
-		n.ctr.RMRemoteReads.Inc()
-		n.ensureReadable(o)
+	if home == n.id {
 		o.mu.Lock()
 		copy(buf, o.data[off:])
 		o.mu.Unlock()
 		return
 	}
+	pol := o.pol.Load()
 	n.ctr.RemoteLoad.Inc()
-	n.ctr.RMRemoteReads.Inc()
+	if pol.remote {
+		n.ctr.RMRemoteReads.Inc()
+	}
 	reply, err := n.k.Call(home, kindRemRead,
 		msg.NewBuilder(12).U32(uint32(o.meta.ID)).Int(off).Int(len(buf)).Bytes())
 	if err != nil {
 		panic(fmt.Sprintf("munin: remote load %q: %v", o.meta.Name, err))
 	}
-	copy(buf, msg.NewReader(reply.Payload).BytesN())
+	r := msg.NewReader(reply.Payload)
+	copy(buf, r.BytesN())
+	if r.Remaining() > 0 && pol.remote {
+		o.pol.Store(&replicatedRow)
+	}
 }
 
+// readMostlyWrite stores through the home, which redistributes the
+// bytes to every copy but the writer's once the object is replicated
+// (homeRemoteStore), so the writer installs them in its own copy and
+// advances its sequence from the reply. A copy being fetched parks them
+// instead: the home may have served the fetch first, and the install
+// keeps or drops them by the fetched sequence (alignSeq). Any later
+// fetch is served after the store.
 func (n *Node) readMostlyWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
-	home := n.homeOf(&o.meta)
-	if home == n.id {
-		// The home applies locally and, in replicated mode,
-		// redistributes to the copyset.
-		o.mu.Lock()
-		copy(o.data[off:], data)
-		o.mu.Unlock()
-		n.homeAfterRemoteWrite(o.meta.ID, []memory.Span{{Off: off, Data: append([]byte(nil), data...)}}, n.id)
-		return
+	var seq uint64
+	var err error
+	if n.homeOf(&o.meta) == n.id {
+		_, err = n.homeRemoteStore(o, off, data, n.id)
+	} else {
+		reply, cerr := n.k.Call(n.homeOf(&o.meta), kindRemWrite, n.remoteStorePayload(o, off, data))
+		seq, err = remoteStoreReply(o, reply, cerr)
+		if seq > 0 {
+			o.mu.Lock()
+			switch {
+			case o.state != Invalid:
+				copy(o.data[off:], data)
+				o.advanceOwn(seq)
+			case o.fetching:
+				o.pendApply[seq] = []memory.Span{{Off: off, Data: slices.Clone(data)}}
+			}
+			o.mu.Unlock()
+		}
 	}
-	n.ctr.RemoteStore.Inc()
-	b := msg.NewBuilder(16 + len(data))
-	b.U32(uint32(o.meta.ID)).Int(off).BytesN(data)
-	reply, err := n.k.Call(home, kindRemWrite, b.Bytes())
 	if err != nil {
 		panic(fmt.Sprintf("munin: remote store %q: %v", o.meta.Name, err))
 	}
-	// In replicated mode the home's redistribution excludes us (we
-	// sent the write), so install our own bytes and advance the
-	// sequence from the reply.
-	if seq := msg.NewReader(reply.Payload).U64(); seq > 0 {
-		o.mu.Lock()
-		if o.state != Invalid {
-			copy(o.data[off:], data)
-			o.advanceOwn(seq)
-		}
-		o.mu.Unlock()
-	}
 }
 
-// resultRead serves reads of result objects: local at the home (where
-// the collector runs), remote load elsewhere.
-func (n *Node) resultRead(o *Obj, off int, buf []byte) {
-	home := n.homeOf(&o.meta)
-	if home == n.id {
-		o.mu.Lock()
-		copy(buf, o.data[off:])
-		o.mu.Unlock()
-		return
-	}
-	n.ctr.RemoteLoad.Inc()
-	reply, err := n.k.Call(home, kindRemRead,
-		msg.NewBuilder(12).U32(uint32(o.meta.ID)).Int(off).Int(len(buf)).Bytes())
+// remoteStorePayload and remoteStoreReply are the writer's half of a
+// remote store, a read-mostly write under either engine; each engine
+// sends the payload as its own Call kind (kindRemWrite, kindLeaseWrite).
+// The payload carries data for [off, off+len(data)); the reply carries
+// the sequence number or version the home gave the store, and the error
+// of a redistribution that failed after the home applied it.
+func (n *Node) remoteStorePayload(o *Obj, off int, data []byte) []byte {
+	n.ctr.RemoteStore.Inc()
+	return msg.NewBuilder(16 + len(data)).U32(uint32(o.meta.ID)).Int(off).BytesN(data).Bytes()
+}
+
+func remoteStoreReply(o *Obj, reply *msg.Msg, err error) (uint64, error) {
 	if err != nil {
-		panic(fmt.Sprintf("munin: result read %q: %v", o.meta.Name, err))
+		panic(fmt.Sprintf("munin: remote store %q: %v", o.meta.Name, err))
 	}
-	copy(buf, msg.NewReader(reply.Payload).BytesN())
+	r := msg.NewReader(reply.Payload)
+	seq := r.U64()
+	if r.Remaining() > 0 {
+		return seq, errors.New(r.Str())
+	}
+	return seq, nil
 }
 
 // ---------------------------------------------------------------------

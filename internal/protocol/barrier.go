@@ -242,7 +242,7 @@ func (n *Node) decodeCarried(ds *decodeScratch, p []byte, from msg.NodeID) bool 
 		if o == nil {
 			return false
 		}
-		if o.pol.flush != flushHome || n.homeOf(&o.meta) != n.id {
+		if o.pol.Load().flush != flushHome || n.homeOf(&o.meta) != n.id {
 			n.ctr.DropMisdirected.Inc()
 			return false
 		}
@@ -300,7 +300,7 @@ func (n *Node) decodePushes(ds *decodeScratch, r *msg.Reader, from msg.NodeID) b
 		if o == nil {
 			return false
 		}
-		if o.pol.flush != flushConsumers {
+		if o.pol.Load().flush != flushConsumers {
 			n.ctr.DropMisdirected.Inc()
 			return false
 		}

@@ -43,6 +43,9 @@ func TestEngineResolvesPerAnnotation(t *testing.T) {
 	r.alloc(2, "rm", 8, ReadMostly, DefaultOptions(), nil)
 	r.alloc(3, "rm-lease", 8, ReadMostly, lease, nil)
 	r.alloc(4, "rm-dir", 8, ReadMostly, dir, nil)
+	forced := DefaultOptions()
+	forced.ForceReplicated = true
+	r.alloc(5, "rm-forced", 8, ReadMostly, forced, nil)
 	for _, c := range []struct {
 		id   memory.ObjectID
 		row  *policy
@@ -52,12 +55,13 @@ func TestEngineResolvesPerAnnotation(t *testing.T) {
 		{2, &rows[ReadMostly], EngineDirectory},
 		{3, &leaseRow, EngineLease},
 		{4, &rows[ReadMostly], EngineDirectory},
+		{5, &replicatedRow, EngineDirectory},
 	} {
 		for i, n := range r.nodes {
 			o := n.mustObj(c.id)
-			if o.pol != c.row || o.pol.engine != c.kind || o.meta.Opts.Engine != c.kind {
+			if pol := o.pol.Load(); pol != c.row || pol.engine != c.kind || o.meta.Opts.Engine != c.kind {
 				t.Fatalf("node %d object %d: row engine %v, resolved engine %v, want %v",
-					i, c.id, o.pol.engine, o.meta.Opts.Engine, c.kind)
+					i, c.id, pol.engine, o.meta.Opts.Engine, c.kind)
 			}
 		}
 	}
@@ -72,8 +76,8 @@ func TestEngineTravelsInAnnounce(t *testing.T) {
 	opts.Engine = EngineLease
 	r.alloc(2, "rm", 8, ReadMostly, opts, u64bytes(5)) // home = node 0
 	for i, n := range r.nodes {
-		if o := n.mustObj(2); o.pol != &leaseRow {
-			t.Fatalf("node %d installed the %v engine's row", i, o.pol.engine)
+		if pol := n.mustObj(2).pol.Load(); pol != &leaseRow {
+			t.Fatalf("node %d installed the %v engine's row", i, pol.engine)
 		}
 	}
 }

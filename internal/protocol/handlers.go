@@ -13,17 +13,6 @@ import (
 	"munin/internal/vkernel"
 )
 
-// allOtherNodes returns every node ID except this one.
-func (n *Node) allOtherNodes() []msg.NodeID {
-	out := make([]msg.NodeID, 0, n.nodes-1)
-	for i := 0; i < n.nodes; i++ {
-		if msg.NodeID(i) != n.id {
-			out = append(out, msg.NodeID(i))
-		}
-	}
-	return out
-}
-
 // handleRead serves a copy of the object to a faulting reader. This node
 // is the object's home.
 func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
@@ -40,8 +29,9 @@ func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
 	d := n.dirEntryOf(id)
 	n.ctr.HomeRead.Inc()
 
+	pol := o.pol.Load()
 	switch {
-	case o.pol.owned:
+	case pol.owned:
 		// The owner serves the read and stays owner; the home only adds the
 		// reader to the copy set, so the owner's next write fault finds it
 		// there and invalidates it. When the home owns the object it serves
@@ -58,7 +48,7 @@ func (n *Node) handleRead(req *msg.Msg) vkernel.Outcome {
 		d.mu.Unlock()
 		return n.serveRead(o, req, epoch)
 
-	case o.pol.frozen:
+	case pol.frozen:
 		// Serving the first replica ends initialisation: the home copy
 		// freezes into the snapshot every later read — remote fetches
 		// here, local hits in writeOnceRead — copies from. d.mu is
@@ -143,11 +133,15 @@ func (o *Obj) awaitGrant(epoch uint32) {
 	}
 }
 
-// encodeBytesReply builds a reply that is one length-prefixed byte
-// string: a remote load.
-func encodeBytesReply(data []byte) *bufpool.Buffer {
-	wb, b := vkernel.NewWire(msg.BytesNSize(len(data)))
+// encodeRemoteLoadReply builds the reply of a remote load: the bytes,
+// as one length-prefixed string, and a trailing 1 once the home has
+// replicated the object (§3.4.1).
+func encodeRemoteLoadReply(data []byte, replicated bool) *bufpool.Buffer {
+	wb, b := vkernel.NewWire(msg.BytesNSize(len(data)) + 1)
 	b.BytesN(data)
+	if replicated {
+		b.Bool(true)
+	}
 	wb.B = b.Bytes()
 	return wb
 }
@@ -255,7 +249,7 @@ func (n *Node) refuseForwards(o *Obj, d *dirEntry, peer msg.NodeID, reason uint8
 // (drop.misdirected) and yields nil.
 func (n *Node) ownedFromWire(id memory.ObjectID) *Obj {
 	o := n.objFromWire(id)
-	if o != nil && !o.pol.owned {
+	if o != nil && !o.pol.Load().owned {
 		n.ctr.DropMisdirected.Inc()
 		return nil
 	}
@@ -633,7 +627,7 @@ func (n *Node) mergeStamp(ds *decodeScratch, i int, e batchEntry, from msg.NodeI
 	}
 	o.applySeq++
 	seq := o.applySeq
-	if o.pol.relay {
+	if o.pol.Load().relay {
 		for m := range d.copyset {
 			if m != n.id && m != from {
 				ds.relays = append(ds.relays, relay{to: m, entry: i})
@@ -982,7 +976,7 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 		n.ctr.ApplyGap.Inc()
 		o.pendApply[seq] = memory.CloneSpans(spans) // see the Invalid case
 
-		if o.pol.flush == flushConsumers && !o.isProducer && o.dirty.Empty() {
+		if o.pol.Load().flush == flushConsumers && !o.isProducer && o.dirty.Empty() {
 			o.state = Invalid
 			o.genInv++
 			o.mu.Unlock()
@@ -993,9 +987,11 @@ func (n *Node) applyRefresh(o *Obj, seq uint64, spans []memory.Span) {
 	}
 }
 
-// handleRemRead serves a remote load (read-mostly remote mode, result
-// readers away from the collector). The home tracks the read/write mix
-// to drive the §3.4.1 dynamic decision.
+// handleRemRead serves a remote load (a read-mostly object not yet
+// replicated, a result object read away from the collector). Under
+// Options.Dynamic the home of a read-mostly object swaps in
+// replicatedRow once the loads dominate the stores (§3.4.1), and from
+// that load on its replies say so.
 func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
@@ -1013,95 +1009,103 @@ func (n *Node) handleRemRead(req *msg.Msg) vkernel.Outcome {
 		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
+	pol := o.pol.Load()
+	if pol.remote && !pol.relay && o.meta.Opts.Dynamic {
+		d := n.dirEntryOf(id)
+		d.mu.Lock()
+		d.reads++
+		if pol = o.pol.Load(); !pol.relay && d.reads >= 32 && d.reads >= 4*(d.writes+1) {
+			pol = &replicatedRow
+			o.pol.Store(pol)
+			n.ctr.ModeSwitch.Inc()
+		}
+		d.mu.Unlock()
+	}
 	o.mu.Lock()
-	wb := encodeBytesReply(o.data[off : off+ln])
+	wb := encodeRemoteLoadReply(o.data[off:off+ln], pol.remote && pol.relay)
 	o.mu.Unlock()
 	n.ctr.HomeRemRead.Inc()
 	n.k.ReplyOwned(req, wb)
-
-	if !o.pol.remote || !o.meta.Opts.Dynamic {
-		return vkernel.Replied
-	}
-	d := n.dirEntryOf(id)
-	d.mu.Lock()
-	d.reads++
-	switchIt := false
-	o.mu.Lock()
-	if !o.replicated && d.reads >= 32 && d.reads >= 4*(d.writes+1) {
-		o.replicated = true
-		switchIt = true
-	}
-	o.mu.Unlock()
-	d.mu.Unlock()
-	if switchIt {
-		n.ctr.ModeSwitch.Inc()
-		n.k.MulticastTo(n.allOtherNodes(), kindModeSw,
-			msg.NewBuilder(5).U32(uint32(id)).Bool(true).Bytes())
-	}
 	return vkernel.Replied
 }
 
-// handleRemWrite applies a remote store at the home and, for replicated
-// read-mostly objects, redistributes per the object's update mode.
-func (n *Node) handleRemWrite(req *msg.Msg) vkernel.Outcome {
+// remoteStoreFromWire decodes a remote store at the home (kindRemWrite,
+// kindLeaseWrite): the object, the offset, and the bytes, which are the
+// handler's to keep (transport.Endpoint.Recv). A store that does not
+// decode or does not fit its object is counted and yields a nil object.
+func (n *Node) remoteStoreFromWire(req *msg.Msg) (*Obj, int, []byte) {
 	r := msg.NewReader(req.Payload)
 	id := memory.ObjectID(r.U32())
 	off := r.Int()
-	data := r.BytesN() // the request is this handler's to keep (transport.Endpoint.Recv)
+	data := r.BytesN()
 	if r.Err() != nil {
 		n.ctr.DropMalformed.Inc()
-		return vkernel.Dropped
+		return nil, 0, nil
 	}
 	o := n.objFromWire(id)
+	if o != nil && !inRange(o, off, len(data)) {
+		n.ctr.DropMalformed.Inc()
+		return nil, 0, nil
+	}
+	return o, off, data
+}
+
+// handleRemWrite applies a remote store to a read-mostly object at its
+// home. The reply is the update's sequence number, followed by the
+// redistribution's error when it failed: the store stands either way.
+func (n *Node) handleRemWrite(req *msg.Msg) vkernel.Outcome {
+	o, off, data := n.remoteStoreFromWire(req)
 	if o == nil {
 		return vkernel.Dropped
 	}
-	if !inRange(o, off, len(data)) {
-		n.ctr.DropMalformed.Inc()
-		return vkernel.Dropped
-	}
-	o.mu.Lock()
-	copy(o.data[off:], data)
-	o.mu.Unlock()
 	n.ctr.HomeRemWrite.Inc()
-
-	d := n.dirEntryOf(id)
+	d := n.dirEntryOf(o.meta.ID)
 	d.mu.Lock()
 	d.writes++
 	d.mu.Unlock()
 
-	seq := n.homeAfterRemoteWrite(id, []memory.Span{{Off: off, Data: data}}, req.From)
-	n.k.Reply(req, msg.NewBuilder(8).U64(seq).Bytes())
+	seq, err := n.homeRemoteStore(o, off, data, req.From)
+	b := msg.NewBuilder(16)
+	b.U64(seq)
+	if err != nil {
+		b.Str(err.Error())
+	}
+	n.k.Reply(req, b.Bytes())
 	return vkernel.Replied
 }
 
-// homeAfterRemoteWrite redistributes a write at the home of a
-// replicated read-mostly object: refresh pushes the new bytes to every
-// copy, invalidate drops the copies (§3.4.2). With Options.Dynamic the
-// mode adapts: in invalidate mode, if at least half the dropped copies
-// refetched before the next write, refreshing would have been cheaper,
-// so switch; in refresh mode, probe with an invalidation every 8th
-// update to re-measure.
-func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, from msg.NodeID) uint64 {
-	o := n.mustObj(id)
-	if !o.pol.remote {
-		return 0
-	}
+// testHookRemoteStoreApplied, when a test sets it, runs in
+// homeRemoteStore once the store from node from is in the home copy and
+// before the row is read.
+var testHookRemoteStoreApplied func(from msg.NodeID)
+
+// homeRemoteStore applies a store to a read-mostly object at its home
+// and, once the object is replicated, redistributes it to every copy but
+// the writer's: refresh pushes the new bytes, invalidate drops the
+// copies (§3.4.2). With Options.Dynamic the mode adapts: in invalidate
+// mode, if at least half the dropped copies refetched before the next
+// write, refreshing would have been cheaper, so switch; in refresh mode,
+// probe with an invalidation every 8th update to re-measure. It returns
+// the update's sequence number (0 while the object is not replicated)
+// and the redistribution's error, counted relay.failed.
+func (n *Node) homeRemoteStore(o *Obj, off int, data []byte, from msg.NodeID) (uint64, error) {
 	o.mu.Lock()
-	replicated := o.replicated
+	copy(o.data[off:], data)
 	o.mu.Unlock()
-	if !replicated {
-		return 0 // remote-mode: no copies to maintain
+	if testHookRemoteStoreApplied != nil {
+		testHookRemoteStoreApplied(from)
+	}
+	// The row is read after the store is in: a copy fetched after a
+	// switch this store did not see holds the store already.
+	if pol := o.pol.Load(); !pol.remote || !pol.relay {
+		return 0, nil
 	}
 
+	id := o.meta.ID
 	d := n.dirEntryOf(id)
 	d.relayMu.Lock()
 	defer d.relayMu.Unlock()
 	d.mu.Lock()
-	if !d.updModeSet {
-		d.updMode = o.meta.Opts.Update
-		d.updModeSet = true
-	}
 	if o.meta.Opts.Dynamic {
 		if d.updMode == Invalidate && d.dropped > 0 && d.rereads*2 >= d.dropped {
 			d.updMode = Refresh
@@ -1109,6 +1113,10 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 		}
 	}
 	o.mu.Lock()
+	// Stored again under the stamp, so that of two concurrent stores to
+	// the same bytes the home copy ends with the one stamped last, as
+	// every copy does.
+	copy(o.data[off:], data)
 	o.applySeq++
 	seq := o.applySeq
 	o.mu.Unlock()
@@ -1133,23 +1141,24 @@ func (n *Node) homeAfterRemoteWrite(id memory.ObjectID, spans []memory.Span, fro
 	d.mu.Unlock()
 
 	if len(members) == 0 {
-		return seq
+		return seq, nil
 	}
 	// A refresh is a one-entry sequenced batch; an invalidation is the
 	// ownership protocols' kindInv — the same state change at the copy.
 	n.ctr.HomeRelay.Inc()
 	var err error
 	if mode == Refresh {
-		payload := encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: spans}})
+		payload := encodeApplyBatch([]applyEntry{{id: id, seq: seq, spans: []memory.Span{{Off: off, Data: data}}}})
 		n.countBatch(1, len(payload))
 		_, err = n.k.MulticastCall(members, kindApplyBatch, payload)
 	} else {
 		_, err = n.k.MulticastCall(members, kindInv, msg.NewBuilder(4).U32(uint32(id)).Bytes())
 	}
 	if err != nil && !n.relayBenign(err) {
-		panic(fmt.Sprintf("munin: redistribute object %d: %v", id, err))
+		n.ctr.RelayFailed.Inc()
+		return seq, fmt.Errorf("relay to copy holders: %w", err)
 	}
-	return seq
+	return seq, nil
 }
 
 // handleRegCons registers a producer or consumer for a
@@ -1321,28 +1330,4 @@ func (n *Node) handleEvict(req *msg.Msg) {
 	d.mu.Lock()
 	delete(d.copyset, req.From)
 	d.mu.Unlock()
-}
-
-// handleModeSw switches a read-mostly object to replicated mode on this
-// node. Only the object's home decides the mode (handleRemRead): a
-// switch from any other node is counted (drop.misdirected) and ignored.
-func (n *Node) handleModeSw(req *msg.Msg) {
-	r := msg.NewReader(req.Payload)
-	id := memory.ObjectID(r.U32())
-	replicated := r.Bool()
-	if r.Err() != nil {
-		n.ctr.DropMalformed.Inc()
-		return
-	}
-	o := n.objFromWire(id)
-	if o == nil {
-		return
-	}
-	if req.From != n.homeOf(&o.meta) {
-		n.ctr.DropMisdirected.Inc()
-		return
-	}
-	o.mu.Lock()
-	o.replicated = replicated
-	o.mu.Unlock()
 }

@@ -122,14 +122,8 @@ func (n *Node) leaseWrite(_ *duq.Queue, o *Obj, off int, data []byte) {
 		n.ctr.LeaseBumps.Inc()
 		return
 	}
-	n.ctr.RemoteStore.Inc()
-	b := msg.NewBuilder(16 + len(data))
-	b.U32(uint32(o.meta.ID)).Int(off).BytesN(data)
-	reply, err := n.k.Call(n.homeOf(&o.meta), kindLeaseWrite, b.Bytes())
-	if err != nil {
-		panic(fmt.Sprintf("munin: lease write %q: %v", o.meta.Name, err))
-	}
-	ver := msg.NewReader(reply.Payload).U64()
+	reply, err := n.k.Call(n.homeOf(&o.meta), kindLeaseWrite, n.remoteStorePayload(o, off, data))
+	ver, _ := remoteStoreReply(o, reply, err) // the lease home redistributes nothing, so it never fails one
 	o.mu.Lock()
 	switch {
 	case o.leaseValid && ver == o.leaseVer+1:
@@ -186,20 +180,8 @@ func (n *Node) handleLeaseRead(req *msg.Msg) vkernel.Outcome {
 // object's logical version. The reply carries the new version; nothing
 // else moves — zero invalidation multicast, no copyset bookkeeping.
 func (n *Node) handleLeaseWrite(req *msg.Msg) vkernel.Outcome {
-	r := msg.NewReader(req.Payload)
-	id := memory.ObjectID(r.U32())
-	off := r.Int()
-	data := r.BytesN()
-	if r.Err() != nil {
-		n.ctr.DropMalformed.Inc()
-		return vkernel.Dropped
-	}
-	o := n.objFromWire(id)
+	o, off, data := n.remoteStoreFromWire(req)
 	if o == nil {
-		return vkernel.Dropped
-	}
-	if !inRange(o, off, len(data)) {
-		n.ctr.DropMalformed.Inc()
 		return vkernel.Dropped
 	}
 	o.mu.Lock()

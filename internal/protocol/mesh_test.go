@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -294,14 +295,11 @@ func TestPeerGoneReclaimsExclusiveOwner(t *testing.T) {
 // not panic in its handler (which would take this test binary with it):
 // the merge stands, and the failure is the error of whoever published
 // the update — node 1's flush, or, when node 1 carries the update in a
-// barrier arrival, every participant's barrier.
+// barrier arrival, every participant's barrier, or, for a replicated
+// read-mostly object, node 1's remote store.
 func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
-	for _, viaBarrier := range []bool{false, true} {
-		name := "flush"
-		if viaBarrier {
-			name = "barrier"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, via := range []string{"flush", "barrier", "remote store"} {
+		t.Run(via, func(t *testing.T) {
 			m := newMeshMembers(t, 3)
 			for _, mm := range m[:2] {
 				defer mm.clu.Close()
@@ -310,6 +308,9 @@ func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
 			opts.Home = 0
 			id := memory.ObjectID(1)
 			meta := Meta{ID: id, Name: "wm", Size: 64, Annot: WriteMany, Opts: opts}
+			if via == "remote store" {
+				meta.Annot, meta.Opts.ForceReplicated = ReadMostly, true
+			}
 			for _, mm := range m {
 				mm.node.InstallLocal(meta, nil)
 			}
@@ -321,13 +322,22 @@ func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
 
 			home, writer := m[0].node, m[1].node
 			q := duq.New()
-			writer.Write(q, id, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-			var err, homeErr error
-			if !viaBarrier {
-				err = writer.TryFlushQueue(q)
-			} else {
+			// publish writes data at off and returns the publisher's error.
+			publish := func(off int, data []byte) (err error) {
+				if via == "remote store" {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("%v", p)
+						}
+					}()
+				}
+				writer.Write(q, id, off, data)
+				if via != "barrier" {
+					return writer.TryFlushQueue(q)
+				}
 				// Barrier 0 is homed on node 0, whose own participant
 				// carries nothing.
+				var homeErr error
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
@@ -340,23 +350,27 @@ func TestRelayToADeadHolderFailsTheWriterNotTheHome(t *testing.T) {
 				if homeErr == nil || !strings.Contains(homeErr.Error(), "relay") {
 					t.Errorf("the home's own participant got %v, want the relay's error", homeErr)
 				}
+				return err
 			}
-			if err == nil || !strings.Contains(err.Error(), "relay") {
+			if err := publish(0, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err == nil || !strings.Contains(err.Error(), "relay") {
 				t.Fatalf("publishing to a home whose relay fails = %v, want the relay's error", err)
 			}
 			if got := home.C.Get("relay.failed"); got != 1 {
 				t.Errorf("relay.failed = %d at the home, want 1", got)
 			}
 			// The merge stood: the home copy holds the update, and the
-			// writer settled its copy, so a second update flushes cleanly
-			// apart from the same dead holder.
+			// writer settled its copy, so a second update publishes
+			// cleanly apart from the same dead holder.
 			home.Read(duq.New(), id, 0, buf)
 			if !bytes.Equal(buf, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 				t.Errorf("home copy = %v after the failed relay, want the update", buf)
 			}
-			writer.Write(q, id, 8, []byte{9, 9, 9, 9, 9, 9, 9, 9})
-			if err := writer.TryFlushQueue(q); err == nil || !strings.Contains(err.Error(), "relay") {
-				t.Errorf("second flush = %v, want the relay's error again", err)
+			if err := publish(8, []byte{9, 9, 9, 9, 9, 9, 9, 9}); err == nil || !strings.Contains(err.Error(), "relay") {
+				t.Errorf("second publish = %v, want the relay's error again", err)
+			}
+			writer.Read(duq.New(), id, 0, buf)
+			if !bytes.Equal(buf, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+				t.Errorf("the writer's copy = %v, want its first update", buf)
 			}
 			if writer.C.Get(stats.CApplyGap) != 0 {
 				t.Errorf("the writer's copy parked an update (apply.gap = %d)", writer.C.Get(stats.CApplyGap))

@@ -54,7 +54,9 @@ const (
 // Zwaenepoel, SOSP '91) describes each annotation. install points every
 // object at one row (policyOf); from then on the access path calls the
 // row's methods and the handlers branch on its fields, so nothing asks
-// which annotation an object has. Rows are never written.
+// which annotation an object has. Rows are never written. An object
+// changes row only by §3.4.1's switch, from the read-mostly remote row
+// to replicatedRow and never back (handleRemRead, remoteRead).
 type policy struct {
 	// engine is the machine the row belongs to; the recovery announce
 	// carries it.
@@ -81,12 +83,15 @@ type policy struct {
 	// flush: where a write goes at the writer's next synchronization
 	// point; flushNone for rows that do not delay writes.
 	flush flushTarget
-	// relay: the home sends every merged update on to the copy set.
+	// relay: the home sends every update on to the copy set — each
+	// merged diff (mergeStamp), or each remote store, by refresh or
+	// invalidation as §3.4.2 adapts it (homeRemoteStore).
 	relay bool
-	// remote: reads and writes are remote loads and stores at the home
-	// until Options.ForceReplicated, or the §3.4.1 adaptation under
-	// Options.Dynamic, replicates the object; the home then keeps the
-	// copies by refresh or invalidation (§3.4.2).
+	// remote: a read-mostly object under the directory engine (§3.3.5).
+	// Writes are remote stores at the home, and a read that crosses the
+	// wire counts rm.remote_reads. Without relay, reads are remote loads
+	// as well, which the home counts under Options.Dynamic to swap in
+	// replicatedRow once they dominate (§3.4.1).
 	remote bool
 }
 
@@ -96,12 +101,18 @@ var rows = [...]policy{
 	GeneralRW:        {engine: EngineDirectory, read: (*Node).replicatedRead, write: (*Node).ownershipWrite, owned: true},
 	WriteOnce:        {engine: EngineDirectory, read: (*Node).writeOnceRead, write: (*Node).writeOnceWrite, frozen: true},
 	WriteMany:        {engine: EngineDirectory, read: (*Node).replicatedRead, write: (*Node).bufferedWrite, flush: flushHome, relay: true},
-	Result:           {engine: EngineDirectory, read: (*Node).resultRead, write: (*Node).bufferedWrite, flush: flushHome},
+	Result:           {engine: EngineDirectory, read: (*Node).remoteRead, write: (*Node).bufferedWrite, flush: flushHome},
 	ProducerConsumer: {engine: EngineDirectory, read: (*Node).consumerRead, write: (*Node).producerWrite, flush: flushConsumers},
 	Migratory:        {engine: EngineDirectory, read: (*Node).heldRead, write: (*Node).heldWrite, lockBound: true},
 	Private:          {engine: EngineDirectory, read: (*Node).heldRead, write: (*Node).heldWrite, private: true},
-	ReadMostly:       {engine: EngineDirectory, read: (*Node).readMostlyRead, write: (*Node).readMostlyWrite, remote: true},
+	ReadMostly:       {engine: EngineDirectory, read: (*Node).remoteRead, write: (*Node).readMostlyWrite, remote: true},
 }
+
+// replicatedRow is a read-mostly object replicated under the directory
+// engine: reads are served from a local copy, and the home keeps the
+// copies by refresh or invalidation. Options.ForceReplicated installs it;
+// otherwise the §3.4.1 switch swaps it in for rows[ReadMostly].
+var replicatedRow = policy{engine: EngineDirectory, read: (*Node).replicatedRead, write: (*Node).readMostlyWrite, relay: true, remote: true}
 
 // leaseRow is a read-mostly object under the lease engine (lease.go).
 // Its home keeps a version instead of a copy set, so none of the
@@ -111,7 +122,8 @@ var leaseRow = policy{engine: EngineLease, read: (*Node).leaseRead, write: (*Nod
 // policyOf is the row constructor, the one place an object's annotation
 // chooses its protocol. Options.Engine = EngineLease selects the lease
 // row, for read-mostly objects only; any other value selects the
-// annotation's directory row.
+// annotation's directory row, replicatedRow for a read-mostly object
+// under Options.ForceReplicated.
 func policyOf(meta *Meta) *policy {
 	if meta.Opts.Engine == EngineLease {
 		if meta.Annot != ReadMostly {
@@ -122,6 +134,9 @@ func policyOf(meta *Meta) *policy {
 	}
 	if int(meta.Annot) >= len(rows) {
 		panic(fmt.Sprintf("munin: alloc %q: unknown %v", meta.Name, meta.Annot))
+	}
+	if meta.Annot == ReadMostly && meta.Opts.ForceReplicated {
+		return &replicatedRow
 	}
 	return &rows[meta.Annot]
 }

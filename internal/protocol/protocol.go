@@ -9,8 +9,9 @@
 //	Migratory          object rides inside lock-transfer messages
 //	Result             buffered writes merged at a single home copy
 //	Private            node-local, no coherence traffic
-//	ReadMostly         remote load/store (§3.3.5 prototype choice),
-//	                   dynamically switchable to replication (§3.4.1)
+//	ReadMostly         remote load/store (§3.3.5 prototype choice), or
+//	                   replicated: from install, or once the home sees
+//	                   reads dominate (§3.4.1), which swaps the row
 //	GeneralRW          ownership protocol: single writer, write-invalidate
 //	Conventional       the same protocol — the default when no annotation
 //	                   is given (§3.1)
@@ -18,8 +19,11 @@
 // Each mechanism is a policy row (policy.go): the object's read and write
 // methods plus the few protocol parameters the handlers branch on. Alloc
 // picks an object's row once, from its annotation and Options.Engine, and
-// nothing else looks at the annotation again. Read-mostly objects have a
-// second row under the Tardis-style lease engine (lease.go).
+// nothing else looks at the annotation again. A read-mostly object has
+// two directory rows, remote and replicated (replicatedRow): the home
+// swaps the first for the second when reads dominate, and its remote
+// loads' replies carry the swap to every reader. Read-mostly objects
+// have a third row under the Tardis-style lease engine (lease.go).
 //
 // The two ownership annotations run one protocol in which an object's
 // bytes cross the wire once, from the node that has them to the node
@@ -221,7 +225,9 @@ type Obj struct {
 	meta Meta
 	// pol is the object's coherence protocol, one of the package's
 	// policy rows, chosen at install from the annotation and engine.
-	pol *policy
+	// §3.4.1's switch swaps it, once, from the read-mostly remote row
+	// to replicatedRow.
+	pol atomic.Pointer[policy]
 	// data is the local copy. A write-once object has one only at its
 	// home while it is being initialised: everywhere else, and at the
 	// home from the first replica on, its bytes are snap and data is nil.
@@ -279,9 +285,6 @@ type Obj struct {
 
 	registered bool // consumer has registered with home
 
-	// Read-mostly dynamic mode: true once switched to replication.
-	replicated bool
-
 	// dir is the directory record, created on first use at the home
 	// (dirEntryOf); nil on nodes that never acted as this object's home.
 	dir atomic.Pointer[dirEntry]
@@ -330,8 +333,7 @@ type dirEntry struct {
 	// drop.stray_reply.
 	fwd map[msg.NodeID]forwarded
 
-	updMode    UpdateMode // current refresh/invalidate choice
-	updModeSet bool
+	updMode UpdateMode // current refresh/invalidate choice
 }
 
 // forwarded is one fault passed on to the owner: the node it went to,
@@ -523,7 +525,6 @@ const (
 	kindLeaseWrite                          // Call: lease write-through; reply is the new version
 	kindRecover                             // Call: rejoined member re-announces its allocations (recovery.go)
 	kindEvict                               // Send: node dropped its copy (pageout)
-	kindModeSw                              // multicast: dynamic mode switch, from the home
 	kindCohEnd                              // sentinel
 )
 
@@ -548,8 +549,7 @@ var (
 		kindRecover - kindRead:    (*Node).handleRecover,
 	}
 	cohSends = [kindCohEnd - kindEvict]func(*Node, *msg.Msg){
-		kindEvict - kindEvict:  (*Node).handleEvict,
-		kindModeSw - kindEvict: (*Node).handleModeSw,
+		kindEvict - kindEvict: (*Node).handleEvict,
 	}
 )
 
@@ -667,7 +667,7 @@ func (n *Node) dirEntryOf(id memory.ObjectID) *dirEntry {
 	if d := o.dir.Load(); d != nil {
 		return d
 	}
-	d := &dirEntry{owner: n.id, copyset: make(map[msg.NodeID]bool), producer: -1}
+	d := &dirEntry{owner: n.id, copyset: make(map[msg.NodeID]bool), producer: -1, updMode: o.meta.Opts.Update}
 	if o.dir.CompareAndSwap(nil, d) {
 		return d
 	}
@@ -728,21 +728,17 @@ func (n *Node) InstallLocal(meta Meta, init []byte) {
 
 // install creates the local view of a newly allocated object.
 func (n *Node) install(meta Meta, init []byte) {
-	o := &Obj{meta: meta, pol: policyOf(&meta), pendApply: make(map[uint64][]memory.Span)}
+	o := &Obj{meta: meta, pendApply: make(map[uint64][]memory.Span)}
+	pol := policyOf(&meta)
+	o.pol.Store(pol)
 	o.cond = sync.NewCond(&o.mu)
-	// ForceReplicated: a read-mostly object serves reads from local
-	// replicas from the very first access instead of remote load/store
-	// — under the directory engine via the replicated-mode flag, under
-	// the lease engine by construction (every read installs a leased
-	// local copy), so the lease row needs no flag.
-	o.replicated = o.pol.remote && meta.Opts.ForceReplicated
 	home := n.homeOf(&meta)
 	switch {
-	case o.pol.private:
+	case pol.private:
 		// Every node gets its own independent copy.
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
-	case o.pol.lockBound:
+	case pol.lockBound:
 		// Data rides with the lock. Register the transfer hooks and
 		// seed the lock (it stores at the lock's home only).
 		o.data = append([]byte(nil), init...)
@@ -756,7 +752,7 @@ func (n *Node) install(meta Meta, init []byte) {
 		o.data = append([]byte(nil), init...)
 		o.state = Exclusive
 		o.owns = true
-	case o.pol.frozen:
+	case pol.frozen:
 		o.state = Invalid // the replica, when fetched, is o.snap
 	default:
 		o.data = make([]byte, meta.Size)

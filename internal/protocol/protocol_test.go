@@ -599,37 +599,143 @@ func TestReadMostlyRemoteLoadStore(t *testing.T) {
 	}
 }
 
+// TestReadMostlyDynamicSwitchesToReplication: node 1's 32nd remote load
+// makes the home swap the object to replication, and that load's reply
+// says so, so node 1's next read faults a copy in and the rest are
+// local: 64 reads cost 32 remote loads and one fault, 66 messages.
 func TestReadMostlyDynamicSwitchesToReplication(t *testing.T) {
 	r := newRig(t, 2)
 	opts := DefaultOptions()
+	opts.Home = 0
 	opts.Dynamic = true
 	r.alloc(8, "rm", 8, ReadMostly, opts, u64bytes(1))
 	q := duq.New()
-	// Hammer reads until the home switches the object to replication.
+	before := msgs(r)
 	for i := 0; i < 64; i++ {
-		_ = readU64(r.nodes[1], q, 8, 0)
+		if got := readU64(r.nodes[1], q, 8, 0); got != 1 {
+			t.Fatalf("read %d = %d, want 1", i, got)
+		}
 	}
-	// Wait for the mode switch to land on node 1.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		before := msgs(r)
-		_ = readU64(r.nodes[1], q, 8, 0)
-		_ = readU64(r.nodes[1], q, 8, 0) // second read after caching
-		if msgs(r)-before <= 2 {         // first may fetch; second must be local
-			break
+	if d := msgs(r) - before; d != 66 {
+		t.Fatalf("64 reads sent %d messages, want 66 (32 remote loads, 1 fault)", d)
+	}
+	for i, n := range r.nodes {
+		if pol := n.mustObj(8).pol.Load(); pol != &replicatedRow {
+			t.Fatalf("node %d is not on the replicated row after the switch", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("object never switched to replicated mode")
-		}
+	}
+	if got := r.nodes[0].C.Get("mode.switch"); got != 1 {
+		t.Fatalf("mode.switch = %d at the home, want 1", got)
 	}
 	// Writes still propagate (refresh) to the cached copy.
 	r.nodes[0].Write(q, 8, 0, u64bytes(2))
-	deadline = time.Now().Add(2 * time.Second)
-	for readU64(r.nodes[1], q, 8, 0) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("refresh after mode switch never arrived")
+	if got := readU64(r.nodes[1], q, 8, 0); got != 2 {
+		t.Fatalf("read after the home's write = %d, want 2", got)
+	}
+}
+
+// TestReadMostlyLateReaderLearnsTheSwitchFromItsLoad: after node 1's
+// loads switched the object, node 2 — which saw no announce of it —
+// learns from the reply to its own first remote load, faults a copy in
+// at its second read and reads locally from then on; a store from it
+// reaches node 1's copy and its own.
+func TestReadMostlyLateReaderLearnsTheSwitchFromItsLoad(t *testing.T) {
+	r := newRig(t, 3)
+	opts := DefaultOptions()
+	opts.Home = 0
+	opts.Dynamic = true
+	r.alloc(8, "rm", 8, ReadMostly, opts, u64bytes(1))
+	q := duq.New()
+	for i := 0; i < 33; i++ {
+		readU64(r.nodes[1], q, 8, 0) // 32 loads switch the object; the 33rd read faults a copy in
+	}
+	if pol := r.nodes[2].mustObj(8).pol.Load(); pol != &rows[ReadMostly] {
+		t.Fatal("node 2 swapped its row before its first load")
+	}
+	for i, want := range []int64{2, 2, 0, 0} { // a remote load, a fault, then local reads
+		before := msgs(r)
+		if got := readU64(r.nodes[2], q, 8, 0); got != 1 {
+			t.Fatalf("node 2's read %d = %d, want 1", i, got)
 		}
-		time.Sleep(time.Millisecond)
+		if d := msgs(r) - before; d != want {
+			t.Fatalf("node 2's read %d sent %d messages, want %d", i, d, want)
+		}
+	}
+	if got := r.nodes[2].C.Get("remote.load"); got != 1 {
+		t.Fatalf("node 2 remote.load = %d, want 1", got)
+	}
+	r.nodes[2].Write(q, 8, 0, u64bytes(5))
+	before := msgs(r)
+	for _, n := range r.nodes {
+		if got := readU64(n, q, 8, 0); got != 5 {
+			t.Fatalf("node %d reads %d after node 2's store, want 5", n.ID(), got)
+		}
+	}
+	if d := msgs(r) - before; d != 0 {
+		t.Fatalf("reads after the store sent %d messages, want 0", d)
+	}
+}
+
+// TestOwnStoreBesideAFetchIsKept: node 1's replica is being fetched
+// when its own store runs; the home serves the fetch first, but the
+// store's reply is settled first. The store must not be lost from the
+// replica: the install applies it after the fetched snapshot, and a
+// later refresh from the home finds no gap.
+func TestOwnStoreBesideAFetchIsKept(t *testing.T) {
+	stored := false
+	var r *rig
+	q := duq.New()
+	setHook(t, &testHookFetched, func() {
+		if !stored {
+			stored = true
+			r.nodes[1].Write(q, 8, 0, u64bytes(7))
+		}
+	})
+	r = newRig(t, 2)
+	opts := DefaultOptions()
+	opts.Home = 0
+	opts.ForceReplicated = true
+	r.alloc(8, "rm", 16, ReadMostly, opts, nil)
+	readU64(r.nodes[1], q, 8, 0) // the fetch; its hook stores 7
+	r.nodes[0].Write(q, 8, 8, u64bytes(9))
+	if a, b := readU64(r.nodes[1], q, 8, 0), readU64(r.nodes[1], q, 8, 8); a != 7 || b != 9 {
+		t.Fatalf("node 1 reads %d, %d, want 7, 9", a, b)
+	}
+	if got := r.nodes[1].C.Get("apply.gap"); got != 0 {
+		t.Fatalf("apply.gap = %d at node 1, want 0", got)
+	}
+}
+
+// TestConcurrentRemoteStoresConverge: nodes 1 and 2 store to the same
+// bytes of a replicated read-mostly object at once. Node 1's store is
+// in the home copy first but is stamped second, after node 2's has been
+// stamped and relayed; the home copy must end with the store stamped
+// last, as node 3's replica does.
+func TestConcurrentRemoteStoresConverge(t *testing.T) {
+	applied, resume := make(chan struct{}), make(chan struct{})
+	setHook(t, &testHookRemoteStoreApplied, func(from msg.NodeID) {
+		if from == 1 {
+			close(applied)
+			<-resume
+		}
+	})
+	r := newRig(t, 4)
+	opts := DefaultOptions()
+	opts.Home = 0
+	opts.ForceReplicated = true
+	r.alloc(8, "rm", 8, ReadMostly, opts, nil)
+	readU64(r.nodes[3], duq.New(), 8, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.nodes[1].Write(duq.New(), 8, 0, u64bytes(1))
+	}()
+	<-applied
+	r.nodes[2].Write(duq.New(), 8, 0, u64bytes(2))
+	close(resume)
+	<-done
+	if h, c := readU64(r.nodes[0], duq.New(), 8, 0), readU64(r.nodes[3], duq.New(), 8, 0); h != 1 || c != 1 {
+		t.Fatalf("the home reads %d and node 3's replica %d, want node 1's 1 (stamped last) at both", h, c)
 	}
 }
 

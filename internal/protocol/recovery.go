@@ -97,7 +97,7 @@ func (n *Node) RecoverAnnounce(setupSum uint64, setupN int) error {
 	}
 	var objs []objKind
 	n.objs.each(func(o *Obj) {
-		objs = append(objs, objKind{o.meta.ID, o.pol.engine})
+		objs = append(objs, objKind{o.meta.ID, o.pol.Load().engine})
 	})
 	sort.Slice(objs, func(i, j int) bool { return objs[i].id < objs[j].id })
 
@@ -167,7 +167,7 @@ func (n *Node) handleRecover(req *msg.Msg) vkernel.Outcome {
 		if o == nil {
 			return reject(fmt.Sprintf("announced object %d was never allocated here", id))
 		}
-		if got := o.pol.engine; got != kind {
+		if got := o.pol.Load().engine; got != kind {
 			return reject(fmt.Sprintf("object %d engine %d != local engine %d", id, kind, got))
 		}
 	}

@@ -61,8 +61,6 @@ func TestWireInputIsDroppedNotFatal(t *testing.T) {
 			msg.NewBuilder(16).U32(2).U32(0).Bool(false).Bytes(), "drop.misdirected"},
 		{"kindFwdRead for a read-mostly object", kindFwdRead,
 			msg.NewBuilder(8).U32(2).U32(0).Bytes(), "drop.misdirected"},
-		{"kindModeSw from a node that is not the object's home", kindModeSw,
-			msg.NewBuilder(8).U32(2).Bool(true).Bytes(), "drop.misdirected"},
 		{"kindRegCons as producer of an object the home produces", kindRegCons,
 			msg.NewBuilder(8).U32(4).Bool(true).Bytes(), "producer.refused"},
 	}
